@@ -9,16 +9,22 @@ different arithmetic, so their agreement is itself a check.
 
 import numpy as np
 
-from .errors import BicharacterViolation, ExtractionFailure, HopfHomViolation, SourceTargetMismatch
+from .errors import (
+    BicharacterViolation,
+    ExtractionFailure,
+    HopfHomViolation,
+    NotUnitary,
+    SourceTargetMismatch,
+)
 from .qgroup import EQUATION_TOL, CLOSURE_TOL, dual_qg, unitary_antipode
 from .tensorleg import (
     LegSpace,
     apply_map_to_leg,
     as_matrix,
-    embed_on_legs,
     extract_trivial_legs,
     frob,
     kron,
+    legs_product,
     membership_residual,
     permute_legs,
     residual_between,
@@ -75,20 +81,20 @@ def bicharacter_residuals(v, c, a):
 
     # comultiplication form, leg-wise through the span maps
     lhs1 = apply_map_to_leg(v, space, 1, c.deltaChat)[0]
-    v23 = embed_on_legs(v, space_cca, (2, 3))
-    v13_cca = embed_on_legs(v, space_cca, (1, 3))
-    r1 = residual_between(lhs1, v23 @ v13_cca)
+    r1 = residual_between(lhs1, legs_product(space_cca, (v, (2, 3)), (v, (1, 3))))
 
     lhs2 = apply_map_to_leg(v, space, 2, a.deltaC)[0]
-    v12 = embed_on_legs(v, space_caa, (1, 2))
-    v13_caa = embed_on_legs(v, space_caa, (1, 3))
-    r2 = residual_between(lhs2, v12 @ v13_caa)
+    r2 = residual_between(lhs2, legs_product(space_caa, (v, (1, 2)), (v, (1, 3))))
 
     # operator form on the Hilbert-space level
-    wc12 = embed_on_legs(c.W, space_cca, (1, 2))
-    r3 = residual_between(v23 @ wc12, wc12 @ v13_cca @ v23)
-    wa23 = embed_on_legs(a.W, space_caa, (2, 3))
-    r4 = residual_between(wa23 @ v12, v12 @ v13_caa @ wa23)
+    r3 = residual_between(
+        legs_product(space_cca, (v, (2, 3)), (c.W, (1, 2))),
+        legs_product(space_cca, (c.W, (1, 2)), (v, (1, 3)), (v, (2, 3))),
+    )
+    r4 = residual_between(
+        legs_product(space_caa, (a.W, (2, 3)), (v, (1, 2))),
+        legs_product(space_caa, (v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))),
+    )
 
     memb = membership_residual(_pair_basis(c.algChat, a.algC), v)
     return {
@@ -104,15 +110,15 @@ def check_bicharacter(v, c, a, tol=EQUATION_TOL, membership_tol=CLOSURE_TOL):
     """Verify v as a bicharacter from c to a; residuals travel with the result."""
     v = as_matrix(v)
     udef = unitarity_defect(v)
-    if udef > 1e-10:
-        raise ValueError(f"V is not unitary, defect {udef:.2e}")
+    if not udef <= 1e-10:
+        raise NotUnitary(f"V is not unitary, defect {udef:.2e}", residual=udef)
     res = bicharacter_residuals(v, c, a)
     for key in ("comultSource", "comultTarget", "operatorSource", "operatorTarget"):
-        if res[key] > tol:
+        if not res[key] <= tol:
             raise BicharacterViolation(
                 f"{key} equation fails, residual {res[key]:.2e}", residual=res[key]
             )
-    if res["membership"] > membership_tol:
+    if not res["membership"] <= membership_tol:
         raise BicharacterViolation(
             f"V escapes the algebra pair span, residual {res['membership']:.2e}",
             residual=res["membership"],
@@ -140,9 +146,13 @@ def compose(vca, vab, tol=EQUATION_TOL):
     da = vca.target.dim
     db = vab.target.dim
     space3 = LegSpace((dc, da, db))
-    v12 = embed_on_legs(vca.V, space3, (1, 2))
-    v23 = embed_on_legs(vab.V, space3, (2, 3))
-    prod = v12.conj().T @ v23 @ v12 @ v23.conj().T
+    prod = legs_product(
+        space3,
+        (vca.V.conj().T, (1, 2)),
+        (vab.V, (2, 3)),
+        (vca.V, (1, 2)),
+        (vab.V.conj().T, (2, 3)),
+    )
     factor, resid = extract_trivial_legs(prod, space3, {2})
     if resid > tol:
         raise ExtractionFailure(

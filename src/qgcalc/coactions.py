@@ -18,9 +18,9 @@ from .tensorleg import (
     LegSpace,
     SpanMap,
     apply_map_to_leg,
-    embed_on_legs,
     frob,
     kron,
+    legs_product,
     membership_residuals,
     orthonormal_basis,
     residual_between,
@@ -189,9 +189,7 @@ def check_corepresentation(x, qg, tol=EQUATION_TOL):
     space = LegSpace((h, dc))
     space3 = LegSpace((h, dc, dc))
     lhs, _ = apply_map_to_leg(x, space, 2, qg.deltaC)
-    x12 = embed_on_legs(x, space3, (1, 2))
-    x13 = embed_on_legs(x, space3, (1, 3))
-    law = residual_between(lhs, x12 @ x13)
+    law = residual_between(lhs, legs_product(space3, (x, (1, 2)), (x, (1, 3))))
     if law > tol:
         raise CoactionViolation(
             f"corepresentation law fails, residual {law:.2e}", residual=law

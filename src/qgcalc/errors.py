@@ -8,6 +8,7 @@ __all__ = [
     "CalculusError",
     "ParseError",
     "DimensionMismatch",
+    "NotUnitary",
     "PentagonViolation",
     "AlgebraNotClosed",
     "NotManageable",
@@ -42,6 +43,13 @@ class ParseError(CalculusError):
 
 class DimensionMismatch(CalculusError):
     """Operands live on tensor factors of incompatible sizes."""
+
+
+class NotUnitary(CalculusError, ValueError):
+    """An operator required to be unitary is not.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
 
 
 class PentagonViolation(CalculusError):

@@ -24,9 +24,9 @@ from .tensorleg import (
     LegSpace,
     SpanMap,
     apply_map_to_leg,
-    embed_on_legs,
     extract_trivial_legs,
     kron,
+    legs_product,
     membership_residual,
     permute_legs,
     residual_between,
@@ -220,8 +220,7 @@ def bicharacter_from_right(dr, tol=EQUATION_TOL):
     a = dr.target
     ext, _ = apply_map_to_leg(c.W, c.space, 2, dr.deltaR)
     space3 = LegSpace((c.dim, c.dim, a.dim))
-    w12 = embed_on_legs(c.W, space3, (1, 2))
-    prod = w12.conj().T @ ext
+    prod = legs_product(space3, (c.W.conj().T, (1, 2)), (ext, (1, 2, 3)))
     factor, resid = extract_trivial_legs(prod, space3, {2})
     if resid > tol:
         raise ExtractionFailure(
@@ -234,6 +233,7 @@ def bicharacter_from_right(dr, tol=EQUATION_TOL):
 
 
 def left_hom_residuals(c, a, dl_map):
+    """Mirror of right_hom_residuals for a left-hom candidate C -> A (x) C."""
     pair = [kron(y, x) for y in a.algC for x in c.algC]
     rng = max(membership_residual(pair, dl_map(x)) for x in c.algC)
     space_ac = LegSpace((a.dim, c.dim))
@@ -248,7 +248,19 @@ def left_hom_residuals(c, a, dl_map):
         lhs2, _ = apply_map_to_leg(dlx, space_ac, 1, a.deltaC)
         rhs2, _ = apply_map_to_leg(dlx, space_ac, 2, dl_map)
         diag2 = max(diag2, residual_between(lhs2, rhs2))
-    return {"range": rng, "coassocDiagram": diag1, "comoduleDiagram": diag2}
+    injective = _rank([vec(dl_map(x)) for x in c.algC]) == len(c.algC)
+    eye_c = np.eye(c.dim, dtype=complex)
+    prods = [
+        vec(dl_map(x) @ kron(y, eye_c)) for x in c.algC for y in a.algC
+    ]
+    podles = _rank(prods) == len(c.algC) * len(a.algC)
+    return {
+        "range": rng,
+        "coassocDiagram": diag1,
+        "comoduleDiagram": diag2,
+        "injective": injective,
+        "podles": podles,
+    }
 
 
 def check_left_hom(c, a, dl_map, tol=EQUATION_TOL):
@@ -291,9 +303,7 @@ def left_from_bicharacter(v, tol=EQUATION_TOL):
     # the slice identity (id (x) deltaL)(W) = V12 W13 must hold as well
     ext, _ = apply_map_to_leg(c.W, c.space, 2, dl_map)
     space3 = LegSpace((c.dim, a.dim, c.dim))
-    v12 = embed_on_legs(v.V, space3, (1, 2))
-    w13 = embed_on_legs(c.W, space3, (1, 3))
-    slice_res = residual_between(ext, v12 @ w13)
+    slice_res = residual_between(ext, legs_product(space3, (v.V, (1, 2)), (c.W, (1, 3))))
     if slice_res > tol:
         raise RangeViolation(
             f"slice identity for the left homomorphism fails, residual {slice_res:.2e}",
@@ -309,8 +319,7 @@ def bicharacter_from_left(dl, tol=EQUATION_TOL):
     a = dl.target
     ext, _ = apply_map_to_leg(c.W, c.space, 2, dl.deltaL)
     space3 = LegSpace((c.dim, a.dim, c.dim))
-    w13 = embed_on_legs(c.W, space3, (1, 3))
-    prod = ext @ w13.conj().T
+    prod = legs_product(space3, (ext, (1, 2, 3)), (c.W.conj().T, (1, 3)))
     factor, resid = extract_trivial_legs(prod, space3, {3})
     if resid > tol:
         raise ExtractionFailure(

@@ -16,6 +16,7 @@ from .errors import (
     BicharacterViolation,
     NotKacType,
     NotManageable,
+    NotUnitary,
     PentagonViolation,
 )
 from .tensorleg import (
@@ -23,8 +24,8 @@ from .tensorleg import (
     LegSpace,
     SpanMap,
     as_matrix,
-    embed_on_legs,
     kron,
+    legs_product,
     membership_residuals,
     orthonormal_basis,
     permute_legs,
@@ -190,15 +191,15 @@ def build_from_unitary(w, dim):
     if w.shape[0] != d * d:
         raise ValueError(f"W has dim {w.shape[0]}, expected {d * d}")
     udef = unitarity_defect(w)
-    if udef > PENTAGON_TOL:
-        raise ValueError(f"W is not unitary, defect {udef:.2e}")
+    if not udef <= PENTAGON_TOL:
+        raise NotUnitary(f"W is not unitary, defect {udef:.2e}", residual=udef)
 
     space3 = LegSpace((d, d, d))
-    w12 = embed_on_legs(w, space3, (1, 2))
-    w13 = embed_on_legs(w, space3, (1, 3))
-    w23 = embed_on_legs(w, space3, (2, 3))
-    pent = residual_between(w23 @ w12, w12 @ w13 @ w23)
-    if pent > PENTAGON_TOL:
+    pent = residual_between(
+        legs_product(space3, (w, (2, 3)), (w, (1, 2))),
+        legs_product(space3, (w, (1, 2)), (w, (1, 3)), (w, (2, 3))),
+    )
+    if not pent <= PENTAGON_TOL:
         raise PentagonViolation(f"pentagon residual {pent:.2e}", residual=pent)
 
     space = LegSpace((d, d))
@@ -249,20 +250,22 @@ def coassociativity_residual(qg):
     x (x) 1 (x) 1.  Multiplying the conjugated difference by those unitaries
     turns it into the commutator u xt - xt u without changing any Frobenius
     norm, so the residual below equals the direct comparison while skipping
-    the d^3 x d^3 conjugations per basis element.
+    the d^3 x d^3 conjugations per basis element.  Each side of the
+    commutator contracts u with x over the first leg only, one basis
+    element at a time, so the working set stays at a few d^3 x d^3 matrices.
     """
     d = qg.dim
     space3 = LegSpace((d, d, d))
-    w12 = embed_on_legs(qg.W, space3, (1, 2))
-    w13 = embed_on_legs(qg.W, space3, (1, 3))
-    w23 = embed_on_legs(qg.W, space3, (2, 3))
-    u = w12.conj().T @ w23.conj().T @ w12 @ w13
-    ut = u.reshape(d, d * d, d, d * d)
-    stack = np.stack(qg.algC, axis=0)
-    # contract only the first leg: xt = x (x) 1 (x) 1 never materializes
-    left = np.einsum("apcq,ncb->napbq", ut, stack)
-    right = np.einsum("nac,cpbq->napbq", stack, ut)
-    return residuals_between(left, right)
+    w, wd = qg.W, qg.W.conj().T
+    u = legs_product(space3, (wd, (1, 2)), (wd, (2, 3)), (w, (1, 2)), (w, (1, 3)))
+    every = (1, 2, 3)
+    return max(
+        residual_between(
+            legs_product(space3, (u, every), (x, (1,))),
+            legs_product(space3, (x, (1,)), (u, every)),
+        )
+        for x in qg.algC
+    )
 
 
 def manageability_witness(qg, tol=PENTAGON_TOL):
@@ -322,20 +325,16 @@ def transpose_qg(qg):
     wt = witness.wtilde
 
     space3 = LegSpace((d, d, d))
-    wt23 = embed_on_legs(wt, space3, (2, 3))
-    wt13 = embed_on_legs(wt, space3, (1, 3))
-    wt12 = embed_on_legs(wt, space3, (1, 2))
-    wb12 = embed_on_legs(cbar.W, space3, (1, 2))
-    w23 = embed_on_legs(qg.W, space3, (2, 3))
+    wb = cbar.W
     sigma12 = lambda t: permute_legs(t, space3, (2, 1, 3))
     sigma23 = lambda t: permute_legs(t, space3, (1, 3, 2))
 
     # dual-side equation: (Delta_hat of Cbar (x) id) applied to Wt
-    lhs_a = sigma12(wb12.conj().T @ wt23 @ wb12)
-    res_a = residual_between(lhs_a, wt23 @ wt13)
+    lhs_a = sigma12(legs_product(space3, (wb.conj().T, (1, 2)), (wt, (2, 3)), (wb, (1, 2))))
+    res_a = residual_between(lhs_a, legs_product(space3, (wt, (2, 3)), (wt, (1, 3))))
     # flipped-comultiplication equation on the original algebra side
-    lhs_b = sigma23(w23 @ wt12 @ w23.conj().T)
-    res_b = residual_between(lhs_b, wt12 @ wt13)
+    lhs_b = sigma23(legs_product(space3, (qg.W, (2, 3)), (wt, (1, 2)), (qg.W.conj().T, (2, 3))))
+    res_b = residual_between(lhs_b, legs_product(space3, (wt, (1, 2)), (wt, (1, 3))))
     if res_a > PENTAGON_TOL:
         raise BicharacterViolation(
             f"dual-side equation fails, residual {res_a:.2e}", residual=res_a

@@ -83,6 +83,9 @@ def matrix_from_obj(obj, what="matrix"):
         ):
             raise ParseError(f"{what}: entry {i} must be [re, im]")
         out[i] = complex(pair[0], pair[1])
+    if not np.isfinite(out).all():
+        bad = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise ParseError(f"{what}: entry {bad} is not finite")
     return out.reshape(rows, cols)
 
 
@@ -153,9 +156,15 @@ def qg_to_obj(qg):
 
 
 def bicharacter_parts_from_obj(obj, base="."):
-    """Returns (source, target, V) without running the bicharacter checks."""
-    source = qg_from_obj(_need(obj, "source", "bicharacter"), base)
-    target = qg_from_obj(_need(obj, "target", "bicharacter"), base)
+    """Returns (source, target, V) without running the bicharacter checks.
+
+    A target spec equal to the source spec (an endomorphism, such as an
+    identity arrow) reuses the source object instead of building it again.
+    """
+    source_spec = _need(obj, "source", "bicharacter")
+    target_spec = _need(obj, "target", "bicharacter")
+    source = qg_from_obj(source_spec, base)
+    target = source if target_spec == source_spec else qg_from_obj(target_spec, base)
     v = matrix_from_obj(_need(obj, "V", "bicharacter"), "V")
     n = source.dim * target.dim
     if v.shape != (n, n):

@@ -32,6 +32,7 @@ __all__ = [
     "kron_all",
     "flip_unitary",
     "embed_on_legs",
+    "legs_product",
     "permute_legs",
     "permuted_space",
     "slice_leg",
@@ -207,8 +208,7 @@ def permute_legs(t, space, perm):
     return t4.transpose(axes).reshape(total, total)
 
 
-def embed_on_legs(x, space, legs):
-    """Place x on the named legs (in their given order), identity elsewhere."""
+def _named_legs(x, space, legs):
     x = as_matrix(x)
     legs = tuple(int(l) for l in legs)
     if len(set(legs)) != len(legs):
@@ -218,6 +218,16 @@ def embed_on_legs(x, space, legs):
     d_named = math.prod(space.dims[l - 1] for l in legs)
     if x.shape[0] != d_named:
         raise ValueError(f"operator dim {x.shape[0]} does not match legs {legs} of {space.dims}")
+    return x, legs
+
+
+def embed_on_legs(x, space, legs):
+    """Place x on the named legs (in their given order), identity elsewhere.
+
+    This materializes the full Kronecker embedding; legs_product forms
+    products of leg-placed operators without it and is checked against it.
+    """
+    x, legs = _named_legs(x, space, legs)
     rest = [l for l in range(1, space.nlegs + 1) if l not in legs]
     cur_order = list(legs) + rest
     d_rest = math.prod(space.dims[l - 1] for l in rest)
@@ -226,6 +236,51 @@ def embed_on_legs(x, space, legs):
     # big lives on legs ordered (legs..., rest...); permute back to natural order
     perm = [cur_order.index(j) + 1 for j in range(1, space.nlegs + 1)]
     return permute_legs(big, cur_space, perm)
+
+
+def legs_product(space, *factors):
+    """Dense matrix of x1 x2 ... xk, each xk on its legs and the identity elsewhere.
+
+    Each factor is an ``(x, legs)`` pair read as in embed_on_legs.  The
+    factors are contracted right to left as small tensors, one BLAS
+    tensordot per factor.  A leg that no factor so far acts on stays an
+    implicit identity, so a step costs the size of the partial product
+    times the dimension of the legs it shares with the next factor, and no
+    factor is ever expanded to the whole space.
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    acc = None
+    axes = []  # (0, leg) labels a row axis of acc, (1, leg) a column axis
+    for x, legs in reversed(factors):
+        x, legs = _named_legs(x, space, legs)
+        xt = x.reshape(tuple(space.dims[l - 1] for l in legs) * 2)
+        rows = [(0, l) for l in legs]
+        if acc is None:
+            first, acc, axes = x, xt, rows + [(1, l) for l in legs]
+            continue
+        shared = [l for l in legs if (0, l) in axes]
+        acc = np.tensordot(
+            xt,
+            acc,
+            axes=(
+                [len(legs) + legs.index(l) for l in shared],
+                [axes.index((0, l)) for l in shared],
+            ),
+        )
+        axes = (
+            rows
+            + [(1, l) for l in legs if l not in shared]
+            + [a for a in axes if a[0] == 1 or a[1] not in shared]
+        )
+    for l in range(1, space.nlegs + 1):
+        if (0, l) not in axes:
+            acc = np.multiply.outer(acc, np.eye(space.dims[l - 1], dtype=complex))
+            axes += [(0, l), (1, l)]
+    order = [axes.index((r, l)) for r in (0, 1) for l in range(1, space.nlegs + 1)]
+    out = acc.transpose(order).reshape(space.total, space.total)
+    # a lone factor covering every leg in order comes back as a view of itself
+    return out.copy() if np.may_share_memory(out, first) else out
 
 
 def sliced_space(space, leg):

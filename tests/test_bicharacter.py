@@ -4,13 +4,22 @@ import numpy as np
 import pytest
 
 import qgcalc as q
+import qgcalc.bicharacter as bicharacter_module
 from qgcalc.bicharacter import bicharacter_residuals
 from qgcalc.errors import (
     BicharacterViolation,
     HopfHomViolation,
+    NotUnitary,
     SourceTargetMismatch,
 )
-from qgcalc.tensorleg import flip_unitary, kron, residual_between
+from qgcalc.tensorleg import (
+    LegSpace,
+    apply_map_to_leg,
+    embed_on_legs,
+    flip_unitary,
+    kron,
+    residual_between,
+)
 
 RNG = np.random.default_rng(91514)
 
@@ -81,6 +90,57 @@ def test_non_unitary_rejected(z2):
         q.check_bicharacter(np.ones((4, 4)), c2, c2)
     with pytest.raises(ValueError):
         q.check_bicharacter(np.eye(8), c2, c2)
+
+
+def test_nan_v_fails_closed(z3):
+    c3 = c0(z3)
+    v = c3.W.copy()
+    v[2, 5] = np.nan
+    with pytest.raises(NotUnitary):
+        q.check_bicharacter(v, c3, c3)
+
+
+@pytest.mark.parametrize(
+    "key", ["comultSource", "comultTarget", "operatorSource", "operatorTarget", "membership"]
+)
+def test_nan_residual_fails_closed(z3, monkeypatch, key):
+    c3 = c0(z3)
+
+    def nan_residuals(v, c, a):
+        res = bicharacter_residuals(v, c, a)
+        res[key] = float("nan")
+        return res
+
+    monkeypatch.setattr(bicharacter_module, "bicharacter_residuals", nan_residuals)
+    with pytest.raises(BicharacterViolation):
+        q.check_bicharacter(c3.W, c3, c3)
+
+
+def test_residuals_match_the_embedding_oracle(homs):
+    """All four equation residuals of a slightly rotated arrow, against the
+    same formulas written with explicit Kronecker embeddings."""
+    va = q.from_hopf_hom(q.hom_to_hopf(homs["sgn"], "c0"))
+    c, a = va.source, va.target
+    h = RNG.standard_normal(va.V.shape) + 1j * RNG.standard_normal(va.V.shape)
+    ev, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    v = (vecs * np.exp(1e-3j * ev)) @ vecs.conj().T @ va.V
+    got = bicharacter_residuals(v, c, a)
+
+    sp = LegSpace((c.dim, a.dim))
+    cca = LegSpace((c.dim, c.dim, a.dim))
+    caa = LegSpace((c.dim, a.dim, a.dim))
+    v23, v13c = embed_on_legs(v, cca, (2, 3)), embed_on_legs(v, cca, (1, 3))
+    v12, v13a = embed_on_legs(v, caa, (1, 2)), embed_on_legs(v, caa, (1, 3))
+    wc12, wa23 = embed_on_legs(c.W, cca, (1, 2)), embed_on_legs(a.W, caa, (2, 3))
+    want = {
+        "comultSource": residual_between(apply_map_to_leg(v, sp, 1, c.deltaChat)[0], v23 @ v13c),
+        "comultTarget": residual_between(apply_map_to_leg(v, sp, 2, a.deltaC)[0], v12 @ v13a),
+        "operatorSource": residual_between(v23 @ wc12, wc12 @ v13c @ v23),
+        "operatorTarget": residual_between(wa23 @ v12, v12 @ v13a @ wa23),
+    }
+    for key, value in want.items():
+        assert value > 1e-6
+        assert got[key] == pytest.approx(value, abs=1e-14)
 
 
 def test_abstract_and_operator_equations_agree(z2, z4, s3, homs):

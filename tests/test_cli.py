@@ -9,7 +9,7 @@ import pytest
 import qgcalc as q
 from qgcalc.cli import DEFAULT_CORPUS, main
 from qgcalc.coactions import comultiplication_coaction
-from qgcalc.homviews import right_from_bicharacter
+from qgcalc.homviews import left_from_bicharacter, right_from_bicharacter
 from qgcalc.serialize import (
     bicharacter_parts_from_obj,
     bicharacter_to_obj,
@@ -95,6 +95,14 @@ def test_verify_hom_kinds(tmp_path, capsys, z2, z4):
     names = {c["name"] for c in obj["checks"]}
     assert {"coassocDiagram", "comoduleDiagram", "roundTrip"} <= names
 
+    dl = left_from_bicharacter(q.from_hopf_hom(f))
+    left = tmp_path / "left.json"
+    write_json(str(left), hom_to_obj("left", dl.source, dl.target, dl.deltaL))
+    code, obj = run_json(capsys, ["verify", str(left), "hom"])
+    assert code == 0 and obj["pass"] is True
+    names = {c["name"] for c in obj["checks"]}
+    assert {"injective", "podles", "extraction", "roundTrip"} <= names
+
 
 def test_verify_coaction(tmp_path, capsys, z2, z4):
     c2 = q.qg_from_group(z2, "c0")
@@ -123,6 +131,38 @@ def test_compose_mismatch_exits_two(capsys, va_file):
     code, captured = run_cli(capsys, ["compose", path, path])
     assert code == 2
     assert "error" in captured.err
+
+
+@pytest.fixture()
+def nonunitary_file(tmp_path, va_file):
+    _, va = va_file
+    obj = bicharacter_to_obj(va)
+    v = va.V.copy()
+    v[1, 2] += 0.25
+    obj["V"] = matrix_to_obj(v)
+    path = tmp_path / "nonunitary.json"
+    write_json(str(path), obj)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["compose", "dual"])
+def test_non_unitary_v_is_reported_not_raised(capsys, va_file, nonunitary_file, command):
+    path, _ = va_file
+    argv = ["compose", nonunitary_file, path] if command == "compose" else ["dual", nonunitary_file]
+    code, obj = run_json(capsys, argv)
+    assert code == 1 and obj["pass"] is False
+    assert [c["name"] for c in obj["checks"]] == ["NotUnitary"]
+
+
+def test_non_finite_entry_exits_two(tmp_path, capsys, va_file):
+    _, va = va_file
+    obj = bicharacter_to_obj(va)
+    obj["V"]["data"][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    write_json(str(path), obj)
+    code, captured = run_cli(capsys, ["verify", str(path), "bicharacter"])
+    assert code == 2
+    assert "not finite" in captured.err
 
 
 def test_dual_round_trip(tmp_path, capsys, va_file):

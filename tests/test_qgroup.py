@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qgcalc as q
-from qgcalc.errors import NotKacType, PentagonViolation
+from qgcalc.errors import BicharacterViolation, NotKacType, NotUnitary, PentagonViolation
 from qgcalc.qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
@@ -256,6 +256,68 @@ def test_coassociativity_matches_direct_conjugation(z3):
     got = coassociativity_residual(Probe())
     assert got > 1e-6
     assert got == pytest.approx(direct, abs=1e-13)
+
+
+def _haar_unitary(n, rng):
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    qq, r = np.linalg.qr(z)
+    return qq * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rotated(m, size, rng):
+    """m times a unitary exp(i size h) for a random unit-norm hermitian h."""
+    h = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    h = (h + h.conj().T) / 2
+    ev, vecs = np.linalg.eigh(h / np.linalg.norm(h))
+    return (vecs * np.exp(1j * size * ev)) @ vecs.conj().T @ m
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_gauged_dense_unitary_passes_and_perturbation_fails(s3, picture):
+    """(u (x) u) W (u (x) u)* for a Haar u is dense and complex, unlike the 0/1
+    corpus matrices: every leg-contracted check must still read zero, agree
+    with the Kronecker-embedding oracle, and catch a 1e-6 rotation."""
+    rng = np.random.default_rng(20261018)
+    base = q.qg_from_group(s3, picture)
+    d = base.dim
+    u = _haar_unitary(d, rng)
+    uu = kron(u, u)
+    w = uu @ base.W @ uu.conj().T
+    qg = build_from_unitary(w, d)
+    assert qg.residuals["pentagon"] <= 1e-13
+    assert coassociativity_residual(qg) <= 1e-13
+    ident = q.check_bicharacter(w, qg, qg)
+    assert max(ident.residuals.values()) <= 1e-13
+
+    sp = LegSpace((d, d, d))
+    w12 = embed_on_legs(w, sp, (1, 2))
+    w13 = embed_on_legs(w, sp, (1, 3))
+    w23 = embed_on_legs(w, sp, (2, 3))
+    oracle = residual_between(w23 @ w12, w12 @ w13 @ w23)
+    assert qg.residuals["pentagon"] == pytest.approx(oracle, abs=1e-14)
+    assert ident.residuals["operatorSource"] == pytest.approx(oracle, abs=1e-14)
+
+    bad = _rotated(w, 1e-6, rng)
+    with pytest.raises(PentagonViolation) as exc:
+        build_from_unitary(bad, d)
+    b12 = embed_on_legs(bad, sp, (1, 2))
+    b13 = embed_on_legs(bad, sp, (1, 3))
+    b23 = embed_on_legs(bad, sp, (2, 3))
+    assert exc.value.residual == pytest.approx(
+        residual_between(b23 @ b12, b12 @ b13 @ b23), abs=1e-14
+    )
+    with pytest.raises(BicharacterViolation):
+        q.check_bicharacter(bad, qg, qg)
+
+
+def test_non_unitary_w_raises_the_typed_error():
+    with pytest.raises(NotUnitary) as exc:
+        build_from_unitary(np.ones((4, 4)), 2)
+    assert exc.value.residual > PENTAGON_TOL
+    w = np.eye(4, dtype=complex)
+    w[0, 0] = np.nan
+    with pytest.raises(NotUnitary):
+        build_from_unitary(w, 2)
 
 
 def test_coinvariant_dimension_is_one(z2, z4, s3):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qgcalc as q
+import qgcalc.serialize as serialize_module
 from qgcalc.errors import ParseError
 from qgcalc.homviews import right_from_bicharacter
 from qgcalc.serialize import (
@@ -49,6 +50,19 @@ def test_matrix_errors():
         matrix_from_obj({"rows": 1, "cols": 1, "data": [["x", 0]]})
     with pytest.raises(ParseError):
         matrix_from_obj({"rows": 0, "cols": 2, "data": []})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_matrix_rejects_non_finite_entries(tmp_path, bad):
+    obj = matrix_to_obj(np.eye(2))
+    obj["data"][3][1] = bad
+    with pytest.raises(ParseError, match="entry 3"):
+        matrix_from_obj(obj)
+    # the literals NaN and Infinity survive a JSON round trip
+    path = tmp_path / "m.json"
+    write_json(str(path), {"m": obj})
+    with pytest.raises(ParseError):
+        matrix_from_obj(load_json(str(path))["m"])
 
 
 def test_load_json_errors(tmp_path):
@@ -128,6 +142,36 @@ def test_bicharacter_round_trip(z2, z4):
     assert source.same_unitary(v.source)
     assert target.same_unitary(v.target)
     np.testing.assert_allclose(mat, v.V, atol=1e-12)
+
+
+def _counting_builds(monkeypatch):
+    calls = []
+    real = serialize_module.build_from_unitary
+
+    def counted(w, dim):
+        calls.append(dim)
+        return real(w, dim)
+
+    monkeypatch.setattr(serialize_module, "build_from_unitary", counted)
+    return calls
+
+
+def test_identity_arrow_builds_its_object_once(monkeypatch, z4):
+    c4 = q.qg_from_group(z4, "c0")
+    obj = bicharacter_to_obj(q.identity(c4))
+    calls = _counting_builds(monkeypatch)
+    source, target, v = bicharacter_parts_from_obj(obj)
+    assert calls == [4]
+    assert target is source
+    np.testing.assert_array_equal(v, c4.W)
+
+
+def test_distinct_endpoints_build_twice(monkeypatch, z2, z4):
+    v = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0"))
+    calls = _counting_builds(monkeypatch)
+    source, target, _ = bicharacter_parts_from_obj(bicharacter_to_obj(v))
+    assert calls == [source.dim, target.dim]
+    assert source.dim != target.dim
 
 
 def test_bicharacter_shape_error(z2, z4):

@@ -19,6 +19,7 @@ from qgcalc.tensorleg import (
     intertwiner_space,
     kron,
     kron_all,
+    legs_product,
     membership_residual,
     membership_residuals,
     orthonormal_basis,
@@ -144,6 +145,65 @@ def test_embed_rejects_bad_dims():
         embed_on_legs(np.eye(4), sp, (2,))
     with pytest.raises(ValueError):
         embed_on_legs(np.eye(2), sp, (1, 1))
+
+
+# --- products of leg-placed operators ----------------------------------
+
+LEG_CHOICES = ((1,), (2,), (3,), (1, 3), (3, 1), (2, 1), (2, 3), (1, 2, 3), (3, 1, 2))
+
+
+def _embedded_product(sp, factors):
+    out = np.eye(sp.total, dtype=complex)
+    for x, legs in factors:
+        out = out @ embed_on_legs(x, sp, legs)
+    return out
+
+
+@pytest.mark.parametrize("nfactors", [1, 2, 3, 4])
+def test_legs_product_matches_embedded_product(nfactors):
+    """Every placement of 1-4 random factors on unequal legs (2, 3, 4),
+    including non-adjacent and reversed legs, against the Kronecker oracle."""
+    sp = LegSpace((2, 3, 4))
+    rng = np.random.default_rng(100 + nfactors)
+    picks = rng.choice(len(LEG_CHOICES), size=(40, nfactors))
+    for row in picks:
+        factors = []
+        for k in row:
+            legs = LEG_CHOICES[k]
+            n = math.prod(sp.dims[l - 1] for l in legs)
+            factors.append((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), legs))
+        got = legs_product(sp, *factors)
+        want = _embedded_product(sp, factors)
+        assert got.shape == (24, 24)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_legs_product_covers_every_leg_pair_and_order():
+    sp = LegSpace((2, 3, 4))
+    for legs in ((1, 3), (3, 1), (2, 3), (3, 2), (1, 2), (2, 1)):
+        n = math.prod(sp.dims[l - 1] for l in legs)
+        x = random_complex(n, n)
+        want = embed_on_legs(x, sp, legs)
+        np.testing.assert_allclose(legs_product(sp, (x, legs)), want, atol=1e-12)
+
+
+def test_legs_product_returns_a_fresh_array():
+    x = random_complex(6, 6)
+    out = legs_product(LegSpace((2, 3)), (x, (1, 2)))
+    out[0, 0] += 1.0
+    assert out[0, 0] != x[0, 0]
+
+
+def test_legs_product_rejects_bad_factors():
+    sp = LegSpace((2, 3))
+    with pytest.raises(ValueError):
+        legs_product(sp)
+    with pytest.raises(ValueError):
+        legs_product(sp, (np.eye(4), (2,)))
+    with pytest.raises(ValueError):
+        legs_product(sp, (np.eye(2), (1,)), (np.eye(4), (1, 1)))
+    with pytest.raises(ValueError):
+        legs_product(sp, (np.eye(2), (3,)))
 
 
 # --- permutation --------------------------------------------------------
