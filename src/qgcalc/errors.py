@@ -23,6 +23,7 @@ __all__ = [
     "RecoveryFailure",
     "NotAGroup",
     "NotAbelian",
+    "gate",
 ]
 
 
@@ -106,3 +107,12 @@ class NotAGroup(CalculusError):
 
 class NotAbelian(CalculusError):
     """A commutative-group construction was applied to a nonabelian group."""
+
+
+def gate(residual, tol, exc, what):
+    """Raise exc unless residual <= tol, so a NaN residual fails too.
+
+    The message is what the check found, followed by the residual.
+    """
+    if not residual <= tol:
+        raise exc(f"{what}, residual {residual:.2e}", residual=residual)

@@ -15,7 +15,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import NotAbelian, NotAGroup
+from .errors import CalculusError, NotAbelian, NotAGroup, gate
 from .homviews import check_hopf_hom
 from .qgroup import build_from_unitary, dual_qg
 from .tensorleg import SpanMap, kron, residual_between, unitarity_defect
@@ -308,24 +308,30 @@ def qg_from_group(g, picture):
                 for b in range(n):
                     if g.mul(a, b) == c:
                         want += kron(units[a], units[b])
-            assert residual_between(qg.deltaC(units[c]), want) <= 1e-10, (
-                f"comultiplication is not classical at element {c}"
+            gate(
+                residual_between(qg.deltaC(units[c]), want),
+                1e-10,
+                CalculusError,
+                f"comultiplication is not classical at element {c}",
             )
-        assert len(qg.algC) == n, f"expected {n} diagonal directions, got {len(qg.algC)}"
-        diag_defect = max(
-            float(np.max(np.abs(x - np.diag(np.diag(x))))) for x in qg.algC
-        )
-        assert diag_defect <= 1e-10, f"function algebra is not diagonal: {diag_defect:.2e}"
+        if len(qg.algC) != n:
+            raise CalculusError(f"expected {n} diagonal directions, got {len(qg.algC)}")
+        diag_defect = np.max([np.max(np.abs(x - np.diag(np.diag(x)))) for x in qg.algC])
+        gate(diag_defect, 1e-10, CalculusError, "function algebra is not diagonal")
         return qg
 
     out = dual_qg(qg)
     for b in range(n):
         rho = translation_matrix(g, b)
         want = kron(rho, rho)
-        assert residual_between(out.deltaC(rho), want) <= 1e-10, (
-            f"translation at {b} is not group-like"
+        gate(
+            residual_between(out.deltaC(rho), want),
+            1e-10,
+            CalculusError,
+            f"translation at {b} is not group-like",
         )
-    assert len(out.algC) == n, f"expected {n} translation directions, got {len(out.algC)}"
+    if len(out.algC) != n:
+        raise CalculusError(f"expected {n} translation directions, got {len(out.algC)}")
     return out
 
 
@@ -413,7 +419,8 @@ def character_group(g):
         )
         if ok:
             found.add(phases)
-    assert len(found) == n, f"character count {len(found)} != order {n}"
+    if len(found) != n:
+        raise CalculusError(f"character count {len(found)} != order {n}")
     rows = sorted(found)
     index = {p: i for i, p in enumerate(rows)}
     dual_table = [
@@ -430,7 +437,7 @@ def fourier_dual_witness(g):
     F[k, a] = chi_k(a) / sqrt(n).  Conjugation by F diagonalizes every
     translation operator, and conjugation by F (x) F carries the dual of
     the function-picture unitary onto the function-picture unitary of the
-    character group.  Both facts are asserted here, so a returned F is a
+    character group.  Both facts are checked here, so a returned F is a
     verified witness.
     """
     dual, phases, m = character_group(g)
@@ -438,17 +445,23 @@ def fourier_dual_witness(g):
     f = np.array(
         [[np.exp(2j * np.pi * phases[k][a] / m) for a in range(n)] for k in range(n)]
     ) / np.sqrt(n)
-    assert unitarity_defect(f) <= 1e-10, "character table is not unitary"
+    gate(unitarity_defect(f), 1e-10, CalculusError, "character table is not unitary")
     fd = f.conj().T
     for c in range(n):
         want = np.diag([np.exp(-2j * np.pi * phases[k][c] / m) for k in range(n)])
-        assert residual_between(f @ translation_matrix(g, c) @ fd, want) <= 1e-10, (
-            f"translation at {c} does not diagonalize"
+        gate(
+            residual_between(f @ translation_matrix(g, c) @ fd, want),
+            1e-10,
+            CalculusError,
+            f"translation at {c} does not diagonalize",
         )
     what = qg_from_group(g, "cstar").W
     wdual = qg_from_group(dual, "c0").W
     ff = kron(f, f)
-    assert residual_between(ff @ what @ ff.conj().T, wdual) <= 1e-9, (
-        "Fourier conjugation does not match the character group"
+    gate(
+        residual_between(ff @ what @ ff.conj().T, wdual),
+        1e-9,
+        CalculusError,
+        "Fourier conjugation does not match the character group",
     )
     return f

@@ -28,6 +28,7 @@ from .tensorleg import (
     kron,
     legs_product,
     membership_residual,
+    numerical_rank,
     permute_legs,
     residual_between,
     vec,
@@ -49,16 +50,6 @@ __all__ = [
     "check_left_right_compatibility",
     "dual_hopf_relation",
 ]
-
-
-def _rank(cols, cutoff=1e-9):
-    if not cols:
-        return 0
-    m = np.stack(cols, axis=1)
-    s = np.linalg.svd(m, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > cutoff * s[0]))
 
 
 class HopfHom:
@@ -173,12 +164,12 @@ def right_hom_residuals(c, a, dr_map):
         rhs2, _ = apply_map_to_leg(drx, space_ca, 1, dr_map)
         diag2 = max(diag2, residual_between(lhs2, rhs2))
     coeff_cols = [vec(dr_map(x)) for x in c.algC]
-    injective = _rank(coeff_cols) == len(c.algC)
+    injective = numerical_rank(coeff_cols) == len(c.algC)
     eye_c = np.eye(c.dim, dtype=complex)
     prods = [
         vec(dr_map(x) @ kron(eye_c, y)) for x in c.algC for y in a.algC
     ]
-    podles = _rank(prods) == len(c.algC) * len(a.algC)
+    podles = numerical_rank(prods) == len(c.algC) * len(a.algC)
     return {
         "range": rng,
         "coassocDiagram": diag1,
@@ -248,12 +239,12 @@ def left_hom_residuals(c, a, dl_map):
         lhs2, _ = apply_map_to_leg(dlx, space_ac, 1, a.deltaC)
         rhs2, _ = apply_map_to_leg(dlx, space_ac, 2, dl_map)
         diag2 = max(diag2, residual_between(lhs2, rhs2))
-    injective = _rank([vec(dl_map(x)) for x in c.algC]) == len(c.algC)
+    injective = numerical_rank([vec(dl_map(x)) for x in c.algC]) == len(c.algC)
     eye_c = np.eye(c.dim, dtype=complex)
     prods = [
         vec(dl_map(x) @ kron(y, eye_c)) for x in c.algC for y in a.algC
     ]
-    podles = _rank(prods) == len(c.algC) * len(a.algC)
+    podles = numerical_rank(prods) == len(c.algC) * len(a.algC)
     return {
         "range": rng,
         "coassocDiagram": diag1,

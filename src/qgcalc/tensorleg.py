@@ -40,6 +40,7 @@ __all__ = [
     "extract_trivial_legs",
     "intertwiner_space",
     "orthonormal_basis",
+    "numerical_rank",
     "membership_residual",
     "membership_residuals",
     "span_map_from_pairs",
@@ -385,6 +386,16 @@ def orthonormal_basis(mats, cutoff=1e-9):
         return []
     rank = int(np.sum(diag > cutoff * diag[0]))
     return [unvec(q[:, k], shape[0], shape[1]) for k in range(rank)]
+
+
+def numerical_rank(cols, cutoff=1e-9):
+    """Rank of the stacked vectors: singular values above cutoff times the largest."""
+    if not cols:
+        return 0
+    s = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    if len(s) == 0 or s[0] == 0:
+        return 0
+    return int(np.sum(s > cutoff * s[0]))
 
 
 def membership_residual(basis, x):

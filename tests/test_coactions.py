@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.stats import unitary_group
 
 import qgcalc as q
+from qgcalc import coactions
 from qgcalc.coactions import (
     check_coaction,
     check_corepresentation,
@@ -15,9 +18,21 @@ from qgcalc.coactions import (
     pushforward_corep,
     trivial_coaction,
 )
-from qgcalc.errors import CoactionViolation, SourceTargetMismatch
+from qgcalc.errors import (
+    CoactionViolation,
+    RecoveryFailure,
+    SolveFailure,
+    SourceTargetMismatch,
+)
 from qgcalc.homviews import right_from_bicharacter
-from qgcalc.tensorleg import LegSpace, apply_map_to_leg, kron, residual_between
+from qgcalc.qgroup import build_from_unitary
+from qgcalc.tensorleg import (
+    LegSpace,
+    apply_map_to_leg,
+    extract_trivial_legs,
+    kron,
+    residual_between,
+)
 
 RNG = np.random.default_rng(60001)
 
@@ -75,6 +90,41 @@ def test_unclosed_domain_rejected(z2):
         check_coaction(lambda x: kron(x, np.eye(2, dtype=complex)), [e01], c)
 
 
+def _nan_on_shape(real, size):
+    """real, except that it reports NaN when its second argument is size x size."""
+
+    def patched(first, second):
+        shape = np.shape(second[0] if isinstance(second, list) else second)
+        return float("nan") if shape == (size, size) else real(first, second)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, size, match",
+    [
+        ("span_map_from_pairs", None, "well defined"),
+        ("membership_residuals", 2, "algebra"),
+        ("membership_residuals", 4, "escapes"),
+        ("residual_between", 4, "homomorphism"),
+        ("residual_between", 8, "coassoc"),
+    ],
+)
+def test_nan_residual_fails_closed_in_check_coaction(z2, monkeypatch, name, size, match):
+    # the trivial coaction of c0(Z2) on its own algebra: D is 2x2, gamma(D) is
+    # 4x4 and the coassociativity sides are 8x8, so the size picks the gate
+    c = c0(z2)
+    real = getattr(coactions, name)
+    if name == "span_map_from_pairs":
+        patched = lambda pairs: (real(pairs)[0], float("nan"))
+    else:
+        patched = _nan_on_shape(real, size)
+    monkeypatch.setattr(coactions, name, patched)
+    with pytest.raises(CoactionViolation, match=match) as exc:
+        trivial_coaction(c.algC, c)
+    assert np.isnan(exc.value.residual)
+
+
 # --- corepresentations --------------------------------------------------
 
 
@@ -96,6 +146,14 @@ def test_random_unitary_is_no_corepresentation(z4):
     u, _ = np.linalg.qr(RNG.standard_normal((8, 8)) + 1j * RNG.standard_normal((8, 8)))
     with pytest.raises(CoactionViolation):
         check_corepresentation(u, c)
+
+
+def test_nan_corepresentation_fails_closed(z2):
+    c = c0(z2)
+    x = c.W.copy()
+    x[1, 2] = np.nan
+    with pytest.raises(CoactionViolation, match="unitary"):
+        check_corepresentation(x, c)
 
 
 def test_corepresentation_dimension_must_divide(z4):
@@ -133,6 +191,41 @@ def test_induction_checks_the_acting_object(z4, chain):
     wrong = trivial_coaction(c0(z4).algC, c0(z4))
     with pytest.raises(SourceTargetMismatch):
         induce_coaction(wrong, dr)
+
+
+def test_product_basis_solver_matches_the_kron_sums():
+    rng = np.random.default_rng(60002)
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    left, images, right = cplx(3, 2, 2), cplx(3, 4, 4), cplx(2, 3, 3)
+    coeff = cplx(5, 3, 2)
+    rhs = [
+        sum(c[i, j] * kron(images[i], right[j]) for i in range(3) for j in range(2))
+        for c in coeff
+    ]
+    got, worst, unique = coactions._solve_on_product_basis(left, images, right, rhs)
+    assert worst <= 1e-12 and unique
+    for c, img in zip(coeff, got):
+        want = sum(c[i, j] * kron(left[i], right[j]) for i in range(3) for j in range(2))
+        assert residual_between(img, want) <= 1e-12
+    # one right-hand side off the span spoils the worst column only
+    rhs[2] = rhs[2] + kron(cplx(4, 4), np.eye(3))
+    _, worst, _ = coactions._solve_on_product_basis(left, images, right, rhs)
+    assert worst > 1e-3
+
+
+def test_induction_solve_fails_closed_on_nan(chain, monkeypatch):
+    va, _ = chain
+    dr = right_from_bicharacter(va)
+    start = trivial_coaction(dr.source.algC, dr.source)
+    solve = coactions._solve_on_product_basis
+
+    def nan_solve(*args):
+        images, _, unique = solve(*args)
+        return images, float("nan"), unique
+
+    monkeypatch.setattr(coactions, "_solve_on_product_basis", nan_solve)
+    with pytest.raises(SolveFailure):
+        induce_coaction(start, dr)
 
 
 def test_functor_composition_on_the_reduction_chain(chain):
@@ -199,3 +292,91 @@ def test_pushforward_rejects_wrong_object(z4, chain):
     reg = check_corepresentation(c0(z4).W, c0(z4))
     with pytest.raises(SourceTargetMismatch):
         pushforward_corep(reg, va)
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_pushforward_of_every_small_regular_corep_along_identity(corpus, picture):
+    for g in corpus.values():
+        if g.order > 6:
+            continue
+        c = q.qg_from_group(g, picture)
+        reg = check_corepresentation(c.W, c)
+        out = pushforward_corep(reg, q.identity(c))
+        assert residual_between(out.X, c.W) <= 1e-9, g.name
+        assert out.residuals["recovery"] <= 1e-9, g.name
+
+
+@pytest.fixture
+def sgn(z2, s3):
+    return q.group_hom(s3, z2, (0, 1, 1, 0, 0, 1))
+
+
+def _gauged(qg, u):
+    uu = kron(u, u)
+    return build_from_unitary(uu @ qg.W @ uu.conj().T, qg.dim)
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_pushforward_on_gauged_s3(sgn, picture):
+    """Haar-gauged ends make every matrix dense and complex; pushing the
+    regular corepresentation along the identity and along the sign arrow
+    must still give back the bicharacter."""
+    rng = np.random.default_rng(20261019)
+    plain = q.from_hopf_hom(q.hom_to_hopf(sgn, picture))
+    uc = unitary_group.rvs(plain.source.dim, random_state=rng)
+    ua = unitary_group.rvs(plain.target.dim, random_state=rng)
+    c, a = _gauged(plain.source, uc), _gauged(plain.target, ua)
+    ucua = kron(uc, ua)
+    sign = q.check_bicharacter(ucua @ plain.V @ ucua.conj().T, c, a)
+    s3_end = c if picture == "cstar" else a
+    for v in (q.identity(s3_end), sign):
+        reg = check_corepresentation(v.source.W, v.source)
+        out = pushforward_corep(reg, v)
+        assert residual_between(out.X, v.V) <= 1e-9
+        assert out.residuals["recovery"] <= 1e-12
+
+
+def _inject_factor(monkeypatch, change, residual=0.0):
+    """Make pushforward_corep extract change(Y) with the given residual."""
+
+    def patched(t, space, trivial):
+        y, _ = extract_trivial_legs(t, space, trivial)
+        return change(y), residual
+
+    monkeypatch.setattr(coactions, "extract_trivial_legs", patched)
+
+
+def _small_unitary(n, rng, size=1e-6):
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2
+    return scipy.linalg.expm(1j * size * h / np.linalg.norm(h))
+
+
+def test_pushforward_rejects_a_rotated_factor(z4, monkeypatch):
+    # a rotated Y breaks the corepresentation law
+    c = c0(z4)
+    reg = check_corepresentation(c.W, c)
+    u = _small_unitary(16, np.random.default_rng(5))
+    _inject_factor(monkeypatch, lambda y: u @ y)
+    with pytest.raises(CoactionViolation, match="corepresentation law"):
+        pushforward_corep(reg, q.identity(c))
+
+
+def test_pushforward_rejects_an_equivalent_but_wrong_factor(z4, monkeypatch):
+    # (u (x) 1) Y (u (x) 1)* is still a corepresentation, so only the
+    # induced-coaction cross-check can tell it from Y
+    c = c0(z4)
+    reg = check_corepresentation(c.W, c)
+    u1 = kron(_small_unitary(4, np.random.default_rng(6)), np.eye(4))
+    _inject_factor(monkeypatch, lambda y: u1 @ y @ u1.conj().T)
+    with pytest.raises(RecoveryFailure, match="induced coaction") as exc:
+        pushforward_corep(reg, q.identity(c))
+    assert exc.value.residual > 1e-8
+
+
+def test_pushforward_nan_extraction_fails_closed(z4, monkeypatch):
+    c = c0(z4)
+    reg = check_corepresentation(c.W, c)
+    _inject_factor(monkeypatch, lambda y: y, residual=float("nan"))
+    with pytest.raises(RecoveryFailure, match="leg-2 trivial"):
+        pushforward_corep(reg, q.identity(c))

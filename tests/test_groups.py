@@ -1,5 +1,10 @@
 """Finite-group builders, homomorphisms, characters, and Fourier witnesses."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -293,3 +298,34 @@ def test_fourier_witness_all_abelian_corpus():
             continue
         f = fourier_dual_witness(g)
         assert unitarity_defect(f) <= 1e-10, name
+
+
+def test_failed_witness_check_raises_under_python_O():
+    """The witness checks are typed raises, not asserts that -O strips."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from qgcalc import groups
+        from qgcalc.errors import CalculusError
+
+        real = groups.character_group
+
+        def repeated_row(g):
+            dual, phases, m = real(g)
+            return dual, phases[:-1] + phases[:1], m
+
+        groups.character_group = repeated_row
+        assert False, "asserts must be stripped here"
+        try:
+            groups.fourier_dual_witness(groups.cyclic_group(4))
+        except CalculusError as exc:
+            print(type(exc).__name__, sys.flags.optimize, exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(q.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("CalculusError 1 character table is not unitary")
