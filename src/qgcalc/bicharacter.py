@@ -15,18 +15,19 @@ from .errors import (
     HopfHomViolation,
     NotUnitary,
     SourceTargetMismatch,
+    gate,
 )
-from .qgroup import EQUATION_TOL, CLOSURE_TOL, dual_qg, unitary_antipode
+from .qgroup import EQUATION_TOL, CLOSURE_TOL, unitary_antipode
 from .tensorleg import (
     LegSpace,
     apply_map_to_leg,
     as_matrix,
     extract_trivial_legs,
+    flip_adjoint,
     frob,
-    kron,
     legs_product,
     membership_residual,
-    permute_legs,
+    pair_basis,
     residual_between,
     unitarity_defect,
 )
@@ -57,10 +58,6 @@ class Bicharacter:
 
     def __repr__(self):
         return f"Bicharacter({self.source.dim} -> {self.target.dim})"
-
-
-def _pair_basis(left, right):
-    return [kron(a, b) for a in left for b in right]
 
 
 def bicharacter_residuals(v, c, a):
@@ -96,7 +93,7 @@ def bicharacter_residuals(v, c, a):
         legs_product(space_caa, (v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))),
     )
 
-    memb = membership_residual(_pair_basis(c.algChat, a.algC), v)
+    memb = membership_residual(pair_basis(c.algChat, a.algC), v)
     return {
         "comultSource": r1,
         "comultTarget": r2,
@@ -154,10 +151,7 @@ def compose(vca, vab, tol=EQUATION_TOL):
         (vab.V.conj().T, (2, 3)),
     )
     factor, resid = extract_trivial_legs(prod, space3, {2})
-    if resid > tol:
-        raise ExtractionFailure(
-            f"middle leg is not trivial, residual {resid:.2e}", residual=resid
-        )
+    gate(resid, tol, ExtractionFailure, "middle leg is not trivial")
     out = check_bicharacter(factor, vca.source, vab.target)
     out.residuals["extraction"] = resid
     return out
@@ -169,8 +163,8 @@ def dual_bicharacter(v):
     The matrix operation is a pure index shuffle, so applying it twice
     returns the original matrix exactly.
     """
-    vhat = permute_legs(v.V.conj().T, v.space, (2, 1))
-    return check_bicharacter(vhat, dual_qg(v.target), dual_qg(v.source))
+    vhat = flip_adjoint(v.V, v.space)
+    return check_bicharacter(vhat, v.target.dual, v.source.dual)
 
 
 def from_hopf_hom(f):
@@ -181,11 +175,8 @@ def from_hopf_hom(f):
     multiplier level.
     """
     fres = f.verification_residuals()
-    worst = max(fres.values())
-    if worst > EQUATION_TOL:
-        raise HopfHomViolation(
-            f"hom fails verification, residual {worst:.2e}", residual=worst
-        )
+    worst = float(np.max(list(fres.values())))
+    gate(worst, EQUATION_TOL, HopfHomViolation, "hom fails verification")
     c = f.source
     out, _ = apply_map_to_leg(c.W, c.space, 2, f.map)
     return check_bicharacter(out, c, f.target)
@@ -198,7 +189,7 @@ def check_R_invariance(v):
     invariance of every bicharacter under them is the numeric face of the
     antipode-compatibility theorem.
     """
-    r_hat = unitary_antipode(dual_qg(v.source))
+    r_hat = unitary_antipode(v.source.dual)
     r_target = unitary_antipode(v.target)
     t1, sp1 = apply_map_to_leg(v.V, v.space, 1, r_hat)
     t2, _ = apply_map_to_leg(t1, sp1, 2, r_target)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CalculusError, NotAbelian, NotAGroup, gate
 from .homviews import check_hopf_hom
-from .qgroup import build_from_unitary, dual_qg
+from .qgroup import build_from_unitary
 from .tensorleg import SpanMap, kron, residual_between, unitarity_defect
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "quaternion_group",
     "standard_corpus",
     "translation_matrix",
+    "group_unitary",
     "qg_from_group",
     "hom_to_hopf",
     "character_group",
@@ -275,32 +276,40 @@ def translation_matrix(g, b):
     return out
 
 
-@lru_cache(maxsize=None)
-def qg_from_group(g, picture):
-    """The function-algebra or group-algebra quantum group of g.
+def group_unitary(g):
+    """The function-picture multiplicative unitary of g, an exact 0/1 matrix.
 
-    picture "c0" realizes multiplication of functions on the second leg
-    via W(delta_a (x) delta_b) = delta_{a b^-1} (x) delta_b; picture
-    "cstar" is the dual of that.  Both are verified at construction:
-    the comultiplication must restrict to the expected classical formula
-    and the extracted algebra must be the expected span.
+    W(delta_a (x) delta_b) = delta_{a b^-1} (x) delta_b.
     """
-    if picture not in ("c0", "cstar"):
-        raise ValueError(f"picture must be 'c0' or 'cstar', got {picture!r}")
     n = g.order
     w = np.zeros((n * n, n * n), dtype=complex)
     for a in range(n):
         for b in range(n):
             w[g.mul(a, g.inv(b)) * n + b, a * n + b] = 1.0
-    qg = build_from_unitary(w, n)
+    return w
 
-    units = []
-    for c in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[c, c] = 1.0
-        units.append(e)
 
+@lru_cache(maxsize=None)
+def qg_from_group(g, picture):
+    """The function-algebra or group-algebra quantum group of g.
+
+    picture "c0" realizes multiplication of functions on the second leg
+    via ``group_unitary(g)``; picture "cstar" is the (cached) dual of the
+    c0 object, so both pictures of g cost one build each.  Both are
+    verified at construction: the comultiplication must restrict to the
+    expected classical formula and the extracted algebra must be the
+    expected span.
+    """
+    if picture not in ("c0", "cstar"):
+        raise ValueError(f"picture must be 'c0' or 'cstar', got {picture!r}")
+    n = g.order
     if picture == "c0":
+        qg = build_from_unitary(group_unitary(g), n)
+        units = []
+        for c in range(n):
+            e = np.zeros((n, n), dtype=complex)
+            e[c, c] = 1.0
+            units.append(e)
         # comultiplication of a point mass is the convolution-fibre sum
         for c in range(n):
             want = np.zeros((n * n, n * n), dtype=complex)
@@ -320,7 +329,7 @@ def qg_from_group(g, picture):
         gate(diag_defect, 1e-10, CalculusError, "function algebra is not diagonal")
         return qg
 
-    out = dual_qg(qg)
+    out = qg_from_group(g, "c0").dual
     for b in range(n):
         rho = translation_matrix(g, b)
         want = kron(rho, rho)
@@ -456,10 +465,9 @@ def fourier_dual_witness(g):
             f"translation at {c} does not diagonalize",
         )
     what = qg_from_group(g, "cstar").W
-    wdual = qg_from_group(dual, "c0").W
     ff = kron(f, f)
     gate(
-        residual_between(ff @ what @ ff.conj().T, wdual),
+        residual_between(ff @ what @ ff.conj().T, group_unitary(dual)),
         1e-9,
         CalculusError,
         "Fourier conjugation does not match the character group",

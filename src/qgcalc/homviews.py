@@ -18,18 +18,20 @@ from .errors import (
     HopfHomViolation,
     NotKacType,
     RangeViolation,
+    gate,
 )
-from .qgroup import CLOSURE_TOL, EQUATION_TOL, dual_qg, unitary_antipode
+from .qgroup import CLOSURE_TOL, EQUATION_TOL, unitary_antipode
 from .tensorleg import (
     LegSpace,
     SpanMap,
     apply_map_to_leg,
     extract_trivial_legs,
+    flip_adjoint,
     kron,
     legs_product,
     membership_residual,
     numerical_rank,
-    permute_legs,
+    pair_basis,
     residual_between,
     vec,
 )
@@ -74,25 +76,24 @@ class HopfHom:
         tgt = self.target.algC
         eye_s = np.eye(self.source.dim, dtype=complex)
         eye_t = np.eye(self.target.dim, dtype=complex)
-        rng = max(membership_residual(tgt, f(x)) for x in src)
+        # np.max, unlike max(), carries a NaN residual through to the gates
+        rng = np.max([membership_residual(tgt, f(x)) for x in src])
         unital = residual_between(f(eye_s), eye_t)
-        star = max(residual_between(f(x.conj().T), f(x).conj().T) for x in src)
-        mult = max(
-            residual_between(f(x @ y), f(x) @ f(y)) for x in src for y in src
-        )
+        star = np.max([residual_between(f(x.conj().T), f(x).conj().T) for x in src])
+        mult = np.max([residual_between(f(x @ y), f(x) @ f(y)) for x in src for y in src])
         space_src = LegSpace((self.source.dim, self.source.dim))
-        inter = 0.0
+        inter = []
         for x, dx in zip(src, self.source.deltaC.images):
             lhs = self.target.deltaC(f(x))
             ff1, sp1 = apply_map_to_leg(dx, space_src, 1, f)
             rhs, _ = apply_map_to_leg(ff1, sp1, 2, f)
-            inter = max(inter, residual_between(lhs, rhs))
+            inter.append(residual_between(lhs, rhs))
         return {
-            "range": rng,
+            "range": float(rng),
             "unital": unital,
-            "star": star,
-            "multiplicative": mult,
-            "intertwining": inter,
+            "star": float(star),
+            "multiplicative": float(mult),
+            "intertwining": float(np.max(inter)),
         }
 
     def __repr__(self):
@@ -103,21 +104,14 @@ def check_hopf_hom(source, target, map, tol=EQUATION_TOL):
     """Validate a linear map as a Hopf *-homomorphism."""
     hom = HopfHom(source, target, map)
     res = hom.verification_residuals()
-    if res["range"] > CLOSURE_TOL:
-        raise HopfHomViolation(
-            f"images escape the target algebra, residual {res['range']:.2e}",
-            residual=res["range"],
-        )
+    gate(res["range"], CLOSURE_TOL, HopfHomViolation, "images escape the target algebra")
     for key, cutoff in (
         ("unital", 1e-10),
         ("star", 1e-10),
         ("multiplicative", tol),
         ("intertwining", tol),
     ):
-        if res[key] > cutoff:
-            raise HopfHomViolation(
-                f"{key} axiom fails, residual {res[key]:.2e}", residual=res[key]
-            )
+        gate(res[key], cutoff, HopfHomViolation, f"{key} axiom fails")
     return hom
 
 
@@ -149,20 +143,20 @@ class LeftQGHom:
 
 def right_hom_residuals(c, a, dr_map):
     """Diagram, range, injectivity, and density data for a right-hom candidate."""
-    pair = [kron(x, y) for x in c.algC for y in a.algC]
-    rng = max(membership_residual(pair, dr_map(x)) for x in c.algC)
+    pair = pair_basis(c.algC, a.algC)
+    rng = np.max([membership_residual(pair, dr_map(x)) for x in c.algC])
     space_ca = LegSpace((c.dim, a.dim))
     space_cc = LegSpace((c.dim, c.dim))
-    diag1 = 0.0
-    diag2 = 0.0
+    diag1 = []
+    diag2 = []
     for x, dx in zip(c.algC, c.deltaC.images):
         drx = dr_map(x)
         lhs1, _ = apply_map_to_leg(drx, space_ca, 1, c.deltaC)
         rhs1, _ = apply_map_to_leg(dx, space_cc, 2, dr_map)
-        diag1 = max(diag1, residual_between(lhs1, rhs1))
+        diag1.append(residual_between(lhs1, rhs1))
         lhs2, _ = apply_map_to_leg(drx, space_ca, 2, a.deltaC)
         rhs2, _ = apply_map_to_leg(drx, space_ca, 1, dr_map)
-        diag2 = max(diag2, residual_between(lhs2, rhs2))
+        diag2.append(residual_between(lhs2, rhs2))
     coeff_cols = [vec(dr_map(x)) for x in c.algC]
     injective = numerical_rank(coeff_cols) == len(c.algC)
     eye_c = np.eye(c.dim, dtype=complex)
@@ -171,26 +165,23 @@ def right_hom_residuals(c, a, dr_map):
     ]
     podles = numerical_rank(prods) == len(c.algC) * len(a.algC)
     return {
-        "range": rng,
-        "coassocDiagram": diag1,
-        "comoduleDiagram": diag2,
+        "range": float(rng),
+        "coassocDiagram": float(np.max(diag1)),
+        "comoduleDiagram": float(np.max(diag2)),
         "injective": injective,
         "podles": podles,
     }
 
 
+def _gate_hom_residuals(res, pair_span, tol):
+    gate(res["range"], CLOSURE_TOL, RangeViolation, f"images escape {pair_span}")
+    for key in ("coassocDiagram", "comoduleDiagram"):
+        gate(res[key], tol, RangeViolation, f"{key} fails")
+
+
 def check_right_hom(c, a, dr_map, tol=EQUATION_TOL):
     res = right_hom_residuals(c, a, dr_map)
-    if res["range"] > CLOSURE_TOL:
-        raise RangeViolation(
-            f"images escape span(algC) (x) span(algA), residual {res['range']:.2e}",
-            residual=res["range"],
-        )
-    for key in ("coassocDiagram", "comoduleDiagram"):
-        if res[key] > tol:
-            raise RangeViolation(
-                f"{key} fails, residual {res[key]:.2e}", residual=res[key]
-            )
+    _gate_hom_residuals(res, "span(algC) (x) span(algA)", tol)
     return RightQGHom(c, a, dr_map, res)
 
 
@@ -213,11 +204,7 @@ def bicharacter_from_right(dr, tol=EQUATION_TOL):
     space3 = LegSpace((c.dim, c.dim, a.dim))
     prod = legs_product(space3, (c.W.conj().T, (1, 2)), (ext, (1, 2, 3)))
     factor, resid = extract_trivial_legs(prod, space3, {2})
-    if resid > tol:
-        raise ExtractionFailure(
-            f"W12* (id (x) deltaR)(W) is not leg-2 trivial, residual {resid:.2e}",
-            residual=resid,
-        )
+    gate(resid, tol, ExtractionFailure, "W12* (id (x) deltaR)(W) is not leg-2 trivial")
     out = check_bicharacter(factor, c, a)
     out.residuals["extraction"] = resid
     return out
@@ -225,20 +212,20 @@ def bicharacter_from_right(dr, tol=EQUATION_TOL):
 
 def left_hom_residuals(c, a, dl_map):
     """Mirror of right_hom_residuals for a left-hom candidate C -> A (x) C."""
-    pair = [kron(y, x) for y in a.algC for x in c.algC]
-    rng = max(membership_residual(pair, dl_map(x)) for x in c.algC)
+    pair = pair_basis(a.algC, c.algC)
+    rng = np.max([membership_residual(pair, dl_map(x)) for x in c.algC])
     space_ac = LegSpace((a.dim, c.dim))
     space_cc = LegSpace((c.dim, c.dim))
-    diag1 = 0.0
-    diag2 = 0.0
+    diag1 = []
+    diag2 = []
     for x, dx in zip(c.algC, c.deltaC.images):
         dlx = dl_map(x)
         lhs1, _ = apply_map_to_leg(dlx, space_ac, 2, c.deltaC)
         rhs1, _ = apply_map_to_leg(dx, space_cc, 1, dl_map)
-        diag1 = max(diag1, residual_between(lhs1, rhs1))
+        diag1.append(residual_between(lhs1, rhs1))
         lhs2, _ = apply_map_to_leg(dlx, space_ac, 1, a.deltaC)
         rhs2, _ = apply_map_to_leg(dlx, space_ac, 2, dl_map)
-        diag2 = max(diag2, residual_between(lhs2, rhs2))
+        diag2.append(residual_between(lhs2, rhs2))
     injective = numerical_rank([vec(dl_map(x)) for x in c.algC]) == len(c.algC)
     eye_c = np.eye(c.dim, dtype=complex)
     prods = [
@@ -246,9 +233,9 @@ def left_hom_residuals(c, a, dl_map):
     ]
     podles = numerical_rank(prods) == len(c.algC) * len(a.algC)
     return {
-        "range": rng,
-        "coassocDiagram": diag1,
-        "comoduleDiagram": diag2,
+        "range": float(rng),
+        "coassocDiagram": float(np.max(diag1)),
+        "comoduleDiagram": float(np.max(diag2)),
         "injective": injective,
         "podles": podles,
     }
@@ -256,16 +243,7 @@ def left_hom_residuals(c, a, dl_map):
 
 def check_left_hom(c, a, dl_map, tol=EQUATION_TOL):
     res = left_hom_residuals(c, a, dl_map)
-    if res["range"] > CLOSURE_TOL:
-        raise RangeViolation(
-            f"images escape span(algA) (x) span(algC), residual {res['range']:.2e}",
-            residual=res["range"],
-        )
-    for key in ("coassocDiagram", "comoduleDiagram"):
-        if res[key] > tol:
-            raise RangeViolation(
-                f"{key} fails, residual {res[key]:.2e}", residual=res[key]
-            )
+    _gate_hom_residuals(res, "span(algA) (x) span(algC)", tol)
     return LeftQGHom(c, a, dl_map, res)
 
 
@@ -279,7 +257,7 @@ def left_from_bicharacter(v, tol=EQUATION_TOL):
     a = v.target
     r_c = unitary_antipode(c)
     r_a = unitary_antipode(a)
-    vhat = permute_legs(v.V.conj().T, v.space, (2, 1))
+    vhat = flip_adjoint(v.V, v.space)
     space_ac = LegSpace((a.dim, c.dim))
     eye_a = np.eye(a.dim, dtype=complex)
     images = []
@@ -295,11 +273,7 @@ def left_from_bicharacter(v, tol=EQUATION_TOL):
     ext, _ = apply_map_to_leg(c.W, c.space, 2, dl_map)
     space3 = LegSpace((c.dim, a.dim, c.dim))
     slice_res = residual_between(ext, legs_product(space3, (v.V, (1, 2)), (c.W, (1, 3))))
-    if slice_res > tol:
-        raise RangeViolation(
-            f"slice identity for the left homomorphism fails, residual {slice_res:.2e}",
-            residual=slice_res,
-        )
+    gate(slice_res, tol, RangeViolation, "slice identity for the left homomorphism fails")
     out.residuals["sliceIdentity"] = slice_res
     return out
 
@@ -312,11 +286,7 @@ def bicharacter_from_left(dl, tol=EQUATION_TOL):
     space3 = LegSpace((c.dim, a.dim, c.dim))
     prod = legs_product(space3, (ext, (1, 2, 3)), (c.W.conj().T, (1, 3)))
     factor, resid = extract_trivial_legs(prod, space3, {3})
-    if resid > tol:
-        raise ExtractionFailure(
-            f"(id (x) deltaL)(W) W13* is not leg-3 trivial, residual {resid:.2e}",
-            residual=resid,
-        )
+    gate(resid, tol, ExtractionFailure, "(id (x) deltaL)(W) W13* is not leg-3 trivial")
     out = check_bicharacter(factor, c, a)
     out.residuals["extraction"] = resid
     return out
@@ -339,20 +309,20 @@ def check_left_right_compatibility(dl, dr, tol=EQUATION_TOL):
     space_ac = LegSpace((a.dim, c.dim))
     space_cb = LegSpace((c.dim, b.dim))
     space_cc = LegSpace((c.dim, c.dim))
-    square = 0.0
+    square = []
     for x in c.algC:
         lhs, _ = apply_map_to_leg(dl.deltaL(x), space_ac, 2, dr.deltaR)
         rhs, _ = apply_map_to_leg(dr.deltaR(x), space_cb, 1, dl.deltaL)
-        square = max(square, residual_between(lhs, rhs))
+        square.append(residual_between(lhs, rhs))
     same = False
     if a.same_unitary(b):
-        second = 0.0
+        second = []
         for x, dx in zip(c.algC, c.deltaC.images):
             lhs, _ = apply_map_to_leg(dx, space_cc, 2, dl.deltaL)
             rhs, _ = apply_map_to_leg(dx, space_cc, 1, dr.deltaR)
-            second = max(second, residual_between(lhs, rhs))
-        same = second <= tol
-    return square, same
+            second.append(residual_between(lhs, rhs))
+        same = bool(np.max(second) <= tol)
+    return float(np.max(square)), same
 
 
 def dual_hopf_relation(f, fhat):

@@ -9,6 +9,8 @@ Only Kac-type data is handled; constructions needing the antipode reject
 anything else with NotKacType instead of guessing modular corrections.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import (
@@ -18,20 +20,21 @@ from .errors import (
     NotManageable,
     NotUnitary,
     PentagonViolation,
+    gate,
 )
 from .tensorleg import (
-    Functional,
     LegSpace,
     SpanMap,
     as_matrix,
+    flip_adjoint,
     kron,
     legs_product,
     membership_residuals,
     orthonormal_basis,
+    pair_basis,
     permute_legs,
     residual_between,
     residuals_between,
-    slice_leg,
     span_map_from_pairs,
     unitarity_defect,
     vec,
@@ -81,6 +84,18 @@ class FiniteQuantumGroup:
     def space(self):
         return LegSpace((self.dim, self.dim))
 
+    @cached_property
+    def dual(self):
+        """The dual quantum group, built once; its own ``dual`` is this object.
+
+        Its unitary is the flip-adjoint Sigma W* Sigma.  That moves indices
+        and conjugates, so dualizing twice gives W back bit for bit and the
+        link back needs no second build.
+        """
+        out = build_from_unitary(flip_adjoint(self.W, self.space), self.dim)
+        out.dual = self
+        return out
+
     def same_unitary(self, other):
         """Object identity in the bicharacter category: equal W matrices."""
         return self.dim == other.dim and np.array_equal(self.W, other.W)
@@ -97,15 +112,15 @@ class ManageabilityWitness:
         self.residual = float(residual)
 
 
-def _matrix_unit_functionals(d):
-    # omega_ij(x) = x[i,j] realized as trace against E_ji
-    out = []
-    for i in range(d):
-        for j in range(d):
-            dens = np.zeros((d, d), dtype=complex)
-            dens[j, i] = 1.0
-            out.append(Functional(dens))
-    return out
+def _leg_slices(w, d, leg):
+    """Slices of w by the matrix-unit functionals omega_ij(x) = x[i, j], in (i, j) order.
+
+    Slicing leg 1 by omega_ij leaves the block W[i, :, j, :] of
+    W.reshape(d, d, d, d), slicing leg 2 leaves W[:, i, :, j]; returns
+    the (d*d, d, d) stack of them.
+    """
+    axes = (0, 2, 1, 3) if leg == 1 else (1, 3, 0, 2)
+    return w.reshape(d, d, d, d).transpose(axes).reshape(d * d, d, d)
 
 
 def _closure_residual(basis):
@@ -114,11 +129,6 @@ def _closure_residual(basis):
     prods = (stack[:, None] @ stack[None, :]).reshape(-1, *stack.shape[1:])
     adjoints = stack.conj().transpose(0, 2, 1)
     return membership_residuals(basis, np.concatenate([adjoints, prods], axis=0))
-
-
-def _pair_basis(left, right):
-    # HS-orthonormality survives the Kronecker product, no re-orthonormalization needed
-    return [kron(a, b) for a in left for b in right]
 
 
 def _delta_maps(w, d, alg_c, alg_chat):
@@ -144,36 +154,34 @@ def _delta_maps(w, d, alg_c, alg_chat):
 
 def _try_antipode(w, d, alg_c):
     """Antipode on slices: kappa((omega (x) id)W) = (omega (x) id)(W*)."""
-    space = LegSpace((d, d))
-    wd = w.conj().T
-    pairs = []
-    for omega in _matrix_unit_functionals(d):
-        pairs.append((slice_leg(w, space, 1, omega), slice_leg(wd, space, 1, omega)))
-    kappa, consistency = span_map_from_pairs(pairs)
-    if consistency > EQUATION_TOL:
-        raise NotKacType(
-            f"antipode is not well defined on slices, residual {consistency:.2e}",
-            residual=consistency,
-        )
+    pairs = zip(_leg_slices(w, d, 1), _leg_slices(w.conj().T, d, 1))
+    kappa, consistency = span_map_from_pairs(list(pairs))
+    gate(consistency, EQUATION_TOL, NotKacType, "antipode is not well defined on slices")
     stack = np.stack(alg_c, axis=0)
     kxs = kappa.apply_stack(stack)
     adjoints = stack.conj().transpose(0, 2, 1)
-    worst = consistency
-    worst = max(worst, membership_residuals(alg_c, kxs))
-    worst = max(worst, residuals_between(kappa.apply_stack(kxs), stack))
-    worst = max(
-        worst,
-        residuals_between(kappa.apply_stack(adjoints), kxs.conj().transpose(0, 2, 1)),
-    )
     # kappa(xy) = kappa(y) kappa(x) over every basis pair, one broadcast each side
     prods = (stack[:, None] @ stack[None, :]).reshape(-1, d, d)
     swapped = (kxs[None, :] @ kxs[:, None]).reshape(-1, d, d)
-    worst = max(worst, residuals_between(kappa.apply_stack(prods), swapped))
-    if worst > EQUATION_TOL:
-        raise NotKacType(
-            f"antipode fails the involutive *-antiautomorphism checks, residual {worst:.2e}",
-            residual=worst,
+    worst = float(
+        np.max(
+            [
+                consistency,
+                membership_residuals(alg_c, kxs),
+                residuals_between(kappa.apply_stack(kxs), stack),
+                residuals_between(
+                    kappa.apply_stack(adjoints), kxs.conj().transpose(0, 2, 1)
+                ),
+                residuals_between(kappa.apply_stack(prods), swapped),
+            ]
         )
+    )
+    gate(
+        worst,
+        EQUATION_TOL,
+        NotKacType,
+        "antipode fails the involutive *-antiautomorphism checks",
+    )
     return kappa, worst
 
 
@@ -202,31 +210,22 @@ def build_from_unitary(w, dim):
     if not pent <= PENTAGON_TOL:
         raise PentagonViolation(f"pentagon residual {pent:.2e}", residual=pent)
 
-    space = LegSpace((d, d))
-    functionals = _matrix_unit_functionals(d)
-    alg_c = orthonormal_basis([slice_leg(w, space, 1, om) for om in functionals])
-    alg_chat = orthonormal_basis([slice_leg(w, space, 2, om) for om in functionals])
+    alg_c = orthonormal_basis(_leg_slices(w, d, 1))
+    alg_chat = orthonormal_basis(_leg_slices(w, d, 2))
 
-    closure_c = _closure_residual(alg_c)
-    closure_chat = _closure_residual(alg_chat)
-    closure = max(closure_c, closure_chat)
-    if closure > CLOSURE_TOL:
-        raise AlgebraNotClosed(
-            f"slice span is not a *-algebra, residual {closure:.2e}", residual=closure
-        )
+    closure = float(np.max([_closure_residual(alg_c), _closure_residual(alg_chat)]))
+    gate(closure, CLOSURE_TOL, AlgebraNotClosed, "slice span is not a *-algebra")
 
     delta_c, delta_chat = _delta_maps(w, d, alg_c, alg_chat)
-    pair_c = _pair_basis(alg_c, alg_c)
-    pair_chat = _pair_basis(alg_chat, alg_chat)
-    memb = max(
-        membership_residuals(pair_c, list(delta_c.images)),
-        membership_residuals(pair_chat, list(delta_chat.images)),
-    )
-    if memb > CLOSURE_TOL:
-        raise AlgebraNotClosed(
-            f"comultiplication escapes the algebra span, residual {memb:.2e}",
-            residual=memb,
+    memb = float(
+        np.max(
+            [
+                membership_residuals(pair_basis(alg, alg), list(delta.images))
+                for alg, delta in ((alg_c, delta_c), (alg_chat, delta_chat))
+            ]
         )
+    )
+    gate(memb, CLOSURE_TOL, AlgebraNotClosed, "comultiplication escapes the algebra span")
 
     residuals = {
         "unitarity": udef,
@@ -259,12 +258,16 @@ def coassociativity_residual(qg):
     w, wd = qg.W, qg.W.conj().T
     u = legs_product(space3, (wd, (1, 2)), (wd, (2, 3)), (w, (1, 2)), (w, (1, 3)))
     every = (1, 2, 3)
-    return max(
-        residual_between(
-            legs_product(space3, (u, every), (x, (1,))),
-            legs_product(space3, (x, (1,)), (u, every)),
+    return float(
+        np.max(
+            [
+                residual_between(
+                    legs_product(space3, (u, every), (x, (1,))),
+                    legs_product(space3, (x, (1,)), (u, every)),
+                )
+                for x in qg.algC
+            ]
         )
-        for x in qg.algC
     )
 
 
@@ -280,20 +283,16 @@ def manageability_witness(qg, tol=PENTAGON_TOL):
     # Wt[(a,b),(c,e)] = W[(c,b),(a,e)]
     wt = w4.transpose(2, 1, 0, 3).reshape(d * d, d * d)
     residual = unitarity_defect(wt)
-    if residual > tol:
-        raise NotManageable(
-            f"witness fails unitarity, residual {residual:.2e}", residual=residual
-        )
+    gate(residual, tol, NotManageable, "witness fails unitarity")
     return ManageabilityWitness(wt, residual)
 
 
 def dual_qg(qg):
-    """Dual quantum group from flip-conjugating the adjoint of W.
+    """Dual quantum group from flip-conjugating the adjoint of W: ``qg.dual``.
 
-    Pure index moves, so dualizing twice reproduces the W matrix exactly.
+    Built on first use and kept; ``dual_qg(dual_qg(qg))`` is ``qg``.
     """
-    flipped = permute_legs(qg.W.conj().T, qg.space, (2, 1))
-    return build_from_unitary(flipped, qg.dim)
+    return qg.dual
 
 
 def unitary_antipode(qg):
@@ -308,7 +307,8 @@ def transpose_qg(qg):
     """Conjugate-transpose construction: a quantum group on the conjugate space.
 
     Builds Cbar from the leg-wise transpose of W*, which is the entrywise
-    conjugate of W.  The manageability witness, read as a unitary pairing
+    conjugate of W; a real W is its own conjugate, and then Cbar is qg
+    itself.  The manageability witness, read as a unitary pairing
     Cbar's dual side with the original algebra, must satisfy both
     pentagon-type bicharacter equations: one against Cbar's dual
     comultiplication, one against the flipped comultiplication of the
@@ -321,7 +321,8 @@ def transpose_qg(qg):
         raise NotKacType(
             f"no unitary manageability witness: {exc}", residual=exc.residual
         ) from exc
-    cbar = build_from_unitary(qg.W.conj(), d)
+    wbar = qg.W.conj()
+    cbar = qg if np.array_equal(wbar, qg.W) else build_from_unitary(wbar, d)
     wt = witness.wtilde
 
     space3 = LegSpace((d, d, d))
@@ -335,15 +336,8 @@ def transpose_qg(qg):
     # flipped-comultiplication equation on the original algebra side
     lhs_b = sigma23(legs_product(space3, (qg.W, (2, 3)), (wt, (1, 2)), (qg.W.conj().T, (2, 3))))
     res_b = residual_between(lhs_b, legs_product(space3, (wt, (1, 2)), (wt, (1, 3))))
-    if res_a > PENTAGON_TOL:
-        raise BicharacterViolation(
-            f"dual-side equation fails, residual {res_a:.2e}", residual=res_a
-        )
-    if res_b > PENTAGON_TOL:
-        raise BicharacterViolation(
-            f"flipped-comultiplication equation fails, residual {res_b:.2e}",
-            residual=res_b,
-        )
+    gate(res_a, PENTAGON_TOL, BicharacterViolation, "dual-side equation fails")
+    gate(res_b, PENTAGON_TOL, BicharacterViolation, "flipped-comultiplication equation fails")
 
     from .bicharacter import Bicharacter
 

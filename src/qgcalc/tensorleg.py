@@ -30,11 +30,13 @@ __all__ = [
     "projection_defect",
     "kron",
     "kron_all",
+    "pair_basis",
     "flip_unitary",
     "embed_on_legs",
     "legs_product",
     "permute_legs",
     "permuted_space",
+    "flip_adjoint",
     "slice_leg",
     "sliced_space",
     "extract_trivial_legs",
@@ -168,6 +170,15 @@ def kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def pair_basis(left, right):
+    """Kronecker products a (x) b of two bases, left index outer.
+
+    Hilbert-Schmidt orthonormality survives the Kronecker product, so two
+    orthonormal bases give an orthonormal basis of the product span.
+    """
+    return [kron(a, b) for a in left for b in right]
+
+
 def kron_all(mats):
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
@@ -207,6 +218,15 @@ def permute_legs(t, space, perm):
     axes = [p - 1 for p in perm] + [n + p - 1 for p in perm]
     total = space.total
     return t4.transpose(axes).reshape(total, total)
+
+
+def flip_adjoint(t, space):
+    """Sigma t* Sigma on a two-leg space: the adjoint with its legs swapped.
+
+    Index moves and one conjugation only, so applying it again on the
+    swapped space gives t back bit for bit.
+    """
+    return permute_legs(as_matrix(t).conj().T, space, (2, 1))
 
 
 def _named_legs(x, space, legs):
@@ -389,10 +409,17 @@ def orthonormal_basis(mats, cutoff=1e-9):
 
 
 def numerical_rank(cols, cutoff=1e-9):
-    """Rank of the stacked vectors: singular values above cutoff times the largest."""
+    """Rank of the stacked vectors: singular values above cutoff times the largest.
+
+    Vectors with a non-finite entry have no numerical rank; they read 0, so
+    every full-rank test on them fails instead of the SVD raising.
+    """
     if not cols:
         return 0
-    s = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    stack = np.stack(cols, axis=1)
+    if not np.all(np.isfinite(stack)):
+        return 0
+    s = np.linalg.svd(stack, compute_uv=False)
     if len(s) == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > cutoff * s[0]))
@@ -449,8 +476,15 @@ class SpanMap:
     def _image_rows(self):
         return np.stack([vec(m) for m in self.images], axis=0)
 
+    @cached_property
+    def _superoperator(self):
+        out = self._image_rows.T @ self._basis_rows.conj()
+        out.flags.writeable = False
+        return out
+
     def superoperator(self):
-        return self._image_rows.T @ self._basis_rows.conj()
+        """The (dd*dd, d*d) matrix of the map on row-major vectorizations, computed once."""
+        return self._superoperator
 
     def __call__(self, x):
         x = as_matrix(x)
@@ -459,11 +493,18 @@ class SpanMap:
         coeff = self._basis_rows.conj() @ vec(x)
         return unvec(coeff @ self._image_rows, self.dd, self.dd)
 
+    def apply_rows(self, rows):
+        """Apply to row-major vectorizations stacked as rows; returns (n, dd*dd).
+
+        Expands in the basis, then sums the images: two products that
+        never form the (dd*dd, d*d) superoperator.
+        """
+        return (rows @ self._basis_rows.conj().T) @ self._image_rows
+
     def apply_stack(self, xs):
         """Apply to a whole (n, d, d) stack at once; returns (n, dd, dd)."""
         xs = np.asarray(xs, dtype=complex)
-        coeff = xs.reshape(xs.shape[0], -1) @ self._basis_rows.conj().T
-        return (coeff @ self._image_rows).reshape(-1, self.dd, self.dd)
+        return self.apply_rows(xs.reshape(xs.shape[0], -1)).reshape(-1, self.dd, self.dd)
 
 
 def span_map_from_pairs(pairs, cutoff=1e-9):
@@ -507,7 +548,7 @@ def apply_map_to_leg(t, space, leg, phi):
     moved = np.moveaxis(t4, (leg - 1, n + leg - 1), (2 * n - 2, 2 * n - 1))
     rest_shape = moved.shape[: 2 * n - 2]
     flat = moved.reshape(-1, d * d)
-    out_flat = flat @ phi.superoperator().T
+    out_flat = phi.apply_rows(flat)
     out = out_flat.reshape(rest_shape + (phi.dd, phi.dd))
     out = np.moveaxis(out, (2 * n - 2, 2 * n - 1), (leg - 1, n + leg - 1))
     new_dims = list(space.dims)

@@ -216,6 +216,27 @@ def test_suite_small_corpus_includes_hom_chains(tmp_path, capsys):
     assert subjects == ["s3.json", "z2.json", "z4.json", "homChains"]
 
 
+def test_suite_builds_each_quantum_group_once(monkeypatch, capsys):
+    from qgcalc import groups, qgroup, serialize
+
+    digests = []
+    real = qgroup.build_from_unitary
+
+    def counted(w, dim):
+        digests.append(np.asarray(w, dtype=complex).tobytes())
+        return real(w, dim)
+
+    for module in (qgroup, groups, serialize):
+        monkeypatch.setattr(module, "build_from_unitary", counted)
+    # start cold, so every object the suite uses is built inside this run
+    groups.qg_from_group.cache_clear()
+    code, obj = run_json(capsys, ["suite"])
+    assert code == 0 and obj["pass"] is True
+    assert len(digests) == len(set(digests))
+    group_files = [s for s in obj["subjects"] if s["subject"] != "homChains"]
+    assert len(digests) == 2 * len(group_files)
+
+
 def test_suite_flags_corrupt_file(tmp_path, capsys):
     d = _copy_corpus(tmp_path, ["z2"])
     (d / "broken.json").write_text("{ bad", encoding="utf-8")

@@ -185,3 +185,24 @@ def test_check_hopf_hom_rejects_non_coalgebra_map(z2):
     assert resid <= 1e-12
     with pytest.raises(HopfHomViolation):
         check_hopf_hom(c, c, swap)
+
+
+def _with_nan_image(hom_map, k=1):
+    images = [m.copy() for m in hom_map.images]
+    images[k][0, 0] = np.nan
+    return SpanMap(hom_map.basis, tuple(images), hom_map.d, hom_map.dd)
+
+
+def test_right_hom_with_a_nan_image_fails_closed(va):
+    # the NaN sits in a later image, where a Python max() fold would drop it
+    v, _ = va
+    dr = right_from_bicharacter(v)
+    with pytest.raises(RangeViolation):
+        check_right_hom(v.source, v.target, _with_nan_image(dr.deltaR))
+
+
+def test_left_hom_with_a_nan_image_fails_closed(va):
+    v, _ = va
+    dl = left_from_bicharacter(v)
+    with pytest.raises(RangeViolation):
+        check_left_hom(v.source, v.target, _with_nan_image(dl.deltaL))

@@ -18,13 +18,19 @@ from qgcalc.qgroup import (
     transpose_qg,
     unitary_antipode,
 )
+from qgcalc import qgroup as qgroup_module
 from qgcalc.tensorleg import (
+    Functional,
     LegSpace,
     embed_on_legs,
     flip_unitary,
     kron,
     membership_residual,
+    orthonormal_basis,
+    permute_legs,
     residual_between,
+    slice_leg,
+    span_map_from_pairs,
     unitarity_defect,
 )
 
@@ -135,17 +141,73 @@ def test_dual_swaps_the_algebra_pair(z4):
         assert membership_residual(d4.algChat, y) <= 1e-10
 
 
+def _flip_adjoint_by_hand(qg):
+    return permute_legs(qg.W.conj().T, qg.space, (2, 1))
+
+
+def _assert_same_build(got, fresh):
+    np.testing.assert_array_equal(got.W, fresh.W)
+    for mine, theirs in ((got.algC, fresh.algC), (got.algChat, fresh.algChat)):
+        assert len(mine) == len(theirs)
+        for x, y in zip(mine, theirs):
+            np.testing.assert_array_equal(x, y)
+    assert got.residuals == fresh.residuals
+
+
 def test_cstar_picture_is_the_dual(corpus):
     for g in corpus.values():
-        np.testing.assert_array_equal(
-            q.qg_from_group(g, "cstar").W, dual_qg(q.qg_from_group(g, "c0")).W
-        )
+        c = q.qg_from_group(g, "c0")
+        cs = q.qg_from_group(g, "cstar")
+        flipped = _flip_adjoint_by_hand(c)
+        np.testing.assert_array_equal(cs.W, flipped)
+        _assert_same_build(cs, build_from_unitary(flipped, c.dim))
 
 
 def test_double_dual_is_exact(z4, s3):
     for g in (z4, s3):
         c = q.qg_from_group(g, "c0")
-        np.testing.assert_array_equal(dual_qg(dual_qg(c)).W, c.W)
+        twice = _flip_adjoint_by_hand(build_from_unitary(_flip_adjoint_by_hand(c), c.dim))
+        np.testing.assert_array_equal(twice, c.W)
+        _assert_same_build(c, build_from_unitary(twice, c.dim))
+
+
+def test_dual_is_built_once_and_self_inverse(z4, s3):
+    for g in (z4, s3):
+        for c in (q.qg_from_group(g, "c0"), build_from_unitary(q.qg_from_group(g, "c0").W, g.order)):
+            assert c.dual is c.dual
+            assert c.dual.dual is c
+            assert dual_qg(c) is c.dual
+            assert dual_qg(dual_qg(c)) is c
+            np.testing.assert_array_equal(c.dual.W, _flip_adjoint_by_hand(c))
+
+
+def test_algebras_match_the_slice_oracle(s3):
+    """The reshaped blocks of W against slice_leg by each matrix-unit functional."""
+    rng = np.random.default_rng(5)
+    u = _haar_unitary(s3.order, rng)
+    uu = kron(u, u)
+    for qg in (
+        q.qg_from_group(s3, "c0"),
+        build_from_unitary(uu @ q.qg_from_group(s3, "cstar").W @ uu.conj().T, s3.order),
+    ):
+        d, space = qg.dim, qg.space
+        units = []
+        for i in range(d):
+            for j in range(d):
+                dens = np.zeros((d, d), dtype=complex)
+                dens[j, i] = 1.0
+                units.append(Functional(dens))
+        for leg, alg in ((1, qg.algC), (2, qg.algChat)):
+            oracle = orthonormal_basis([slice_leg(qg.W, space, leg, om) for om in units])
+            assert len(oracle) == len(alg)
+            for x, y in zip(alg, oracle):
+                np.testing.assert_array_equal(x, y)
+        wd = qg.W.conj().T
+        kappa, _ = span_map_from_pairs(
+            [(slice_leg(qg.W, space, 1, om), slice_leg(wd, space, 1, om)) for om in units]
+        )
+        for x in qg.algC:
+            np.testing.assert_array_equal(qg.kacR(x), kappa(x))
 
 
 def test_antipode_inverts_points(z4, s3):
@@ -217,10 +279,42 @@ def test_transpose_construction(z2, z4, s3):
     for g in (z2, z4, s3):
         c = q.qg_from_group(g, "c0")
         cbar, bic = transpose_qg(c)
+        # a real W is its own conjugate, so no second object is built
+        assert cbar is c
         np.testing.assert_array_equal(cbar.W, c.W.conj())
         assert bic.residuals["dualSideEquation"] <= PENTAGON_TOL
         assert bic.residuals["flippedComultEquation"] <= PENTAGON_TOL
         np.testing.assert_array_equal(bic.V, manageability_witness(c).wtilde)
+
+
+def test_transpose_of_complex_w_builds_the_conjugate(s3):
+    rng = np.random.default_rng(31)
+    u = _haar_unitary(s3.order, rng)
+    uu = kron(u, u)
+    for picture in ("c0", "cstar"):
+        w = uu @ q.qg_from_group(s3, picture).W @ uu.conj().T
+        qg = build_from_unitary(w, s3.order)
+        cbar, bic = transpose_qg(qg)
+        assert cbar is not qg
+        np.testing.assert_array_equal(cbar.W, w.conj())
+        assert bic.residuals["dualSideEquation"] <= PENTAGON_TOL
+        assert bic.residuals["flippedComultEquation"] <= PENTAGON_TOL
+
+
+@pytest.mark.parametrize(
+    "nan_at, message", [(0, "dual-side equation"), (1, "flipped-comultiplication equation")]
+)
+def test_transpose_gates_reject_a_nan_residual(monkeypatch, z4, nan_at, message):
+    real = qgroup_module.residual_between
+    calls = []
+
+    def patched(x, y):
+        calls.append(None)
+        return float("nan") if len(calls) - 1 == nan_at else real(x, y)
+
+    monkeypatch.setattr(qgroup_module, "residual_between", patched)
+    with pytest.raises(BicharacterViolation, match=message):
+        transpose_qg(q.qg_from_group(z4, "c0"))
 
 
 def test_coassociativity_zero_on_corpus(z4, s3):

@@ -14,6 +14,7 @@ from qgcalc.tensorleg import (
     apply_map_to_leg,
     embed_on_legs,
     extract_trivial_legs,
+    flip_adjoint,
     flip_unitary,
     frob,
     intertwiner_space,
@@ -22,6 +23,7 @@ from qgcalc.tensorleg import (
     legs_product,
     membership_residual,
     membership_residuals,
+    numerical_rank,
     orthonormal_basis,
     permute_legs,
     permuted_space,
@@ -225,6 +227,15 @@ def test_permute_legs_round_trip():
     np.testing.assert_allclose(back, t, atol=1e-12)
 
 
+def test_flip_adjoint_is_an_exact_involution():
+    sp = LegSpace((2, 3))
+    t = random_complex(6, 6)
+    sigma = flip_unitary(2, 3)
+    got = flip_adjoint(t, sp)
+    np.testing.assert_allclose(got, sigma @ t.conj().T @ sigma.conj().T, atol=1e-12)
+    np.testing.assert_array_equal(flip_adjoint(got, LegSpace((3, 2))), t)
+
+
 def test_permute_rejects_non_permutation():
     with pytest.raises(ValueError):
         permute_legs(np.eye(4), LegSpace((2, 2)), (1, 1))
@@ -386,6 +397,29 @@ def test_span_map_apply_stack_matches_call():
     got = phi.apply_stack(xs)
     for k in range(5):
         np.testing.assert_allclose(got[k], phi(xs[k]), atol=1e-12)
+
+
+def test_span_map_superoperator_is_computed_once():
+    u = random_unitary(2)
+    phi, _ = span_map_from_pairs(
+        [(e, kron(e, u @ e @ u.conj().T)) for e in (np.eye(2), np.diag([1.0, -1.0]))]
+    )
+    s = phi.superoperator()
+    assert s is phi.superoperator()
+    assert not s.flags.writeable
+    x = random_complex(2, 2)
+    np.testing.assert_allclose(s @ vec(x), vec(phi(x)), atol=1e-12)
+    # apply_map_to_leg's factored product against the superoperator
+    rows = random_complex(5, 4)
+    np.testing.assert_allclose(phi.apply_rows(rows), rows @ s.T, atol=1e-12)
+
+
+def test_numerical_rank_of_non_finite_vectors_is_zero():
+    cols = [vec(np.eye(2)), vec(np.diag([1.0, -1.0]))]
+    assert numerical_rank(cols) == 2
+    cols[1] = cols[1].copy()
+    cols[1][0] = np.nan
+    assert numerical_rank(cols) == 0
 
 
 def test_span_map_rejects_wrong_domain():
