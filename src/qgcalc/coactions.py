@@ -29,6 +29,7 @@ from .tensorleg import (
     legs_product,
     membership_residuals,
     numerical_rank,
+    pair_basis,
     residual_between,
     span_map_from_pairs,
     unitarity_defect,
@@ -104,7 +105,7 @@ def check_coaction(gamma, d, c, tol=EQUATION_TOL):
     closure = membership_residuals(basis, prods)
     gate(closure, CLOSURE_TOL, CoactionViolation, "d is not a *-algebra")
 
-    pair = [kron(x, a) for x in basis for a in c.algC]
+    pair = pair_basis(basis, c.algC)
     rng = membership_residuals(pair, [gmap(x) for x in basis])
     gate(rng, CLOSURE_TOL, CoactionViolation, "gamma escapes span(D) (x) span(C)")
 

@@ -6,8 +6,16 @@ Referenced quantum groups may be inline ({"dim", "W"} or {"group",
 the referencing file.  Coefficient matrices for homomorphisms follow the
 "orthonormalized-slice" convention: rows and columns are indexed by the
 orthonormal slice bases the builders produce, which are deterministic.
+
+Inside one build scope each distinct explicit W is built once, however
+many specs or files name it.  The readers that build quantum groups open
+a scope unless one is already open, and the command line holds one open
+for a whole invocation, so no built object outlives it.
 """
 
+import contextlib
+import contextvars
+import functools
 import json
 import os
 
@@ -16,7 +24,7 @@ import numpy as np
 from .errors import ParseError
 from .groups import build_group, qg_from_group
 from .qgroup import build_from_unitary
-from .tensorleg import kron, orthonormal_basis
+from .tensorleg import orthonormal_basis, pair_basis
 
 __all__ = [
     "load_json",
@@ -35,7 +43,36 @@ __all__ = [
     "coaction_to_obj",
     "detect_kind",
     "write_json",
+    "build_scope",
 ]
+
+# (dim, W bytes) -> built quantum group, for the innermost open build scope
+_BUILT = contextvars.ContextVar("qgcalc_built", default=None)
+
+
+@contextlib.contextmanager
+def build_scope():
+    """Within this scope, qg_from_obj builds each distinct explicit W once.
+
+    Re-entering an open scope shares its memo; the outermost exit drops it.
+    """
+    if _BUILT.get() is not None:
+        yield
+        return
+    token = _BUILT.set({})
+    try:
+        yield
+    finally:
+        _BUILT.reset(token)
+
+
+def _scoped(reader):
+    @functools.wraps(reader)
+    def wrapper(*args, **kwargs):
+        with build_scope():
+            return reader(*args, **kwargs)
+
+    return wrapper
 
 
 def load_json(path):
@@ -124,6 +161,7 @@ def group_to_obj(g):
     return out
 
 
+@_scoped
 def qg_from_obj(obj, base="."):
     """Build a quantum group from an inline spec or a {"path"} reference."""
     if not isinstance(obj, dict):
@@ -144,7 +182,11 @@ def qg_from_obj(obj, base="."):
         raise ParseError(
             f"W must be {dim * dim}x{dim * dim} for dim {dim}, got {w.shape[0]}x{w.shape[1]}"
         )
-    return build_from_unitary(w, dim)
+    built = _BUILT.get()
+    key = (dim, w.tobytes())
+    if key not in built:
+        built[key] = build_from_unitary(w, dim)
+    return built[key]
 
 
 def load_qg(path):
@@ -155,16 +197,16 @@ def qg_to_obj(qg):
     return {"dim": qg.dim, "W": matrix_to_obj(qg.W)}
 
 
+@_scoped
 def bicharacter_parts_from_obj(obj, base="."):
     """Returns (source, target, V) without running the bicharacter checks.
 
-    A target spec equal to the source spec (an endomorphism, such as an
-    identity arrow) reuses the source object instead of building it again.
+    Both endpoints are read in one build scope, so an endpoint whose W
+    equals the other's (an endomorphism, such as an identity arrow) is the
+    same object, built once.
     """
-    source_spec = _need(obj, "source", "bicharacter")
-    target_spec = _need(obj, "target", "bicharacter")
-    source = qg_from_obj(source_spec, base)
-    target = source if target_spec == source_spec else qg_from_obj(target_spec, base)
+    source = qg_from_obj(_need(obj, "source", "bicharacter"), base)
+    target = qg_from_obj(_need(obj, "target", "bicharacter"), base)
     v = matrix_from_obj(_need(obj, "V", "bicharacter"), "V")
     n = source.dim * target.dim
     if v.shape != (n, n):
@@ -183,29 +225,41 @@ def bicharacter_to_obj(v):
     }
 
 
-def _images_from_coefficients(m, pair_basis, what):
+def _images_from_coefficients(m, pairs, what):
     images = []
-    if m.shape[0] != len(pair_basis):
+    if m.shape[0] != len(pairs):
         raise ParseError(
             f"{what}: coefficient matrix has {m.shape[0]} rows, "
-            f"basis has {len(pair_basis)} elements"
+            f"basis has {len(pairs)} elements"
         )
     for l in range(m.shape[1]):
-        img = np.zeros_like(pair_basis[0], dtype=complex)
-        for k, b in enumerate(pair_basis):
+        img = np.zeros_like(pairs[0], dtype=complex)
+        for k, b in enumerate(pairs):
             img = img + m[k, l] * b
         images.append(img)
     return images
 
 
-def _coefficients_from_images(images, pair_basis):
-    m = np.empty((len(pair_basis), len(images)), dtype=complex)
+def _coefficients_from_images(images, pairs):
+    m = np.empty((len(pairs), len(images)), dtype=complex)
     for l, img in enumerate(images):
-        for k, b in enumerate(pair_basis):
+        for k, b in enumerate(pairs):
             m[k, l] = np.trace(b.conj().T @ img)
     return m
 
 
+def _hom_pair_basis(kind, source, target):
+    """The basis a hom file's coefficient rows run over, by hom kind."""
+    if kind == "hopf":
+        return list(target.algC)
+    if kind == "right":
+        return pair_basis(source.algC, target.algC)
+    if kind == "left":
+        return pair_basis(target.algC, source.algC)
+    raise ValueError(f"unknown hom kind {kind!r}")
+
+
+@_scoped
 def hom_parts_from_obj(obj, base="."):
     """Returns (kind, source, target, span map pieces) for a hom file.
 
@@ -227,25 +281,13 @@ def hom_parts_from_obj(obj, base="."):
         raise ParseError(
             f"hom matrix has {m.shape[1]} columns, source algebra has {len(source.algC)}"
         )
-    if kind == "hopf":
-        pair = list(target.algC)
-    elif kind == "right":
-        pair = [kron(c, a) for c in source.algC for a in target.algC]
-    else:
-        pair = [kron(a, c) for a in target.algC for c in source.algC]
+    pair = _hom_pair_basis(kind, source, target)
     images = _images_from_coefficients(m, pair, "hom")
     return kind, source, target, images
 
 
 def hom_to_obj(kind, source, target, span_map):
-    if kind == "hopf":
-        pair = list(target.algC)
-    elif kind == "right":
-        pair = [kron(c, a) for c in source.algC for a in target.algC]
-    elif kind == "left":
-        pair = [kron(a, c) for a in target.algC for c in source.algC]
-    else:
-        raise ValueError(f"unknown hom kind {kind!r}")
+    pair = _hom_pair_basis(kind, source, target)
     images = [span_map(x) for x in source.algC]
     return {
         "kind": kind,
@@ -271,7 +313,7 @@ def coaction_parts_from_obj(obj, base="."):
         raise ParseError(
             f"gamma has {m.shape[1]} columns, orthonormalized D has {len(basis)}"
         )
-    pair = [kron(d, c) for d in basis for c in qg.algC]
+    pair = pair_basis(basis, qg.algC)
     images = _images_from_coefficients(m, pair, "gamma")
     return basis, qg, images
 
@@ -282,7 +324,7 @@ def coaction_to_obj(coaction):
     # signs even on orthonormal input), so gamma's coefficients must be
     # taken against that reconstruction, not against algebraD itself
     basis = orthonormal_basis(list(coaction.algebraD))
-    pair = [kron(d, c) for d in basis for c in qg.algC]
+    pair = pair_basis(basis, qg.algC)
     images = [coaction.gamma(d) for d in basis]
     return {
         "D": {"basis": [matrix_to_obj(d) for d in coaction.algebraD]},

@@ -35,6 +35,22 @@ def run_json(capsys, argv):
     return code, json.loads(captured.out)
 
 
+def _count_builds(monkeypatch):
+    """Records the W of every build_from_unitary call, wherever it is bound."""
+    from qgcalc import groups, qgroup, serialize
+
+    digests = []
+    real = qgroup.build_from_unitary
+
+    def counted(w, dim):
+        digests.append(np.asarray(w, dtype=complex).tobytes())
+        return real(w, dim)
+
+    for module in (qgroup, groups, serialize):
+        monkeypatch.setattr(module, "build_from_unitary", counted)
+    return digests
+
+
 @pytest.fixture()
 def va_file(tmp_path, z2, z4):
     va = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0"))
@@ -80,28 +96,49 @@ def test_verify_bicharacter_and_text_mode(capsys, va_file):
     assert captured.out.startswith("PASS va.json")
 
 
+BICHARACTER_CHECKS = [
+    "unitarity",
+    "comultSource",
+    "comultTarget",
+    "operatorSource",
+    "operatorTarget",
+    "membership",
+    "rInvariance",
+]
+HOPF_CHECKS = ["range", "unital", "star", "multiplicative", "intertwining"]
+ONE_SIDED_CHECKS = [
+    "range",
+    "coassocDiagram",
+    "comoduleDiagram",
+    "injective",
+    "podles",
+    "extraction",
+    "roundTrip",
+]
+
+
 def test_verify_hom_kinds(tmp_path, capsys, z2, z4):
+    bicharacter = ["bicharacter." + name for name in BICHARACTER_CHECKS]
     f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
     hopf = tmp_path / "hopf.json"
     write_json(str(hopf), hom_to_obj("hopf", f.source, f.target, f.map))
     code, obj = run_json(capsys, ["verify", str(hopf), "hom"])
     assert code == 0 and obj["pass"] is True
+    assert [c["name"] for c in obj["checks"]] == HOPF_CHECKS + bicharacter
 
     dr = right_from_bicharacter(q.from_hopf_hom(f))
     right = tmp_path / "right.json"
     write_json(str(right), hom_to_obj("right", dr.source, dr.target, dr.deltaR))
     code, obj = run_json(capsys, ["verify", str(right), "hom"])
     assert code == 0 and obj["pass"] is True
-    names = {c["name"] for c in obj["checks"]}
-    assert {"coassocDiagram", "comoduleDiagram", "roundTrip"} <= names
+    assert [c["name"] for c in obj["checks"]] == ONE_SIDED_CHECKS + bicharacter
 
     dl = left_from_bicharacter(q.from_hopf_hom(f))
     left = tmp_path / "left.json"
     write_json(str(left), hom_to_obj("left", dl.source, dl.target, dl.deltaL))
     code, obj = run_json(capsys, ["verify", str(left), "hom"])
     assert code == 0 and obj["pass"] is True
-    names = {c["name"] for c in obj["checks"]}
-    assert {"injective", "podles", "extraction", "roundTrip"} <= names
+    assert [c["name"] for c in obj["checks"]] == ONE_SIDED_CHECKS + bicharacter
 
 
 def test_verify_coaction(tmp_path, capsys, z2, z4):
@@ -124,6 +161,24 @@ def test_compose_writes_identity(tmp_path, capsys, va_file, z2, z4):
     _, _, v = bicharacter_parts_from_obj(json.loads(out.read_text(encoding="utf-8")))
     # q after i is the trivial endomorphism, so the arrow degenerates to 1 (x) 1
     np.testing.assert_allclose(v, np.eye(4), atol=1e-12)
+
+
+def test_compose_builds_each_distinct_w_once_per_invocation(
+    monkeypatch, tmp_path, capsys, va_file, z2, z4
+):
+    path_a, _ = va_file
+    vb = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z2, z4, (0, 2)), "c0"))
+    path_b = tmp_path / "vb.json"
+    write_json(str(path_b), bicharacter_to_obj(vb))
+    digests = _count_builds(monkeypatch)
+    code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
+    assert code == 0
+    # c0(Z4) and c0(Z2), each named by both files, and the dual of c0(Z4)
+    assert len(digests) == len(set(digests)) == 3
+    # built objects do not outlive an invocation: a second one builds again
+    code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
+    assert code == 0
+    assert len(digests) == 6 and len(set(digests)) == 3
 
 
 def test_compose_mismatch_exits_two(capsys, va_file):
@@ -217,17 +272,9 @@ def test_suite_small_corpus_includes_hom_chains(tmp_path, capsys):
 
 
 def test_suite_builds_each_quantum_group_once(monkeypatch, capsys):
-    from qgcalc import groups, qgroup, serialize
+    from qgcalc import groups
 
-    digests = []
-    real = qgroup.build_from_unitary
-
-    def counted(w, dim):
-        digests.append(np.asarray(w, dtype=complex).tobytes())
-        return real(w, dim)
-
-    for module in (qgroup, groups, serialize):
-        monkeypatch.setattr(module, "build_from_unitary", counted)
+    digests = _count_builds(monkeypatch)
     # start cold, so every object the suite uses is built inside this run
     groups.qg_from_group.cache_clear()
     code, obj = run_json(capsys, ["suite"])

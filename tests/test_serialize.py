@@ -13,6 +13,7 @@ from qgcalc.homviews import right_from_bicharacter
 from qgcalc.serialize import (
     bicharacter_parts_from_obj,
     bicharacter_to_obj,
+    build_scope,
     coaction_parts_from_obj,
     coaction_to_obj,
     detect_kind,
@@ -172,6 +173,20 @@ def test_distinct_endpoints_build_twice(monkeypatch, z2, z4):
     source, target, _ = bicharacter_parts_from_obj(bicharacter_to_obj(v))
     assert calls == [source.dim, target.dim]
     assert source.dim != target.dim
+
+
+def test_build_scope_memo_ends_with_the_scope(monkeypatch, tmp_path, z2):
+    obj = qg_to_obj(q.qg_from_group(z2, "c0"))
+    write_json(str(tmp_path / "c2.json"), obj)
+    calls = _counting_builds(monkeypatch)
+    with build_scope():
+        # an inline spec and a path reference naming the same W share one build
+        first = qg_from_obj(obj)
+        assert qg_from_obj({"path": "c2.json"}, str(tmp_path)) is first
+    assert calls == [2]
+    # outside a scope each reader call builds afresh
+    assert qg_from_obj(obj) is not qg_from_obj(obj)
+    assert calls == [2, 2, 2]
 
 
 def test_bicharacter_shape_error(z2, z4):
