@@ -20,6 +20,7 @@ from .errors import (
 from .qgroup import EQUATION_TOL, CLOSURE_TOL, unitary_antipode
 from .tensorleg import (
     LegSpace,
+    PairSpan,
     apply_map_to_leg,
     as_matrix,
     extract_trivial_legs,
@@ -27,7 +28,6 @@ from .tensorleg import (
     frob,
     legs_product,
     membership_residual,
-    pair_basis,
     residual_between,
     unitarity_defect,
 )
@@ -93,7 +93,7 @@ def bicharacter_residuals(v, c, a):
         legs_product(space_caa, (v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))),
     )
 
-    memb = membership_residual(pair_basis(c.algChat, a.algC), v)
+    memb = membership_residual(PairSpan(c.algChat, a.algC), v)
     return {
         "comultSource": r1,
         "comultTarget": r2,
@@ -108,18 +108,11 @@ def check_bicharacter(v, c, a, tol=EQUATION_TOL, membership_tol=CLOSURE_TOL):
     v = as_matrix(v)
     udef = unitarity_defect(v)
     if not udef <= 1e-10:
-        raise NotUnitary(f"V is not unitary, defect {udef:.2e}", residual=udef)
+        raise NotUnitary(f"V is not unitary, defect {udef:.2e}", residual=udef, tolerance=1e-10)
     res = bicharacter_residuals(v, c, a)
     for key in ("comultSource", "comultTarget", "operatorSource", "operatorTarget"):
-        if not res[key] <= tol:
-            raise BicharacterViolation(
-                f"{key} equation fails, residual {res[key]:.2e}", residual=res[key]
-            )
-    if not res["membership"] <= membership_tol:
-        raise BicharacterViolation(
-            f"V escapes the algebra pair span, residual {res['membership']:.2e}",
-            residual=res["membership"],
-        )
+        gate(res[key], tol, BicharacterViolation, f"{key} equation fails")
+    gate(res["membership"], membership_tol, BicharacterViolation, "V escapes the algebra pair span")
     return Bicharacter(c, a, v, res)
 
 

@@ -112,7 +112,11 @@ class Tols:
 def _record_failure(report, exc):
     residual = getattr(exc, "residual", None)
     value = float(residual) if residual is not None else float("inf")
-    report.checks.append(Check(type(exc).__name__, value, 0.0))
+    # the tolerance the failed check missed, where it is known; a NaN
+    # residual fails against any tolerance
+    tolerance = getattr(exc, "tolerance", None)
+    tol = float(tolerance) if tolerance is not None else 0.0
+    report.checks.append(Check(type(exc).__name__, value, tol))
 
 
 def _qg_battery(report, prefix, build, tols):

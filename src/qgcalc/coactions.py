@@ -22,6 +22,7 @@ from .homviews import bicharacter_from_right, check_right_hom, right_from_bichar
 from .qgroup import CLOSURE_TOL, EQUATION_TOL
 from .tensorleg import (
     LegSpace,
+    PairSpan,
     SpanMap,
     apply_map_to_leg,
     extract_trivial_legs,
@@ -29,7 +30,6 @@ from .tensorleg import (
     legs_product,
     membership_residuals,
     numerical_rank,
-    pair_basis,
     residual_between,
     span_map_from_pairs,
     unitarity_defect,
@@ -105,8 +105,7 @@ def check_coaction(gamma, d, c, tol=EQUATION_TOL):
     closure = membership_residuals(basis, prods)
     gate(closure, CLOSURE_TOL, CoactionViolation, "d is not a *-algebra")
 
-    pair = pair_basis(basis, c.algC)
-    rng = membership_residuals(pair, [gmap(x) for x in basis])
+    rng = membership_residuals(PairSpan(basis, c.algC), [gmap(x) for x in basis])
     gate(rng, CLOSURE_TOL, CoactionViolation, "gamma escapes span(D) (x) span(C)")
 
     # np.max, unlike max(), carries a NaN residual through to the gate

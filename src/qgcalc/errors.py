@@ -30,12 +30,14 @@ __all__ = [
 class CalculusError(Exception):
     """Base class for all verification failures.
 
-    The optional ``residual`` records how badly the violated identity missed.
+    The optional ``residual`` records how badly the violated identity missed
+    and ``tolerance`` the bound it had to meet.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, tolerance=None):
         super().__init__(message)
         self.residual = residual
+        self.tolerance = tolerance
 
 
 class ParseError(CalculusError):
@@ -112,7 +114,8 @@ class NotAbelian(CalculusError):
 def gate(residual, tol, exc, what):
     """Raise exc unless residual <= tol, so a NaN residual fails too.
 
-    The message is what the check found, followed by the residual.
+    The message is what the check found, followed by the residual; the
+    exception carries both the residual and the tolerance it missed.
     """
     if not residual <= tol:
-        raise exc(f"{what}, residual {residual:.2e}", residual=residual)
+        raise exc(f"{what}, residual {residual:.2e}", residual=residual, tolerance=tol)

@@ -23,6 +23,7 @@ from .errors import (
 from .qgroup import CLOSURE_TOL, EQUATION_TOL, unitary_antipode
 from .tensorleg import (
     LegSpace,
+    PairSpan,
     SpanMap,
     apply_map_to_leg,
     extract_trivial_legs,
@@ -30,8 +31,8 @@ from .tensorleg import (
     kron,
     legs_product,
     membership_residual,
+    membership_residuals,
     numerical_rank,
-    pair_basis,
     residual_between,
     vec,
 )
@@ -143,8 +144,7 @@ class LeftQGHom:
 
 def right_hom_residuals(c, a, dr_map):
     """Diagram, range, injectivity, and density data for a right-hom candidate."""
-    pair = pair_basis(c.algC, a.algC)
-    rng = np.max([membership_residual(pair, dr_map(x)) for x in c.algC])
+    rng = membership_residuals(PairSpan(c.algC, a.algC), [dr_map(x) for x in c.algC])
     space_ca = LegSpace((c.dim, a.dim))
     space_cc = LegSpace((c.dim, c.dim))
     diag1 = []
@@ -212,8 +212,7 @@ def bicharacter_from_right(dr, tol=EQUATION_TOL):
 
 def left_hom_residuals(c, a, dl_map):
     """Mirror of right_hom_residuals for a left-hom candidate C -> A (x) C."""
-    pair = pair_basis(a.algC, c.algC)
-    rng = np.max([membership_residual(pair, dl_map(x)) for x in c.algC])
+    rng = membership_residuals(PairSpan(a.algC, c.algC), [dl_map(x) for x in c.algC])
     space_ac = LegSpace((a.dim, c.dim))
     space_cc = LegSpace((c.dim, c.dim))
     diag1 = []

@@ -9,7 +9,7 @@ Only Kac-type data is handled; constructions needing the antipode reject
 anything else with NotKacType instead of guessing modular corrections.
 """
 
-from functools import cached_property
+import weakref
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
 )
 from .tensorleg import (
     LegSpace,
+    PairSpan,
     SpanMap,
     as_matrix,
     flip_adjoint,
@@ -31,13 +32,11 @@ from .tensorleg import (
     legs_product,
     membership_residuals,
     orthonormal_basis,
-    pair_basis,
     permute_legs,
     residual_between,
     residuals_between,
     span_map_from_pairs,
     unitarity_defect,
-    vec,
 )
 
 __all__ = [
@@ -79,22 +78,32 @@ class FiniteQuantumGroup:
         self.deltaChat = delta_chat
         self.kacR = kac_r
         self.residuals = dict(residuals)
+        self._dual = None
+        self._builder = None
 
     @property
     def space(self):
         return LegSpace((self.dim, self.dim))
 
-    @cached_property
+    @property
     def dual(self):
         """The dual quantum group, built once; its own ``dual`` is this object.
 
         Its unitary is the flip-adjoint Sigma W* Sigma.  That moves indices
         and conjugates, so dualizing twice gives W back bit for bit and the
-        link back needs no second build.
+        link back needs no second build.  The object that built the dual
+        holds it, and the dual holds its builder only through a weak
+        reference, so the pair is no reference cycle and is freed as soon as
+        its last name goes.  A dual that outlives its builder rebuilds it,
+        bit for bit, when asked.
         """
-        out = build_from_unitary(flip_adjoint(self.W, self.space), self.dim)
-        out.dual = self
-        return out
+        builder = self._builder() if self._builder is not None else None
+        if builder is not None:
+            return builder
+        if self._dual is None:
+            self._dual = build_from_unitary(flip_adjoint(self.W, self.space), self.dim)
+            self._dual._builder = weakref.ref(self)
+        return self._dual
 
     def same_unitary(self, other):
         """Object identity in the bicharacter category: equal W matrices."""
@@ -200,7 +209,9 @@ def build_from_unitary(w, dim):
         raise ValueError(f"W has dim {w.shape[0]}, expected {d * d}")
     udef = unitarity_defect(w)
     if not udef <= PENTAGON_TOL:
-        raise NotUnitary(f"W is not unitary, defect {udef:.2e}", residual=udef)
+        raise NotUnitary(
+            f"W is not unitary, defect {udef:.2e}", residual=udef, tolerance=PENTAGON_TOL
+        )
 
     space3 = LegSpace((d, d, d))
     pent = residual_between(
@@ -208,7 +219,9 @@ def build_from_unitary(w, dim):
         legs_product(space3, (w, (1, 2)), (w, (1, 3)), (w, (2, 3))),
     )
     if not pent <= PENTAGON_TOL:
-        raise PentagonViolation(f"pentagon residual {pent:.2e}", residual=pent)
+        raise PentagonViolation(
+            f"pentagon residual {pent:.2e}", residual=pent, tolerance=PENTAGON_TOL
+        )
 
     alg_c = orthonormal_basis(_leg_slices(w, d, 1))
     alg_chat = orthonormal_basis(_leg_slices(w, d, 2))
@@ -220,7 +233,7 @@ def build_from_unitary(w, dim):
     memb = float(
         np.max(
             [
-                membership_residuals(pair_basis(alg, alg), list(delta.images))
+                membership_residuals(PairSpan(alg, alg), list(delta.images))
                 for alg, delta in ((alg_c, delta_c), (alg_chat, delta_chat))
             ]
         )
@@ -249,26 +262,33 @@ def coassociativity_residual(qg):
     x (x) 1 (x) 1.  Multiplying the conjugated difference by those unitaries
     turns it into the commutator u xt - xt u without changing any Frobenius
     norm, so the residual below equals the direct comparison while skipping
-    the d^3 x d^3 conjugations per basis element.  Each side of the
-    commutator contracts u with x over the first leg only, one basis
-    element at a time, so the working set stays at a few d^3 x d^3 matrices.
+    the d^3 x d^3 conjugations per basis element.  Regrouped as
+    p[a, (B, E), c] = u[(a, B), (c, E)], the commutator with x on the first
+    leg is [p_k, x] block by block, so the squared norms are summed over one
+    B at a time with two products per basis element, and no basis element
+    costs a d^3 x d^3 product.
     """
     d = qg.dim
     space3 = LegSpace((d, d, d))
     w, wd = qg.W, qg.W.conj().T
     u = legs_product(space3, (wd, (1, 2)), (wd, (2, 3)), (w, (1, 2)), (w, (1, 3)))
-    every = (1, 2, 3)
-    return float(
-        np.max(
-            [
-                residual_between(
-                    legs_product(space3, (u, every), (x, (1,))),
-                    legs_product(space3, (x, (1,)), (u, every)),
-                )
-                for x in qg.algC
-            ]
-        )
-    )
+    # blocks[B] is (a, E, c) -> u[(a, B), (c, E)]
+    blocks = u.reshape(d, d * d, d, d * d).transpose(1, 0, 3, 2).copy()
+    del u
+    n = len(qg.algC)
+    diff, ux_sq, xu_sq = np.zeros(n), np.zeros(n), np.zeros(n)
+    for blk in blocks:
+        by_col, by_row = blk.reshape(-1, d), blk.reshape(d, -1)
+        for k, x in enumerate(qg.algC):
+            ux = (by_col @ x).reshape(-1)
+            xu = (x @ by_row).reshape(-1)
+            gap = ux - xu
+            diff[k] += np.vdot(gap, gap).real
+            ux_sq[k] += np.vdot(ux, ux).real
+            xu_sq[k] += np.vdot(xu, xu).real
+    # the scale of residual_between; np.maximum and np.max carry a NaN through
+    scale = np.maximum(1.0, np.sqrt(np.maximum(ux_sq, xu_sq)))
+    return float(np.max(np.sqrt(diff) / scale))
 
 
 def manageability_witness(qg, tol=PENTAGON_TOL):
@@ -357,17 +377,9 @@ def coinvariant_dimension(qg, cutoff=1e-9):
     coinvariant.
     """
     d = qg.dim
-    scale = 1.0 / np.sqrt(d)
-    right_triv = [kron(a, np.eye(d, dtype=complex)) * scale for a in qg.algC]
-    cols = []
-    for dx in qg.deltaC.images:
-        v = vec(dx)
-        proj = np.zeros_like(v)
-        for b in right_triv:
-            bb = vec(b)
-            proj = proj + bb * np.vdot(bb, v)
-        cols.append(v - proj)
-    system = np.stack(cols, axis=1)
+    images = np.stack(qg.deltaC.images)
+    right_triv = PairSpan(qg.algC, [np.eye(d, dtype=complex) / np.sqrt(d)])
+    system = (images - right_triv.project(images)).reshape(len(images), -1)
     s = np.linalg.svd(system, compute_uv=False)
     smax = s[0] if len(s) else 0.0
     if smax <= cutoff:

@@ -31,6 +31,7 @@ __all__ = [
     "kron",
     "kron_all",
     "pair_basis",
+    "PairSpan",
     "flip_unitary",
     "embed_on_legs",
     "legs_product",
@@ -174,7 +175,8 @@ def pair_basis(left, right):
     """Kronecker products a (x) b of two bases, left index outer.
 
     Hilbert-Schmidt orthonormality survives the Kronecker product, so two
-    orthonormal bases give an orthonormal basis of the product span.
+    orthonormal bases give an orthonormal basis of the product span.  To
+    project onto that span, PairSpan does it without forming the products.
     """
     return [kron(a, b) for a in left for b in right]
 
@@ -352,40 +354,41 @@ def extract_trivial_legs(t, space, trivial, tol=1e-8):
 
 
 def intertwiner_space(w, dim, cutoff=1e-9):
-    """Solutions (a, b) of w(a (x) 1) = (1 (x) b)w by stacked-SVD nullspace.
+    """Solutions (a, b) of w(a (x) 1) = (1 (x) b)w for a unitary w, solved for a alone.
 
-    Returns the nullspace dimension and a basis of matrix pairs.  For a
-    pentagon-verified multiplicative unitary the dimension is 1, spanned by
-    (1, 1): invariants are constant.
+    Given a, the only candidate is 1 (x) b = w(a (x) 1)w*, so b is its
+    normalized partial trace Tr_1(w(a (x) 1)w*)/d and a solves exactly when
+    a -> w(a (x) 1)w* - 1 (x) Tr_1(w(a (x) 1)w*)/d vanishes.  The d^4 x d^2
+    matrix of that map is one contraction of w's blocks.  Its singular
+    values are sqrt(d) sin(theta) over the principal angles theta between
+    {w(a (x) 1)} and {(1 (x) b)w}, so a direction counts as a solution when
+    sin(theta) <= cutoff; they come from a QR of the tall matrix and an SVD
+    of its d^2 x d^2 R, never squared through a Gram matrix.
+
+    Returns the nullspace dimension and a basis of matrix pairs, each a of
+    unit norm.  For a pentagon-verified multiplicative unitary the dimension
+    is 1, spanned by (1, 1): invariants are constant.
     """
     w = as_matrix(w)
     d = int(dim)
     if w.shape[0] != d * d:
         raise ValueError(f"w has dim {w.shape[0]}, expected {d * d}")
-    eye = np.eye(d, dtype=complex)
-    cols = []
-    for p in range(d):
-        for q in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[p, q] = 1.0
-            cols.append(vec(w @ np.kron(e, eye)))
-    for p in range(d):
-        for q in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[p, q] = 1.0
-            cols.append(-vec(np.kron(eye, e) @ w))
-    system = np.stack(cols, axis=1)
-    # reduced SVD keeps every right singular vector once rows >= cols
-    full = system.shape[0] < system.shape[1]
-    u, s, vh = np.linalg.svd(system, full_matrices=full)
-    smax = s[0] if len(s) else 0.0
-    rank = int(np.sum(s > cutoff * smax)) if smax > 0 else 0
-    null = vh[rank:].conj()
+    w4 = w.reshape(d, d, d, d)
+    # t[p, q, i, j, m, n] = (w (E_pq (x) 1) w*)[(i, j), (m, n)]
+    t = np.einsum("ijpl,mnql->pqijmn", w4, w4.conj(), optimize=True)
+    tr1 = np.einsum("pqijin->pqjn", t) / d
+    for i in range(d):
+        t[:, :, i, :, i, :] -= tr1
+    # rows of t are the columns of the system, one per matrix unit E_pq
+    system = t.reshape(d * d, -1).T
+    del t
+    r = np.linalg.qr(system, mode="r")
+    _, s, vh = np.linalg.svd(r)
+    rank = int(np.sum(s > cutoff * math.sqrt(d)))
     pairs = []
-    for row in null:
-        a = unvec(row[: d * d], d, d)
-        b = unvec(row[d * d :], d, d)
-        pairs.append((a, b))
+    for row in vh[rank:].conj():
+        a = unvec(row, d, d)
+        pairs.append((a, np.einsum("pq,pqjn->jn", a, tr1)))
     return len(pairs), pairs
 
 
@@ -425,6 +428,35 @@ def numerical_rank(cols, cutoff=1e-9):
     return int(np.sum(s > cutoff * s[0]))
 
 
+class PairSpan:
+    """span(left (x) right) for two orthonormal bases, handled leg by leg.
+
+    Hilbert-Schmidt orthonormality survives the Kronecker product, so the
+    products l_i (x) r_j are an orthonormal basis of the span; this class
+    projects onto it without ever forming them (see pair_basis).
+    """
+
+    def __init__(self, left, right):
+        self.left = np.stack([as_matrix(m) for m in left])
+        self.right = np.stack([as_matrix(m) for m in right])
+
+    def coefficients(self, xs):
+        """<l_i (x) r_j, x_k> for an (n, d1*d2, d1*d2) stack: an (n, i, j) array."""
+        xs = np.asarray(xs, dtype=complex)
+        d1, d2 = self.left.shape[1], self.right.shape[1]
+        legs = xs.reshape(len(xs), d1, d2, d1, d2)
+        return np.einsum(
+            "iab,jce,kacbe->kij", self.left.conj(), self.right.conj(), legs, optimize=True
+        )
+
+    def project(self, xs):
+        """Orthogonal projections of an (n, d1*d2, d1*d2) stack onto the span."""
+        xs = np.asarray(xs, dtype=complex)
+        coeff = self.coefficients(xs)
+        out = np.einsum("kij,iab,jce->kacbe", coeff, self.left, self.right, optimize=True)
+        return out.reshape(xs.shape)
+
+
 def membership_residual(basis, x):
     """Distance of x from the span of an orthonormal basis, relative."""
     return membership_residuals(basis, [x])
@@ -434,22 +466,26 @@ def membership_residuals(basis, mats):
     """Worst relative distance of the given matrices from the basis span.
 
     One stacked projection instead of a per-matrix loop; use this for the
-    closure checks, where thousands of products hit the same span.  mats
-    may be a list of matrices or an (n, r, c) array.
+    closure checks, where thousands of products hit the same span.  basis
+    is a list of orthonormal matrices or a PairSpan, which is projected
+    onto leg by leg.  mats may be a list of matrices or an (n, r, c) array.
     """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        if mats.shape[0] == 0:
-            return 0.0
-        xs = mats.reshape(mats.shape[0], -1).T.astype(complex)
-    elif not mats:
+    if len(mats) == 0:
         return 0.0
+    if isinstance(basis, PairSpan):
+        stack = np.asarray(mats, dtype=complex)
+        xs = stack.reshape(len(stack), -1).T
+        rem = xs - basis.project(stack).reshape(len(stack), -1).T
     else:
-        xs = np.stack([vec(np.asarray(m, dtype=complex)) for m in mats], axis=1)
-    if basis:
-        b = np.stack([vec(np.asarray(m, dtype=complex)) for m in basis], axis=0)
-        rem = xs - b.T @ (b.conj() @ xs)
-    else:
-        rem = xs
+        if isinstance(mats, np.ndarray) and mats.ndim == 3:
+            xs = mats.reshape(mats.shape[0], -1).T.astype(complex)
+        else:
+            xs = np.stack([vec(np.asarray(m, dtype=complex)) for m in mats], axis=1)
+        if basis:
+            b = np.stack([vec(np.asarray(m, dtype=complex)) for m in basis], axis=0)
+            rem = xs - b.T @ (b.conj() @ xs)
+        else:
+            rem = xs
     norm = np.sqrt(np.sum(np.abs(rem) ** 2, axis=0))
     scale = np.maximum(1.0, np.sqrt(np.sum(np.abs(xs) ** 2, axis=0)))
     return float(np.max(norm / scale))

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import qgcalc as q
-from qgcalc.cli import DEFAULT_CORPUS, main
+from qgcalc.cli import DEFAULT_CORPUS, _record_failure, main
 from qgcalc.coactions import comultiplication_coaction
+from qgcalc.errors import AlgebraNotClosed, gate
 from qgcalc.homviews import left_from_bicharacter, right_from_bicharacter
+from qgcalc.report import Report, render_text
 from qgcalc.serialize import (
     bicharacter_parts_from_obj,
     bicharacter_to_obj,
@@ -79,6 +81,30 @@ def test_verify_broken_w_exits_one(tmp_path, capsys):
     obj = json.loads(captured.out)
     assert obj["pass"] is False
     assert any(not c["pass"] for c in obj["checks"])
+
+
+def test_verify_broken_w_records_the_missed_tolerance(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    write_json(str(path), {"dim": 2, "W": matrix_to_obj(flip_unitary(2, 2))})
+    code, obj = run_json(capsys, ["verify", str(path), "qg"])
+    assert code == 1
+    assert [(c["name"], c["tolerance"], c["pass"]) for c in obj["checks"]] == [
+        ("PentagonViolation", q.PENTAGON_TOL, False)
+    ]
+
+
+def test_failure_records_keep_the_gate_tolerance():
+    report = Report("gated")
+    for residual in (1e-3, float("nan")):
+        with pytest.raises(AlgebraNotClosed) as exc:
+            gate(residual, 1e-8, AlgebraNotClosed, "span is open")
+        assert exc.value.tolerance == 1e-8
+        _record_failure(report, exc.value)
+    _record_failure(report, ValueError("no residual"))
+    assert [c.tolerance for c in report.checks] == [1e-8, 1e-8, 0.0]
+    assert not any(c.passed for c in report.checks)
+    # the NaN residual renders as a failure, not as a pass
+    assert render_text(report).splitlines()[2].startswith("  FAIL AlgebraNotClosed: nan")
 
 
 def test_verify_missing_file_exits_two(tmp_path, capsys):

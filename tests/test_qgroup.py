@@ -1,5 +1,8 @@
 """Multiplicative-unitary validation against hand-computed group data."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -181,6 +184,38 @@ def test_dual_is_built_once_and_self_inverse(z4, s3):
             np.testing.assert_array_equal(c.dual.W, _flip_adjoint_by_hand(c))
 
 
+def test_a_dualised_object_is_freed_with_its_last_name(s3):
+    """The dual holds its builder weakly: no reference cycle is left for the
+    cyclic collector, so both objects go as soon as the last name does."""
+    w = q.qg_from_group(s3, "c0").W
+    gc.disable()
+    try:
+        qg = build_from_unitary(w, s3.order)
+        refs = (weakref.ref(qg), weakref.ref(qg.dual))
+        assert qg.dual.dual is qg
+        del qg
+        assert [r() for r in refs] == [None, None]
+        dual = build_from_unitary(w, s3.order).dual
+        refs = (weakref.ref(dual), weakref.ref(dual.dual))
+        del dual
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_a_lone_dual_rebuilds_its_builder_bit_for_bit(s3):
+    w = q.qg_from_group(s3, "c0").W
+    qg = build_from_unitary(w, s3.order)
+    fresh = build_from_unitary(w, s3.order)
+    dual = qg.dual
+    del qg
+    gc.collect()
+    again = dual.dual
+    _assert_same_build(again, fresh)
+    assert dual.dual is again
+    assert again.dual is dual
+
+
 def test_algebras_match_the_slice_oracle(s3):
     """The reshaped blocks of W against slice_leg by each matrix-unit functional."""
     rng = np.random.default_rng(5)
@@ -350,6 +385,55 @@ def test_coassociativity_matches_direct_conjugation(z3):
     got = coassociativity_residual(Probe())
     assert got > 1e-6
     assert got == pytest.approx(direct, abs=1e-13)
+
+
+def test_coassociativity_is_exactly_zero_on_the_corpus(corpus):
+    """On 0/1 permutation data each block product only copies entries of x,
+    so the commutator vanishes exactly, not to rounding."""
+    for g in corpus.values():
+        for pic in ("c0", "cstar"):
+            assert coassociativity_residual(q.qg_from_group(g, pic)) == 0.0
+
+
+def _commutator_oracle(w, d, alg):
+    """max over x of residual_between(u (x (x) 1 (x) 1), (x (x) 1 (x) 1) u), by embeddings."""
+    sp = LegSpace((d, d, d))
+    w12, w13, w23 = (embed_on_legs(w, sp, legs) for legs in ((1, 2), (1, 3), (2, 3)))
+    u = w12.conj().T @ w23.conj().T @ w12 @ w13
+    eye2 = np.eye(d * d, dtype=complex)
+    return max(residual_between(u @ kron(x, eye2), kron(x, eye2) @ u) for x in alg)
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_blocked_coassociativity_matches_the_embedding_oracle(s3, picture):
+    rng = np.random.default_rng(99)
+    base = q.qg_from_group(s3, picture)
+    d = base.dim
+    u = _haar_unitary(d, rng)
+    uu = kron(u, u)
+    w = _rotated(uu @ base.W @ uu.conj().T, 1e-3, rng)
+    alg = [u @ x @ u.conj().T for x in base.algC]
+
+    class Probe:
+        dim = d
+        W = w
+        algC = alg
+
+    got = coassociativity_residual(Probe())
+    assert got > 1e-6
+    assert got == pytest.approx(_commutator_oracle(w, d, alg), abs=1e-13)
+
+
+def test_coassociativity_of_a_nan_w_is_nan(z3):
+    c3 = q.qg_from_group(z3, "c0")
+
+    class Probe:
+        dim = 3
+        W = c3.W.copy()
+        algC = c3.algC
+
+    Probe.W[4, 2] = np.nan
+    assert np.isnan(coassociativity_residual(Probe()))
 
 
 def _haar_unitary(n, rng):

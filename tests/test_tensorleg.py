@@ -10,6 +10,7 @@ import qgcalc as q
 from qgcalc.tensorleg import (
     Functional,
     LegSpace,
+    PairSpan,
     SpanMap,
     apply_map_to_leg,
     embed_on_legs,
@@ -25,6 +26,7 @@ from qgcalc.tensorleg import (
     membership_residuals,
     numerical_rank,
     orthonormal_basis,
+    pair_basis,
     permute_legs,
     permuted_space,
     residual_between,
@@ -329,6 +331,83 @@ def test_intertwiner_rejects_wrong_shape():
         intertwiner_space(np.eye(3), 2)
 
 
+def _stacked_svd_intertwiner_space(w, d, cutoff=1e-9):
+    """Reference: (a, b) and the d^4 x 2d^2 system w(a (x) 1) - (1 (x) b)w, by SVD."""
+    eye = np.eye(d, dtype=complex)
+    cols = []
+    for p in range(d):
+        for q in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[p, q] = 1.0
+            cols.append(vec(w @ np.kron(e, eye)))
+    for p in range(d):
+        for q in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[p, q] = 1.0
+            cols.append(-vec(np.kron(eye, e) @ w))
+    system = np.stack(cols, axis=1)
+    full = system.shape[0] < system.shape[1]
+    u, s, vh = np.linalg.svd(system, full_matrices=full)
+    smax = s[0] if len(s) else 0.0
+    rank = int(np.sum(s > cutoff * smax)) if smax > 0 else 0
+    null = vh[rank:].conj()
+    return len(null), [(unvec(r[: d * d], d, d), unvec(r[d * d :], d, d)) for r in null]
+
+
+def _haar(n, rng):
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    qq, r = np.linalg.qr(z)
+    return qq * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rotated(m, size, rng):
+    """m times exp(i size h) for a random unit-norm hermitian h."""
+    h = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    ev, vecs = np.linalg.eigh((h + h.conj().T) / 2)
+    ev = ev / np.linalg.norm(ev)
+    return (vecs * np.exp(1j * size * ev)) @ vecs.conj().T @ m
+
+
+def _assert_intertwines(w, d, pairs):
+    eye = np.eye(d, dtype=complex)
+    for a, b in pairs:
+        assert frob(a) == pytest.approx(1.0)
+        assert frob(w @ np.kron(a, eye) - np.kron(eye, b) @ w) <= 1e-12
+
+
+def _gauged(g, picture, rng):
+    base = q.qg_from_group(g, picture)
+    uu = np.kron(*[_haar(base.dim, rng)] * 2)
+    return uu @ base.W @ uu.conj().T, base.dim
+
+
+def _check_against_the_stacked_svd(w, d):
+    dim, pairs = intertwiner_space(w, d)
+    assert dim == _stacked_svd_intertwiner_space(w, d)[0]
+    _assert_intertwines(w, d, pairs)
+    return dim
+
+
+def test_intertwiner_space_matches_the_stacked_svd_off_the_corpus():
+    """The a-only QR against the (a, b) stacked SVD it replaced: both
+    invariant extremes, a non-pentagon unitary and a 1e-6 rotation off the
+    pentagon."""
+    rng = np.random.default_rng(7)
+    assert _check_against_the_stacked_svd(np.eye(9, dtype=complex), 3) == 1
+    assert _check_against_the_stacked_svd(flip_unitary(3, 3), 3) == 9
+    _check_against_the_stacked_svd(_haar(16, rng), 4)
+    w, d = _gauged(q.standard_corpus()["S3"], "c0", rng)
+    _check_against_the_stacked_svd(_rotated(w, 1e-6, rng), d)
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_intertwiner_space_matches_the_stacked_svd_on_the_gauged_corpus(corpus, picture):
+    rng = np.random.default_rng(11)
+    for g in corpus.values():
+        assert g.order <= 8
+        assert _check_against_the_stacked_svd(*_gauged(g, picture, rng)) == 1
+
+
 # --- bases and membership ----------------------------------------------
 
 
@@ -350,6 +429,31 @@ def test_membership_residual_frozen_values():
     assert membership_residual(basis, e11) == pytest.approx(1.0)
     assert membership_residuals(basis, np.stack([e00, e11])) == pytest.approx(1.0)
     assert membership_residuals(basis, []) == 0.0
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (2, 4)])
+def test_pair_span_matches_the_pair_basis_projection(d1, d2):
+    """Leg-wise projection onto span(left (x) right) against the stacked
+    projection onto the materialised Kronecker products, in and off the span."""
+    left = orthonormal_basis([random_complex(d1, d1) for _ in range(d1 + 1)])
+    right = orthonormal_basis([random_complex(d2, d2) for _ in range(2)])
+    products = pair_basis(left, right)
+    span = PairSpan(left, right)
+    inside = [sum(complex(*RNG.standard_normal(2)) * p for p in products) for _ in range(3)]
+    outside = [random_complex(d1 * d2, d1 * d2) for _ in range(3)]
+    for mats in (inside, outside, inside + outside):
+        want = membership_residuals(products, mats)
+        assert membership_residuals(span, mats) == pytest.approx(want, abs=1e-14)
+        assert membership_residuals(span, np.stack(mats)) == pytest.approx(want, abs=1e-14)
+    assert membership_residuals(span, inside) <= 1e-14
+    assert membership_residuals(span, outside) > 0.1
+    coeff = span.coefficients(np.stack(outside))
+    want = [[np.vdot(p, x) for p in products] for x in outside]
+    np.testing.assert_allclose(coeff.reshape(len(outside), -1), want, atol=1e-13)
+    nan = outside[0].copy()
+    nan[0, 1] = np.nan
+    assert np.isnan(membership_residual(span, nan))
+    assert membership_residuals(span, []) == 0.0
 
 
 def test_residuals_between_matches_scalar_version():
