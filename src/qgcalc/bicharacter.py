@@ -17,7 +17,7 @@ from .errors import (
     SourceTargetMismatch,
     gate,
 )
-from .qgroup import EQUATION_TOL, CLOSURE_TOL, unitary_antipode
+from .qgroup import EQUATION_TOL, CLOSURE_TOL, corep_law_residual, unitary_antipode
 from .tensorleg import (
     LegSpace,
     PairSpan,
@@ -80,8 +80,7 @@ def bicharacter_residuals(v, c, a):
     lhs1 = apply_map_to_leg(v, space, 1, c.deltaChat)[0]
     r1 = residual_between(lhs1, legs_product(space_cca, (v, (2, 3)), (v, (1, 3))))
 
-    lhs2 = apply_map_to_leg(v, space, 2, a.deltaC)[0]
-    r2 = residual_between(lhs2, legs_product(space_caa, (v, (1, 2)), (v, (1, 3))))
+    r2 = corep_law_residual(v, a)
 
     # operator form on the Hilbert-space level
     r3 = residual_between(
@@ -113,7 +112,7 @@ def check_bicharacter(v, c, a, tol=EQUATION_TOL, membership_tol=CLOSURE_TOL):
     for key in ("comultSource", "comultTarget", "operatorSource", "operatorTarget"):
         gate(res[key], tol, BicharacterViolation, f"{key} equation fails")
     gate(res["membership"], membership_tol, BicharacterViolation, "V escapes the algebra pair span")
-    return Bicharacter(c, a, v, res)
+    return Bicharacter(c, a, v, dict(res, unitarity=udef))
 
 
 def identity(c):
@@ -167,8 +166,7 @@ def from_hopf_hom(f):
     algebra-pair basis, matching how a slice-leg morphism acts on the
     multiplier level.
     """
-    fres = f.verification_residuals()
-    worst = float(np.max(list(fres.values())))
+    worst = float(np.max(list(f.residuals.values())))
     gate(worst, EQUATION_TOL, HopfHomViolation, "hom fails verification")
     c = f.source
     out, _ = apply_map_to_leg(c.W, c.space, 2, f.map)

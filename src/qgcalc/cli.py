@@ -60,9 +60,8 @@ from .homviews import (
     check_right_hom,
     dual_hopf_relation,
     left_from_bicharacter,
-    left_hom_residuals,
+    one_sided_residuals,
     right_from_bicharacter,
-    right_hom_residuals,
 )
 from .qgroup import (
     CLOSURE_TOL,
@@ -143,20 +142,19 @@ def _qg_battery(report, prefix, build, tols):
     return qg
 
 
-def _bicharacter_battery(report, prefix, source, target, v, tols):
-    report.add(prefix + "unitarity", unitarity_defect(v), tols.pentagon)
-    res = bicharacter_residuals(v, source, target)
+def _bicharacter_battery(report, prefix, bic, tols):
+    res = bic.residuals
+    report.add(prefix + "unitarity", res["unitarity"], tols.pentagon)
     for key in ("comultSource", "comultTarget", "operatorSource", "operatorTarget"):
         report.add(prefix + key, res[key], tols.equation)
     report.add(prefix + "membership", res["membership"], tols.closure)
-    bic = Bicharacter(source, target, v, res)
     try:
         report.add(prefix + "rInvariance", check_R_invariance(bic), tols.equation)
     except NotKacType as exc:
         _record_failure(report, exc)
 
 
-_Side = namedtuple("_Side", "residuals check hom extract back map_name")
+_Side = namedtuple("_Side", "check hom extract back")
 
 
 def _side(kind):
@@ -164,20 +162,16 @@ def _side(kind):
     the functions bound in this module then (a profiler rebinds them)."""
     return {
         "right": _Side(
-            right_hom_residuals,
             check_right_hom,
             RightQGHom,
             bicharacter_from_right,
             right_from_bicharacter,
-            "deltaR",
         ),
         "left": _Side(
-            left_hom_residuals,
             check_left_hom,
             LeftQGHom,
             bicharacter_from_left,
             left_from_bicharacter,
-            "deltaL",
         ),
     }[kind]
 
@@ -192,7 +186,7 @@ def _hom_battery(report, kind, source, target, images, tols):
     fmap = _span_map(kind, source, target, images)
     if kind == "hopf":
         hom = HopfHom(source, target, fmap)
-        res = hom.verification_residuals()
+        res = hom.residuals
         report.add("range", res["range"], tols.closure)
         report.add("unital", res["unital"], tols.pentagon)
         report.add("star", res["star"], tols.pentagon)
@@ -200,7 +194,7 @@ def _hom_battery(report, kind, source, target, images, tols):
         report.add("intertwining", res["intertwining"], tols.equation)
     else:
         side = _side(kind)
-        res = side.residuals(source, target, fmap)
+        res = one_sided_residuals(source, target, fmap, side.hom.leg)
         report.add("range", res["range"], tols.closure)
         report.add("coassocDiagram", res["coassocDiagram"], tols.equation)
         report.add("comoduleDiagram", res["comoduleDiagram"], tols.equation)
@@ -214,10 +208,10 @@ def _hom_battery(report, kind, source, target, images, tols):
         else:
             v = side.extract(side.hom(source, target, fmap, res))
             report.add("extraction", v.residuals["extraction"], tols.equation)
-            back = getattr(side.back(v), side.map_name)
+            back = getattr(side.back(v), side.hom.map_name)
             rt = np.max([residual_between(fmap(x), back(x)) for x in source.algC])
             report.add("roundTrip", rt, tols.equation)
-        _bicharacter_battery(report, "bicharacter.", v.source, v.target, v.V, tols)
+        _bicharacter_battery(report, "bicharacter.", v, tols)
     except CalculusError as exc:
         _record_failure(report, exc)
 
@@ -292,7 +286,8 @@ def _subject(report, kind, obj, base, tols):
         _qg_battery(report, "", lambda: qg_from_obj(obj, base), tols)
     elif kind == "bicharacter":
         source, target, v = bicharacter_parts_from_obj(obj, base)
-        _bicharacter_battery(report, "", source, target, v, tols)
+        res = dict(bicharacter_residuals(v, source, target), unitarity=unitarity_defect(v))
+        _bicharacter_battery(report, "", Bicharacter(source, target, v, res), tols)
     elif kind == "hom":
         hkind, source, target, images = hom_parts_from_obj(obj, base)
         _hom_battery(report, hkind, source, target, images, tols)
@@ -318,13 +313,13 @@ def cmd_compose(args, report, tols):
     second = _load_bicharacter_file(args.second, tols)
     result = compose(first, second, tol=tols.equation)
     report.add("extraction", result.residuals["extraction"], tols.equation)
-    _bicharacter_battery(report, "", result.source, result.target, result.V, tols)
+    _bicharacter_battery(report, "", result, tols)
     return bicharacter_to_obj(result)
 
 
 def cmd_dual(args, report, tols):
     result = dual_bicharacter(_load_bicharacter_file(args.path, tols))
-    _bicharacter_battery(report, "", result.source, result.target, result.V, tols)
+    _bicharacter_battery(report, "", result, tols)
     return bicharacter_to_obj(result)
 
 

@@ -18,18 +18,21 @@ from .errors import (
     SourceTargetMismatch,
     gate,
 )
-from .homviews import bicharacter_from_right, check_right_hom, right_from_bicharacter
-from .qgroup import CLOSURE_TOL, EQUATION_TOL
+from .homviews import (
+    bicharacter_from_right,
+    check_right_hom,
+    comodule_residuals,
+    right_from_bicharacter,
+    star_hom_residuals,
+)
+from .qgroup import CLOSURE_TOL, EQUATION_TOL, closure_residual, corep_law_residual
 from .tensorleg import (
     LegSpace,
-    PairSpan,
     SpanMap,
     apply_map_to_leg,
     extract_trivial_legs,
     kron,
     legs_product,
-    membership_residuals,
-    numerical_rank,
     residual_between,
     span_map_from_pairs,
     unitarity_defect,
@@ -97,49 +100,30 @@ def check_coaction(gamma, d, c, tol=EQUATION_TOL):
     gmap, well = span_map_from_pairs(pairs)
     gate(well, tol, CoactionViolation, "gamma is not well defined on the span")
     basis = gmap.basis
-    hd = basis[0].shape[0]
-    dc = c.dim
 
-    prods = [x.conj().T for x in basis]
-    prods.extend(x @ y for x in basis for y in basis)
-    closure = membership_residuals(basis, prods)
+    closure = closure_residual(basis)
     gate(closure, CLOSURE_TOL, CoactionViolation, "d is not a *-algebra")
 
-    rng = membership_residuals(PairSpan(basis, c.algC), [gmap(x) for x in basis])
-    gate(rng, CLOSURE_TOL, CoactionViolation, "gamma escapes span(D) (x) span(C)")
+    co = comodule_residuals(gmap, basis, c, 1)
+    gate(co["range"], CLOSURE_TOL, CoactionViolation, "gamma escapes span(D) (x) span(C)")
 
     # np.max, unlike max(), carries a NaN residual through to the gate
-    hom = np.max(
-        [residual_between(gmap(x.conj().T), gmap(x).conj().T) for x in basis]
-        + [residual_between(gmap(x @ y), gmap(x) @ gmap(y)) for x in basis for y in basis]
-    )
+    hom = float(np.max(star_hom_residuals(gmap, basis)))
     gate(hom, tol, CoactionViolation, "gamma is not a *-homomorphism")
 
-    space_dc = LegSpace((hd, dc))
-    coassoc = np.max(
-        [
-            residual_between(
-                apply_map_to_leg(gx, space_dc, 1, gmap)[0],
-                apply_map_to_leg(gx, space_dc, 2, c.deltaC)[0],
-            )
-            for gx in map(gmap, basis)
-        ]
-    )
-    gate(coassoc, tol, CoactionViolation, "coassociativity fails")
+    gate(co["coassociativity"], tol, CoactionViolation, "coassociativity fails")
 
-    if numerical_rank([vec(gmap(x)) for x in basis]) != len(basis):
+    if not co["injective"]:
         raise CoactionViolation("gamma is not injective")
-    eye_d = np.eye(hd, dtype=complex)
-    dense = [vec(gmap(x) @ kron(eye_d, a)) for x in basis for a in c.algC]
-    if numerical_rank(dense) != len(basis) * len(c.algC):
+    if not co["dense"]:
         raise CoactionViolation("density condition fails: products do not fill D (x) C")
 
     residuals = {
         "wellDefined": well,
         "closure": closure,
-        "range": rng,
-        "homomorphism": float(hom),
-        "coassociativity": float(coassoc),
+        "range": co["range"],
+        "homomorphism": hom,
+        "coassociativity": co["coassociativity"],
     }
     return Coaction(basis, c, gmap, residuals)
 
@@ -161,13 +145,9 @@ def check_corepresentation(x, qg, tol=EQUATION_TOL):
     dc = qg.dim
     if x.shape[0] % dc != 0:
         raise ValueError(f"corep dim {x.shape[0]} is not a multiple of qg dim {dc}")
-    h = x.shape[0] // dc
     udef = unitarity_defect(x)
     gate(udef, 1e-10, CoactionViolation, "X is not unitary")
-    space = LegSpace((h, dc))
-    space3 = LegSpace((h, dc, dc))
-    lhs, _ = apply_map_to_leg(x, space, 2, qg.deltaC)
-    law = residual_between(lhs, legs_product(space3, (x, (1, 2)), (x, (1, 3))))
+    law = corep_law_residual(x, qg)
     gate(law, tol, CoactionViolation, "corepresentation law fails")
     return Corepresentation(qg, x, {"unitarity": udef, "corepLaw": law})
 

@@ -60,12 +60,6 @@ class FiniteGroup:
     def inv(self, a):
         return self.inverse[a]
 
-    def power(self, a, k):
-        out = self.identity
-        for _ in range(k):
-            out = self.table[out][a]
-        return out
-
     def element_order(self, a):
         out = self.table[self.identity][a]
         k = 1

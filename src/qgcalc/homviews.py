@@ -11,12 +11,11 @@ bases; applying one means expand, map, reassemble.
 
 import numpy as np
 
-from .bicharacter import Bicharacter, check_bicharacter
+from .bicharacter import check_bicharacter
 from .errors import (
     DimensionMismatch,
     ExtractionFailure,
     HopfHomViolation,
-    NotKacType,
     RangeViolation,
     gate,
 )
@@ -48,27 +47,22 @@ __all__ = [
     "bicharacter_from_right",
     "left_from_bicharacter",
     "bicharacter_from_left",
-    "right_hom_residuals",
-    "left_hom_residuals",
+    "one_sided_residuals",
+    "comodule_residuals",
+    "star_hom_residuals",
     "check_left_right_compatibility",
     "dual_hopf_relation",
 ]
 
 
 class HopfHom:
-    """Verified Hopf *-homomorphism between two quantum groups."""
+    """Hopf *-homomorphism candidate with its axiom residuals, computed on construction."""
 
     def __init__(self, source, target, map):
         self.source = source
         self.target = target
         self.map = map
-
-    def coefficient_matrix(self):
-        """Matrix of the map from the source algC basis to the target's."""
-        rows = []
-        for a in self.target.algC:
-            rows.append([np.vdot(vec(a), vec(self.map(c))) for c in self.source.algC])
-        return np.array(rows, dtype=complex)
+        self.residuals = self.verification_residuals()
 
     def verification_residuals(self):
         """All Hopf-homomorphism axiom residuals, keyed by axiom."""
@@ -80,8 +74,7 @@ class HopfHom:
         # np.max, unlike max(), carries a NaN residual through to the gates
         rng = np.max([membership_residual(tgt, f(x)) for x in src])
         unital = residual_between(f(eye_s), eye_t)
-        star = np.max([residual_between(f(x.conj().T), f(x).conj().T) for x in src])
-        mult = np.max([residual_between(f(x @ y), f(x) @ f(y)) for x in src for y in src])
+        star, mult = star_hom_residuals(f, src)
         space_src = LegSpace((self.source.dim, self.source.dim))
         inter = []
         for x, dx in zip(src, self.source.deltaC.images):
@@ -92,8 +85,8 @@ class HopfHom:
         return {
             "range": float(rng),
             "unital": unital,
-            "star": float(star),
-            "multiplicative": float(mult),
+            "star": star,
+            "multiplicative": mult,
             "intertwining": float(np.max(inter)),
         }
 
@@ -101,10 +94,49 @@ class HopfHom:
         return f"HopfHom({self.source.dim} -> {self.target.dim})"
 
 
+def star_hom_residuals(f, basis):
+    """Worst residuals of f(x*) = f(x)* and of f(xy) = f(x)f(y) over the basis."""
+    pairs = [(x, f(x)) for x in basis]
+    # np.max, unlike max(), carries a NaN residual through to the gates
+    star = np.max([residual_between(f(x.conj().T), fx.conj().T) for x, fx in pairs])
+    mult = np.max([residual_between(f(x @ y), fx @ fy) for x, fx in pairs for y, fy in pairs])
+    return float(star), float(mult)
+
+
+def _on_legs(leg, mine, other):
+    """(mine, other) in leg order, with mine on leg 1 or 2."""
+    return (mine, other) if leg == 1 else (other, mine)
+
+
+def comodule_residuals(phi, basis, qg, leg):
+    """Comodule axioms of phi: D -> D (x) C (leg 1) or C (x) D (leg 2), on a basis of D.
+
+    ``range`` is the distance from the algebra pair span, ``coassociativity``
+    compares phi on the D leg with Delta_C on the C leg, and ``dense`` says
+    the products phi(x)(1 (x) c) span D (x) C (the Podles condition).
+    """
+    hd = basis[0].shape[0]
+    images = [phi(x) for x in basis]
+    space = LegSpace(_on_legs(leg, hd, qg.dim))
+    coassoc = []
+    for y in images:
+        lhs, _ = apply_map_to_leg(y, space, leg, phi)
+        rhs, _ = apply_map_to_leg(y, space, 3 - leg, qg.deltaC)
+        coassoc.append(residual_between(lhs, rhs))
+    eye_d = np.eye(hd, dtype=complex)
+    products = [vec(y @ kron(*_on_legs(leg, eye_d, a))) for y in images for a in qg.algC]
+    return {
+        "range": membership_residuals(PairSpan(*_on_legs(leg, basis, qg.algC)), images),
+        "coassociativity": float(np.max(coassoc)),
+        "injective": numerical_rank([vec(y) for y in images]) == len(basis),
+        "dense": numerical_rank(products) == len(basis) * len(qg.algC),
+    }
+
+
 def check_hopf_hom(source, target, map, tol=EQUATION_TOL):
     """Validate a linear map as a Hopf *-homomorphism."""
     hom = HopfHom(source, target, map)
-    res = hom.verification_residuals()
+    res = hom.residuals
     gate(res["range"], CLOSURE_TOL, HopfHomViolation, "images escape the target algebra")
     for key, cutoff in (
         ("unital", 1e-10),
@@ -116,73 +148,66 @@ def check_hopf_hom(source, target, map, tol=EQUATION_TOL):
     return hom
 
 
-class RightQGHom:
+class _OneSidedHom:
+    """A verified map of C into C (x) A or A (x) C, C on ``leg``, kept as ``map_name``."""
+
+    def __init__(self, source, target, map, residuals):
+        self.source = source
+        self.target = target
+        setattr(self, self.map_name, map)
+        self.residuals = dict(residuals)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.source.dim} -> {self.target.dim})"
+
+
+class RightQGHom(_OneSidedHom):
     """Right homomorphism: a coaction-shaped map of C into C (x) A."""
 
-    def __init__(self, source, target, deltaR, residuals):
-        self.source = source
-        self.target = target
-        self.deltaR = deltaR
-        self.residuals = dict(residuals)
-
-    def __repr__(self):
-        return f"RightQGHom({self.source.dim} -> {self.target.dim})"
+    leg, map_name = 1, "deltaR"
 
 
-class LeftQGHom:
+class LeftQGHom(_OneSidedHom):
     """Left homomorphism: the mirror notion, mapping C into A (x) C."""
 
-    def __init__(self, source, target, deltaL, residuals):
-        self.source = source
-        self.target = target
-        self.deltaL = deltaL
-        self.residuals = dict(residuals)
-
-    def __repr__(self):
-        return f"LeftQGHom({self.source.dim} -> {self.target.dim})"
+    leg, map_name = 2, "deltaL"
 
 
-def right_hom_residuals(c, a, dr_map):
-    """Diagram, range, injectivity, and density data for a right-hom candidate."""
-    rng = membership_residuals(PairSpan(c.algC, a.algC), [dr_map(x) for x in c.algC])
-    space_ca = LegSpace((c.dim, a.dim))
+def one_sided_residuals(c, a, phi, leg):
+    """Residuals of a right (leg 1) or left (leg 2) hom phi of C, leg being C's leg.
+
+    Such a hom is a coaction of A on C that also commutes with Delta_C: the
+    comodule residuals plus ``coassocDiagram``, Delta_C on the C leg of phi
+    against phi on the other leg of Delta_C.
+    """
+    co = comodule_residuals(phi, c.algC, a, leg)
+    space = LegSpace(_on_legs(leg, c.dim, a.dim))
     space_cc = LegSpace((c.dim, c.dim))
-    diag1 = []
-    diag2 = []
+    square = []
     for x, dx in zip(c.algC, c.deltaC.images):
-        drx = dr_map(x)
-        lhs1, _ = apply_map_to_leg(drx, space_ca, 1, c.deltaC)
-        rhs1, _ = apply_map_to_leg(dx, space_cc, 2, dr_map)
-        diag1.append(residual_between(lhs1, rhs1))
-        lhs2, _ = apply_map_to_leg(drx, space_ca, 2, a.deltaC)
-        rhs2, _ = apply_map_to_leg(drx, space_ca, 1, dr_map)
-        diag2.append(residual_between(lhs2, rhs2))
-    coeff_cols = [vec(dr_map(x)) for x in c.algC]
-    injective = numerical_rank(coeff_cols) == len(c.algC)
-    eye_c = np.eye(c.dim, dtype=complex)
-    prods = [
-        vec(dr_map(x) @ kron(eye_c, y)) for x in c.algC for y in a.algC
-    ]
-    podles = numerical_rank(prods) == len(c.algC) * len(a.algC)
+        lhs, _ = apply_map_to_leg(phi(x), space, leg, c.deltaC)
+        rhs, _ = apply_map_to_leg(dx, space_cc, 3 - leg, phi)
+        square.append(residual_between(lhs, rhs))
     return {
-        "range": float(rng),
-        "coassocDiagram": float(np.max(diag1)),
-        "comoduleDiagram": float(np.max(diag2)),
-        "injective": injective,
-        "podles": podles,
+        "range": co["range"],
+        "coassocDiagram": float(np.max(square)),
+        "comoduleDiagram": co["coassociativity"],
+        "injective": co["injective"],
+        "podles": co["dense"],
     }
 
 
-def _gate_hom_residuals(res, pair_span, tol):
+def _check_one_sided(cls, c, a, phi, tol):
+    res = one_sided_residuals(c, a, phi, cls.leg)
+    pair_span = " (x) ".join(_on_legs(cls.leg, "span(algC)", "span(algA)"))
     gate(res["range"], CLOSURE_TOL, RangeViolation, f"images escape {pair_span}")
     for key in ("coassocDiagram", "comoduleDiagram"):
         gate(res[key], tol, RangeViolation, f"{key} fails")
+    return cls(c, a, phi, res)
 
 
 def check_right_hom(c, a, dr_map, tol=EQUATION_TOL):
-    res = right_hom_residuals(c, a, dr_map)
-    _gate_hom_residuals(res, "span(algC) (x) span(algA)", tol)
-    return RightQGHom(c, a, dr_map, res)
+    return _check_one_sided(RightQGHom, c, a, dr_map, tol)
 
 
 def right_from_bicharacter(v):
@@ -210,40 +235,8 @@ def bicharacter_from_right(dr, tol=EQUATION_TOL):
     return out
 
 
-def left_hom_residuals(c, a, dl_map):
-    """Mirror of right_hom_residuals for a left-hom candidate C -> A (x) C."""
-    rng = membership_residuals(PairSpan(a.algC, c.algC), [dl_map(x) for x in c.algC])
-    space_ac = LegSpace((a.dim, c.dim))
-    space_cc = LegSpace((c.dim, c.dim))
-    diag1 = []
-    diag2 = []
-    for x, dx in zip(c.algC, c.deltaC.images):
-        dlx = dl_map(x)
-        lhs1, _ = apply_map_to_leg(dlx, space_ac, 2, c.deltaC)
-        rhs1, _ = apply_map_to_leg(dx, space_cc, 1, dl_map)
-        diag1.append(residual_between(lhs1, rhs1))
-        lhs2, _ = apply_map_to_leg(dlx, space_ac, 1, a.deltaC)
-        rhs2, _ = apply_map_to_leg(dlx, space_ac, 2, dl_map)
-        diag2.append(residual_between(lhs2, rhs2))
-    injective = numerical_rank([vec(dl_map(x)) for x in c.algC]) == len(c.algC)
-    eye_c = np.eye(c.dim, dtype=complex)
-    prods = [
-        vec(dl_map(x) @ kron(y, eye_c)) for x in c.algC for y in a.algC
-    ]
-    podles = numerical_rank(prods) == len(c.algC) * len(a.algC)
-    return {
-        "range": float(rng),
-        "coassocDiagram": float(np.max(diag1)),
-        "comoduleDiagram": float(np.max(diag2)),
-        "injective": injective,
-        "podles": podles,
-    }
-
-
 def check_left_hom(c, a, dl_map, tol=EQUATION_TOL):
-    res = left_hom_residuals(c, a, dl_map)
-    _gate_hom_residuals(res, "span(algA) (x) span(algC)", tol)
-    return LeftQGHom(c, a, dl_map, res)
+    return _check_one_sided(LeftQGHom, c, a, dl_map, tol)
 
 
 def left_from_bicharacter(v, tol=EQUATION_TOL):

@@ -26,6 +26,7 @@ from .tensorleg import (
     LegSpace,
     PairSpan,
     SpanMap,
+    apply_map_to_leg,
     as_matrix,
     flip_adjoint,
     kron,
@@ -49,6 +50,8 @@ __all__ = [
     "transpose_qg",
     "coassociativity_residual",
     "coinvariant_dimension",
+    "closure_residual",
+    "corep_law_residual",
     "PENTAGON_TOL",
     "CLOSURE_TOL",
     "EQUATION_TOL",
@@ -132,12 +135,20 @@ def _leg_slices(w, d, leg):
     return w.reshape(d, d, d, d).transpose(axes).reshape(d * d, d, d)
 
 
-def _closure_residual(basis):
+def closure_residual(basis):
+    """Worst distance of adjoints and pairwise products from span(basis): 0 for a *-algebra."""
     stack = np.stack(basis, axis=0)
     # all pairwise products in one broadcast matmul
     prods = (stack[:, None] @ stack[None, :]).reshape(-1, *stack.shape[1:])
     adjoints = stack.conj().transpose(0, 2, 1)
     return membership_residuals(basis, np.concatenate([adjoints, prods], axis=0))
+
+
+def corep_law_residual(x, qg):
+    """Residual of the corepresentation law (id (x) Delta)(X) = X12 X13 for X on H (x) H_qg."""
+    h, d = x.shape[0] // qg.dim, qg.dim
+    lhs, _ = apply_map_to_leg(x, LegSpace((h, d)), 2, qg.deltaC)
+    return residual_between(lhs, legs_product(LegSpace((h, d, d)), (x, (1, 2)), (x, (1, 3))))
 
 
 def _delta_maps(w, d, alg_c, alg_chat):
@@ -226,7 +237,7 @@ def build_from_unitary(w, dim):
     alg_c = orthonormal_basis(_leg_slices(w, d, 1))
     alg_chat = orthonormal_basis(_leg_slices(w, d, 2))
 
-    closure = float(np.max([_closure_residual(alg_c), _closure_residual(alg_chat)]))
+    closure = float(np.max([closure_residual(alg_c), closure_residual(alg_chat)]))
     gate(closure, CLOSURE_TOL, AlgebraNotClosed, "slice span is not a *-algebra")
 
     delta_c, delta_chat = _delta_maps(w, d, alg_c, alg_chat)

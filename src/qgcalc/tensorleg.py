@@ -26,8 +26,6 @@ __all__ = [
     "residual_between",
     "residuals_between",
     "unitarity_defect",
-    "hermiticity_defect",
-    "projection_defect",
     "kron",
     "kron_all",
     "pair_basis",
@@ -155,16 +153,6 @@ def unitarity_defect(m):
     eye = np.eye(n)
     scale = math.sqrt(n)
     return max(frob(m.conj().T @ m - eye), frob(m @ m.conj().T - eye)) / scale
-
-
-def hermiticity_defect(m):
-    m = as_matrix(m)
-    return frob(m - m.conj().T) / max(1.0, frob(m))
-
-
-def projection_defect(m):
-    m = as_matrix(m)
-    return max(frob(m @ m - m), frob(m - m.conj().T)) / max(1.0, frob(m))
 
 
 def kron(a, b):
@@ -327,12 +315,12 @@ def slice_leg(t, space, leg, omega):
     return out4.reshape(total, total)
 
 
-def extract_trivial_legs(t, space, trivial, tol=1e-8):
+def extract_trivial_legs(t, space, trivial):
     """Best factor f with t = f on the other legs and identity on the trivial ones.
 
     Returns (f, residual) where residual is the relative Frobenius distance
-    between t and the re-embedded f.  A residual above tol means t genuinely
-    acts on the legs claimed trivial; that is reported, not raised.
+    between t and the re-embedded f.  A large residual means t genuinely
+    acts on the legs claimed trivial; callers gate it, nothing is raised.
     """
     t = _check_space(t, space)
     trivial = sorted(set(int(l) for l in trivial))

@@ -53,6 +53,29 @@ def _count_builds(monkeypatch):
     return digests
 
 
+def _count_residuals(monkeypatch):
+    """Counts bicharacter_residuals calls, wherever bound, and Hopf-hom axiom
+    residual computations."""
+    from qgcalc import bicharacter, cli, homviews
+
+    calls = {"bicharacter": 0, "hopf": 0}
+    real_bic = bicharacter.bicharacter_residuals
+    real_hopf = homviews.HopfHom.verification_residuals
+
+    def counted_bic(*args, **kwargs):
+        calls["bicharacter"] += 1
+        return real_bic(*args, **kwargs)
+
+    def counted_hopf(hom):
+        calls["hopf"] += 1
+        return real_hopf(hom)
+
+    for module in (bicharacter, cli):
+        monkeypatch.setattr(module, "bicharacter_residuals", counted_bic)
+    monkeypatch.setattr(homviews.HopfHom, "verification_residuals", counted_hopf)
+    return calls
+
+
 @pytest.fixture()
 def va_file(tmp_path, z2, z4):
     va = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0"))
@@ -165,6 +188,46 @@ def test_verify_hom_kinds(tmp_path, capsys, z2, z4):
     code, obj = run_json(capsys, ["verify", str(left), "hom"])
     assert code == 0 and obj["pass"] is True
     assert [c["name"] for c in obj["checks"]] == ONE_SIDED_CHECKS + bicharacter
+
+
+def test_commands_compute_each_residual_set_once(monkeypatch, tmp_path, capsys, va_file, z2, z4):
+    # a verified object carries its residuals, so no battery recomputes them
+    path_a, va = va_file
+    f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
+    hopf = tmp_path / "hopf.json"
+    write_json(str(hopf), hom_to_obj("hopf", f.source, f.target, f.map))
+    dr = right_from_bicharacter(va)
+    right = tmp_path / "right.json"
+    write_json(str(right), hom_to_obj("right", dr.source, dr.target, dr.deltaR))
+    vb = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z2, z4, (0, 2)), "c0"))
+    path_b = tmp_path / "vb.json"
+    write_json(str(path_b), bicharacter_to_obj(vb))
+    calls = _count_residuals(monkeypatch)
+    # argv, then the expected bicharacter_residuals and Hopf-hom residual counts:
+    # one per file read and one per bicharacter made or extracted
+    for argv, bic, hopf in (
+        (["dual", path_a], 2, 0),
+        (["compose", path_a, str(path_b)], 3, 0),
+        (["verify", str(hopf), "hom"], 1, 1),
+        (["verify", str(right), "hom"], 1, 0),
+        (["verify", path_a, "bicharacter"], 1, 0),
+    ):
+        calls.update(bicharacter=0, hopf=0)
+        code, _ = run_json(capsys, argv)
+        assert code == 0
+        assert calls == {"bicharacter": bic, "hopf": hopf}, argv
+
+
+def test_tol_overrides_every_residual_tolerance(tmp_path, capsys, z4):
+    path = tmp_path / "c4.json"
+    write_json(str(path), qg_to_obj(q.qg_from_group(z4, "c0")))
+    code, obj = run_json(capsys, ["verify", str(path), "qg", "--tol", "1e-3"])
+    assert code == 0 and obj["pass"] is True
+    booleans = {"intertwinerDimensionOne", "coinvariantDimensionOne"}
+    tolerances = {c["name"]: c["tolerance"] for c in obj["checks"]}
+    assert booleans < set(tolerances)
+    for name, tol in tolerances.items():
+        assert tol == (0.0 if name in booleans else 1e-3), name
 
 
 def test_verify_coaction(tmp_path, capsys, z2, z4):

@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.stats import unitary_group
 
 import qgcalc as q
-from qgcalc import coactions
+from qgcalc import coactions, homviews, qgroup
 from qgcalc.coactions import (
     check_coaction,
     check_corepresentation,
@@ -91,13 +91,26 @@ def test_unclosed_domain_rejected(z2):
 
 
 def _nan_on_shape(real, size):
-    """real, except that it reports NaN when its second argument is size x size."""
+    """real, except that it reports NaN when its second argument is size x size
+    or a stack of size x size matrices."""
 
     def patched(first, second):
-        shape = np.shape(second[0] if isinstance(second, list) else second)
+        shape = np.shape(second)[-2:]
         return float("nan") if shape == (size, size) else real(first, second)
 
     return patched
+
+
+# The module whose residual feeds each gate of check_coaction: the comodule
+# axioms and the *-homomorphism residuals are computed in homviews, *-algebra
+# closure in qgroup, well-definedness in coactions itself.
+_GATE_HOME = {
+    ("span_map_from_pairs", None): coactions,
+    ("membership_residuals", 2): qgroup,
+    ("membership_residuals", 4): homviews,
+    ("residual_between", 4): homviews,
+    ("residual_between", 8): homviews,
+}
 
 
 @pytest.mark.parametrize(
@@ -114,12 +127,13 @@ def test_nan_residual_fails_closed_in_check_coaction(z2, monkeypatch, name, size
     # the trivial coaction of c0(Z2) on its own algebra: D is 2x2, gamma(D) is
     # 4x4 and the coassociativity sides are 8x8, so the size picks the gate
     c = c0(z2)
-    real = getattr(coactions, name)
+    home = _GATE_HOME[name, size]
+    real = getattr(home, name)
     if name == "span_map_from_pairs":
         patched = lambda pairs: (real(pairs)[0], float("nan"))
     else:
         patched = _nan_on_shape(real, size)
-    monkeypatch.setattr(coactions, name, patched)
+    monkeypatch.setattr(home, name, patched)
     with pytest.raises(CoactionViolation, match=match) as exc:
         trivial_coaction(c.algC, c)
     assert np.isnan(exc.value.residual)

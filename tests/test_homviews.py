@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 import qgcalc as q
+from qgcalc.coactions import check_coaction
 from qgcalc.errors import DimensionMismatch, HopfHomViolation, RangeViolation
 from qgcalc.homviews import (
     bicharacter_from_left,
@@ -12,6 +14,7 @@ from qgcalc.homviews import (
     check_left_hom,
     check_left_right_compatibility,
     check_right_hom,
+    comodule_residuals,
     dual_hopf_relation,
     left_from_bicharacter,
     right_from_bicharacter,
@@ -206,3 +209,38 @@ def test_left_hom_with_a_nan_image_fails_closed(va):
     dl = left_from_bicharacter(v)
     with pytest.raises(RangeViolation):
         check_left_hom(v.source, v.target, _with_nan_image(dl.deltaL))
+
+
+def _gauged(qg, u):
+    uu = kron(u, u)
+    return q.build_from_unitary(uu @ qg.W @ uu.conj().T, qg.dim)
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_one_sided_homs_are_coactions(z2, z4, picture):
+    """A right hom of C to A is a coaction of A on C: check_coaction accepts
+    deltaR, and the hom's range and comodule square are the comodule
+    residuals of its map (the left hom likewise, with C on leg 2).  Haar
+    gauging makes every residual a genuine rounding error, not an exact 0."""
+    rng = np.random.default_rng(20261018)
+    plain = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), picture))
+    uc = unitary_group.rvs(plain.source.dim, random_state=rng)
+    ua = unitary_group.rvs(plain.target.dim, random_state=rng)
+    c, a = _gauged(plain.source, uc), _gauged(plain.target, ua)
+    ucua = kron(uc, ua)
+    v = q.check_bicharacter(ucua @ plain.V @ ucua.conj().T, c, a)
+    dr, dl = right_from_bicharacter(v), left_from_bicharacter(v)
+    for hom, phi, leg in ((dr, dr.deltaR, 1), (dl, dl.deltaL, 2)):
+        co = comodule_residuals(phi, c.algC, a, leg)
+        assert co == {
+            "range": hom.residuals["range"],
+            "coassociativity": hom.residuals["comoduleDiagram"],
+            "injective": True,
+            "dense": True,
+        }
+        assert 0 < co["range"] <= 1e-14 and 0 < co["coassociativity"] <= 1e-14
+    coaction = check_coaction(dr.deltaR, c.algC, a)
+    # check_coaction re-expresses the map on a re-orthonormalized basis of
+    # span(algC), which moves each residual only by rounding
+    for key, hom_key in (("range", "range"), ("coassociativity", "comoduleDiagram")):
+        assert coaction.residuals[key] == pytest.approx(dr.residuals[hom_key], abs=1e-14)
