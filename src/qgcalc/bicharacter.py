@@ -27,8 +27,9 @@ from .tensorleg import (
     flip_adjoint,
     frob,
     legs_product,
+    mapped_slab,
     membership_residual,
-    residual_between,
+    streamed_residual,
     unitarity_defect,
 )
 
@@ -76,20 +77,29 @@ def bicharacter_residuals(v, c, a):
     space_cca = LegSpace((dc, dc, da))
     space_caa = LegSpace((dc, da, da))
 
-    # comultiplication form, leg-wise through the span maps
-    lhs1 = apply_map_to_leg(v, space, 1, c.deltaChat)[0]
-    r1 = residual_between(lhs1, legs_product(space_cca, (v, (2, 3)), (v, (1, 3))))
+    # comultiplication form, leg-wise through the span maps; deltaChat
+    # leaves V's second leg alone, so the slabs run over it
+    r1 = streamed_residual(
+        space_cca,
+        3,
+        lambda cols: mapped_slab(v, space, 1, c.deltaChat, 2, cols),
+        [(v, (2, 3)), (v, (1, 3))],
+    )
 
     r2 = corep_law_residual(v, a)
 
     # operator form on the Hilbert-space level
-    r3 = residual_between(
-        legs_product(space_cca, (v, (2, 3)), (c.W, (1, 2))),
-        legs_product(space_cca, (c.W, (1, 2)), (v, (1, 3)), (v, (2, 3))),
+    r3 = streamed_residual(
+        space_cca,
+        1,
+        [(v, (2, 3)), (c.W, (1, 2))],
+        [(c.W, (1, 2)), (v, (1, 3)), (v, (2, 3))],
     )
-    r4 = residual_between(
-        legs_product(space_caa, (a.W, (2, 3)), (v, (1, 2))),
-        legs_product(space_caa, (v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))),
+    r4 = streamed_residual(
+        space_caa,
+        1,
+        [(a.W, (2, 3)), (v, (1, 2))],
+        [(v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))],
     )
 
     memb = membership_residual(PairSpan(c.algChat, a.algC), v)

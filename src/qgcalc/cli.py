@@ -115,7 +115,7 @@ def _record_failure(report, exc):
     # residual fails against any tolerance
     tolerance = getattr(exc, "tolerance", None)
     tol = float(tolerance) if tolerance is not None else 0.0
-    report.checks.append(Check(type(exc).__name__, value, tol))
+    report.checks.append(Check(type(exc).__name__, value, tol, str(exc)))
 
 
 def _qg_battery(report, prefix, build, tols):

@@ -33,8 +33,10 @@ from .tensorleg import (
     extract_trivial_legs,
     kron,
     legs_product,
+    mapped_slab,
     residual_between,
     span_map_from_pairs,
+    streamed_residual,
     unitarity_defect,
     vec,
 )
@@ -306,10 +308,15 @@ def pushforward_corep(x, v, tol=EQUATION_TOL):
     induced = []
     for k in _matrix_units(h):
         ad_x = x.X @ kron(k, eye_c) @ xd
-        lhs, _ = apply_map_to_leg(ad_x, space, 2, dr.deltaR)
         ad_y = y @ kron(k, eye_a) @ yd
-        rhs = legs_product(space3, (x.X, (1, 2)), (ad_y, (1, 3)), (xd, (1, 2)))
-        induced.append(residual_between(lhs, rhs))
+        induced.append(
+            streamed_residual(
+                space3,
+                1,
+                lambda cols: mapped_slab(ad_x, space, 2, dr.deltaR, 1, cols),
+                [(x.X, (1, 2)), (ad_y, (1, 3)), (xd, (1, 2))],
+            )
+        )
     worst = np.max(induced)
     gate(
         worst,

@@ -29,10 +29,12 @@ from .tensorleg import (
     flip_adjoint,
     kron,
     legs_product,
+    mapped_slab,
     membership_residual,
     membership_residuals,
     numerical_rank,
     residual_between,
+    streamed_residual,
     vec,
 )
 
@@ -262,9 +264,12 @@ def left_from_bicharacter(v, tol=EQUATION_TOL):
     out = check_left_hom(c, a, dl_map, tol=tol)
 
     # the slice identity (id (x) deltaL)(W) = V12 W13 must hold as well
-    ext, _ = apply_map_to_leg(c.W, c.space, 2, dl_map)
-    space3 = LegSpace((c.dim, a.dim, c.dim))
-    slice_res = residual_between(ext, legs_product(space3, (v.V, (1, 2)), (c.W, (1, 3))))
+    slice_res = streamed_residual(
+        LegSpace((c.dim, a.dim, c.dim)),
+        1,
+        lambda cols: mapped_slab(c.W, c.space, 2, dl_map, 1, cols),
+        [(v.V, (1, 2)), (c.W, (1, 3))],
+    )
     gate(slice_res, tol, RangeViolation, "slice identity for the left homomorphism fails")
     out.residuals["sliceIdentity"] = slice_res
     return out

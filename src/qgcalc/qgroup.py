@@ -26,17 +26,18 @@ from .tensorleg import (
     LegSpace,
     PairSpan,
     SpanMap,
-    apply_map_to_leg,
     as_matrix,
     flip_adjoint,
     kron,
-    legs_product,
+    legs_slab,
+    mapped_slab,
     membership_residuals,
     orthonormal_basis,
     permute_legs,
-    residual_between,
     residuals_between,
+    slab_width,
     span_map_from_pairs,
+    streamed_residual,
     unitarity_defect,
 )
 
@@ -145,10 +146,17 @@ def closure_residual(basis):
 
 
 def corep_law_residual(x, qg):
-    """Residual of the corepresentation law (id (x) Delta)(X) = X12 X13 for X on H (x) H_qg."""
+    """Residual of the corepresentation law (id (x) Delta)(X) = X12 X13 for X on H (x) H_qg.
+
+    Streamed over column slabs of leg 1, which Delta leaves untouched.
+    """
     h, d = x.shape[0] // qg.dim, qg.dim
-    lhs, _ = apply_map_to_leg(x, LegSpace((h, d)), 2, qg.deltaC)
-    return residual_between(lhs, legs_product(LegSpace((h, d, d)), (x, (1, 2)), (x, (1, 3))))
+    return streamed_residual(
+        LegSpace((h, d, d)),
+        1,
+        lambda cols: mapped_slab(x, LegSpace((h, d)), 2, qg.deltaC, 1, cols),
+        [(x, (1, 2)), (x, (1, 3))],
+    )
 
 
 def _delta_maps(w, d, alg_c, alg_chat):
@@ -224,10 +232,11 @@ def build_from_unitary(w, dim):
             f"W is not unitary, defect {udef:.2e}", residual=udef, tolerance=PENTAGON_TOL
         )
 
-    space3 = LegSpace((d, d, d))
-    pent = residual_between(
-        legs_product(space3, (w, (2, 3)), (w, (1, 2))),
-        legs_product(space3, (w, (1, 2)), (w, (1, 3)), (w, (2, 3))),
+    pent = streamed_residual(
+        LegSpace((d, d, d)),
+        1,
+        [(w, (2, 3)), (w, (1, 2))],
+        [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
     )
     if not pent <= PENTAGON_TOL:
         raise PentagonViolation(
@@ -276,27 +285,38 @@ def coassociativity_residual(qg):
     the d^3 x d^3 conjugations per basis element.  Regrouped as
     p[a, (B, E), c] = u[(a, B), (c, E)], the commutator with x on the first
     leg is [p_k, x] block by block, so the squared norms are summed over one
-    B at a time with two products per basis element, and no basis element
-    costs a d^3 x d^3 product.
+    B at a time with two products per basis element.
+
+    u is streamed, never formed: its rows whose leg-3 index lies in one
+    slab (slab_width) are the adjoint of a column slab of
+    u* = W13* W12* W23 W12, which legs_slab contracts directly, and the
+    blocks B of that slab feed the loop before the next slab is made.
     """
     d = qg.dim
     space3 = LegSpace((d, d, d))
     w, wd = qg.W, qg.W.conj().T
-    u = legs_product(space3, (wd, (1, 2)), (wd, (2, 3)), (w, (1, 2)), (w, (1, 3)))
-    # blocks[B] is (a, E, c) -> u[(a, B), (c, E)]
-    blocks = u.reshape(d, d * d, d, d * d).transpose(1, 0, 3, 2).copy()
-    del u
-    n = len(qg.algC)
+    u_adjoint = [(wd, (1, 3)), (wd, (1, 2)), (w, (2, 3)), (w, (1, 2))]
+    # the slabs below hold conj(u), so the basis is conjugated too: each
+    # product is then the conjugate of the one for u, with the same norms
+    xs = [x.conj() for x in qg.algC]
+    n = len(xs)
     diff, ux_sq, xu_sq = np.zeros(n), np.zeros(n), np.zeros(n)
-    for blk in blocks:
-        by_col, by_row = blk.reshape(-1, d), blk.reshape(d, -1)
-        for k, x in enumerate(qg.algC):
-            ux = (by_col @ x).reshape(-1)
-            xu = (x @ by_row).reshape(-1)
-            gap = ux - xu
-            diff[k] += np.vdot(gap, gap).real
-            ux_sq[k] += np.vdot(ux, ux).real
-            xu_sq[k] += np.vdot(xu, xu).real
+    width = slab_width(d ** 5, d)
+    for start in range(0, d, width):
+        slab = legs_slab(space3, 3, slice(start, min(start + width, d)), *u_adjoint)
+        # slab[(c, E), (a, B)] = conj(u[(a, B), (c, E)]); blocks[B] is (a, E, c)
+        blocks = slab.reshape(d, d * d, d, -1).transpose(3, 2, 1, 0).copy()
+        del slab
+        for blk in blocks:
+            by_col, by_row = blk.reshape(-1, d), blk.reshape(d, -1)
+            for k, x in enumerate(xs):
+                ux = (by_col @ x).reshape(-1)
+                xu = (x @ by_row).reshape(-1)
+                ux_sq[k] += np.vdot(ux, ux).real
+                xu_sq[k] += np.vdot(xu, xu).real
+                # the gap overwrites ux: one block-sized array less per step
+                ux -= xu
+                diff[k] += np.vdot(ux, ux).real
     # the scale of residual_between; np.maximum and np.max carry a NaN through
     scale = np.maximum(1.0, np.sqrt(np.maximum(ux_sq, xu_sq)))
     return float(np.max(np.sqrt(diff) / scale))
@@ -358,15 +378,22 @@ def transpose_qg(qg):
 
     space3 = LegSpace((d, d, d))
     wb = cbar.W
-    sigma12 = lambda t: permute_legs(t, space3, (2, 1, 3))
-    sigma23 = lambda t: permute_legs(t, space3, (1, 3, 2))
 
-    # dual-side equation: (Delta_hat of Cbar (x) id) applied to Wt
-    lhs_a = sigma12(legs_product(space3, (wb.conj().T, (1, 2)), (wt, (2, 3)), (wb, (1, 2))))
-    res_a = residual_between(lhs_a, legs_product(space3, (wt, (2, 3)), (wt, (1, 3))))
-    # flipped-comultiplication equation on the original algebra side
-    lhs_b = sigma23(legs_product(space3, (qg.W, (2, 3)), (wt, (1, 2)), (qg.W.conj().T, (2, 3))))
-    res_b = residual_between(lhs_b, legs_product(space3, (wt, (1, 2)), (wt, (1, 3))))
+    # dual-side equation: (Delta_hat of Cbar (x) id) applied to Wt, whose
+    # leg flip Sigma_12 is read off by placing the factors on swapped legs
+    res_a = streamed_residual(
+        space3,
+        3,
+        [(wb.conj().T, (2, 1)), (wt, (1, 3)), (wb, (2, 1))],
+        [(wt, (2, 3)), (wt, (1, 3))],
+    )
+    # flipped-comultiplication equation on the original algebra side (Sigma_23)
+    res_b = streamed_residual(
+        space3,
+        1,
+        [(qg.W, (3, 2)), (wt, (1, 3)), (qg.W.conj().T, (3, 2))],
+        [(wt, (1, 2)), (wt, (1, 3))],
+    )
     gate(res_a, PENTAGON_TOL, BicharacterViolation, "dual-side equation fails")
     gate(res_b, PENTAGON_TOL, BicharacterViolation, "flipped-comultiplication equation fails")
 

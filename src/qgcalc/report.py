@@ -10,6 +10,8 @@ class Check:
     name: str
     residual: float
     tolerance: float
+    # why the check failed, for records made from a raised error
+    message: str = ""
 
     @property
     def passed(self):
@@ -39,16 +41,15 @@ def report_to_obj(report):
         "subject": report.subject,
         "pass": report.passed,
         "wallTime": report.wallTime,
-        "checks": [
-            {
-                "name": c.name,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "pass": c.passed,
-            }
-            for c in report.checks
-        ],
+        "checks": [_check_to_obj(c) for c in report.checks],
     }
+
+
+def _check_to_obj(c):
+    out = {"name": c.name, "residual": c.residual, "tolerance": c.tolerance, "pass": c.passed}
+    if c.message:
+        out["message"] = c.message
+    return out
 
 
 def render_text(report):
@@ -57,5 +58,6 @@ def render_text(report):
     lines.append(f"{mark} {report.subject} ({report.wallTime:.2f}s)")
     for c in report.checks:
         mark = "ok  " if c.passed else "FAIL"
-        lines.append(f"  {mark} {c.name}: {c.residual:.2e} <= {c.tolerance:.2e}")
+        why = f" ({c.message})" if c.message else ""
+        lines.append(f"  {mark} {c.name}: {c.residual:.2e} <= {c.tolerance:.2e}{why}")
     return "\n".join(lines)

@@ -17,6 +17,7 @@ import contextlib
 import contextvars
 import functools
 import json
+import math
 import os
 
 import numpy as np
@@ -111,19 +112,34 @@ def matrix_from_obj(obj, what="matrix"):
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else type(data).__name__
         raise ParseError(f"{what}: expected {rows * cols} entries, got {got}")
-    out = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
-        ):
-            raise ParseError(f"{what}: entry {i} must be [re, im]")
-        out[i] = complex(pair[0], pair[1])
-    if not np.isfinite(out).all():
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
+    if not all(map(_is_entry, data)):
+        bad = next(i for i, pair in enumerate(data) if not _is_entry(pair))
+        raise ParseError(f"{what}: entry {bad} must be [re, im]")
+    try:
+        pairs = np.asarray(data, dtype=float)
+    except OverflowError:
+        pairs = None  # an integer too large for a float is not finite
+    if pairs is None or not np.isfinite(pairs).all():
+        bad = next(i for i, pair in enumerate(data) if not all(map(_finite, pair)))
         raise ParseError(f"{what}: entry {bad} is not finite")
-    return out.reshape(rows, cols)
+    # the (re, im) pairs are laid out exactly as complex128 values
+    return pairs.view(complex).reshape(rows, cols)
+
+
+def _is_entry(pair):
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], (int, float))
+        and isinstance(pair[1], (int, float))
+    )
+
+
+def _finite(v):
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def matrix_to_obj(m):

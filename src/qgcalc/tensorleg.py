@@ -33,6 +33,10 @@ __all__ = [
     "flip_unitary",
     "embed_on_legs",
     "legs_product",
+    "legs_slab",
+    "slab_width",
+    "streamed_residual",
+    "SLAB_ENTRIES",
     "permute_legs",
     "permuted_space",
     "flip_adjoint",
@@ -46,7 +50,13 @@ __all__ = [
     "membership_residuals",
     "span_map_from_pairs",
     "apply_map_to_leg",
+    "mapped_slab",
 ]
+
+# Entries (complex128, so 4 MB) in one slab of a streamed residual.  Three
+# legs of dimension 8 make an operator of exactly this size, so every
+# operator up to that stays one slab.
+SLAB_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -257,8 +267,27 @@ def legs_product(space, *factors):
     tensordot per factor.  A leg that no factor so far acts on stays an
     implicit identity, so a step costs the size of the partial product
     times the dimension of the legs it shares with the next factor, and no
-    factor is ever expanded to the whole space.
+    factor is ever expanded to the whole space.  This is the materialising
+    reference for legs_slab and streamed_residual.
     """
+    return _contract(space, factors)
+
+
+def legs_slab(space, leg, cols, *factors):
+    """The columns of legs_product(space, *factors) whose index on leg lies in cols.
+
+    cols is a slice of that leg's indices; the result is the (total,
+    total * width / dim(leg)) column slab, columns in natural order.  The
+    contraction is legs_product's: the implicit identity on leg, cut to
+    cols, only meets the first factor (from the right) acting on leg, which
+    is sliced there, so every later step shrinks by the same ratio and no
+    step ever holds the whole operator.
+    """
+    space._check_leg(leg)
+    return _contract(space, factors, leg, cols)
+
+
+def _contract(space, factors, leg=None, cols=slice(None)):
     if not factors:
         raise ValueError("need at least one factor")
     acc = None
@@ -266,6 +295,10 @@ def legs_product(space, *factors):
     for x, legs in reversed(factors):
         x, legs = _named_legs(x, space, legs)
         xt = x.reshape(tuple(space.dims[l - 1] for l in legs) * 2)
+        if leg in legs and (0, leg) not in axes:
+            cut = [slice(None)] * (2 * len(legs))
+            cut[len(legs) + legs.index(leg)] = cols
+            xt = xt[tuple(cut)]
         rows = [(0, l) for l in legs]
         if acc is None:
             first, acc, axes = x, xt, rows + [(1, l) for l in legs]
@@ -286,12 +319,60 @@ def legs_product(space, *factors):
         )
     for l in range(1, space.nlegs + 1):
         if (0, l) not in axes:
-            acc = np.multiply.outer(acc, np.eye(space.dims[l - 1], dtype=complex))
+            eye = np.eye(space.dims[l - 1], dtype=complex)
+            acc = np.multiply.outer(acc, eye[:, cols] if l == leg else eye)
             axes += [(0, l), (1, l)]
     order = [axes.index((r, l)) for r in (0, 1) for l in range(1, space.nlegs + 1)]
-    out = acc.transpose(order).reshape(space.total, space.total)
+    out = acc.transpose(order).reshape(space.total, -1)
     # a lone factor covering every leg in order comes back as a view of itself
     return out.copy() if np.may_share_memory(out, first) else out
+
+
+def slab_width(entries_per_index, count):
+    """How many of a leg's count indices one slab takes.
+
+    A slab holds at most SLAB_ENTRIES entries, and never less than one
+    index; an operator no larger than SLAB_ENTRIES is a single slab.
+    """
+    return max(1, min(count, SLAB_ENTRIES // entries_per_index))
+
+
+def _sq(x):
+    # vdot flattens its arguments
+    return float(np.vdot(x, x).real)
+
+
+def streamed_residual(space, leg, lhs, rhs):
+    """residual_between(lhs, rhs) of two operators on space, one column slab at a time.
+
+    Each side is a sequence of ``(x, legs)`` factors, read as in
+    legs_product, or a function taking a slice of leg's indices to that
+    column slab (as legs_slab and mapped_slab return it).  The squared
+    norms of the difference and of both sides are summed slab by slab, so
+    the result is residual_between's, scale max(1, |lhs|, |rhs|) included,
+    without either operator ever being whole; a NaN anywhere reads NaN.
+    """
+    space._check_leg(leg)
+    left_slab, right_slab = (_slab_function(space, leg, side) for side in (lhs, rhs))
+    d = space.dims[leg - 1]
+    width = slab_width(space.total * space.total // d, d)
+    diff = lsq = rsq = 0.0
+    for start in range(0, d, width):
+        cols = slice(start, min(start + width, d))
+        left, right = left_slab(cols), right_slab(cols)
+        if left.shape != right.shape:
+            raise ValueError(f"shape mismatch {left.shape} vs {right.shape}")
+        diff += _sq(left - right)
+        lsq += _sq(left)
+        rsq += _sq(right)
+    return math.sqrt(diff) / max(1.0, math.sqrt(lsq), math.sqrt(rsq))
+
+
+def _slab_function(space, leg, side):
+    if callable(side):
+        return side
+    factors = tuple(side)
+    return lambda cols: legs_slab(space, leg, cols, *factors)
 
 
 def sliced_space(space, leg):
@@ -347,11 +428,16 @@ def intertwiner_space(w, dim, cutoff=1e-9):
     Given a, the only candidate is 1 (x) b = w(a (x) 1)w*, so b is its
     normalized partial trace Tr_1(w(a (x) 1)w*)/d and a solves exactly when
     a -> w(a (x) 1)w* - 1 (x) Tr_1(w(a (x) 1)w*)/d vanishes.  The d^4 x d^2
-    matrix of that map is one contraction of w's blocks.  Its singular
+    matrix of that map is a contraction of w's blocks.  Its singular
     values are sqrt(d) sin(theta) over the principal angles theta between
     {w(a (x) 1)} and {(1 (x) b)w}, so a direction counts as a solution when
-    sin(theta) <= cutoff; they come from a QR of the tall matrix and an SVD
-    of its d^2 x d^2 R, never squared through a Gram matrix.
+    sin(theta) <= cutoff; they come from the R factor of the tall matrix
+    and an SVD of that d^2 x d^2 R, never squared through a Gram matrix.
+
+    The tall matrix is streamed: its rows (i, j, m, n) come in blocks of
+    whole first indices i, sized by slab_width, and each block is stacked
+    under the R so far and reduced by one more QR, as in TSQR.  Only R and
+    one block are ever held, never the d^4 x d^2 system.
 
     Returns the nullspace dimension and a basis of matrix pairs, each a of
     unit norm.  For a pentagon-verified multiplicative unitary the dimension
@@ -362,15 +448,25 @@ def intertwiner_space(w, dim, cutoff=1e-9):
     if w.shape[0] != d * d:
         raise ValueError(f"w has dim {w.shape[0]}, expected {d * d}")
     w4 = w.reshape(d, d, d, d)
-    # t[p, q, i, j, m, n] = (w (E_pq (x) 1) w*)[(i, j), (m, n)]
-    t = np.einsum("ijpl,mnql->pqijmn", w4, w4.conj(), optimize=True)
-    tr1 = np.einsum("pqijin->pqjn", t) / d
-    for i in range(d):
-        t[:, :, i, :, i, :] -= tr1
-    # rows of t are the columns of the system, one per matrix unit E_pq
-    system = t.reshape(d * d, -1).T
-    del t
-    r = np.linalg.qr(system, mode="r")
+    w4c = w4.conj()
+    # tr1[p, q, j, n] = Tr_1(w (E_pq (x) 1) w*)[j, n] / d, summed over (i, l)
+    tr1 = np.tensordot(w4, w4c, axes=([0, 3], [0, 3])).transpose(1, 3, 0, 2) / d
+    width = slab_width(d ** 5, d)
+    r = None
+    for start in range(0, d, width):
+        stop = min(start + width, d)
+        # t[p, q, i, j, m, n] = (w (E_pq (x) 1) w*)[(i, j), (m, n)] for i in the block
+        t = np.einsum("ijpl,mnql->pqijmn", w4[start:stop], w4c, optimize=True)
+        for i in range(start, stop):
+            t[:, :, i - start, :, i, :] -= tr1
+        # rows of t are the columns of the block, one per matrix unit E_pq;
+        # stacking R above the block as columns keeps the column-major
+        # layout LAPACK reads, so the QR makes no transposing copy
+        cols = t.reshape(d * d, -1)
+        del t
+        stacked = cols if r is None else np.concatenate([r.T, cols], axis=1)
+        del cols
+        r = np.linalg.qr(stacked.T, mode="r")
     _, s, vh = np.linalg.svd(r)
     rank = int(np.sum(s > cutoff * math.sqrt(d)))
     pairs = []
@@ -563,19 +659,38 @@ def apply_map_to_leg(t, space, leg, phi):
     building the finer LegSpace by hand; the matrix itself is unchanged.
     """
     t = _check_space(t, space)
+    out = _map_leg(t.reshape(space.dims + space.dims), space, leg, phi)
+    new_dims = list(space.dims)
+    new_dims[leg - 1] = phi.dd
+    out_space = LegSpace(new_dims)
+    return out.reshape(out_space.total, out_space.total), out_space
+
+
+def mapped_slab(t, space, map_leg, phi, leg, cols):
+    """Column slab of apply_map_to_leg(t, space, map_leg, phi)[0] at leg's indices cols.
+
+    leg must be one the map leaves untouched: its columns are cut from t
+    first, and phi only ever meets that slab.
+    """
+    t = _check_space(t, space)
+    space._check_leg(leg)
+    if leg == map_leg:
+        raise ValueError(f"the slab leg {leg} is the leg the map acts on")
+    cut = [slice(None)] * (2 * space.nlegs)
+    cut[space.nlegs + leg - 1] = cols
+    out = _map_leg(t.reshape(space.dims + space.dims)[tuple(cut)], space, map_leg, phi)
+    return out.reshape(space.total // space.dims[map_leg - 1] * phi.dd, -1)
+
+
+def _map_leg(t4, space, leg, phi):
+    """phi on the (row, column) axis pair of leg of a 2n-axis tensor."""
     space._check_leg(leg)
     n = space.nlegs
     d = space.dims[leg - 1]
     if phi.d != d:
         raise ValueError(f"map domain dim {phi.d} does not match leg {leg} dim {d}")
-    t4 = t.reshape(space.dims + space.dims)
     moved = np.moveaxis(t4, (leg - 1, n + leg - 1), (2 * n - 2, 2 * n - 1))
     rest_shape = moved.shape[: 2 * n - 2]
-    flat = moved.reshape(-1, d * d)
-    out_flat = phi.apply_rows(flat)
+    out_flat = phi.apply_rows(moved.reshape(-1, d * d))
     out = out_flat.reshape(rest_shape + (phi.dd, phi.dd))
-    out = np.moveaxis(out, (2 * n - 2, 2 * n - 1), (leg - 1, n + leg - 1))
-    new_dims = list(space.dims)
-    new_dims[leg - 1] = phi.dd
-    out_space = LegSpace(new_dims)
-    return out.reshape(out_space.total, out_space.total), out_space
+    return np.moveaxis(out, (2 * n - 2, 2 * n - 1), (leg - 1, n + leg - 1))

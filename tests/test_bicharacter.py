@@ -12,6 +12,8 @@ from qgcalc.errors import (
     NotUnitary,
     SourceTargetMismatch,
 )
+from qgcalc import tensorleg
+from qgcalc.qgroup import coassociativity_residual
 from qgcalc.tensorleg import (
     LegSpace,
     apply_map_to_leg,
@@ -119,6 +121,15 @@ def test_nan_residual_fails_closed(z3, monkeypatch, key):
 def test_residuals_match_the_embedding_oracle(homs):
     """All four equation residuals of a slightly rotated arrow, against the
     same formulas written with explicit Kronecker embeddings."""
+    _check_against_the_embedding_oracle(homs)
+
+
+def test_residuals_match_the_embedding_oracle_one_index_per_slab(homs, monkeypatch):
+    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 1)
+    _check_against_the_embedding_oracle(homs)
+
+
+def _check_against_the_embedding_oracle(homs):
     va = q.from_hopf_hom(q.hom_to_hopf(homs["sgn"], "c0"))
     c, a = va.source, va.target
     h = RNG.standard_normal(va.V.shape) + 1j * RNG.standard_normal(va.V.shape)
@@ -141,6 +152,24 @@ def test_residuals_match_the_embedding_oracle(homs):
     for key, value in want.items():
         assert value > 1e-6
         assert got[key] == pytest.approx(value, abs=1e-14)
+
+
+def test_three_leg_residuals_are_exact_on_the_corpus(corpus):
+    """On the 26 corpus quantum groups (0/1 permutation W) every three-leg
+    product only copies entries, so the pentagon, coassociativity and the
+    operator-form residuals of the identity arrow read exactly 0.0.  The
+    comultiplication forms go through the QR bases of the span maps and
+    stay at rounding level."""
+    count = 0
+    for g in corpus.values():
+        for qg in (c0(g), cstar(g)):
+            count += 1
+            assert qg.residuals["pentagon"] == 0.0
+            assert coassociativity_residual(qg) == 0.0
+            res = bicharacter_residuals(qg.W, qg, qg)
+            assert res["operatorSource"] == 0.0 and res["operatorTarget"] == 0.0
+            assert res["comultSource"] <= 1e-15 and res["comultTarget"] <= 1e-15
+    assert count == 26
 
 
 def test_abstract_and_operator_equations_agree(z2, z4, s3, homs):

@@ -130,6 +130,29 @@ def test_failure_records_keep_the_gate_tolerance():
     assert render_text(report).splitlines()[2].startswith("  FAIL AlgebraNotClosed: nan")
 
 
+def test_failure_records_say_why(tmp_path, capsys):
+    path = tmp_path / "flip.json"
+    write_json(str(path), {"dim": 2, "W": matrix_to_obj(flip_unitary(2, 2))})
+    code, obj = run_json(capsys, ["verify", str(path), "qg"])
+    assert code == 1
+    [record] = obj["checks"]
+    assert record["name"] == "PentagonViolation"
+    assert record["message"] == "pentagon residual 1.00e+00"
+    code, captured = run_cli(capsys, ["verify", str(path), "qg", "--text"])
+    assert code == 1
+    assert captured.out.splitlines()[1] == (
+        "  FAIL PentagonViolation: 1.00e+00 <= 1.00e-10 (pentagon residual 1.00e+00)"
+    )
+
+
+def test_passing_records_carry_no_message(capsys, va_file):
+    code, obj = run_json(capsys, ["verify", va_file[0], "bicharacter"])
+    assert code == 0
+    assert obj["checks"] and all(
+        sorted(c) == ["name", "pass", "residual", "tolerance"] for c in obj["checks"]
+    )
+
+
 def test_verify_missing_file_exits_two(tmp_path, capsys):
     code, captured = run_cli(capsys, ["verify", str(tmp_path / "nope.json"), "qg"])
     assert code == 2
@@ -307,6 +330,18 @@ def test_non_finite_entry_exits_two(tmp_path, capsys, va_file):
     code, captured = run_cli(capsys, ["verify", str(path), "bicharacter"])
     assert code == 2
     assert "not finite" in captured.err
+
+
+def test_integer_too_large_for_a_float_exits_two(tmp_path, capsys, va_file):
+    _, va = va_file
+    obj = bicharacter_to_obj(va)
+    obj["V"]["data"][0][0] = 10**400
+    path = tmp_path / "huge.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    code, captured = run_cli(capsys, ["verify", str(path), "bicharacter"])
+    assert code == 2
+    assert "entry 0 is not finite" in captured.err
 
 
 def test_dual_round_trip(tmp_path, capsys, va_file):

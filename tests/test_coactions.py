@@ -6,7 +6,7 @@ import scipy.linalg
 from scipy.stats import unitary_group
 
 import qgcalc as q
-from qgcalc import coactions, homviews, qgroup
+from qgcalc import coactions, homviews, qgroup, tensorleg
 from qgcalc.coactions import (
     check_coaction,
     check_corepresentation,
@@ -24,7 +24,7 @@ from qgcalc.errors import (
     SolveFailure,
     SourceTargetMismatch,
 )
-from qgcalc.homviews import right_from_bicharacter
+from qgcalc.homviews import left_from_bicharacter, right_from_bicharacter
 from qgcalc.qgroup import build_from_unitary
 from qgcalc.tensorleg import (
     LegSpace,
@@ -299,6 +299,18 @@ def test_pushforward_z4_regular_corep_along_dual_arrow(z2, z4, chain):
         e[b, b] = 1.0
         frozen += kron(e, q.translation_matrix(z2, z2.inv(qmap[b])))
     assert residual_between(out.X, frozen) <= 1e-9
+
+
+def test_pushforward_and_slice_identity_hold_one_index_per_slab(monkeypatch, chain):
+    """The streamed recovery check of pushforward_corep and the left-hom
+    slice identity, with every slab holding one leg index."""
+    va, _ = chain
+    whole = pushforward_corep(check_corepresentation(va.source.W, va.source), va)
+    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 1)
+    sliced = pushforward_corep(check_corepresentation(va.source.W, va.source), va)
+    assert residual_between(sliced.X, va.V) <= 1e-9
+    assert sliced.residuals == pytest.approx(whole.residuals, abs=1e-14)
+    assert left_from_bicharacter(va).residuals["sliceIdentity"] <= 1e-12
 
 
 def test_pushforward_rejects_wrong_object(z4, chain):

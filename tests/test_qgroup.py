@@ -22,6 +22,7 @@ from qgcalc.qgroup import (
     unitary_antipode,
 )
 from qgcalc import qgroup as qgroup_module
+from qgcalc import tensorleg as tensorleg_module
 from qgcalc.tensorleg import (
     Functional,
     LegSpace,
@@ -340,14 +341,14 @@ def test_transpose_of_complex_w_builds_the_conjugate(s3):
     "nan_at, message", [(0, "dual-side equation"), (1, "flipped-comultiplication equation")]
 )
 def test_transpose_gates_reject_a_nan_residual(monkeypatch, z4, nan_at, message):
-    real = qgroup_module.residual_between
+    real = qgroup_module.streamed_residual
     calls = []
 
-    def patched(x, y):
+    def patched(*args):
         calls.append(None)
-        return float("nan") if len(calls) - 1 == nan_at else real(x, y)
+        return float("nan") if len(calls) - 1 == nan_at else real(*args)
 
-    monkeypatch.setattr(qgroup_module, "residual_between", patched)
+    monkeypatch.setattr(qgroup_module, "streamed_residual", patched)
     with pytest.raises(BicharacterViolation, match=message):
         transpose_qg(q.qg_from_group(z4, "c0"))
 
@@ -422,6 +423,42 @@ def test_blocked_coassociativity_matches_the_embedding_oracle(s3, picture):
     got = coassociativity_residual(Probe())
     assert got > 1e-6
     assert got == pytest.approx(_commutator_oracle(w, d, alg), abs=1e-13)
+
+
+@pytest.mark.parametrize("slab_entries", [1, 4 * 6**5])
+def test_streamed_checks_match_the_embedding_oracles_slab_by_slab(s3, monkeypatch, slab_entries):
+    """One leg index a slab, and four a slab with a shorter last one: the
+    pentagon and coassociativity of a rotated gauged S3 against the
+    Kronecker-embedding oracles, and the transpose equations still holding."""
+    monkeypatch.setattr(tensorleg_module, "SLAB_ENTRIES", slab_entries)
+    rng = np.random.default_rng(31)
+    base = q.qg_from_group(s3, "cstar")
+    d = base.dim
+    u = _haar_unitary(d, rng)
+    uu = kron(u, u)
+    w = uu @ base.W @ uu.conj().T
+    cbar, bic = transpose_qg(build_from_unitary(w, d))
+    assert max(bic.residuals.values()) <= 1e-13
+
+    bad = _rotated(w, 1e-3, rng)
+    sp = LegSpace((d, d, d))
+    b12, b13, b23 = (embed_on_legs(bad, sp, legs) for legs in ((1, 2), (1, 3), (2, 3)))
+    with pytest.raises(PentagonViolation) as exc:
+        build_from_unitary(bad, d)
+    assert exc.value.residual == pytest.approx(
+        residual_between(b23 @ b12, b12 @ b13 @ b23), abs=1e-14
+    )
+
+    alg = [u @ x @ u.conj().T for x in base.algC]
+
+    class Probe:
+        dim = d
+        W = bad
+        algC = alg
+
+    got = coassociativity_residual(Probe())
+    assert got > 1e-6
+    assert got == pytest.approx(_commutator_oracle(bad, d, alg), abs=1e-13)
 
 
 def test_coassociativity_of_a_nan_w_is_nan(z3):

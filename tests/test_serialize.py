@@ -66,6 +66,45 @@ def test_matrix_rejects_non_finite_entries(tmp_path, bad):
         matrix_from_obj(load_json(str(path))["m"])
 
 
+def _parse_entry_by_entry(data):
+    """The entry-by-entry parse, kept as the reference: one complex() a pair."""
+    out = np.empty(len(data), dtype=complex)
+    for i, (re, im) in enumerate(data):
+        out[i] = complex(re, im)
+    return out
+
+
+def test_matrix_parses_bit_for_bit_as_entry_by_entry():
+    m = RNG.standard_normal((7, 7)) + 1j * RNG.standard_normal((7, 7))
+    obj = matrix_to_obj(m)
+    # signed zeros, integers, booleans and a large integer ride along
+    obj["data"][:5] = [[-0.0, -0.0], [0.0, -0.0], [3, -2], [True, False], [2**60 + 1, 1]]
+    got = matrix_from_obj(obj)
+    want = _parse_entry_by_entry(obj["data"]).reshape(7, 7)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_matrix_names_the_first_bad_entry():
+    data = [[0.0, 0.0], [float("nan"), 0.0], [0.0, 1.0], ["x", 0.0], [1.0]]
+    obj = {"rows": 1, "cols": 5, "data": data}
+    # every entry is checked for its form before any is checked for finiteness
+    with pytest.raises(ParseError, match=r"^m: entry 3 must be \[re, im\]$"):
+        matrix_from_obj(obj, "m")
+    data[3] = [1, 2]
+    with pytest.raises(ParseError, match=r"^m: entry 4 must be \[re, im\]$"):
+        matrix_from_obj(obj, "m")
+    data[4] = [0.5, float("inf")]
+    with pytest.raises(ParseError, match=r"^m: entry 1 is not finite$"):
+        matrix_from_obj(obj, "m")
+
+
+def test_matrix_rejects_an_integer_too_large_for_a_float():
+    obj = {"rows": 1, "cols": 2, "data": [[1.0, 0.0], [0, 10**400]]}
+    with pytest.raises(ParseError, match="entry 1 is not finite"):
+        matrix_from_obj(obj)
+
+
 def test_load_json_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ParseError):

@@ -22,6 +22,8 @@ from qgcalc.tensorleg import (
     kron,
     kron_all,
     legs_product,
+    legs_slab,
+    mapped_slab,
     membership_residual,
     membership_residuals,
     numerical_rank,
@@ -34,10 +36,13 @@ from qgcalc.tensorleg import (
     slice_leg,
     sliced_space,
     span_map_from_pairs,
+    streamed_residual,
     unitarity_defect,
     vec,
     unvec,
 )
+from qgcalc import tensorleg
+from qgcalc.errors import CalculusError, gate
 
 RNG = np.random.default_rng(20240817)
 
@@ -208,6 +213,95 @@ def test_legs_product_rejects_bad_factors():
         legs_product(sp, (np.eye(2), (1,)), (np.eye(4), (1, 1)))
     with pytest.raises(ValueError):
         legs_product(sp, (np.eye(2), (3,)))
+
+
+# --- streamed residuals ------------------------------------------------
+
+
+def _random_factors(sp, rng, nfactors):
+    factors = []
+    for k in rng.choice(len(LEG_CHOICES), size=nfactors):
+        legs = LEG_CHOICES[k]
+        n = math.prod(sp.dims[l - 1] for l in legs)
+        factors.append((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), legs))
+    return factors
+
+
+@pytest.mark.parametrize("leg", [1, 2, 3])
+def test_legs_slab_is_a_column_slab_of_legs_product(leg):
+    sp = LegSpace((2, 3, 4))
+    rng = np.random.default_rng(200 + leg)
+    d = sp.dims[leg - 1]
+    for nfactors in (1, 2, 3, 4):
+        for _ in range(10):
+            factors = _random_factors(sp, rng, nfactors)
+            full = legs_product(sp, *factors).reshape(sp.dims * 2)
+            for cols in (slice(0, 1), slice(d - 1, d), slice(0, d)):
+                cut = [slice(None)] * 6
+                cut[3 + leg - 1] = cols
+                want = full[tuple(cut)].reshape(sp.total, -1)
+                np.testing.assert_allclose(legs_slab(sp, leg, cols, *factors), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("slab_entries", [1, 100, tensorleg.SLAB_ENTRIES])
+@pytest.mark.parametrize("nfactors", [1, 2, 3, 4])
+def test_streamed_residual_matches_the_materialised_residual(monkeypatch, nfactors, slab_entries):
+    """One slab per index, a few indices a slab, and the whole operator in one."""
+    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", slab_entries)
+    sp = LegSpace((2, 3, 4))
+    rng = np.random.default_rng(300 + nfactors)
+    for _ in range(10):
+        lhs, rhs = _random_factors(sp, rng, nfactors), _random_factors(sp, rng, nfactors)
+        want = residual_between(legs_product(sp, *lhs), legs_product(sp, *rhs))
+        for leg in (1, 2, 3):
+            got = streamed_residual(sp, leg, lhs, rhs)
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_streamed_residual_takes_slab_functions_and_reads_zero_on_equal_sides(monkeypatch):
+    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 100)
+    sp = LegSpace((2, 3, 4))
+    factors = _random_factors(sp, np.random.default_rng(4), 3)
+    slabs = lambda cols: legs_slab(sp, 2, cols, *factors)
+    assert streamed_residual(sp, 2, slabs, factors) == 0.0
+
+
+def test_a_nan_factor_gives_a_nan_streamed_residual_that_fails_its_gate(monkeypatch):
+    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 100)
+    sp = LegSpace((2, 3, 4))
+    rng = np.random.default_rng(5)
+    lhs, rhs = _random_factors(sp, rng, 3), _random_factors(sp, rng, 2)
+    bad = lhs[1][0].copy()
+    bad[-1, 0] = np.nan
+    lhs[1] = (bad, lhs[1][1])
+    for leg in (1, 2, 3):
+        res = streamed_residual(sp, leg, lhs, rhs)
+        assert np.isnan(res)
+        with pytest.raises(CalculusError):
+            gate(res, 1e-9, CalculusError, "streamed")
+
+
+@pytest.mark.parametrize("map_leg, leg", [(1, 2), (2, 1)])
+def test_mapped_slab_is_a_column_slab_of_apply_map_to_leg(map_leg, leg):
+    sp = LegSpace((2, 3))
+    d = sp.dims[map_leg - 1]
+    phi = SpanMap(
+        tuple(orthonormal_basis([random_complex(d, d) for _ in range(d * d)])),
+        tuple(random_complex(2 * d, 2 * d) for _ in range(d * d)),
+        d,
+        2 * d,
+    )
+    t = random_complex(6, 6)
+    full, out_space = apply_map_to_leg(t, sp, map_leg, phi)
+    full = full.reshape(out_space.dims * 2)
+    for j in range(sp.dims[leg - 1]):
+        cut = [slice(None)] * 4
+        cut[2 + leg - 1] = slice(j, j + 1)
+        want = full[tuple(cut)].reshape(out_space.total, -1)
+        got = mapped_slab(t, sp, map_leg, phi, leg, slice(j, j + 1))
+        np.testing.assert_allclose(got, want, atol=1e-12)
+    with pytest.raises(ValueError):
+        mapped_slab(t, sp, map_leg, phi, map_leg, slice(0, 1))
 
 
 # --- permutation --------------------------------------------------------
@@ -406,6 +500,36 @@ def test_intertwiner_space_matches_the_stacked_svd_on_the_gauged_corpus(corpus, 
     for g in corpus.values():
         assert g.order <= 8
         assert _check_against_the_stacked_svd(*_gauged(g, picture, rng)) == 1
+
+
+def test_intertwiner_space_blocked_qr_matches_the_stacked_svd(monkeypatch):
+    """One first index per row block, so the R factor is reduced block by
+    block: same dimensions as the stacked SVD and the same solution space as
+    a single block."""
+    rng = np.random.default_rng(13)
+    corpus = q.standard_corpus()
+    cases = [
+        (np.eye(9, dtype=complex), 3),
+        (flip_unitary(3, 3), 3),
+        (_haar(16, rng), 4),
+        _gauged(corpus["S3"], "c0", rng),
+        _gauged(corpus["Q8"], "cstar", rng),
+    ]
+    w, d = _gauged(corpus["Z4"], "c0", rng)
+    cases.append((_rotated(w, 1e-6, rng), d))
+
+    def projector(pairs):
+        a = np.stack([vec(x) for x, _ in pairs], axis=1)
+        q_, _ = np.linalg.qr(a)
+        return q_ @ q_.conj().T
+
+    whole = [intertwiner_space(w, d) for w, d in cases]
+    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 1)
+    for (w, d), (dim, pairs) in zip(cases, whole):
+        assert _check_against_the_stacked_svd(w, d) == dim
+        np.testing.assert_allclose(
+            projector(intertwiner_space(w, d)[1]), projector(pairs), atol=1e-9
+        )
 
 
 # --- bases and membership ----------------------------------------------
