@@ -17,7 +17,7 @@ from .errors import (
     SourceTargetMismatch,
     gate,
 )
-from .qgroup import EQUATION_TOL, CLOSURE_TOL, corep_law_residual, unitary_antipode
+from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, corep_law_residual, unitary_antipode
 from .tensorleg import (
     LegSpace,
     PairSpan,
@@ -112,16 +112,17 @@ def bicharacter_residuals(v, c, a):
     }
 
 
-def check_bicharacter(v, c, a, tol=EQUATION_TOL, membership_tol=CLOSURE_TOL):
+def check_bicharacter(v, c, a):
     """Verify v as a bicharacter from c to a; residuals travel with the result."""
     v = as_matrix(v)
     udef = unitarity_defect(v)
-    if not udef <= 1e-10:
-        raise NotUnitary(f"V is not unitary, defect {udef:.2e}", residual=udef, tolerance=1e-10)
+    if not udef <= PENTAGON_TOL:
+        msg = f"V is not unitary, defect {udef:.2e}"
+        raise NotUnitary(msg, residual=udef, tolerance=PENTAGON_TOL)
     res = bicharacter_residuals(v, c, a)
     for key in ("comultSource", "comultTarget", "operatorSource", "operatorTarget"):
-        gate(res[key], tol, BicharacterViolation, f"{key} equation fails")
-    gate(res["membership"], membership_tol, BicharacterViolation, "V escapes the algebra pair span")
+        gate(res[key], EQUATION_TOL, BicharacterViolation, f"{key} equation fails")
+    gate(res["membership"], CLOSURE_TOL, BicharacterViolation, "V escapes the algebra pair span")
     return Bicharacter(c, a, v, dict(res, unitarity=udef))
 
 
@@ -130,7 +131,7 @@ def identity(c):
     return check_bicharacter(c.W, c, c)
 
 
-def compose(vca, vab, tol=EQUATION_TOL):
+def compose(vca, vab):
     """Composition of arrows: first vca, then vab.
 
     Conjugating vab's leg pair through vca concentrates the composite on
@@ -153,7 +154,7 @@ def compose(vca, vab, tol=EQUATION_TOL):
         (vab.V.conj().T, (2, 3)),
     )
     factor, resid = extract_trivial_legs(prod, space3, {2})
-    gate(resid, tol, ExtractionFailure, "middle leg is not trivial")
+    gate(resid, EQUATION_TOL, ExtractionFailure, "middle leg is not trivial")
     out = check_bicharacter(factor, vca.source, vab.target)
     out.residuals["extraction"] = resid
     return out

@@ -60,8 +60,10 @@ from .homviews import (
     check_right_hom,
     dual_hopf_relation,
     left_from_bicharacter,
+    left_map_from_bicharacter,
     one_sided_residuals,
     right_from_bicharacter,
+    right_map_from_bicharacter,
 )
 from .qgroup import (
     CLOSURE_TOL,
@@ -101,13 +103,6 @@ __all__ = ["main"]
 DEFAULT_CORPUS = os.path.join(os.path.dirname(__file__), "data", "groups")
 
 
-class Tols:
-    def __init__(self, override=None):
-        self.pentagon = override if override is not None else PENTAGON_TOL
-        self.closure = override if override is not None else CLOSURE_TOL
-        self.equation = override if override is not None else EQUATION_TOL
-
-
 def _record_failure(report, exc):
     residual = getattr(exc, "residual", None)
     value = float(residual) if residual is not None else float("inf")
@@ -118,43 +113,45 @@ def _record_failure(report, exc):
     report.checks.append(Check(type(exc).__name__, value, tol, str(exc)))
 
 
-def _qg_battery(report, prefix, build, tols):
+def _qg_battery(report, prefix, build):
     try:
         qg = build()
+    except ParseError:
+        raise
     except (CalculusError, ValueError) as exc:
         _record_failure(report, exc)
         return None
-    report.add(prefix + "unitarity", qg.residuals["unitarity"], tols.pentagon)
-    report.add(prefix + "pentagon", qg.residuals["pentagon"], tols.pentagon)
-    report.add(prefix + "closure", qg.residuals["closure"], tols.closure)
-    report.add(prefix + "comultMembership", qg.residuals["comultMembership"], tols.closure)
+    report.add(prefix + "unitarity", qg.residuals["unitarity"], PENTAGON_TOL)
+    report.add(prefix + "pentagon", qg.residuals["pentagon"], PENTAGON_TOL)
+    report.add(prefix + "closure", qg.residuals["closure"], CLOSURE_TOL)
+    report.add(prefix + "comultMembership", qg.residuals["comultMembership"], CLOSURE_TOL)
     if "antipode" in qg.residuals:
-        report.add(prefix + "antipode", qg.residuals["antipode"], tols.equation)
-    report.add(prefix + "coassociativity", coassociativity_residual(qg), tols.equation)
+        report.add(prefix + "antipode", qg.residuals["antipode"], EQUATION_TOL)
+    report.add(prefix + "coassociativity", coassociativity_residual(qg), EQUATION_TOL)
     dim, _ = intertwiner_space(qg.W, qg.dim)
     report.add_bool(prefix + "intertwinerDimensionOne", dim == 1)
     report.add_bool(prefix + "coinvariantDimensionOne", coinvariant_dimension(qg) == 1)
     try:
         witness = manageability_witness(qg)
-        report.add(prefix + "manageability", witness.residual, tols.pentagon)
+        report.add(prefix + "manageability", witness.residual, PENTAGON_TOL)
     except NotManageable as exc:
         _record_failure(report, exc)
     return qg
 
 
-def _bicharacter_battery(report, prefix, bic, tols):
+def _bicharacter_battery(report, prefix, bic):
     res = bic.residuals
-    report.add(prefix + "unitarity", res["unitarity"], tols.pentagon)
+    report.add(prefix + "unitarity", res["unitarity"], PENTAGON_TOL)
     for key in ("comultSource", "comultTarget", "operatorSource", "operatorTarget"):
-        report.add(prefix + key, res[key], tols.equation)
-    report.add(prefix + "membership", res["membership"], tols.closure)
+        report.add(prefix + key, res[key], EQUATION_TOL)
+    report.add(prefix + "membership", res["membership"], CLOSURE_TOL)
     try:
-        report.add(prefix + "rInvariance", check_R_invariance(bic), tols.equation)
+        report.add(prefix + "rInvariance", check_R_invariance(bic), EQUATION_TOL)
     except NotKacType as exc:
         _record_failure(report, exc)
 
 
-_Side = namedtuple("_Side", "check hom extract back")
+_Side = namedtuple("_Side", "check hom extract map_of")
 
 
 def _side(kind):
@@ -165,13 +162,13 @@ def _side(kind):
             check_right_hom,
             RightQGHom,
             bicharacter_from_right,
-            right_from_bicharacter,
+            right_map_from_bicharacter,
         ),
         "left": _Side(
             check_left_hom,
             LeftQGHom,
             bicharacter_from_left,
-            left_from_bicharacter,
+            left_map_from_bicharacter,
         ),
     }[kind]
 
@@ -182,22 +179,22 @@ def _span_map(kind, source, target, images):
     return SpanMap(tuple(source.algC), tuple(images), source.dim, codomain)
 
 
-def _hom_battery(report, kind, source, target, images, tols):
+def _hom_battery(report, kind, source, target, images):
     fmap = _span_map(kind, source, target, images)
     if kind == "hopf":
         hom = HopfHom(source, target, fmap)
         res = hom.residuals
-        report.add("range", res["range"], tols.closure)
-        report.add("unital", res["unital"], tols.pentagon)
-        report.add("star", res["star"], tols.pentagon)
-        report.add("multiplicative", res["multiplicative"], tols.equation)
-        report.add("intertwining", res["intertwining"], tols.equation)
+        report.add("range", res["range"], CLOSURE_TOL)
+        report.add("unital", res["unital"], PENTAGON_TOL)
+        report.add("star", res["star"], PENTAGON_TOL)
+        report.add("multiplicative", res["multiplicative"], EQUATION_TOL)
+        report.add("intertwining", res["intertwining"], EQUATION_TOL)
     else:
         side = _side(kind)
         res = one_sided_residuals(source, target, fmap, side.hom.leg)
-        report.add("range", res["range"], tols.closure)
-        report.add("coassocDiagram", res["coassocDiagram"], tols.equation)
-        report.add("comoduleDiagram", res["comoduleDiagram"], tols.equation)
+        report.add("range", res["range"], CLOSURE_TOL)
+        report.add("coassocDiagram", res["coassocDiagram"], EQUATION_TOL)
+        report.add("comoduleDiagram", res["comoduleDiagram"], EQUATION_TOL)
         report.add_bool("injective", res["injective"])
         report.add_bool("podles", res["podles"])
     if not report.passed:
@@ -207,30 +204,31 @@ def _hom_battery(report, kind, source, target, images, tols):
             v = from_hopf_hom(hom)
         else:
             v = side.extract(side.hom(source, target, fmap, res))
-            report.add("extraction", v.residuals["extraction"], tols.equation)
-            back = getattr(side.back(v), side.hom.map_name)
+            report.add("extraction", v.residuals["extraction"], EQUATION_TOL)
+            # v's map, unverified: the file's map passed its checks, roundTrip pins it there
+            back = side.map_of(v)
             rt = np.max([residual_between(fmap(x), back(x)) for x in source.algC])
-            report.add("roundTrip", rt, tols.equation)
-        _bicharacter_battery(report, "bicharacter.", v, tols)
+            report.add("roundTrip", rt, EQUATION_TOL)
+        _bicharacter_battery(report, "bicharacter.", v)
     except CalculusError as exc:
         _record_failure(report, exc)
 
 
-def _coaction_checks(report, prefix, res, tols):
+def _coaction_checks(report, prefix, res):
     for key in ("wellDefined", "closure", "range", "homomorphism", "coassociativity"):
-        tolerance = tols.closure if key in ("closure", "range") else tols.equation
+        tolerance = CLOSURE_TOL if key in ("closure", "range") else EQUATION_TOL
         report.add(prefix + key, res[key], tolerance)
 
 
-def _coaction_battery(report, basis, qg, images, tols, prefix=""):
+def _coaction_battery(report, basis, qg, images, prefix=""):
     hd = basis[0].shape[0]
     gamma = SpanMap(tuple(basis), tuple(images), hd, hd * qg.dim)
     try:
-        co = check_coaction(gamma, list(basis), qg, tol=tols.equation)
+        co = check_coaction(gamma, list(basis), qg)
     except CalculusError as exc:
         _record_failure(report, exc)
         return None
-    _coaction_checks(report, prefix, co.residuals, tols)
+    _coaction_checks(report, prefix, co.residuals)
     report.add_bool(prefix + "injective", True)
     report.add_bool(prefix + "podles", True)
     return co
@@ -258,17 +256,16 @@ def _emit(report, args, multi=False):
 
 
 def _run(args):
-    """Runs verify, compose, dual or induce: args.func(args, report, tols)
+    """Runs verify, compose, dual or induce: args.func(args, report)
     fills the report and returns the object for --out, or None.  Unusable
     input propagates to main (exit 2); other CalculusErrors fail a check.
     """
-    tols = Tols(args.tol)
     subject = os.path.basename(args.path) if args.command == "verify" else args.command
-    report = Report(subject=subject)
+    report = Report(subject=subject, tol_override=args.tol)
     t0 = time.perf_counter()
     produced = None
     try:
-        produced = args.func(args, report, tols)
+        produced = args.func(args, report)
     except (ParseError, SourceTargetMismatch):
         raise
     except CalculusError as exc:
@@ -280,103 +277,103 @@ def _run(args):
     return 0 if report.passed else 1
 
 
-def _subject(report, kind, obj, base, tols):
+def _subject(report, kind, obj, base):
     """Runs the battery of one qg, bicharacter, hom or coaction subject."""
     if kind == "qg":
-        _qg_battery(report, "", lambda: qg_from_obj(obj, base), tols)
+        _qg_battery(report, "", lambda: qg_from_obj(obj, base))
     elif kind == "bicharacter":
         source, target, v = bicharacter_parts_from_obj(obj, base)
         res = dict(bicharacter_residuals(v, source, target), unitarity=unitarity_defect(v))
-        _bicharacter_battery(report, "", Bicharacter(source, target, v, res), tols)
+        _bicharacter_battery(report, "", Bicharacter(source, target, v, res))
     elif kind == "hom":
         hkind, source, target, images = hom_parts_from_obj(obj, base)
-        _hom_battery(report, hkind, source, target, images, tols)
+        _hom_battery(report, hkind, source, target, images)
     else:
         basis, qg, images = coaction_parts_from_obj(obj, base)
-        _coaction_battery(report, basis, qg, images, tols)
+        _coaction_battery(report, basis, qg, images)
 
 
-def cmd_verify(args, report, tols):
+def cmd_verify(args, report):
     obj = load_json(args.path)
-    _subject(report, args.kind, obj, os.path.dirname(args.path) or ".", tols)
+    _subject(report, args.kind, obj, os.path.dirname(args.path) or ".")
 
 
-def _load_bicharacter_file(path, tols):
+def _load_bicharacter_file(path):
     obj = load_json(path)
     base = os.path.dirname(path) or "."
     source, target, v = bicharacter_parts_from_obj(obj, base)
-    return check_bicharacter(v, source, target, tol=tols.equation)
+    return check_bicharacter(v, source, target)
 
 
-def cmd_compose(args, report, tols):
-    first = _load_bicharacter_file(args.first, tols)
-    second = _load_bicharacter_file(args.second, tols)
-    result = compose(first, second, tol=tols.equation)
-    report.add("extraction", result.residuals["extraction"], tols.equation)
-    _bicharacter_battery(report, "", result, tols)
+def cmd_compose(args, report):
+    first = _load_bicharacter_file(args.first)
+    second = _load_bicharacter_file(args.second)
+    result = compose(first, second)
+    report.add("extraction", result.residuals["extraction"], EQUATION_TOL)
+    _bicharacter_battery(report, "", result)
     return bicharacter_to_obj(result)
 
 
-def cmd_dual(args, report, tols):
-    result = dual_bicharacter(_load_bicharacter_file(args.path, tols))
-    _bicharacter_battery(report, "", result, tols)
+def cmd_dual(args, report):
+    result = dual_bicharacter(_load_bicharacter_file(args.path))
+    _bicharacter_battery(report, "", result)
     return bicharacter_to_obj(result)
 
 
-def _right_hom_from_file(path, tols):
+def _right_hom_from_file(path):
     obj = load_json(path)
     base = os.path.dirname(path) or "."
     if detect_kind(obj) == "bicharacter":
         source, target, v = bicharacter_parts_from_obj(obj, base)
-        return right_from_bicharacter(check_bicharacter(v, source, target, tol=tols.equation))
+        return right_from_bicharacter(check_bicharacter(v, source, target))
     kind, source, target, images = hom_parts_from_obj(obj, base)
     fmap = _span_map(kind, source, target, images)
     if kind == "hopf":
         return right_from_bicharacter(from_hopf_hom(HopfHom(source, target, fmap)))
     side = _side(kind)
-    hom = side.check(source, target, fmap, tol=tols.equation)
+    hom = side.check(source, target, fmap)
     return hom if kind == "right" else right_from_bicharacter(side.extract(hom))
 
 
-def cmd_induce(args, report, tols):
+def cmd_induce(args, report):
     obj = load_json(args.coaction)
     base = os.path.dirname(args.coaction) or "."
     basis, qg, images = coaction_parts_from_obj(obj, base)
-    co = _coaction_battery(report, basis, qg, images, tols, prefix="input.")
+    co = _coaction_battery(report, basis, qg, images, prefix="input.")
     if co is None or not report.passed:
         return None
-    hom = _right_hom_from_file(args.hom, tols)
-    induced = induce_coaction(co, hom, tol=tols.equation)
-    report.add("solve", induced.residuals["solve"], tols.equation)
+    hom = _right_hom_from_file(args.hom)
+    induced = induce_coaction(co, hom)
+    report.add("solve", induced.residuals["solve"], EQUATION_TOL)
     report.add_bool("uniqueRank", induced.residuals["uniqueRank"])
-    _coaction_checks(report, "", induced.residuals, tols)
+    _coaction_checks(report, "", induced.residuals)
     return coaction_to_obj(induced)
 
 
-def _group_subject(report, g, tols):
-    c0 = _qg_battery(report, "c0.", lambda: qg_from_group(g, "c0"), tols)
-    cstar = _qg_battery(report, "cstar.", lambda: qg_from_group(g, "cstar"), tols)
+def _group_subject(report, g):
+    c0 = _qg_battery(report, "c0.", lambda: qg_from_group(g, "c0"))
+    cstar = _qg_battery(report, "cstar.", lambda: qg_from_group(g, "cstar"))
     if c0 is None or cstar is None:
         return
     try:
         _, wt = transpose_qg(c0)
         for key in ("dualSideEquation", "flippedComultEquation"):
-            report.add("transpose." + key, wt.residuals[key], tols.pentagon)
+            report.add("transpose." + key, wt.residuals[key], PENTAGON_TOL)
     except CalculusError as exc:
         _record_failure(report, exc)
     # cstar is c0.dual, so flipping its W back must reproduce c0.W exactly
     double = flip_adjoint(cstar.W, cstar.space)
     report.add("doubleDual", residual_between(double, c0.W), 0.0)
-    report.add("identityRInvariance", check_R_invariance(identity(c0)), tols.equation)
+    report.add("identityRInvariance", check_R_invariance(identity(c0)), EQUATION_TOL)
     if g.is_abelian():
         f = fourier_dual_witness(g)
         ff = kron(f, f)
         dual_group, _, _ = character_group(g)
         res = residual_between(ff @ cstar.W @ ff.conj().T, group_unitary(dual_group))
-        report.add("fourier", res, tols.equation)
+        report.add("fourier", res, EQUATION_TOL)
 
 
-def _hom_chain_subject(report, groups, tols):
+def _hom_chain_subject(report, groups):
     z2, z4, s3 = groups["Z2"], groups["Z4"], groups["S3"]
     q42 = group_hom(z4, z2, (0, 1, 0, 1))
     i24 = group_hom(z2, z4, (0, 2))
@@ -388,10 +385,10 @@ def _hom_chain_subject(report, groups, tols):
     for phi, label in ((q42, "q42"), (i24, "i24"), (sgn, "sgn")):
         fc = hom_to_hopf(phi, "c0")
         fs = hom_to_hopf(phi, "cstar")
-        report.add(f"dualHom.{label}", dual_hopf_relation(fc, fs), tols.equation)
+        report.add(f"dualHom.{label}", dual_hopf_relation(fc, fs), EQUATION_TOL)
 
     def agree(name, x, y):
-        report.add(name, residual_between(x, y), tols.equation)
+        report.add(name, residual_between(x, y), EQUATION_TOL)
 
     for picture, (phi_a, phi_b, phi_c) in chains.items():
         p = picture + "."
@@ -410,18 +407,18 @@ def _hom_chain_subject(report, groups, tols):
         agree(p + "roundTripRight", bicharacter_from_right(dr).V, va.V)
         dl = left_from_bicharacter(va)
         agree(p + "roundTripLeft", bicharacter_from_left(dl).V, va.V)
-        square, same = check_left_right_compatibility(dl, dr, tol=tols.equation)
-        report.add(p + "diagram56", square, tols.equation)
+        square, same = check_left_right_compatibility(dl, dr)
+        report.add(p + "diagram56", square, EQUATION_TOL)
         report.add_bool(p + "diagram57Match", same)
         if picture == "c0":
             v0 = from_hopf_hom(hom_to_hopf(trivial_hom(z4, z2), "c0"))
             dr0 = right_from_bicharacter(v0)
-            square2, same2 = check_left_right_compatibility(dl, dr0, tol=tols.equation)
-            report.add(p + "diagram56Cross", square2, tols.equation)
+            square2, same2 = check_left_right_compatibility(dl, dr0)
+            report.add(p + "diagram56Cross", square2, EQUATION_TOL)
             report.add_bool(p + "diagram57Mismatch", not same2)
 
         beta = right_from_bicharacter(vb)
-        report.add(p + "inducedChain", compose_functors_check(dr, beta), tols.equation)
+        report.add(p + "inducedChain", compose_functors_check(dr, beta), EQUATION_TOL)
 
         # composing with b's bicharacter is applying b's Hopf map to leg 2
         agree(p + "hopfComposeFormula", ab.V, apply_map_to_leg(va.V, va.space, 2, hopf_b.map)[0])
@@ -431,7 +428,6 @@ def _hom_chain_subject(report, groups, tols):
 
 
 def cmd_suite(args):
-    tols = Tols(args.tol)
     corpus = args.corpus or DEFAULT_CORPUS
     if not os.path.isdir(corpus):
         raise ParseError(f"corpus directory {corpus} does not exist")
@@ -440,18 +436,18 @@ def cmd_suite(args):
     groups = {}
     for fname in files:
         path = os.path.join(corpus, fname)
-        report = Report(subject=fname)
+        report = Report(subject=fname, tol_override=args.tol)
         t0 = time.perf_counter()
         try:
             obj = load_json(path)
             kind = detect_kind(obj)
             if kind == "group":
                 g = group_from_obj(obj, corpus)
-                _group_subject(report, g, tols)
+                _group_subject(report, g)
                 if report.passed:
                     groups[g.name or os.path.splitext(fname)[0]] = g
             else:
-                _subject(report, kind, obj, corpus, tols)
+                _subject(report, kind, obj, corpus)
         except CalculusError as exc:
             _record_failure(report, exc)
         report.wallTime = time.perf_counter() - t0
@@ -459,10 +455,10 @@ def cmd_suite(args):
     if not files:
         print("warning: no subjects found in " + corpus, file=sys.stderr)
     if all(name in groups for name in ("Z2", "Z4", "S3")):
-        report = Report(subject="homChains")
+        report = Report(subject="homChains", tol_override=args.tol)
         t0 = time.perf_counter()
         try:
-            _hom_chain_subject(report, groups, tols)
+            _hom_chain_subject(report, groups)
         except CalculusError as exc:
             _record_failure(report, exc)
         report.wallTime = time.perf_counter() - t0
@@ -473,7 +469,7 @@ def cmd_suite(args):
 
 def _parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=None, help="override all tolerances")
+    common.add_argument("--tol", type=float, default=None, help="one tolerance for every check")
     mode = common.add_mutually_exclusive_group()
     mode.add_argument("--json", action="store_true", help="JSON output (default)")
     mode.add_argument("--text", action="store_true", help="human-readable output")

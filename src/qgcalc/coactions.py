@@ -25,8 +25,9 @@ from .homviews import (
     right_from_bicharacter,
     star_hom_residuals,
 )
-from .qgroup import CLOSURE_TOL, EQUATION_TOL, closure_residual, corep_law_residual
+from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, closure_residual, corep_law_residual
 from .tensorleg import (
+    RANK_CUTOFF,
     LegSpace,
     SpanMap,
     apply_map_to_leg,
@@ -89,7 +90,7 @@ class Corepresentation:
         return f"Corepresentation(H dim {self.hdim}, qg dim {self.qg.dim})"
 
 
-def check_coaction(gamma, d, c, tol=EQUATION_TOL):
+def check_coaction(gamma, d, c):
     """Validate a linear map on the span of d as a coaction of c.
 
     gamma is any callable on matrices; it is evaluated on the given basis,
@@ -100,7 +101,7 @@ def check_coaction(gamma, d, c, tol=EQUATION_TOL):
     d = [np.asarray(x, dtype=complex) for x in d]
     pairs = [(x, gamma(x)) for x in d]
     gmap, well = span_map_from_pairs(pairs)
-    gate(well, tol, CoactionViolation, "gamma is not well defined on the span")
+    gate(well, EQUATION_TOL, CoactionViolation, "gamma is not well defined on the span")
     basis = gmap.basis
 
     closure = closure_residual(basis)
@@ -111,9 +112,9 @@ def check_coaction(gamma, d, c, tol=EQUATION_TOL):
 
     # np.max, unlike max(), carries a NaN residual through to the gate
     hom = float(np.max(star_hom_residuals(gmap, basis)))
-    gate(hom, tol, CoactionViolation, "gamma is not a *-homomorphism")
+    gate(hom, EQUATION_TOL, CoactionViolation, "gamma is not a *-homomorphism")
 
-    gate(co["coassociativity"], tol, CoactionViolation, "coassociativity fails")
+    gate(co["coassociativity"], EQUATION_TOL, CoactionViolation, "coassociativity fails")
 
     if not co["injective"]:
         raise CoactionViolation("gamma is not injective")
@@ -141,16 +142,16 @@ def comultiplication_coaction(c):
     return check_coaction(c.deltaC, c.algC, c)
 
 
-def check_corepresentation(x, qg, tol=EQUATION_TOL):
+def check_corepresentation(x, qg):
     """Validate a unitary on H (x) H_C against the corepresentation law."""
     x = np.asarray(x, dtype=complex)
     dc = qg.dim
     if x.shape[0] % dc != 0:
         raise ValueError(f"corep dim {x.shape[0]} is not a multiple of qg dim {dc}")
     udef = unitarity_defect(x)
-    gate(udef, 1e-10, CoactionViolation, "X is not unitary")
+    gate(udef, PENTAGON_TOL, CoactionViolation, "X is not unitary")
     law = corep_law_residual(x, qg)
-    gate(law, tol, CoactionViolation, "corepresentation law fails")
+    gate(law, EQUATION_TOL, CoactionViolation, "corepresentation law fails")
     return Corepresentation(qg, x, {"unitarity": udef, "corepLaw": law})
 
 
@@ -195,7 +196,7 @@ def _solve_on_product_basis(left, left_images, right, rhs):
     resid = np.linalg.norm(system @ sol - b, axis=0) / np.maximum(
         1.0, np.linalg.norm(b, axis=0)
     )
-    unique = bool(s[0] > 0 and np.sum(s > 1e-9 * s[0]) == system.shape[1])
+    unique = bool(s[0] > 0 and np.sum(s > RANK_CUTOFF * s[0]) == system.shape[1])
     coeff = sol.T.reshape(-1, len(g), len(r))
     t = np.tensordot(np.tensordot(coeff, np.stack(left), axes=(1, 0)), r, axes=(1, 0))
     n = t.shape[2] * t.shape[4]
@@ -203,7 +204,7 @@ def _solve_on_product_basis(left, left_images, right, rhs):
     return tuple(images), float(np.max(resid)), unique
 
 
-def induce_coaction(gamma, dr, tol=EQUATION_TOL):
+def induce_coaction(gamma, dr):
     """Induced coaction along a right homomorphism, by linear solve.
 
     For each basis element the image under the induced coaction is the
@@ -222,7 +223,7 @@ def induce_coaction(gamma, dr, tol=EQUATION_TOL):
     gx = [gamma.gamma(x) for x in basis]
     rhs = [apply_map_to_leg(y, space_dc, 2, dr.deltaR)[0] for y in gx]
     images, worst, unique = _solve_on_product_basis(basis, gx, a.algC, rhs)
-    gate(worst, tol, SolveFailure, "induced coaction solve fails")
+    gate(worst, EQUATION_TOL, SolveFailure, "induced coaction solve fails")
     alpha = SpanMap(tuple(basis), images, hd, hd * a.dim)
     out = check_coaction(alpha, list(basis), a)
     out.residuals["solve"] = worst
@@ -237,7 +238,7 @@ def coactions_agree(first, second):
     )
 
 
-def compose_functors_check(a, b, tol=EQUATION_TOL):
+def compose_functors_check(a, b):
     """Verify that inducing along b after a equals inducing along their composite.
 
     a runs from C into C (x) A and b from A into A (x) B.  The composite
@@ -257,7 +258,7 @@ def compose_functors_check(a, b, tol=EQUATION_TOL):
     ax = [a.deltaR(x) for x in c.algC]
     rhs = [apply_map_to_leg(y, space_ca, 2, b.deltaR)[0] for y in ax]
     images, worst, _ = _solve_on_product_basis(c.algC, ax, bqg.algC, rhs)
-    gate(worst, tol, SolveFailure, "composite homomorphism solve fails")
+    gate(worst, EQUATION_TOL, SolveFailure, "composite homomorphism solve fails")
     comp_map = SpanMap(tuple(c.algC), images, c.dim, c.dim * bqg.dim)
     comp = check_right_hom(c, bqg, comp_map)
 
@@ -273,7 +274,7 @@ def compose_functors_check(a, b, tol=EQUATION_TOL):
     return float(np.max(checks))
 
 
-def pushforward_corep(x, v, tol=EQUATION_TOL):
+def pushforward_corep(x, v):
     """Carry a corepresentation X of C along a bicharacter V from C to A.
 
     With deltaR the right homomorphism of V, (id (x) deltaR)(X) = X12 Y13
@@ -299,8 +300,8 @@ def pushforward_corep(x, v, tol=EQUATION_TOL):
     ext, _ = apply_map_to_leg(x.X, space, 2, dr.deltaR)
     prod = legs_product(space3, (xd, (1, 2)), (ext, (1, 2, 3)))
     y, resid = extract_trivial_legs(prod, space3, {2})
-    gate(resid, tol, RecoveryFailure, "X12* (id (x) deltaR)(X) is not leg-2 trivial")
-    out = check_corepresentation(y, a, tol=tol)
+    gate(resid, EQUATION_TOL, RecoveryFailure, "X12* (id (x) deltaR)(X) is not leg-2 trivial")
+    out = check_corepresentation(y, a)
 
     yd = y.conj().T
     eye_c = np.eye(c.dim, dtype=complex)
@@ -320,7 +321,7 @@ def pushforward_corep(x, v, tol=EQUATION_TOL):
     worst = np.max(induced)
     gate(
         worst,
-        tol,
+        EQUATION_TOL,
         RecoveryFailure,
         "conjugation by the recovered unitary differs from the induced coaction",
     )

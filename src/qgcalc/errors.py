@@ -111,11 +111,11 @@ class NotAbelian(CalculusError):
     """A commutative-group construction was applied to a nonabelian group."""
 
 
-def gate(residual, tol, exc, what):
-    """Raise exc unless residual <= tol, so a NaN residual fails too.
+def gate(residual, tolerance, exc, what):
+    """Raise exc unless residual <= tolerance, so a NaN residual fails too.
 
     The message is what the check found, followed by the residual; the
     exception carries both the residual and the tolerance it missed.
     """
-    if not residual <= tol:
-        raise exc(f"{what}, residual {residual:.2e}", residual=residual, tolerance=tol)
+    if not residual <= tolerance:
+        raise exc(f"{what}, residual {residual:.2e}", residual=residual, tolerance=tolerance)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CalculusError, NotAbelian, NotAGroup, gate
 from .homviews import check_hopf_hom
-from .qgroup import build_from_unitary
+from .qgroup import EQUATION_TOL, PENTAGON_TOL, build_from_unitary
 from .tensorleg import SpanMap, kron, residual_between, unitarity_defect
 
 __all__ = [
@@ -313,14 +313,14 @@ def qg_from_group(g, picture):
                         want += kron(units[a], units[b])
             gate(
                 residual_between(qg.deltaC(units[c]), want),
-                1e-10,
+                PENTAGON_TOL,
                 CalculusError,
                 f"comultiplication is not classical at element {c}",
             )
         if len(qg.algC) != n:
             raise CalculusError(f"expected {n} diagonal directions, got {len(qg.algC)}")
         diag_defect = np.max([np.max(np.abs(x - np.diag(np.diag(x)))) for x in qg.algC])
-        gate(diag_defect, 1e-10, CalculusError, "function algebra is not diagonal")
+        gate(diag_defect, PENTAGON_TOL, CalculusError, "function algebra is not diagonal")
         return qg
 
     out = qg_from_group(g, "c0").dual
@@ -329,7 +329,7 @@ def qg_from_group(g, picture):
         want = kron(rho, rho)
         gate(
             residual_between(out.deltaC(rho), want),
-            1e-10,
+            PENTAGON_TOL,
             CalculusError,
             f"translation at {b} is not group-like",
         )
@@ -448,13 +448,13 @@ def fourier_dual_witness(g):
     f = np.array(
         [[np.exp(2j * np.pi * phases[k][a] / m) for a in range(n)] for k in range(n)]
     ) / np.sqrt(n)
-    gate(unitarity_defect(f), 1e-10, CalculusError, "character table is not unitary")
+    gate(unitarity_defect(f), PENTAGON_TOL, CalculusError, "character table is not unitary")
     fd = f.conj().T
     for c in range(n):
         want = np.diag([np.exp(-2j * np.pi * phases[k][c] / m) for k in range(n)])
         gate(
             residual_between(f @ translation_matrix(g, c) @ fd, want),
-            1e-10,
+            PENTAGON_TOL,
             CalculusError,
             f"translation at {c} does not diagonalize",
         )
@@ -462,7 +462,7 @@ def fourier_dual_witness(g):
     ff = kron(f, f)
     gate(
         residual_between(ff @ what @ ff.conj().T, group_unitary(dual)),
-        1e-9,
+        EQUATION_TOL,
         CalculusError,
         "Fourier conjugation does not match the character group",
     )

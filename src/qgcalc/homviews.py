@@ -19,7 +19,7 @@ from .errors import (
     RangeViolation,
     gate,
 )
-from .qgroup import CLOSURE_TOL, EQUATION_TOL, unitary_antipode
+from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, unitary_antipode
 from .tensorleg import (
     LegSpace,
     PairSpan,
@@ -45,8 +45,10 @@ __all__ = [
     "check_hopf_hom",
     "check_right_hom",
     "check_left_hom",
+    "right_map_from_bicharacter",
     "right_from_bicharacter",
     "bicharacter_from_right",
+    "left_map_from_bicharacter",
     "left_from_bicharacter",
     "bicharacter_from_left",
     "one_sided_residuals",
@@ -135,18 +137,15 @@ def comodule_residuals(phi, basis, qg, leg):
     }
 
 
-def check_hopf_hom(source, target, map, tol=EQUATION_TOL):
+def check_hopf_hom(source, target, map):
     """Validate a linear map as a Hopf *-homomorphism."""
     hom = HopfHom(source, target, map)
     res = hom.residuals
     gate(res["range"], CLOSURE_TOL, HopfHomViolation, "images escape the target algebra")
-    for key, cutoff in (
-        ("unital", 1e-10),
-        ("star", 1e-10),
-        ("multiplicative", tol),
-        ("intertwining", tol),
-    ):
-        gate(res[key], cutoff, HopfHomViolation, f"{key} axiom fails")
+    for key in ("unital", "star"):
+        gate(res[key], PENTAGON_TOL, HopfHomViolation, f"{key} axiom fails")
+    for key in ("multiplicative", "intertwining"):
+        gate(res[key], EQUATION_TOL, HopfHomViolation, f"{key} axiom fails")
     return hom
 
 
@@ -199,31 +198,35 @@ def one_sided_residuals(c, a, phi, leg):
     }
 
 
-def _check_one_sided(cls, c, a, phi, tol):
+def _check_one_sided(cls, c, a, phi):
     res = one_sided_residuals(c, a, phi, cls.leg)
     pair_span = " (x) ".join(_on_legs(cls.leg, "span(algC)", "span(algA)"))
     gate(res["range"], CLOSURE_TOL, RangeViolation, f"images escape {pair_span}")
     for key in ("coassocDiagram", "comoduleDiagram"):
-        gate(res[key], tol, RangeViolation, f"{key} fails")
+        gate(res[key], EQUATION_TOL, RangeViolation, f"{key} fails")
     return cls(c, a, phi, res)
 
 
-def check_right_hom(c, a, dr_map, tol=EQUATION_TOL):
-    return _check_one_sided(RightQGHom, c, a, dr_map, tol)
+def check_right_hom(c, a, dr_map):
+    return _check_one_sided(RightQGHom, c, a, dr_map)
 
 
-def right_from_bicharacter(v):
-    """Right homomorphism by conjugation: x goes to V(x (x) 1)V*."""
+def right_map_from_bicharacter(v):
+    """The map of right_from_bicharacter(v), unverified."""
     c = v.source
     a = v.target
     eye_a = np.eye(a.dim, dtype=complex)
     vd = v.V.conj().T
     images = tuple(v.V @ kron(x, eye_a) @ vd for x in c.algC)
-    dr_map = SpanMap(tuple(c.algC), images, c.dim, c.dim * a.dim)
-    return check_right_hom(c, a, dr_map)
+    return SpanMap(tuple(c.algC), images, c.dim, c.dim * a.dim)
 
 
-def bicharacter_from_right(dr, tol=EQUATION_TOL):
+def right_from_bicharacter(v):
+    """Right homomorphism by conjugation: x goes to V(x (x) 1)V*."""
+    return check_right_hom(v.source, v.target, right_map_from_bicharacter(v))
+
+
+def bicharacter_from_right(dr):
     """Recover the bicharacter: (id (x) deltaR)(W) factors as W12 V13."""
     c = dr.source
     a = dr.target
@@ -231,22 +234,18 @@ def bicharacter_from_right(dr, tol=EQUATION_TOL):
     space3 = LegSpace((c.dim, c.dim, a.dim))
     prod = legs_product(space3, (c.W.conj().T, (1, 2)), (ext, (1, 2, 3)))
     factor, resid = extract_trivial_legs(prod, space3, {2})
-    gate(resid, tol, ExtractionFailure, "W12* (id (x) deltaR)(W) is not leg-2 trivial")
+    gate(resid, EQUATION_TOL, ExtractionFailure, "W12* (id (x) deltaR)(W) is not leg-2 trivial")
     out = check_bicharacter(factor, c, a)
     out.residuals["extraction"] = resid
     return out
 
 
-def check_left_hom(c, a, dl_map, tol=EQUATION_TOL):
-    return _check_one_sided(LeftQGHom, c, a, dl_map, tol)
+def check_left_hom(c, a, dl_map):
+    return _check_one_sided(LeftQGHom, c, a, dl_map)
 
 
-def left_from_bicharacter(v, tol=EQUATION_TOL):
-    """Left homomorphism through the flipped bicharacter and both antipodes.
-
-    Kac type only: the construction conjugates with the flipped unitary and
-    untwists with the unitary antipodes on both legs.
-    """
+def left_map_from_bicharacter(v):
+    """The map of left_from_bicharacter(v), unverified."""
     c = v.source
     a = v.target
     r_c = unitary_antipode(c)
@@ -260,22 +259,34 @@ def left_from_bicharacter(v, tol=EQUATION_TOL):
         t1, _ = apply_map_to_leg(t, space_ac, 1, r_a)
         t2, _ = apply_map_to_leg(t1, space_ac, 2, r_c)
         images.append(t2)
-    dl_map = SpanMap(tuple(c.algC), tuple(images), c.dim, a.dim * c.dim)
-    out = check_left_hom(c, a, dl_map, tol=tol)
+    return SpanMap(tuple(c.algC), tuple(images), c.dim, a.dim * c.dim)
+
+
+def left_from_bicharacter(v):
+    """Left homomorphism through the flipped bicharacter and both antipodes.
+
+    Kac type only: the construction conjugates with the flipped unitary and
+    untwists with the unitary antipodes on both legs.
+    """
+    c = v.source
+    dl_map = left_map_from_bicharacter(v)
+    out = check_left_hom(c, v.target, dl_map)
 
     # the slice identity (id (x) deltaL)(W) = V12 W13 must hold as well
     slice_res = streamed_residual(
-        LegSpace((c.dim, a.dim, c.dim)),
+        LegSpace((c.dim, v.target.dim, c.dim)),
         1,
         lambda cols: mapped_slab(c.W, c.space, 2, dl_map, 1, cols),
         [(v.V, (1, 2)), (c.W, (1, 3))],
     )
-    gate(slice_res, tol, RangeViolation, "slice identity for the left homomorphism fails")
+    gate(
+        slice_res, EQUATION_TOL, RangeViolation, "slice identity for the left homomorphism fails"
+    )
     out.residuals["sliceIdentity"] = slice_res
     return out
 
 
-def bicharacter_from_left(dl, tol=EQUATION_TOL):
+def bicharacter_from_left(dl):
     """Inverse translation: extract V from (id (x) deltaL)(W) = V12 W13."""
     c = dl.source
     a = dl.target
@@ -283,13 +294,13 @@ def bicharacter_from_left(dl, tol=EQUATION_TOL):
     space3 = LegSpace((c.dim, a.dim, c.dim))
     prod = legs_product(space3, (ext, (1, 2, 3)), (c.W.conj().T, (1, 3)))
     factor, resid = extract_trivial_legs(prod, space3, {3})
-    gate(resid, tol, ExtractionFailure, "(id (x) deltaL)(W) W13* is not leg-3 trivial")
+    gate(resid, EQUATION_TOL, ExtractionFailure, "(id (x) deltaL)(W) W13* is not leg-3 trivial")
     out = check_bicharacter(factor, c, a)
     out.residuals["extraction"] = resid
     return out
 
 
-def check_left_right_compatibility(dl, dr, tol=EQUATION_TOL):
+def check_left_right_compatibility(dl, dr):
     """Evaluate the two compatibility squares for a left and a right hom.
 
     The mixed square (right after left versus left after right) commutes for
@@ -318,7 +329,7 @@ def check_left_right_compatibility(dl, dr, tol=EQUATION_TOL):
             lhs, _ = apply_map_to_leg(dx, space_cc, 2, dl.deltaL)
             rhs, _ = apply_map_to_leg(dx, space_cc, 1, dr.deltaR)
             second.append(residual_between(lhs, rhs))
-        same = bool(np.max(second) <= tol)
+        same = bool(np.max(second) <= EQUATION_TOL)
     return float(np.max(square)), same
 
 

@@ -23,6 +23,7 @@ from .errors import (
     gate,
 )
 from .tensorleg import (
+    RANK_CUTOFF,
     LegSpace,
     PairSpan,
     SpanMap,
@@ -322,7 +323,7 @@ def coassociativity_residual(qg):
     return float(np.max(np.sqrt(diff) / scale))
 
 
-def manageability_witness(qg, tol=PENTAGON_TOL):
+def manageability_witness(qg):
     """Entrywise reindex of W by the Kac-type modularity relation.
 
     The conjugate space is realized as H with entrywise conjugation, so the
@@ -334,7 +335,7 @@ def manageability_witness(qg, tol=PENTAGON_TOL):
     # Wt[(a,b),(c,e)] = W[(c,b),(a,e)]
     wt = w4.transpose(2, 1, 0, 3).reshape(d * d, d * d)
     residual = unitarity_defect(wt)
-    gate(residual, tol, NotManageable, "witness fails unitarity")
+    gate(residual, PENTAGON_TOL, NotManageable, "witness fails unitarity")
     return ManageabilityWitness(wt, residual)
 
 
@@ -408,7 +409,7 @@ def transpose_qg(qg):
     return cbar, bic
 
 
-def coinvariant_dimension(qg, cutoff=1e-9):
+def coinvariant_dimension(qg):
     """Dimension of {c in span(algC): Delta(c) in span(algC) (x) C1}.
 
     For genuine quantum-group data this is exactly 1: only scalars are
@@ -420,7 +421,7 @@ def coinvariant_dimension(qg, cutoff=1e-9):
     system = (images - right_triv.project(images)).reshape(len(images), -1)
     s = np.linalg.svd(system, compute_uv=False)
     smax = s[0] if len(s) else 0.0
-    if smax <= cutoff:
+    if smax <= RANK_CUTOFF:
         return len(qg.algC)
-    rank = int(np.sum(s > cutoff * smax))
+    rank = int(np.sum(s > RANK_CUTOFF * smax))
     return len(qg.algC) - rank

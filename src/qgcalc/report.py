@@ -23,8 +23,11 @@ class Report:
     subject: str
     checks: list = field(default_factory=list)
     wallTime: float = 0.0
+    # --tol: when set, every residual added is judged at it, not at its own
+    tol_override: float = None
 
     def add(self, name, residual, tolerance):
+        tolerance = tolerance if self.tol_override is None else self.tol_override
         self.checks.append(Check(name, float(residual), float(tolerance)))
 
     def add_bool(self, name, ok):

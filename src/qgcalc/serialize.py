@@ -217,13 +217,14 @@ def qg_to_obj(qg):
 def bicharacter_parts_from_obj(obj, base="."):
     """Returns (source, target, V) without running the bicharacter checks.
 
+    V is parsed first, so unusable input is rejected before any build.
     Both endpoints are read in one build scope, so an endpoint whose W
     equals the other's (an endomorphism, such as an identity arrow) is the
     same object, built once.
     """
+    v = matrix_from_obj(_need(obj, "V", "bicharacter"), "V")
     source = qg_from_obj(_need(obj, "source", "bicharacter"), base)
     target = qg_from_obj(_need(obj, "target", "bicharacter"), base)
-    v = matrix_from_obj(_need(obj, "V", "bicharacter"), "V")
     n = source.dim * target.dim
     if v.shape != (n, n):
         raise ParseError(
@@ -290,9 +291,9 @@ def hom_parts_from_obj(obj, base="."):
     convention = _need(obj, "basisConvention", "hom")
     if convention != "orthonormalized-slice":
         raise ParseError(f"unsupported basisConvention {convention!r}")
+    m = matrix_from_obj(_need(obj, "matrix", "hom"), "hom matrix")
     source = qg_from_obj(_need(obj, "source", "hom"), base)
     target = qg_from_obj(_need(obj, "target", "hom"), base)
-    m = matrix_from_obj(_need(obj, "matrix", "hom"), "hom matrix")
     if m.shape[1] != len(source.algC):
         raise ParseError(
             f"hom matrix has {m.shape[1]} columns, source algebra has {len(source.algC)}"
@@ -322,9 +323,9 @@ def coaction_parts_from_obj(obj, base="."):
     raw = [matrix_from_obj(b, "D basis element") for b in dspec["basis"]]
     if not raw:
         raise ParseError("coaction: D basis is empty")
+    m = matrix_from_obj(_need(obj, "gamma", "coaction"), "gamma")
     qg = qg_from_obj(_need(obj, "qg", "coaction"), base)
     basis = orthonormal_basis(raw)
-    m = matrix_from_obj(_need(obj, "gamma", "coaction"), "gamma")
     if m.shape[1] != len(basis):
         raise ParseError(
             f"gamma has {m.shape[1]} columns, orthonormalized D has {len(basis)}"

@@ -37,6 +37,7 @@ __all__ = [
     "slab_width",
     "streamed_residual",
     "SLAB_ENTRIES",
+    "RANK_CUTOFF",
     "permute_legs",
     "permuted_space",
     "flip_adjoint",
@@ -57,6 +58,10 @@ __all__ = [
 # legs of dimension 8 make an operator of exactly this size, so every
 # operator up to that stays one slab.
 SLAB_ENTRIES = 1 << 18
+
+# Every numerical rank counts the singular values (or QR pivots) above this
+# fraction of the largest one, or of the bound sqrt(d) in intertwiner_space.
+RANK_CUTOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -422,7 +427,7 @@ def extract_trivial_legs(t, space, trivial):
     return f, float(residual)
 
 
-def intertwiner_space(w, dim, cutoff=1e-9):
+def intertwiner_space(w, dim):
     """Solutions (a, b) of w(a (x) 1) = (1 (x) b)w for a unitary w, solved for a alone.
 
     Given a, the only candidate is 1 (x) b = w(a (x) 1)w*, so b is its
@@ -431,7 +436,7 @@ def intertwiner_space(w, dim, cutoff=1e-9):
     matrix of that map is a contraction of w's blocks.  Its singular
     values are sqrt(d) sin(theta) over the principal angles theta between
     {w(a (x) 1)} and {(1 (x) b)w}, so a direction counts as a solution when
-    sin(theta) <= cutoff; they come from the R factor of the tall matrix
+    sin(theta) <= RANK_CUTOFF; they come from the R factor of the tall matrix
     and an SVD of that d^2 x d^2 R, never squared through a Gram matrix.
 
     The tall matrix is streamed: its rows (i, j, m, n) come in blocks of
@@ -468,7 +473,7 @@ def intertwiner_space(w, dim, cutoff=1e-9):
         del cols
         r = np.linalg.qr(stacked.T, mode="r")
     _, s, vh = np.linalg.svd(r)
-    rank = int(np.sum(s > cutoff * math.sqrt(d)))
+    rank = int(np.sum(s > RANK_CUTOFF * math.sqrt(d)))
     pairs = []
     for row in vh[rank:].conj():
         a = unvec(row, d, d)
@@ -476,7 +481,7 @@ def intertwiner_space(w, dim, cutoff=1e-9):
     return len(pairs), pairs
 
 
-def orthonormal_basis(mats, cutoff=1e-9):
+def orthonormal_basis(mats):
     """Orthonormal basis (Hilbert-Schmidt) of the span of the given matrices.
 
     Column-pivoted QR keeps the rank decision stable when the spanning set
@@ -491,12 +496,12 @@ def orthonormal_basis(mats, cutoff=1e-9):
     diag = np.abs(np.diag(r))
     if len(diag) == 0 or diag[0] == 0:
         return []
-    rank = int(np.sum(diag > cutoff * diag[0]))
+    rank = int(np.sum(diag > RANK_CUTOFF * diag[0]))
     return [unvec(q[:, k], shape[0], shape[1]) for k in range(rank)]
 
 
-def numerical_rank(cols, cutoff=1e-9):
-    """Rank of the stacked vectors: singular values above cutoff times the largest.
+def numerical_rank(cols):
+    """Rank of the stacked vectors: singular values above RANK_CUTOFF times the largest.
 
     Vectors with a non-finite entry have no numerical rank; they read 0, so
     every full-rank test on them fails instead of the SVD raising.
@@ -509,7 +514,7 @@ def numerical_rank(cols, cutoff=1e-9):
     s = np.linalg.svd(stack, compute_uv=False)
     if len(s) == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > cutoff * s[0]))
+    return int(np.sum(s > RANK_CUTOFF * s[0]))
 
 
 class PairSpan:
@@ -627,7 +632,7 @@ class SpanMap:
         return self.apply_rows(xs.reshape(xs.shape[0], -1)).reshape(-1, self.dd, self.dd)
 
 
-def span_map_from_pairs(pairs, cutoff=1e-9):
+def span_map_from_pairs(pairs):
     """Linear map sending each x_j to y_j, with a well-definedness residual.
 
     The x_j may be linearly dependent; the returned residual measures how
@@ -640,7 +645,7 @@ def span_map_from_pairs(pairs, cutoff=1e-9):
         raise ValueError("need at least one pair")
     d = xs[0].shape[0]
     dd = ys[0].shape[0]
-    basis = orthonormal_basis(xs, cutoff=cutoff)
+    basis = orthonormal_basis(xs)
     bmat = np.stack([vec(b) for b in basis], axis=0)
     xmat = np.stack([vec(x) for x in xs], axis=1)
     coeff = bmat.conj() @ xmat

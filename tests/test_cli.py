@@ -1,6 +1,9 @@
 """End-to-end command line coverage: exit codes, JSON reports, file outputs."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import shutil
 
 import numpy as np
@@ -54,13 +57,14 @@ def _count_builds(monkeypatch):
 
 
 def _count_residuals(monkeypatch):
-    """Counts bicharacter_residuals calls, wherever bound, and Hopf-hom axiom
-    residual computations."""
+    """Counts bicharacter_residuals and one_sided_residuals calls, wherever
+    bound, and Hopf-hom axiom residual computations."""
     from qgcalc import bicharacter, cli, homviews
 
-    calls = {"bicharacter": 0, "hopf": 0}
+    calls = {"bicharacter": 0, "hopf": 0, "oneSided": 0}
     real_bic = bicharacter.bicharacter_residuals
     real_hopf = homviews.HopfHom.verification_residuals
+    real_one_sided = homviews.one_sided_residuals
 
     def counted_bic(*args, **kwargs):
         calls["bicharacter"] += 1
@@ -70,8 +74,14 @@ def _count_residuals(monkeypatch):
         calls["hopf"] += 1
         return real_hopf(hom)
 
+    def counted_one_sided(*args, **kwargs):
+        calls["oneSided"] += 1
+        return real_one_sided(*args, **kwargs)
+
     for module in (bicharacter, cli):
         monkeypatch.setattr(module, "bicharacter_residuals", counted_bic)
+    for module in (homviews, cli):
+        monkeypatch.setattr(module, "one_sided_residuals", counted_one_sided)
     monkeypatch.setattr(homviews.HopfHom, "verification_residuals", counted_hopf)
     return calls
 
@@ -222,23 +232,28 @@ def test_commands_compute_each_residual_set_once(monkeypatch, tmp_path, capsys, 
     dr = right_from_bicharacter(va)
     right = tmp_path / "right.json"
     write_json(str(right), hom_to_obj("right", dr.source, dr.target, dr.deltaR))
+    dl = left_from_bicharacter(va)
+    left = tmp_path / "left.json"
+    write_json(str(left), hom_to_obj("left", dl.source, dl.target, dl.deltaL))
     vb = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z2, z4, (0, 2)), "c0"))
     path_b = tmp_path / "vb.json"
     write_json(str(path_b), bicharacter_to_obj(vb))
     calls = _count_residuals(monkeypatch)
-    # argv, then the expected bicharacter_residuals and Hopf-hom residual counts:
-    # one per file read and one per bicharacter made or extracted
-    for argv, bic, hopf in (
-        (["dual", path_a], 2, 0),
-        (["compose", path_a, str(path_b)], 3, 0),
-        (["verify", str(hopf), "hom"], 1, 1),
-        (["verify", str(right), "hom"], 1, 0),
-        (["verify", path_a, "bicharacter"], 1, 0),
+    # argv, then the expected bicharacter_residuals, Hopf-hom and one-sided hom
+    # residual counts: one per file read and one per bicharacter made or
+    # extracted; the round trip of a one-sided hom builds its map unverified
+    for argv, bic, hopf, one_sided in (
+        (["dual", path_a], 2, 0, 0),
+        (["compose", path_a, str(path_b)], 3, 0, 0),
+        (["verify", str(hopf), "hom"], 1, 1, 0),
+        (["verify", str(right), "hom"], 1, 0, 1),
+        (["verify", str(left), "hom"], 1, 0, 1),
+        (["verify", path_a, "bicharacter"], 1, 0, 0),
     ):
-        calls.update(bicharacter=0, hopf=0)
+        calls.update(bicharacter=0, hopf=0, oneSided=0)
         code, _ = run_json(capsys, argv)
         assert code == 0
-        assert calls == {"bicharacter": bic, "hopf": hopf}, argv
+        assert calls == {"bicharacter": bic, "hopf": hopf, "oneSided": one_sided}, argv
 
 
 def test_tol_overrides_every_residual_tolerance(tmp_path, capsys, z4):
@@ -251,6 +266,74 @@ def test_tol_overrides_every_residual_tolerance(tmp_path, capsys, z4):
     assert booleans < set(tolerances)
     for name, tol in tolerances.items():
         assert tol == (0.0 if name in booleans else 1e-3), name
+
+
+@pytest.fixture()
+def perturbed_file(tmp_path, va_file):
+    """va rotated by a unitary of size 1e-6: unitary, no longer a bicharacter."""
+    _, va = va_file
+    rng = np.random.default_rng(5)
+    h = rng.standard_normal(va.V.shape) + 1j * rng.standard_normal(va.V.shape)
+    h = (h + h.conj().T) / 2
+    w, u = np.linalg.eigh(h / np.linalg.norm(h))
+    obj = bicharacter_to_obj(va)
+    obj["V"] = matrix_to_obj((u * np.exp(1e-6j * w)) @ u.conj().T @ va.V)
+    path = tmp_path / "perturbed.json"
+    write_json(str(path), obj)
+    return str(path)
+
+
+def test_tol_judges_the_report_not_the_gates(capsys, perturbed_file):
+    # the report's residuals are judged at --tol ...
+    code, obj = run_json(capsys, ["verify", perturbed_file, "bicharacter", "--tol", "1e-3"])
+    assert code == 0
+    assert [c["name"] for c in obj["checks"]] == BICHARACTER_CHECKS
+    assert all(c["tolerance"] == 1e-3 for c in obj["checks"])
+    # ... while the gate that decides whether V is a bicharacter stays fixed
+    code, obj = run_json(capsys, ["dual", perturbed_file, "--tol", "1e-3"])
+    assert code == 1
+    [record] = obj["checks"]
+    assert record["name"] == "BicharacterViolation"
+    assert record["tolerance"] == q.EQUATION_TOL
+    assert record["residual"] > q.EQUATION_TOL
+
+
+def test_tol_judges_every_suite_check(tmp_path, capsys):
+    d = _copy_corpus(tmp_path, ["z2"])
+    code, obj = run_json(capsys, ["suite", str(d), "--tol", "1e-3"])
+    assert code == 0
+    [subject] = obj["subjects"]
+    booleans = {c["name"] for c in subject["checks"] if c["name"].endswith("DimensionOne")}
+    assert "doubleDual" in {c["name"] for c in subject["checks"]}
+    for c in subject["checks"]:
+        assert c["tolerance"] == (0.0 if c["name"] in booleans else 1e-3), c["name"]
+
+
+def test_no_public_function_takes_a_tolerance():
+    # tolerances are the named constants of the claims they gate, and only
+    # the report is judged at --tol
+    found = []
+    # __main__ is skipped: importing it runs the command line
+    for info in pkgutil.iter_modules(q.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"qgcalc.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj] + [m for k, m in vars(obj).items() if not k.startswith("_")]
+            members += [obj.__init__] if inspect.isclass(obj) else []
+            for member in members:
+                if not callable(member):
+                    continue
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                bad = {"tol", "cutoff", "membership_tol"} & set(params)
+                if bad:
+                    found.append(f"{module.__name__}.{name}: {sorted(bad)}")
+    assert found == []
 
 
 def test_verify_coaction(tmp_path, capsys, z2, z4):
@@ -321,15 +404,31 @@ def test_non_unitary_v_is_reported_not_raised(capsys, va_file, nonunitary_file, 
     assert [c["name"] for c in obj["checks"]] == ["NotUnitary"]
 
 
-def test_non_finite_entry_exits_two(tmp_path, capsys, va_file):
+def test_non_finite_entry_exits_two(monkeypatch, tmp_path, capsys, va_file):
     _, va = va_file
     obj = bicharacter_to_obj(va)
     obj["V"]["data"][0][0] = float("nan")
     path = tmp_path / "nan.json"
     write_json(str(path), obj)
+    digests = _count_builds(monkeypatch)
     code, captured = run_cli(capsys, ["verify", str(path), "bicharacter"])
     assert code == 2
     assert "not finite" in captured.err
+    # V is parsed before either endpoint is built
+    assert digests == []
+
+
+@pytest.mark.parametrize("entry", [float("nan"), 10**400], ids=["nan", "huge"])
+def test_unusable_w_exits_two(tmp_path, capsys, z2, entry):
+    obj = qg_to_obj(q.qg_from_group(z2, "c0"))
+    obj["W"]["data"][0][0] = entry
+    path = tmp_path / "w.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    code, captured = run_cli(capsys, ["verify", str(path), "qg"])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: W: entry 0 is not finite\n"
 
 
 def test_integer_too_large_for_a_float_exits_two(tmp_path, capsys, va_file):
@@ -408,13 +507,16 @@ def test_suite_builds_each_quantum_group_once(monkeypatch, capsys):
     assert len(digests) == 2 * len(group_files)
 
 
-def test_suite_flags_corrupt_file(tmp_path, capsys):
+def test_suite_flags_corrupt_file(tmp_path, capsys, z2):
     d = _copy_corpus(tmp_path, ["z2"])
     (d / "broken.json").write_text("{ bad", encoding="utf-8")
+    obj = qg_to_obj(q.qg_from_group(z2, "c0"))
+    obj["W"]["data"][0][0] = float("nan")
+    write_json(str(d / "nan_w.json"), obj)
     code, obj = run_json(capsys, ["suite", str(d)])
     assert code == 1
     failing = [s["subject"] for s in obj["subjects"] if not s["pass"]]
-    assert failing == ["broken.json"]
+    assert failing == ["broken.json", "nan_w.json"]
 
 
 def test_suite_empty_dir_warns(tmp_path, capsys):
