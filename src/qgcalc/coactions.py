@@ -17,12 +17,12 @@ from .errors import (
     SolveFailure,
     SourceTargetMismatch,
     gate,
+    gate_all,
 )
 from .homviews import (
-    bicharacter_from_right,
     check_right_hom,
     comodule_residuals,
-    right_from_bicharacter,
+    right_map_from_bicharacter,
     star_hom_residuals,
 )
 from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, closure_residual, corep_law_residual
@@ -60,6 +60,16 @@ __all__ = [
 class Coaction:
     """Verified coaction gamma: D -> D (x) C on a matrix algebra D."""
 
+    gates = (
+        ("wellDefined", EQUATION_TOL, "gamma is not well defined on the span"),
+        ("closure", CLOSURE_TOL, "d is not a *-algebra"),
+        ("range", CLOSURE_TOL, "gamma escapes span(D) (x) span(C)"),
+        ("homomorphism", EQUATION_TOL, "gamma is not a *-homomorphism"),
+        ("coassociativity", EQUATION_TOL, "coassociativity fails"),
+        ("injective", None, "gamma is not injective"),
+        ("podles", None, "density condition fails: products do not fill D (x) C"),
+    )
+
     def __init__(self, algebra_d, qg, gamma, residuals):
         self.algebraD = tuple(algebra_d)
         self.qg = qg
@@ -93,42 +103,32 @@ class Corepresentation:
 def check_coaction(gamma, d, c):
     """Validate a linear map on the span of d as a coaction of c.
 
-    gamma is any callable on matrices; it is evaluated on the given basis,
-    re-expressed on an orthonormalized basis, and every coaction axiom is
-    checked: algebra closure of d, the *-homomorphism property, range,
+    gamma is a SpanMap or any callable on matrices.  A SpanMap whose basis
+    is d is taken as it is; anything else is evaluated on d and
+    re-expressed on an orthonormalized basis.  Then every coaction axiom
+    is checked: algebra closure of d, the *-homomorphism property, range,
     coassociativity, injectivity, and the density (rank) condition.
     """
     d = [np.asarray(x, dtype=complex) for x in d]
-    pairs = [(x, gamma(x)) for x in d]
-    gmap, well = span_map_from_pairs(pairs)
-    gate(well, EQUATION_TOL, CoactionViolation, "gamma is not well defined on the span")
+    if isinstance(gamma, SpanMap) and _same_matrices(gamma.basis, d):
+        gmap, well = gamma, 0.0
+    else:
+        gmap, well = span_map_from_pairs([(x, gamma(x)) for x in d])
     basis = gmap.basis
-
-    closure = closure_residual(basis)
-    gate(closure, CLOSURE_TOL, CoactionViolation, "d is not a *-algebra")
+    res = {"wellDefined": well, "closure": closure_residual(basis)}
+    gate_all(res, Coaction.gates, CoactionViolation)
 
     co = comodule_residuals(gmap, basis, c, 1)
-    gate(co["range"], CLOSURE_TOL, CoactionViolation, "gamma escapes span(D) (x) span(C)")
-
     # np.max, unlike max(), carries a NaN residual through to the gate
     hom = float(np.max(star_hom_residuals(gmap, basis)))
-    gate(hom, EQUATION_TOL, CoactionViolation, "gamma is not a *-homomorphism")
+    res.update(range=co["range"], homomorphism=hom, coassociativity=co["coassociativity"])
+    booleans = {"injective": co["injective"], "podles": co["dense"]}
+    gate_all(dict(res, **booleans), Coaction.gates, CoactionViolation)
+    return Coaction(basis, c, gmap, res)
 
-    gate(co["coassociativity"], EQUATION_TOL, CoactionViolation, "coassociativity fails")
 
-    if not co["injective"]:
-        raise CoactionViolation("gamma is not injective")
-    if not co["dense"]:
-        raise CoactionViolation("density condition fails: products do not fill D (x) C")
-
-    residuals = {
-        "wellDefined": well,
-        "closure": closure,
-        "range": co["range"],
-        "homomorphism": hom,
-        "coassociativity": co["coassociativity"],
-    }
-    return Coaction(basis, c, gmap, residuals)
+def _same_matrices(first, second):
+    return len(first) == len(second) and all(map(np.array_equal, first, second))
 
 
 def trivial_coaction(d, c):
@@ -268,16 +268,16 @@ def compose_functors_check(a, b):
         one_step = induce_coaction(start, comp)
         checks.append(coactions_agree(two_step, one_step))
 
-    v_comp = bicharacter_from_right(comp)
-    v_chain = compose_bicharacters(bicharacter_from_right(a), bicharacter_from_right(b))
-    checks.append(residual_between(v_comp.V, v_chain.V))
+    v_chain = compose_bicharacters(a.bicharacter, b.bicharacter)
+    checks.append(residual_between(comp.bicharacter.V, v_chain.V))
     return float(np.max(checks))
 
 
 def pushforward_corep(x, v):
     """Carry a corepresentation X of C along a bicharacter V from C to A.
 
-    With deltaR the right homomorphism of V, (id (x) deltaR)(X) = X12 Y13
+    With deltaR the map of V's right homomorphism, which needs no check
+    of its own as V is verified, (id (x) deltaR)(X) = X12 Y13
     for a corepresentation Y of A; bicharacter_from_right uses the same
     identity for X = W.  Y is the leg-2-trivial factor of
     X12* (id (x) deltaR)(X); the extraction residual certifies the
@@ -293,11 +293,11 @@ def pushforward_corep(x, v):
     h = x.hdim
     c = x.qg
     a = v.target
-    dr = right_from_bicharacter(v)
+    delta_r = right_map_from_bicharacter(v)
     space = LegSpace((h, c.dim))
     space3 = LegSpace((h, c.dim, a.dim))
     xd = x.X.conj().T
-    ext, _ = apply_map_to_leg(x.X, space, 2, dr.deltaR)
+    ext, _ = apply_map_to_leg(x.X, space, 2, delta_r)
     prod = legs_product(space3, (xd, (1, 2)), (ext, (1, 2, 3)))
     y, resid = extract_trivial_legs(prod, space3, {2})
     gate(resid, EQUATION_TOL, RecoveryFailure, "X12* (id (x) deltaR)(X) is not leg-2 trivial")
@@ -314,7 +314,7 @@ def pushforward_corep(x, v):
             streamed_residual(
                 space3,
                 1,
-                lambda cols: mapped_slab(ad_x, space, 2, dr.deltaR, 1, cols),
+                lambda cols: mapped_slab(ad_x, space, 2, delta_r, 1, cols),
                 [(x.X, (1, 2)), (ad_y, (1, 3)), (xd, (1, 2))],
             )
         )

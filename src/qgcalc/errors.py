@@ -24,6 +24,7 @@ __all__ = [
     "NotAGroup",
     "NotAbelian",
     "gate",
+    "gate_all",
 ]
 
 
@@ -119,3 +120,16 @@ def gate(residual, tolerance, exc, what):
     """
     if not residual <= tolerance:
         raise exc(f"{what}, residual {residual:.2e}", residual=residual, tolerance=tolerance)
+
+
+def gate_all(residuals, table, exc):
+    """Gate each (key, tolerance, what) entry of table whose key residuals
+    holds, in order; a None tolerance marks a boolean that must be true."""
+    for key, tolerance, what in table:
+        if key not in residuals:
+            continue
+        if tolerance is None:
+            if not residuals[key]:
+                raise exc(what)
+        else:
+            gate(residuals[key], tolerance, exc, what)

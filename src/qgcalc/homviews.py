@@ -9,6 +9,8 @@ Linear maps between matrix algebras are stored on orthonormalized algebra
 bases; applying one means expand, map, reassemble.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .bicharacter import check_bicharacter
@@ -18,6 +20,7 @@ from .errors import (
     HopfHomViolation,
     RangeViolation,
     gate,
+    gate_all,
 )
 from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, unitary_antipode
 from .tensorleg import (
@@ -61,6 +64,14 @@ __all__ = [
 
 class HopfHom:
     """Hopf *-homomorphism candidate with its axiom residuals, computed on construction."""
+
+    gates = (
+        ("range", CLOSURE_TOL, "images escape the target algebra"),
+        ("unital", PENTAGON_TOL, "unital axiom fails"),
+        ("star", PENTAGON_TOL, "star axiom fails"),
+        ("multiplicative", EQUATION_TOL, "multiplicative axiom fails"),
+        ("intertwining", EQUATION_TOL, "intertwining axiom fails"),
+    )
 
     def __init__(self, source, target, map):
         self.source = source
@@ -140,13 +151,19 @@ def comodule_residuals(phi, basis, qg, leg):
 def check_hopf_hom(source, target, map):
     """Validate a linear map as a Hopf *-homomorphism."""
     hom = HopfHom(source, target, map)
-    res = hom.residuals
-    gate(res["range"], CLOSURE_TOL, HopfHomViolation, "images escape the target algebra")
-    for key in ("unital", "star"):
-        gate(res[key], PENTAGON_TOL, HopfHomViolation, f"{key} axiom fails")
-    for key in ("multiplicative", "intertwining"):
-        gate(res[key], EQUATION_TOL, HopfHomViolation, f"{key} axiom fails")
+    gate_all(hom.residuals, HopfHom.gates, HopfHomViolation)
     return hom
+
+
+def _one_sided_gates(name, pair_span):
+    """The gate table of a one-sided hom called name, mapping into pair_span."""
+    return (
+        ("range", CLOSURE_TOL, f"images escape {pair_span}"),
+        ("coassocDiagram", EQUATION_TOL, "coassocDiagram fails"),
+        ("comoduleDiagram", EQUATION_TOL, "comoduleDiagram fails"),
+        ("injective", None, f"{name} is not injective"),
+        ("podles", None, f"density condition fails: products do not fill {pair_span}"),
+    )
 
 
 class _OneSidedHom:
@@ -158,6 +175,11 @@ class _OneSidedHom:
         setattr(self, self.map_name, map)
         self.residuals = dict(residuals)
 
+    @cached_property
+    def bicharacter(self):
+        """The bicharacter the hom was made from, else extracted on first use."""
+        return (bicharacter_from_right if self.leg == 1 else bicharacter_from_left)(self)
+
     def __repr__(self):
         return f"{type(self).__name__}({self.source.dim} -> {self.target.dim})"
 
@@ -166,12 +188,14 @@ class RightQGHom(_OneSidedHom):
     """Right homomorphism: a coaction-shaped map of C into C (x) A."""
 
     leg, map_name = 1, "deltaR"
+    gates = _one_sided_gates(map_name, "span(algC) (x) span(algA)")
 
 
 class LeftQGHom(_OneSidedHom):
     """Left homomorphism: the mirror notion, mapping C into A (x) C."""
 
     leg, map_name = 2, "deltaL"
+    gates = _one_sided_gates(map_name, "span(algA) (x) span(algC)")
 
 
 def one_sided_residuals(c, a, phi, leg):
@@ -200,10 +224,7 @@ def one_sided_residuals(c, a, phi, leg):
 
 def _check_one_sided(cls, c, a, phi):
     res = one_sided_residuals(c, a, phi, cls.leg)
-    pair_span = " (x) ".join(_on_legs(cls.leg, "span(algC)", "span(algA)"))
-    gate(res["range"], CLOSURE_TOL, RangeViolation, f"images escape {pair_span}")
-    for key in ("coassocDiagram", "comoduleDiagram"):
-        gate(res[key], EQUATION_TOL, RangeViolation, f"{key} fails")
+    gate_all(res, cls.gates, RangeViolation)
     return cls(c, a, phi, res)
 
 
@@ -222,8 +243,10 @@ def right_map_from_bicharacter(v):
 
 
 def right_from_bicharacter(v):
-    """Right homomorphism by conjugation: x goes to V(x (x) 1)V*."""
-    return check_right_hom(v.source, v.target, right_map_from_bicharacter(v))
+    """Right homomorphism by conjugation: x goes to V(x (x) 1)V*; its bicharacter is v."""
+    out = check_right_hom(v.source, v.target, right_map_from_bicharacter(v))
+    out.bicharacter = v
+    return out
 
 
 def bicharacter_from_right(dr):
@@ -266,7 +289,7 @@ def left_from_bicharacter(v):
     """Left homomorphism through the flipped bicharacter and both antipodes.
 
     Kac type only: the construction conjugates with the flipped unitary and
-    untwists with the unitary antipodes on both legs.
+    untwists with the unitary antipodes on both legs.  Its bicharacter is v.
     """
     c = v.source
     dl_map = left_map_from_bicharacter(v)
@@ -283,6 +306,7 @@ def left_from_bicharacter(v):
         slice_res, EQUATION_TOL, RangeViolation, "slice identity for the left homomorphism fails"
     )
     out.residuals["sliceIdentity"] = slice_res
+    out.bicharacter = v
     return out
 
 

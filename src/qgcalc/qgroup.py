@@ -21,6 +21,7 @@ from .errors import (
     NotUnitary,
     PentagonViolation,
     gate,
+    gate_all,
 )
 from .tensorleg import (
     RANK_CUTOFF,
@@ -73,6 +74,15 @@ class FiniteQuantumGroup:
     as linear maps on those spans; ``kacR`` is the unitary antipode on the
     algC span when the Kac validation succeeded, else None.
     """
+
+    # the antipode is reported only when the Kac check succeeds
+    gates = (
+        ("unitarity", PENTAGON_TOL, "W is not unitary"),
+        ("pentagon", PENTAGON_TOL, "pentagon identity fails"),
+        ("closure", CLOSURE_TOL, "slice span is not a *-algebra"),
+        ("comultMembership", CLOSURE_TOL, "comultiplication escapes the algebra span"),
+        ("antipode", EQUATION_TOL, "antipode fails the involutive *-antiautomorphism checks"),
+    )
 
     def __init__(self, dim, w, alg_c, alg_chat, delta_c, delta_chat, kac_r, residuals):
         self.dim = int(dim)
@@ -205,12 +215,7 @@ def _try_antipode(w, d, alg_c):
             ]
         )
     )
-    gate(
-        worst,
-        EQUATION_TOL,
-        NotKacType,
-        "antipode fails the involutive *-antiautomorphism checks",
-    )
+    gate_all({"antipode": worst}, FiniteQuantumGroup.gates, NotKacType)
     return kappa, worst
 
 
@@ -227,6 +232,8 @@ def build_from_unitary(w, dim):
     w = as_matrix(w)
     if w.shape[0] != d * d:
         raise ValueError(f"W has dim {w.shape[0]}, expected {d * d}")
+    # unitarity and the pentagon are gated at once, with errors of their
+    # own; the rest of the gate table as its residuals are computed
     udef = unitarity_defect(w)
     if not udef <= PENTAGON_TOL:
         raise NotUnitary(
@@ -246,9 +253,9 @@ def build_from_unitary(w, dim):
 
     alg_c = orthonormal_basis(_leg_slices(w, d, 1))
     alg_chat = orthonormal_basis(_leg_slices(w, d, 2))
-
     closure = float(np.max([closure_residual(alg_c), closure_residual(alg_chat)]))
-    gate(closure, CLOSURE_TOL, AlgebraNotClosed, "slice span is not a *-algebra")
+    residuals = {"unitarity": udef, "pentagon": pent, "closure": closure}
+    gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
 
     delta_c, delta_chat = _delta_maps(w, d, alg_c, alg_chat)
     memb = float(
@@ -259,14 +266,8 @@ def build_from_unitary(w, dim):
             ]
         )
     )
-    gate(memb, CLOSURE_TOL, AlgebraNotClosed, "comultiplication escapes the algebra span")
-
-    residuals = {
-        "unitarity": udef,
-        "pentagon": pent,
-        "closure": closure,
-        "comultMembership": memb,
-    }
+    residuals["comultMembership"] = memb
+    gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
     try:
         kappa, kres = _try_antipode(w, d, alg_c)
         residuals["antipode"] = kres
@@ -371,7 +372,9 @@ def transpose_qg(qg):
         witness = manageability_witness(qg)
     except NotManageable as exc:
         raise NotKacType(
-            f"no unitary manageability witness: {exc}", residual=exc.residual
+            f"no unitary manageability witness: {exc}",
+            residual=exc.residual,
+            tolerance=exc.tolerance,
         ) from exc
     wbar = qg.W.conj()
     cbar = qg if np.array_equal(wbar, qg.W) else build_from_unitary(wbar, d)

@@ -34,6 +34,17 @@ class Report:
         # booleans ride the residual convention: 0 passes, 1 fails at tolerance 0
         self.checks.append(Check(name, 0.0 if ok else 1.0, 0.0))
 
+    def add_gates(self, prefix, table, residuals):
+        """One check per entry of a gate table (see errors.gate_all), named
+        prefix + key.  A missing numeric residual is skipped; a missing
+        boolean is reported as holding, as verified objects keep only
+        their numeric residuals."""
+        for key, tolerance, _ in table:
+            if tolerance is None:
+                self.add_bool(prefix + key, residuals.get(key, True))
+            elif key in residuals:
+                self.add(prefix + key, residuals[key], tolerance)
+
     @property
     def passed(self):
         return all(c.passed for c in self.checks)

@@ -16,6 +16,7 @@ from qgcalc import tensorleg
 from qgcalc.qgroup import coassociativity_residual
 from qgcalc.tensorleg import (
     LegSpace,
+    SpanMap,
     apply_map_to_leg,
     embed_on_legs,
     flip_unitary,
@@ -71,6 +72,19 @@ def test_from_hopf_hom_rejects_non_hom(z2):
     zero, _ = q.span_map_from_pairs([(x, np.zeros((2, 2), dtype=complex)) for x in c2.algC])
     with pytest.raises(HopfHomViolation):
         q.from_hopf_hom(q.HopfHom(c2, c2, zero))
+
+
+def test_from_hopf_hom_gates_like_check_hopf_hom(z2, z4):
+    # f(1) = (1 + 3e-10) 1 misses the unital tolerance, 1e-10, while every
+    # residual stays inside the looser 1e-9
+    f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
+    m = f.map
+    scaled = SpanMap(m.basis, tuple((1 + 3e-10) * y for y in m.images), m.d, m.dd)
+    with pytest.raises(HopfHomViolation, match="^unital axiom fails") as exc:
+        q.from_hopf_hom(q.HopfHom(f.source, f.target, scaled))
+    assert exc.value.tolerance == q.PENTAGON_TOL
+    with pytest.raises(HopfHomViolation, match="^unital axiom fails"):
+        q.check_hopf_hom(f.source, f.target, scaled)
 
 
 def test_random_unitary_is_not_a_bicharacter(z2):

@@ -11,9 +11,17 @@ import pytest
 
 import qgcalc as q
 from qgcalc.cli import DEFAULT_CORPUS, _record_failure, main
-from qgcalc.coactions import comultiplication_coaction
+from qgcalc.bicharacter import Bicharacter
+from qgcalc.coactions import Coaction, comultiplication_coaction
 from qgcalc.errors import AlgebraNotClosed, gate
-from qgcalc.homviews import left_from_bicharacter, right_from_bicharacter
+from qgcalc.homviews import (
+    HopfHom,
+    LeftQGHom,
+    RightQGHom,
+    left_from_bicharacter,
+    right_from_bicharacter,
+)
+from qgcalc.qgroup import FiniteQuantumGroup
 from qgcalc.report import Report, render_text
 from qgcalc.serialize import (
     bicharacter_parts_from_obj,
@@ -26,7 +34,7 @@ from qgcalc.serialize import (
     qg_to_obj,
     write_json,
 )
-from qgcalc.tensorleg import flip_unitary, residual_between
+from qgcalc.tensorleg import SpanMap, flip_unitary, residual_between
 
 
 def run_cli(capsys, argv):
@@ -54,36 +62,6 @@ def _count_builds(monkeypatch):
     for module in (qgroup, groups, serialize):
         monkeypatch.setattr(module, "build_from_unitary", counted)
     return digests
-
-
-def _count_residuals(monkeypatch):
-    """Counts bicharacter_residuals and one_sided_residuals calls, wherever
-    bound, and Hopf-hom axiom residual computations."""
-    from qgcalc import bicharacter, cli, homviews
-
-    calls = {"bicharacter": 0, "hopf": 0, "oneSided": 0}
-    real_bic = bicharacter.bicharacter_residuals
-    real_hopf = homviews.HopfHom.verification_residuals
-    real_one_sided = homviews.one_sided_residuals
-
-    def counted_bic(*args, **kwargs):
-        calls["bicharacter"] += 1
-        return real_bic(*args, **kwargs)
-
-    def counted_hopf(hom):
-        calls["hopf"] += 1
-        return real_hopf(hom)
-
-    def counted_one_sided(*args, **kwargs):
-        calls["oneSided"] += 1
-        return real_one_sided(*args, **kwargs)
-
-    for module in (bicharacter, cli):
-        monkeypatch.setattr(module, "bicharacter_residuals", counted_bic)
-    for module in (homviews, cli):
-        monkeypatch.setattr(module, "one_sided_residuals", counted_one_sided)
-    monkeypatch.setattr(homviews.HopfHom, "verification_residuals", counted_hopf)
-    return calls
 
 
 @pytest.fixture()
@@ -223,7 +201,7 @@ def test_verify_hom_kinds(tmp_path, capsys, z2, z4):
     assert [c["name"] for c in obj["checks"]] == ONE_SIDED_CHECKS + bicharacter
 
 
-def test_commands_compute_each_residual_set_once(monkeypatch, tmp_path, capsys, va_file, z2, z4):
+def test_commands_compute_each_residual_set_once(count_calls, tmp_path, capsys, va_file, z2, z4):
     # a verified object carries its residuals, so no battery recomputes them
     path_a, va = va_file
     f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
@@ -238,22 +216,70 @@ def test_commands_compute_each_residual_set_once(monkeypatch, tmp_path, capsys, 
     vb = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z2, z4, (0, 2)), "c0"))
     path_b = tmp_path / "vb.json"
     write_json(str(path_b), bicharacter_to_obj(vb))
-    calls = _count_residuals(monkeypatch)
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    calls = count_calls(
+        "bicharacter_residuals", "HopfHom.verification_residuals", "one_sided_residuals"
+    )
     # argv, then the expected bicharacter_residuals, Hopf-hom and one-sided hom
     # residual counts: one per file read and one per bicharacter made or
-    # extracted; the round trip of a one-sided hom builds its map unverified
-    for argv, bic, hopf, one_sided in (
+    # extracted; the round trip of a one-sided hom builds its map unverified,
+    # and induce turns the file's bicharacter into the right hom it induces along
+    for argv, *counts in (
         (["dual", path_a], 2, 0, 0),
         (["compose", path_a, str(path_b)], 3, 0, 0),
         (["verify", str(hopf), "hom"], 1, 1, 0),
         (["verify", str(right), "hom"], 1, 0, 1),
         (["verify", str(left), "hom"], 1, 0, 1),
         (["verify", path_a, "bicharacter"], 1, 0, 0),
+        (["induce", str(coaction), path_a], 1, 0, 1),
     ):
-        calls.update(bicharacter=0, hopf=0, oneSided=0)
+        calls.update(dict.fromkeys(calls, 0))
         code, _ = run_json(capsys, argv)
         assert code == 0
-        assert calls == {"bicharacter": bic, "hopf": hopf, "oneSided": one_sided}, argv
+        assert list(calls.values()) == counts, argv
+
+
+def test_coaction_commands_take_the_stored_map_as_it_is(
+    count_calls, tmp_path, capsys, va_file
+):
+    # a coaction file's map is stored on its basis, so no command re-derives
+    # it: span_map_from_pairs runs only for the antipode of each build
+    path_a, va = va_file
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    calls = count_calls("span_map_from_pairs", "build_from_unitary")
+    for argv in (["verify", str(coaction), "coaction"], ["induce", str(coaction), path_a]):
+        calls.update(dict.fromkeys(calls, 0))
+        code, obj = run_json(capsys, argv)
+        assert code == 0
+        assert calls["span_map_from_pairs"] == calls["build_from_unitary"] > 0, argv
+        well = [c["residual"] for c in obj["checks"] if c["name"].endswith("wellDefined")]
+        assert well and set(well) == {0.0}, argv
+
+
+def test_each_battery_reports_its_gate_table(tmp_path, capsys, va_file, z2, z4):
+    # the CLI reports what the library gates: same names, same tolerances
+    path_a, va = va_file
+    f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
+    dr, dl = right_from_bicharacter(va), left_from_bicharacter(va)
+    files = {
+        "qg": (qg_to_obj(f.source), FiniteQuantumGroup.gates),
+        "bicharacter": (bicharacter_to_obj(va), Bicharacter.gates),
+        "hopf": (hom_to_obj("hopf", f.source, f.target, f.map), HopfHom.gates),
+        "right": (hom_to_obj("right", dr.source, dr.target, dr.deltaR), RightQGHom.gates),
+        "left": (hom_to_obj("left", dl.source, dl.target, dl.deltaL), LeftQGHom.gates),
+        "coaction": (coaction_to_obj(comultiplication_coaction(va.source)), Coaction.gates),
+    }
+    for name, (obj, table) in files.items():
+        path = tmp_path / f"{name}.json"
+        write_json(str(path), obj)
+        kind = "hom" if name in ("hopf", "right", "left") else name
+        code, report = run_json(capsys, ["verify", str(path), kind])
+        assert code == 0, name
+        reported = [(c["name"], c["tolerance"]) for c in report["checks"]]
+        expected = [(key, 0.0 if tol is None else tol) for key, tol, _ in table]
+        assert reported[: len(expected)] == expected, name
 
 
 def test_tol_overrides_every_residual_tolerance(tmp_path, capsys, z4):
@@ -466,6 +492,23 @@ def test_induce_comultiplication_gives_delta_r(tmp_path, capsys, va_file):
         residual_between(img, dr.deltaR(d)) for img, d in zip(images, basis)
     )
     assert worst <= 1e-9
+
+
+def test_induce_blames_a_zero_hom(tmp_path, capsys, z2, z4):
+    # the zero map into c0(Z4) (x) c0(Z2) passes every equation, so it is
+    # its injectivity gate that must reject it, before anything is induced
+    c, a = q.qg_from_group(z4, "c0"), q.qg_from_group(z2, "c0")
+    n = c.dim * a.dim
+    zero = SpanMap(tuple(c.algC), tuple(np.zeros((n, n), complex) for _ in c.algC), c.dim, n)
+    path_h = tmp_path / "zero_right.json"
+    write_json(str(path_h), hom_to_obj("right", c, a, zero))
+    path_c = tmp_path / "co.json"
+    write_json(str(path_c), coaction_to_obj(comultiplication_coaction(c)))
+    code, obj = run_json(capsys, ["induce", str(path_c), str(path_h)])
+    assert code == 1
+    record = obj["checks"][-1]
+    assert record["name"] == "RangeViolation"
+    assert record["message"] == "deltaR is not injective"
 
 
 def test_induce_mismatched_sources_exits_two(tmp_path, capsys, va_file, z4):

@@ -74,6 +74,18 @@ def test_conjugation_coaction_of_regular_corep(z4):
     assert len(co.algebraD) == 16
 
 
+def test_a_span_map_on_its_own_basis_is_taken_as_it_is(s3, count_calls):
+    # only a callable, or a map stored on another basis, is re-derived
+    c = q.qg_from_group(s3, "cstar")
+    calls = count_calls("span_map_from_pairs")
+    co = check_coaction(c.deltaC, c.algC, c)
+    assert calls == {"span_map_from_pairs": 0}
+    assert co.gamma is c.deltaC and co.residuals["wellDefined"] == 0.0
+    again = check_coaction(c.deltaC, c.algC[::-1], c)
+    assert calls == {"span_map_from_pairs": 1}
+    assert coactions_agree(co, again) <= 1e-12
+
+
 def test_projection_tail_fails_coassociativity(z2):
     # x -> x (x) E00 is a *-homomorphism but E00 is not grouplike
     c = c0(z2)
@@ -249,6 +261,17 @@ def test_functor_composition_on_the_reduction_chain(chain):
     assert compose_functors_check(dra, drb) <= 1e-9
 
 
+def test_functor_composition_extracts_only_the_composite(chain, count_calls):
+    # a right hom made from a bicharacter carries it, so only the composite,
+    # solved for inside the check, has its bicharacter extracted
+    va, vb = chain
+    dra, drb = right_from_bicharacter(va), right_from_bicharacter(vb)
+    assert dra.bicharacter is va and drb.bicharacter is vb
+    calls = count_calls("bicharacter_from_right")
+    assert compose_functors_check(dra, drb) <= 1e-9
+    assert calls == {"bicharacter_from_right": 1}
+
+
 def test_functor_composition_needs_matching_middle(chain):
     va, _ = chain
     dra = right_from_bicharacter(va)
@@ -257,6 +280,15 @@ def test_functor_composition_needs_matching_middle(chain):
 
 
 # --- corepresentation pushforward --------------------------------------
+
+
+def test_pushforward_checks_no_right_hom(chain, count_calls):
+    # V is verified, so the map of its right hom needs no check of its own
+    va, _ = chain
+    regular = check_corepresentation(va.source.W, va.source)
+    calls = count_calls("one_sided_residuals")
+    assert residual_between(pushforward_corep(regular, va).X, va.V) <= 1e-9
+    assert calls == {"one_sided_residuals": 0}
 
 
 def test_pushforward_along_identity_fixes_corep(z4):

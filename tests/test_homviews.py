@@ -107,6 +107,29 @@ def test_trivial_right_hom_gives_identity_bicharacter(z2, z4):
     np.testing.assert_allclose(v.V, np.eye(8), atol=1e-10)
 
 
+def test_one_sided_homs_reject_the_zero_map(z2, z4):
+    # the zero map satisfies every equation of a one-sided hom; injectivity fails
+    c, a = c0(z4), c0(z2)
+    n = c.dim * a.dim
+    zero = SpanMap(tuple(c.algC), tuple(np.zeros((n, n), complex) for _ in c.algC), c.dim, n)
+    for check, name in ((check_right_hom, "deltaR"), (check_left_hom, "deltaL")):
+        with pytest.raises(RangeViolation, match=f"^{name} is not injective$"):
+            check(c, a, zero)
+
+
+def test_one_sided_homs_carry_their_bicharacter(va, count_calls):
+    v, _ = va
+    calls = count_calls("bicharacter_from_right", "bicharacter_from_left")
+    dr, dl = right_from_bicharacter(v), left_from_bicharacter(v)
+    assert dr.bicharacter is v and dl.bicharacter is v
+    # a hom checked from its map alone extracts its bicharacter once, on first use
+    checked = check_right_hom(dr.source, dr.target, dr.deltaR)
+    assert calls == {"bicharacter_from_right": 0, "bicharacter_from_left": 0}
+    assert checked.bicharacter is checked.bicharacter
+    assert residual_between(checked.bicharacter.V, v.V) <= 1e-9
+    assert calls == {"bicharacter_from_right": 1, "bicharacter_from_left": 0}
+
+
 def test_right_hom_rejects_projection_tail(z2):
     # x -> x (x) E00 fails the comodule square since E00 is not grouplike
     c = c0(z2)
@@ -240,7 +263,7 @@ def test_one_sided_homs_are_coactions(z2, z4, picture):
         }
         assert 0 < co["range"] <= 1e-14 and 0 < co["coassociativity"] <= 1e-14
     coaction = check_coaction(dr.deltaR, c.algC, a)
-    # check_coaction re-expresses the map on a re-orthonormalized basis of
-    # span(algC), which moves each residual only by rounding
+    # deltaR is stored on algC, so check_coaction takes it as it is and
+    # computes the same comodule residuals
     for key, hom_key in (("range", "range"), ("coassociativity", "comoduleDiagram")):
-        assert coaction.residuals[key] == pytest.approx(dr.residuals[hom_key], abs=1e-14)
+        assert coaction.residuals[key] == dr.residuals[hom_key]

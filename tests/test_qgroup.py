@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import qgcalc as q
-from qgcalc.errors import BicharacterViolation, NotKacType, NotUnitary, PentagonViolation
+from qgcalc.errors import (
+    BicharacterViolation,
+    NotKacType,
+    NotManageable,
+    NotUnitary,
+    PentagonViolation,
+)
 from qgcalc.qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
@@ -351,6 +357,16 @@ def test_transpose_gates_reject_a_nan_residual(monkeypatch, z4, nan_at, message)
     monkeypatch.setattr(qgroup_module, "streamed_residual", patched)
     with pytest.raises(BicharacterViolation, match=message):
         transpose_qg(q.qg_from_group(z4, "c0"))
+
+
+def test_transpose_keeps_the_tolerance_its_witness_missed(monkeypatch, z4):
+    def unmanageable(qg):
+        raise NotManageable("witness fails unitarity", residual=1e-3, tolerance=PENTAGON_TOL)
+
+    monkeypatch.setattr(qgroup_module, "manageability_witness", unmanageable)
+    with pytest.raises(NotKacType) as exc:
+        transpose_qg(q.qg_from_group(z4, "c0"))
+    assert (exc.value.residual, exc.value.tolerance) == (1e-3, PENTAGON_TOL)
 
 
 def test_coassociativity_zero_on_corpus(z4, s3):
