@@ -16,7 +16,14 @@ from .errors import (
     gate,
     gate_all,
 )
-from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, corep_law_residual, unitary_antipode
+from .qgroup import (
+    CLOSURE_TOL,
+    EQUATION_TOL,
+    PENTAGON_TOL,
+    corep_law_residual,
+    dual_unitary_antipode,
+    unitary_antipode,
+)
 from .tensorleg import (
     LegSpace,
     PairSpan,
@@ -195,9 +202,11 @@ def check_R_invariance(v):
 
     Kac-type antipodes are taken from the source's dual and the target;
     invariance of every bicharacter under them is the numeric face of the
-    antipode-compatibility theorem.
+    antipode-compatibility theorem.  The source's dual antipode comes from
+    dual_unitary_antipode, which reads the slices of the source's W and
+    builds no dual quantum group; either antipode missing raises NotKacType.
     """
-    r_hat = unitary_antipode(v.source.dual)
+    r_hat = dual_unitary_antipode(v.source)
     r_target = unitary_antipode(v.target)
     t1, sp1 = apply_map_to_leg(v.V, v.space, 1, r_hat)
     t2, _ = apply_map_to_leg(t1, sp1, 2, r_target)

@@ -308,7 +308,7 @@ def cmd_induce(args, report):
     induced = induce_coaction(co, hom)
     report.add("solve", induced.residuals["solve"], EQUATION_TOL)
     report.add_bool("uniqueRank", induced.residuals["uniqueRank"])
-    report.add_gates("", [g for g in induced.gates if g[1] is not None], induced.residuals)
+    report.add_gates("", induced.gates, induced.residuals)
     return coaction_to_obj(induced)
 
 

@@ -121,9 +121,14 @@ def check_coaction(gamma, d, c):
     co = comodule_residuals(gmap, basis, c, 1)
     # np.max, unlike max(), carries a NaN residual through to the gate
     hom = float(np.max(star_hom_residuals(gmap, basis)))
-    res.update(range=co["range"], homomorphism=hom, coassociativity=co["coassociativity"])
-    booleans = {"injective": co["injective"], "podles": co["dense"]}
-    gate_all(dict(res, **booleans), Coaction.gates, CoactionViolation)
+    res.update(
+        range=co["range"],
+        homomorphism=hom,
+        coassociativity=co["coassociativity"],
+        injective=co["injective"],
+        podles=co["dense"],
+    )
+    gate_all(res, Coaction.gates, CoactionViolation)
     return Coaction(basis, c, gmap, res)
 
 

@@ -31,13 +31,11 @@ from .tensorleg import (
     as_matrix,
     flip_adjoint,
     kron,
-    legs_slab,
     mapped_slab,
     membership_residuals,
     orthonormal_basis,
     permute_legs,
     residuals_between,
-    slab_width,
     span_map_from_pairs,
     streamed_residual,
     unitarity_defect,
@@ -50,7 +48,9 @@ __all__ = [
     "manageability_witness",
     "dual_qg",
     "unitary_antipode",
+    "dual_unitary_antipode",
     "transpose_qg",
+    "structure_constants",
     "coassociativity_residual",
     "coinvariant_dimension",
     "closure_residual",
@@ -276,52 +276,31 @@ def build_from_unitary(w, dim):
     return FiniteQuantumGroup(d, w, alg_c, alg_chat, delta_c, delta_chat, kappa, residuals)
 
 
+def structure_constants(qg):
+    """The comultiplication on the algC basis: C[k, i, j] = <b_i (x) b_j, Delta(b_k)>.
+
+    build_from_unitary has gated every Delta(b_k) into span(algC) (x)
+    span(algC) at CLOSURE_TOL, so these coefficients are Delta itself, and
+    they are its Hilbert-Schmidt picture: the basis is orthonormal.
+    """
+    return PairSpan(qg.algC, qg.algC).coefficients(qg.deltaC.images)
+
+
 def coassociativity_residual(qg):
     """Worst residual of (Delta (x) id)Delta = (id (x) Delta)Delta over the algC basis.
 
-    Both iterated comultiplications conjugate x (x) 1 (x) 1, by W23 W12 and by
-    W12 W13, so they agree exactly when u = W12* W23* W12 W13 commutes with
-    x (x) 1 (x) 1.  Multiplying the conjugated difference by those unitaries
-    turns it into the commutator u xt - xt u without changing any Frobenius
-    norm, so the residual below equals the direct comparison while skipping
-    the d^3 x d^3 conjugations per basis element.  Regrouped as
-    p[a, (B, E), c] = u[(a, B), (c, E)], the commutator with x on the first
-    leg is [p_k, x] block by block, so the squared norms are summed over one
-    B at a time with two products per basis element.
-
-    u is streamed, never formed: its rows whose leg-3 index lies in one
-    slab (slab_width) are the adjoint of a column slab of
-    u* = W13* W12* W23 W12, which legs_slab contracts directly, and the
-    blocks B of that slab feed the loop before the next slab is made.
+    Read off the structure constants C: on b_p (x) b_q (x) b_r the two sides
+    of b_k carry sum_i C[k,i,r] C[i,p,q] and sum_j C[k,p,j] C[j,q,r].  Both
+    are coefficients on an orthonormal basis, so the norms are those of the
+    operators W23 W12 (b_k (x) 1 (x) 1) W12* W23* and W12 W13 (...) W13* W12*
+    that the paper's Delta(x) = W (x (x) 1) W* gives, and the scale is
+    residual_between's.  n^5 flops for n = len(algC), where conjugating by
+    W on three legs costs n d^7; a NaN carries through to the result.
     """
-    d = qg.dim
-    space3 = LegSpace((d, d, d))
-    w, wd = qg.W, qg.W.conj().T
-    u_adjoint = [(wd, (1, 3)), (wd, (1, 2)), (w, (2, 3)), (w, (1, 2))]
-    # the slabs below hold conj(u), so the basis is conjugated too: each
-    # product is then the conjugate of the one for u, with the same norms
-    xs = [x.conj() for x in qg.algC]
-    n = len(xs)
-    diff, ux_sq, xu_sq = np.zeros(n), np.zeros(n), np.zeros(n)
-    width = slab_width(d ** 5, d)
-    for start in range(0, d, width):
-        slab = legs_slab(space3, 3, slice(start, min(start + width, d)), *u_adjoint)
-        # slab[(c, E), (a, B)] = conj(u[(a, B), (c, E)]); blocks[B] is (a, E, c)
-        blocks = slab.reshape(d, d * d, d, -1).transpose(3, 2, 1, 0).copy()
-        del slab
-        for blk in blocks:
-            by_col, by_row = blk.reshape(-1, d), blk.reshape(d, -1)
-            for k, x in enumerate(xs):
-                ux = (by_col @ x).reshape(-1)
-                xu = (x @ by_row).reshape(-1)
-                ux_sq[k] += np.vdot(ux, ux).real
-                xu_sq[k] += np.vdot(xu, xu).real
-                # the gap overwrites ux: one block-sized array less per step
-                ux -= xu
-                diff[k] += np.vdot(ux, ux).real
-    # the scale of residual_between; np.maximum and np.max carry a NaN through
-    scale = np.maximum(1.0, np.sqrt(np.maximum(ux_sq, xu_sq)))
-    return float(np.max(np.sqrt(diff) / scale))
+    c = structure_constants(qg)
+    lhs = np.einsum("kir,ipq->kpqr", c, c, optimize=True)
+    rhs = np.einsum("kpj,jqr->kpqr", c, c, optimize=True)
+    return residuals_between(lhs, rhs)
 
 
 def manageability_witness(qg):
@@ -353,6 +332,22 @@ def unitary_antipode(qg):
     if qg.kacR is not None:
         return qg.kacR
     kappa, _ = _try_antipode(qg.W, qg.dim, qg.algC)
+    return kappa
+
+
+def dual_unitary_antipode(qg):
+    """unitary_antipode(qg.dual), without building the dual when qg holds none.
+
+    The dual's unitary is the flip-adjoint of W and its algC spans the same
+    space as qg.algChat, whose closure is already gated; the antipode map is
+    made from the slice pairs of that unitary alone, so it comes out bit for
+    bit as the dual's own.  A non-Kac dual raises NotKacType.
+    """
+    builder = qg._builder() if qg._builder is not None else None
+    dual = builder or qg._dual
+    if dual is not None:
+        return unitary_antipode(dual)
+    kappa, _ = _try_antipode(flip_adjoint(qg.W, qg.space), qg.dim, qg.algChat)
     return kappa
 
 

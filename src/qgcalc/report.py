@@ -35,14 +35,14 @@ class Report:
         self.checks.append(Check(name, 0.0 if ok else 1.0, 0.0))
 
     def add_gates(self, prefix, table, residuals):
-        """One check per entry of a gate table (see errors.gate_all), named
-        prefix + key.  A missing numeric residual is skipped; a missing
-        boolean is reported as holding, as verified objects keep only
-        their numeric residuals."""
+        """One check per entry of a gate table (see errors.gate_all) present
+        in residuals, named prefix + key; a None tolerance marks a boolean."""
         for key, tolerance, _ in table:
+            if key not in residuals:
+                continue
             if tolerance is None:
-                self.add_bool(prefix + key, residuals.get(key, True))
-            elif key in residuals:
+                self.add_bool(prefix + key, residuals[key])
+            else:
                 self.add(prefix + key, residuals[key], tolerance)
 
     @property

@@ -2,9 +2,11 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 import qgcalc as q
+from qgcalc.tensorleg import LegSpace, legs_slab, slab_width
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +75,51 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def streamed_coassociativity(qg):
+    """Coassociativity at the operator level, the oracle for the
+    structure-constant form: worst residual_between of
+    W23 W12 (x (x) 1 (x) 1) W12* W23* and W12 W13 (x (x) 1 (x) 1) W13* W12*
+    over x in qg.algC, reading only qg.dim, qg.W and qg.algC.
+
+    Both sides agree exactly when u = W12* W23* W12 W13 commutes with
+    x (x) 1 (x) 1, and multiplying the difference by those unitaries turns
+    it into the commutator u xt - xt u with the same Frobenius norms.
+    Regrouped as p[a, (B, E), c] = u[(a, B), (c, E)], the commutator with x
+    on the first leg is [p_B, x] block by block.  u is streamed, never
+    formed: its rows whose leg-3 index lies in one slab are the adjoint of
+    a column slab of u* = W13* W12* W23 W12, which legs_slab contracts.
+    """
+    d = qg.dim
+    space3 = LegSpace((d, d, d))
+    w, wd = qg.W, qg.W.conj().T
+    u_adjoint = [(wd, (1, 3)), (wd, (1, 2)), (w, (2, 3)), (w, (1, 2))]
+    # the slabs hold conj(u), so the basis is conjugated too: each product
+    # is then the conjugate of the one for u, with the same norms
+    xs = [x.conj() for x in qg.algC]
+    n = len(xs)
+    diff, ux_sq, xu_sq = np.zeros(n), np.zeros(n), np.zeros(n)
+    width = slab_width(d**5, d)
+    for start in range(0, d, width):
+        slab = legs_slab(space3, 3, slice(start, min(start + width, d)), *u_adjoint)
+        # slab[(c, E), (a, B)] = conj(u[(a, B), (c, E)]); blocks[B] is (a, E, c)
+        blocks = slab.reshape(d, d * d, d, -1).transpose(3, 2, 1, 0).copy()
+        del slab
+        for blk in blocks:
+            by_col, by_row = blk.reshape(-1, d), blk.reshape(d, -1)
+            for k, x in enumerate(xs):
+                ux = (by_col @ x).reshape(-1)
+                xu = (x @ by_row).reshape(-1)
+                ux_sq[k] += np.vdot(ux, ux).real
+                xu_sq[k] += np.vdot(xu, xu).real
+                ux -= xu
+                diff[k] += np.vdot(ux, ux).real
+    # the scale of residual_between; np.maximum and np.max carry a NaN through
+    scale = np.maximum(1.0, np.sqrt(np.maximum(ux_sq, xu_sq)))
+    return float(np.max(np.sqrt(diff) / scale))
+
+
+@pytest.fixture(scope="session")
+def coassociativity_oracle():
+    return streamed_coassociativity

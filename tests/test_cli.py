@@ -240,6 +240,20 @@ def test_commands_compute_each_residual_set_once(count_calls, tmp_path, capsys, 
         assert list(calls.values()) == counts, argv
 
 
+def test_verifying_a_bicharacter_builds_no_dual(count_calls, tmp_path, capsys, va_file, z4):
+    # rInvariance reads the source's dual antipode off its slices, so each
+    # distinct W of the file is built once and its dual not at all
+    ident = tmp_path / "ident.json"
+    write_json(str(ident), bicharacter_to_obj(q.identity(q.qg_from_group(z4, "c0"))))
+    calls = count_calls("build_from_unitary")
+    for path, builds in ((str(ident), 1), (va_file[0], 2)):
+        argv = ["verify", path, "bicharacter"]
+        calls["build_from_unitary"] = 0
+        code, obj = run_json(capsys, argv)
+        assert code == 0 and "rInvariance" in {c["name"] for c in obj["checks"]}
+        assert calls["build_from_unitary"] == builds, argv
+
+
 def test_coaction_commands_take_the_stored_map_as_it_is(
     count_calls, tmp_path, capsys, va_file
 ):
@@ -394,12 +408,12 @@ def test_compose_builds_each_distinct_w_once_per_invocation(
     digests = _count_builds(monkeypatch)
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    # c0(Z4) and c0(Z2), each named by both files, and the dual of c0(Z4)
-    assert len(digests) == len(set(digests)) == 3
+    # c0(Z4) and c0(Z2), each named by both files; rInvariance builds no dual
+    assert len(digests) == len(set(digests)) == 2
     # built objects do not outlive an invocation: a second one builds again
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    assert len(digests) == 6 and len(set(digests)) == 3
+    assert len(digests) == 4 and len(set(digests)) == 2
 
 
 def test_compose_mismatch_exits_two(capsys, va_file):
@@ -487,6 +501,13 @@ def test_induce_comultiplication_gives_delta_r(tmp_path, capsys, va_file):
     out = tmp_path / "induced.json"
     code, obj = run_json(capsys, ["induce", str(path_c), path_v, "--out", str(out)])
     assert code == 0 and obj["pass"] is True
+    # the input and the induced coaction each report the whole coaction table
+    table = [(key, 0.0 if tol is None else tol) for key, tol, _ in Coaction.gates]
+    assert [(c["name"], c["tolerance"]) for c in obj["checks"]] == (
+        [("input." + key, tol) for key, tol in table]
+        + [("solve", q.EQUATION_TOL), ("uniqueRank", 0.0)]
+        + table
+    )
     basis, _, images = coaction_parts_from_obj(json.loads(out.read_text(encoding="utf-8")))
     worst = max(
         residual_between(img, dr.deltaR(d)) for img, d in zip(images, basis)

@@ -23,15 +23,20 @@ from qgcalc.qgroup import (
     coassociativity_residual,
     coinvariant_dimension,
     dual_qg,
+    dual_unitary_antipode,
     manageability_witness,
+    structure_constants,
     transpose_qg,
     unitary_antipode,
 )
 from qgcalc import qgroup as qgroup_module
+from qgcalc.report import Report
 from qgcalc import tensorleg as tensorleg_module
 from qgcalc.tensorleg import (
     Functional,
     LegSpace,
+    PairSpan,
+    SpanMap,
     embed_on_legs,
     flip_unitary,
     kron,
@@ -285,9 +290,33 @@ def test_unitary_antipode_recomputes_when_missing(z2):
         assert residual_between(kappa(x), c2.kacR(x)) <= 1e-12
 
 
+def _same_span_map(first, second):
+    return all(
+        len(x) == len(y) and all(map(np.array_equal, x, y))
+        for x, y in ((first.basis, second.basis), (first.images, second.images))
+    )
+
+
+def test_dual_unitary_antipode_is_the_duals_bit_for_bit(s3):
+    """Read off the slices without a dual, or from a dual already built, the
+    map is unitary_antipode(qg.dual) exactly, on both sides of the pair."""
+    rng = np.random.default_rng(88)
+    for pic in ("c0", "cstar"):
+        w = _gauged(q.qg_from_group(s3, pic), rng)[0].W
+        fresh = build_from_unitary(w, 6)
+        kappa = dual_unitary_antipode(fresh)
+        assert fresh._dual is None
+        built = build_from_unitary(w, 6)
+        assert _same_span_map(kappa, unitary_antipode(built.dual))
+        assert _same_span_map(dual_unitary_antipode(built), unitary_antipode(built.dual))
+        # on a dual, the builder is the dual
+        assert dual_unitary_antipode(built.dual) is built.kacR
+
+
 def test_unitary_antipode_rejects_non_antimultiplicative_slices():
     # flip slices force kappa to be the identity map on all of M2, which is
-    # not antimultiplicative, so the antipode construction must refuse
+    # not antimultiplicative, so the antipode construction must refuse, for
+    # the flip and for its dual
     units = []
     for p in range(2):
         for r in range(2):
@@ -303,6 +332,10 @@ def test_unitary_antipode_rejects_non_antimultiplicative_slices():
 
     with pytest.raises(NotKacType):
         unitary_antipode(Probe())
+    # the flip is its own flip-adjoint, so its dual has the same slices
+    flip = FiniteQuantumGroup(2, Probe.W, units, units, None, None, None, {})
+    with pytest.raises(NotKacType):
+        dual_unitary_antipode(flip)
 
 
 def test_manageability_is_an_index_shuffle(z2, s3):
@@ -375,9 +408,10 @@ def test_coassociativity_zero_on_corpus(z4, s3):
             assert coassociativity_residual(q.qg_from_group(g, pic)) <= 1e-12
 
 
-def test_coassociativity_matches_direct_conjugation(z3):
-    """Commutator form against the literal two-sided conjugation, on a
-    perturbed unitary where the residual is strictly positive."""
+def test_coassociativity_matches_direct_conjugation(z3, coassociativity_oracle):
+    """The streamed commutator oracle against the literal two-sided
+    conjugation, on a perturbed unitary where the residual is strictly
+    positive."""
     c3 = q.qg_from_group(z3, "c0")
     w = c3.W + 1e-4 * (RNG.standard_normal((9, 9)) + 1j * RNG.standard_normal((9, 9)))
     w, _ = np.linalg.qr(w)
@@ -399,17 +433,21 @@ def test_coassociativity_matches_direct_conjugation(z3):
         residual_between(left @ kron(x, eye2) @ left.conj().T, right @ kron(x, eye2) @ right.conj().T)
         for x in c3.algC
     )
-    got = coassociativity_residual(Probe())
+    got = coassociativity_oracle(Probe())
     assert got > 1e-6
     assert got == pytest.approx(direct, abs=1e-13)
 
 
-def test_coassociativity_is_exactly_zero_on_the_corpus(corpus):
+def test_coassociativity_is_exactly_zero_on_the_corpus(corpus, coassociativity_oracle):
     """On 0/1 permutation data each block product only copies entries of x,
-    so the commutator vanishes exactly, not to rounding."""
+    so the commutator oracle vanishes exactly, not to rounding.  The
+    structure constants go through the QR basis of algC and stay at
+    rounding level."""
     for g in corpus.values():
         for pic in ("c0", "cstar"):
-            assert coassociativity_residual(q.qg_from_group(g, pic)) == 0.0
+            qg = q.qg_from_group(g, pic)
+            assert coassociativity_oracle(qg) == 0.0
+            assert coassociativity_residual(qg) <= 1e-15
 
 
 def _commutator_oracle(w, d, alg):
@@ -422,7 +460,7 @@ def _commutator_oracle(w, d, alg):
 
 
 @pytest.mark.parametrize("picture", ["c0", "cstar"])
-def test_blocked_coassociativity_matches_the_embedding_oracle(s3, picture):
+def test_blocked_coassociativity_matches_the_embedding_oracle(s3, picture, coassociativity_oracle):
     rng = np.random.default_rng(99)
     base = q.qg_from_group(s3, picture)
     d = base.dim
@@ -436,13 +474,15 @@ def test_blocked_coassociativity_matches_the_embedding_oracle(s3, picture):
         W = w
         algC = alg
 
-    got = coassociativity_residual(Probe())
+    got = coassociativity_oracle(Probe())
     assert got > 1e-6
     assert got == pytest.approx(_commutator_oracle(w, d, alg), abs=1e-13)
 
 
 @pytest.mark.parametrize("slab_entries", [1, 4 * 6**5])
-def test_streamed_checks_match_the_embedding_oracles_slab_by_slab(s3, monkeypatch, slab_entries):
+def test_streamed_checks_match_the_embedding_oracles_slab_by_slab(
+    s3, monkeypatch, slab_entries, coassociativity_oracle
+):
     """One leg index a slab, and four a slab with a shorter last one: the
     pentagon and coassociativity of a rotated gauged S3 against the
     Kronecker-embedding oracles, and the transpose equations still holding."""
@@ -472,12 +512,12 @@ def test_streamed_checks_match_the_embedding_oracles_slab_by_slab(s3, monkeypatc
         W = bad
         algC = alg
 
-    got = coassociativity_residual(Probe())
+    got = coassociativity_oracle(Probe())
     assert got > 1e-6
     assert got == pytest.approx(_commutator_oracle(bad, d, alg), abs=1e-13)
 
 
-def test_coassociativity_of_a_nan_w_is_nan(z3):
+def test_coassociativity_of_a_nan_w_is_nan(z3, coassociativity_oracle):
     c3 = q.qg_from_group(z3, "c0")
 
     class Probe:
@@ -486,7 +526,102 @@ def test_coassociativity_of_a_nan_w_is_nan(z3):
         algC = c3.algC
 
     Probe.W[4, 2] = np.nan
-    assert np.isnan(coassociativity_residual(Probe()))
+    assert np.isnan(coassociativity_oracle(Probe()))
+
+
+def _gauged(qg, rng):
+    """qg rebuilt from (u (x) u) W (u (x) u)* for a Haar u, with u."""
+    u = _haar_unitary(qg.dim, rng)
+    uu = kron(u, u)
+    return build_from_unitary(uu @ qg.W @ uu.conj().T, qg.dim), u
+
+
+def test_structure_constants_agree_with_the_operator_oracle(corpus, coassociativity_oracle):
+    """On the 26 corpus quantum groups and on a Haar gauge of each, both
+    forms of coassociativity agree to rounding."""
+    rng = np.random.default_rng(1013)
+    count = 0
+    for g in corpus.values():
+        for pic in ("c0", "cstar"):
+            base = q.qg_from_group(g, pic)
+            for qg in (base, _gauged(base, rng)[0]):
+                count += 1
+                got = coassociativity_residual(qg)
+                assert got == pytest.approx(coassociativity_oracle(qg), abs=1e-14)
+                assert got <= 1e-14
+    assert count == 52
+
+
+def test_structure_constants_are_the_comultiplication(s3):
+    """Summed back over b_i (x) b_j, the constants give Delta(b_k)."""
+    qg, _ = _gauged(q.qg_from_group(s3, "cstar"), np.random.default_rng(7))
+    c = structure_constants(qg)
+    n, d = len(qg.algC), qg.dim
+    assert c.shape == (n, n, n)
+    b = np.stack(qg.algC)
+    rebuilt = np.einsum("kij,iab,jce->kacbe", c, b, b).reshape(n, d * d, d * d)
+    np.testing.assert_allclose(rebuilt, np.stack(qg.deltaC.images), atol=1e-13)
+
+
+def _with_delta_images(qg, images):
+    delta = SpanMap(qg.deltaC.basis, tuple(images), qg.dim, qg.dim**2)
+    return FiniteQuantumGroup(
+        qg.dim, qg.W, qg.algC, qg.algChat, delta, qg.deltaChat, qg.kacR, qg.residuals
+    )
+
+
+def test_a_comultiplication_rotated_inside_the_span_fails(s3):
+    """One Delta(b_k) turned by 1e-6 inside span(algC) (x) span(algC): the
+    membership gate cannot see it, coassociativity must."""
+    rng = np.random.default_rng(61)
+    qg, _ = _gauged(q.qg_from_group(s3, "c0"), rng)
+    c = structure_constants(qg)
+    n = len(qg.algC)
+    h = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    h = (h + h.conj().T) / 2
+    ev, vecs = np.linalg.eigh(h / np.linalg.norm(h))
+    turned = (vecs * np.exp(1e-6j * ev)) @ vecs.conj().T @ c[1].reshape(-1)
+    b = np.stack(qg.algC)
+    image = np.einsum("ij,iab,jce->acbe", turned.reshape(n, n), b, b).reshape(qg.dim**2, -1)
+    images = list(qg.deltaC.images)
+    images[1] = image
+    bad = _with_delta_images(qg, images)
+    assert membership_residual(PairSpan(qg.algC, qg.algC), image) <= 1e-14
+    assert coassociativity_residual(qg) <= 1e-14
+    assert coassociativity_residual(bad) > EQUATION_TOL
+
+
+def test_a_nan_comultiplication_image_fails_closed(z3):
+    qg = q.qg_from_group(z3, "c0")
+    images = [m.copy() for m in qg.deltaC.images]
+    images[2][4, 1] = np.nan
+    got = coassociativity_residual(_with_delta_images(qg, images))
+    assert np.isnan(got)
+    report = Report("nan")
+    report.add("coassociativity", got, EQUATION_TOL)
+    assert not report.passed
+
+
+@pytest.mark.parametrize("name", ["S3", "Z4", "Z8", "Q8"])
+def test_pentagon_bounds_coassociativity(corpus, name, coassociativity_oracle):
+    """Pentagon => coassociativity at the operator level, the identity the
+    structure constants stand for: on a perturbed gauged W the commutator
+    oracle stays within 2 sqrt(d) times the pentagon residual."""
+    rng = np.random.default_rng(1634)
+    for pic in ("c0", "cstar"):
+        base = q.qg_from_group(corpus[name], pic)
+        d = base.dim
+        qg, _ = _gauged(base, rng)
+        bad = _rotated(qg.W, 1e-6, rng)
+        with pytest.raises(PentagonViolation) as exc:
+            build_from_unitary(bad, d)
+
+        class Probe:
+            dim = d
+            W = bad
+            algC = qg.algC
+
+        assert coassociativity_oracle(Probe()) <= 2 * np.sqrt(d) * exc.value.residual
 
 
 def _haar_unitary(n, rng):

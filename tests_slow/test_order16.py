@@ -1,4 +1,5 @@
-"""Order-16 tier: the whole `verify … qg` battery on a dense d = 16 unitary.
+"""Order-16 tier: the whole `verify … qg` battery on dense d = 16 unitaries,
+gauged Z16, Z4xZ4 and Z2^4 in both pictures.
 
 Outside the default test paths because one run takes seconds; run it with
 
@@ -14,9 +15,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from qgcalc.groups import cyclic_group, group_unitary
+from qgcalc.groups import cyclic_group, group_unitary, product_group
 from qgcalc.serialize import matrix_to_obj, write_json
+from qgcalc.tensorleg import LegSpace, flip_adjoint
 
 # Every three-leg check streams its d^3 x d^3 operators slab by slab; forming
 # one whole takes 268 MB at d = 16, and the battery used to peak at 1.1 GB.
@@ -37,11 +40,24 @@ def _haar_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def test_gauged_z16_function_picture_passes_the_qg_battery(tmp_path):
+GROUPS = {
+    "Z16": lambda: cyclic_group(16),
+    "Z4xZ4": lambda: product_group(cyclic_group(4), cyclic_group(4)),
+    "Z2^4": lambda: product_group(*[product_group(cyclic_group(2), cyclic_group(2))] * 2),
+}
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_gauged_order16_group_passes_the_qg_battery(tmp_path, name, picture):
     d = 16
+    w = group_unitary(GROUPS[name]())
+    if picture == "cstar":
+        # the dual picture's unitary, as FiniteQuantumGroup.dual makes it
+        w = flip_adjoint(w, LegSpace((d, d)))
     uu = np.kron(*[_haar_unitary(d, np.random.default_rng(1616))] * 2)
-    w = uu @ group_unitary(cyclic_group(d)) @ uu.conj().T
-    path = tmp_path / "z16_c0.json"
+    w = uu @ w @ uu.conj().T
+    path = tmp_path / "w.json"
     write_json(str(path), {"dim": d, "W": matrix_to_obj(w)})
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
