@@ -29,6 +29,7 @@ from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, closure_residual, c
 from .tensorleg import (
     RANK_CUTOFF,
     LegSpace,
+    PairSpan,
     SpanMap,
     apply_map_to_leg,
     extract_trivial_legs,
@@ -36,10 +37,10 @@ from .tensorleg import (
     legs_product,
     mapped_slab,
     residual_between,
+    residuals_between,
     span_map_from_pairs,
     streamed_residual,
     unitarity_defect,
-    vec,
 )
 
 __all__ = [
@@ -71,14 +72,14 @@ class Coaction:
     )
 
     def __init__(self, algebra_d, qg, gamma, residuals):
-        self.algebraD = tuple(algebra_d)
+        self.algebraD = np.asarray(algebra_d, dtype=complex)
         self.qg = qg
         self.gamma = gamma
         self.residuals = dict(residuals)
 
     @property
     def hdim(self):
-        return self.algebraD[0].shape[0]
+        return self.algebraD.shape[1]
 
     def __repr__(self):
         return f"Coaction(D dim {len(self.algebraD)} on B(H_{self.hdim}), qg dim {self.qg.dim})"
@@ -109,8 +110,8 @@ def check_coaction(gamma, d, c):
     is checked: algebra closure of d, the *-homomorphism property, range,
     coassociativity, injectivity, and the density (rank) condition.
     """
-    d = [np.asarray(x, dtype=complex) for x in d]
-    if isinstance(gamma, SpanMap) and _same_matrices(gamma.basis, d):
+    d = np.asarray(d, dtype=complex)
+    if isinstance(gamma, SpanMap) and np.array_equal(gamma.basis, d):
         gmap, well = gamma, 0.0
     else:
         gmap, well = span_map_from_pairs([(x, gamma(x)) for x in d])
@@ -130,10 +131,6 @@ def check_coaction(gamma, d, c):
     )
     gate_all(res, Coaction.gates, CoactionViolation)
     return Coaction(basis, c, gmap, res)
-
-
-def _same_matrices(first, second):
-    return len(first) == len(second) and all(map(np.array_equal, first, second))
 
 
 def trivial_coaction(d, c):
@@ -161,13 +158,8 @@ def check_corepresentation(x, qg):
 
 
 def _matrix_units(n):
-    out = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            out.append(e)
-    return out
+    """The n^2 matrix units E_ij as an (n*n, n, n) stack, in (i, j) order."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
 def conjugation_coaction(corep):
@@ -187,26 +179,23 @@ def conjugation_coaction(corep):
 def _solve_on_product_basis(left, left_images, right, rhs):
     """Solve sum_ij c_kij g(l_i) (x) r_j = rhs_k for every k in one lstsq call.
 
-    left_images[i] is g(left[i]).  The system is factored once for all
-    right-hand sides.  Returns the solutions reassembled on the unmapped
-    basis, sum_ij c_kij l_i (x) r_j, the worst relative column residual, and
-    whether the system has full column rank, i.e. the solutions are unique.
+    All arguments are stacks; left_images[i] is g(left[i]).  The system is
+    factored once for all right-hand sides.  Returns the solutions
+    reassembled on the unmapped basis, sum_ij c_kij l_i (x) r_j, the worst
+    relative column residual, and whether the system has full column rank,
+    i.e. the solutions are unique.
     """
-    g = np.stack(left_images)
-    r = np.stack(right)
+    n_left, n_right = len(left_images), len(right)
     # column (i, j) is the row-major vec of kron(g_i, r_j)
-    system = np.einsum("iab,jcd->acbdij", g, r).reshape(-1, len(g) * len(r))
-    b = np.stack([vec(y) for y in rhs], axis=1)
+    system = np.einsum("iab,jcd->acbdij", left_images, right).reshape(-1, n_left * n_right)
+    b = rhs.reshape(len(rhs), -1).T
     sol, _, _, s = np.linalg.lstsq(system, b, rcond=None)
     resid = np.linalg.norm(system @ sol - b, axis=0) / np.maximum(
         1.0, np.linalg.norm(b, axis=0)
     )
     unique = bool(s[0] > 0 and np.sum(s > RANK_CUTOFF * s[0]) == system.shape[1])
-    coeff = sol.T.reshape(-1, len(g), len(r))
-    t = np.tensordot(np.tensordot(coeff, np.stack(left), axes=(1, 0)), r, axes=(1, 0))
-    n = t.shape[2] * t.shape[4]
-    images = t.transpose(0, 1, 3, 2, 4).reshape(-1, n, n)
-    return tuple(images), float(np.max(resid)), unique
+    images = PairSpan(left, right).combine(sol.T.reshape(-1, n_left, n_right))
+    return images, float(np.max(resid)), unique
 
 
 def induce_coaction(gamma, dr):
@@ -223,14 +212,12 @@ def induce_coaction(gamma, dr):
         )
     basis = gamma.algebraD
     a = dr.target
-    hd = basis[0].shape[0]
-    space_dc = LegSpace((hd, gamma.qg.dim))
-    gx = [gamma.gamma(x) for x in basis]
-    rhs = [apply_map_to_leg(y, space_dc, 2, dr.deltaR)[0] for y in gx]
+    hd = gamma.hdim
+    gx = gamma.gamma.apply_stack(basis)
+    rhs, _ = apply_map_to_leg(gx, LegSpace((hd, gamma.qg.dim)), 2, dr.deltaR)
     images, worst, unique = _solve_on_product_basis(basis, gx, a.algC, rhs)
     gate(worst, EQUATION_TOL, SolveFailure, "induced coaction solve fails")
-    alpha = SpanMap(tuple(basis), images, hd, hd * a.dim)
-    out = check_coaction(alpha, list(basis), a)
+    out = check_coaction(SpanMap(basis, images, hd, hd * a.dim), basis, a)
     out.residuals["solve"] = worst
     out.residuals["uniqueRank"] = unique
     return out
@@ -238,9 +225,8 @@ def induce_coaction(gamma, dr):
 
 def coactions_agree(first, second):
     """Worst difference of two coactions on the first one's basis."""
-    return float(
-        np.max([residual_between(first.gamma(x), second.gamma(x)) for x in first.algebraD])
-    )
+    basis = first.algebraD
+    return residuals_between(first.gamma.apply_stack(basis), second.gamma.apply_stack(basis))
 
 
 def compose_functors_check(a, b):
@@ -259,13 +245,11 @@ def compose_functors_check(a, b):
         )
     c = a.source
     bqg = b.target
-    space_ca = LegSpace((c.dim, a.target.dim))
-    ax = [a.deltaR(x) for x in c.algC]
-    rhs = [apply_map_to_leg(y, space_ca, 2, b.deltaR)[0] for y in ax]
+    ax = a.deltaR.apply_stack(c.algC)
+    rhs, _ = apply_map_to_leg(ax, LegSpace((c.dim, a.target.dim)), 2, b.deltaR)
     images, worst, _ = _solve_on_product_basis(c.algC, ax, bqg.algC, rhs)
     gate(worst, EQUATION_TOL, SolveFailure, "composite homomorphism solve fails")
-    comp_map = SpanMap(tuple(c.algC), images, c.dim, c.dim * bqg.dim)
-    comp = check_right_hom(c, bqg, comp_map)
+    comp = check_right_hom(c, bqg, SpanMap(c.algC, images, c.dim, c.dim * bqg.dim))
 
     checks = [worst]
     for start in (comultiplication_coaction(c), trivial_coaction(c.algC, c)):

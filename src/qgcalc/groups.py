@@ -360,7 +360,7 @@ def hom_to_hopf(phi, picture):
                 if phi.map[x] == y:
                     img[x, x] = 1.0
             images.append(img)
-        fmap = SpanMap(tuple(basis), tuple(images), h.order, g.order)
+        fmap = SpanMap(basis, images, h.order, g.order)
         return check_hopf_hom(source, target, fmap)
     if picture == "cstar":
         source = qg_from_group(g, "cstar")

@@ -34,7 +34,6 @@ from .tensorleg import (
     mapped_slab,
     membership_residuals,
     orthonormal_basis,
-    permute_legs,
     residuals_between,
     span_map_from_pairs,
     streamed_residual,
@@ -46,7 +45,6 @@ __all__ = [
     "ManageabilityWitness",
     "build_from_unitary",
     "manageability_witness",
-    "dual_qg",
     "unitary_antipode",
     "dual_unitary_antipode",
     "transpose_qg",
@@ -70,8 +68,8 @@ class FiniteQuantumGroup:
 
     Instances are immutable by convention once construction finishes.
     ``algC`` and ``algChat`` are orthonormal bases (Hilbert-Schmidt) of the
-    two slice spans; ``deltaC`` and ``deltaChat`` are the comultiplications
-    as linear maps on those spans; ``kacR`` is the unitary antipode on the
+    two slice spans, each an (n, d, d) stack; ``deltaC`` and ``deltaChat``
+    are the comultiplications as linear maps on those spans; ``kacR`` is the unitary antipode on the
     algC span when the Kac validation succeeded, else None.
     """
 
@@ -87,8 +85,8 @@ class FiniteQuantumGroup:
     def __init__(self, dim, w, alg_c, alg_chat, delta_c, delta_chat, kac_r, residuals):
         self.dim = int(dim)
         self.W = w
-        self.algC = tuple(alg_c)
-        self.algChat = tuple(alg_chat)
+        self.algC = np.asarray(alg_c, dtype=complex)
+        self.algChat = np.asarray(alg_chat, dtype=complex)
         self.deltaC = delta_c
         self.deltaChat = delta_chat
         self.kacR = kac_r
@@ -149,10 +147,9 @@ def _leg_slices(w, d, leg):
 
 def closure_residual(basis):
     """Worst distance of adjoints and pairwise products from span(basis): 0 for a *-algebra."""
-    stack = np.stack(basis, axis=0)
     # all pairwise products in one broadcast matmul
-    prods = (stack[:, None] @ stack[None, :]).reshape(-1, *stack.shape[1:])
-    adjoints = stack.conj().transpose(0, 2, 1)
+    prods = (basis[:, None] @ basis[None, :]).reshape(-1, *basis.shape[1:])
+    adjoints = basis.conj().transpose(0, 2, 1)
     return membership_residuals(basis, np.concatenate([adjoints, prods], axis=0))
 
 
@@ -171,24 +168,16 @@ def corep_law_residual(x, qg):
 
 
 def _delta_maps(w, d, alg_c, alg_chat):
-    space = LegSpace((d, d))
+    """Delta(x) = W(x (x) 1)W* on algC and Sigma W*(1 (x) y)W Sigma on algChat."""
     eye = np.eye(d, dtype=complex)
     wd = w.conj().T
-    sigma_conj = lambda t: permute_legs(t, space, (2, 1))
-
-    def delta_c_of(x):
-        return w @ kron(x, eye) @ wd
-
-    def delta_chat_of(y):
-        return sigma_conj(wd @ kron(eye, y) @ w)
-
-    delta_c = SpanMap(
-        tuple(alg_c), tuple(delta_c_of(x) for x in alg_c), d, d * d
+    # kron of a stack and a matrix is the stack of the krons
+    flipped = (wd @ kron(eye, alg_chat) @ w).reshape(-1, d, d, d, d)
+    images_chat = flipped.transpose(0, 2, 1, 4, 3).reshape(-1, d * d, d * d)
+    return (
+        SpanMap(alg_c, w @ kron(alg_c, eye) @ wd, d, d * d),
+        SpanMap(alg_chat, images_chat, d, d * d),
     )
-    delta_chat = SpanMap(
-        tuple(alg_chat), tuple(delta_chat_of(y) for y in alg_chat), d, d * d
-    )
-    return delta_c, delta_chat
 
 
 def _try_antipode(w, d, alg_c):
@@ -196,18 +185,17 @@ def _try_antipode(w, d, alg_c):
     pairs = zip(_leg_slices(w, d, 1), _leg_slices(w.conj().T, d, 1))
     kappa, consistency = span_map_from_pairs(list(pairs))
     gate(consistency, EQUATION_TOL, NotKacType, "antipode is not well defined on slices")
-    stack = np.stack(alg_c, axis=0)
-    kxs = kappa.apply_stack(stack)
-    adjoints = stack.conj().transpose(0, 2, 1)
+    kxs = kappa.apply_stack(alg_c)
+    adjoints = alg_c.conj().transpose(0, 2, 1)
     # kappa(xy) = kappa(y) kappa(x) over every basis pair, one broadcast each side
-    prods = (stack[:, None] @ stack[None, :]).reshape(-1, d, d)
+    prods = (alg_c[:, None] @ alg_c[None, :]).reshape(-1, d, d)
     swapped = (kxs[None, :] @ kxs[:, None]).reshape(-1, d, d)
     worst = float(
         np.max(
             [
                 consistency,
                 membership_residuals(alg_c, kxs),
-                residuals_between(kappa.apply_stack(kxs), stack),
+                residuals_between(kappa.apply_stack(kxs), alg_c),
                 residuals_between(
                     kappa.apply_stack(adjoints), kxs.conj().transpose(0, 2, 1)
                 ),
@@ -261,7 +249,7 @@ def build_from_unitary(w, dim):
     memb = float(
         np.max(
             [
-                membership_residuals(PairSpan(alg, alg), list(delta.images))
+                membership_residuals(PairSpan(alg, alg), delta.images)
                 for alg, delta in ((alg_c, delta_c), (alg_chat, delta_chat))
             ]
         )
@@ -317,14 +305,6 @@ def manageability_witness(qg):
     residual = unitarity_defect(wt)
     gate(residual, PENTAGON_TOL, NotManageable, "witness fails unitarity")
     return ManageabilityWitness(wt, residual)
-
-
-def dual_qg(qg):
-    """Dual quantum group from flip-conjugating the adjoint of W: ``qg.dual``.
-
-    Built on first use and kept; ``dual_qg(dual_qg(qg))`` is ``qg``.
-    """
-    return qg.dual
 
 
 def unitary_antipode(qg):
@@ -414,8 +394,8 @@ def coinvariant_dimension(qg):
     coinvariant.
     """
     d = qg.dim
-    images = np.stack(qg.deltaC.images)
-    right_triv = PairSpan(qg.algC, [np.eye(d, dtype=complex) / np.sqrt(d)])
+    images = qg.deltaC.images
+    right_triv = PairSpan(qg.algC, np.eye(d, dtype=complex)[None] / np.sqrt(d))
     system = (images - right_triv.project(images)).reshape(len(images), -1)
     s = np.linalg.svd(system, compute_uv=False)
     smax = s[0] if len(s) else 0.0

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParseError
 from .groups import build_group, qg_from_group
 from .qgroup import build_from_unitary
-from .tensorleg import orthonormal_basis, pair_basis
+from .tensorleg import PairSpan, orthonormal_basis
 
 __all__ = [
     "load_json",
@@ -159,7 +159,9 @@ def group_from_obj(obj, base="."):
         return group_from_obj(load_json(path), base=os.path.dirname(path) or ".")
     order = _need(obj, "order", "group")
     table = _need(obj, "table", "group")
-    if not isinstance(order, int) or not isinstance(table, list) or len(table) != order:
+    if not isinstance(order, int) or order < 1:
+        raise ParseError(f"group: order must be a positive integer, got {order!r}")
+    if not isinstance(table, list) or len(table) != order:
         raise ParseError("group: order must match the table size")
     for r in table:
         if not isinstance(r, list) or len(r) != order:
@@ -242,38 +244,34 @@ def bicharacter_to_obj(v):
     }
 
 
-def _images_from_coefficients(m, pairs, what):
-    images = []
-    if m.shape[0] != len(pairs):
-        raise ParseError(
-            f"{what}: coefficient matrix has {m.shape[0]} rows, "
-            f"basis has {len(pairs)} elements"
-        )
-    for l in range(m.shape[1]):
-        img = np.zeros_like(pairs[0], dtype=complex)
-        for k, b in enumerate(pairs):
-            img = img + m[k, l] * b
-        images.append(img)
-    return images
+def _hom_span(kind, source, target):
+    """The product span a hom file's coefficient rows run over, by hom kind.
 
-
-def _coefficients_from_images(images, pairs):
-    m = np.empty((len(pairs), len(images)), dtype=complex)
-    for l, img in enumerate(images):
-        for k, b in enumerate(pairs):
-            m[k, l] = np.trace(b.conj().T @ img)
-    return m
-
-
-def _hom_pair_basis(kind, source, target):
-    """The basis a hom file's coefficient rows run over, by hom kind."""
+    A Hopf map lands in the target algebra alone, the product of its basis
+    with the 1 x 1 basis {1}.
+    """
     if kind == "hopf":
-        return list(target.algC)
+        return PairSpan(target.algC, np.ones((1, 1, 1)))
     if kind == "right":
-        return pair_basis(source.algC, target.algC)
+        return PairSpan(source.algC, target.algC)
     if kind == "left":
-        return pair_basis(target.algC, source.algC)
+        return PairSpan(target.algC, source.algC)
     raise ValueError(f"unknown hom kind {kind!r}")
+
+
+def _images_from_coefficients(span, m, what):
+    """The images whose coefficients on span are the columns of m."""
+    rows = len(span.left) * len(span.right)
+    if m.shape[0] != rows:
+        raise ParseError(
+            f"{what}: coefficient matrix has {m.shape[0]} rows, basis has {rows} elements"
+        )
+    return span.combine(m.T.reshape(m.shape[1], len(span.left), len(span.right)))
+
+
+def _coefficients_from_images(span, images):
+    """The coefficient matrix of the images on span, one column each."""
+    return span.coefficients(images).reshape(len(images), -1).T
 
 
 @_scoped
@@ -298,19 +296,18 @@ def hom_parts_from_obj(obj, base="."):
         raise ParseError(
             f"hom matrix has {m.shape[1]} columns, source algebra has {len(source.algC)}"
         )
-    pair = _hom_pair_basis(kind, source, target)
-    images = _images_from_coefficients(m, pair, "hom")
+    images = _images_from_coefficients(_hom_span(kind, source, target), m, "hom")
     return kind, source, target, images
 
 
 def hom_to_obj(kind, source, target, span_map):
-    pair = _hom_pair_basis(kind, source, target)
-    images = [span_map(x) for x in source.algC]
+    images = span_map.apply_stack(source.algC)
+    m = _coefficients_from_images(_hom_span(kind, source, target), images)
     return {
         "kind": kind,
         "source": qg_to_obj(source),
         "target": qg_to_obj(target),
-        "matrix": matrix_to_obj(_coefficients_from_images(images, pair)),
+        "matrix": matrix_to_obj(m),
         "basisConvention": "orthonormalized-slice",
     }
 
@@ -318,11 +315,15 @@ def hom_to_obj(kind, source, target, span_map):
 def coaction_parts_from_obj(obj, base="."):
     """Returns (orthonormal D basis, qg, image matrices) for a coaction file."""
     dspec = _need(obj, "D", "coaction")
-    if not isinstance(dspec, dict) or "basis" not in dspec:
+    if not isinstance(dspec, dict) or not isinstance(dspec.get("basis"), list):
         raise ParseError("coaction: D must be an object with a basis list")
     raw = [matrix_from_obj(b, "D basis element") for b in dspec["basis"]]
     if not raw:
         raise ParseError("coaction: D basis is empty")
+    shape = raw[0].shape
+    if shape[0] != shape[1] or any(b.shape != shape for b in raw):
+        got = ", ".join(f"{b.shape[0]}x{b.shape[1]}" for b in raw)
+        raise ParseError(f"coaction: D basis elements must be square and of one shape, got {got}")
     m = matrix_from_obj(_need(obj, "gamma", "coaction"), "gamma")
     qg = qg_from_obj(_need(obj, "qg", "coaction"), base)
     basis = orthonormal_basis(raw)
@@ -330,8 +331,7 @@ def coaction_parts_from_obj(obj, base="."):
         raise ParseError(
             f"gamma has {m.shape[1]} columns, orthonormalized D has {len(basis)}"
         )
-    pair = pair_basis(basis, qg.algC)
-    images = _images_from_coefficients(m, pair, "gamma")
+    images = _images_from_coefficients(PairSpan(basis, qg.algC), m, "gamma")
     return basis, qg, images
 
 
@@ -340,13 +340,12 @@ def coaction_to_obj(coaction):
     # a reader re-orthonormalizes the stored basis (pivoted QR can flip
     # signs even on orthonormal input), so gamma's coefficients must be
     # taken against that reconstruction, not against algebraD itself
-    basis = orthonormal_basis(list(coaction.algebraD))
-    pair = pair_basis(basis, qg.algC)
-    images = [coaction.gamma(d) for d in basis]
+    basis = orthonormal_basis(coaction.algebraD)
+    images = coaction.gamma.apply_stack(basis)
     return {
         "D": {"basis": [matrix_to_obj(d) for d in coaction.algebraD]},
         "qg": qg_to_obj(qg),
-        "gamma": matrix_to_obj(_coefficients_from_images(images, pair)),
+        "gamma": matrix_to_obj(_coefficients_from_images(PairSpan(basis, qg.algC), images)),
     }
 
 

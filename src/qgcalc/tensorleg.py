@@ -5,11 +5,13 @@ underlying space factors into tensor legs; legs are numbered from 1 so that
 code reads like the usual subscript notation (a unitary placed on legs 1 and
 3 of a three-fold product, and so on).  All Kronecker products are row-major.
 
+A basis of a span of matrices, and any list of matrices mapped together,
+is one complex (n, r, c) array: element k is the r x c matrix at index k.
+
 Residuals returned by the checks here are relative Frobenius norms.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 import math
 
 import numpy as np
@@ -28,10 +30,8 @@ __all__ = [
     "unitarity_defect",
     "kron",
     "kron_all",
-    "pair_basis",
     "PairSpan",
     "flip_unitary",
-    "embed_on_legs",
     "legs_product",
     "legs_slab",
     "slab_width",
@@ -174,16 +174,6 @@ def kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def pair_basis(left, right):
-    """Kronecker products a (x) b of two bases, left index outer.
-
-    Hilbert-Schmidt orthonormality survives the Kronecker product, so two
-    orthonormal bases give an orthonormal basis of the product span.  To
-    project onto that span, PairSpan does it without forming the products.
-    """
-    return [kron(a, b) for a in left for b in right]
-
-
 def kron_all(mats):
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
@@ -247,27 +237,11 @@ def _named_legs(x, space, legs):
     return x, legs
 
 
-def embed_on_legs(x, space, legs):
-    """Place x on the named legs (in their given order), identity elsewhere.
-
-    This materializes the full Kronecker embedding; legs_product forms
-    products of leg-placed operators without it and is checked against it.
-    """
-    x, legs = _named_legs(x, space, legs)
-    rest = [l for l in range(1, space.nlegs + 1) if l not in legs]
-    cur_order = list(legs) + rest
-    d_rest = math.prod(space.dims[l - 1] for l in rest)
-    big = np.kron(x, np.eye(d_rest, dtype=complex))
-    cur_space = LegSpace([space.dims[l - 1] for l in cur_order])
-    # big lives on legs ordered (legs..., rest...); permute back to natural order
-    perm = [cur_order.index(j) + 1 for j in range(1, space.nlegs + 1)]
-    return permute_legs(big, cur_space, perm)
-
-
 def legs_product(space, *factors):
     """Dense matrix of x1 x2 ... xk, each xk on its legs and the identity elsewhere.
 
-    Each factor is an ``(x, legs)`` pair read as in embed_on_legs.  The
+    Each factor is an ``(x, legs)`` pair: x on the named legs, in their
+    given order, and the identity on the others.  The
     factors are contracted right to left as small tensors, one BLAS
     tensordot per factor.  A leg that no factor so far acts on stays an
     implicit identity, so a step costs the size of the partial product
@@ -482,37 +456,33 @@ def intertwiner_space(w, dim):
 
 
 def orthonormal_basis(mats):
-    """Orthonormal basis (Hilbert-Schmidt) of the span of the given matrices.
+    """Orthonormal basis (Hilbert-Schmidt) of the span of an (n, r, c) stack.
 
-    Column-pivoted QR keeps the rank decision stable when the spanning set
-    repeats directions in an unfortunate order.
+    Returns the (rank, r, c) stack of basis elements.  Column-pivoted QR
+    keeps the rank decision stable when the spanning set repeats directions
+    in an unfortunate order.
     """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    if not mats:
-        return []
-    shape = mats[0].shape
-    cols = np.stack([vec(m) for m in mats], axis=1)
-    q, r, _ = scipy.linalg.qr(cols, mode="economic", pivoting=True)
+    mats = np.asarray(mats, dtype=complex)
+    if len(mats) == 0:
+        return mats
+    q, r, _ = scipy.linalg.qr(mats.reshape(len(mats), -1).T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    if len(diag) == 0 or diag[0] == 0:
-        return []
-    rank = int(np.sum(diag > RANK_CUTOFF * diag[0]))
-    return [unvec(q[:, k], shape[0], shape[1]) for k in range(rank)]
+    rank = int(np.sum(diag > RANK_CUTOFF * diag[0])) if diag[0] > 0 else 0
+    return q[:, :rank].T.reshape(rank, *mats.shape[1:])
 
 
-def numerical_rank(cols):
-    """Rank of the stacked vectors: singular values above RANK_CUTOFF times the largest.
+def numerical_rank(stack):
+    """Rank of an (n, ...) stack, each element flattened: singular values above
+    RANK_CUTOFF times the largest.
 
-    Vectors with a non-finite entry have no numerical rank; they read 0, so
-    every full-rank test on them fails instead of the SVD raising.
+    A stack with a non-finite entry has no numerical rank; it reads 0, so
+    every full-rank test on it fails instead of the SVD raising.
     """
-    if not cols:
+    stack = np.asarray(stack)
+    if len(stack) == 0 or not np.all(np.isfinite(stack)):
         return 0
-    stack = np.stack(cols, axis=1)
-    if not np.all(np.isfinite(stack)):
-        return 0
-    s = np.linalg.svd(stack, compute_uv=False)
-    if len(s) == 0 or s[0] == 0:
+    s = np.linalg.svd(stack.reshape(len(stack), -1), compute_uv=False)
+    if s[0] == 0:
         return 0
     return int(np.sum(s > RANK_CUTOFF * s[0]))
 
@@ -522,12 +492,13 @@ class PairSpan:
 
     Hilbert-Schmidt orthonormality survives the Kronecker product, so the
     products l_i (x) r_j are an orthonormal basis of the span; this class
-    projects onto it without ever forming them (see pair_basis).
+    reads coefficients on them and reassembles from them without ever
+    forming the products.
     """
 
     def __init__(self, left, right):
-        self.left = np.stack([as_matrix(m) for m in left])
-        self.right = np.stack([as_matrix(m) for m in right])
+        self.left = np.asarray(left, dtype=complex)
+        self.right = np.asarray(right, dtype=complex)
 
     def coefficients(self, xs):
         """<l_i (x) r_j, x_k> for an (n, d1*d2, d1*d2) stack: an (n, i, j) array."""
@@ -538,12 +509,16 @@ class PairSpan:
             "iab,jce,kacbe->kij", self.left.conj(), self.right.conj(), legs, optimize=True
         )
 
+    def combine(self, coeff):
+        """sum_ij coeff[k, i, j] l_i (x) r_j for an (n, i, j) array, the inverse of
+        coefficients on the span: an (n, d1*d2, d1*d2) stack."""
+        d1, d2 = self.left.shape[1], self.right.shape[1]
+        out = np.einsum("kij,iab,jce->kacbe", coeff, self.left, self.right, optimize=True)
+        return out.reshape(len(coeff), d1 * d2, d1 * d2)
+
     def project(self, xs):
         """Orthogonal projections of an (n, d1*d2, d1*d2) stack onto the span."""
-        xs = np.asarray(xs, dtype=complex)
-        coeff = self.coefficients(xs)
-        out = np.einsum("kij,iab,jce->kacbe", coeff, self.left, self.right, optimize=True)
-        return out.reshape(xs.shape)
+        return self.combine(self.coefficients(xs))
 
 
 def membership_residual(basis, x):
@@ -552,64 +527,52 @@ def membership_residual(basis, x):
 
 
 def membership_residuals(basis, mats):
-    """Worst relative distance of the given matrices from the basis span.
+    """Worst relative distance of an (n, r, c) stack of matrices from the basis span.
 
     One stacked projection instead of a per-matrix loop; use this for the
     closure checks, where thousands of products hit the same span.  basis
-    is a list of orthonormal matrices or a PairSpan, which is projected
-    onto leg by leg.  mats may be a list of matrices or an (n, r, c) array.
+    is an orthonormal (m, r, c) stack or a PairSpan, which is projected
+    onto leg by leg.
     """
-    if len(mats) == 0:
+    stack = np.asarray(mats, dtype=complex)
+    if len(stack) == 0:
         return 0.0
+    xs = stack.reshape(len(stack), -1).T
     if isinstance(basis, PairSpan):
-        stack = np.asarray(mats, dtype=complex)
-        xs = stack.reshape(len(stack), -1).T
         rem = xs - basis.project(stack).reshape(len(stack), -1).T
     else:
-        if isinstance(mats, np.ndarray) and mats.ndim == 3:
-            xs = mats.reshape(mats.shape[0], -1).T.astype(complex)
-        else:
-            xs = np.stack([vec(np.asarray(m, dtype=complex)) for m in mats], axis=1)
-        if basis:
-            b = np.stack([vec(np.asarray(m, dtype=complex)) for m in basis], axis=0)
-            rem = xs - b.T @ (b.conj() @ xs)
-        else:
-            rem = xs
+        b = np.asarray(basis, dtype=complex).reshape(len(basis), -1)
+        rem = xs - b.T @ (b.conj() @ xs)
     norm = np.sqrt(np.sum(np.abs(rem) ** 2, axis=0))
     scale = np.maximum(1.0, np.sqrt(np.sum(np.abs(xs) ** 2, axis=0)))
     return float(np.max(norm / scale))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanMap:
     """Linear map between matrix spaces, stored on an orthonormal domain basis.
 
-    ``basis[i]`` maps to ``images[i]``; anything orthogonal to the basis is
-    sent to zero.  Domain matrices are d x d, image matrices are dd x dd.
+    ``basis[k]`` maps to ``images[k]``; anything orthogonal to the basis is
+    sent to zero.  Both are stacks, (n, d, d) and (n, dd, dd), whatever
+    sequence of matrices they were given as.
     """
 
-    basis: tuple
-    images: tuple
+    basis: np.ndarray
+    images: np.ndarray
     d: int
     dd: int
 
-    @cached_property
+    def __post_init__(self):
+        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=complex))
+        object.__setattr__(self, "images", np.asarray(self.images, dtype=complex))
+
+    @property
     def _basis_rows(self):
-        return np.stack([vec(m) for m in self.basis], axis=0)
+        return self.basis.reshape(len(self.basis), -1)
 
-    @cached_property
+    @property
     def _image_rows(self):
-        return np.stack([vec(m) for m in self.images], axis=0)
-
-    @cached_property
-    def _superoperator(self):
-        out = self._image_rows.T @ self._basis_rows.conj()
-        out.flags.writeable = False
-        return out
-
-    def superoperator(self):
-        """The (dd*dd, d*d) matrix of the map on row-major vectorizations, computed once."""
-        return self._superoperator
+        return self.images.reshape(len(self.images), -1)
 
     def __call__(self, x):
         x = as_matrix(x)
@@ -639,36 +602,37 @@ def span_map_from_pairs(pairs):
     far the pairs are from defining a single linear map.  Small residual
     certifies consistency.
     """
-    xs = [np.asarray(x, dtype=complex) for x, _ in pairs]
-    ys = [np.asarray(y, dtype=complex) for _, y in pairs]
-    if not xs:
+    if not pairs:
         raise ValueError("need at least one pair")
-    d = xs[0].shape[0]
-    dd = ys[0].shape[0]
+    xs = np.asarray([x for x, _ in pairs], dtype=complex)
+    ys = np.asarray([y for _, y in pairs], dtype=complex)
+    d, dd = xs.shape[1], ys.shape[1]
     basis = orthonormal_basis(xs)
-    bmat = np.stack([vec(b) for b in basis], axis=0)
-    xmat = np.stack([vec(x) for x in xs], axis=1)
-    coeff = bmat.conj() @ xmat
-    ymat = np.stack([vec(y) for y in ys], axis=0)
+    coeff = basis.reshape(len(basis), -1).conj() @ xs.reshape(len(xs), -1).T
+    ymat = ys.reshape(len(ys), -1)
     sol, _, _, _ = np.linalg.lstsq(coeff.T, ymat, rcond=None)
     resid = frob(coeff.T @ sol - ymat) / max(1.0, frob(ymat))
-    images = [unvec(sol[k], dd, dd) for k in range(len(basis))]
-    return SpanMap(tuple(basis), tuple(images), d, dd), float(resid)
+    return SpanMap(basis, sol.reshape(len(basis), dd, dd), d, dd), float(resid)
 
 
 def apply_map_to_leg(t, space, leg, phi):
     """Apply a SpanMap to one leg of t; the leg's dimension becomes phi.dd.
 
-    Returns the new matrix and the new leg space.  When phi lands in a
-    tensor product (a comultiplication), re-divide the enlarged leg by
-    building the finer LegSpace by hand; the matrix itself is unchanged.
+    t is one operator on space or an (n, N, N) stack of them, mapped each
+    on its own.  Returns the result, of the same form, and the new leg
+    space.  When phi lands in a tensor product (a comultiplication),
+    re-divide the enlarged leg by building the finer LegSpace by hand; the
+    matrix itself is unchanged.
     """
-    t = _check_space(t, space)
-    out = _map_leg(t.reshape(space.dims + space.dims), space, leg, phi)
+    t = np.asarray(t, dtype=complex)
+    if t.ndim not in (2, 3) or t.shape[-2:] != (space.total, space.total):
+        raise ValueError(f"operator shape {t.shape} does not match leg space {space.dims}")
+    lead = t.shape[:-2]
+    out = _map_leg(t.reshape(lead + space.dims + space.dims), space, leg, phi)
     new_dims = list(space.dims)
     new_dims[leg - 1] = phi.dd
     out_space = LegSpace(new_dims)
-    return out.reshape(out_space.total, out_space.total), out_space
+    return out.reshape(lead + (out_space.total, out_space.total)), out_space
 
 
 def mapped_slab(t, space, map_leg, phi, leg, cols):
@@ -687,15 +651,16 @@ def mapped_slab(t, space, map_leg, phi, leg, cols):
     return out.reshape(space.total // space.dims[map_leg - 1] * phi.dd, -1)
 
 
-def _map_leg(t4, space, leg, phi):
-    """phi on the (row, column) axis pair of leg of a 2n-axis tensor."""
+def _map_leg(t, space, leg, phi):
+    """phi on the (row, column) axis pair of leg, the tensor's last 2n axes being
+    the row and the column legs of space; any axes before them are carried along."""
     space._check_leg(leg)
     n = space.nlegs
     d = space.dims[leg - 1]
     if phi.d != d:
         raise ValueError(f"map domain dim {phi.d} does not match leg {leg} dim {d}")
-    moved = np.moveaxis(t4, (leg - 1, n + leg - 1), (2 * n - 2, 2 * n - 1))
-    rest_shape = moved.shape[: 2 * n - 2]
+    axes = (leg - 1 - 2 * n, leg - 1 - n)
+    moved = np.moveaxis(t, axes, (-2, -1))
     out_flat = phi.apply_rows(moved.reshape(-1, d * d))
-    out = out_flat.reshape(rest_shape + (phi.dd, phi.dd))
-    return np.moveaxis(out, (2 * n - 2, 2 * n - 1), (leg - 1, n + leg - 1))
+    out = out_flat.reshape(moved.shape[:-2] + (phi.dd, phi.dd))
+    return np.moveaxis(out, (-2, -1), axes)

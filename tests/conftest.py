@@ -1,12 +1,14 @@
-"""Shared fixtures: groups and built quantum groups reused across the suite."""
+"""Shared fixtures, and the oracles the library is checked against:
+embed_on_legs, pair_basis and the streamed coassociativity residual."""
 
+import math
 import sys
 
 import numpy as np
 import pytest
 
 import qgcalc as q
-from qgcalc.tensorleg import LegSpace, legs_slab, slab_width
+from qgcalc.tensorleg import LegSpace, _named_legs, kron, legs_slab, permute_legs, slab_width
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +77,29 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def embed_on_legs(x, space, legs):
+    """Place x on the named legs (in their given order), identity elsewhere.
+
+    The oracle for legs_product and the streamed residuals: it materializes
+    the full Kronecker embedding, which the library never forms.
+    """
+    x, legs = _named_legs(x, space, legs)
+    rest = [l for l in range(1, space.nlegs + 1) if l not in legs]
+    cur_order = list(legs) + rest
+    d_rest = math.prod(space.dims[l - 1] for l in rest)
+    big = np.kron(x, np.eye(d_rest, dtype=complex))
+    cur_space = LegSpace([space.dims[l - 1] for l in cur_order])
+    # big lives on legs ordered (legs..., rest...); permute back to natural order
+    perm = [cur_order.index(j) + 1 for j in range(1, space.nlegs + 1)]
+    return permute_legs(big, cur_space, perm)
+
+
+def pair_basis(left, right):
+    """Kronecker products a (x) b of two bases, left index outer: the
+    materialised basis of the span that tensorleg.PairSpan handles leg by leg."""
+    return [kron(a, b) for a in left for b in right]
 
 
 def streamed_coassociativity(qg):

@@ -532,6 +532,26 @@ def test_induce_blames_a_zero_hom(tmp_path, capsys, z2, z4):
     assert record["message"] == "deltaR is not injective"
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [np.eye(3), np.ones((2, 3))],
+    ids=["mixed-shapes", "non-square"],
+)
+@pytest.mark.parametrize("command", ["verify", "induce"])
+def test_malformed_coaction_basis_exits_two(tmp_path, capsys, va_file, command, extra):
+    # the file's D basis must be square matrices of one shape before it is stacked
+    path_v, va = va_file
+    obj = coaction_to_obj(comultiplication_coaction(va.source))
+    obj["D"]["basis"].append(matrix_to_obj(extra))
+    path_c = tmp_path / "bad_basis.json"
+    write_json(str(path_c), obj)
+    argv = {"verify": [str(path_c), "coaction"], "induce": [str(path_c), path_v]}[command]
+    code, captured = run_cli(capsys, [command] + argv)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: coaction: D basis elements must be square")
+
+
 def test_induce_mismatched_sources_exits_two(tmp_path, capsys, va_file, z4):
     path_v, va = va_file
     wrong = comultiplication_coaction(q.qg_from_group(z4, "c0"))
@@ -577,10 +597,11 @@ def test_suite_flags_corrupt_file(tmp_path, capsys, z2):
     obj = qg_to_obj(q.qg_from_group(z2, "c0"))
     obj["W"]["data"][0][0] = float("nan")
     write_json(str(d / "nan_w.json"), obj)
+    write_json(str(d / "empty_group.json"), {"order": 0, "table": []})
     code, obj = run_json(capsys, ["suite", str(d)])
     assert code == 1
     failing = [s["subject"] for s in obj["subjects"] if not s["pass"]]
-    assert failing == ["broken.json", "nan_w.json"]
+    assert failing == ["broken.json", "empty_group.json", "nan_w.json"]
 
 
 def test_suite_empty_dir_warns(tmp_path, capsys):

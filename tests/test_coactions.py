@@ -127,7 +127,7 @@ _GATE_HOME = {
     ("span_map_from_pairs", None): coactions,
     ("membership_residuals", 2): qgroup,
     ("membership_residuals", 4): homviews,
-    ("residual_between", 4): homviews,
+    ("residuals_between", 4): homviews,
     ("residual_between", 8): homviews,
 }
 
@@ -138,7 +138,7 @@ _GATE_HOME = {
         ("span_map_from_pairs", None, "well defined"),
         ("membership_residuals", 2, "algebra"),
         ("membership_residuals", 4, "escapes"),
-        ("residual_between", 4, "homomorphism"),
+        ("residuals_between", 4, "homomorphism"),
         ("residual_between", 8, "coassoc"),
     ],
 )
@@ -231,10 +231,12 @@ def test_product_basis_solver_matches_the_kron_sums():
     cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     left, images, right = cplx(3, 2, 2), cplx(3, 4, 4), cplx(2, 3, 3)
     coeff = cplx(5, 3, 2)
-    rhs = [
-        sum(c[i, j] * kron(images[i], right[j]) for i in range(3) for j in range(2))
-        for c in coeff
-    ]
+    rhs = np.array(
+        [
+            sum(c[i, j] * kron(images[i], right[j]) for i in range(3) for j in range(2))
+            for c in coeff
+        ]
+    )
     got, worst, unique = coactions._solve_on_product_basis(left, images, right, rhs)
     assert worst <= 1e-12 and unique
     for c, img in zip(coeff, got):

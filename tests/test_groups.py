@@ -329,3 +329,19 @@ def test_failed_witness_check_raises_under_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("CalculusError 1 character table is not unitary")
+
+
+def test_build_corpus_script_reproduces_the_shipped_corpus(tmp_path):
+    """scripts/build_corpus.py writes the shipped group files byte for byte."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(q.__file__)))
+    shipped = os.path.join(src, "qgcalc", "data", "groups")
+    script = os.path.join(os.path.dirname(src), "scripts", "build_corpus.py")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, script, "--out", str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(shipped))
+    for name in os.listdir(shipped):
+        with open(os.path.join(shipped, name), "rb") as want, open(tmp_path / name, "rb") as got:
+            assert got.read() == want.read(), name

@@ -8,6 +8,7 @@ import qgcalc as q
 from qgcalc.coactions import check_coaction
 from qgcalc.errors import DimensionMismatch, HopfHomViolation, RangeViolation
 from qgcalc.homviews import (
+    HopfHom,
     bicharacter_from_left,
     bicharacter_from_right,
     check_hopf_hom,
@@ -24,8 +25,11 @@ from qgcalc.tensorleg import (
     SpanMap,
     apply_map_to_leg,
     kron,
+    membership_residual,
+    numerical_rank,
     residual_between,
     span_map_from_pairs,
+    vec,
 )
 
 
@@ -267,3 +271,43 @@ def test_one_sided_homs_are_coactions(z2, z4, picture):
     # computes the same comodule residuals
     for key, hom_key in (("range", "range"), ("coassociativity", "comoduleDiagram")):
         assert coaction.residuals[key] == dr.residuals[hom_key]
+
+
+def test_stacked_residuals_match_the_per_element_loops(z2, z4, s3):
+    """The Hopf-hom axioms and the comodule rank conditions, computed on whole
+    stacks, against loops over basis elements and pairs, on a generic map
+    whose residuals are far from zero."""
+    rng = np.random.default_rng(71)
+    c, a = c0(z4), q.qg_from_group(s3, "cstar")
+    images = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    f = SpanMap(c.algC, images, 4, 6)
+    got = HopfHom(c, a, f).residuals
+    pairs = [(x, f(x)) for x in c.algC]
+    twice = [
+        apply_map_to_leg(apply_map_to_leg(dx, c.space, 1, f)[0], LegSpace((6, 4)), 2, f)[0]
+        for dx in c.deltaC.images
+    ]
+    want = {
+        "range": max(membership_residual(a.algC, fx) for _, fx in pairs),
+        "star": max(residual_between(f(x.conj().T), fx.conj().T) for x, fx in pairs),
+        "multiplicative": max(
+            residual_between(f(x @ y), fx @ fy) for x, fx in pairs for y, fy in pairs
+        ),
+        "intertwining": max(
+            residual_between(a.deltaC(fx), ff) for (_, fx), ff in zip(pairs, twice)
+        ),
+    }
+    for key, value in want.items():
+        assert value > 1e-3
+        assert got[key] == pytest.approx(value, rel=1e-12), key
+    # injectivity and the Podles density of a coaction-shaped map, as ranks
+    phi = SpanMap(c.algC, rng.standard_normal((4, 8, 8)) + 0j, 4, 8)
+    for leg in (1, 2):
+        res = comodule_residuals(phi, c.algC, c0(z2), leg)
+        gx = [phi(x) for x in c.algC]
+        eye = np.eye(4)
+        products = [
+            vec(y @ (kron(eye, b) if leg == 1 else kron(b, eye))) for y in gx for b in c0(z2).algC
+        ]
+        assert res["injective"] == (numerical_rank([vec(y) for y in gx]) == 4)
+        assert res["dense"] == (numerical_rank(products) == 8)

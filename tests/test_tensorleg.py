@@ -13,7 +13,6 @@ from qgcalc.tensorleg import (
     PairSpan,
     SpanMap,
     apply_map_to_leg,
-    embed_on_legs,
     extract_trivial_legs,
     flip_adjoint,
     flip_unitary,
@@ -28,7 +27,6 @@ from qgcalc.tensorleg import (
     membership_residuals,
     numerical_rank,
     orthonormal_basis,
-    pair_basis,
     permute_legs,
     permuted_space,
     residual_between,
@@ -41,6 +39,7 @@ from qgcalc.tensorleg import (
     vec,
     unvec,
 )
+from conftest import embed_on_legs, pair_basis
 from qgcalc import tensorleg
 from qgcalc.errors import CalculusError, gate
 
@@ -580,6 +579,27 @@ def test_pair_span_matches_the_pair_basis_projection(d1, d2):
     assert membership_residuals(span, []) == 0.0
 
 
+@pytest.mark.parametrize("d1, d2", [(2, 3), (3, 1)])
+def test_pair_span_combine_inverts_coefficients(d1, d2):
+    """combine reassembles coefficients on the products l_i (x) r_j: it is
+    the pair_basis sum, it gives project after coefficients, and it gives
+    back a member of the span; d2 = 1 is the Hopf-map form, right leg {1}."""
+    left = orthonormal_basis([random_complex(d1, d1) for _ in range(d1 + 1)])
+    right = orthonormal_basis([random_complex(d2, d2) for _ in range(2)])
+    products = pair_basis(left, right)
+    span = PairSpan(left, right)
+    coeff = random_complex(4, len(left) * len(right)).reshape(4, len(left), len(right))
+    inside = span.combine(coeff)
+    assert inside.shape == (4, d1 * d2, d1 * d2)
+    for c, x in zip(coeff, inside):
+        want = sum(a * p for a, p in zip(c.reshape(-1), products))
+        np.testing.assert_allclose(x, want, atol=1e-13)
+    np.testing.assert_allclose(span.coefficients(inside), coeff, atol=1e-13)
+    outside = np.stack([random_complex(d1 * d2, d1 * d2) for _ in range(3)])
+    np.testing.assert_array_equal(span.combine(span.coefficients(outside)), span.project(outside))
+    assert membership_residuals(span, outside - span.project(outside)) > 0.1
+
+
 def test_residuals_between_matches_scalar_version():
     xs = np.stack([random_complex(3, 3) for _ in range(4)])
     ys = np.stack([random_complex(3, 3) for _ in range(4)])
@@ -627,14 +647,13 @@ def test_span_map_apply_stack_matches_call():
         np.testing.assert_allclose(got[k], phi(xs[k]), atol=1e-12)
 
 
-def test_span_map_superoperator_is_computed_once():
+def test_span_map_apply_rows_matches_the_dense_superoperator():
     u = random_unitary(2)
     phi, _ = span_map_from_pairs(
         [(e, kron(e, u @ e @ u.conj().T)) for e in (np.eye(2), np.diag([1.0, -1.0]))]
     )
-    s = phi.superoperator()
-    assert s is phi.superoperator()
-    assert not s.flags.writeable
+    # the (dd*dd, d*d) matrix of the map on row-major vectorizations
+    s = sum(np.outer(vec(y), vec(b).conj()) for b, y in zip(phi.basis, phi.images))
     x = random_complex(2, 2)
     np.testing.assert_allclose(s @ vec(x), vec(phi(x)), atol=1e-12)
     # apply_map_to_leg's factored product against the superoperator
@@ -671,6 +690,39 @@ def test_apply_map_to_leg_matches_conjugation():
     big = kron(np.eye(2), u)
     np.testing.assert_allclose(got, big @ t @ big.conj().T, atol=1e-10)
     assert out_space.dims == (2, 3)
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+def test_apply_map_to_leg_on_a_stack_maps_each_operator(leg):
+    """A (n, N, N) stack goes through at once, element k to the map of element k."""
+    dims = (2, 3)
+    d = dims[leg - 1]
+    pairs = [(random_complex(d, d), random_complex(2 * d, 2 * d)) for _ in range(d * d)]
+    phi, _ = span_map_from_pairs(pairs)
+    sp = LegSpace(dims)
+    ts = np.stack([random_complex(6, 6) for _ in range(4)])
+    got, out_space = apply_map_to_leg(ts, sp, leg, phi)
+    assert got.shape == (4, 12, 12)
+    for t, g in zip(ts, got):
+        want, want_space = apply_map_to_leg(t, sp, leg, phi)
+        np.testing.assert_allclose(g, want, atol=1e-13)
+        assert want_space == out_space
+    with pytest.raises(ValueError):
+        apply_map_to_leg(ts[:, :5, :5], sp, leg, phi)
+
+
+def test_span_maps_hold_stacks_whatever_they_are_built_from():
+    """Bases and images are (n, r, c) arrays: in a built quantum group, its
+    comultiplications, a coaction, and a SpanMap made from tuples."""
+    c = q.qg_from_group(q.cyclic_group(3), "c0")
+    for basis, n, r in ((c.algC, 3, 3), (c.algChat, 3, 3), (c.deltaC.images, 3, 9)):
+        assert isinstance(basis, np.ndarray) and basis.shape == (n, r, r)
+    co = q.comultiplication_coaction(c)
+    assert isinstance(co.algebraD, np.ndarray) and co.algebraD.shape == (3, 3, 3)
+    phi = SpanMap(tuple(c.algC), tuple(c.deltaC.images), 3, 9)
+    assert phi.basis.shape == (3, 3, 3) and phi.images.shape == (3, 9, 9)
+    assert phi.basis.dtype == complex
+    np.testing.assert_array_equal(phi.apply_stack(c.algC), c.deltaC.apply_stack(c.algC))
 
 
 def test_apply_map_to_leg_grows_the_leg():
