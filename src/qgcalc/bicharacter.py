@@ -43,6 +43,7 @@ __all__ = [
     "Bicharacter",
     "check_bicharacter",
     "compose",
+    "extract_bicharacter",
     "identity",
     "dual_bicharacter",
     "from_hopf_hom",
@@ -156,10 +157,7 @@ def compose(vca, vab):
         raise SourceTargetMismatch(
             f"middle objects differ: dim {vca.target.dim} vs {vab.source.dim} or unequal W"
         )
-    dc = vca.source.dim
-    da = vca.target.dim
-    db = vab.target.dim
-    space3 = LegSpace((dc, da, db))
+    space3 = LegSpace((vca.source.dim, vca.target.dim, vab.target.dim))
     prod = legs_product(
         space3,
         (vca.V.conj().T, (1, 2)),
@@ -167,9 +165,17 @@ def compose(vca, vab):
         (vca.V, (1, 2)),
         (vab.V.conj().T, (2, 3)),
     )
-    factor, resid = extract_trivial_legs(prod, space3, {2})
-    gate(resid, EQUATION_TOL, ExtractionFailure, "middle leg is not trivial")
-    out = check_bicharacter(factor, vca.source, vab.target)
+    what = "middle leg is not trivial"
+    return extract_bicharacter(prod, space3, {2}, vca.source, vab.target, what)
+
+
+def extract_bicharacter(prod, space, trivial, c, a, what):
+    """The bicharacter from c to a that prod is off its trivial legs: the
+    extraction is gated (ExtractionFailure, what fails), its factor checked,
+    and its residual kept as residuals["extraction"]."""
+    factor, resid = extract_trivial_legs(prod, space, trivial)
+    gate(resid, EQUATION_TOL, ExtractionFailure, what)
+    out = check_bicharacter(factor, c, a)
     out.residuals["extraction"] = resid
     return out
 

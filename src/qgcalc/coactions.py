@@ -120,15 +120,9 @@ def check_coaction(gamma, d, c):
     gate_all(res, Coaction.gates, CoactionViolation)
 
     co = comodule_residuals(gmap, basis, c, 1)
+    co["podles"] = co.pop("dense")
     # np.max, unlike max(), carries a NaN residual through to the gate
-    hom = float(np.max(star_hom_residuals(gmap, basis)))
-    res.update(
-        range=co["range"],
-        homomorphism=hom,
-        coassociativity=co["coassociativity"],
-        injective=co["injective"],
-        podles=co["dense"],
-    )
+    res.update(co, homomorphism=float(np.max(star_hom_residuals(gmap, basis))))
     gate_all(res, Coaction.gates, CoactionViolation)
     return Coaction(basis, c, gmap, res)
 
@@ -198,6 +192,19 @@ def _solve_on_product_basis(left, left_images, right, rhs):
     return images, float(np.max(resid)), unique
 
 
+def _pushed_through(phi, basis, dr, what):
+    """The map psi of basis into span(basis) (x) A induced from phi along dr:
+    (phi (x) id)(psi(x)) = (id (x) deltaR)(phi(x)), solved and gated
+    (SolveFailure, what fails).  Returns psi, the solve residual, and
+    whether the solution is unique."""
+    hd = basis.shape[1]
+    images = phi.apply_stack(basis)
+    rhs, _ = apply_map_to_leg(images, LegSpace((hd, dr.source.dim)), 2, dr.deltaR)
+    solved, worst, unique = _solve_on_product_basis(basis, images, dr.target.algC, rhs)
+    gate(worst, EQUATION_TOL, SolveFailure, what)
+    return SpanMap(basis, solved, hd, hd * dr.target.dim), worst, unique
+
+
 def induce_coaction(gamma, dr):
     """Induced coaction along a right homomorphism, by linear solve.
 
@@ -211,13 +218,8 @@ def induce_coaction(gamma, dr):
             f"coaction is over dim {gamma.qg.dim}, homomorphism starts at {dr.source.dim}"
         )
     basis = gamma.algebraD
-    a = dr.target
-    hd = gamma.hdim
-    gx = gamma.gamma.apply_stack(basis)
-    rhs, _ = apply_map_to_leg(gx, LegSpace((hd, gamma.qg.dim)), 2, dr.deltaR)
-    images, worst, unique = _solve_on_product_basis(basis, gx, a.algC, rhs)
-    gate(worst, EQUATION_TOL, SolveFailure, "induced coaction solve fails")
-    out = check_coaction(SpanMap(basis, images, hd, hd * a.dim), basis, a)
+    induced, worst, unique = _pushed_through(gamma.gamma, basis, dr, "induced coaction solve fails")
+    out = check_coaction(induced, basis, dr.target)
     out.residuals["solve"] = worst
     out.residuals["uniqueRank"] = unique
     return out
@@ -233,23 +235,19 @@ def compose_functors_check(a, b):
     """Verify that inducing along b after a equals inducing along their composite.
 
     a runs from C into C (x) A and b from A into A (x) B.  The composite
-    right homomorphism is solved from the mixed square, then two facts are
-    checked: induction in two steps agrees with induction along the
-    composite on the canonical test coactions, and the composite's
-    bicharacter is the composition of the two bicharacters.  The worst
-    residual over all checks is returned.
+    right homomorphism is a.deltaR, a coaction of A on C, induced along b.
+    Then two facts are checked: induction in two steps agrees with
+    induction along the composite on the canonical test coactions, and the
+    composite's bicharacter is the composition of the two bicharacters.
+    The worst residual over all checks is returned.
     """
     if not a.target.same_unitary(b.source):
         raise SourceTargetMismatch(
             f"middle objects differ: {a.target.dim} vs {b.source.dim}"
         )
     c = a.source
-    bqg = b.target
-    ax = a.deltaR.apply_stack(c.algC)
-    rhs, _ = apply_map_to_leg(ax, LegSpace((c.dim, a.target.dim)), 2, b.deltaR)
-    images, worst, _ = _solve_on_product_basis(c.algC, ax, bqg.algC, rhs)
-    gate(worst, EQUATION_TOL, SolveFailure, "composite homomorphism solve fails")
-    comp = check_right_hom(c, bqg, SpanMap(c.algC, images, c.dim, c.dim * bqg.dim))
+    comp_map, worst, _ = _pushed_through(a.deltaR, c.algC, b, "composite homomorphism solve fails")
+    comp = check_right_hom(c, b.target, comp_map)
 
     checks = [worst]
     for start in (comultiplication_coaction(c), trivial_coaction(c.algC, c)):

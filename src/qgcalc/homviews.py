@@ -13,22 +13,22 @@ from functools import cached_property
 
 import numpy as np
 
-from .bicharacter import check_bicharacter
-from .errors import (
-    DimensionMismatch,
-    ExtractionFailure,
-    HopfHomViolation,
-    RangeViolation,
-    gate,
-    gate_all,
+from .bicharacter import extract_bicharacter
+from .errors import DimensionMismatch, HopfHomViolation, RangeViolation, gate, gate_all
+from .qgroup import (
+    CLOSURE_TOL,
+    EQUATION_TOL,
+    PENTAGON_TOL,
+    multiplication_constants,
+    structure_constants,
+    unitary_antipode,
 )
-from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, unitary_antipode
 from .tensorleg import (
     LegSpace,
     PairSpan,
     SpanMap,
     apply_map_to_leg,
-    extract_trivial_legs,
+    diagram_residual,
     flip_adjoint,
     kron,
     legs_product,
@@ -115,35 +115,33 @@ def star_hom_residuals(f, basis):
     return star, float(mult)
 
 
-def _on_legs(leg, mine, other):
-    """(mine, other) in leg order, with mine on leg 1 or 2."""
-    return (mine, other) if leg == 1 else (other, mine)
+def _coefficients(phi, basis, qg, leg):
+    """phi's images of basis, the PairSpan (basis on leg) of basis and
+    qg.algC they belong to, and their coefficients on it."""
+    images = phi.apply_stack(basis)
+    span = PairSpan(basis, qg.algC) if leg == 1 else PairSpan(qg.algC, basis)
+    return images, span, span.coefficients(images)
 
 
 def comodule_residuals(phi, basis, qg, leg):
-    """Comodule axioms of phi: D -> D (x) C (leg 1) or C (x) D (leg 2), on a basis of D.
+    """Comodule axioms of phi: D -> D (x) C (leg 1) or C (x) D (leg 2), on an
+    orthonormal basis of D.
 
-    ``range`` is the distance from the algebra pair span, ``coassociativity``
-    compares phi on the D leg with Delta_C on the C leg, and ``dense`` says
-    the products phi(x)(1 (x) c) span D (x) C (the Podles condition).
+    ``range`` is the distance from the algebra pair span, and the rest is
+    read off the coefficients P on it: ``coassociativity`` compares phi on
+    the D leg with Delta_C on the C leg, ``injective`` is the rank of P, and
+    ``dense`` the rank of the products phi(x)(1 (x) c) (the Podles condition).
     """
-    hd = basis.shape[1]
-    images = phi.apply_stack(basis)
-    space = LegSpace(_on_legs(leg, hd, qg.dim))
-    coassoc = []
-    for y in images:
-        lhs, _ = apply_map_to_leg(y, space, leg, phi)
-        rhs, _ = apply_map_to_leg(y, space, 3 - leg, qg.deltaC)
-        coassoc.append(residual_between(lhs, rhs))
-    # the products phi(x)(1 (x) a), every x against every a
-    eye_d = np.eye(hd, dtype=complex)
-    products = images[:, None] @ kron(*_on_legs(leg, eye_d, qg.algC))
+    images, span, p = _coefficients(phi, basis, qg, leg)
+    # the products' coefficients, rows (k, m) and columns (i, l), i on D
+    on_c_last = p if leg == 1 else p.transpose(0, 2, 1)
+    products = np.einsum("kij,jml->kmil", on_c_last, multiplication_constants(qg), optimize=True)
+    n = len(basis) * len(qg.algC)
     return {
-        "range": membership_residuals(PairSpan(*_on_legs(leg, basis, qg.algC)), images),
-        "coassociativity": float(np.max(coassoc)),
-        "injective": numerical_rank(images) == len(basis),
-        "dense": numerical_rank(products.reshape(-1, space.total**2))
-        == len(basis) * len(qg.algC),
+        "range": membership_residuals(span, images),
+        "coassociativity": diagram_residual((p, leg, p), (p, 3 - leg, structure_constants(qg))),
+        "injective": numerical_rank(p) == len(basis),
+        "dense": numerical_rank(products.reshape(n, n)) == n,
     }
 
 
@@ -202,19 +200,14 @@ def one_sided_residuals(c, a, phi, leg):
 
     Such a hom is a coaction of A on C that also commutes with Delta_C: the
     comodule residuals plus ``coassocDiagram``, Delta_C on the C leg of phi
-    against phi on the other leg of Delta_C.
+    against phi on the other leg of Delta_C, read off coefficients too.
     """
     co = comodule_residuals(phi, c.algC, a, leg)
-    space = LegSpace(_on_legs(leg, c.dim, a.dim))
-    space_cc = LegSpace((c.dim, c.dim))
-    square = []
-    for x, dx in zip(c.algC, c.deltaC.images):
-        lhs, _ = apply_map_to_leg(phi(x), space, leg, c.deltaC)
-        rhs, _ = apply_map_to_leg(dx, space_cc, 3 - leg, phi)
-        square.append(residual_between(lhs, rhs))
+    cc = structure_constants(c)
+    _, _, p = _coefficients(phi, c.algC, a, leg)
     return {
         "range": co["range"],
-        "coassocDiagram": float(np.max(square)),
+        "coassocDiagram": diagram_residual((p, leg, cc), (cc, 3 - leg, p)),
         "comoduleDiagram": co["coassociativity"],
         "injective": co["injective"],
         "podles": co["dense"],
@@ -254,11 +247,9 @@ def bicharacter_from_right(dr):
     ext, _ = apply_map_to_leg(c.W, c.space, 2, dr.deltaR)
     space3 = LegSpace((c.dim, c.dim, a.dim))
     prod = legs_product(space3, (c.W.conj().T, (1, 2)), (ext, (1, 2, 3)))
-    factor, resid = extract_trivial_legs(prod, space3, {2})
-    gate(resid, EQUATION_TOL, ExtractionFailure, "W12* (id (x) deltaR)(W) is not leg-2 trivial")
-    out = check_bicharacter(factor, c, a)
-    out.residuals["extraction"] = resid
-    return out
+    return extract_bicharacter(
+        prod, space3, {2}, c, a, "W12* (id (x) deltaR)(W) is not leg-2 trivial"
+    )
 
 
 def check_left_hom(c, a, dl_map):
@@ -312,11 +303,9 @@ def bicharacter_from_left(dl):
     ext, _ = apply_map_to_leg(c.W, c.space, 2, dl.deltaL)
     space3 = LegSpace((c.dim, a.dim, c.dim))
     prod = legs_product(space3, (ext, (1, 2, 3)), (c.W.conj().T, (1, 3)))
-    factor, resid = extract_trivial_legs(prod, space3, {3})
-    gate(resid, EQUATION_TOL, ExtractionFailure, "(id (x) deltaL)(W) W13* is not leg-3 trivial")
-    out = check_bicharacter(factor, c, a)
-    out.residuals["extraction"] = resid
-    return out
+    return extract_bicharacter(
+        prod, space3, {3}, c, a, "(id (x) deltaL)(W) W13* is not leg-3 trivial"
+    )
 
 
 def check_left_right_compatibility(dl, dr):
@@ -326,30 +315,17 @@ def check_left_right_compatibility(dl, dr):
     any pair with common source; its worst residual is returned first.  The
     second square, where both maps follow the comultiplication, commutes
     precisely when the two homomorphisms come from the same bicharacter;
-    the returned flag reports that.
+    the returned flag reports that.  Both are read off coefficients.
     """
     if dl.source is not dr.source and not dl.source.same_unitary(dr.source):
         raise ValueError("left and right homomorphisms must share their source")
-    c = dl.source
-    a = dl.target
-    b = dr.target
-    space_ac = LegSpace((a.dim, c.dim))
-    space_cb = LegSpace((c.dim, b.dim))
-    space_cc = LegSpace((c.dim, c.dim))
-    square = []
-    for x in c.algC:
-        lhs, _ = apply_map_to_leg(dl.deltaL(x), space_ac, 2, dr.deltaR)
-        rhs, _ = apply_map_to_leg(dr.deltaR(x), space_cb, 1, dl.deltaL)
-        square.append(residual_between(lhs, rhs))
-    same = False
-    if a.same_unitary(b):
-        second = []
-        for x, dx in zip(c.algC, c.deltaC.images):
-            lhs, _ = apply_map_to_leg(dx, space_cc, 2, dl.deltaL)
-            rhs, _ = apply_map_to_leg(dx, space_cc, 1, dr.deltaR)
-            second.append(residual_between(lhs, rhs))
-        same = bool(np.max(second) <= EQUATION_TOL)
-    return float(np.max(square)), same
+    c, a, b = dl.source, dl.target, dr.target
+    _, _, left = _coefficients(dl.deltaL, c.algC, a, 2)
+    _, _, right = _coefficients(dr.deltaR, c.algC, b, 1)
+    square = diagram_residual((left, 2, right), (right, 1, left))
+    cc = structure_constants(c)
+    same = a.same_unitary(b) and diagram_residual((cc, 2, left), (cc, 1, right)) <= EQUATION_TOL
+    return square, bool(same)
 
 
 def dual_hopf_relation(f, fhat):

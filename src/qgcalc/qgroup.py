@@ -29,6 +29,7 @@ from .tensorleg import (
     PairSpan,
     SpanMap,
     as_matrix,
+    diagram_residual,
     flip_adjoint,
     kron,
     mapped_slab,
@@ -49,6 +50,7 @@ __all__ = [
     "dual_unitary_antipode",
     "transpose_qg",
     "structure_constants",
+    "multiplication_constants",
     "coassociativity_residual",
     "coinvariant_dimension",
     "closure_residual",
@@ -274,21 +276,23 @@ def structure_constants(qg):
     return PairSpan(qg.algC, qg.algC).coefficients(qg.deltaC.images)
 
 
+def multiplication_constants(qg):
+    """The product on the algC basis, M[j, m, l] = <b_l, b_j b_m>; the closure
+    gate of build_from_unitary makes these coefficients the product itself."""
+    b = qg.algC
+    return np.einsum("lab,jmab->jml", b.conj(), b[:, None] @ b[None, :], optimize=True)
+
+
 def coassociativity_residual(qg):
     """Worst residual of (Delta (x) id)Delta = (id (x) Delta)Delta over the algC basis.
 
-    Read off the structure constants C: on b_p (x) b_q (x) b_r the two sides
-    of b_k carry sum_i C[k,i,r] C[i,p,q] and sum_j C[k,p,j] C[j,q,r].  Both
-    are coefficients on an orthonormal basis, so the norms are those of the
-    operators W23 W12 (b_k (x) 1 (x) 1) W12* W23* and W12 W13 (...) W13* W12*
-    that the paper's Delta(x) = W (x (x) 1) W* gives, and the scale is
-    residual_between's.  n^5 flops for n = len(algC), where conjugating by
-    W on three legs costs n d^7; a NaN carries through to the result.
+    The diagram_residual of the structure constants C applied to either leg
+    of C: n^5 flops for n = len(algC), where the operators
+    W23 W12 (b_k (x) 1 (x) 1) W12* W23* and W12 W13 (...) W13* W12* of the
+    same norms cost n d^7.  A NaN carries through to the result.
     """
     c = structure_constants(qg)
-    lhs = np.einsum("kir,ipq->kpqr", c, c, optimize=True)
-    rhs = np.einsum("kpj,jqr->kpqr", c, c, optimize=True)
-    return residuals_between(lhs, rhs)
+    return diagram_residual((c, 1, c), (c, 2, c))
 
 
 def manageability_witness(qg):

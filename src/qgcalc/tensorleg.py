@@ -27,6 +27,7 @@ __all__ = [
     "frob",
     "residual_between",
     "residuals_between",
+    "diagram_residual",
     "unitarity_defect",
     "kron",
     "kron_all",
@@ -160,6 +161,18 @@ def residuals_between(xs, ys):
         np.maximum(np.linalg.norm(fx, axis=1), np.linalg.norm(fy, axis=1)),
     )
     return float(np.max(diff / scale))
+
+
+def diagram_residual(lhs, rhs):
+    """residuals_between of the two sides of a commuting square of span maps.
+
+    A side is a triple (t, leg, m) of coefficient tensors t[k, i, j] as
+    PairSpan.coefficients returns them: the map m applied to leg 1 or 2 of
+    the images of t.  On orthonormal bases the norms are the operators'.
+    """
+    on_leg = {1: "kij,ipq->kpqj", 2: "kij,jpq->kipq"}
+    sides = (np.einsum(on_leg[leg], t, m, optimize=True) for t, leg, m in (lhs, rhs))
+    return residuals_between(*sides)
 
 
 def unitarity_defect(m):
@@ -381,6 +394,7 @@ def extract_trivial_legs(t, space, trivial):
     Returns (f, residual) where residual is the relative Frobenius distance
     between t and the re-embedded f.  A large residual means t genuinely
     acts on the legs claimed trivial; callers gate it, nothing is raised.
+    A NaN anywhere in t reads NaN, so those gates fail closed.
     """
     t = _check_space(t, space)
     trivial = sorted(set(int(l) for l in trivial))
@@ -397,7 +411,7 @@ def extract_trivial_legs(t, space, trivial):
     f = np.einsum("ikjk->ij", u4) / m
     approx = np.kron(f, np.eye(m, dtype=complex))
     denom = frob(reordered)
-    residual = frob(reordered - approx) / denom if denom > 0 else 0.0
+    residual = frob(reordered - approx) / denom if denom != 0 else 0.0
     return f, float(residual)
 
 

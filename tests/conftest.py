@@ -1,5 +1,6 @@
 """Shared fixtures, and the oracles the library is checked against:
-embed_on_legs, pair_basis and the streamed coassociativity residual."""
+embed_on_legs, pair_basis, the streamed coassociativity residual, and the
+commuting diagrams of comodules and one-sided homs by operators."""
 
 import math
 import sys
@@ -8,7 +9,17 @@ import numpy as np
 import pytest
 
 import qgcalc as q
-from qgcalc.tensorleg import LegSpace, _named_legs, kron, legs_slab, permute_legs, slab_width
+from qgcalc.tensorleg import (
+    LegSpace,
+    _named_legs,
+    apply_map_to_leg,
+    kron,
+    legs_slab,
+    numerical_rank,
+    permute_legs,
+    residual_between,
+    slab_width,
+)
 
 
 @pytest.fixture(scope="session")
@@ -148,3 +159,75 @@ def streamed_coassociativity(qg):
 @pytest.fixture(scope="session")
 def coassociativity_oracle():
     return streamed_coassociativity
+
+
+# The commuting diagrams by operators, one basis element at a time: each
+# side is an image with a span map applied to one of its legs, compared by
+# residual_between.  The oracles for the coefficient form, which reads the
+# same diagrams off PairSpan coefficients.  leg is the leg of the map's
+# own domain algebra, 1 for a right coaction or hom and 2 for a left one.
+
+
+def _square(pairs, lhs_space, lhs_leg, lhs_map, rhs_space, rhs_leg, rhs_map):
+    """Worst residual_between of lhs_map on lhs_leg of x and rhs_map on
+    rhs_leg of y over the (x, y) pairs."""
+    return max(
+        residual_between(
+            apply_map_to_leg(x, lhs_space, lhs_leg, lhs_map)[0],
+            apply_map_to_leg(y, rhs_space, rhs_leg, rhs_map)[0],
+        )
+        for x, y in pairs
+    )
+
+
+def _on_legs(leg, mine, other):
+    return (mine, other) if leg == 1 else (other, mine)
+
+
+def loop_comodule_residuals(phi, basis, qg, leg):
+    """coassociativity, injective and dense of homviews.comodule_residuals by
+    operators: phi on the D leg of each image against Delta on its C leg,
+    and the ranks of the images and of the products phi(x)(1 (x) c)."""
+    hd = basis.shape[1]
+    images = phi.apply_stack(basis)
+    space = LegSpace(_on_legs(leg, hd, qg.dim))
+    pairs = [(y, y) for y in images]
+    products = images[:, None] @ kron(*_on_legs(leg, np.eye(hd), qg.algC))
+    return {
+        "coassociativity": _square(pairs, space, leg, phi, space, 3 - leg, qg.deltaC),
+        "injective": numerical_rank(images) == len(basis),
+        "dense": numerical_rank(products.reshape(-1, space.total**2))
+        == len(basis) * len(qg.algC),
+    }
+
+
+def loop_coassoc_diagram(c, a, phi, leg):
+    """coassocDiagram of a one-sided hom by operators: Delta_C on the C leg
+    of phi(x) against phi on the other leg of Delta_C(x)."""
+    pairs = [(phi(x), dx) for x, dx in zip(c.algC, c.deltaC.images)]
+    space = LegSpace(_on_legs(leg, c.dim, a.dim))
+    return _square(pairs, space, leg, c.deltaC, c.space, 3 - leg, phi)
+
+
+def loop_compatibility(dl, dr):
+    """Both compatibility squares by operators: deltaR on leg 2 of deltaL(x)
+    against deltaL on leg 1 of deltaR(x), then deltaL on leg 2 of Delta(x)
+    against deltaR on its leg 1 (None unless both targets are one W)."""
+    c, a, b = dl.source, dl.target, dr.target
+    mixed = [(dl.deltaL(x), dr.deltaR(x)) for x in c.algC]
+    square = _square(
+        mixed, LegSpace((a.dim, c.dim)), 2, dr.deltaR, LegSpace((c.dim, b.dim)), 1, dl.deltaL
+    )
+    if not a.same_unitary(b):
+        return square, None
+    deltas = [(dx, dx) for dx in c.deltaC.images]
+    return square, _square(deltas, c.space, 2, dl.deltaL, c.space, 1, dr.deltaR)
+
+
+@pytest.fixture(scope="session")
+def diagram_oracles():
+    return {
+        "comodule": loop_comodule_residuals,
+        "coassocDiagram": loop_coassoc_diagram,
+        "compatibility": loop_compatibility,
+    }

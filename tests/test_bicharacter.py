@@ -8,6 +8,7 @@ import qgcalc.bicharacter as bicharacter_module
 from qgcalc.bicharacter import bicharacter_residuals
 from qgcalc.errors import (
     BicharacterViolation,
+    ExtractionFailure,
     HopfHomViolation,
     NotUnitary,
     SourceTargetMismatch,
@@ -246,6 +247,19 @@ def test_compose_rejects_mismatched_middle(homs):
     va = q.from_hopf_hom(q.hom_to_hopf(homs["q42"], "c0"))
     with pytest.raises(SourceTargetMismatch):
         q.compose(va, va)
+
+
+def test_nan_extraction_fails_closed(z2):
+    # the extraction tail of compose, bicharacter_from_right and
+    # bicharacter_from_left: a NaN off the trivial leg's diagonal is no
+    # factor, whereas the partial trace alone would skip it
+    c = c0(z2)
+    sp = LegSpace((2, 2, 2))
+    prod = embed_on_legs(c.W, sp, (1, 3))
+    prod[0, 2] = np.nan
+    with pytest.raises(ExtractionFailure, match="middle leg") as exc:
+        bicharacter_module.extract_bicharacter(prod, sp, {2}, c, c, "middle leg is not trivial")
+    assert np.isnan(exc.value.residual)
 
 
 # --- duality ------------------------------------------------------------

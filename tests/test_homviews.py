@@ -1,7 +1,10 @@
 """Hopf, right, and left homomorphism pictures and their translations."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import unitary_group
 
 import qgcalc as q
@@ -18,12 +21,16 @@ from qgcalc.homviews import (
     comodule_residuals,
     dual_hopf_relation,
     left_from_bicharacter,
+    one_sided_residuals,
     right_from_bicharacter,
 )
+from qgcalc.qgroup import EQUATION_TOL, coassociativity_residual, structure_constants
 from qgcalc.tensorleg import (
     LegSpace,
+    PairSpan,
     SpanMap,
     apply_map_to_leg,
+    diagram_residual,
     kron,
     membership_residual,
     numerical_rank,
@@ -311,3 +318,167 @@ def test_stacked_residuals_match_the_per_element_loops(z2, z4, s3):
         ]
         assert res["injective"] == (numerical_rank([vec(y) for y in gx]) == 4)
         assert res["dense"] == (numerical_rank(products) == 8)
+
+
+def _group_homs(g, h):
+    """Every homomorphism g -> h, by trying every map of the elements."""
+    homs = []
+    for images in itertools.product(range(h.order), repeat=g.order):
+        try:
+            homs.append(q.group_hom(g, h, images))
+        except ValueError:
+            pass
+    return homs
+
+
+@pytest.fixture(scope="module")
+def arrows(corpus):
+    """Every group hom among the corpus groups of order <= 4, then every
+    S3 -> Z2 and Z2 -> S3."""
+    small = [g for g in corpus.values() if g.order <= 4]
+    pairs = list(itertools.product(small, repeat=2))
+    pairs += [(corpus["S3"], corpus["Z2"]), (corpus["Z2"], corpus["S3"])]
+    return [phi for g, h in pairs for phi in _group_homs(g, h)]
+
+
+def _coefficients(phi, c, a, leg):
+    """phi's images of c.algC as coefficients on algC (x) algA, C on leg."""
+    span = PairSpan(*((c.algC, a.algC) if leg == 1 else (a.algC, c.algC)))
+    return span.coefficients(phi.apply_stack(c.algC))
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_diagram_residuals_match_the_operator_loops(
+    arrows, picture, gauge, diagram_oracles, coassociativity_oracle
+):
+    """Every commuting diagram read off coefficient tensors agrees with the
+    per-element operator loop of tests/conftest.py, arrow by arrow, and the
+    Podles and injectivity flags are the operator ranks."""
+    rng = np.random.default_rng(1515)
+    gauged = {}
+
+    def gauge_of(qg):
+        if id(qg) not in gauged:
+            u = unitary_group.rvs(qg.dim, random_state=rng) if gauge == "haar" else np.eye(qg.dim)
+            gauged[id(qg)] = (u, _gauged(qg, u) if gauge == "haar" else qg)
+        return gauged[id(qg)]
+
+    comodule = diagram_oracles["comodule"]
+    coassoc = diagram_oracles["coassocDiagram"]
+    compat = diagram_oracles["compatibility"]
+    for phi in arrows:
+        plain = q.from_hopf_hom(q.hom_to_hopf(phi, picture))
+        (uc, c), (ua, a) = gauge_of(plain.source), gauge_of(plain.target)
+        ucua = kron(uc, ua)
+        v = q.check_bicharacter(ucua @ plain.V @ ucua.conj().T, c, a)
+        dr, dl = right_from_bicharacter(v), left_from_bicharacter(v)
+        for hom, m, leg in ((dr, dr.deltaR, 1), (dl, dl.deltaL, 2)):
+            want = comodule(m, c.algC, a, leg)
+            got = hom.residuals
+            assert got["comoduleDiagram"] == pytest.approx(want["coassociativity"], abs=1e-14)
+            assert got["coassocDiagram"] == pytest.approx(coassoc(c, a, m, leg), abs=1e-14)
+            assert (got["injective"], got["podles"]) == (want["injective"], want["dense"])
+        square, same = check_left_right_compatibility(dl, dr)
+        want_square, want_second = compat(dl, dr)
+        assert square == pytest.approx(want_square, abs=1e-14)
+        cc = structure_constants(c)
+        second = diagram_residual(
+            (cc, 2, _coefficients(dl.deltaL, c, a, 2)), (cc, 1, _coefficients(dr.deltaR, c, a, 1))
+        )
+        assert second == pytest.approx(want_second, abs=1e-14)
+        assert same == (want_second <= EQUATION_TOL)
+    for _, qg in gauged.values():
+        assert coassociativity_residual(qg) == pytest.approx(coassociativity_oracle(qg), abs=1e-14)
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_rank_flags_match_the_operator_ranks_on_rank_deficient_maps(
+    z2, z4, picture, leg, diagram_oracles
+):
+    """In-span maps of C into C (x) A whose coefficients have full rank, rank
+    one, or all lie on one element of A's basis: the injectivity and Podles
+    flags equal the ranks of the images and of the products."""
+    rng = np.random.default_rng(1516)
+    c, a = q.qg_from_group(z4, picture), q.qg_from_group(z2, picture)
+    span = PairSpan(*((c.algC, a.algC) if leg == 1 else (a.algC, c.algC)))
+    n_c, n_a = len(c.algC), len(a.algC)
+    shape = (n_c, n_c, n_a) if leg == 1 else (n_c, n_a, n_c)
+    generic = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rank_one = np.einsum("k,ij->kij", generic[:, 0, 0], generic[0])
+    one_a = generic.copy()
+    # keep only A's first basis element
+    if leg == 1:
+        one_a[:, :, 1:] = 0
+    else:
+        one_a[:, 1:, :] = 0
+    flags = set()
+    for coeff in (generic, rank_one, one_a):
+        phi = SpanMap(c.algC, span.combine(coeff), c.dim, c.dim * a.dim)
+        got = comodule_residuals(phi, c.algC, a, leg)
+        want = diagram_oracles["comodule"](phi, c.algC, a, leg)
+        assert (got["injective"], got["dense"]) == (want["injective"], want["dense"])
+        flags.add((got["injective"], got["dense"]))
+    assert {(True, True), (False, False)} <= flags
+    # in c0, A's first basis element is a minimal projection, so the
+    # products of an injective map on it miss the rest of A
+    assert (True, False) in flags or picture == "cstar"
+
+
+def _gauged_arrow(z2, z4, seed):
+    """A Haar-gauged arrow from C0(Z2) to C0(Z4), with its right and left homs."""
+    rng = np.random.default_rng(seed)
+    plain = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0"))
+    uc = unitary_group.rvs(plain.source.dim, random_state=rng)
+    ua = unitary_group.rvs(plain.target.dim, random_state=rng)
+    c, a = _gauged(plain.source, uc), _gauged(plain.target, ua)
+    ucua = kron(uc, ua)
+    v = q.check_bicharacter(ucua @ plain.V @ ucua.conj().T, c, a)
+    return c, a, right_from_bicharacter(v), left_from_bicharacter(v)
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+def test_image_rotated_inside_the_span_fails_a_diagram(z2, z4, leg):
+    """One image turned by 1e-6 within span(algC) (x) span(algA) stays in the
+    span but breaks the comodule and coassociativity squares."""
+    rng = np.random.default_rng(1517)
+    c, a, dr, dl = _gauged_arrow(z2, z4, 1517)
+    phi, check = (dr.deltaR, check_right_hom) if leg == 1 else (dl.deltaL, check_left_hom)
+    span = PairSpan(*((c.algC, a.algC) if leg == 1 else (a.algC, c.algC)))
+    coeff = _coefficients(phi, c, a, leg)
+    n = coeff[1].size
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / np.linalg.norm(h + h.conj().T, 2)
+    coeff[1] = (scipy.linalg.expm(1e-6j * h) @ coeff[1].reshape(-1)).reshape(coeff[1].shape)
+    turned = SpanMap(c.algC, span.combine(coeff), c.dim, c.dim * a.dim)
+    res = one_sided_residuals(c, a, turned, leg)
+    assert res["range"] <= 1e-14
+    assert max(res["coassocDiagram"], res["comoduleDiagram"]) > 1e-8
+    with pytest.raises(RangeViolation, match="Diagram fails"):
+        check(c, a, turned)
+
+
+@pytest.mark.parametrize("leg", [1, 2])
+def test_image_pushed_off_the_span_fails_range_first(z2, z4, leg, diagram_oracles):
+    """One image moved 1e-6 off span(algC) (x) span(algA): the range gate,
+    checked before the squares, rejects it.  The squares are measured on
+    the span, so they stay at rounding level while the operator loop sees
+    the off-span part."""
+    rng = np.random.default_rng(1518)
+    c, a, dr, dl = _gauged_arrow(z2, z4, 1518)
+    phi, check = (dr.deltaR, check_right_hom) if leg == 1 else (dl.deltaL, check_left_hom)
+    span = PairSpan(*((c.algC, a.algC) if leg == 1 else (a.algC, c.algC)))
+    images = phi.apply_stack(c.algC)
+    n = c.dim * a.dim
+    z = rng.standard_normal((1, n, n)) + 1j * rng.standard_normal((1, n, n))
+    z -= span.project(z)
+    images[1] += 1e-6 * z[0] / np.linalg.norm(z) * np.linalg.norm(images[1])
+    pushed = SpanMap(c.algC, images, c.dim, n)
+    res = one_sided_residuals(c, a, pushed, leg)
+    assert 1e-7 < res["range"] < 1e-5
+    assert max(res["coassocDiagram"], res["comoduleDiagram"]) <= 1e-14
+    assert diagram_oracles["coassocDiagram"](c, a, pushed, leg) > 1e-8
+    with pytest.raises(RangeViolation, match="images escape") as exc:
+        check(c, a, pushed)
+    assert exc.value.residual == res["range"]

@@ -396,6 +396,16 @@ def test_extract_reports_genuine_action():
     assert resid == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
 
+def test_extract_reads_nan_as_nan():
+    # the NaN sits off the trivial leg's diagonal, where the partial trace
+    # never reads it: the factor stays finite, the residual must not
+    t = np.eye(8, dtype=complex)
+    t[0, 2] = np.nan
+    f, resid = extract_trivial_legs(t, LegSpace((2, 2, 2)), {2})
+    assert np.all(np.isfinite(f))
+    assert np.isnan(resid)
+
+
 def test_extract_needs_a_remaining_leg():
     with pytest.raises(ValueError):
         extract_trivial_legs(np.eye(4), LegSpace((2, 2)), {1, 2})

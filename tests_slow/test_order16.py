@@ -1,12 +1,13 @@
 """Order-16 tier: the whole `verify … qg` battery on dense d = 16 unitaries,
-gauged Z16, Z4xZ4 and Z2^4 in both pictures.
+gauged Z16, Z4xZ4 and Z2^4 in both pictures, and the right and left homs
+of the gauged Z16 identity arrow.
 
 Outside the default test paths because one run takes seconds; run it with
 
     PYTHONPATH=src python -m pytest -q tests_slow
 
-The battery runs in a child process, so that its peak resident set is its
-own and not whatever this test process reached before.
+Each run is a child process, so that its peak resident set is its own and
+not whatever this test process reached before.
 """
 
 import json
@@ -18,6 +19,8 @@ import numpy as np
 import pytest
 
 from qgcalc.groups import cyclic_group, group_unitary, product_group
+from qgcalc.homviews import LeftQGHom, RightQGHom
+from qgcalc.qgroup import EQUATION_TOL
 from qgcalc.serialize import matrix_to_obj, write_json
 from qgcalc.tensorleg import LegSpace, flip_adjoint
 
@@ -34,6 +37,20 @@ raise SystemExit(code)
 """
 
 
+# the homs of the identity arrow at W; the bicharacter they are made from
+# is W itself, so no extraction is run
+_HOM_CHILD = """
+import json, resource, sys
+from qgcalc.bicharacter import identity
+from qgcalc.homviews import left_from_bicharacter, right_from_bicharacter
+from qgcalc.serialize import load_qg
+v = identity(load_qg(sys.argv[1]))
+homs = {"right": right_from_bicharacter(v), "left": left_from_bicharacter(v)}
+print(json.dumps({kind: hom.residuals for kind, hom in homs.items()}))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
 def _haar_unitary(n, rng):
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -47,9 +64,8 @@ GROUPS = {
 }
 
 
-@pytest.mark.parametrize("picture", ["c0", "cstar"])
-@pytest.mark.parametrize("name", list(GROUPS))
-def test_gauged_order16_group_passes_the_qg_battery(tmp_path, name, picture):
+def _gauged_file(tmp_path, name, picture):
+    """A w.json of the Haar-gauged d = 16 unitary of the group in picture."""
     d = 16
     w = group_unitary(GROUPS[name]())
     if picture == "cstar":
@@ -59,16 +75,31 @@ def test_gauged_order16_group_passes_the_qg_battery(tmp_path, name, picture):
     w = uu @ w @ uu.conj().T
     path = tmp_path / "w.json"
     write_json(str(path), {"dim": d, "W": matrix_to_obj(w)})
+    return path
+
+
+def _run_child(code, path):
+    """Run code on path in a child process: the finished child, its JSON
+    output and its peak RSS in MB."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path_var = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path_var)
     child = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(path)],
+        [sys.executable, "-c", code, str(path)],
         capture_output=True,
         text=True,
         env=env,
         timeout=600,
     )
-    report = json.loads(child.stdout)
+    # ru_maxrss is in kilobytes on Linux
+    peak_mb = int(child.stderr.strip().splitlines()[-1]) / 1024
+    return child, json.loads(child.stdout), peak_mb
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_gauged_order16_group_passes_the_qg_battery(tmp_path, name, picture):
+    child, report, peak_mb = _run_child(_CHILD, _gauged_file(tmp_path, name, picture))
     failed = [c for c in report["checks"] if not c["pass"]]
     assert child.returncode == 0 and not failed, (failed, child.stderr)
     names = {c["name"] for c in report["checks"]}
@@ -80,6 +111,26 @@ def test_gauged_order16_group_passes_the_qg_battery(tmp_path, name, picture):
         "coinvariantDimensionOne",
         "manageability",
     } <= names
-    # ru_maxrss is in kilobytes on Linux
-    peak_mb = int(child.stderr.strip().splitlines()[-1]) / 1024
+    assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_gauged_order16_identity_arrow_gives_right_and_left_homs(tmp_path, picture):
+    """right_from_bicharacter and left_from_bicharacter on the gauged Z16
+    identity arrow: every residual of both homs passes its gate."""
+    child, residuals, peak_mb = _run_child(_HOM_CHILD, _gauged_file(tmp_path, "Z16", picture))
+    assert child.returncode == 0, child.stderr
+    tables = {
+        "right": RightQGHom.gates,
+        "left": LeftQGHom.gates + (("sliceIdentity", EQUATION_TOL, ""),),
+    }
+    for kind, table in tables.items():
+        got = residuals[kind]
+        assert set(got) == {key for key, _, _ in table}, kind
+        failed = [
+            key
+            for key, tol, _ in table
+            if not (got[key] is True if tol is None else got[key] <= tol)
+        ]
+        assert not failed, (kind, got)
     assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
