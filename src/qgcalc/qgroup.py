@@ -9,6 +9,7 @@ Only Kac-type data is handled; constructions needing the antipode reject
 anything else with NotKacType instead of guessing modular corrections.
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -31,6 +32,7 @@ from .tensorleg import (
     as_matrix,
     diagram_residual,
     flip_adjoint,
+    frob,
     kron,
     mapped_slab,
     membership_residuals,
@@ -169,17 +171,47 @@ def corep_law_residual(x, qg):
     )
 
 
-def _delta_maps(w, d, alg_c, alg_chat):
-    """Delta(x) = W(x (x) 1)W* on algC and Sigma W*(1 (x) y)W Sigma on algChat."""
-    eye = np.eye(d, dtype=complex)
-    wd = w.conj().T
+def _delta_c(w, d, alg_c):
+    """Delta(x) = W(x (x) 1)W* on algC."""
     # kron of a stack and a matrix is the stack of the krons
-    flipped = (wd @ kron(eye, alg_chat) @ w).reshape(-1, d, d, d, d)
-    images_chat = flipped.transpose(0, 2, 1, 4, 3).reshape(-1, d * d, d * d)
-    return (
-        SpanMap(alg_c, w @ kron(alg_c, eye) @ wd, d, d * d),
-        SpanMap(alg_chat, images_chat, d, d * d),
-    )
+    return SpanMap(alg_c, w @ kron(alg_c, np.eye(d)) @ w.conj().T, d, d * d)
+
+
+def _delta_chat(w, d, alg_chat):
+    """Delta(y) = Sigma W*(1 (x) y)W Sigma on algChat."""
+    flipped = (w.conj().T @ kron(np.eye(d), alg_chat) @ w).reshape(-1, d, d, d, d)
+    images = flipped.transpose(0, 2, 1, 4, 3).reshape(-1, d * d, d * d)
+    return SpanMap(alg_chat, images, d, d * d)
+
+
+def _slice_pentagon(w, d, alg_c, c, off):
+    """The pentagon residual of W from its slice coefficients, in n^2 d^4 flops.
+
+    Write W = sum_k X_k (x) b_k over the algC basis b_k, X_k on leg 1.  Then
+    W23 W12 W23* = sum_k X_k (x) Delta(b_k) and W12 W13 = sum_ij X_i X_j (x)
+    b_i (x) b_j, so with Delta(b_k) = sum_ij C[k, i, j] b_i (x) b_j + R_k
+    their difference is sum_ij (sum_k C[k, i, j] X_k - X_i X_j) (x) b_i (x)
+    b_j plus sum_k X_k (x) R_k.  The two parts are Hilbert-Schmidt
+    orthogonal, so its squared norm is the sum over i, j of the first
+    coefficient's plus sum_kl <X_k, X_l><R_k, R_l>; multiplying on the
+    right by the unitary W23 leaves it the norm of W23 W12 - W12 W13 W23.
+    The X_k reassemble W up to the rank cut of algC, and that truncation T
+    moves the residual by at most sqrt(d) |T| (3 + |T|), which is added, so
+    the result never reads below the operator residual by more than
+    rounding.  c and off are the coefficients of the Delta(b_k) and their
+    parts R_k off span(algC) (x) span(algC).
+    """
+    n = len(alg_c)
+    w4 = w.reshape(d, d, d, d)
+    x = np.einsum("abce,kbe->kac", w4, alg_c.conj(), optimize=True)
+    on = np.einsum("kij,kac->ijac", c, x, optimize=True) - x[:, None] @ x[None, :]
+    xr, rr = x.reshape(n, -1), off.reshape(n, -1)
+    off_sq = np.sum((xr.conj() @ xr.T) * (rr.conj() @ rr.T)).real
+    trunc = frob(w4 - np.einsum("kac,kbe->abce", x, alg_c, optimize=True))
+    norm = np.sqrt(np.maximum(frob(on) ** 2 + off_sq, 0.0))
+    bound = math.sqrt(d) * trunc * (3.0 + trunc)
+    # the scale of residual_between: both sides have W12's norm
+    return float((norm + bound) / max(1.0, math.sqrt(d) * frob(w)))
 
 
 def _try_antipode(w, d, alg_c):
@@ -209,14 +241,27 @@ def _try_antipode(w, d, alg_c):
     return kappa, worst
 
 
+def _gate_pentagon(pent):
+    if not pent <= PENTAGON_TOL:
+        raise PentagonViolation(
+            f"pentagon residual {pent:.2e}", residual=pent, tolerance=PENTAGON_TOL
+        )
+    return pent
+
+
 def build_from_unitary(w, dim):
     """Validate w as a multiplicative unitary and extract both algebras.
 
-    Checks, in order: unitarity, the pentagon identity, closure of both
+    Gates, in order: unitarity, the pentagon identity, closure of both
     slice spans under product and adjoint, and that both comultiplications
-    land in the span of the respective algebra pair.  The Kac antipode is
-    computed opportunistically; failure there leaves kacR as None rather
-    than rejecting the input.
+    land in the span of the respective algebra pair.  The pentagon is read
+    off the slice coefficients of W and the comultiplication of algC
+    (_slice_pentagon), so algC and Delta on it come first; where algC has
+    more than d elements, as on every 1e-6 rotation of a quantum group
+    tried (n = d^2), those images would hold n d^4 entries, and the pentagon
+    is streamed over column slabs and gated before them instead.  The Kac
+    antipode is computed opportunistically; failure there leaves kacR as
+    None rather than rejecting the input.
     """
     d = int(dim)
     w = as_matrix(w)
@@ -230,29 +275,35 @@ def build_from_unitary(w, dim):
             f"W is not unitary, defect {udef:.2e}", residual=udef, tolerance=PENTAGON_TOL
         )
 
-    pent = streamed_residual(
-        LegSpace((d, d, d)),
-        1,
-        [(w, (2, 3)), (w, (1, 2))],
-        [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
-    )
-    if not pent <= PENTAGON_TOL:
-        raise PentagonViolation(
-            f"pentagon residual {pent:.2e}", residual=pent, tolerance=PENTAGON_TOL
-        )
-
     alg_c = orthonormal_basis(_leg_slices(w, d, 1))
+    streamed = len(alg_c) > d
+    if streamed:
+        pent = _gate_pentagon(
+            streamed_residual(
+                LegSpace((d, d, d)),
+                1,
+                [(w, (2, 3)), (w, (1, 2))],
+                [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
+            )
+        )
+    delta_c = _delta_c(w, d, alg_c)
+    span = PairSpan(alg_c, alg_c)
+    c = span.coefficients(delta_c.images)
+    projected = span.combine(c)
+    if not streamed:
+        pent = _gate_pentagon(_slice_pentagon(w, d, alg_c, c, delta_c.images - projected))
+
     alg_chat = orthonormal_basis(_leg_slices(w, d, 2))
     closure = float(np.max([closure_residual(alg_c), closure_residual(alg_chat)]))
     residuals = {"unitarity": udef, "pentagon": pent, "closure": closure}
     gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
 
-    delta_c, delta_chat = _delta_maps(w, d, alg_c, alg_chat)
+    delta_chat = _delta_chat(w, d, alg_chat)
     memb = float(
         np.max(
             [
-                membership_residuals(PairSpan(alg, alg), delta.images)
-                for alg, delta in ((alg_c, delta_c), (alg_chat, delta_chat))
+                residuals_between(delta_c.images, projected),
+                membership_residuals(PairSpan(alg_chat, alg_chat), delta_chat.images),
             ]
         )
     )
@@ -394,16 +445,29 @@ def transpose_qg(qg):
 def coinvariant_dimension(qg):
     """Dimension of {c in span(algC): Delta(c) in span(algC) (x) C1}.
 
-    For genuine quantum-group data this is exactly 1: only scalars are
+    Read off the structure constants: Delta(sum_k c_k b_k) has the
+    coefficients N = sum_k c_k C[k] on the b_i (x) b_j, and with the unit
+    u = 1/sqrt(d) = sum_j e_j b_j + u', u' off span(algC), its distance
+    from span(algC) (x) Cu is the norm of (N - N conj(e) e^T, |u'| N
+    conj(e)).  The rank of that linear map of c,
+    an n x (n^2 + n) matrix, replaces an SVD of the n x d^4 images.  The
+    parts of the Delta(b_k) off span(algC) (x) span(algC) are left out;
+    build_from_unitary has gated them at CLOSURE_TOL.  For genuine
+    quantum-group data the dimension is exactly 1: only scalars are
     coinvariant.
     """
-    d = qg.dim
-    images = qg.deltaC.images
-    right_triv = PairSpan(qg.algC, np.eye(d, dtype=complex)[None] / np.sqrt(d))
-    system = (images - right_triv.project(images)).reshape(len(images), -1)
+    c = structure_constants(qg)
+    n, d = len(qg.algC), qg.dim
+    unit = np.eye(d) / math.sqrt(d)
+    e = np.einsum("kab,ab->k", qg.algC.conj(), unit)
+    rest = frob(unit - np.einsum("k,kab->ab", e, qg.algC))
+    along = c @ e.conj()
+    system = np.concatenate(
+        [(c - along[:, :, None] * e).reshape(n, -1), rest * along], axis=1
+    )
     s = np.linalg.svd(system, compute_uv=False)
     smax = s[0] if len(s) else 0.0
     if smax <= RANK_CUTOFF:
-        return len(qg.algC)
+        return n
     rank = int(np.sum(s > RANK_CUTOFF * smax))
-    return len(qg.algC) - rank
+    return n - rank

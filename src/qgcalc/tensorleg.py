@@ -30,7 +30,6 @@ __all__ = [
     "diagram_residual",
     "unitarity_defect",
     "kron",
-    "kron_all",
     "PairSpan",
     "flip_unitary",
     "legs_product",
@@ -39,8 +38,8 @@ __all__ = [
     "streamed_residual",
     "SLAB_ENTRIES",
     "RANK_CUTOFF",
+    "CANDIDATE_GAP",
     "permute_legs",
-    "permuted_space",
     "flip_adjoint",
     "slice_leg",
     "sliced_space",
@@ -63,6 +62,10 @@ SLAB_ENTRIES = 1 << 18
 # Every numerical rank counts the singular values (or QR pivots) above this
 # fraction of the largest one, or of the bound sqrt(d) in intertwiner_space.
 RANK_CUTOFF = 1e-9
+
+# intertwiner_space proposes the directions whose cosine on the
+# partial-trace map is within this of 1, and judges them by exact residuals.
+CANDIDATE_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -187,13 +190,6 @@ def kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def kron_all(mats):
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
-
-
 def flip_unitary(d1, d2):
     """Coordinate flip H1 (x) H2 -> H2 (x) H1 as a permutation matrix."""
     sigma = np.zeros((d1 * d2, d1 * d2), dtype=complex)
@@ -208,10 +204,6 @@ def _check_space(t, space):
     if t.shape[0] != space.total:
         raise ValueError(f"operator dim {t.shape[0]} does not match leg space {space.dims}")
     return t
-
-
-def permuted_space(space, perm):
-    return LegSpace(tuple(space.dims[p - 1] for p in perm))
 
 
 def permute_legs(t, space, perm):
@@ -418,19 +410,20 @@ def extract_trivial_legs(t, space, trivial):
 def intertwiner_space(w, dim):
     """Solutions (a, b) of w(a (x) 1) = (1 (x) b)w for a unitary w, solved for a alone.
 
-    Given a, the only candidate is 1 (x) b = w(a (x) 1)w*, so b is its
-    normalized partial trace Tr_1(w(a (x) 1)w*)/d and a solves exactly when
-    a -> w(a (x) 1)w* - 1 (x) Tr_1(w(a (x) 1)w*)/d vanishes.  The d^4 x d^2
-    matrix of that map is a contraction of w's blocks.  Its singular
-    values are sqrt(d) sin(theta) over the principal angles theta between
-    {w(a (x) 1)} and {(1 (x) b)w}, so a direction counts as a solution when
-    sin(theta) <= RANK_CUTOFF; they come from the R factor of the tall matrix
-    and an SVD of that d^2 x d^2 R, never squared through a Gram matrix.
-
-    The tall matrix is streamed: its rows (i, j, m, n) come in blocks of
-    whole first indices i, sized by slab_width, and each block is stacked
-    under the R so far and reduced by one more QR, as in TSQR.  Only R and
-    one block are ever held, never the d^4 x d^2 system.
+    Given a, the only candidate is 1 (x) b = w(a (x) 1)w*, so b = S(a) =
+    Tr_1(w(a (x) 1)w*)/d, and the residual A(a) = w(a (x) 1)w* - 1 (x) S(a)
+    has |A(a)|^2 = d (|a|^2 - |S(a)|^2).  So the singular values of the
+    d^2 x d^2 map S are the cosines of the principal angles theta between
+    {w(a (x) 1)} and {(1 (x) b)w}, and the solutions are its singular
+    directions with cos(theta) = 1.  Rounding hides sin(theta) below about
+    1e-8 in cos(theta), so the SVD of S only proposes candidates: the
+    directions with 1 - cos(theta) <= CANDIDATE_GAP, cut at the largest gap
+    between consecutive cosines from the top down to the first one past
+    that.  Each candidate's exact residual A(a) costs d^6 flops; the SVD of
+    A on the candidates (a Rayleigh-Ritz step) has singular values
+    sqrt(d) sin(theta), and a direction counts as a solution when
+    sin(theta) <= RANK_CUTOFF, never squared through a Gram matrix.  The
+    candidates' residuals are held at once, d^4 entries each.
 
     Returns the nullspace dimension and a basis of matrix pairs, each a of
     unit norm.  For a pentagon-verified multiplicative unitary the dimension
@@ -444,29 +437,31 @@ def intertwiner_space(w, dim):
     w4c = w4.conj()
     # tr1[p, q, j, n] = Tr_1(w (E_pq (x) 1) w*)[j, n] / d, summed over (i, l)
     tr1 = np.tensordot(w4, w4c, axes=([0, 3], [0, 3])).transpose(1, 3, 0, 2) / d
-    width = slab_width(d ** 5, d)
-    r = None
-    for start in range(0, d, width):
-        stop = min(start + width, d)
-        # t[p, q, i, j, m, n] = (w (E_pq (x) 1) w*)[(i, j), (m, n)] for i in the block
-        t = np.einsum("ijpl,mnql->pqijmn", w4[start:stop], w4c, optimize=True)
-        for i in range(start, stop):
-            t[:, :, i - start, :, i, :] -= tr1
-        # rows of t are the columns of the block, one per matrix unit E_pq;
-        # stacking R above the block as columns keeps the column-major
-        # layout LAPACK reads, so the QR makes no transposing copy
-        cols = t.reshape(d * d, -1)
-        del t
-        stacked = cols if r is None else np.concatenate([r.T, cols], axis=1)
-        del cols
-        r = np.linalg.qr(stacked.T, mode="r")
-    _, s, vh = np.linalg.svd(r)
-    rank = int(np.sum(s > RANK_CUTOFF * math.sqrt(d)))
-    pairs = []
-    for row in vh[rank:].conj():
-        a = unvec(row, d, d)
-        pairs.append((a, np.einsum("pq,pqjn->jn", a, tr1)))
+    _, cos, vh = np.linalg.svd(tr1.reshape(d * d, d * d).T)
+    count = _candidate_count(cos)
+    if count == 0:
+        return 0, []
+    cands = vh[:count].conj().reshape(count, d, d)
+    # res[k, i, j, m, n] = (w (a_k (x) 1) w*)[(i, j), (m, n)] - delta_im S(a_k)[j, n]
+    res = np.einsum("ijpl,kpq,mnql->kijmn", w4, cands, w4c, optimize=True)
+    images = np.einsum("kpq,pqjn->kjn", cands, tr1)
+    for i in range(d):
+        res[:, i, :, i, :] -= images
+    _, s, rot = np.linalg.svd(res.reshape(count, -1).T, full_matrices=False)
+    del res
+    rot = rot[s <= RANK_CUTOFF * math.sqrt(d)].conj()
+    pairs = [(a, np.einsum("pq,pqjn->jn", a, tr1)) for a in np.einsum("rk,kpq->rpq", rot, cands)]
     return len(pairs), pairs
+
+
+def _candidate_count(cos):
+    """How many leading directions of descending cosines cos intertwiner_space
+    judges: those within CANDIDATE_GAP of 1, cut at the largest gap between
+    consecutive ones, counting the gap to the first direction left out (none
+    when every direction is in)."""
+    below = np.append(1.0 - np.asarray(cos), np.inf)
+    m = int(np.sum(below[:-1] <= CANDIDATE_GAP))
+    return int(np.argmax(np.diff(below[: m + 1]))) + 1 if m else 0
 
 
 def orthonormal_basis(mats):

@@ -1,6 +1,8 @@
 """Shared fixtures, and the oracles the library is checked against:
-embed_on_legs, pair_basis, the streamed coassociativity residual, and the
-commuting diagrams of comodules and one-sided homs by operators."""
+embed_on_legs, pair_basis, the streamed pentagon and coassociativity
+residuals, the TSQR intertwiner space, the coinvariant dimension from the
+comultiplication images, and the commuting diagrams of comodules and
+one-sided homs by operators."""
 
 import math
 import sys
@@ -10,15 +12,20 @@ import pytest
 
 import qgcalc as q
 from qgcalc.tensorleg import (
+    RANK_CUTOFF,
     LegSpace,
+    PairSpan,
     _named_legs,
     apply_map_to_leg,
+    as_matrix,
     kron,
     legs_slab,
     numerical_rank,
     permute_legs,
     residual_between,
     slab_width,
+    streamed_residual,
+    unvec,
 )
 
 
@@ -159,6 +166,89 @@ def streamed_coassociativity(qg):
 @pytest.fixture(scope="session")
 def coassociativity_oracle():
     return streamed_coassociativity
+
+
+def streamed_pentagon(w, d):
+    """The pentagon residual by operators, the oracle for the slice form:
+    residual_between(W23 W12, W12 W13 W23), streamed over column slabs of
+    leg 1: the call build_from_unitary still makes where algC has more
+    than d elements."""
+    return streamed_residual(
+        LegSpace((d, d, d)),
+        1,
+        [(w, (2, 3)), (w, (1, 2))],
+        [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
+    )
+
+
+def tsqr_intertwiner_space(w, dim):
+    """Solutions (a, b) of w(a (x) 1) = (1 (x) b)w for a unitary w, solved for a alone.
+
+    Given a, the only candidate is 1 (x) b = w(a (x) 1)w*, so b is its
+    normalized partial trace Tr_1(w(a (x) 1)w*)/d and a solves exactly when
+    a -> w(a (x) 1)w* - 1 (x) Tr_1(w(a (x) 1)w*)/d vanishes.  The d^4 x d^2
+    matrix of that map is a contraction of w's blocks.  Its singular
+    values are sqrt(d) sin(theta) over the principal angles theta between
+    {w(a (x) 1)} and {(1 (x) b)w}, so a direction counts as a solution when
+    sin(theta) <= RANK_CUTOFF; they come from the R factor of the tall matrix
+    and an SVD of that d^2 x d^2 R, never squared through a Gram matrix.
+
+    The tall matrix is streamed: its rows (i, j, m, n) come in blocks of
+    whole first indices i, sized by slab_width, and each block is stacked
+    under the R so far and reduced by one more QR, as in TSQR.  Only R and
+    one block are ever held, never the d^4 x d^2 system.
+
+    Returns the nullspace dimension and a basis of matrix pairs, each a of
+    unit norm.  For a pentagon-verified multiplicative unitary the dimension
+    is 1, spanned by (1, 1): invariants are constant.
+    """
+    w = as_matrix(w)
+    d = int(dim)
+    if w.shape[0] != d * d:
+        raise ValueError(f"w has dim {w.shape[0]}, expected {d * d}")
+    w4 = w.reshape(d, d, d, d)
+    w4c = w4.conj()
+    # tr1[p, q, j, n] = Tr_1(w (E_pq (x) 1) w*)[j, n] / d, summed over (i, l)
+    tr1 = np.tensordot(w4, w4c, axes=([0, 3], [0, 3])).transpose(1, 3, 0, 2) / d
+    width = slab_width(d ** 5, d)
+    r = None
+    for start in range(0, d, width):
+        stop = min(start + width, d)
+        # t[p, q, i, j, m, n] = (w (E_pq (x) 1) w*)[(i, j), (m, n)] for i in the block
+        t = np.einsum("ijpl,mnql->pqijmn", w4[start:stop], w4c, optimize=True)
+        for i in range(start, stop):
+            t[:, :, i - start, :, i, :] -= tr1
+        # rows of t are the columns of the block, one per matrix unit E_pq;
+        # stacking R above the block as columns keeps the column-major
+        # layout LAPACK reads, so the QR makes no transposing copy
+        cols = t.reshape(d * d, -1)
+        del t
+        stacked = cols if r is None else np.concatenate([r.T, cols], axis=1)
+        del cols
+        r = np.linalg.qr(stacked.T, mode="r")
+    _, s, vh = np.linalg.svd(r)
+    rank = int(np.sum(s > RANK_CUTOFF * math.sqrt(d)))
+    pairs = []
+    for row in vh[rank:].conj():
+        a = unvec(row, d, d)
+        pairs.append((a, np.einsum("pq,pqjn->jn", a, tr1)))
+    return len(pairs), pairs
+
+
+def images_coinvariant_dimension(qg):
+    """Dimension of {c in span(algC): Delta(c) in span(algC) (x) C1}, the
+    oracle for the structure-constant form: the rank of the n x d^4 parts
+    of the images Delta(b_k) off span(algC) (x) C1."""
+    d = qg.dim
+    images = qg.deltaC.images
+    right_triv = PairSpan(qg.algC, np.eye(d, dtype=complex)[None] / np.sqrt(d))
+    system = (images - right_triv.project(images)).reshape(len(images), -1)
+    s = np.linalg.svd(system, compute_uv=False)
+    smax = s[0] if len(s) else 0.0
+    if smax <= RANK_CUTOFF:
+        return len(qg.algC)
+    rank = int(np.sum(s > RANK_CUTOFF * smax))
+    return len(qg.algC) - rank
 
 
 # The commuting diagrams by operators, one basis element at a time: each

@@ -46,7 +46,7 @@ from qgcalc.tensorleg import (
     span_map_from_pairs,
     unitarity_defect,
 )
-from conftest import embed_on_legs
+from conftest import embed_on_legs, images_coinvariant_dimension, streamed_pentagon
 
 RNG = np.random.default_rng(4217)
 
@@ -534,8 +534,11 @@ def _gauged(qg, rng):
 
 
 def test_structure_constants_agree_with_the_operator_oracle(corpus, coassociativity_oracle):
-    """On the 26 corpus quantum groups and on a Haar gauge of each, both
-    forms of coassociativity agree to rounding."""
+    """On the 26 corpus quantum groups and on a Haar gauge of each, the
+    forms read off the structure constants agree with their operator
+    oracles: coassociativity and the pentagon to rounding, the coinvariant
+    dimension exactly.  algC has d elements, so the build takes the pentagon
+    from the slice coefficients."""
     rng = np.random.default_rng(1013)
     count = 0
     for g in corpus.values():
@@ -546,6 +549,10 @@ def test_structure_constants_agree_with_the_operator_oracle(corpus, coassociativ
                 got = coassociativity_residual(qg)
                 assert got == pytest.approx(coassociativity_oracle(qg), abs=1e-14)
                 assert got <= 1e-14
+                assert len(qg.algC) == qg.dim
+                pent = streamed_pentagon(qg.W, qg.dim)
+                assert qg.residuals["pentagon"] == pytest.approx(pent, abs=1e-14)
+                assert coinvariant_dimension(qg) == images_coinvariant_dimension(qg) == 1
     assert count == 52
 
 
@@ -681,6 +688,62 @@ def test_non_unitary_w_raises_the_typed_error():
     w[0, 0] = np.nan
     with pytest.raises(NotUnitary):
         build_from_unitary(w, 2)
+
+
+def _pentagon_of(w, d):
+    """The pentagon residual build_from_unitary reports or rejects w with."""
+    try:
+        return build_from_unitary(w, d).residuals["pentagon"]
+    except PentagonViolation as exc:
+        return exc.residual
+
+
+def test_pentagon_matches_the_streamed_oracle_off_the_corpus(z4):
+    rng = np.random.default_rng(1602)
+    base = q.qg_from_group(z4, "c0")
+    gauged, _ = _gauged(base, rng)
+    cases = {
+        "identity": np.eye(16, dtype=complex),
+        "flip": flip_unitary(4, 4),
+        "flipW": flip_unitary(4, 4) @ base.W,
+        "haar": _haar_unitary(16, rng),
+        "rotated": _rotated(gauged.W, 1e-6, rng),
+    }
+    for name, w in cases.items():
+        got = _pentagon_of(w, 4)
+        assert got == pytest.approx(streamed_pentagon(w, 4), rel=1e-12, abs=1e-14), name
+        assert (got <= PENTAGON_TOL) == (name == "identity"), name
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_each_pentagon_path_is_taken_and_gated(count_calls, s3, picture):
+    """A gauged S3 and u (x) 1 (for a unitary u that is not 1) have algC of
+    at most d elements, so the pentagon comes from the slice coefficients,
+    with no streamed residual; a 1e-6 rotation spans all d^2 and is
+    streamed.  Both bad inputs fail with PentagonViolation and the
+    operator residual."""
+    rng = np.random.default_rng(1603)
+    qg, _ = _gauged(q.qg_from_group(s3, picture), rng)
+    d = qg.dim
+    u = _haar_unitary(d, rng)
+    calls = count_calls("streamed_residual")
+    for w, streamed in (
+        (qg.W, 0),
+        (kron(u, np.eye(d)), 0),
+        (_rotated(qg.W, 1e-6, rng), 1),
+    ):
+        calls["streamed_residual"] = 0
+        got = _pentagon_of(w, d)
+        assert calls["streamed_residual"] == streamed
+        assert got == pytest.approx(streamed_pentagon(w, d), rel=1e-9, abs=1e-14)
+        assert (got <= PENTAGON_TOL) == (w is qg.W)
+
+
+def test_coinvariant_dimension_of_the_trivial_quantum_group():
+    """W = 1: algC is the scalars, and they are coinvariant."""
+    qg = build_from_unitary(np.eye(9, dtype=complex), 3)
+    assert len(qg.algC) == 1
+    assert coinvariant_dimension(qg) == images_coinvariant_dimension(qg) == 1
 
 
 def test_coinvariant_dimension_is_one(z2, z4, s3):

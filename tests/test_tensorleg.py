@@ -19,7 +19,6 @@ from qgcalc.tensorleg import (
     frob,
     intertwiner_space,
     kron,
-    kron_all,
     legs_product,
     legs_slab,
     mapped_slab,
@@ -28,7 +27,6 @@ from qgcalc.tensorleg import (
     numerical_rank,
     orthonormal_basis,
     permute_legs,
-    permuted_space,
     residual_between,
     residuals_between,
     slice_leg,
@@ -39,7 +37,7 @@ from qgcalc.tensorleg import (
     vec,
     unvec,
 )
-from conftest import embed_on_legs, pair_basis
+from conftest import embed_on_legs, pair_basis, tsqr_intertwiner_space
 from qgcalc import tensorleg
 from qgcalc.errors import CalculusError, gate
 
@@ -56,6 +54,17 @@ def random_unitary(n):
 
 
 small_dims = st.integers(min_value=1, max_value=3)
+
+
+def kron_all(mats):
+    out = np.asarray(mats[0], dtype=complex)
+    for m in mats[1:]:
+        out = np.kron(out, np.asarray(m, dtype=complex))
+    return out
+
+
+def permuted_space(space, perm):
+    return LegSpace(tuple(space.dims[p - 1] for p in perm))
 
 
 # --- kron and friends ---------------------------------------------------
@@ -484,37 +493,54 @@ def _gauged(g, picture, rng):
     return uu @ base.W @ uu.conj().T, base.dim
 
 
+def _projector(pairs):
+    a = np.stack([vec(x) for x, _ in pairs], axis=1)
+    q_, _ = np.linalg.qr(a)
+    return q_ @ q_.conj().T
+
+
 def _check_against_the_stacked_svd(w, d):
+    """The library against the (a, b) stacked SVD and the TSQR oracle: equal
+    dimensions, equal solution projectors, and pairs that intertwine."""
     dim, pairs = intertwiner_space(w, d)
     assert dim == _stacked_svd_intertwiner_space(w, d)[0]
+    odim, opairs = tsqr_intertwiner_space(w, d)
+    assert dim == odim
+    np.testing.assert_allclose(_projector(pairs), _projector(opairs), atol=1e-9)
     _assert_intertwines(w, d, pairs)
     return dim
 
 
 def test_intertwiner_space_matches_the_stacked_svd_off_the_corpus():
-    """The a-only QR against the (a, b) stacked SVD it replaced: both
-    invariant extremes, a non-pentagon unitary and a 1e-6 rotation off the
-    pentagon."""
+    """Both invariant extremes, flip times W of Z4, a non-pentagon unitary
+    and a 1e-6 rotation off the pentagon in each picture."""
     rng = np.random.default_rng(7)
+    corpus = q.standard_corpus()
     assert _check_against_the_stacked_svd(np.eye(9, dtype=complex), 3) == 1
     assert _check_against_the_stacked_svd(flip_unitary(3, 3), 3) == 9
-    _check_against_the_stacked_svd(_haar(16, rng), 4)
-    w, d = _gauged(q.standard_corpus()["S3"], "c0", rng)
-    _check_against_the_stacked_svd(_rotated(w, 1e-6, rng), d)
+    flip_w = flip_unitary(4, 4) @ q.qg_from_group(corpus["Z4"], "c0").W
+    assert _check_against_the_stacked_svd(flip_w, 4) == 4
+    assert _check_against_the_stacked_svd(_haar(16, rng), 4) == 1
+    for picture in ("c0", "cstar"):
+        w, d = _gauged(corpus["S3"], picture, rng)
+        assert _check_against_the_stacked_svd(_rotated(w, 1e-6, rng), d) == 1
 
 
 @pytest.mark.parametrize("picture", ["c0", "cstar"])
 def test_intertwiner_space_matches_the_stacked_svd_on_the_gauged_corpus(corpus, picture):
+    """Every corpus group, plain and Haar-gauged."""
     rng = np.random.default_rng(11)
     for g in corpus.values():
         assert g.order <= 8
+        base = q.qg_from_group(g, picture)
+        assert _check_against_the_stacked_svd(base.W, base.dim) == 1
         assert _check_against_the_stacked_svd(*_gauged(g, picture, rng)) == 1
 
 
 def test_intertwiner_space_blocked_qr_matches_the_stacked_svd(monkeypatch):
-    """One first index per row block, so the R factor is reduced block by
-    block: same dimensions as the stacked SVD and the same solution space as
-    a single block."""
+    """The TSQR oracle with one first index per row block, so its R factor
+    is reduced block by block: same dimensions as the stacked SVD, and the
+    same solution space as a single block."""
     rng = np.random.default_rng(13)
     corpus = q.standard_corpus()
     cases = [
@@ -527,18 +553,37 @@ def test_intertwiner_space_blocked_qr_matches_the_stacked_svd(monkeypatch):
     w, d = _gauged(corpus["Z4"], "c0", rng)
     cases.append((_rotated(w, 1e-6, rng), d))
 
-    def projector(pairs):
-        a = np.stack([vec(x) for x, _ in pairs], axis=1)
-        q_, _ = np.linalg.qr(a)
-        return q_ @ q_.conj().T
-
-    whole = [intertwiner_space(w, d) for w, d in cases]
+    whole = [tsqr_intertwiner_space(w, d) for w, d in cases]
     monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 1)
     for (w, d), (dim, pairs) in zip(cases, whole):
         assert _check_against_the_stacked_svd(w, d) == dim
-        np.testing.assert_allclose(
-            projector(intertwiner_space(w, d)[1]), projector(pairs), atol=1e-9
-        )
+        blocked = tsqr_intertwiner_space(w, d)[1]
+        np.testing.assert_allclose(_projector(blocked), _projector(pairs), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "below, count",
+    [
+        ([0.0, 1e-16, 9e-7, 1.1e-6, 0.5], 2),
+        ([0.0, 1e-16, 5e-7, 1.5e-6, 0.5], 3),
+        ([0.0, 1e-15, 1e-15, 1e-15], 4),
+        ([2e-6, 0.5], 0),
+    ],
+)
+def test_intertwiner_candidates_are_cut_at_the_largest_gap(below, count):
+    assert tensorleg._candidate_count(1.0 - np.array(below)) == count
+
+
+def test_a_wide_candidate_window_finds_the_same_solutions(monkeypatch):
+    """A Haar unitary spreads the cosines over [0, 1]; with the window opened
+    to nearly all of them, the cut, the exact residuals and the Ritz step
+    still leave the one solution, the identity."""
+    w = _haar(16, np.random.default_rng(23))
+    want = intertwiner_space(w, 4)
+    monkeypatch.setattr(tensorleg, "CANDIDATE_GAP", 0.99)
+    dim, pairs = intertwiner_space(w, 4)
+    assert dim == want[0] == 1
+    np.testing.assert_allclose(_projector(pairs), _projector(want[1]), atol=1e-9)
 
 
 # --- bases and membership ----------------------------------------------

@@ -28,7 +28,7 @@ from qgcalc.tensorleg import LegSpace, flip_adjoint
 # one whole takes 268 MB at d = 16, and the battery used to peak at 1.1 GB.
 MAX_RSS_MB = 500
 
-_CHILD = """
+QG_CHILD = """
 import resource, sys
 from qgcalc.cli import main
 code = main(["verify", sys.argv[1], "qg"])
@@ -64,10 +64,10 @@ GROUPS = {
 }
 
 
-def _gauged_file(tmp_path, name, picture):
-    """A w.json of the Haar-gauged d = 16 unitary of the group in picture."""
-    d = 16
-    w = group_unitary(GROUPS[name]())
+def gauged_file(tmp_path, group, picture):
+    """A w.json of the Haar-gauged unitary of group in picture, d = its order."""
+    d = group.order
+    w = group_unitary(group)
     if picture == "cstar":
         # the dual picture's unitary, as FiniteQuantumGroup.dual makes it
         w = flip_adjoint(w, LegSpace((d, d)))
@@ -78,7 +78,7 @@ def _gauged_file(tmp_path, name, picture):
     return path
 
 
-def _run_child(code, path):
+def run_child(code, path):
     """Run code on path in a child process: the finished child, its JSON
     output and its peak RSS in MB."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -96,10 +96,10 @@ def _run_child(code, path):
     return child, json.loads(child.stdout), peak_mb
 
 
-@pytest.mark.parametrize("picture", ["c0", "cstar"])
-@pytest.mark.parametrize("name", list(GROUPS))
-def test_gauged_order16_group_passes_the_qg_battery(tmp_path, name, picture):
-    child, report, peak_mb = _run_child(_CHILD, _gauged_file(tmp_path, name, picture))
+def assert_qg_battery_passes(tmp_path, group, picture, max_rss_mb):
+    """verify … qg on the gauged group in a child: exit 0, every check
+    passing, the structural checks all present, and a peak within bound."""
+    child, report, peak_mb = run_child(QG_CHILD, gauged_file(tmp_path, group, picture))
     failed = [c for c in report["checks"] if not c["pass"]]
     assert child.returncode == 0 and not failed, (failed, child.stderr)
     names = {c["name"] for c in report["checks"]}
@@ -111,14 +111,21 @@ def test_gauged_order16_group_passes_the_qg_battery(tmp_path, name, picture):
         "coinvariantDimensionOne",
         "manageability",
     } <= names
-    assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb <= max_rss_mb, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_gauged_order16_group_passes_the_qg_battery(tmp_path, name, picture):
+    assert_qg_battery_passes(tmp_path, GROUPS[name](), picture, MAX_RSS_MB)
 
 
 @pytest.mark.parametrize("picture", ["c0", "cstar"])
 def test_gauged_order16_identity_arrow_gives_right_and_left_homs(tmp_path, picture):
     """right_from_bicharacter and left_from_bicharacter on the gauged Z16
     identity arrow: every residual of both homs passes its gate."""
-    child, residuals, peak_mb = _run_child(_HOM_CHILD, _gauged_file(tmp_path, "Z16", picture))
+    path = gauged_file(tmp_path, GROUPS["Z16"](), picture)
+    child, residuals, peak_mb = run_child(_HOM_CHILD, path)
     assert child.returncode == 0, child.stderr
     tables = {
         "right": RightQGHom.gates,
