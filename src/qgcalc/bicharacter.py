@@ -21,7 +21,6 @@ from .qgroup import (
     EQUATION_TOL,
     PENTAGON_TOL,
     corep_law_residual,
-    dual_unitary_antipode,
     unitary_antipode,
 )
 from .tensorleg import (
@@ -83,7 +82,8 @@ def bicharacter_residuals(v, c, a):
     Keys 'comultSource' and 'comultTarget' are the two comultiplication
     equations computed by applying the coefficient-space maps leg-wise;
     'operatorSource' and 'operatorTarget' are the pentagon-type operator
-    equations; 'membership' locates v inside span(algChat) (x) span(algC).
+    equations; 'membership' locates v inside span(dual algC of c) (x)
+    span(algC of a).  The dual side of c is c.dual, built on first use.
     """
     v = as_matrix(v)
     dc, da = c.dim, a.dim
@@ -93,12 +93,12 @@ def bicharacter_residuals(v, c, a):
     space_cca = LegSpace((dc, dc, da))
     space_caa = LegSpace((dc, da, da))
 
-    # comultiplication form, leg-wise through the span maps; deltaChat
-    # leaves V's second leg alone, so the slabs run over it
+    # comultiplication form, leg-wise through the span maps; the dual's
+    # comultiplication leaves V's second leg alone, so the slabs run over it
     r1 = streamed_residual(
         space_cca,
         3,
-        lambda cols: mapped_slab(v, space, 1, c.deltaChat, 2, cols),
+        lambda cols: mapped_slab(v, space, 1, c.dual.deltaC, 2, cols),
         [(v, (2, 3)), (v, (1, 3))],
     )
 
@@ -118,7 +118,7 @@ def bicharacter_residuals(v, c, a):
         [(v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))],
     )
 
-    memb = membership_residual(PairSpan(c.algChat, a.algC), v)
+    memb = membership_residual(PairSpan(c.dual.algC, a.algC), v)
     return {
         "comultSource": r1,
         "comultTarget": r2,
@@ -208,11 +208,10 @@ def check_R_invariance(v):
 
     Kac-type antipodes are taken from the source's dual and the target;
     invariance of every bicharacter under them is the numeric face of the
-    antipode-compatibility theorem.  The source's dual antipode comes from
-    dual_unitary_antipode, which reads the slices of the source's W and
-    builds no dual quantum group; either antipode missing raises NotKacType.
+    antipode-compatibility theorem.  Either antipode missing raises
+    NotKacType.
     """
-    r_hat = dual_unitary_antipode(v.source)
+    r_hat = unitary_antipode(v.source.dual)
     r_target = unitary_antipode(v.target)
     t1, sp1 = apply_map_to_leg(v.V, v.space, 1, r_hat)
     t2, _ = apply_map_to_leg(t1, sp1, 2, r_target)

@@ -32,14 +32,13 @@ from .tensorleg import (
     PairSpan,
     SpanMap,
     apply_map_to_leg,
+    diagram_residual,
     extract_trivial_legs,
     kron,
     legs_product,
-    mapped_slab,
     residual_between,
     residuals_between,
     span_map_from_pairs,
-    streamed_residual,
     unitarity_defect,
 )
 
@@ -260,6 +259,20 @@ def compose_functors_check(a, b):
     return float(np.max(checks))
 
 
+def _conjugation_coefficients(u, units, alg):
+    """Ad u(E_k) = u (E_k (x) 1) u* on the matrix units E_k of B(H), as
+    coefficients on span(units) (x) span(alg), and the worst distance of
+    those images from that span."""
+    h, d = units.shape[1], alg.shape[1]
+    u4 = u.reshape(h, d, h, d)
+    # u (E_ab (x) 1) u* = (block column a of u)(block column b of u)*
+    images = np.einsum("pcaf,qebf->abpcqe", u4, u4.conj(), optimize=True)
+    images = images.reshape(h * h, h * d, h * d)
+    span = PairSpan(units, alg)
+    p = span.coefficients(images)
+    return p, residuals_between(images, span.combine(p))
+
+
 def pushforward_corep(x, v):
     """Carry a corepresentation X of C along a bicharacter V from C to A.
 
@@ -270,8 +283,11 @@ def pushforward_corep(x, v):
     X12* (id (x) deltaR)(X); the extraction residual certifies the
     factorisation and check_corepresentation re-verifies Y.  Conjugation by
     Y must then be the coaction induced from Ad X, whose defining equation
-    X12 (Ad Y(k))13 X12* = (id (x) deltaR)(Ad X(k)) is checked on every
-    matrix unit k.  residuals["recovery"] is the worse of the two.
+    X12 (Ad Y(k))13 X12* = (id (x) deltaR)(Ad X(k)) over the matrix units k
+    is a commuting square of coefficients: those of Ad Y with Ad X on leg 1
+    against those of Ad X with deltaR on leg 2.  The range of Ad X and Ad Y
+    is gated first, since the square sees only their parts in the span.
+    residuals["recovery"] is the worse of the extraction and the square.
     """
     if not x.qg.same_unitary(v.source):
         raise SourceTargetMismatch(
@@ -281,36 +297,25 @@ def pushforward_corep(x, v):
     c = x.qg
     a = v.target
     delta_r = right_map_from_bicharacter(v)
-    space = LegSpace((h, c.dim))
     space3 = LegSpace((h, c.dim, a.dim))
-    xd = x.X.conj().T
-    ext, _ = apply_map_to_leg(x.X, space, 2, delta_r)
-    prod = legs_product(space3, (xd, (1, 2)), (ext, (1, 2, 3)))
+    ext, _ = apply_map_to_leg(x.X, LegSpace((h, c.dim)), 2, delta_r)
+    prod = legs_product(space3, (x.X.conj().T, (1, 2)), (ext, (1, 2, 3)))
     y, resid = extract_trivial_legs(prod, space3, {2})
     gate(resid, EQUATION_TOL, RecoveryFailure, "X12* (id (x) deltaR)(X) is not leg-2 trivial")
     out = check_corepresentation(y, a)
 
-    yd = y.conj().T
-    eye_c = np.eye(c.dim, dtype=complex)
-    eye_a = np.eye(a.dim, dtype=complex)
-    induced = []
-    for k in _matrix_units(h):
-        ad_x = x.X @ kron(k, eye_c) @ xd
-        ad_y = y @ kron(k, eye_a) @ yd
-        induced.append(
-            streamed_residual(
-                space3,
-                1,
-                lambda cols: mapped_slab(ad_x, space, 2, delta_r, 1, cols),
-                [(x.X, (1, 2)), (ad_y, (1, 3)), (xd, (1, 2))],
-            )
-        )
-    worst = np.max(induced)
+    units = _matrix_units(h)
+    p_x, range_x = _conjugation_coefficients(x.X, units, c.algC)
+    gate(range_x, CLOSURE_TOL, RecoveryFailure, "Ad X escapes B(H) (x) span(algC)")
+    p_y, range_y = _conjugation_coefficients(y, units, a.algC)
+    gate(range_y, CLOSURE_TOL, RecoveryFailure, "Ad Y escapes B(H) (x) span(algA)")
+    r = PairSpan(c.algC, a.algC).coefficients(delta_r.images)
+    worst = diagram_residual((p_y, 1, p_x), (p_x, 2, r))
     gate(
         worst,
         EQUATION_TOL,
         RecoveryFailure,
         "conjugation by the recovered unitary differs from the induced coaction",
     )
-    out.residuals["recovery"] = max(resid, float(worst))
+    out.residuals["recovery"] = max(resid, worst)
     return out

@@ -132,15 +132,19 @@ def comodule_residuals(phi, basis, qg, leg):
     the D leg with Delta_C on the C leg, ``injective`` is the rank of P, and
     ``dense`` the rank of the products phi(x)(1 (x) c) (the Podles condition).
     """
-    images, span, p = _coefficients(phi, basis, qg, leg)
+    return _comodule_from_coefficients(qg, leg, *_coefficients(phi, basis, qg, leg))
+
+
+def _comodule_from_coefficients(qg, leg, images, span, p):
+    """comodule_residuals from what _coefficients has read."""
     # the products' coefficients, rows (k, m) and columns (i, l), i on D
     on_c_last = p if leg == 1 else p.transpose(0, 2, 1)
     products = np.einsum("kij,jml->kmil", on_c_last, multiplication_constants(qg), optimize=True)
-    n = len(basis) * len(qg.algC)
+    n = len(p) * len(qg.algC)
     return {
         "range": membership_residuals(span, images),
         "coassociativity": diagram_residual((p, leg, p), (p, 3 - leg, structure_constants(qg))),
-        "injective": numerical_rank(p) == len(basis),
+        "injective": numerical_rank(p) == len(p),
         "dense": numerical_rank(products.reshape(n, n)) == n,
     }
 
@@ -202,9 +206,9 @@ def one_sided_residuals(c, a, phi, leg):
     comodule residuals plus ``coassocDiagram``, Delta_C on the C leg of phi
     against phi on the other leg of Delta_C, read off coefficients too.
     """
-    co = comodule_residuals(phi, c.algC, a, leg)
+    images, span, p = _coefficients(phi, c.algC, a, leg)
+    co = _comodule_from_coefficients(a, leg, images, span, p)
     cc = structure_constants(c)
-    _, _, p = _coefficients(phi, c.algC, a, leg)
     return {
         "range": co["range"],
         "coassocDiagram": diagram_residual((p, leg, cc), (cc, 3 - leg, p)),

@@ -1,9 +1,10 @@
 """Finite quantum groups presented by multiplicative unitaries.
 
 A quantum group here is a unitary W on H (x) H passing the pentagon check,
-together with the two operator algebras cut out by slicing W: slicing away
-the first leg yields the function-algebra side, slicing away the second leg
-the dual side.  Comultiplications act by conjugation with W.
+together with the operator algebra cut out by slicing away the first leg
+of W, the function-algebra side, and its comultiplication, conjugation
+with W.  Slicing away the second leg gives the dual side, which is held
+only as the dual quantum group ``qg.dual``, built from Sigma W* Sigma.
 
 Only Kac-type data is handled; constructions needing the antipode reject
 anything else with NotKacType instead of guessing modular corrections.
@@ -49,7 +50,6 @@ __all__ = [
     "build_from_unitary",
     "manageability_witness",
     "unitary_antipode",
-    "dual_unitary_antipode",
     "transpose_qg",
     "structure_constants",
     "multiplication_constants",
@@ -68,13 +68,16 @@ EQUATION_TOL = 1e-9
 
 
 class FiniteQuantumGroup:
-    """A verified multiplicative unitary with its extracted algebra pair.
+    """A verified multiplicative unitary with its slice algebra and comultiplication.
 
     Instances are immutable by convention once construction finishes.
-    ``algC`` and ``algChat`` are orthonormal bases (Hilbert-Schmidt) of the
-    two slice spans, each an (n, d, d) stack; ``deltaC`` and ``deltaChat``
-    are the comultiplications as linear maps on those spans; ``kacR`` is the unitary antipode on the
-    algC span when the Kac validation succeeded, else None.
+    ``algC`` is an orthonormal basis (Hilbert-Schmidt) of the leg-1 slice
+    span, an (n, d, d) stack; ``deltaC`` is the comultiplication as a
+    linear map on it; ``kacR`` is the unitary antipode on the algC span
+    when the Kac validation succeeded, else None.  The dual side, the
+    leg-2 slice span with its comultiplication, is ``dual.algC`` and
+    ``dual.deltaC``.  ``structure`` holds the structure constants once
+    structure_constants has read them (the build passes its own).
     """
 
     # the antipode is reported only when the Kac check succeeds
@@ -86,15 +89,14 @@ class FiniteQuantumGroup:
         ("antipode", EQUATION_TOL, "antipode fails the involutive *-antiautomorphism checks"),
     )
 
-    def __init__(self, dim, w, alg_c, alg_chat, delta_c, delta_chat, kac_r, residuals):
+    def __init__(self, dim, w, alg_c, delta_c, kac_r, residuals, structure=None):
         self.dim = int(dim)
         self.W = w
         self.algC = np.asarray(alg_c, dtype=complex)
-        self.algChat = np.asarray(alg_chat, dtype=complex)
         self.deltaC = delta_c
-        self.deltaChat = delta_chat
         self.kacR = kac_r
         self.residuals = dict(residuals)
+        self.structure = structure
         self._dual = None
         self._builder = None
 
@@ -127,7 +129,7 @@ class FiniteQuantumGroup:
         return self.dim == other.dim and np.array_equal(self.W, other.W)
 
     def __repr__(self):
-        return f"FiniteQuantumGroup(dim={self.dim}, algC={len(self.algC)}, algChat={len(self.algChat)})"
+        return f"FiniteQuantumGroup(dim={self.dim}, algC={len(self.algC)})"
 
 
 class ManageabilityWitness:
@@ -175,13 +177,6 @@ def _delta_c(w, d, alg_c):
     """Delta(x) = W(x (x) 1)W* on algC."""
     # kron of a stack and a matrix is the stack of the krons
     return SpanMap(alg_c, w @ kron(alg_c, np.eye(d)) @ w.conj().T, d, d * d)
-
-
-def _delta_chat(w, d, alg_chat):
-    """Delta(y) = Sigma W*(1 (x) y)W Sigma on algChat."""
-    flipped = (w.conj().T @ kron(np.eye(d), alg_chat) @ w).reshape(-1, d, d, d, d)
-    images = flipped.transpose(0, 2, 1, 4, 3).reshape(-1, d * d, d * d)
-    return SpanMap(alg_chat, images, d, d * d)
 
 
 def _slice_pentagon(w, d, alg_c, c, off):
@@ -250,18 +245,20 @@ def _gate_pentagon(pent):
 
 
 def build_from_unitary(w, dim):
-    """Validate w as a multiplicative unitary and extract both algebras.
+    """Validate w as a multiplicative unitary and extract its slice algebra.
 
     Gates, in order: unitarity, the pentagon identity, closure of both
-    slice spans under product and adjoint, and that both comultiplications
-    land in the span of the respective algebra pair.  The pentagon is read
-    off the slice coefficients of W and the comultiplication of algC
-    (_slice_pentagon), so algC and Delta on it come first; where algC has
-    more than d elements, as on every 1e-6 rotation of a quantum group
-    tried (n = d^2), those images would hold n d^4 entries, and the pentagon
-    is streamed over column slabs and gated before them instead.  The Kac
-    antipode is computed opportunistically; failure there leaves kacR as
-    None rather than rejecting the input.
+    slice spans under product and adjoint, and that the comultiplication
+    lands in span(algC) (x) span(algC).  The leg-2 slice span is the dual's
+    algC; its basis is formed here for the closure gate only, and its
+    comultiplication is the dual's own, gated by the dual's build wherever
+    it is used.  The pentagon is read off the slice coefficients of W and
+    the comultiplication of algC (_slice_pentagon), so algC and Delta on it
+    come first; where algC has more than d elements, as on every 1e-6
+    rotation of a quantum group tried (n = d^2), those images would hold
+    n d^4 entries, and the pentagon is streamed over column slabs and gated
+    before them instead.  The Kac antipode is computed opportunistically;
+    failure there leaves kacR as None rather than rejecting the input.
     """
     d = int(dim)
     w = as_matrix(w)
@@ -293,28 +290,19 @@ def build_from_unitary(w, dim):
     if not streamed:
         pent = _gate_pentagon(_slice_pentagon(w, d, alg_c, c, delta_c.images - projected))
 
-    alg_chat = orthonormal_basis(_leg_slices(w, d, 2))
-    closure = float(np.max([closure_residual(alg_c), closure_residual(alg_chat)]))
+    leg2 = orthonormal_basis(_leg_slices(w, d, 2))
+    closure = float(np.max([closure_residual(alg_c), closure_residual(leg2)]))
     residuals = {"unitarity": udef, "pentagon": pent, "closure": closure}
     gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
 
-    delta_chat = _delta_chat(w, d, alg_chat)
-    memb = float(
-        np.max(
-            [
-                residuals_between(delta_c.images, projected),
-                membership_residuals(PairSpan(alg_chat, alg_chat), delta_chat.images),
-            ]
-        )
-    )
-    residuals["comultMembership"] = memb
+    residuals["comultMembership"] = residuals_between(delta_c.images, projected)
     gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
     try:
         kappa, kres = _try_antipode(w, d, alg_c)
         residuals["antipode"] = kres
     except NotKacType:
         kappa = None
-    return FiniteQuantumGroup(d, w, alg_c, alg_chat, delta_c, delta_chat, kappa, residuals)
+    return FiniteQuantumGroup(d, w, alg_c, delta_c, kappa, residuals, structure=c)
 
 
 def structure_constants(qg):
@@ -322,9 +310,15 @@ def structure_constants(qg):
 
     build_from_unitary has gated every Delta(b_k) into span(algC) (x)
     span(algC) at CLOSURE_TOL, so these coefficients are Delta itself, and
-    they are its Hilbert-Schmidt picture: the basis is orthonormal.
+    they are its Hilbert-Schmidt picture: the basis is orthonormal.  They
+    are read once per object and kept as qg.structure: the build passes
+    the ones it has computed, an object made by hand reads them off
+    deltaC on first use.  The array is read-only, as it is shared.
     """
-    return PairSpan(qg.algC, qg.algC).coefficients(qg.deltaC.images)
+    if qg.structure is None:
+        qg.structure = PairSpan(qg.algC, qg.algC).coefficients(qg.deltaC.images)
+    qg.structure.flags.writeable = False
+    return qg.structure
 
 
 def multiplication_constants(qg):
@@ -367,22 +361,6 @@ def unitary_antipode(qg):
     if qg.kacR is not None:
         return qg.kacR
     kappa, _ = _try_antipode(qg.W, qg.dim, qg.algC)
-    return kappa
-
-
-def dual_unitary_antipode(qg):
-    """unitary_antipode(qg.dual), without building the dual when qg holds none.
-
-    The dual's unitary is the flip-adjoint of W and its algC spans the same
-    space as qg.algChat, whose closure is already gated; the antipode map is
-    made from the slice pairs of that unitary alone, so it comes out bit for
-    bit as the dual's own.  A non-Kac dual raises NotKacType.
-    """
-    builder = qg._builder() if qg._builder is not None else None
-    dual = builder or qg._dual
-    if dual is not None:
-        return unitary_antipode(dual)
-    kappa, _ = _try_antipode(flip_adjoint(qg.W, qg.space), qg.dim, qg.algChat)
     return kappa
 
 

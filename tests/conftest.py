@@ -1,16 +1,20 @@
 """Shared fixtures, and the oracles the library is checked against:
 embed_on_legs, pair_basis, the streamed pentagon and coassociativity
 residuals, the TSQR intertwiner space, the coinvariant dimension from the
-comultiplication images, and the commuting diagrams of comodules and
-one-sided homs by operators."""
+comultiplication images, the commuting diagrams of comodules and
+one-sided homs by operators, and the induced-coaction equation of a
+corepresentation pushforward one matrix unit at a time."""
 
+import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
+from scipy.stats import unitary_group
 
 import qgcalc as q
+from qgcalc.homviews import right_map_from_bicharacter
 from qgcalc.tensorleg import (
     RANK_CUTOFF,
     LegSpace,
@@ -20,6 +24,7 @@ from qgcalc.tensorleg import (
     as_matrix,
     kron,
     legs_slab,
+    mapped_slab,
     numerical_rank,
     permute_legs,
     residual_between,
@@ -58,6 +63,53 @@ def v4(corpus):
 @pytest.fixture(scope="session")
 def s3(corpus):
     return corpus["S3"]
+
+
+def _group_homs(g, h):
+    """Every homomorphism g -> h, by trying every map of the elements."""
+    homs = []
+    for images in itertools.product(range(h.order), repeat=g.order):
+        try:
+            homs.append(q.group_hom(g, h, images))
+        except ValueError:
+            pass
+    return homs
+
+
+@pytest.fixture(scope="session")
+def arrows(corpus):
+    """Every group hom among the corpus groups of order <= 4, then every
+    S3 -> Z2 and Z2 -> S3."""
+    small = [g for g in corpus.values() if g.order <= 4]
+    pairs = list(itertools.product(small, repeat=2))
+    pairs += [(corpus["S3"], corpus["Z2"]), (corpus["Z2"], corpus["S3"])]
+    return [phi for g, h in pairs for phi in _group_homs(g, h)]
+
+
+def gauged_bicharacters(homs, picture, gauge, seed):
+    """The bicharacter of each group hom in the picture, checked.  With
+    gauge "haar" each quantum group is rebuilt once from (u (x) u) W
+    (u (x) u)* for a Haar u, and V conjugated by uc (x) ua to match; with
+    "plain" the arrows are left as they are."""
+    rng = np.random.default_rng(seed)
+    gauged = {}
+
+    def gauge_of(qg):
+        if gauge == "plain":
+            return np.eye(qg.dim), qg
+        if id(qg) not in gauged:
+            u = unitary_group.rvs(qg.dim, random_state=rng)
+            uu = kron(u, u)
+            gauged[id(qg)] = (u, q.build_from_unitary(uu @ qg.W @ uu.conj().T, qg.dim))
+        return gauged[id(qg)]
+
+    out = []
+    for phi in homs:
+        plain = q.from_hopf_hom(q.hom_to_hopf(phi, picture))
+        (uc, c), (ua, a) = gauge_of(plain.source), gauge_of(plain.target)
+        ucua = kron(uc, ua)
+        out.append(q.check_bicharacter(ucua @ plain.V @ ucua.conj().T, c, a))
+    return out
 
 
 @pytest.fixture()
@@ -321,3 +373,30 @@ def diagram_oracles():
         "coassocDiagram": loop_coassoc_diagram,
         "compatibility": loop_compatibility,
     }
+
+
+def loop_pushforward_square(x, y, v):
+    """The induced-coaction equation of coactions.pushforward_corep by
+    operators, the oracle for its coefficient square: the worst streamed
+    residual of X12 (Ad Y(k))13 X12* against (id (x) deltaR)(Ad X(k)) over
+    the matrix units k of B(H), one at a time."""
+    dc, da = v.source.dim, v.target.dim
+    h = x.shape[0] // dc
+    delta_r = right_map_from_bicharacter(v)
+    space, space3 = LegSpace((h, dc)), LegSpace((h, dc, da))
+    xd, yd = x.conj().T, y.conj().T
+    eye_c, eye_a = np.eye(dc, dtype=complex), np.eye(da, dtype=complex)
+    induced = []
+    for k in np.eye(h * h, dtype=complex).reshape(h * h, h, h):
+        ad_x = x @ kron(k, eye_c) @ xd
+        ad_y = y @ kron(k, eye_a) @ yd
+        induced.append(
+            streamed_residual(
+                space3,
+                1,
+                lambda cols: mapped_slab(ad_x, space, 2, delta_r, 1, cols),
+                [(x, (1, 2)), (ad_y, (1, 3)), (xd, (1, 2))],
+            )
+        )
+    # np.max, unlike max(), carries a NaN through
+    return float(np.max(induced))

@@ -159,7 +159,7 @@ def _check_against_the_embedding_oracle(homs):
     v12, v13a = embed_on_legs(v, caa, (1, 2)), embed_on_legs(v, caa, (1, 3))
     wc12, wa23 = embed_on_legs(c.W, cca, (1, 2)), embed_on_legs(a.W, caa, (2, 3))
     want = {
-        "comultSource": residual_between(apply_map_to_leg(v, sp, 1, c.deltaChat)[0], v23 @ v13c),
+        "comultSource": residual_between(apply_map_to_leg(v, sp, 1, c.dual.deltaC)[0], v23 @ v13c),
         "comultTarget": residual_between(apply_map_to_leg(v, sp, 2, a.deltaC)[0], v12 @ v13a),
         "operatorSource": residual_between(v23 @ wc12, wc12 @ v13c @ v23),
         "operatorTarget": residual_between(wa23 @ v12, v12 @ v13a @ wa23),

@@ -240,18 +240,24 @@ def test_commands_compute_each_residual_set_once(count_calls, tmp_path, capsys, 
         assert list(calls.values()) == counts, argv
 
 
-def test_verifying_a_bicharacter_builds_no_dual(count_calls, tmp_path, capsys, va_file, z4):
-    # rInvariance reads the source's dual antipode off its slices, so each
-    # distinct W of the file is built once and its dual not at all
+def test_verifying_a_bicharacter_builds_each_w_once(
+    monkeypatch, count_calls, tmp_path, capsys, va_file, z4
+):
+    # the source-side equations and rInvariance use the source's dual, a
+    # build of its own from the flip-adjoint W; no W is built twice, and
+    # each build forms one comultiplication image stack
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(q.qg_from_group(z4, "c0"))))
-    calls = count_calls("build_from_unitary")
-    for path, builds in ((str(ident), 1), (va_file[0], 2)):
+    digests = _count_builds(monkeypatch)
+    calls = count_calls("_delta_c")
+    for path, builds in ((str(ident), 2), (va_file[0], 3)):
         argv = ["verify", path, "bicharacter"]
-        calls["build_from_unitary"] = 0
+        digests.clear()
+        calls["_delta_c"] = 0
         code, obj = run_json(capsys, argv)
         assert code == 0 and "rInvariance" in {c["name"] for c in obj["checks"]}
-        assert calls["build_from_unitary"] == builds, argv
+        assert len(digests) == len(set(digests)) == builds, argv
+        assert calls["_delta_c"] == builds, argv
 
 
 def test_coaction_commands_take_the_stored_map_as_it_is(
@@ -399,21 +405,23 @@ def test_compose_writes_identity(tmp_path, capsys, va_file, z2, z4):
 
 
 def test_compose_builds_each_distinct_w_once_per_invocation(
-    monkeypatch, tmp_path, capsys, va_file, z2, z4
+    monkeypatch, count_calls, tmp_path, capsys, va_file, z2, z4
 ):
     path_a, _ = va_file
     vb = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z2, z4, (0, 2)), "c0"))
     path_b = tmp_path / "vb.json"
     write_json(str(path_b), bicharacter_to_obj(vb))
     digests = _count_builds(monkeypatch)
+    calls = count_calls("_delta_c")
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    # c0(Z4) and c0(Z2), each named by both files; rInvariance builds no dual
-    assert len(digests) == len(set(digests)) == 2
+    # c0(Z4) and c0(Z2), each named by both files, and the dual of each as
+    # a source, a flip-adjoint W of its own; one image stack per build
+    assert len(digests) == len(set(digests)) == calls["_delta_c"] == 4
     # built objects do not outlive an invocation: a second one builds again
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    assert len(digests) == 4 and len(set(digests)) == 2
+    assert len(digests) == calls["_delta_c"] == 8 and len(set(digests)) == 4
 
 
 def test_compose_mismatch_exits_two(capsys, va_file):

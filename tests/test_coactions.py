@@ -33,6 +33,7 @@ from qgcalc.tensorleg import (
     kron,
     residual_between,
 )
+from conftest import gauged_bicharacters, loop_pushforward_square
 
 RNG = np.random.default_rng(60001)
 
@@ -415,6 +416,32 @@ def test_pushforward_on_gauged_s3(sgn, picture):
         out = pushforward_corep(reg, v)
         assert residual_between(out.X, v.V) <= 1e-9
         assert out.residuals["recovery"] <= 1e-12
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_pushforward_square_matches_the_operator_loop(arrows, picture, gauge, monkeypatch):
+    """The induced-coaction equation of pushforward_corep, read off as one
+    coefficient square, agrees with the per-matrix-unit operator loop of
+    tests/conftest.py on the regular corepresentation of the source of
+    every corpus arrow of order <= 4."""
+    squares = []
+    real = coactions.diagram_residual
+
+    def recorded(lhs, rhs):
+        squares.append(real(lhs, rhs))
+        return squares[-1]
+
+    monkeypatch.setattr(coactions, "diagram_residual", recorded)
+    small = [phi for phi in arrows if max(phi.source.order, phi.target.order) <= 4]
+    for v in gauged_bicharacters(small, picture, gauge, 2611):
+        reg = check_corepresentation(v.source.W, v.source)
+        out = pushforward_corep(reg, v)
+        assert residual_between(out.X, v.V) <= 1e-9
+        want = loop_pushforward_square(reg.X, out.X, v)
+        assert squares[-1] == pytest.approx(want, abs=1e-14)
+        assert out.residuals["recovery"] >= squares[-1]
+    assert len(squares) == len(small) == 51
 
 
 def _inject_factor(monkeypatch, change, residual=0.0):

@@ -1,7 +1,5 @@
 """Hopf, right, and left homomorphism pictures and their translations."""
 
-import itertools
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,6 +36,7 @@ from qgcalc.tensorleg import (
     span_map_from_pairs,
     vec,
 )
+from conftest import gauged_bicharacters
 
 
 def c0(g):
@@ -320,27 +319,6 @@ def test_stacked_residuals_match_the_per_element_loops(z2, z4, s3):
         assert res["dense"] == (numerical_rank(products) == 8)
 
 
-def _group_homs(g, h):
-    """Every homomorphism g -> h, by trying every map of the elements."""
-    homs = []
-    for images in itertools.product(range(h.order), repeat=g.order):
-        try:
-            homs.append(q.group_hom(g, h, images))
-        except ValueError:
-            pass
-    return homs
-
-
-@pytest.fixture(scope="module")
-def arrows(corpus):
-    """Every group hom among the corpus groups of order <= 4, then every
-    S3 -> Z2 and Z2 -> S3."""
-    small = [g for g in corpus.values() if g.order <= 4]
-    pairs = list(itertools.product(small, repeat=2))
-    pairs += [(corpus["S3"], corpus["Z2"]), (corpus["Z2"], corpus["S3"])]
-    return [phi for g, h in pairs for phi in _group_homs(g, h)]
-
-
 def _coefficients(phi, c, a, leg):
     """phi's images of c.algC as coefficients on algC (x) algA, C on leg."""
     span = PairSpan(*((c.algC, a.algC) if leg == 1 else (a.algC, c.algC)))
@@ -355,23 +333,13 @@ def test_diagram_residuals_match_the_operator_loops(
     """Every commuting diagram read off coefficient tensors agrees with the
     per-element operator loop of tests/conftest.py, arrow by arrow, and the
     Podles and injectivity flags are the operator ranks."""
-    rng = np.random.default_rng(1515)
-    gauged = {}
-
-    def gauge_of(qg):
-        if id(qg) not in gauged:
-            u = unitary_group.rvs(qg.dim, random_state=rng) if gauge == "haar" else np.eye(qg.dim)
-            gauged[id(qg)] = (u, _gauged(qg, u) if gauge == "haar" else qg)
-        return gauged[id(qg)]
-
     comodule = diagram_oracles["comodule"]
     coassoc = diagram_oracles["coassocDiagram"]
     compat = diagram_oracles["compatibility"]
-    for phi in arrows:
-        plain = q.from_hopf_hom(q.hom_to_hopf(phi, picture))
-        (uc, c), (ua, a) = gauge_of(plain.source), gauge_of(plain.target)
-        ucua = kron(uc, ua)
-        v = q.check_bicharacter(ucua @ plain.V @ ucua.conj().T, c, a)
+    qgs = {}
+    for v in gauged_bicharacters(arrows, picture, gauge, 1515):
+        c, a = v.source, v.target
+        qgs.update({id(c): c, id(a): a})
         dr, dl = right_from_bicharacter(v), left_from_bicharacter(v)
         for hom, m, leg in ((dr, dr.deltaR, 1), (dl, dl.deltaL, 2)):
             want = comodule(m, c.algC, a, leg)
@@ -388,7 +356,7 @@ def test_diagram_residuals_match_the_operator_loops(
         )
         assert second == pytest.approx(want_second, abs=1e-14)
         assert same == (want_second <= EQUATION_TOL)
-    for _, qg in gauged.values():
+    for qg in qgs.values():
         assert coassociativity_residual(qg) == pytest.approx(coassociativity_oracle(qg), abs=1e-14)
 
 

@@ -21,8 +21,8 @@ from qgcalc.qgroup import (
     FiniteQuantumGroup,
     build_from_unitary,
     coassociativity_residual,
+    closure_residual,
     coinvariant_dimension,
-    dual_unitary_antipode,
     manageability_witness,
     structure_constants,
     transpose_qg,
@@ -83,15 +83,15 @@ def test_function_picture_w_matches_rule(corpus):
 def test_z2_algebras(z2):
     c2 = q.qg_from_group(z2, "c0")
     assert len(c2.algC) == 2
-    assert len(c2.algChat) == 2
+    assert len(c2.dual.algC) == 2
     # algC is the diagonal algebra
     for which in range(2):
         e = np.zeros((2, 2), dtype=complex)
         e[which, which] = 1.0
         assert membership_residual(c2.algC, e) <= 1e-12
-    # algChat is spanned by the two translations
+    # the dual side is spanned by the two translations
     for b in range(2):
-        assert membership_residual(c2.algChat, q.translation_matrix(z2, b)) <= 1e-12
+        assert membership_residual(c2.dual.algC, q.translation_matrix(z2, b)) <= 1e-12
 
 
 def test_residual_keys_are_tiny(z4):
@@ -147,12 +147,21 @@ def test_non_unitary_input_rejected():
 
 
 def test_dual_swaps_the_algebra_pair(z4):
+    # the leg-2 slices of each W span the algC of the other
     c4 = q.qg_from_group(z4, "c0")
-    d4 = c4.dual
-    for x in c4.algChat:
-        assert membership_residual(d4.algC, x) <= 1e-10
-    for y in c4.algC:
-        assert membership_residual(d4.algChat, y) <= 1e-10
+    for qg, other in ((c4, c4.dual), (c4.dual, c4)):
+        for y in qgroup_module._leg_slices(qg.W, qg.dim, 2):
+            assert membership_residual(other.algC, y) <= 1e-10
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_closure_covers_both_slice_spans(s3, picture):
+    """The build gates the leg-2 slice span too, though it keeps only algC:
+    closure is the worse of algC's and the dual's algC's, to rounding."""
+    qg = _gauged(q.qg_from_group(s3, picture), np.random.default_rng(2025))[0]
+    both = max(closure_residual(qg.algC), closure_residual(qg.dual.algC))
+    assert qg.residuals["closure"] == pytest.approx(both, abs=1e-14)
+    assert both > 0.0
 
 
 def _flip_adjoint_by_hand(qg):
@@ -161,10 +170,8 @@ def _flip_adjoint_by_hand(qg):
 
 def _assert_same_build(got, fresh):
     np.testing.assert_array_equal(got.W, fresh.W)
-    for mine, theirs in ((got.algC, fresh.algC), (got.algChat, fresh.algChat)):
-        assert len(mine) == len(theirs)
-        for x, y in zip(mine, theirs):
-            np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(got.algC, fresh.algC)
+    np.testing.assert_array_equal(got.deltaC.images, fresh.deltaC.images)
     assert got.residuals == fresh.residuals
 
 
@@ -241,11 +248,12 @@ def test_algebras_match_the_slice_oracle(s3):
                 dens = np.zeros((d, d), dtype=complex)
                 dens[j, i] = 1.0
                 units.append(Functional(dens))
-        for leg, alg in ((1, qg.algC), (2, qg.algChat)):
-            oracle = orthonormal_basis([slice_leg(qg.W, space, leg, om) for om in units])
-            assert len(oracle) == len(alg)
-            for x, y in zip(alg, oracle):
-                np.testing.assert_array_equal(x, y)
+        for built in (qg, qg.dual):
+            oracle = orthonormal_basis([slice_leg(built.W, space, 1, om) for om in units])
+            np.testing.assert_array_equal(built.algC, oracle)
+        # the dual's algC spans the leg-2 slices
+        for om in units:
+            assert membership_residual(qg.dual.algC, slice_leg(qg.W, space, 2, om)) <= 1e-12
         wd = qg.W.conj().T
         kappa, _ = span_map_from_pairs(
             [(slice_leg(qg.W, space, 1, om), slice_leg(wd, space, 1, om)) for om in units]
@@ -279,41 +287,15 @@ def test_antipode_inverts_translations(s3):
 
 def test_unitary_antipode_recomputes_when_missing(z2):
     c2 = q.qg_from_group(z2, "c0")
-    stripped = FiniteQuantumGroup(
-        c2.dim, c2.W, c2.algC, c2.algChat, c2.deltaC, c2.deltaChat, None, c2.residuals
-    )
+    stripped = FiniteQuantumGroup(c2.dim, c2.W, c2.algC, c2.deltaC, None, c2.residuals)
     kappa = unitary_antipode(stripped)
     for x in c2.algC:
         assert residual_between(kappa(x), c2.kacR(x)) <= 1e-12
 
 
-def _same_span_map(first, second):
-    return all(
-        len(x) == len(y) and all(map(np.array_equal, x, y))
-        for x, y in ((first.basis, second.basis), (first.images, second.images))
-    )
-
-
-def test_dual_unitary_antipode_is_the_duals_bit_for_bit(s3):
-    """Read off the slices without a dual, or from a dual already built, the
-    map is unitary_antipode(qg.dual) exactly, on both sides of the pair."""
-    rng = np.random.default_rng(88)
-    for pic in ("c0", "cstar"):
-        w = _gauged(q.qg_from_group(s3, pic), rng)[0].W
-        fresh = build_from_unitary(w, 6)
-        kappa = dual_unitary_antipode(fresh)
-        assert fresh._dual is None
-        built = build_from_unitary(w, 6)
-        assert _same_span_map(kappa, unitary_antipode(built.dual))
-        assert _same_span_map(dual_unitary_antipode(built), unitary_antipode(built.dual))
-        # on a dual, the builder is the dual
-        assert dual_unitary_antipode(built.dual) is built.kacR
-
-
 def test_unitary_antipode_rejects_non_antimultiplicative_slices():
     # flip slices force kappa to be the identity map on all of M2, which is
-    # not antimultiplicative, so the antipode construction must refuse, for
-    # the flip and for its dual
+    # not antimultiplicative, so the antipode construction must refuse
     units = []
     for p in range(2):
         for r in range(2):
@@ -329,10 +311,6 @@ def test_unitary_antipode_rejects_non_antimultiplicative_slices():
 
     with pytest.raises(NotKacType):
         unitary_antipode(Probe())
-    # the flip is its own flip-adjoint, so its dual has the same slices
-    flip = FiniteQuantumGroup(2, Probe.W, units, units, None, None, None, {})
-    with pytest.raises(NotKacType):
-        dual_unitary_antipode(flip)
 
 
 def test_manageability_is_an_index_shuffle(z2, s3):
@@ -567,11 +545,26 @@ def test_structure_constants_are_the_comultiplication(s3):
     np.testing.assert_allclose(rebuilt, np.stack(qg.deltaC.images), atol=1e-13)
 
 
+def test_structure_constants_are_read_once_per_object(s3, count_calls):
+    """The build keeps the constants the pentagon read; an object made by
+    hand reads them off its deltaC on first use.  Either way they are the
+    coefficients of deltaC bit for bit, and later calls share one
+    read-only array."""
+    qg, _ = _gauged(q.qg_from_group(s3, "c0"), np.random.default_rng(17))
+    fresh = PairSpan(qg.algC, qg.algC).coefficients(qg.deltaC.images)
+    by_hand = FiniteQuantumGroup(qg.dim, qg.W, qg.algC, qg.deltaC, qg.kacR, qg.residuals)
+    calls = count_calls("PairSpan.coefficients")
+    for obj in (qg, by_hand):
+        first = structure_constants(obj)
+        np.testing.assert_array_equal(first, fresh)
+        assert structure_constants(obj) is first
+        assert not first.flags.writeable
+    assert calls["PairSpan.coefficients"] == 1
+
+
 def _with_delta_images(qg, images):
     delta = SpanMap(qg.deltaC.basis, tuple(images), qg.dim, qg.dim**2)
-    return FiniteQuantumGroup(
-        qg.dim, qg.W, qg.algC, qg.algChat, delta, qg.deltaChat, qg.kacR, qg.residuals
-    )
+    return FiniteQuantumGroup(qg.dim, qg.W, qg.algC, delta, qg.kacR, qg.residuals)
 
 
 def test_a_comultiplication_rotated_inside_the_span_fails(s3):

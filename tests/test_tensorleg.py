@@ -768,9 +768,10 @@ def test_apply_map_to_leg_on_a_stack_maps_each_operator(leg):
 
 def test_span_maps_hold_stacks_whatever_they_are_built_from():
     """Bases and images are (n, r, c) arrays: in a built quantum group, its
-    comultiplications, a coaction, and a SpanMap made from tuples."""
+    algC, its dual's and its comultiplication images, a coaction, and a
+    SpanMap made from tuples."""
     c = q.qg_from_group(q.cyclic_group(3), "c0")
-    for basis, n, r in ((c.algC, 3, 3), (c.algChat, 3, 3), (c.deltaC.images, 3, 9)):
+    for basis, n, r in ((c.algC, 3, 3), (c.dual.algC, 3, 3), (c.deltaC.images, 3, 9)):
         assert isinstance(basis, np.ndarray) and basis.shape == (n, r, r)
     co = q.comultiplication_coaction(c)
     assert isinstance(co.algebraD, np.ndarray) and co.algebraD.shape == (3, 3, 3)

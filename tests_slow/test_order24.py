@@ -10,9 +10,10 @@ import pytest
 from qgcalc.groups import cyclic_group, product_group
 from test_order16 import assert_qg_battery_passes
 
-# A run peaks at about 775 MB, most of it the two comultiplications'
-# n x d^2 x d^2 image stacks (127 MB each) and their temporaries.
-MAX_RSS_MB = 1000
+# A run peaks at about 655 MB, most of it the comultiplication's
+# n x d^2 x d^2 image stack (127 MB), its projection onto
+# span(algC) (x) span(algC), and their temporaries.
+MAX_RSS_MB = 800
 
 GROUPS = {
     "Z24": lambda: cyclic_group(24),
