@@ -166,14 +166,14 @@ def compose(vca, vab):
         (vab.V.conj().T, (2, 3)),
     )
     what = "middle leg is not trivial"
-    return extract_bicharacter(prod, space3, {2}, vca.source, vab.target, what)
+    factor, resid = extract_trivial_legs(prod, space3, {2})
+    return extract_bicharacter(factor, resid, vca.source, vab.target, what)
 
 
-def extract_bicharacter(prod, space, trivial, c, a, what):
-    """The bicharacter from c to a that prod is off its trivial legs: the
-    extraction is gated (ExtractionFailure, what fails), its factor checked,
-    and its residual kept as residuals["extraction"]."""
-    factor, resid = extract_trivial_legs(prod, space, trivial)
+def extract_bicharacter(factor, resid, c, a, what):
+    """The bicharacter from c to a an extraction read off as factor, with
+    residual resid: the residual is gated (ExtractionFailure, what fails),
+    the factor checked, and the residual kept as residuals["extraction"]."""
     gate(resid, EQUATION_TOL, ExtractionFailure, what)
     out = check_bicharacter(factor, c, a)
     out.residuals["extraction"] = resid

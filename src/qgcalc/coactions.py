@@ -2,10 +2,11 @@
 between coaction categories that right homomorphisms induce.
 
 The central construction takes a coaction of C and a right homomorphism
-from C to A and solves a linear system for the induced coaction of A; its
-solvability and uniqueness are exactly the finite-dimensional content of
-the induction theorem.  Corepresentations are pushed forward in closed
-form, by factorising (id (x) deltaR)(X) = X12 Y13.
+from C to A and solves a commuting square of coefficients for the induced
+coaction of A; its solvability and uniqueness are exactly the
+finite-dimensional content of the induction theorem.  Corepresentations
+are pushed forward in closed form, by factorising (id (x) deltaR)(X) =
+X12 Y13 on the slices of X.
 """
 
 import numpy as np
@@ -22,20 +23,19 @@ from .errors import (
 from .homviews import (
     check_right_hom,
     comodule_residuals,
+    factor_slices,
+    map_coefficients,
     right_map_from_bicharacter,
     star_hom_residuals,
 )
 from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, closure_residual, corep_law_residual
 from .tensorleg import (
     RANK_CUTOFF,
-    LegSpace,
     PairSpan,
     SpanMap,
-    apply_map_to_leg,
     diagram_residual,
-    extract_trivial_legs,
+    frob,
     kron,
-    legs_product,
     residual_between,
     residuals_between,
     span_map_from_pairs,
@@ -169,48 +169,48 @@ def conjugation_coaction(corep):
     return check_coaction(ad, _matrix_units(h), corep.qg)
 
 
-def _solve_on_product_basis(left, left_images, right, rhs):
-    """Solve sum_ij c_kij g(l_i) (x) r_j = rhs_k for every k in one lstsq call.
-
-    All arguments are stacks; left_images[i] is g(left[i]).  The system is
-    factored once for all right-hand sides.  Returns the solutions
-    reassembled on the unmapped basis, sum_ij c_kij l_i (x) r_j, the worst
-    relative column residual, and whether the system has full column rank,
-    i.e. the solutions are unique.
-    """
-    n_left, n_right = len(left_images), len(right)
-    # column (i, j) is the row-major vec of kron(g_i, r_j)
-    system = np.einsum("iab,jcd->acbdij", left_images, right).reshape(-1, n_left * n_right)
-    b = rhs.reshape(len(rhs), -1).T
-    sol, _, _, s = np.linalg.lstsq(system, b, rcond=None)
-    resid = np.linalg.norm(system @ sol - b, axis=0) / np.maximum(
-        1.0, np.linalg.norm(b, axis=0)
-    )
-    unique = bool(s[0] > 0 and np.sum(s > RANK_CUTOFF * s[0]) == system.shape[1])
-    images = PairSpan(left, right).combine(sol.T.reshape(-1, n_left, n_right))
-    return images, float(np.max(resid)), unique
-
-
 def _pushed_through(phi, basis, dr, what):
-    """The map psi of basis into span(basis) (x) A induced from phi along dr:
-    (phi (x) id)(psi(x)) = (id (x) deltaR)(phi(x)), solved and gated
-    (SolveFailure, what fails).  Returns psi, the solve residual, and
-    whether the solution is unique."""
-    hd = basis.shape[1]
-    images = phi.apply_stack(basis)
-    rhs, _ = apply_map_to_leg(images, LegSpace((hd, dr.source.dim)), 2, dr.deltaR)
-    solved, worst, unique = _solve_on_product_basis(basis, images, dr.target.algC, rhs)
+    """The map psi of basis into span(basis) (x) A induced from phi along dr,
+    (phi (x) id)(psi(x)) = (id (x) deltaR)(phi(x)), gated (SolveFailure,
+    what fails), with the solve residual and whether psi is unique.
+
+    On the coefficients P of phi and R of deltaR it is the square sum_i
+    Psi[k, i, t] P[i, p, s] = sum_q P[k, p, q] R[q, s, t], one least-squares
+    solve on the (n_D n_C) x n_D matrix P, unique when rank P = n_D.  The
+    residual is residual_between's per x_k plus |Psi_k| |E| + |P_k| |F| +
+    |deltaR| |E_k| (Frobenius norms) for the parts E_i of phi(x_i) and F_q
+    of deltaR(b_q) off the spans: it never reads below the operator one,
+    and a NaN in P or R reads NaN.
+    """
+    hd, n = basis.shape[1], len(basis)
+    c, a = dr.source, dr.target
+    p, off_p = map_coefficients(phi, basis, c, 1)
+    r, off_r = dr.coefficients
+    rhs = np.tensordot(p, r, axes=(2, 0))
+    system, b = p.reshape(n, -1).T, rhs.transpose(1, 2, 0, 3).reshape(p[0].size, -1)
+    if np.all(np.isfinite(system)):
+        sol, _, _, s = np.linalg.lstsq(system, b, rcond=None)
+        unique = bool(s[0] > 0 and np.sum(s > RANK_CUTOFF * s[0]) == n)
+    else:
+        sol, unique = np.full((n, b.shape[1]), np.nan), False
+    per_k = lambda t: np.linalg.norm(t.reshape(n, -1), axis=1)
+    # sol[i, (k, t)] is Psi[k, i, t]
+    psi = sol.reshape(n, n, -1).transpose(1, 0, 2)
+    miss = per_k((system @ sol - b).reshape(len(b), n, -1).transpose(1, 0, 2))
+    miss += per_k(psi) * frob(off_p) + per_k(p) * frob(off_r)
+    miss += frob(dr.deltaR.images) * per_k(off_p)
+    worst = float(np.max(miss / np.maximum(1.0, per_k(rhs))))
     gate(worst, EQUATION_TOL, SolveFailure, what)
-    return SpanMap(basis, solved, hd, hd * dr.target.dim), worst, unique
+    images = PairSpan(basis, a.algC).combine(psi)
+    return SpanMap(basis, images, hd, hd * a.dim), worst, unique
 
 
 def induce_coaction(gamma, dr):
-    """Induced coaction along a right homomorphism, by linear solve.
+    """Induced coaction along a right homomorphism, by one coefficient solve.
 
-    For each basis element the image under the induced coaction is the
-    unique solution of pushing gamma's leg through deltaR; injectivity of
-    gamma tensored with the identity makes the least-squares solution
-    exact, and the residual certifies it.
+    For each basis element the image under the induced coaction solves the
+    push of gamma's leg through deltaR (_pushed_through), uniquely as gamma
+    is injective (its coefficients have full rank); the residual certifies it.
     """
     if not gamma.qg.same_unitary(dr.source):
         raise SourceTargetMismatch(
@@ -276,31 +276,24 @@ def _conjugation_coefficients(u, units, alg):
 def pushforward_corep(x, v):
     """Carry a corepresentation X of C along a bicharacter V from C to A.
 
-    With deltaR the map of V's right homomorphism, which needs no check
-    of its own as V is verified, (id (x) deltaR)(X) = X12 Y13
-    for a corepresentation Y of A; bicharacter_from_right uses the same
-    identity for X = W.  Y is the leg-2-trivial factor of
-    X12* (id (x) deltaR)(X); the extraction residual certifies the
-    factorisation and check_corepresentation re-verifies Y.  Conjugation by
-    Y must then be the coaction induced from Ad X, whose defining equation
-    X12 (Ad Y(k))13 X12* = (id (x) deltaR)(Ad X(k)) over the matrix units k
-    is a commuting square of coefficients: those of Ad Y with Ad X on leg 1
-    against those of Ad X with deltaR on leg 2.  The range of Ad X and Ad Y
-    is gated first, since the square sees only their parts in the span.
+    With deltaR the map of V's right homomorphism, which needs no check of
+    its own as V is verified, (id (x) deltaR)(X) = X12 Y13 for a
+    corepresentation Y of A, read off the slices of X (factor_slices, as
+    bicharacter_from_right does for X = W) and re-verified by
+    check_corepresentation.  Conjugation by Y must then be the coaction
+    induced from Ad X, whose defining equation X12 (Ad Y(k))13 X12* =
+    (id (x) deltaR)(Ad X(k)) over the matrix units k is the square of the
+    coefficients of Ad Y with Ad X on leg 1 against those of Ad X with
+    deltaR on leg 2, read after the range of Ad X and Ad Y is gated.
     residuals["recovery"] is the worse of the extraction and the square.
     """
     if not x.qg.same_unitary(v.source):
         raise SourceTargetMismatch(
             f"corep is over dim {x.qg.dim}, bicharacter starts at {v.source.dim}"
         )
-    h = x.hdim
-    c = x.qg
-    a = v.target
-    delta_r = right_map_from_bicharacter(v)
-    space3 = LegSpace((h, c.dim, a.dim))
-    ext, _ = apply_map_to_leg(x.X, LegSpace((h, c.dim)), 2, delta_r)
-    prod = legs_product(space3, (x.X.conj().T, (1, 2)), (ext, (1, 2, 3)))
-    y, resid = extract_trivial_legs(prod, space3, {2})
+    h, c, a = x.hdim, x.qg, v.target
+    r, off = map_coefficients(right_map_from_bicharacter(v), c.algC, a, 1)
+    y, resid = factor_slices(x.X, c, a, (r, off), 1)
     gate(resid, EQUATION_TOL, RecoveryFailure, "X12* (id (x) deltaR)(X) is not leg-2 trivial")
     out = check_corepresentation(y, a)
 
@@ -309,13 +302,8 @@ def pushforward_corep(x, v):
     gate(range_x, CLOSURE_TOL, RecoveryFailure, "Ad X escapes B(H) (x) span(algC)")
     p_y, range_y = _conjugation_coefficients(y, units, a.algC)
     gate(range_y, CLOSURE_TOL, RecoveryFailure, "Ad Y escapes B(H) (x) span(algA)")
-    r = PairSpan(c.algC, a.algC).coefficients(delta_r.images)
     worst = diagram_residual((p_y, 1, p_x), (p_x, 2, r))
-    gate(
-        worst,
-        EQUATION_TOL,
-        RecoveryFailure,
-        "conjugation by the recovered unitary differs from the induced coaction",
-    )
+    what = "conjugation by the recovered unitary differs from the induced coaction"
+    gate(worst, EQUATION_TOL, RecoveryFailure, what)
     out.residuals["recovery"] = max(resid, worst)
     return out

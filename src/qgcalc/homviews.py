@@ -20,6 +20,7 @@ from .qgroup import (
     EQUATION_TOL,
     PENTAGON_TOL,
     multiplication_constants,
+    slice_coefficients,
     structure_constants,
     unitary_antipode,
 )
@@ -30,8 +31,9 @@ from .tensorleg import (
     apply_map_to_leg,
     diagram_residual,
     flip_adjoint,
+    frob,
     kron,
-    legs_product,
+    kron_sum_sq,
     mapped_slab,
     membership_residuals,
     numerical_rank,
@@ -55,6 +57,8 @@ __all__ = [
     "bicharacter_from_left",
     "one_sided_residuals",
     "comodule_residuals",
+    "map_coefficients",
+    "factor_slices",
     "star_hom_residuals",
     "check_left_right_compatibility",
     "dual_hopf_relation",
@@ -123,6 +127,12 @@ def _coefficients(phi, basis, qg, leg):
     return images, span, span.coefficients(images)
 
 
+def map_coefficients(phi, basis, qg, leg):
+    """The coefficients p of phi on basis (_coefficients) and the images' parts off the span."""
+    images, span, p = _coefficients(phi, basis, qg, leg)
+    return p, images - span.combine(p)
+
+
 def comodule_residuals(phi, basis, qg, leg):
     """Comodule axioms of phi: D -> D (x) C (leg 1) or C (x) D (leg 2), on an
     orthonormal basis of D.
@@ -175,6 +185,12 @@ class _OneSidedHom:
         self.target = target
         setattr(self, self.map_name, map)
         self.residuals = dict(residuals)
+
+    @cached_property
+    def coefficients(self):
+        """map_coefficients of the map on source.algC, read on first use."""
+        phi = getattr(self, self.map_name)
+        return map_coefficients(phi, self.source.algC, self.target, self.leg)
 
     @cached_property
     def bicharacter(self):
@@ -244,16 +260,43 @@ def right_from_bicharacter(v):
     return out
 
 
+def factor_slices(x, c, a, coefficients, leg):
+    """Y with (id (x) phi)(X) = X12 Y13 (leg 1, phi: C -> C (x) A) or Y12 X13
+    (leg 2, phi: C -> A (x) C) for X unitary on H (x) H_C, phi given by its
+    map_coefficients p on c.algC, and the residual.
+
+    With X = sum_k X_k (x) b_k (slice_coefficients) and F_st = sum_k
+    p[k, s, t] X_k, s on C's leg, this says F_st = X_s Y_t (leg 2: Y_t X_s)
+    for Y = sum_t Y_t (x) a_t, and unitarity, sum_s X_s* X_s = sum_s X_s X_s*
+    = d 1, gives Y_t = sum_s X_s* F_st / d (leg 2: sum_s F_st X_s* / d).  The
+    residual, relative to |(id (x) phi)(X)| as extract_trivial_legs divides,
+    adds in squares the orthogonal part sum_k X_k (x) R_k of the images off
+    the span, and |T12 Y13| <= sqrt(dim H_A) |T| |Y| for the truncation T of
+    the X_k: it never reads below the operator one beyond rounding.
+    """
+    h, d = x.shape[0] // c.dim, c.dim
+    xs, trunc = slice_coefficients(x, h, c.algC)
+    p, off = coefficients
+    f = np.tensordot(p if leg == 1 else p.transpose(0, 2, 1), xs, axes=(0, 0))
+    if leg == 1:
+        y = np.tensordot(xs.conj(), f, axes=([0, 1], [0, 2])).transpose(1, 0, 2) / d
+        miss = f - xs[:, None] @ y[None, :]
+    else:
+        y = np.tensordot(f, xs.conj(), axes=([0, 3], [0, 2])) / d
+        miss = f - y[None, :] @ xs[:, None]
+    off_sq = kron_sum_sq(xs, off)
+    bound = np.sqrt(a.dim) * trunc * frob(y)
+    norm = np.sqrt(np.maximum(frob(miss) ** 2 + off_sq, 0.0)) + bound
+    total = np.sqrt(np.maximum(frob(f) ** 2 + off_sq, 0.0))
+    factor = np.tensordot(y, a.algC, axes=(0, 0)).transpose(0, 2, 1, 3)
+    return factor.reshape(h * a.dim, -1), float(norm / total) if total != 0 else 0.0
+
+
 def bicharacter_from_right(dr):
-    """Recover the bicharacter: (id (x) deltaR)(W) factors as W12 V13."""
-    c = dr.source
-    a = dr.target
-    ext, _ = apply_map_to_leg(c.W, c.space, 2, dr.deltaR)
-    space3 = LegSpace((c.dim, c.dim, a.dim))
-    prod = legs_product(space3, (c.W.conj().T, (1, 2)), (ext, (1, 2, 3)))
-    return extract_bicharacter(
-        prod, space3, {2}, c, a, "W12* (id (x) deltaR)(W) is not leg-2 trivial"
-    )
+    """Recover the bicharacter: (id (x) deltaR)(W) = W12 V13 (factor_slices)."""
+    c, a = dr.source, dr.target
+    what = "W12* (id (x) deltaR)(W) is not leg-2 trivial"
+    return extract_bicharacter(*factor_slices(c.W, c, a, dr.coefficients, 1), c, a, what)
 
 
 def check_left_hom(c, a, dl_map):
@@ -301,15 +344,10 @@ def left_from_bicharacter(v):
 
 
 def bicharacter_from_left(dl):
-    """Inverse translation: extract V from (id (x) deltaL)(W) = V12 W13."""
-    c = dl.source
-    a = dl.target
-    ext, _ = apply_map_to_leg(c.W, c.space, 2, dl.deltaL)
-    space3 = LegSpace((c.dim, a.dim, c.dim))
-    prod = legs_product(space3, (ext, (1, 2, 3)), (c.W.conj().T, (1, 3)))
-    return extract_bicharacter(
-        prod, space3, {3}, c, a, "(id (x) deltaL)(W) W13* is not leg-3 trivial"
-    )
+    """Inverse translation: V from (id (x) deltaL)(W) = V12 W13 (factor_slices)."""
+    c, a = dl.source, dl.target
+    what = "(id (x) deltaL)(W) W13* is not leg-3 trivial"
+    return extract_bicharacter(*factor_slices(c.W, c, a, dl.coefficients, 2), c, a, what)
 
 
 def check_left_right_compatibility(dl, dr):
@@ -324,8 +362,7 @@ def check_left_right_compatibility(dl, dr):
     if dl.source is not dr.source and not dl.source.same_unitary(dr.source):
         raise ValueError("left and right homomorphisms must share their source")
     c, a, b = dl.source, dl.target, dr.target
-    _, _, left = _coefficients(dl.deltaL, c.algC, a, 2)
-    _, _, right = _coefficients(dr.deltaR, c.algC, b, 1)
+    left, right = dl.coefficients[0], dr.coefficients[0]
     square = diagram_residual((left, 2, right), (right, 1, left))
     cc = structure_constants(c)
     same = a.same_unitary(b) and diagram_residual((cc, 2, left), (cc, 1, right)) <= EQUATION_TOL

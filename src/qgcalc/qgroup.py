@@ -35,6 +35,7 @@ from .tensorleg import (
     flip_adjoint,
     frob,
     kron,
+    kron_sum_sq,
     mapped_slab,
     membership_residuals,
     orthonormal_basis,
@@ -57,6 +58,7 @@ __all__ = [
     "coinvariant_dimension",
     "closure_residual",
     "corep_law_residual",
+    "slice_coefficients",
     "PENTAGON_TOL",
     "CLOSURE_TOL",
     "EQUATION_TOL",
@@ -179,6 +181,14 @@ def _delta_c(w, d, alg_c):
     return SpanMap(alg_c, w @ kron(alg_c, np.eye(d)) @ w.conj().T, d, d * d)
 
 
+def slice_coefficients(x, h, alg_c):
+    """X on H (x) H_C as sum_k X_k (x) b_k + T over algC: the (n, h, h) stack
+    of the X_k and |T|, T the part of X off B(H) (x) span(algC)."""
+    x4 = x.reshape(h, -1, h, alg_c.shape[1])
+    xs = np.einsum("abce,kbe->kac", x4, alg_c.conj(), optimize=True)
+    return xs, frob(x4 - np.einsum("kac,kbe->abce", xs, alg_c, optimize=True))
+
+
 def _slice_pentagon(w, d, alg_c, c, off):
     """The pentagon residual of W from its slice coefficients, in n^2 d^4 flops.
 
@@ -196,13 +206,9 @@ def _slice_pentagon(w, d, alg_c, c, off):
     rounding.  c and off are the coefficients of the Delta(b_k) and their
     parts R_k off span(algC) (x) span(algC).
     """
-    n = len(alg_c)
-    w4 = w.reshape(d, d, d, d)
-    x = np.einsum("abce,kbe->kac", w4, alg_c.conj(), optimize=True)
+    x, trunc = slice_coefficients(w, d, alg_c)
     on = np.einsum("kij,kac->ijac", c, x, optimize=True) - x[:, None] @ x[None, :]
-    xr, rr = x.reshape(n, -1), off.reshape(n, -1)
-    off_sq = np.sum((xr.conj() @ xr.T) * (rr.conj() @ rr.T)).real
-    trunc = frob(w4 - np.einsum("kac,kbe->abce", x, alg_c, optimize=True))
+    off_sq = kron_sum_sq(x, off)
     norm = np.sqrt(np.maximum(frob(on) ** 2 + off_sq, 0.0))
     bound = math.sqrt(d) * trunc * (3.0 + trunc)
     # the scale of residual_between: both sides have W12's norm

@@ -19,7 +19,6 @@ import scipy.linalg
 
 __all__ = [
     "LegSpace",
-    "Functional",
     "SpanMap",
     "as_matrix",
     "vec",
@@ -28,6 +27,7 @@ __all__ = [
     "residual_between",
     "residuals_between",
     "diagram_residual",
+    "kron_sum_sq",
     "unitarity_defect",
     "kron",
     "PairSpan",
@@ -41,8 +41,6 @@ __all__ = [
     "CANDIDATE_GAP",
     "permute_legs",
     "flip_adjoint",
-    "slice_leg",
-    "sliced_space",
     "extract_trivial_legs",
     "intertwiner_space",
     "orthonormal_basis",
@@ -98,19 +96,6 @@ class LegSpace:
     def _check_leg(self, leg):
         if not 1 <= leg <= len(self.dims):
             raise ValueError(f"leg {leg} out of range for {len(self.dims)} legs")
-
-
-@dataclass(frozen=True)
-class Functional:
-    """Linear functional on a matrix algebra, x -> trace(density @ x)."""
-
-    density: np.ndarray
-
-    def __call__(self, x):
-        x = as_matrix(x)
-        if x.shape != self.density.shape:
-            raise ValueError(f"functional on dim {self.density.shape[0]} applied to shape {x.shape}")
-        return complex(np.trace(self.density @ x))
 
 
 def as_matrix(x):
@@ -176,6 +161,13 @@ def diagram_residual(lhs, rhs):
     on_leg = {1: "kij,ipq->kpqj", 2: "kij,jpq->kipq"}
     sides = (np.einsum(on_leg[leg], t, m, optimize=True) for t, leg, m in (lhs, rhs))
     return residuals_between(*sides)
+
+
+def kron_sum_sq(xs, ys):
+    """The squared Frobenius norm of sum_k xs[k] (x) ys[k], two stacks of
+    equal length, as sum_kl <x_k, x_l><y_k, y_l>: never forms the sum."""
+    xr, yr = xs.reshape(len(xs), -1), ys.reshape(len(ys), -1)
+    return float(np.sum((xr.conj() @ xr.T) * (yr.conj() @ yr.T)).real)
 
 
 def unitarity_defect(m):
@@ -357,27 +349,6 @@ def _slab_function(space, leg, side):
         return side
     factors = tuple(side)
     return lambda cols: legs_slab(space, leg, cols, *factors)
-
-
-def sliced_space(space, leg):
-    rest = [space.dims[l - 1] for l in range(1, space.nlegs + 1) if l != leg]
-    return LegSpace(rest) if rest else LegSpace((1,))
-
-
-def slice_leg(t, space, leg, omega):
-    """Partial evaluation (id (x) ... (x) omega (x) ... (x) id)(t) on one leg."""
-    t = _check_space(t, space)
-    space._check_leg(leg)
-    n = space.nlegs
-    d = space.dims[leg - 1]
-    dens = as_matrix(omega.density)
-    if dens.shape[0] != d:
-        raise ValueError(f"functional dim {dens.shape[0]} does not match leg {leg} dim {d}")
-    t4 = t.reshape(space.dims + space.dims)
-    # omega(a) = sum_{p,q} dens[q,p] a[p,q]; contract row index p and column index q of the leg
-    out4 = np.tensordot(t4, dens, axes=([leg - 1, n + leg - 1], [1, 0]))
-    total = sliced_space(space, leg).total
-    return out4.reshape(total, total)
 
 
 def extract_trivial_legs(t, space, trivial):

@@ -1,10 +1,14 @@
 """Shared fixtures, and the oracles the library is checked against:
-embed_on_legs, pair_basis, the streamed pentagon and coassociativity
-residuals, the TSQR intertwiner space, the coinvariant dimension from the
-comultiplication images, the commuting diagrams of comodules and
-one-sided homs by operators, and the induced-coaction equation of a
-corepresentation pushforward one matrix unit at a time."""
+embed_on_legs, pair_basis, slices by a functional (slice_leg), the
+streamed pentagon and coassociativity residuals, the TSQR intertwiner
+space, the coinvariant dimension from the comultiplication images, the
+commuting diagrams of comodules and one-sided homs by operators, the
+induced-coaction equation of a corepresentation pushforward one matrix
+unit at a time, the induced coaction from the image system, and the
+X12 Y13 factorisations from the three-leg product and its partial
+trace."""
 
+from dataclasses import dataclass
 import itertools
 import math
 import sys
@@ -19,10 +23,13 @@ from qgcalc.tensorleg import (
     RANK_CUTOFF,
     LegSpace,
     PairSpan,
+    _check_space,
     _named_legs,
     apply_map_to_leg,
     as_matrix,
+    extract_trivial_legs,
     kron,
+    legs_product,
     legs_slab,
     mapped_slab,
     numerical_rank,
@@ -84,6 +91,28 @@ def arrows(corpus):
     pairs = list(itertools.product(small, repeat=2))
     pairs += [(corpus["S3"], corpus["Z2"]), (corpus["Z2"], corpus["S3"])]
     return [phi for g, h in pairs for phi in _group_homs(g, h)]
+
+
+@pytest.fixture(scope="session")
+def coefficient_arrows(corpus):
+    """The arrows on which the coefficient forms of induction and of the
+    X12 Y13 factorisations meet their operator oracles: Z4 -> Z2 (mod 2),
+    Z2 -> Z4, the sign S3 -> Z2 and Z8 -> Z4 (mod 4)."""
+    z2, z4 = corpus["Z2"], corpus["Z4"]
+    return {
+        "Z4->Z2": q.group_hom(z4, z2, (0, 1, 0, 1)),
+        "Z2->Z4": q.group_hom(z2, z4, (0, 2)),
+        "S3->Z2": q.group_hom(corpus["S3"], z2, (0, 1, 1, 0, 0, 1)),
+        "Z8->Z4": q.group_hom(corpus["Z8"], z4, tuple(i % 4 for i in range(8))),
+    }
+
+
+def nudged(images, span, size, inside, rng):
+    """images, an (n, D, D) stack, each moved by size in a random direction
+    inside the PairSpan span (inside) or orthogonal to it."""
+    z = rng.standard_normal(images.shape) + 1j * rng.standard_normal(images.shape)
+    z = span.project(z) if inside else z - span.project(z)
+    return images + size * z / np.linalg.norm(z.reshape(len(z), -1), axis=1)[:, None, None]
 
 
 def gauged_bicharacters(homs, picture, gauge, seed):
@@ -164,6 +193,41 @@ def embed_on_legs(x, space, legs):
     # big lives on legs ordered (legs..., rest...); permute back to natural order
     perm = [cur_order.index(j) + 1 for j in range(1, space.nlegs + 1)]
     return permute_legs(big, cur_space, perm)
+
+
+@dataclass(frozen=True)
+class Functional:
+    """Linear functional on a matrix algebra, x -> trace(density @ x)."""
+
+    density: np.ndarray
+
+    def __call__(self, x):
+        x = as_matrix(x)
+        if x.shape != self.density.shape:
+            raise ValueError(f"functional on dim {self.density.shape[0]} applied to shape {x.shape}")
+        return complex(np.trace(self.density @ x))
+
+
+def sliced_space(space, leg):
+    rest = [space.dims[l - 1] for l in range(1, space.nlegs + 1) if l != leg]
+    return LegSpace(rest) if rest else LegSpace((1,))
+
+
+def slice_leg(t, space, leg, omega):
+    """Partial evaluation (id (x) ... (x) omega (x) ... (x) id)(t) on one leg,
+    the oracle for the reshaped slices the library reads."""
+    t = _check_space(t, space)
+    space._check_leg(leg)
+    n = space.nlegs
+    d = space.dims[leg - 1]
+    dens = as_matrix(omega.density)
+    if dens.shape[0] != d:
+        raise ValueError(f"functional dim {dens.shape[0]} does not match leg {leg} dim {d}")
+    t4 = t.reshape(space.dims + space.dims)
+    # omega(a) = sum_{p,q} dens[q,p] a[p,q]; contract row index p and column index q of the leg
+    out4 = np.tensordot(t4, dens, axes=([leg - 1, n + leg - 1], [1, 0]))
+    total = sliced_space(space, leg).total
+    return out4.reshape(total, total)
 
 
 def pair_basis(left, right):
@@ -400,3 +464,53 @@ def loop_pushforward_square(x, y, v):
         )
     # np.max, unlike max(), carries a NaN through
     return float(np.max(induced))
+
+
+def _solve_on_product_basis(left, left_images, right, rhs):
+    """Solve sum_ij c_kij g(l_i) (x) r_j = rhs_k for every k in one lstsq call.
+
+    All arguments are stacks; left_images[i] is g(left[i]).  The system is
+    factored once for all right-hand sides.  Returns the solutions
+    reassembled on the unmapped basis, sum_ij c_kij l_i (x) r_j, the worst
+    relative column residual, and whether the system has full column rank,
+    i.e. the solutions are unique.
+    """
+    n_left, n_right = len(left_images), len(right)
+    # column (i, j) is the row-major vec of kron(g_i, r_j)
+    system = np.einsum("iab,jcd->acbdij", left_images, right).reshape(-1, n_left * n_right)
+    b = rhs.reshape(len(rhs), -1).T
+    sol, _, _, s = np.linalg.lstsq(system, b, rcond=None)
+    resid = np.linalg.norm(system @ sol - b, axis=0) / np.maximum(
+        1.0, np.linalg.norm(b, axis=0)
+    )
+    unique = bool(s[0] > 0 and np.sum(s > RANK_CUTOFF * s[0]) == system.shape[1])
+    images = PairSpan(left, right).combine(sol.T.reshape(-1, n_left, n_right))
+    return images, float(np.max(resid)), unique
+
+
+def image_system_pushed_through(phi, basis, dr):
+    """The induced map of coactions._pushed_through from the image system,
+    the oracle for its coefficient solve: (phi (x) id)(psi(x)) =
+    (id (x) deltaR)(phi(x)) over the whole operator space, solved by
+    _solve_on_product_basis, ungated.  Returns its images of basis, the
+    worst residual, and whether the solution is unique."""
+    hd = basis.shape[1]
+    images = phi.apply_stack(basis)
+    rhs, _ = apply_map_to_leg(images, LegSpace((hd, dr.source.dim)), 2, dr.deltaR)
+    return _solve_on_product_basis(basis, images, dr.target.algC, rhs)
+
+
+def product_factor(x, c, phi, a, leg):
+    """homviews.factor_slices by operators, its oracle: the factor of
+    X12* (id (x) phi)(X) trivial on leg 2 (leg 1, phi: C -> C (x) A), or of
+    (id (x) phi)(X) X13* trivial on leg 3 (leg 2, phi: C -> A (x) C), by
+    the partial trace of the three-leg product, and its residual."""
+    h = x.shape[0] // c.dim
+    ext, _ = apply_map_to_leg(x, LegSpace((h, c.dim)), 2, phi)
+    if leg == 1:
+        space3 = LegSpace((h, c.dim, a.dim))
+        prod = legs_product(space3, (x.conj().T, (1, 2)), (ext, (1, 2, 3)))
+        return extract_trivial_legs(prod, space3, {2})
+    space3 = LegSpace((h, a.dim, c.dim))
+    prod = legs_product(space3, (ext, (1, 2, 3)), (x.conj().T, (1, 3)))
+    return extract_trivial_legs(prod, space3, {3})

@@ -19,6 +19,7 @@ from qgcalc.tensorleg import (
     LegSpace,
     SpanMap,
     apply_map_to_leg,
+    extract_trivial_legs,
     flip_unitary,
     kron,
     residual_between,
@@ -259,7 +260,8 @@ def test_nan_extraction_fails_closed(z2):
     prod = embed_on_legs(c.W, sp, (1, 3))
     prod[0, 2] = np.nan
     with pytest.raises(ExtractionFailure, match="middle leg") as exc:
-        bicharacter_module.extract_bicharacter(prod, sp, {2}, c, c, "middle leg is not trivial")
+        factor, resid = extract_trivial_legs(prod, sp, {2})
+        bicharacter_module.extract_bicharacter(factor, resid, c, c, "middle leg is not trivial")
     assert np.isnan(exc.value.residual)
 
 

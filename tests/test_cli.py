@@ -12,7 +12,13 @@ import pytest
 import qgcalc as q
 from qgcalc.cli import DEFAULT_CORPUS, _record_failure, main
 from qgcalc.bicharacter import Bicharacter
-from qgcalc.coactions import Coaction, comultiplication_coaction
+from qgcalc import coactions, homviews
+from qgcalc.coactions import (
+    Coaction,
+    check_corepresentation,
+    comultiplication_coaction,
+    pushforward_corep,
+)
 from qgcalc.errors import AlgebraNotClosed, gate
 from qgcalc.homviews import (
     HopfHom,
@@ -276,6 +282,86 @@ def test_coaction_commands_take_the_stored_map_as_it_is(
         assert calls["span_map_from_pairs"] == calls["build_from_unitary"] > 0, argv
         well = [c["residual"] for c in obj["checks"] if c["name"].endswith("wellDefined")]
         assert well and set(well) == {0.0}, argv
+
+
+def _one_sided_files(tmp_path, va):
+    """va's right and left hom files, by kind."""
+    files = {}
+    for kind, hom in (("right", right_from_bicharacter(va)), ("left", left_from_bicharacter(va))):
+        files[kind] = str(tmp_path / f"{kind}.json")
+        write_json(files[kind], hom_to_obj(kind, hom.source, hom.target, getattr(hom, hom.map_name)))
+    return files
+
+
+def test_extraction_induction_and_pushforward_form_no_three_leg_product(
+    count_calls, tmp_path, capsys, va_file
+):
+    # they read coefficients: no three-leg product, no partial trace, and no
+    # map on a leg of W; the bicharacter battery's rInvariance and the left
+    # map's antipodes still map one leg at a time, two legs each
+    path_a, va = va_file
+    files = _one_sided_files(tmp_path, va)
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    calls = count_calls(
+        "legs_product",
+        "extract_trivial_legs",
+        "apply_map_to_leg",
+        "check_R_invariance",
+        "left_map_from_bicharacter",
+    )
+    for argv in (
+        ["verify", files["right"], "hom"],
+        ["verify", files["left"], "hom"],
+        ["induce", str(coaction), path_a],
+        ["induce", str(coaction), files["right"]],
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        code, _ = run_json(capsys, argv)
+        assert code == 0
+        assert calls["legs_product"] == calls["extract_trivial_legs"] == 0, argv
+        mapped_legs = 2 * (calls["check_R_invariance"] + calls["left_map_from_bicharacter"])
+        assert calls["apply_map_to_leg"] == mapped_legs, argv
+    calls.update(dict.fromkeys(calls, 0))
+    pushforward_corep(check_corepresentation(va.source.W, va.source), va)
+    assert set(calls.values()) == {0}
+    # compose still extracts from its product
+    ident = tmp_path / "ident.json"
+    write_json(str(ident), bicharacter_to_obj(q.identity(va.target)))
+    code, _ = run_json(capsys, ["compose", path_a, str(ident)])
+    assert code == 0 and calls["legs_product"] == calls["extract_trivial_legs"] == 1
+
+
+def _nan_coefficients(real):
+    """real, except that one coefficient it reads is NaN."""
+
+    def patched(*args):
+        p, off = real(*args)
+        p = p.copy()
+        p[0, 0, 0] = np.nan
+        return p, off
+
+    return patched
+
+
+def test_nan_extraction_and_solve_exit_one(monkeypatch, tmp_path, capsys, va_file):
+    # a NaN in the coefficients the extraction or the induction reads fails
+    # its gate with a NaN residual: exit 1 and a record, no traceback
+    path_a, va = va_file
+    files = _one_sided_files(tmp_path, va)
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    for module, argv, failure in (
+        (homviews, ["verify", files["right"], "hom"], "ExtractionFailure"),
+        (homviews, ["verify", files["left"], "hom"], "ExtractionFailure"),
+        (coactions, ["induce", str(coaction), path_a], "SolveFailure"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "map_coefficients", _nan_coefficients(module.map_coefficients))
+            code, obj = run_json(capsys, argv)
+        failed = [c for c in obj["checks"] if not c["pass"]]
+        assert code == 1 and [c["name"] for c in failed] == [failure], argv
+        assert np.isnan(failed[0]["residual"]), argv
 
 
 def test_each_battery_reports_its_gate_table(tmp_path, capsys, va_file, z2, z4):

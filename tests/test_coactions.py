@@ -8,6 +8,8 @@ from scipy.stats import unitary_group
 import qgcalc as q
 from qgcalc import coactions, homviews, qgroup, tensorleg
 from qgcalc.coactions import (
+    Coaction,
+    Corepresentation,
     check_coaction,
     check_corepresentation,
     coactions_agree,
@@ -24,16 +26,22 @@ from qgcalc.errors import (
     SolveFailure,
     SourceTargetMismatch,
 )
-from qgcalc.homviews import left_from_bicharacter, right_from_bicharacter
-from qgcalc.qgroup import build_from_unitary
-from qgcalc.tensorleg import (
-    LegSpace,
-    apply_map_to_leg,
-    extract_trivial_legs,
-    kron,
-    residual_between,
+from qgcalc.homviews import (
+    factor_slices,
+    left_from_bicharacter,
+    right_from_bicharacter,
+    right_map_from_bicharacter,
 )
-from conftest import gauged_bicharacters, loop_pushforward_square
+from qgcalc.qgroup import build_from_unitary
+from qgcalc.tensorleg import PairSpan, SpanMap, kron, residual_between
+from conftest import (
+    _solve_on_product_basis,
+    gauged_bicharacters,
+    image_system_pushed_through,
+    loop_pushforward_square,
+    nudged,
+    product_factor,
+)
 
 RNG = np.random.default_rng(60001)
 
@@ -252,14 +260,14 @@ def test_product_basis_solver_matches_the_kron_sums():
             for c in coeff
         ]
     )
-    got, worst, unique = coactions._solve_on_product_basis(left, images, right, rhs)
+    got, worst, unique = _solve_on_product_basis(left, images, right, rhs)
     assert worst <= 1e-12 and unique
     for c, img in zip(coeff, got):
         want = sum(c[i, j] * kron(left[i], right[j]) for i in range(3) for j in range(2))
         assert residual_between(img, want) <= 1e-12
     # one right-hand side off the span spoils the worst column only
     rhs[2] = rhs[2] + kron(cplx(4, 4), np.eye(3))
-    _, worst, _ = coactions._solve_on_product_basis(left, images, right, rhs)
+    _, worst, _ = _solve_on_product_basis(left, images, right, rhs)
     assert worst > 1e-3
 
 
@@ -267,15 +275,97 @@ def test_induction_solve_fails_closed_on_nan(chain, monkeypatch):
     va, _ = chain
     dr = right_from_bicharacter(va)
     start = trivial_coaction(dr.source.algC, dr.source)
-    solve = coactions._solve_on_product_basis
+    read = coactions.map_coefficients
 
-    def nan_solve(*args):
-        images, _, unique = solve(*args)
-        return images, float("nan"), unique
+    def nan_read(*args):
+        p, off = read(*args)
+        return np.full_like(p, np.nan), off
 
-    monkeypatch.setattr(coactions, "_solve_on_product_basis", nan_solve)
+    monkeypatch.setattr(coactions, "map_coefficients", nan_read)
     with pytest.raises(SolveFailure):
         induce_coaction(start, dr)
+
+
+def _test_coactions(c):
+    """The comultiplication and trivial coactions of c on its algebra, and
+    the conjugation coaction of its regular corepresentation."""
+    return {
+        "comultiplication": comultiplication_coaction(c),
+        "trivial": trivial_coaction(c.algC, c),
+        "conjugation": conjugation_coaction(check_corepresentation(c.W, c)),
+    }
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+@pytest.mark.parametrize("arrow", ["Z4->Z2", "Z2->Z4", "S3->Z2", "Z8->Z4"])
+def test_induction_matches_the_image_system(coefficient_arrows, arrow, picture):
+    """The coefficient solve of induce_coaction against the image system of
+    tests/conftest.py: the same images and uniqueness, and a solve residual
+    no lower.  The conjugation coaction of C*(Z8), whose image system is
+    65536 x 256, is checked in tests_slow."""
+    v = q.from_hopf_hom(q.hom_to_hopf(coefficient_arrows[arrow], picture))
+    dr = right_from_bicharacter(v)
+    for name, co in _test_coactions(v.source).items():
+        if (arrow, picture, name) == ("Z8->Z4", "cstar", "conjugation"):
+            continue
+        out = induce_coaction(co, dr)
+        images, worst, unique = image_system_pushed_through(co.gamma, co.algebraD, dr)
+        assert np.max(np.abs(out.gamma.images - images)) <= 1e-14, name
+        assert out.residuals["uniqueRank"] is unique, name
+        assert out.residuals["solve"] >= worst - 1e-14, name
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_functor_composition_solve_matches_the_image_system(coefficient_arrows, picture, gauge):
+    """The composite right hom of compose_functors_check, a's deltaR induced
+    along b, against the image system, on Z4 -> Z2 and Z2 -> Z4 composed in
+    the picture's order (the function picture reverses arrows)."""
+    names = ("Z4->Z2", "Z2->Z4") if picture == "c0" else ("Z2->Z4", "Z4->Z2")
+    homs = [coefficient_arrows[name] for name in names]
+    a, b = (right_from_bicharacter(v) for v in gauged_bicharacters(homs, picture, gauge, 2806))
+    comp, worst, unique = coactions._pushed_through(a.deltaR, a.source.algC, b, "")
+    images, want, want_unique = image_system_pushed_through(a.deltaR, a.source.algC, b)
+    assert np.max(np.abs(comp.images - images)) <= 1e-14
+    assert unique is want_unique and worst >= want - 1e-14
+    assert compose_functors_check(a, b) <= 1e-9
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "off"])
+@pytest.mark.parametrize("size", [1e-6, 1e-3])
+def test_a_perturbed_coaction_solves_no_lower_than_the_image_system(
+    coefficient_arrows, size, inside
+):
+    """A coaction moved inside span(D) (x) span(C) has the image system's
+    solve residual; moved off it, a residual no lower."""
+    rng = np.random.default_rng(28001)
+    homs = [coefficient_arrows["S3->Z2"], coefficient_arrows["Z4->Z2"]]
+    for v in gauged_bicharacters(homs, "cstar", "haar", 2802):
+        c = v.source
+        co = comultiplication_coaction(c)
+        span = PairSpan(co.algebraD, c.algC)
+        images = nudged(co.gamma.images, span, size, inside, rng)
+        gamma = SpanMap(co.algebraD, images, c.dim, c.dim * c.dim)
+        dr = right_from_bicharacter(v)
+        with pytest.raises(SolveFailure) as exc:
+            induce_coaction(Coaction(co.algebraD, c, gamma, {}), dr)
+        _, want, _ = image_system_pushed_through(gamma, co.algebraD, dr)
+        if inside:
+            assert exc.value.residual == pytest.approx(want, rel=1e-9)
+        else:
+            assert exc.value.residual >= want
+
+
+def test_nan_coaction_image_fails_the_solve(chain):
+    va, _ = chain
+    dr = right_from_bicharacter(va)
+    co = comultiplication_coaction(dr.source)
+    images = co.gamma.images.copy()
+    images[0, 1, 1] = np.nan
+    gamma = SpanMap(co.algebraD, images, co.hdim, co.gamma.dd)
+    with pytest.raises(SolveFailure) as exc:
+        induce_coaction(Coaction(co.algebraD, co.qg, gamma, {}), dr)
+    assert np.isnan(exc.value.residual)
 
 
 def test_functor_composition_on_the_reduction_chain(chain):
@@ -444,14 +534,43 @@ def test_pushforward_square_matches_the_operator_loop(arrows, picture, gauge, mo
     assert len(squares) == len(small) == 51
 
 
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+@pytest.mark.parametrize("arrow", ["Z4->Z2", "Z2->Z4", "S3->Z2", "Z8->Z4"])
+def test_pushforward_factor_matches_the_product(coefficient_arrows, arrow, picture, gauge):
+    """pushforward_corep of a corepresentation equivalent to the regular
+    one, (u (x) 1) W (u (x) 1)* for a Haar u, against the factor of the
+    three-leg product of tests/conftest.py: the same factor, and a
+    recovery residual no lower than that extraction's."""
+    rng = np.random.default_rng(28002)
+    (v,) = gauged_bicharacters([coefficient_arrows[arrow]], picture, gauge, 2803)
+    c = v.source
+    u1 = kron(unitary_group.rvs(c.dim, random_state=rng), np.eye(c.dim))
+    x = check_corepresentation(u1 @ c.W @ u1.conj().T, c)
+    out = pushforward_corep(x, v)
+    want, resid = product_factor(x.X, c, right_map_from_bicharacter(v), v.target, 1)
+    assert np.max(np.abs(out.X - want)) <= 1e-14
+    assert out.residuals["recovery"] >= resid - 1e-14
+
+
+def test_nan_corepresentation_fails_the_recovery(chain):
+    # a NaN in X itself, past the unitarity gate of check_corepresentation
+    va, _ = chain
+    x = va.source.W.copy()
+    x[1, 2] = np.nan
+    with pytest.raises(RecoveryFailure, match="leg-2 trivial") as exc:
+        pushforward_corep(Corepresentation(va.source, x, {}), va)
+    assert np.isnan(exc.value.residual)
+
+
 def _inject_factor(monkeypatch, change, residual=0.0):
     """Make pushforward_corep extract change(Y) with the given residual."""
 
-    def patched(t, space, trivial):
-        y, _ = extract_trivial_legs(t, space, trivial)
+    def patched(*args):
+        y, _ = factor_slices(*args)
         return change(y), residual
 
-    monkeypatch.setattr(coactions, "extract_trivial_legs", patched)
+    monkeypatch.setattr(coactions, "factor_slices", patched)
 
 
 def _small_unitary(n, rng, size=1e-6):

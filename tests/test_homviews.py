@@ -7,7 +7,12 @@ from scipy.stats import unitary_group
 
 import qgcalc as q
 from qgcalc.coactions import check_coaction
-from qgcalc.errors import DimensionMismatch, HopfHomViolation, RangeViolation
+from qgcalc.errors import (
+    DimensionMismatch,
+    ExtractionFailure,
+    HopfHomViolation,
+    RangeViolation,
+)
 from qgcalc.homviews import (
     HopfHom,
     bicharacter_from_left,
@@ -36,7 +41,7 @@ from qgcalc.tensorleg import (
     span_map_from_pairs,
     vec,
 )
-from conftest import gauged_bicharacters
+from conftest import gauged_bicharacters, nudged, product_factor
 
 
 def c0(g):
@@ -125,6 +130,70 @@ def test_one_sided_homs_reject_the_zero_map(z2, z4):
     for check, name in ((check_right_hom, "deltaR"), (check_left_hom, "deltaL")):
         with pytest.raises(RangeViolation, match=f"^{name} is not injective$"):
             check(c, a, zero)
+
+
+def _one_sided_homs(v):
+    """The right and left homs of v, each with its extraction."""
+    return (
+        (right_from_bicharacter(v), bicharacter_from_right),
+        (left_from_bicharacter(v), bicharacter_from_left),
+    )
+
+
+def _map_span(hom):
+    """The PairSpan a one-sided hom maps into, C on its leg."""
+    c, a = hom.source.algC, hom.target.algC
+    return PairSpan(c, a) if hom.leg == 1 else PairSpan(a, c)
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+@pytest.mark.parametrize("arrow", ["Z4->Z2", "Z2->Z4", "S3->Z2", "Z8->Z4"])
+def test_extraction_matches_the_product(coefficient_arrows, arrow, picture, gauge):
+    """bicharacter_from_right and bicharacter_from_left, read off the slices
+    of W, against the partial trace of the three-leg product of
+    tests/conftest.py: the same V, and an extraction residual no lower."""
+    (v,) = gauged_bicharacters([coefficient_arrows[arrow]], picture, gauge, 2804)
+    c = v.source
+    for hom, extract in _one_sided_homs(v):
+        got = extract(hom)
+        want, resid = product_factor(c.W, c, getattr(hom, hom.map_name), v.target, hom.leg)
+        assert np.max(np.abs(got.V - want)) <= 1e-14, hom
+        assert got.residuals["extraction"] >= resid - 1e-14, hom
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "off"])
+@pytest.mark.parametrize("size", [1e-6, 1e-3])
+def test_a_perturbed_hom_extracts_no_lower_than_the_product(coefficient_arrows, size, inside):
+    """A right or left map moved inside the span it maps into has the
+    product's extraction residual; moved off it, a residual no lower."""
+    rng = np.random.default_rng(28003)
+    homs = [coefficient_arrows["S3->Z2"], coefficient_arrows["Z4->Z2"]]
+    for v in gauged_bicharacters(homs, "cstar", "haar", 2805):
+        c = v.source
+        for hom, extract in _one_sided_homs(v):
+            phi = getattr(hom, hom.map_name)
+            images = nudged(phi.images, _map_span(hom), size, inside, rng)
+            bent = SpanMap(phi.basis, images, phi.d, phi.dd)
+            with pytest.raises(ExtractionFailure) as exc:
+                extract(type(hom)(c, v.target, bent, {}))
+            _, want = product_factor(c.W, c, bent, v.target, hom.leg)
+            if inside:
+                assert exc.value.residual == pytest.approx(want, rel=1e-9), hom
+            else:
+                assert exc.value.residual >= want, hom
+
+
+def test_nan_map_image_fails_the_extraction(va):
+    v, _ = va
+    for hom, extract in _one_sided_homs(v):
+        phi = getattr(hom, hom.map_name)
+        images = phi.images.copy()
+        images[0, 1, 1] = np.nan
+        bent = SpanMap(phi.basis, images, phi.d, phi.dd)
+        with pytest.raises(ExtractionFailure) as exc:
+            extract(type(hom)(v.source, v.target, bent, {}))
+        assert np.isnan(exc.value.residual), hom
 
 
 def test_one_sided_homs_carry_their_bicharacter(va, count_calls):

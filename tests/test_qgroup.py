@@ -32,7 +32,6 @@ from qgcalc import qgroup as qgroup_module
 from qgcalc.report import Report
 from qgcalc import tensorleg as tensorleg_module
 from qgcalc.tensorleg import (
-    Functional,
     LegSpace,
     PairSpan,
     SpanMap,
@@ -42,11 +41,16 @@ from qgcalc.tensorleg import (
     orthonormal_basis,
     permute_legs,
     residual_between,
-    slice_leg,
     span_map_from_pairs,
     unitarity_defect,
 )
-from conftest import embed_on_legs, images_coinvariant_dimension, streamed_pentagon
+from conftest import (
+    Functional,
+    embed_on_legs,
+    images_coinvariant_dimension,
+    slice_leg,
+    streamed_pentagon,
+)
 
 RNG = np.random.default_rng(4217)
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 import qgcalc as q
 from qgcalc.tensorleg import (
-    Functional,
     LegSpace,
     PairSpan,
     SpanMap,
@@ -29,15 +28,20 @@ from qgcalc.tensorleg import (
     permute_legs,
     residual_between,
     residuals_between,
-    slice_leg,
-    sliced_space,
     span_map_from_pairs,
     streamed_residual,
     unitarity_defect,
     vec,
     unvec,
 )
-from conftest import embed_on_legs, pair_basis, tsqr_intertwiner_space
+from conftest import (
+    Functional,
+    embed_on_legs,
+    pair_basis,
+    slice_leg,
+    sliced_space,
+    tsqr_intertwiner_space,
+)
 from qgcalc import tensorleg
 from qgcalc.errors import CalculusError, gate
 

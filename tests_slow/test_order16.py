@@ -1,6 +1,7 @@
 """Order-16 tier: the whole `verify … qg` battery on dense d = 16 unitaries,
-gauged Z16, Z4xZ4 and Z2^4 in both pictures, and the right and left homs
-of the gauged Z16 identity arrow.
+gauged Z16, Z4xZ4 and Z2^4 in both pictures, the right and left homs of
+the gauged Z16 identity arrow, and `verify` on their hom files, which
+extracts the bicharacter, with `induce` along the right one.
 
 Outside the default test paths because one run takes seconds; run it with
 
@@ -47,6 +48,39 @@ from qgcalc.serialize import load_qg
 v = identity(load_qg(sys.argv[1]))
 homs = {"right": right_from_bicharacter(v), "left": left_from_bicharacter(v)}
 print(json.dumps({kind: hom.residuals for kind, hom in homs.items()}))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+# the right and left hom files of the identity arrow at W, each verified
+# through the CLI, which extracts the bicharacter from the file's map; then
+# the comultiplication coaction induced along the right hom
+_HOM_FILES_CHILD = """
+import contextlib, io, json, os, resource, sys
+from qgcalc.bicharacter import Bicharacter
+from qgcalc.cli import main
+from qgcalc.coactions import comultiplication_coaction
+from qgcalc.homviews import left_map_from_bicharacter, right_map_from_bicharacter
+from qgcalc.serialize import coaction_to_obj, hom_to_obj, load_qg, write_json
+c = load_qg(sys.argv[1])
+v = Bicharacter(c, c, c.W, {})
+work = os.path.dirname(sys.argv[1])
+files = {name: os.path.join(work, name + ".json") for name in ("right", "left", "co")}
+write_json(files["right"], hom_to_obj("right", c, c, right_map_from_bicharacter(v)))
+write_json(files["left"], hom_to_obj("left", c, c, left_map_from_bicharacter(v)))
+write_json(files["co"], coaction_to_obj(comultiplication_coaction(c)))
+del c, v
+reports = {}
+for name, argv in (
+    ("right", ["verify", files["right"], "hom"]),
+    ("left", ["verify", files["left"], "hom"]),
+    ("induce", ["induce", files["co"], files["right"]]),
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    reports[name] = dict(json.loads(out.getvalue()), code=code)
+print(json.dumps(reports))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
 """
 
@@ -140,4 +174,24 @@ def test_gauged_order16_identity_arrow_gives_right_and_left_homs(tmp_path, pictu
             if not (got[key] is True if tol is None else got[key] <= tol)
         ]
         assert not failed, (kind, got)
+    assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_gauged_order16_hom_files_verify_and_induce(tmp_path, picture):
+    """verify on the right and left hom files of the gauged Z16 identity
+    arrow, extraction included, then induce of the comultiplication
+    coaction along the right hom, all through the CLI in one child: every
+    check passes, within the peak bound.  The extraction used to form the
+    d^3 x d^3 product, 268 MB at d = 16, and the induce system had
+    16.7M x 256 entries."""
+    path = gauged_file(tmp_path, GROUPS["Z16"](), picture)
+    child, reports, peak_mb = run_child(_HOM_FILES_CHILD, path)
+    assert child.returncode == 0, child.stderr
+    for name, report in reports.items():
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert report["code"] == 0 and not failed, (name, failed)
+    for kind in ("right", "left"):
+        assert "extraction" in {c["name"] for c in reports[kind]["checks"]}, kind
+    assert {"solve", "uniqueRank"} <= {c["name"] for c in reports["induce"]["checks"]}
     assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
