@@ -4,8 +4,16 @@ with another, the working notion of quantum group homomorphism.
 Every bicharacter is kept with its source and target and the residuals of
 the two defining equations.  Both the comultiplication form and the
 pentagon-type operator form of the axioms are computed, through genuinely
-different arithmetic, so their agreement is itself a check.
+different arithmetic, so their agreement is itself a check: the
+comultiplication forms read Delta off the structure constants C, the
+coefficients of the build's Delta images, and the operator forms read it
+off the F contraction of the slices of a unitary with the product
+constants N of the target (operator_equation), never off those images.
 """
+
+import math
+
+import numpy as np
 
 from .errors import (
     BicharacterViolation,
@@ -20,8 +28,16 @@ from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
     PENTAGON_TOL,
-    corep_law_residual,
+    SLICE_ROUNDING,
+    comult_equation,
+    comultiplication_gram,
+    product_constants,
+    slice_coefficients,
+    slice_equation,
+    streamed_corep_law,
+    structure_constants,
     unitary_antipode,
+    unitary_slices,
 )
 from .tensorleg import (
     LegSpace,
@@ -31,9 +47,11 @@ from .tensorleg import (
     extract_trivial_legs,
     flip_adjoint,
     frob,
+    gram,
     legs_product,
     mapped_slab,
     membership_residual,
+    permute_legs,
     streamed_residual,
     unitarity_defect,
 )
@@ -80,51 +98,121 @@ def bicharacter_residuals(v, c, a):
     """All five residuals of the bicharacter axioms for v against (c, a).
 
     Keys 'comultSource' and 'comultTarget' are the two comultiplication
-    equations computed by applying the coefficient-space maps leg-wise;
+    equations, (Delta_hat (x) id)V = V23 V13 and (id (x) Delta)V = V12 V13;
     'operatorSource' and 'operatorTarget' are the pentagon-type operator
-    equations; 'membership' locates v inside span(dual algC of c) (x)
-    span(algC of a).  The dual side of c is c.dual, built on first use.
+    equations V23 W12 V23* = W12 V13 and W23 V12 W23* = V12 V13; 'membership'
+    locates v inside span(dual algC of c) (x) span(algC of a).  The dual
+    side of c is c.dual, built on first use.
+
+    The four equations are read off the slices of V on both legs, V =
+    sum_k Z_k (x) a_k over a.algC and sum_j c_j (x) Y_j over c.dual.algC,
+    when both truncations are at rounding (SLICE_ROUNDING): d^6 flops
+    where the operators cost d^8.  Otherwise V is off that span, so no
+    bicharacter, and they are streamed over the operators.
     """
     v = as_matrix(v)
     dc, da = c.dim, a.dim
     if v.shape[0] != dc * da:
         raise ValueError(f"V has dim {v.shape[0]}, expected {dc * da}")
+    dual = c.dual
+    z, trunc = slice_coefficients(v, dc, a.algC)
+    y, trunc_hat = slice_coefficients(permute_legs(v, LegSpace((dc, da)), (2, 1)), da, dual.algC)
+    size = frob(v)
+    if trunc <= SLICE_ROUNDING * size and trunc_hat <= SLICE_ROUNDING * size:
+        # the mirror of comultTarget: its coefficient at (p, q) is
+        # sum_j C_hat[j, p, q] Y_j - Y_q Y_p, the adjoint of the form for Y*
+        ys = y.conj().transpose(0, 2, 1)
+        c_hat, g_hat = structure_constants(dual).conj(), comultiplication_gram(dual).conj()
+        res = {
+            "comultSource": comult_equation(ys, trunc_hat, c_hat, g_hat, dc, size),
+            "comultTarget": comult_equation(
+                z, trunc, structure_constants(a), comultiplication_gram(a), da, size
+            ),
+            "operatorSource": operator_equation(
+                unitary_slices(c), (z, trunc), (z, trunc), c.algC, a, frob(c.W)
+            ),
+            "operatorTarget": operator_equation(
+                (z, trunc), unitary_slices(a), (z, trunc), a.algC, a, size
+            ),
+        }
+    else:
+        res = _streamed_residuals(v, c, a)
+    res["membership"] = membership_residual(PairSpan(dual.algC, a.algC), v)
+    return res
+
+
+def operator_equation(p, u, v, basis, a, size):
+    """The residual of U23 P12 U23* = P12 V13 from slices, for P = sum_k P_k
+    (x) b_k + T_P over the orthonormal basis, and U = sum_m U_m (x) a_m +
+    T_U and V = sum_j Z_j (x) a_j + T_V over a.algC; p, u and v are the
+    (stack, truncation) pairs of slice_coefficients, and size is |P|.
+    operatorSource is P = W_C and U = V, operatorTarget P = V and U = W_A.
+
+    With the product constants a_m a_l* = sum_j N[j, m, l] a_j + D_ml
+    (product_constants), U(x (x) 1)U* = sum_ml U_m x U_l* (x) a_m a_l* is
+    sum_j F_j(x) (x) a_j up to the D_ml, F_j(x) = sum_m U_m x Q_jm with
+    Q_jm = sum_l N[j, m, l] U_l*.  So U23 P12 U23* = sum_k P_k (x) G_k with
+    G_k = sum_j F_j(b_k) (x) a_j, whose coefficients on b_i (x) a_j and
+    off-span Gram matrix are read off the F_j(b_k), and slice_equation
+    compares it with P12 V13 = sum_ij P_i Z_j (x) b_i (x) a_j: one
+    (n d) x (n d) x (n d) product where the operators cost d^8.
+
+    What this drops is added as a bound, so the result never reads below
+    the operator residual by more than rounding.  With legs of dimensions
+    (h, d, e), unitaries of norm 1 and t the largest truncation, the
+    truncations move the two sides by at most (1 + t)^2 (2 sqrt(h) |T_U| +
+    2 sqrt(e) |T_P| + sqrt(d) |T_V|), and the D_ml move the left one by at
+    most |D| |S| |P|, |D| the norm of the defect map of product_constants
+    and S = sum_m U_m* U_m the partial trace of U*U, so |S| <= e (1 + t)^2;
+    that part is orthogonal to both sides, so it adds in squares.
+    """
+    (ps, p_trunc), (us, u_trunc), (zs, v_trunc) = p, u, v
+    n, m, h, d, e = len(basis), len(us), ps.shape[1], basis.shape[1], a.dim
+    big_n, defect = product_constants(a)
+    q = big_n.reshape(-1, m) @ us.conj().transpose(0, 2, 1).reshape(m, -1)
+    # f[(k, x), (j, y)] = F_j(b_k)[x, y]: sum over (m, w) of (U_m b_k)[x, w] Q_jm[w, y]
+    ub = (us[None, :] @ basis[:, None]).transpose(0, 2, 1, 3).reshape(n * d, m * d)
+    f = ub @ q.reshape(-1, m, d, d).transpose(1, 2, 0, 3).reshape(m * d, -1)
+    f = f.reshape(n, d, -1, d).transpose(0, 2, 1, 3).reshape(-1, d * d)
+    b = basis.reshape(n, -1)
+    coeff = f @ b.conj().T
+    rest = (f - coeff @ b).reshape(n, -1)
+    norm = slice_equation(ps, coeff.reshape(n, -1, n).transpose(0, 2, 1), gram(rest), zs)
+    grow = (1.0 + np.max([p_trunc, u_trunc, v_trunc])) ** 2
+    moved = 2 * math.sqrt(h) * u_trunc + 2 * math.sqrt(e) * p_trunc + math.sqrt(d) * v_trunc
+    # the D_ml part is off B (x) B (x) span(a.algC), where the rest lies
+    norm = np.hypot(norm, grow * defect * e * size) + grow * moved
+    # the scale of residual_between: both sides have the norm of P12
+    return float(norm / max(1.0, math.sqrt(e) * size))
+
+
+def _streamed_residuals(v, c, a):
+    """The four equations by operators, each streamed over column slabs."""
+    dc, da = c.dim, a.dim
     space = LegSpace((dc, da))
     space_cca = LegSpace((dc, dc, da))
     space_caa = LegSpace((dc, da, da))
-
-    # comultiplication form, leg-wise through the span maps; the dual's
-    # comultiplication leaves V's second leg alone, so the slabs run over it
-    r1 = streamed_residual(
-        space_cca,
-        3,
-        lambda cols: mapped_slab(v, space, 1, c.dual.deltaC, 2, cols),
-        [(v, (2, 3)), (v, (1, 3))],
-    )
-
-    r2 = corep_law_residual(v, a)
-
-    # operator form on the Hilbert-space level
-    r3 = streamed_residual(
-        space_cca,
-        1,
-        [(v, (2, 3)), (c.W, (1, 2))],
-        [(c.W, (1, 2)), (v, (1, 3)), (v, (2, 3))],
-    )
-    r4 = streamed_residual(
-        space_caa,
-        1,
-        [(a.W, (2, 3)), (v, (1, 2))],
-        [(v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))],
-    )
-
-    memb = membership_residual(PairSpan(c.dual.algC, a.algC), v)
+    # the dual's comultiplication leaves V's second leg alone, so the slabs run over it
     return {
-        "comultSource": r1,
-        "comultTarget": r2,
-        "operatorSource": r3,
-        "operatorTarget": r4,
-        "membership": memb,
+        "comultSource": streamed_residual(
+            space_cca,
+            3,
+            lambda cols: mapped_slab(v, space, 1, c.dual.deltaC, 2, cols),
+            [(v, (2, 3)), (v, (1, 3))],
+        ),
+        "comultTarget": streamed_corep_law(v, a),
+        "operatorSource": streamed_residual(
+            space_cca,
+            1,
+            [(v, (2, 3)), (c.W, (1, 2))],
+            [(c.W, (1, 2)), (v, (1, 3)), (v, (2, 3))],
+        ),
+        "operatorTarget": streamed_residual(
+            space_caa,
+            1,
+            [(a.W, (2, 3)), (v, (1, 2))],
+            [(v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))],
+        ),
     }
 
 

@@ -34,8 +34,8 @@ from .tensorleg import (
     diagram_residual,
     flip_adjoint,
     frob,
+    gram,
     kron,
-    kron_sum_sq,
     mapped_slab,
     membership_residuals,
     orthonormal_basis,
@@ -59,14 +59,25 @@ __all__ = [
     "closure_residual",
     "corep_law_residual",
     "slice_coefficients",
+    "unitary_slices",
+    "comultiplication_gram",
+    "product_constants",
+    "slice_equation",
+    "comult_equation",
     "PENTAGON_TOL",
     "CLOSURE_TOL",
     "EQUATION_TOL",
+    "SLICE_ROUNDING",
 ]
 
 PENTAGON_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 EQUATION_TOL = 1e-9
+
+# A slice expansion X = sum_k X_k (x) b_k + T with |T| at most this fraction
+# of |X| is exact to rounding: equations on X are read off the X_k then, and
+# streamed over the operators otherwise.
+SLICE_ROUNDING = 1e-14
 
 
 class FiniteQuantumGroup:
@@ -78,8 +89,10 @@ class FiniteQuantumGroup:
     linear map on it; ``kacR`` is the unitary antipode on the algC span
     when the Kac validation succeeded, else None.  The dual side, the
     leg-2 slice span with its comultiplication, is ``dual.algC`` and
-    ``dual.deltaC``.  ``structure`` holds the structure constants once
-    structure_constants has read them (the build passes its own).
+    ``dual.deltaC``.  ``structure``, ``gram``, ``slices`` and ``products``
+    hold what structure_constants, comultiplication_gram, unitary_slices
+    and product_constants read, once they have read it (the build passes
+    the first three where its pentagon read them).
     """
 
     # the antipode is reported only when the Kac check succeeds
@@ -91,7 +104,9 @@ class FiniteQuantumGroup:
         ("antipode", EQUATION_TOL, "antipode fails the involutive *-antiautomorphism checks"),
     )
 
-    def __init__(self, dim, w, alg_c, delta_c, kac_r, residuals, structure=None):
+    def __init__(
+        self, dim, w, alg_c, delta_c, kac_r, residuals, structure=None, gram=None, slices=None
+    ):
         self.dim = int(dim)
         self.W = w
         self.algC = np.asarray(alg_c, dtype=complex)
@@ -99,6 +114,9 @@ class FiniteQuantumGroup:
         self.kacR = kac_r
         self.residuals = dict(residuals)
         self.structure = structure
+        self.gram = gram
+        self.slices = slices
+        self.products = None
         self._dual = None
         self._builder = None
 
@@ -164,8 +182,21 @@ def closure_residual(basis):
 def corep_law_residual(x, qg):
     """Residual of the corepresentation law (id (x) Delta)(X) = X12 X13 for X on H (x) H_qg.
 
-    Streamed over column slabs of leg 1, which Delta leaves untouched.
+    Read off the slices X = sum_k X_k (x) b_k + T (comult_equation) when
+    |T| is at rounding (SLICE_ROUNDING), else streamed_corep_law.
     """
+    h = x.shape[0] // qg.dim
+    z, trunc = slice_coefficients(x, h, qg.algC)
+    size = frob(x)
+    if trunc <= SLICE_ROUNDING * size:
+        c, g = structure_constants(qg), comultiplication_gram(qg)
+        return comult_equation(z, trunc, c, g, qg.dim, size)
+    return streamed_corep_law(x, qg)
+
+
+def streamed_corep_law(x, qg):
+    """The corepresentation law by operators, streamed over column slabs of
+    leg 1, which Delta leaves untouched."""
     h, d = x.shape[0] // qg.dim, qg.dim
     return streamed_residual(
         LegSpace((h, d, d)),
@@ -181,38 +212,68 @@ def _delta_c(w, d, alg_c):
     return SpanMap(alg_c, w @ kron(alg_c, np.eye(d)) @ w.conj().T, d, d * d)
 
 
+def _expand(rows, alg_c):
+    """The coefficients on algC of the rows of an (m, d*d) array, as an
+    (n, m) array, and the rows' parts off span(algC)."""
+    basis = alg_c.reshape(len(alg_c), -1)
+    coeff = rows @ basis.conj().T
+    return coeff.T, rows - coeff @ basis
+
+
 def slice_coefficients(x, h, alg_c):
     """X on H (x) H_C as sum_k X_k (x) b_k + T over algC: the (n, h, h) stack
     of the X_k and |T|, T the part of X off B(H) (x) span(algC)."""
-    x4 = x.reshape(h, -1, h, alg_c.shape[1])
-    xs = np.einsum("abce,kbe->kac", x4, alg_c.conj(), optimize=True)
-    return xs, frob(x4 - np.einsum("kac,kbe->abce", xs, alg_c, optimize=True))
+    d = alg_c.shape[1]
+    rows = x.reshape(h, d, h, d).transpose(0, 2, 1, 3).reshape(h * h, d * d)
+    coeff, rest = _expand(rows, alg_c)
+    return coeff.reshape(len(alg_c), h, h), frob(rest)
 
 
-def _slice_pentagon(w, d, alg_c, c, off):
-    """The pentagon residual of W from its slice coefficients, in n^2 d^4 flops.
+def unitary_slices(qg):
+    """slice_coefficients of qg.W, W = sum_k X_k (x) b_k + T: the X_k and
+    |T|, kept as qg.slices."""
+    if qg.slices is None:
+        qg.slices = slice_coefficients(qg.W, qg.dim, qg.algC)
+    return qg.slices
 
-    Write W = sum_k X_k (x) b_k over the algC basis b_k, X_k on leg 1.  Then
-    W23 W12 W23* = sum_k X_k (x) Delta(b_k) and W12 W13 = sum_ij X_i X_j (x)
-    b_i (x) b_j, so with Delta(b_k) = sum_ij C[k, i, j] b_i (x) b_j + R_k
-    their difference is sum_ij (sum_k C[k, i, j] X_k - X_i X_j) (x) b_i (x)
-    b_j plus sum_k X_k (x) R_k.  The two parts are Hilbert-Schmidt
+
+def slice_equation(x, c, g, y=None):
+    """|sum_k x_k (x) D_k - sum_ij x_i y_j (x) e_i (x) f_j| for stacks x and
+    y (y = x by default), D_k = sum_ij c[k, i, j] e_i (x) f_j + R_k over
+    orthonormal e_i and f_j, with the R_k off their span and g[k, l] =
+    <R_k, R_l>.
+
+    The difference is sum_ij (sum_k c[k, i, j] x_k - x_i y_j) (x) e_i (x)
+    f_j plus sum_k x_k (x) R_k.  The two parts are Hilbert-Schmidt
     orthogonal, so its squared norm is the sum over i, j of the first
-    coefficient's plus sum_kl <X_k, X_l><R_k, R_l>; multiplying on the
-    right by the unitary W23 leaves it the norm of W23 W12 - W12 W13 W23.
-    The X_k reassemble W up to the rank cut of algC, and that truncation T
-    moves the residual by at most sqrt(d) |T| (3 + |T|), which is added, so
-    the result never reads below the operator residual by more than
-    rounding.  c and off are the coefficients of the Delta(b_k) and their
-    parts R_k off span(algC) (x) span(algC).
+    coefficient's plus sum_kl <x_k, x_l> g[k, l]: n^3 h^2 + n^2 h^3 flops
+    for n elements of size h, against the h^2 d^6 of either side as an
+    operator.  A NaN anywhere reads NaN.
     """
-    x, trunc = slice_coefficients(w, d, alg_c)
-    on = np.einsum("kij,kac->ijac", c, x, optimize=True) - x[:, None] @ x[None, :]
-    off_sq = kron_sum_sq(x, off)
-    norm = np.sqrt(np.maximum(frob(on) ** 2 + off_sq, 0.0))
+    y = x if y is None else y
+    n, h = x.shape[:2]
+    on = (c.reshape(n, -1).T @ x.reshape(n, -1)).reshape(*c.shape[1:], h, h)
+    on -= x[:, None] @ y[None, :]
+    sq = frob(on) ** 2 + float(np.sum(gram(x) * g).real)
+    return float(np.sqrt(np.maximum(sq, 0.0)))
+
+
+def comult_equation(x, trunc, c, g, d, size):
+    """The residual of (id (x) Delta)(X) = X12 X13, X = sum_k x_k (x) b_k + T
+    with |T| = trunc and |X| = size, Delta on the b_k (of size d) given by
+    its coefficients c and off-span Gram matrix g (slice_equation).
+
+    With X = W it is the pentagon: W23 W12 W23* = sum_k X_k (x) Delta(b_k),
+    and multiplying on the right by the unitary W23 leaves the norm of
+    W23 W12 - W12 W13 W23.  The truncation T moves X12 X13 by at most
+    sqrt(d) |T| (2 + |T|), and the left side by sqrt(d) |T| where Delta is
+    conjugation by W, as in the pentagon (the span map deltaC is zero off
+    span(algC)).  sqrt(d) |T| (3 + |T|) is added, so the result never
+    reads below the operator residual by more than rounding.  The scale is
+    residual_between's: both sides have the norm of X12.
+    """
     bound = math.sqrt(d) * trunc * (3.0 + trunc)
-    # the scale of residual_between: both sides have W12's norm
-    return float((norm + bound) / max(1.0, math.sqrt(d) * frob(w)))
+    return float((slice_equation(x, c, g) + bound) / max(1.0, math.sqrt(d) * size))
 
 
 def _try_antipode(w, d, alg_c):
@@ -259,11 +320,11 @@ def build_from_unitary(w, dim):
     algC; its basis is formed here for the closure gate only, and its
     comultiplication is the dual's own, gated by the dual's build wherever
     it is used.  The pentagon is read off the slice coefficients of W and
-    the comultiplication of algC (_slice_pentagon), so algC and Delta on it
-    come first; where algC has more than d elements, as on every 1e-6
-    rotation of a quantum group tried (n = d^2), those images would hold
-    n d^4 entries, and the pentagon is streamed over column slabs and gated
-    before them instead.  The Kac antipode is computed opportunistically;
+    the comultiplication of algC (comult_equation with X = W), so algC and
+    Delta on it come first; where algC has more than d elements, as on
+    every 1e-6 rotation of a quantum group tried (n = d^2), those images
+    would hold n d^4 entries, and the pentagon is streamed over column
+    slabs and gated before them instead.  The Kac antipode is computed opportunistically;
     failure there leaves kacR as None rather than rejecting the input.
     """
     d = int(dim)
@@ -293,8 +354,11 @@ def build_from_unitary(w, dim):
     span = PairSpan(alg_c, alg_c)
     c = span.coefficients(delta_c.images)
     projected = span.combine(c)
+    g = slices = None
     if not streamed:
-        pent = _gate_pentagon(_slice_pentagon(w, d, alg_c, c, delta_c.images - projected))
+        g = gram(delta_c.images - projected)
+        slices = slice_coefficients(w, d, alg_c)
+        pent = _gate_pentagon(comult_equation(*slices, c, g, d, frob(w)))
 
     leg2 = orthonormal_basis(_leg_slices(w, d, 2))
     closure = float(np.max([closure_residual(alg_c), closure_residual(leg2)]))
@@ -308,7 +372,9 @@ def build_from_unitary(w, dim):
         residuals["antipode"] = kres
     except NotKacType:
         kappa = None
-    return FiniteQuantumGroup(d, w, alg_c, delta_c, kappa, residuals, structure=c)
+    return FiniteQuantumGroup(
+        d, w, alg_c, delta_c, kappa, residuals, structure=c, gram=g, slices=slices
+    )
 
 
 def structure_constants(qg):
@@ -325,6 +391,32 @@ def structure_constants(qg):
         qg.structure = PairSpan(qg.algC, qg.algC).coefficients(qg.deltaC.images)
     qg.structure.flags.writeable = False
     return qg.structure
+
+
+def comultiplication_gram(qg):
+    """g[k, l] = <R_k, R_l> for the parts R_k of the Delta(b_k) off
+    span(algC) (x) span(algC), the other half of Delta next to the
+    structure constants, kept as qg.gram like them."""
+    if qg.gram is None:
+        span = PairSpan(qg.algC, qg.algC)
+        qg.gram = gram(qg.deltaC.images - span.combine(structure_constants(qg)))
+    return qg.gram
+
+
+def product_constants(qg):
+    """N[j, m, l] = <b_j, b_m b_l*> on the algC basis, and the norm of the
+    defect map c -> sum_ml c[m, l] D_ml, D_ml the part of b_m b_l* off
+    span(algC), which the closure gate holds at rounding (its largest
+    singular value, below the Frobenius norm of the D_ml by up to a factor
+    n): n^2 d^3 + n^3 d^2 flops and an SVD of n^2 x d^2, kept as
+    qg.products."""
+    if qg.products is None:
+        b = qg.algC
+        n = len(b)
+        prods = b[:, None] @ b.conj().transpose(0, 2, 1)[None, :]
+        coeff, rest = _expand(prods.reshape(n * n, -1), b)
+        qg.products = (coeff.reshape(n, n, n), float(np.linalg.norm(rest, 2)))
+    return qg.products
 
 
 def multiplication_constants(qg):

@@ -47,13 +47,15 @@ __all__ = [
     "build_scope",
 ]
 
-# (dim, W bytes) -> built quantum group, for the innermost open build scope
+# (dim, W bytes) or a referenced file's normalised path -> quantum group,
+# for the innermost open build scope
 _BUILT = contextvars.ContextVar("qgcalc_built", default=None)
 
 
 @contextlib.contextmanager
 def build_scope():
-    """Within this scope, qg_from_obj builds each distinct explicit W once.
+    """Within this scope, qg_from_obj reads each referenced file once and
+    builds each distinct explicit W once.
 
     Re-entering an open scope shares its memo; the outermost exit drops it.
     """
@@ -185,8 +187,11 @@ def qg_from_obj(obj, base="."):
     if not isinstance(obj, dict):
         raise ParseError("quantum group spec must be an object")
     if "path" in obj:
-        path = os.path.join(base, obj["path"])
-        return qg_from_obj(load_json(path), base=os.path.dirname(path) or ".")
+        path = os.path.abspath(os.path.join(base, obj["path"]))
+        built = _BUILT.get()
+        if path not in built:
+            built[path] = qg_from_obj(load_json(path), base=os.path.dirname(path))
+        return built[path]
     if "group" in obj:
         picture = _need(obj, "picture", "quantum group")
         if picture not in ("c0", "cstar"):

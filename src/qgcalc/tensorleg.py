@@ -27,6 +27,7 @@ __all__ = [
     "residual_between",
     "residuals_between",
     "diagram_residual",
+    "gram",
     "kron_sum_sq",
     "unitarity_defect",
     "kron",
@@ -163,11 +164,16 @@ def diagram_residual(lhs, rhs):
     return residuals_between(*sides)
 
 
+def gram(xs):
+    """The Hilbert-Schmidt Gram matrix <x_k, x_l> of an (n, ...) stack."""
+    xr = xs.reshape(len(xs), -1)
+    return xr.conj() @ xr.T
+
+
 def kron_sum_sq(xs, ys):
     """The squared Frobenius norm of sum_k xs[k] (x) ys[k], two stacks of
     equal length, as sum_kl <x_k, x_l><y_k, y_l>: never forms the sum."""
-    xr, yr = xs.reshape(len(xs), -1), ys.reshape(len(ys), -1)
-    return float(np.sum((xr.conj() @ xr.T) * (yr.conj() @ yr.T)).real)
+    return float(np.sum(gram(xs) * gram(ys)).real)
 
 
 def unitarity_defect(m):

@@ -1,8 +1,8 @@
 """Shared fixtures, and the oracles the library is checked against:
 embed_on_legs, pair_basis, slices by a functional (slice_leg), the
-streamed pentagon and coassociativity residuals, the TSQR intertwiner
-space, the coinvariant dimension from the comultiplication images, the
-commuting diagrams of comodules and one-sided homs by operators, the
+streamed pentagon, coassociativity, bicharacter and corepresentation
+residuals, the TSQR intertwiner space, the coinvariant dimension from
+the comultiplication images, the commuting diagrams of comodules and one-sided homs by operators, the
 induced-coaction equation of a corepresentation pushforward one matrix
 unit at a time, the induced coaction from the image system, and the
 X12 Y13 factorisations from the three-leg product and its partial
@@ -113,6 +113,20 @@ def nudged(images, span, size, inside, rng):
     z = rng.standard_normal(images.shape) + 1j * rng.standard_normal(images.shape)
     z = span.project(z) if inside else z - span.project(z)
     return images + size * z / np.linalg.norm(z.reshape(len(z), -1), axis=1)[:, None, None]
+
+
+def haar_unitary(n, rng):
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    qq, r = np.linalg.qr(z)
+    return qq * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(m, size, rng):
+    """m times a unitary exp(i size h) for a random unit-norm hermitian h."""
+    h = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+    h = (h + h.conj().T) / 2
+    ev, vecs = np.linalg.eigh(h / np.linalg.norm(h))
+    return (vecs * np.exp(1j * size * ev)) @ vecs.conj().T @ m
 
 
 def gauged_bicharacters(homs, picture, gauge, seed):
@@ -295,6 +309,46 @@ def streamed_pentagon(w, d):
         [(w, (2, 3)), (w, (1, 2))],
         [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
     )
+
+
+def streamed_corep_law(x, qg):
+    """The corepresentation law by operators, the oracle for its slice form:
+    residual_between((id (x) Delta)(X), X12 X13), streamed over column slabs
+    of leg 1, the call corep_law_residual still makes where X is off
+    B(H) (x) span(algC)."""
+    h, d = x.shape[0] // qg.dim, qg.dim
+    return streamed_residual(
+        LegSpace((h, d, d)),
+        1,
+        lambda cols: mapped_slab(x, LegSpace((h, d)), 2, qg.deltaC, 1, cols),
+        [(x, (1, 2)), (x, (1, 3))],
+    )
+
+
+def streamed_bicharacter(v, c, a):
+    """The four bicharacter equations by operators, the oracle for their
+    slice forms: residual_between of the two sides of (Delta_hat (x) id)V =
+    V23 V13, the corepresentation law, V23 W12 = W12 V13 V23 and W23 V12 =
+    V12 V13 W23, each streamed over column slabs, the calls
+    bicharacter_residuals still makes where V is off span(dual algC) (x)
+    span(algC)."""
+    space = LegSpace((c.dim, a.dim))
+    cca, caa = LegSpace((c.dim, c.dim, a.dim)), LegSpace((c.dim, a.dim, a.dim))
+    return {
+        "comultSource": streamed_residual(
+            cca,
+            3,
+            lambda cols: mapped_slab(v, space, 1, c.dual.deltaC, 2, cols),
+            [(v, (2, 3)), (v, (1, 3))],
+        ),
+        "comultTarget": streamed_corep_law(v, a),
+        "operatorSource": streamed_residual(
+            cca, 1, [(v, (2, 3)), (c.W, (1, 2))], [(c.W, (1, 2)), (v, (1, 3)), (v, (2, 3))]
+        ),
+        "operatorTarget": streamed_residual(
+            caa, 1, [(a.W, (2, 3)), (v, (1, 2))], [(v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))]
+        ),
+    }
 
 
 def tsqr_intertwiner_space(w, dim):

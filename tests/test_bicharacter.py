@@ -1,22 +1,30 @@
 """Bicharacter axioms, category laws, and the duality functor."""
 
+import json
+
 import numpy as np
 import pytest
 
 import qgcalc as q
 import qgcalc.bicharacter as bicharacter_module
+import qgcalc.qgroup as qgroup_module
 from qgcalc.bicharacter import bicharacter_residuals
+from qgcalc.cli import main
+from qgcalc.coactions import check_corepresentation
 from qgcalc.errors import (
     BicharacterViolation,
+    CoactionViolation,
     ExtractionFailure,
     HopfHomViolation,
     NotUnitary,
     SourceTargetMismatch,
 )
 from qgcalc import tensorleg
-from qgcalc.qgroup import coassociativity_residual
+from qgcalc.qgroup import EQUATION_TOL, coassociativity_residual, corep_law_residual
+from qgcalc.serialize import bicharacter_to_obj, write_json
 from qgcalc.tensorleg import (
     LegSpace,
+    PairSpan,
     SpanMap,
     apply_map_to_leg,
     extract_trivial_legs,
@@ -24,9 +32,19 @@ from qgcalc.tensorleg import (
     kron,
     residual_between,
 )
-from conftest import embed_on_legs, streamed_pentagon
+from conftest import (
+    embed_on_legs,
+    gauged_bicharacters,
+    haar_unitary,
+    rotated,
+    streamed_bicharacter,
+    streamed_corep_law,
+    streamed_pentagon,
+)
 
 RNG = np.random.default_rng(91514)
+
+EQUATIONS = ("comultSource", "comultTarget", "operatorSource", "operatorTarget")
 
 
 def c0(g):
@@ -176,7 +194,8 @@ def test_three_leg_residuals_are_exact_on_the_corpus(corpus, coassociativity_ora
     of coassociativity and the operator-form residuals of the identity arrow
     read exactly 0.0.  The comultiplication forms, the pentagon and
     coassociativity from the structure constants included, go through the
-    QR bases of the span maps and stay at rounding level."""
+    QR bases of the span maps and stay at rounding level, and so do all
+    four equations read off the slices, bounds included."""
     count = 0
     for g in corpus.values():
         for qg in (c0(g), cstar(g)):
@@ -185,10 +204,144 @@ def test_three_leg_residuals_are_exact_on_the_corpus(corpus, coassociativity_ora
             assert qg.residuals["pentagon"] <= 1e-14
             assert coassociativity_oracle(qg) == 0.0
             assert coassociativity_residual(qg) <= 1e-15
+            oracle = streamed_bicharacter(qg.W, qg, qg)
+            assert oracle["operatorSource"] == 0.0 and oracle["operatorTarget"] == 0.0
+            assert oracle["comultSource"] <= 1e-15 and oracle["comultTarget"] <= 1e-15
             res = bicharacter_residuals(qg.W, qg, qg)
-            assert res["operatorSource"] == 0.0 and res["operatorTarget"] == 0.0
-            assert res["comultSource"] <= 1e-15 and res["comultTarget"] <= 1e-15
+            assert all(res[key] <= 1e-14 for key in EQUATIONS), res
     assert count == 26
+
+
+def _gauged_arrows(corpus, picture):
+    """The Haar-gauged S3 identity arrow and Z4 -> Z2 Hopf arrow."""
+    s3, z4, z2 = corpus["S3"], corpus["Z4"], corpus["Z2"]
+    homs = [q.group_hom(s3, s3, tuple(range(6))), q.group_hom(z4, z2, (0, 1, 0, 1))]
+    return gauged_bicharacters(homs, picture, "haar", 2929)
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_each_bicharacter_path_is_taken_and_gated(corpus, count_calls, picture):
+    """A bicharacter lies in span(dual algC) (x) span(algC), so the four
+    equations and the corepresentation law are read off its slices, with no
+    streamed residual, and agree with the operator forms to 1e-14.  So does
+    V exp(i s H) for a hermitian H in that span, a *-algebra: it stays in
+    the span and fails the equations by about s, which the slice forms read
+    as the operator forms do.  A 1e-6 rotation of V, the flip and a Haar
+    unitary are off the span: all five equations are streamed, read exactly
+    the operator forms, and fail."""
+    rng = np.random.default_rng(2931)
+    calls = count_calls("streamed_residual")
+    for v in _gauged_arrows(corpus, picture):
+        c, a = v.source, v.target
+        noise = rng.standard_normal(v.V.shape) + 1j * rng.standard_normal(v.V.shape)
+        h = PairSpan(c.dual.algC, a.algC).project(noise[None])[0]
+        ev, vecs = np.linalg.eigh((h + h.conj().T) / np.linalg.norm(h + h.conj().T))
+        inside = [v.V @ (vecs * np.exp(1j * s * ev)) @ vecs.conj().T for s in (1e-3, 1e-8)]
+        probes = (
+            (v.V, False, False),
+            (inside[0], False, True),
+            (inside[1], False, True),
+            (rotated(v.V, 1e-6, rng), True, True),
+            (flip_unitary(c.dim, a.dim), True, True),
+            (haar_unitary(c.dim * a.dim, rng), True, True),
+        )
+        for x, streamed, fails in probes:
+            calls["streamed_residual"] = 0
+            got = dict(bicharacter_residuals(x, c, a), law=corep_law_residual(x, a))
+            assert calls["streamed_residual"] == (5 if streamed else 0)
+            want = dict(streamed_bicharacter(x, c, a), law=streamed_corep_law(x, a))
+            for key, value in want.items():
+                if streamed:
+                    assert got[key] == value, key
+                else:
+                    assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-14), key
+            assert (max(got[key] for key in EQUATIONS) > EQUATION_TOL) == fails
+        calls["streamed_residual"] = 0
+        check_corepresentation(v.V, a)
+        check_corepresentation(c.W, c)
+        assert calls["streamed_residual"] == 0
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_the_slice_forms_never_read_below_the_operator_forms(corpus, monkeypatch, picture):
+    """Read off the slices even where V is off the span, as the path never
+    does, the forms stay at or above the operator forms: the bounds on the
+    truncations cover what the slices drop, within 3x."""
+    monkeypatch.setattr(bicharacter_module, "SLICE_ROUNDING", np.inf)
+    monkeypatch.setattr(qgroup_module, "SLICE_ROUNDING", np.inf)
+    rng = np.random.default_rng(2932)
+    for v in _gauged_arrows(corpus, picture):
+        c, a = v.source, v.target
+        for size in (1e-4, 1e-10):
+            x = rotated(v.V, size, rng)
+            got = dict(bicharacter_residuals(x, c, a), law=corep_law_residual(x, a))
+            want = dict(streamed_bicharacter(x, c, a), law=streamed_corep_law(x, a))
+            for key, value in want.items():
+                assert value <= got[key] <= 3 * value, (key, size)
+
+
+def _nan_on(real, dim):
+    """real, except that the first array it returns for an algebra of
+    dimension dim, or of the quantum group of that dimension, holds a NaN."""
+
+    def patched(*args):
+        reads = args[2].shape[1] if len(args) == 3 else args[0].dim
+        out = real(*args)
+        if reads != dim:
+            return out
+        first = np.array(out[0] if isinstance(out, tuple) else out)
+        first.flat[0] = np.nan
+        return (first,) + tuple(out[1:]) if isinstance(out, tuple) else first
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "name, side, nan_keys",
+    [
+        ("slice_coefficients", "target", ("comultTarget", "operatorSource", "operatorTarget")),
+        ("slice_coefficients", "dual", ("comultSource",)),
+        ("structure_constants", "target", ("comultTarget",)),
+        ("structure_constants", "dual", ("comultSource",)),
+        ("comultiplication_gram", "target", ("comultTarget",)),
+        ("comultiplication_gram", "dual", ("comultSource",)),
+        ("product_constants", "target", ("operatorSource", "operatorTarget")),
+    ],
+)
+def test_a_nan_in_what_the_slice_forms_read_fails_closed(
+    corpus, monkeypatch, tmp_path, capsys, name, side, nan_keys
+):
+    """A NaN in V's slice coefficients, in C or C_hat, in an off-span Gram
+    matrix or in the product constants N reads as a NaN residual, which
+    check_bicharacter, check_corepresentation and `verify … bicharacter`
+    reject.  It is injected where the forms read it, as a NaN inside V is
+    rejected by unitarity first.  On the gauged c0 arrow of Z4 -> Z2 the
+    source is c0(Z2), so its dual reads algebras of dimension 2 and the
+    target, c0(Z4), of dimension 4."""
+    (_, v) = _gauged_arrows(corpus, "c0")
+    c, a = v.source, v.target
+    assert (c.dim, a.dim) == (2, 4)
+    path = tmp_path / "v.json"
+    write_json(str(path), bicharacter_to_obj(v))
+    dim = a.dim if side == "target" else c.dim
+    bicharacter_residuals(v.V, c, a)  # the dual is built outside the patch
+    with monkeypatch.context() as patch:
+        patch.setattr(bicharacter_module, name, _nan_on(getattr(bicharacter_module, name), dim))
+        res = bicharacter_residuals(v.V, c, a)
+        assert {key for key in EQUATIONS if np.isnan(res[key])} == set(nan_keys)
+        with pytest.raises(BicharacterViolation):
+            q.check_bicharacter(v.V, c, a)
+        code = main(["verify", str(path), "bicharacter"])
+        captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    failed = {c["name"] for c in json.loads(captured.out)["checks"] if not c["pass"]}
+    assert failed == set(nan_keys)
+    if "comultTarget" in nan_keys:
+        with monkeypatch.context() as patch:
+            patch.setattr(qgroup_module, name, _nan_on(getattr(qgroup_module, name), dim))
+            assert np.isnan(corep_law_residual(v.V, a))
+            with pytest.raises(CoactionViolation):
+                check_corepresentation(v.V, a)
 
 
 def test_abstract_and_operator_equations_agree(z2, z4, s3, homs):

@@ -47,7 +47,9 @@ from qgcalc.tensorleg import (
 from conftest import (
     Functional,
     embed_on_legs,
+    haar_unitary,
     images_coinvariant_dimension,
+    rotated,
     slice_leg,
     streamed_pentagon,
 )
@@ -239,7 +241,7 @@ def test_a_lone_dual_rebuilds_its_builder_bit_for_bit(s3):
 def test_algebras_match_the_slice_oracle(s3):
     """The reshaped blocks of W against slice_leg by each matrix-unit functional."""
     rng = np.random.default_rng(5)
-    u = _haar_unitary(s3.order, rng)
+    u = haar_unitary(s3.order, rng)
     uu = kron(u, u)
     for qg in (
         q.qg_from_group(s3, "c0"),
@@ -343,7 +345,7 @@ def test_transpose_construction(z2, z4, s3):
 
 def test_transpose_of_complex_w_builds_the_conjugate(s3):
     rng = np.random.default_rng(31)
-    u = _haar_unitary(s3.order, rng)
+    u = haar_unitary(s3.order, rng)
     uu = kron(u, u)
     for picture in ("c0", "cstar"):
         w = uu @ q.qg_from_group(s3, picture).W @ uu.conj().T
@@ -443,9 +445,9 @@ def test_blocked_coassociativity_matches_the_embedding_oracle(s3, picture, coass
     rng = np.random.default_rng(99)
     base = q.qg_from_group(s3, picture)
     d = base.dim
-    u = _haar_unitary(d, rng)
+    u = haar_unitary(d, rng)
     uu = kron(u, u)
-    w = _rotated(uu @ base.W @ uu.conj().T, 1e-3, rng)
+    w = rotated(uu @ base.W @ uu.conj().T, 1e-3, rng)
     alg = [u @ x @ u.conj().T for x in base.algC]
 
     class Probe:
@@ -469,13 +471,13 @@ def test_streamed_checks_match_the_embedding_oracles_slab_by_slab(
     rng = np.random.default_rng(31)
     base = q.qg_from_group(s3, "cstar")
     d = base.dim
-    u = _haar_unitary(d, rng)
+    u = haar_unitary(d, rng)
     uu = kron(u, u)
     w = uu @ base.W @ uu.conj().T
     cbar, bic = transpose_qg(build_from_unitary(w, d))
     assert max(bic.residuals.values()) <= 1e-13
 
-    bad = _rotated(w, 1e-3, rng)
+    bad = rotated(w, 1e-3, rng)
     sp = LegSpace((d, d, d))
     b12, b13, b23 = (embed_on_legs(bad, sp, legs) for legs in ((1, 2), (1, 3), (2, 3)))
     with pytest.raises(PentagonViolation) as exc:
@@ -510,7 +512,7 @@ def test_coassociativity_of_a_nan_w_is_nan(z3, coassociativity_oracle):
 
 def _gauged(qg, rng):
     """qg rebuilt from (u (x) u) W (u (x) u)* for a Haar u, with u."""
-    u = _haar_unitary(qg.dim, rng)
+    u = haar_unitary(qg.dim, rng)
     uu = kron(u, u)
     return build_from_unitary(uu @ qg.W @ uu.conj().T, qg.dim), u
 
@@ -613,7 +615,7 @@ def test_pentagon_bounds_coassociativity(corpus, name, coassociativity_oracle):
         base = q.qg_from_group(corpus[name], pic)
         d = base.dim
         qg, _ = _gauged(base, rng)
-        bad = _rotated(qg.W, 1e-6, rng)
+        bad = rotated(qg.W, 1e-6, rng)
         with pytest.raises(PentagonViolation) as exc:
             build_from_unitary(bad, d)
 
@@ -625,20 +627,6 @@ def test_pentagon_bounds_coassociativity(corpus, name, coassociativity_oracle):
         assert coassociativity_oracle(Probe()) <= 2 * np.sqrt(d) * exc.value.residual
 
 
-def _haar_unitary(n, rng):
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    qq, r = np.linalg.qr(z)
-    return qq * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _rotated(m, size, rng):
-    """m times a unitary exp(i size h) for a random unit-norm hermitian h."""
-    h = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
-    h = (h + h.conj().T) / 2
-    ev, vecs = np.linalg.eigh(h / np.linalg.norm(h))
-    return (vecs * np.exp(1j * size * ev)) @ vecs.conj().T @ m
-
-
 @pytest.mark.parametrize("picture", ["c0", "cstar"])
 def test_gauged_dense_unitary_passes_and_perturbation_fails(s3, picture):
     """(u (x) u) W (u (x) u)* for a Haar u is dense and complex, unlike the 0/1
@@ -647,7 +635,7 @@ def test_gauged_dense_unitary_passes_and_perturbation_fails(s3, picture):
     rng = np.random.default_rng(20261018)
     base = q.qg_from_group(s3, picture)
     d = base.dim
-    u = _haar_unitary(d, rng)
+    u = haar_unitary(d, rng)
     uu = kron(u, u)
     w = uu @ base.W @ uu.conj().T
     qg = build_from_unitary(w, d)
@@ -664,7 +652,7 @@ def test_gauged_dense_unitary_passes_and_perturbation_fails(s3, picture):
     assert qg.residuals["pentagon"] == pytest.approx(oracle, abs=1e-14)
     assert ident.residuals["operatorSource"] == pytest.approx(oracle, abs=1e-14)
 
-    bad = _rotated(w, 1e-6, rng)
+    bad = rotated(w, 1e-6, rng)
     with pytest.raises(PentagonViolation) as exc:
         build_from_unitary(bad, d)
     b12 = embed_on_legs(bad, sp, (1, 2))
@@ -703,8 +691,8 @@ def test_pentagon_matches_the_streamed_oracle_off_the_corpus(z4):
         "identity": np.eye(16, dtype=complex),
         "flip": flip_unitary(4, 4),
         "flipW": flip_unitary(4, 4) @ base.W,
-        "haar": _haar_unitary(16, rng),
-        "rotated": _rotated(gauged.W, 1e-6, rng),
+        "haar": haar_unitary(16, rng),
+        "rotated": rotated(gauged.W, 1e-6, rng),
     }
     for name, w in cases.items():
         got = _pentagon_of(w, 4)
@@ -722,12 +710,12 @@ def test_each_pentagon_path_is_taken_and_gated(count_calls, s3, picture):
     rng = np.random.default_rng(1603)
     qg, _ = _gauged(q.qg_from_group(s3, picture), rng)
     d = qg.dim
-    u = _haar_unitary(d, rng)
+    u = haar_unitary(d, rng)
     calls = count_calls("streamed_residual")
     for w, streamed in (
         (qg.W, 0),
         (kron(u, np.eye(d)), 0),
-        (_rotated(qg.W, 1e-6, rng), 1),
+        (rotated(qg.W, 1e-6, rng), 1),
     ):
         calls["streamed_residual"] = 0
         got = _pentagon_of(w, d)

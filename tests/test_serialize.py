@@ -8,6 +8,7 @@ import pytest
 
 import qgcalc as q
 import qgcalc.serialize as serialize_module
+from qgcalc.cli import main
 from qgcalc.errors import ParseError
 from qgcalc.homviews import right_from_bicharacter
 from qgcalc.serialize import (
@@ -226,6 +227,20 @@ def test_build_scope_memo_ends_with_the_scope(monkeypatch, tmp_path, z2):
     # outside a scope each reader call builds afresh
     assert qg_from_obj(obj) is not qg_from_obj(obj)
     assert calls == [2, 2, 2]
+
+
+def test_an_endomorphism_file_reads_its_object_once(tmp_path, capsys, count_calls, z4):
+    """A bicharacter file naming one quantum group file as source and target
+    (here the identity arrow, with the two references spelled differently)
+    is read, and that file once: two reads, not three."""
+    c4 = q.qg_from_group(z4, "c0")
+    write_json(str(tmp_path / "c4.json"), qg_to_obj(c4))
+    obj = {"source": {"path": "c4.json"}, "target": {"path": "./c4.json"}}
+    write_json(str(tmp_path / "v.json"), dict(obj, V=matrix_to_obj(c4.W)))
+    calls = count_calls("load_json")
+    assert main(["verify", str(tmp_path / "v.json"), "bicharacter"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert calls["load_json"] == 2
 
 
 def test_bicharacter_shape_error(z2, z4):

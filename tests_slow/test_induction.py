@@ -15,7 +15,7 @@ from test_order16 import run_child
 TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
 
 _CHILD = """
-import json, resource, sys, time
+import json, sys, time
 import numpy as np
 import qgcalc as q
 from qgcalc.coactions import check_corepresentation, conjugation_coaction, induce_coaction
@@ -38,7 +38,8 @@ print(json.dumps({
     "solve": [out.residuals["solve"], worst],
     "seconds": seconds,
 }))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
 """
 
 

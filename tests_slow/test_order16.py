@@ -8,7 +8,8 @@ Outside the default test paths because one run takes seconds; run it with
     PYTHONPATH=src python -m pytest -q tests_slow
 
 Each run is a child process, so that its peak resident set is its own and
-not whatever this test process reached before.
+not whatever this test process reached before.  A child reports its VmHWM:
+its ru_maxrss would start from the peak of the process that spawned it.
 """
 
 import json
@@ -30,10 +31,11 @@ from qgcalc.tensorleg import LegSpace, flip_adjoint
 MAX_RSS_MB = 500
 
 QG_CHILD = """
-import resource, sys
+import sys
 from qgcalc.cli import main
 code = main(["verify", sys.argv[1], "qg"])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
 raise SystemExit(code)
 """
 
@@ -41,14 +43,15 @@ raise SystemExit(code)
 # the homs of the identity arrow at W; the bicharacter they are made from
 # is W itself, so no extraction is run
 _HOM_CHILD = """
-import json, resource, sys
+import json, sys
 from qgcalc.bicharacter import identity
 from qgcalc.homviews import left_from_bicharacter, right_from_bicharacter
 from qgcalc.serialize import load_qg
 v = identity(load_qg(sys.argv[1]))
 homs = {"right": right_from_bicharacter(v), "left": left_from_bicharacter(v)}
 print(json.dumps({kind: hom.residuals for kind, hom in homs.items()}))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
 """
 
 
@@ -56,7 +59,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
 # through the CLI, which extracts the bicharacter from the file's map; then
 # the comultiplication coaction induced along the right hom
 _HOM_FILES_CHILD = """
-import contextlib, io, json, os, resource, sys
+import contextlib, io, json, os, sys
 from qgcalc.bicharacter import Bicharacter
 from qgcalc.cli import main
 from qgcalc.coactions import comultiplication_coaction
@@ -81,7 +84,8 @@ for name, argv in (
         code = main(argv)
     reports[name] = dict(json.loads(out.getvalue()), code=code)
 print(json.dumps(reports))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
 """
 
 
@@ -125,7 +129,7 @@ def run_child(code, path):
         env=env,
         timeout=600,
     )
-    # ru_maxrss is in kilobytes on Linux
+    # VmHWM is in kB
     peak_mb = int(child.stderr.strip().splitlines()[-1]) / 1024
     return child, json.loads(child.stdout), peak_mb
 
