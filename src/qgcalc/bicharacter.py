@@ -31,6 +31,8 @@ from .qgroup import (
     SLICE_ROUNDING,
     comult_equation,
     comultiplication_gram,
+    dual_comult_equation,
+    dual_slice_coefficients,
     product_constants,
     slice_coefficients,
     slice_equation,
@@ -51,7 +53,6 @@ from .tensorleg import (
     legs_product,
     mapped_slab,
     membership_residual,
-    permute_legs,
     streamed_residual,
     unitarity_defect,
 )
@@ -114,17 +115,12 @@ def bicharacter_residuals(v, c, a):
     dc, da = c.dim, a.dim
     if v.shape[0] != dc * da:
         raise ValueError(f"V has dim {v.shape[0]}, expected {dc * da}")
-    dual = c.dual
     z, trunc = slice_coefficients(v, dc, a.algC)
-    y, trunc_hat = slice_coefficients(permute_legs(v, LegSpace((dc, da)), (2, 1)), da, dual.algC)
+    y = dual_slice_coefficients(v, c, da)
     size = frob(v)
-    if trunc <= SLICE_ROUNDING * size and trunc_hat <= SLICE_ROUNDING * size:
-        # the mirror of comultTarget: its coefficient at (p, q) is
-        # sum_j C_hat[j, p, q] Y_j - Y_q Y_p, the adjoint of the form for Y*
-        ys = y.conj().transpose(0, 2, 1)
-        c_hat, g_hat = structure_constants(dual).conj(), comultiplication_gram(dual).conj()
+    if trunc <= SLICE_ROUNDING * size and y[1] <= SLICE_ROUNDING * size:
         res = {
-            "comultSource": comult_equation(ys, trunc_hat, c_hat, g_hat, dc, size),
+            "comultSource": dual_comult_equation(y, c.dual, size),
             "comultTarget": comult_equation(
                 z, trunc, structure_constants(a), comultiplication_gram(a), da, size
             ),
@@ -137,7 +133,7 @@ def bicharacter_residuals(v, c, a):
         }
     else:
         res = _streamed_residuals(v, c, a)
-    res["membership"] = membership_residual(PairSpan(dual.algC, a.algC), v)
+    res["membership"] = membership_residual(PairSpan(c.dual.algC, a.algC), v)
     return res
 
 

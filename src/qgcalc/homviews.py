@@ -19,10 +19,12 @@ from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
     PENTAGON_TOL,
+    SLICE_ROUNDING,
     multiplication_constants,
     slice_coefficients,
     structure_constants,
     unitary_antipode,
+    unitary_slices,
 )
 from .tensorleg import (
     LegSpace,
@@ -59,6 +61,7 @@ __all__ = [
     "comodule_residuals",
     "map_coefficients",
     "factor_slices",
+    "slice_identity_residual",
     "star_hom_residuals",
     "check_left_right_compatibility",
     "dual_hopf_relation",
@@ -271,25 +274,41 @@ def factor_slices(x, c, a, coefficients, leg):
     = d 1, gives Y_t = sum_s X_s* F_st / d (leg 2: sum_s F_st X_s* / d).  The
     residual, relative to |(id (x) phi)(X)| as extract_trivial_legs divides,
     adds in squares the orthogonal part sum_k X_k (x) R_k of the images off
-    the span, and |T12 Y13| <= sqrt(dim H_A) |T| |Y| for the truncation T of
-    the X_k: it never reads below the operator one beyond rounding.
+    the span (_slice_miss), and |T12 Y13| <= sqrt(dim H_A) |T| |Y| for the
+    truncation T of the X_k: it never reads below the operator one beyond
+    rounding.
     """
     h, d = x.shape[0] // c.dim, c.dim
     xs, trunc = slice_coefficients(x, h, c.algC)
-    p, off = coefficients
-    f = np.tensordot(p if leg == 1 else p.transpose(0, 2, 1), xs, axes=(0, 0))
+    f, off_sq = _slice_images(xs, coefficients, leg)
     if leg == 1:
         y = np.tensordot(xs.conj(), f, axes=([0, 1], [0, 2])).transpose(1, 0, 2) / d
-        miss = f - xs[:, None] @ y[None, :]
     else:
         y = np.tensordot(f, xs.conj(), axes=([0, 3], [0, 2])) / d
-        miss = f - y[None, :] @ xs[:, None]
-    off_sq = kron_sum_sq(xs, off)
     bound = np.sqrt(a.dim) * trunc * frob(y)
-    norm = np.sqrt(np.maximum(frob(miss) ** 2 + off_sq, 0.0)) + bound
+    norm = _slice_miss(f, off_sq, xs, y, leg) + bound
     total = np.sqrt(np.maximum(frob(f) ** 2 + off_sq, 0.0))
     factor = np.tensordot(y, a.algC, axes=(0, 0)).transpose(0, 2, 1, 3)
     return factor.reshape(h * a.dim, -1), float(norm / total) if total != 0 else 0.0
+
+
+def _slice_images(xs, coefficients, leg):
+    """F_st = sum_k p[k, s, t] X_k, s on C's leg, for the slices X_k of X and
+    the map_coefficients (p, R) of phi: (id (x) phi)(X) is sum_st F_st (x)
+    the product basis element (s, t) plus sum_k X_k (x) R_k, whose squared
+    norm comes second."""
+    p, off = coefficients
+    f = np.tensordot(p if leg == 1 else p.transpose(0, 2, 1), xs, axes=(0, 0))
+    return f, kron_sum_sq(xs, off)
+
+
+def _slice_miss(f, off_sq, xs, y, leg):
+    """|(id (x) phi)(X) - X12 Y13| (leg 1) or |... - Y12 X13| (leg 2) for X
+    and Y on their spans, from _slice_images and the slices Y_t of Y: the
+    misses F_st - X_s Y_t (leg 2: F_st - Y_t X_s) on the orthonormal
+    product basis, and the orthogonal off-span part in squares."""
+    miss = f - (xs[:, None] @ y[None, :] if leg == 1 else y[None, :] @ xs[:, None])
+    return np.sqrt(np.maximum(frob(miss) ** 2 + off_sq, 0.0))
 
 
 def bicharacter_from_right(dr):
@@ -322,25 +341,50 @@ def left_from_bicharacter(v):
     """Left homomorphism through the flipped bicharacter and both antipodes.
 
     Kac type only: the construction conjugates with the flipped unitary and
-    untwists with the unitary antipodes on both legs.  Its bicharacter is v.
+    untwists with the unitary antipodes on both legs.  Its bicharacter is v,
+    and the slice identity (id (x) deltaL)(W) = V12 W13 must hold as well,
+    kept as residuals["sliceIdentity"] (slice_identity_residual).
     """
-    c = v.source
-    dl_map = left_map_from_bicharacter(v)
-    out = check_left_hom(c, v.target, dl_map)
-
-    # the slice identity (id (x) deltaL)(W) = V12 W13 must hold as well
-    slice_res = streamed_residual(
-        LegSpace((c.dim, v.target.dim, c.dim)),
-        1,
-        lambda cols: mapped_slab(c.W, c.space, 2, dl_map, 1, cols),
-        [(v.V, (1, 2)), (c.W, (1, 3))],
-    )
+    out = check_left_hom(v.source, v.target, left_map_from_bicharacter(v))
+    slice_res = slice_identity_residual(v, out)
     gate(
         slice_res, EQUATION_TOL, RangeViolation, "slice identity for the left homomorphism fails"
     )
     out.residuals["sliceIdentity"] = slice_res
     out.bicharacter = v
     return out
+
+
+def slice_identity_residual(v, dl):
+    """The residual of (id (x) deltaL)(W) = V12 W13 for a bicharacter v from
+    C to A and a left hom dl of C, relative to |V12 W13|.
+
+    It is factor_slices' leg-2 miss F_st - Y_t X_s with the Y_t read off V
+    = sum_t Y_t (x) a_t + T_V over a.algC instead of fitted, X_s the slices
+    of W = sum_s X_s (x) b_s + T_W over c.algC (unitary_slices).  The map
+    deltaL is zero off span(algC), so T_W leaves the left side alone, and
+    it moves V12 W13 by at most |T_V12 W13| + |V'12 T_W13| <= sqrt(dim C)
+    |T_V| + (1 + |T_V|) sqrt(dim A) |T_W|, V' = V - T_V: that is added, so
+    the result never reads below the operator residual beyond rounding.
+    Where either truncation is above rounding (SLICE_ROUNDING) the
+    identity is streamed over the operators instead.
+    """
+    c, a = dl.source, dl.target
+    xs, trunc_w = unitary_slices(c)
+    ys, trunc_v = slice_coefficients(v.V, c.dim, a.algC)
+    size = frob(v.V)
+    if trunc_w <= SLICE_ROUNDING * frob(c.W) and trunc_v <= SLICE_ROUNDING * size:
+        f, off_sq = _slice_images(xs, dl.coefficients, 2)
+        bound = np.sqrt(c.dim) * trunc_v + (1.0 + trunc_v) * np.sqrt(a.dim) * trunc_w
+        norm = _slice_miss(f, off_sq, xs, ys, 2) + bound
+        # the scale of streamed_residual: |V12 W13| = |V12|, W unitary
+        return float(norm / max(1.0, np.sqrt(c.dim) * size))
+    return streamed_residual(
+        LegSpace((c.dim, a.dim, c.dim)),
+        1,
+        lambda cols: mapped_slab(c.W, c.space, 2, dl.deltaL, 1, cols),
+        [(v.V, (1, 2)), (c.W, (1, 3))],
+    )
 
 
 def bicharacter_from_left(dl):

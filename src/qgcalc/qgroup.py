@@ -39,6 +39,7 @@ from .tensorleg import (
     mapped_slab,
     membership_residuals,
     orthonormal_basis,
+    permute_legs,
     residuals_between,
     span_map_from_pairs,
     streamed_residual,
@@ -59,11 +60,13 @@ __all__ = [
     "closure_residual",
     "corep_law_residual",
     "slice_coefficients",
+    "dual_slice_coefficients",
     "unitary_slices",
     "comultiplication_gram",
     "product_constants",
     "slice_equation",
     "comult_equation",
+    "dual_comult_equation",
     "PENTAGON_TOL",
     "CLOSURE_TOL",
     "EQUATION_TOL",
@@ -229,6 +232,14 @@ def slice_coefficients(x, h, alg_c):
     return coeff.reshape(len(alg_c), h, h), frob(rest)
 
 
+def dual_slice_coefficients(v, c, e):
+    """V on H_C (x) H_E as sum_j c_j (x) Y_j + T over c.dual.algC, the
+    mirror of slice_coefficients on the first leg: the (n, e, e) stack of
+    the Y_j and |T|.  The dual side of c is c.dual, built on first use."""
+    flipped = permute_legs(v, LegSpace((c.dim, e)), (2, 1))
+    return slice_coefficients(flipped, e, c.dual.algC)
+
+
 def unitary_slices(qg):
     """slice_coefficients of qg.W, W = sum_k X_k (x) b_k + T: the X_k and
     |T|, kept as qg.slices."""
@@ -274,6 +285,19 @@ def comult_equation(x, trunc, c, g, d, size):
     """
     bound = math.sqrt(d) * trunc * (3.0 + trunc)
     return float((slice_equation(x, c, g) + bound) / max(1.0, math.sqrt(d) * size))
+
+
+def dual_comult_equation(y, dual, size):
+    """The residual of (Delta_hat (x) id)(V) = V23 V13 for V = sum_j c_j (x)
+    Y_j + T over dual.algC, y the pair (stack, |T|) of
+    dual_slice_coefficients and size |V|: the mirror of comult_equation,
+    whose coefficient at (p, q) is sum_j C_hat[j, p, q] Y_j - Y_q Y_p, the
+    adjoint of the form for the Y_j*, with the conjugate structure
+    constants and Gram matrix of dual.
+    """
+    ys, trunc = y
+    c_hat, g_hat = structure_constants(dual).conj(), comultiplication_gram(dual).conj()
+    return comult_equation(ys.conj().transpose(0, 2, 1), trunc, c_hat, g_hat, dual.dim, size)
 
 
 def _try_antipode(w, d, alg_c):
@@ -467,11 +491,22 @@ def transpose_qg(qg):
 
     Builds Cbar from the leg-wise transpose of W*, which is the entrywise
     conjugate of W; a real W is its own conjugate, and then Cbar is qg
-    itself.  The manageability witness, read as a unitary pairing
+    itself.  The manageability witness Wt, read as a unitary pairing
     Cbar's dual side with the original algebra, must satisfy both
-    pentagon-type bicharacter equations: one against Cbar's dual
-    comultiplication, one against the flipped comultiplication of the
-    original.  Returns the new quantum group and that bicharacter.
+    bicharacter-type equations: (Delta_hat of Cbar (x) id)Wt = Wt23 Wt13,
+    against Cbar's dual comultiplication, and (id (x) sigma Delta)Wt =
+    Wt12 Wt13, against the flipped comultiplication of the original.
+    Returns the new quantum group and that bicharacter.
+
+    Both are read off the slices of Wt, d^6 flops where the operators cost
+    d^8.  Wt transposes W's first leg, so its second leg lies in span(algC)
+    as W's does: with Wt = sum_k Z_k (x) b_k + T over algC, the flipped
+    equation is comult_equation on the Z_k with the structure constants
+    C[k, j, i] and the Gram matrix of qg, as sigma maps off-span parts to
+    off-span parts.  The dual-side one is dual_comult_equation on Wt's
+    slices over Cbar.dual.algC, the source side of a bicharacter.  Where
+    either truncation is above rounding (SLICE_ROUNDING) both are streamed
+    over the operators instead.
     """
     d = qg.dim
     try:
@@ -486,9 +521,33 @@ def transpose_qg(qg):
     cbar = qg if np.array_equal(wbar, qg.W) else build_from_unitary(wbar, d)
     wt = witness.wtilde
 
-    space3 = LegSpace((d, d, d))
-    wb = cbar.W
+    size = frob(wt)
+    z, trunc = slice_coefficients(wt, d, qg.algC)
+    y = dual_slice_coefficients(wt, cbar, d)
+    if trunc <= SLICE_ROUNDING * size and y[1] <= SLICE_ROUNDING * size:
+        res_a = dual_comult_equation(y, cbar.dual, size)
+        c = structure_constants(qg).transpose(0, 2, 1)
+        res_b = comult_equation(z, trunc, c, comultiplication_gram(qg), d, size)
+    else:
+        res_a, res_b = _streamed_transpose_equations(qg, cbar, wt)
+    gate(res_a, PENTAGON_TOL, BicharacterViolation, "dual-side equation fails")
+    gate(res_b, PENTAGON_TOL, BicharacterViolation, "flipped-comultiplication equation fails")
 
+    from .bicharacter import Bicharacter
+
+    bic = Bicharacter(
+        source=cbar,
+        target=qg,
+        V=wt,
+        residuals={"dualSideEquation": res_a, "flippedComultEquation": res_b},
+    )
+    return cbar, bic
+
+
+def _streamed_transpose_equations(qg, cbar, wt):
+    """transpose_qg's two equations by operators, each streamed over column slabs."""
+    space3 = LegSpace((qg.dim,) * 3)
+    wb = cbar.W
     # dual-side equation: (Delta_hat of Cbar (x) id) applied to Wt, whose
     # leg flip Sigma_12 is read off by placing the factors on swapped legs
     res_a = streamed_residual(
@@ -504,18 +563,7 @@ def transpose_qg(qg):
         [(qg.W, (3, 2)), (wt, (1, 3)), (qg.W.conj().T, (3, 2))],
         [(wt, (1, 2)), (wt, (1, 3))],
     )
-    gate(res_a, PENTAGON_TOL, BicharacterViolation, "dual-side equation fails")
-    gate(res_b, PENTAGON_TOL, BicharacterViolation, "flipped-comultiplication equation fails")
-
-    from .bicharacter import Bicharacter
-
-    bic = Bicharacter(
-        source=cbar,
-        target=qg,
-        V=wt,
-        residuals={"dualSideEquation": res_a, "flippedComultEquation": res_b},
-    )
-    return cbar, bic
+    return res_a, res_b
 
 
 def coinvariant_dimension(qg):

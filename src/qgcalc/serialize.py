@@ -16,6 +16,7 @@ for a whole invocation, so no built object outlives it.
 import contextlib
 import contextvars
 import functools
+import itertools
 import json
 import math
 import os
@@ -114,18 +115,39 @@ def matrix_from_obj(obj, what="matrix"):
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else type(data).__name__
         raise ParseError(f"{what}: expected {rows * cols} entries, got {got}")
-    if not all(map(_is_entry, data)):
-        bad = next(i for i, pair in enumerate(data) if not _is_entry(pair))
-        raise ParseError(f"{what}: entry {bad} must be [re, im]")
-    try:
-        pairs = np.asarray(data, dtype=float)
-    except OverflowError:
-        pairs = None  # an integer too large for a float is not finite
-    if pairs is None or not np.isfinite(pairs).all():
-        bad = next(i for i, pair in enumerate(data) if not all(map(_finite, pair)))
-        raise ParseError(f"{what}: entry {bad} is not finite")
+    pairs = _plain_pairs(data)
+    if pairs is None:
+        if not all(map(_is_entry, data)):
+            bad = next(i for i, pair in enumerate(data) if not _is_entry(pair))
+            raise ParseError(f"{what}: entry {bad} must be [re, im]")
+        try:
+            pairs = np.asarray(data, dtype=float)
+        except OverflowError:
+            pairs = None  # an integer too large for a float is not finite
+        if pairs is None or not np.isfinite(pairs).all():
+            bad = next(i for i, pair in enumerate(data) if not all(map(_finite, pair)))
+            raise ParseError(f"{what}: entry {bad} is not finite")
     # the (re, im) pairs are laid out exactly as complex128 values
     return pairs.view(complex).reshape(rows, cols)
+
+
+def _plain_pairs(data):
+    """data as an (m, 2) float array when every entry is a list of two
+    finite int, float or bool values, as JSON gives them, else None, and
+    matrix_from_obj's entry-by-entry checks decide.  The form is checked by
+    exact type in C loops, stricter than _is_entry's isinstance, and the
+    conversion is the one those checks lead to."""
+    if set(map(type, data)) != {list}:
+        return None
+    if not set(map(type, itertools.chain.from_iterable(data))) <= {int, float, bool}:
+        return None
+    try:
+        pairs = np.asarray(data, dtype=float)
+    except (ValueError, OverflowError):
+        return None  # pairs of unequal lengths, or an integer too large for a float
+    if pairs.shape != (len(data), 2) or not np.isfinite(pairs).all():
+        return None
+    return pairs
 
 
 def _is_entry(pair):

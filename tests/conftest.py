@@ -351,6 +351,44 @@ def streamed_bicharacter(v, c, a):
     }
 
 
+def streamed_transpose(qg, cbar, wt):
+    """transpose_qg's two equations by operators, the oracle for their
+    slice forms: residual_between of the two sides of (Delta_hat of Cbar
+    (x) id)Wt = Wt23 Wt13 and of (id (x) sigma Delta)Wt = Wt12 Wt13, each
+    streamed over column slabs, the calls transpose_qg still makes where
+    Wt is off span(Cbar's dual algC) (x) span(algC)."""
+    space3 = LegSpace((qg.dim,) * 3)
+    wb = cbar.W
+    return {
+        "dualSideEquation": streamed_residual(
+            space3,
+            3,
+            [(wb.conj().T, (2, 1)), (wt, (1, 3)), (wb, (2, 1))],
+            [(wt, (2, 3)), (wt, (1, 3))],
+        ),
+        "flippedComultEquation": streamed_residual(
+            space3,
+            1,
+            [(qg.W, (3, 2)), (wt, (1, 3)), (qg.W.conj().T, (3, 2))],
+            [(wt, (1, 2)), (wt, (1, 3))],
+        ),
+    }
+
+
+def streamed_slice_identity(v, dl):
+    """The left-hom slice identity by operators, the oracle for its slice
+    form: residual_between((id (x) deltaL)(W), V12 W13), streamed over
+    column slabs of leg 1, the call left_from_bicharacter still makes where
+    W or V is off its slice span."""
+    c = dl.source
+    return streamed_residual(
+        LegSpace((c.dim, dl.target.dim, c.dim)),
+        1,
+        lambda cols: mapped_slab(c.W, c.space, 2, dl.deltaL, 1, cols),
+        [(v, (1, 2)), (c.W, (1, 3))],
+    )
+
+
 def tsqr_intertwiner_space(w, dim):
     """Solutions (a, b) of w(a (x) 1) = (1 (x) b)w for a unitary w, solved for a alone.
 

@@ -285,7 +285,11 @@ def _nan_on(real, dim):
     dimension dim, or of the quantum group of that dimension, holds a NaN."""
 
     def patched(*args):
-        reads = args[2].shape[1] if len(args) == 3 else args[0].dim
+        # slice_coefficients(x, h, basis), dual_slice_coefficients(v, c, e) or f(qg)
+        if len(args) == 1:
+            reads = args[0].dim
+        else:
+            reads = args[2].shape[1] if np.ndim(args[2]) else args[1].dim
         out = real(*args)
         if reads != dim:
             return out
@@ -294,6 +298,15 @@ def _nan_on(real, dim):
         return (first,) + tuple(out[1:]) if isinstance(out, tuple) else first
 
     return patched
+
+
+# where the dual side is read: V's slices through dual_slice_coefficients,
+# C_hat and its Gram matrix inside qgroup's dual_comult_equation
+_READERS = {
+    ("slice_coefficients", "dual"): (bicharacter_module, "dual_slice_coefficients"),
+    ("structure_constants", "dual"): (qgroup_module, "structure_constants"),
+    ("comultiplication_gram", "dual"): (qgroup_module, "comultiplication_gram"),
+}
 
 
 @pytest.mark.parametrize(
@@ -315,9 +328,9 @@ def test_a_nan_in_what_the_slice_forms_read_fails_closed(
     matrix or in the product constants N reads as a NaN residual, which
     check_bicharacter, check_corepresentation and `verify … bicharacter`
     reject.  It is injected where the forms read it, as a NaN inside V is
-    rejected by unitarity first.  On the gauged c0 arrow of Z4 -> Z2 the
-    source is c0(Z2), so its dual reads algebras of dimension 2 and the
-    target, c0(Z4), of dimension 4."""
+    rejected by unitarity first (_READERS).  On the gauged c0 arrow of
+    Z4 -> Z2 the source is c0(Z2), so its dual reads algebras of dimension
+    2 and the target, c0(Z4), of dimension 4."""
     (_, v) = _gauged_arrows(corpus, "c0")
     c, a = v.source, v.target
     assert (c.dim, a.dim) == (2, 4)
@@ -326,7 +339,8 @@ def test_a_nan_in_what_the_slice_forms_read_fails_closed(
     dim = a.dim if side == "target" else c.dim
     bicharacter_residuals(v.V, c, a)  # the dual is built outside the patch
     with monkeypatch.context() as patch:
-        patch.setattr(bicharacter_module, name, _nan_on(getattr(bicharacter_module, name), dim))
+        module, attr = _READERS.get((name, side), (bicharacter_module, name))
+        patch.setattr(module, attr, _nan_on(getattr(module, attr), dim))
         res = bicharacter_residuals(v.V, c, a)
         assert {key for key in EQUATIONS if np.isnan(res[key])} == set(nan_keys)
         with pytest.raises(BicharacterViolation):

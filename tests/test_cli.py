@@ -5,6 +5,7 @@ import inspect
 import json
 import pkgutil
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -683,6 +684,28 @@ def test_suite_builds_each_quantum_group_once(monkeypatch, capsys):
     assert len(digests) == len(set(digests))
     group_files = [s for s in obj["subjects"] if s["subject"] != "homChains"]
     assert len(digests) == 2 * len(group_files)
+
+
+def test_the_suite_streams_no_identity(monkeypatch, capsys):
+    """Every three-leg identity the corpus suite checks is read off slice
+    coefficients: with streamed_residual raising wherever a qgcalc module
+    binds it, all 14 subjects still pass."""
+    from qgcalc import groups, tensorleg
+
+    def refuse(*args):
+        raise AssertionError("streamed_residual called")
+
+    patched = set()
+    for name, module in sorted(sys.modules.items()):
+        if name.split(".")[0] == "qgcalc":
+            if getattr(module, "streamed_residual", None) is tensorleg.streamed_residual:
+                monkeypatch.setattr(module, "streamed_residual", refuse)
+                patched.add(name)
+    assert {"qgcalc.bicharacter", "qgcalc.homviews", "qgcalc.qgroup"} <= patched
+    groups.qg_from_group.cache_clear()
+    code, obj = run_json(capsys, ["suite"])
+    assert code == 0 and obj["pass"] is True
+    assert len(obj["subjects"]) == 14 and all(s["pass"] for s in obj["subjects"])
 
 
 def test_suite_flags_corrupt_file(tmp_path, capsys, z2):

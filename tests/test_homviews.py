@@ -6,6 +6,8 @@ import scipy.linalg
 from scipy.stats import unitary_group
 
 import qgcalc as q
+from qgcalc import homviews as homviews_module
+from qgcalc.bicharacter import Bicharacter
 from qgcalc.coactions import check_coaction
 from qgcalc.errors import (
     DimensionMismatch,
@@ -26,6 +28,7 @@ from qgcalc.homviews import (
     left_from_bicharacter,
     one_sided_residuals,
     right_from_bicharacter,
+    slice_identity_residual,
 )
 from qgcalc.qgroup import EQUATION_TOL, coassociativity_residual, structure_constants
 from qgcalc.tensorleg import (
@@ -41,7 +44,7 @@ from qgcalc.tensorleg import (
     span_map_from_pairs,
     vec,
 )
-from conftest import gauged_bicharacters, nudged, product_factor
+from conftest import gauged_bicharacters, nudged, product_factor, streamed_slice_identity
 
 
 def c0(g):
@@ -182,6 +185,58 @@ def test_a_perturbed_hom_extracts_no_lower_than_the_product(coefficient_arrows, 
                 assert exc.value.residual == pytest.approx(want, rel=1e-9), hom
             else:
                 assert exc.value.residual >= want, hom
+
+
+def _slice_identity_arrows(arrows, coefficient_arrows, picture):
+    """The bicharacters of the corpus arrows in picture, then Haar gauges of
+    the coefficient arrows."""
+    plain = gauged_bicharacters(arrows, picture, "plain", 0)
+    return plain + gauged_bicharacters(list(coefficient_arrows.values()), picture, "haar", 3005)
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_the_slice_identity_matches_the_operator_form(
+    arrows, coefficient_arrows, count_calls, picture
+):
+    """left_from_bicharacter reads sliceIdentity off the slices of W and V,
+    streaming nothing, to 1e-14 of the operator oracle."""
+    calls = count_calls("streamed_residual")
+    for v in _slice_identity_arrows(arrows, coefficient_arrows, picture):
+        calls["streamed_residual"] = 0
+        dl = left_from_bicharacter(v)
+        assert calls["streamed_residual"] == 0, v
+        want = streamed_slice_identity(v.V, dl)
+        assert dl.residuals["sliceIdentity"] == pytest.approx(want, rel=0, abs=1e-14), v
+
+
+@pytest.mark.parametrize("size", [1e-3, 1e-6])
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_a_bicharacter_moved_inside_the_span_fails_the_slice_identity(
+    arrows, coefficient_arrows, monkeypatch, count_calls, picture, size
+):
+    """V (1 (x) exp(i size h)), h hermitian in span(algA), stays on V's slice
+    span, as algA is a *-algebra.  Against the left hom of V itself, the
+    slice path reads it, rejects it, and never below the operator form."""
+    rng = np.random.default_rng(3006)
+    calls = count_calls("streamed_residual")
+    real = homviews_module.left_map_from_bicharacter
+    for v in _slice_identity_arrows(arrows, coefficient_arrows, picture):
+        c, a = v.source, v.target
+        noise = rng.standard_normal((a.dim,) * 2) + 1j * rng.standard_normal((a.dim,) * 2)
+        h = np.tensordot(np.tensordot(a.algC.conj(), noise, axes=2), a.algC, axes=1)
+        ev, vecs = np.linalg.eigh((h + h.conj().T) / np.linalg.norm(h + h.conj().T))
+        u = kron(np.eye(c.dim), (vecs * np.exp(1j * size * ev)) @ vecs.conj().T)
+        moved = Bicharacter(c, a, v.V @ u, {})
+        calls["streamed_residual"] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(homviews_module, "left_map_from_bicharacter", lambda _: real(v))
+            with pytest.raises(RangeViolation, match="slice identity"):
+                left_from_bicharacter(moved)
+        dl = left_from_bicharacter(v)
+        got = slice_identity_residual(moved, dl)
+        assert calls["streamed_residual"] == 0, v
+        assert got > EQUATION_TOL, v
+        assert got >= streamed_slice_identity(moved.V, dl) - 1e-15, v
 
 
 def test_nan_map_image_fails_the_extraction(va):

@@ -19,6 +19,7 @@ from qgcalc.qgroup import (
     EQUATION_TOL,
     PENTAGON_TOL,
     FiniteQuantumGroup,
+    ManageabilityWitness,
     build_from_unitary,
     coassociativity_residual,
     closure_residual,
@@ -52,6 +53,7 @@ from conftest import (
     rotated,
     slice_leg,
     streamed_pentagon,
+    streamed_transpose,
 )
 
 RNG = np.random.default_rng(4217)
@@ -357,20 +359,101 @@ def test_transpose_of_complex_w_builds_the_conjugate(s3):
         assert bic.residuals["flippedComultEquation"] <= PENTAGON_TOL
 
 
-@pytest.mark.parametrize(
-    "nan_at, message", [(0, "dual-side equation"), (1, "flipped-comultiplication equation")]
-)
-def test_transpose_gates_reject_a_nan_residual(monkeypatch, z4, nan_at, message):
-    real = qgroup_module.streamed_residual
+def _nan_at(real, index):
+    """real, except that its call number index (from 0) returns a NaN."""
     calls = []
 
     def patched(*args):
         calls.append(None)
-        return float("nan") if len(calls) - 1 == nan_at else real(*args)
+        return float("nan") if len(calls) - 1 == index else real(*args)
 
-    monkeypatch.setattr(qgroup_module, "streamed_residual", patched)
-    with pytest.raises(BicharacterViolation, match=message):
-        transpose_qg(q.qg_from_group(z4, "c0"))
+    return patched
+
+
+@pytest.mark.parametrize(
+    "nan_at, message", [(0, "dual-side equation"), (1, "flipped-comultiplication equation")]
+)
+def test_transpose_gates_reject_a_nan_residual(monkeypatch, z4, nan_at, message):
+    """The two equations are the first and second comult_equation on the
+    slice path (the dual-side one through dual_comult_equation) and the
+    first and second streamed_residual on the fallback, which a truncation
+    test that cannot hold forces: a NaN from either fails its gate."""
+    qg = q.qg_from_group(z4, "c0")
+    paths = (("comult_equation", qgroup_module.SLICE_ROUNDING), ("streamed_residual", -1.0))
+    for name, rounding in paths:
+        with monkeypatch.context() as patch:
+            patch.setattr(qgroup_module, "SLICE_ROUNDING", rounding)
+            patch.setattr(qgroup_module, name, _nan_at(getattr(qgroup_module, name), nan_at))
+            with pytest.raises(BicharacterViolation, match=message):
+                transpose_qg(qg)
+
+
+def _dihedral_group(n):
+    """D_n from its Cayley table, element f n + k being s^f r^k."""
+
+    def mul(a, b):
+        (fa, ra), (fb, rb) = divmod(a, n), divmod(b, n)
+        return ((fa + fb) % 2) * n + ((-ra if fb else ra) + rb) % n
+
+    return q.build_group([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)], f"D{n}")
+
+
+def _transpose_subjects(corpus):
+    """The 26 corpus quantum groups, then Haar-gauged S3, Z8 and D5 in both
+    pictures, whose complex W makes Cbar an object of its own."""
+    rng = np.random.default_rng(3003)
+    pictures = ("c0", "cstar")
+    out = {f"{name} {pic}": q.qg_from_group(g, pic) for name, g in corpus.items() for pic in pictures}
+    for g in (corpus["S3"], corpus["Z8"], _dihedral_group(5)):
+        for pic in pictures:
+            out[f"gauged {g.name} {pic}"], _ = _gauged(q.qg_from_group(g, pic), rng)
+    return out
+
+
+def test_the_transpose_slice_forms_match_the_operator_forms(corpus, count_calls):
+    """transpose_qg reads both equations off slices, streaming none of
+    them, and they agree with the operator oracles to 1e-14."""
+    calls = count_calls("streamed_residual")
+    for name, qg in _transpose_subjects(corpus).items():
+        calls["streamed_residual"] = 0
+        cbar, bic = transpose_qg(qg)
+        assert calls["streamed_residual"] == 0, name
+        assert (cbar is qg) == name.startswith(tuple(corpus)), name
+        want = streamed_transpose(qg, cbar, bic.V)
+        for key, value in want.items():
+            assert bic.residuals[key] == pytest.approx(value, rel=0, abs=1e-14), (name, key)
+
+
+@pytest.mark.parametrize("size", [1e-3, 1e-6])
+def test_a_witness_moved_inside_the_span_is_read_off_slices_and_rejected(
+    corpus, monkeypatch, count_calls, size
+):
+    """Wt (1 (x) exp(i size h)), h hermitian in span(algC), stays on both
+    slice spans, as algC is a *-algebra and the leg-1 slices only mix: the
+    slice path reads it, rejects it, and never below the operator forms."""
+    rng = np.random.default_rng(3004)
+    calls = count_calls("streamed_residual")
+    real = manageability_witness
+    subjects = _transpose_subjects(corpus)
+    for name in ("S3 c0", "S3 cstar", "gauged S3 c0", "gauged Z8 cstar"):
+        qg = subjects[name]
+        noise = rng.standard_normal((qg.dim,) * 2) + 1j * rng.standard_normal((qg.dim,) * 2)
+        h = np.tensordot(np.tensordot(qg.algC.conj(), noise, axes=2), qg.algC, axes=1)
+        ev, vecs = np.linalg.eigh((h + h.conj().T) / np.linalg.norm(h + h.conj().T))
+        u = kron(np.eye(qg.dim), (vecs * np.exp(1j * size * ev)) @ vecs.conj().T)
+        moved = ManageabilityWitness(real(qg).wtilde @ u, 0.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(qgroup_module, "manageability_witness", lambda _: moved)
+            calls["streamed_residual"] = 0
+            with pytest.raises(BicharacterViolation):
+                transpose_qg(qg)
+            patch.setattr(qgroup_module, "gate", lambda *args: None)
+            cbar, bic = transpose_qg(qg)
+            assert calls["streamed_residual"] == 0, name
+        want = streamed_transpose(qg, cbar, moved.wtilde)
+        assert max(bic.residuals.values()) > PENTAGON_TOL, name
+        for key, value in want.items():
+            assert bic.residuals[key] >= value - 1e-15, (name, key)
 
 
 def test_transpose_keeps_the_tolerance_its_witness_missed(monkeypatch, z4):

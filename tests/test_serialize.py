@@ -106,6 +106,56 @@ def test_matrix_rejects_an_integer_too_large_for_a_float():
         matrix_from_obj(obj)
 
 
+# entries numpy reads as numbers or as objects, and what the checks make of them
+_EDGE_ENTRIES = {
+    "str": [[0.0, 1.0], ["x", 0]],
+    "none": [[None, 1.0]],
+    "ragged": [[1.0, 2.0], [1.0]],
+    "triple": [[1, 2, 3]],
+    "empty": [[]],
+    "nested": [[[1, 2], 0]],
+    "dict": [[{"a": 1}, 0]],
+    "flat": [1.0, 2.0],
+    "huge int": [[10**400, 0]],
+    "above int64": [[2**63 + 1, 0], [3, 4]],
+    "above uint64": [[2**64, 1]],
+    "below int64": [[-(2**63) - 1, 0]],
+    "nan": [[float("nan"), 0]],
+    "inf": [[0, float("inf")]],
+    "tuple": [(1.0, 2.0)],
+    "array": [np.array([1.0, 2.0])],
+    "numpy int": [[np.int64(1), 0]],
+    "numpy float32": [[np.float32(1), 0.5]],
+    "numpy float64": [[np.float64(1.5), 0.5]],
+    "bools": [[True, False]],
+    "ints": [[2**62 + 3, -(2**62) - 5]],
+    "mixed": [[2**60 + 1, 0.5], [3, True], [-0.0, -0.0]],
+}
+
+
+def _outcome(data):
+    try:
+        return matrix_from_obj({"rows": 1, "cols": len(data), "data": data}).tobytes()
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_the_plain_parse_decides_as_the_entry_checks(monkeypatch):
+    """Lists of two finite Python numbers are read in one numpy pass; every
+    other entry falls back to the entry-by-entry checks, so each input is
+    accepted bit for bit, or rejected with the message, as by those checks
+    alone."""
+    got = {name: _outcome(data) for name, data in _EDGE_ENTRIES.items()}
+    m = RNG.standard_normal((9, 9)) + 1j * RNG.standard_normal((9, 9))
+    plain = json.loads(json.dumps(matrix_to_obj(m)))
+    assert serialize_module._plain_pairs(plain["data"]) is not None
+    fast = matrix_from_obj(plain)
+    monkeypatch.setattr(serialize_module, "_plain_pairs", lambda data: None)
+    assert got == {name: _outcome(data) for name, data in _EDGE_ENTRIES.items()}
+    assert fast.tobytes() == matrix_from_obj(plain).tobytes() == m.tobytes()
+    assert isinstance(got["mixed"], bytes) and "must be [re, im]" in got["numpy int"]
+
+
 def test_load_json_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ParseError):

@@ -1,7 +1,8 @@
 """Order-16 tier: the whole `verify … qg` battery on dense d = 16 unitaries,
 gauged Z16, Z4xZ4 and Z2^4 in both pictures, the right and left homs of
 the gauged Z16 identity arrow, and `verify` on their hom files, which
-extracts the bicharacter, with `induce` along the right one.
+extracts the bicharacter, with `induce` along the right one, and the
+conjugate-transpose construction on the gauged Z16.
 
 Outside the default test paths because one run takes seconds; run it with
 
@@ -22,7 +23,7 @@ import pytest
 
 from qgcalc.groups import cyclic_group, group_unitary, product_group
 from qgcalc.homviews import LeftQGHom, RightQGHom
-from qgcalc.qgroup import EQUATION_TOL
+from qgcalc.qgroup import EQUATION_TOL, PENTAGON_TOL
 from qgcalc.serialize import matrix_to_obj, write_json
 from qgcalc.tensorleg import LegSpace, flip_adjoint
 
@@ -84,6 +85,20 @@ for name, argv in (
         code = main(argv)
     reports[name] = dict(json.loads(out.getvalue()), code=code)
 print(json.dumps(reports))
+with open("/proc/self/status") as status:
+    print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
+"""
+
+
+# the conjugate-transpose construction on W: Cbar, a build of its own for a
+# complex W, its dual, and the two equations the witness must satisfy
+_TRANSPOSE_CHILD = """
+import json, sys
+from qgcalc.qgroup import transpose_qg
+from qgcalc.serialize import load_qg
+qg = load_qg(sys.argv[1])
+cbar, bic = transpose_qg(qg)
+print(json.dumps(dict(bic.residuals, conjugateBuilt=cbar is not qg)))
 with open("/proc/self/status") as status:
     print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
 """
@@ -198,4 +213,17 @@ def test_gauged_order16_hom_files_verify_and_induce(tmp_path, picture):
     for kind in ("right", "left"):
         assert "extraction" in {c["name"] for c in reports[kind]["checks"]}, kind
     assert {"solve", "uniqueRank"} <= {c["name"] for c in reports["induce"]["checks"]}
+    assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_gauged_order16_transpose_passes_both_equations(tmp_path, picture):
+    """transpose_qg on the gauged Z16, whose complex W makes Cbar a build of
+    its own: both equations pass their gate, within the peak bound."""
+    path = gauged_file(tmp_path, GROUPS["Z16"](), picture)
+    child, residuals, peak_mb = run_child(_TRANSPOSE_CHILD, path)
+    assert child.returncode == 0, child.stderr
+    assert residuals.pop("conjugateBuilt") is True
+    assert set(residuals) == {"dualSideEquation", "flippedComultEquation"}
+    assert all(value <= PENTAGON_TOL for value in residuals.values()), residuals
     assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
