@@ -28,7 +28,6 @@ from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
     PENTAGON_TOL,
-    SLICE_ROUNDING,
     comult_equation,
     comultiplication_gram,
     dual_comult_equation,
@@ -36,7 +35,6 @@ from .qgroup import (
     product_constants,
     slice_coefficients,
     slice_equation,
-    streamed_corep_law,
     structure_constants,
     unitary_antipode,
     unitary_slices,
@@ -51,9 +49,7 @@ from .tensorleg import (
     frob,
     gram,
     legs_product,
-    mapped_slab,
     membership_residual,
-    streamed_residual,
     unitarity_defect,
 )
 
@@ -106,33 +102,30 @@ def bicharacter_residuals(v, c, a):
     side of c is c.dual, built on first use.
 
     The four equations are read off the slices of V on both legs, V =
-    sum_k Z_k (x) a_k over a.algC and sum_j c_j (x) Y_j over c.dual.algC,
-    when both truncations are at rounding (SLICE_ROUNDING): d^6 flops
-    where the operators cost d^8.  Otherwise V is off that span, so no
-    bicharacter, and they are streamed over the operators.
+    sum_k Z_k (x) a_k + T over a.algC and sum_j c_j (x) Y_j + T' over
+    c.dual.algC: d^6 flops where the operators cost d^8.  Each form adds
+    a bound for the truncations it drops, so it never reads below the
+    operator residual by more than rounding; off that span, where V is no
+    bicharacter, it reads that certified upper bound.
     """
     v = as_matrix(v)
     dc, da = c.dim, a.dim
     if v.shape[0] != dc * da:
         raise ValueError(f"V has dim {v.shape[0]}, expected {dc * da}")
     z, trunc = slice_coefficients(v, dc, a.algC)
-    y = dual_slice_coefficients(v, c, da)
     size = frob(v)
-    if trunc <= SLICE_ROUNDING * size and y[1] <= SLICE_ROUNDING * size:
-        res = {
-            "comultSource": dual_comult_equation(y, c.dual, size),
-            "comultTarget": comult_equation(
-                z, trunc, structure_constants(a), comultiplication_gram(a), da, size
-            ),
-            "operatorSource": operator_equation(
-                unitary_slices(c), (z, trunc), (z, trunc), c.algC, a, frob(c.W)
-            ),
-            "operatorTarget": operator_equation(
-                (z, trunc), unitary_slices(a), (z, trunc), a.algC, a, size
-            ),
-        }
-    else:
-        res = _streamed_residuals(v, c, a)
+    res = {
+        "comultSource": dual_comult_equation(dual_slice_coefficients(v, c, da), c.dual, size),
+        "comultTarget": comult_equation(
+            z, trunc, structure_constants(a), comultiplication_gram(a), da, size
+        ),
+        "operatorSource": operator_equation(
+            unitary_slices(c), (z, trunc), (z, trunc), c.algC, a, frob(c.W)
+        ),
+        "operatorTarget": operator_equation(
+            (z, trunc), unitary_slices(a), (z, trunc), a.algC, a, size
+        ),
+    }
     res["membership"] = membership_residual(PairSpan(c.dual.algC, a.algC), v)
     return res
 
@@ -180,36 +173,6 @@ def operator_equation(p, u, v, basis, a, size):
     norm = np.hypot(norm, grow * defect * e * size) + grow * moved
     # the scale of residual_between: both sides have the norm of P12
     return float(norm / max(1.0, math.sqrt(e) * size))
-
-
-def _streamed_residuals(v, c, a):
-    """The four equations by operators, each streamed over column slabs."""
-    dc, da = c.dim, a.dim
-    space = LegSpace((dc, da))
-    space_cca = LegSpace((dc, dc, da))
-    space_caa = LegSpace((dc, da, da))
-    # the dual's comultiplication leaves V's second leg alone, so the slabs run over it
-    return {
-        "comultSource": streamed_residual(
-            space_cca,
-            3,
-            lambda cols: mapped_slab(v, space, 1, c.dual.deltaC, 2, cols),
-            [(v, (2, 3)), (v, (1, 3))],
-        ),
-        "comultTarget": streamed_corep_law(v, a),
-        "operatorSource": streamed_residual(
-            space_cca,
-            1,
-            [(v, (2, 3)), (c.W, (1, 2))],
-            [(c.W, (1, 2)), (v, (1, 3)), (v, (2, 3))],
-        ),
-        "operatorTarget": streamed_residual(
-            space_caa,
-            1,
-            [(a.W, (2, 3)), (v, (1, 2))],
-            [(v, (1, 2)), (v, (1, 3)), (a.W, (2, 3))],
-        ),
-    }
 
 
 def check_bicharacter(v, c, a):

@@ -19,7 +19,6 @@ from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
     PENTAGON_TOL,
-    SLICE_ROUNDING,
     multiplication_constants,
     slice_coefficients,
     structure_constants,
@@ -36,12 +35,10 @@ from .tensorleg import (
     frob,
     kron,
     kron_sum_sq,
-    mapped_slab,
     membership_residuals,
     numerical_rank,
     residual_between,
     residuals_between,
-    streamed_residual,
 )
 
 __all__ = [
@@ -365,26 +362,17 @@ def slice_identity_residual(v, dl):
     deltaL is zero off span(algC), so T_W leaves the left side alone, and
     it moves V12 W13 by at most |T_V12 W13| + |V'12 T_W13| <= sqrt(dim C)
     |T_V| + (1 + |T_V|) sqrt(dim A) |T_W|, V' = V - T_V: that is added, so
-    the result never reads below the operator residual beyond rounding.
-    Where either truncation is above rounding (SLICE_ROUNDING) the
-    identity is streamed over the operators instead.
+    the result never reads below the operator residual beyond rounding,
+    and off the spans it reads that certified upper bound.
     """
     c, a = dl.source, dl.target
     xs, trunc_w = unitary_slices(c)
     ys, trunc_v = slice_coefficients(v.V, c.dim, a.algC)
-    size = frob(v.V)
-    if trunc_w <= SLICE_ROUNDING * frob(c.W) and trunc_v <= SLICE_ROUNDING * size:
-        f, off_sq = _slice_images(xs, dl.coefficients, 2)
-        bound = np.sqrt(c.dim) * trunc_v + (1.0 + trunc_v) * np.sqrt(a.dim) * trunc_w
-        norm = _slice_miss(f, off_sq, xs, ys, 2) + bound
-        # the scale of streamed_residual: |V12 W13| = |V12|, W unitary
-        return float(norm / max(1.0, np.sqrt(c.dim) * size))
-    return streamed_residual(
-        LegSpace((c.dim, a.dim, c.dim)),
-        1,
-        lambda cols: mapped_slab(c.W, c.space, 2, dl.deltaL, 1, cols),
-        [(v.V, (1, 2)), (c.W, (1, 3))],
-    )
+    f, off_sq = _slice_images(xs, dl.coefficients, 2)
+    bound = np.sqrt(c.dim) * trunc_v + (1.0 + trunc_v) * np.sqrt(a.dim) * trunc_w
+    norm = _slice_miss(f, off_sq, xs, ys, 2) + bound
+    # the scale of residual_between: |V12 W13| = |V12|, W unitary
+    return float(norm / max(1.0, np.sqrt(c.dim) * frob(v.V)))
 
 
 def bicharacter_from_left(dl):

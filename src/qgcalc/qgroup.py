@@ -36,7 +36,6 @@ from .tensorleg import (
     frob,
     gram,
     kron,
-    mapped_slab,
     membership_residuals,
     orthonormal_basis,
     permute_legs,
@@ -70,17 +69,11 @@ __all__ = [
     "PENTAGON_TOL",
     "CLOSURE_TOL",
     "EQUATION_TOL",
-    "SLICE_ROUNDING",
 ]
 
 PENTAGON_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 EQUATION_TOL = 1e-9
-
-# A slice expansion X = sum_k X_k (x) b_k + T with |T| at most this fraction
-# of |X| is exact to rounding: equations on X are read off the X_k then, and
-# streamed over the operators otherwise.
-SLICE_ROUNDING = 1e-14
 
 
 class FiniteQuantumGroup:
@@ -185,28 +178,14 @@ def closure_residual(basis):
 def corep_law_residual(x, qg):
     """Residual of the corepresentation law (id (x) Delta)(X) = X12 X13 for X on H (x) H_qg.
 
-    Read off the slices X = sum_k X_k (x) b_k + T (comult_equation) when
-    |T| is at rounding (SLICE_ROUNDING), else streamed_corep_law.
+    Read off the slices X = sum_k X_k (x) b_k + T (comult_equation), whose
+    bound for T makes it the certified upper bound where X is off
+    B(H) (x) span(algC).
     """
     h = x.shape[0] // qg.dim
     z, trunc = slice_coefficients(x, h, qg.algC)
-    size = frob(x)
-    if trunc <= SLICE_ROUNDING * size:
-        c, g = structure_constants(qg), comultiplication_gram(qg)
-        return comult_equation(z, trunc, c, g, qg.dim, size)
-    return streamed_corep_law(x, qg)
-
-
-def streamed_corep_law(x, qg):
-    """The corepresentation law by operators, streamed over column slabs of
-    leg 1, which Delta leaves untouched."""
-    h, d = x.shape[0] // qg.dim, qg.dim
-    return streamed_residual(
-        LegSpace((h, d, d)),
-        1,
-        lambda cols: mapped_slab(x, LegSpace((h, d)), 2, qg.deltaC, 1, cols),
-        [(x, (1, 2)), (x, (1, 3))],
-    )
+    c, g = structure_constants(qg), comultiplication_gram(qg)
+    return comult_equation(z, trunc, c, g, qg.dim, frob(x))
 
 
 def _delta_c(w, d, alg_c):
@@ -504,9 +483,9 @@ def transpose_qg(qg):
     equation is comult_equation on the Z_k with the structure constants
     C[k, j, i] and the Gram matrix of qg, as sigma maps off-span parts to
     off-span parts.  The dual-side one is dual_comult_equation on Wt's
-    slices over Cbar.dual.algC, the source side of a bicharacter.  Where
-    either truncation is above rounding (SLICE_ROUNDING) both are streamed
-    over the operators instead.
+    slices over Cbar.dual.algC, the source side of a bicharacter.  Both
+    add a bound for the truncation they drop, so off the span they read
+    that certified upper bound.
     """
     d = qg.dim
     try:
@@ -522,14 +501,10 @@ def transpose_qg(qg):
     wt = witness.wtilde
 
     size = frob(wt)
+    res_a = dual_comult_equation(dual_slice_coefficients(wt, cbar, d), cbar.dual, size)
     z, trunc = slice_coefficients(wt, d, qg.algC)
-    y = dual_slice_coefficients(wt, cbar, d)
-    if trunc <= SLICE_ROUNDING * size and y[1] <= SLICE_ROUNDING * size:
-        res_a = dual_comult_equation(y, cbar.dual, size)
-        c = structure_constants(qg).transpose(0, 2, 1)
-        res_b = comult_equation(z, trunc, c, comultiplication_gram(qg), d, size)
-    else:
-        res_a, res_b = _streamed_transpose_equations(qg, cbar, wt)
+    c = structure_constants(qg).transpose(0, 2, 1)
+    res_b = comult_equation(z, trunc, c, comultiplication_gram(qg), d, size)
     gate(res_a, PENTAGON_TOL, BicharacterViolation, "dual-side equation fails")
     gate(res_b, PENTAGON_TOL, BicharacterViolation, "flipped-comultiplication equation fails")
 
@@ -542,28 +517,6 @@ def transpose_qg(qg):
         residuals={"dualSideEquation": res_a, "flippedComultEquation": res_b},
     )
     return cbar, bic
-
-
-def _streamed_transpose_equations(qg, cbar, wt):
-    """transpose_qg's two equations by operators, each streamed over column slabs."""
-    space3 = LegSpace((qg.dim,) * 3)
-    wb = cbar.W
-    # dual-side equation: (Delta_hat of Cbar (x) id) applied to Wt, whose
-    # leg flip Sigma_12 is read off by placing the factors on swapped legs
-    res_a = streamed_residual(
-        space3,
-        3,
-        [(wb.conj().T, (2, 1)), (wt, (1, 3)), (wb, (2, 1))],
-        [(wt, (2, 3)), (wt, (1, 3))],
-    )
-    # flipped-comultiplication equation on the original algebra side (Sigma_23)
-    res_b = streamed_residual(
-        space3,
-        1,
-        [(qg.W, (3, 2)), (wt, (1, 3)), (qg.W.conj().T, (3, 2))],
-        [(wt, (1, 2)), (wt, (1, 3))],
-    )
-    return res_a, res_b
 
 
 def coinvariant_dimension(qg):

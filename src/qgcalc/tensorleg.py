@@ -50,7 +50,6 @@ __all__ = [
     "membership_residuals",
     "span_map_from_pairs",
     "apply_map_to_leg",
-    "mapped_slab",
 ]
 
 # Entries (complex128, so 4 MB) in one slab of a streamed residual.  Three
@@ -329,10 +328,10 @@ def streamed_residual(space, leg, lhs, rhs):
 
     Each side is a sequence of ``(x, legs)`` factors, read as in
     legs_product, or a function taking a slice of leg's indices to that
-    column slab (as legs_slab and mapped_slab return it).  The squared
-    norms of the difference and of both sides are summed slab by slab, so
-    the result is residual_between's, scale max(1, |lhs|, |rhs|) included,
-    without either operator ever being whole; a NaN anywhere reads NaN.
+    column slab (as legs_slab returns it).  The squared norms of the
+    difference and of both sides are summed slab by slab, so the result is
+    residual_between's, scale max(1, |lhs|, |rhs|) included, without
+    either operator ever being whole; a NaN anywhere reads NaN.
     """
     space._check_leg(leg)
     left_slab, right_slab = (_slab_function(space, leg, side) for side in (lhs, rhs))
@@ -619,22 +618,6 @@ def apply_map_to_leg(t, space, leg, phi):
     new_dims[leg - 1] = phi.dd
     out_space = LegSpace(new_dims)
     return out.reshape(lead + (out_space.total, out_space.total)), out_space
-
-
-def mapped_slab(t, space, map_leg, phi, leg, cols):
-    """Column slab of apply_map_to_leg(t, space, map_leg, phi)[0] at leg's indices cols.
-
-    leg must be one the map leaves untouched: its columns are cut from t
-    first, and phi only ever meets that slab.
-    """
-    t = _check_space(t, space)
-    space._check_leg(leg)
-    if leg == map_leg:
-        raise ValueError(f"the slab leg {leg} is the leg the map acts on")
-    cut = [slice(None)] * (2 * space.nlegs)
-    cut[space.nlegs + leg - 1] = cols
-    out = _map_leg(t.reshape(space.dims + space.dims)[tuple(cut)], space, map_leg, phi)
-    return out.reshape(space.total // space.dims[map_leg - 1] * phi.dd, -1)
 
 
 def _map_leg(t, space, leg, phi):

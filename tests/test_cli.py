@@ -42,6 +42,7 @@ from qgcalc.serialize import (
     write_json,
 )
 from qgcalc.tensorleg import SpanMap, flip_unitary, residual_between
+from conftest import gauged_bicharacters, rotated
 
 
 def run_cli(capsys, argv):
@@ -686,11 +687,10 @@ def test_suite_builds_each_quantum_group_once(monkeypatch, capsys):
     assert len(digests) == 2 * len(group_files)
 
 
-def test_the_suite_streams_no_identity(monkeypatch, capsys):
-    """Every three-leg identity the corpus suite checks is read off slice
-    coefficients: with streamed_residual raising wherever a qgcalc module
-    binds it, all 14 subjects still pass."""
-    from qgcalc import groups, tensorleg
+def _refuse_streaming(monkeypatch):
+    """Make streamed_residual raise wherever a qgcalc module binds it, and
+    return the names of the modules that import it from tensorleg."""
+    from qgcalc import tensorleg
 
     def refuse(*args):
         raise AssertionError("streamed_residual called")
@@ -701,11 +701,45 @@ def test_the_suite_streams_no_identity(monkeypatch, capsys):
             if getattr(module, "streamed_residual", None) is tensorleg.streamed_residual:
                 monkeypatch.setattr(module, "streamed_residual", refuse)
                 patched.add(name)
-    assert {"qgcalc.bicharacter", "qgcalc.homviews", "qgcalc.qgroup"} <= patched
+    return patched - {"qgcalc.tensorleg"}
+
+
+def test_the_suite_streams_no_identity(monkeypatch, capsys):
+    """Every three-leg identity the corpus suite checks is read off slice
+    coefficients: with streamed_residual raising wherever a qgcalc module
+    binds it (only the pentagon of a W whose algC has more than d elements
+    streams), all 14 subjects still pass."""
+    from qgcalc import groups
+
+    assert _refuse_streaming(monkeypatch) == {"qgcalc.qgroup"}
     groups.qg_from_group.cache_clear()
     code, obj = run_json(capsys, ["suite"])
     assert code == 0 and obj["pass"] is True
     assert len(obj["subjects"]) == 14 and all(s["pass"] for s in obj["subjects"])
+
+
+def test_a_rotated_gauged_arrow_is_rejected_without_streaming(
+    monkeypatch, tmp_path, capsys, z2, z4
+):
+    """A 1e-6 rotation of the Haar-gauged Z4 -> Z2 arrow is off the slice
+    spans: with streamed_residual refused everywhere, `verify … bicharacter`
+    fails all four equations on their certified bounds and `dual` rejects
+    it with BicharacterViolation, both exiting 1."""
+    [v] = gauged_bicharacters([q.group_hom(z4, z2, (0, 1, 0, 1))], "c0", "haar", 3101)
+    obj = bicharacter_to_obj(v)
+    obj["V"] = matrix_to_obj(rotated(v.V, 1e-6, np.random.default_rng(3102)))
+    path = tmp_path / "rotated.json"
+    write_json(str(path), obj)
+    _refuse_streaming(monkeypatch)
+    code, obj = run_json(capsys, ["verify", str(path), "bicharacter"])
+    assert code == 1
+    failed = {c["name"] for c in obj["checks"] if not c["pass"]}
+    assert {"comultSource", "comultTarget", "operatorSource", "operatorTarget"} <= failed
+    code, captured = run_cli(capsys, ["dual", str(path)])
+    assert code == 1 and "Traceback" not in captured.err
+    [record] = json.loads(captured.out)["checks"]
+    assert record["name"] == "BicharacterViolation"
+    assert record["residual"] > q.EQUATION_TOL
 
 
 def test_suite_flags_corrupt_file(tmp_path, capsys, z2):

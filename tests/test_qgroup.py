@@ -374,18 +374,14 @@ def _nan_at(real, index):
     "nan_at, message", [(0, "dual-side equation"), (1, "flipped-comultiplication equation")]
 )
 def test_transpose_gates_reject_a_nan_residual(monkeypatch, z4, nan_at, message):
-    """The two equations are the first and second comult_equation on the
-    slice path (the dual-side one through dual_comult_equation) and the
-    first and second streamed_residual on the fallback, which a truncation
-    test that cannot hold forces: a NaN from either fails its gate."""
+    """The two equations are the first and second comult_equation (the
+    dual-side one through dual_comult_equation): a NaN from either fails
+    its gate."""
     qg = q.qg_from_group(z4, "c0")
-    paths = (("comult_equation", qgroup_module.SLICE_ROUNDING), ("streamed_residual", -1.0))
-    for name, rounding in paths:
-        with monkeypatch.context() as patch:
-            patch.setattr(qgroup_module, "SLICE_ROUNDING", rounding)
-            patch.setattr(qgroup_module, name, _nan_at(getattr(qgroup_module, name), nan_at))
-            with pytest.raises(BicharacterViolation, match=message):
-                transpose_qg(qg)
+    real = qgroup_module.comult_equation
+    monkeypatch.setattr(qgroup_module, "comult_equation", _nan_at(real, nan_at))
+    with pytest.raises(BicharacterViolation, match=message):
+        transpose_qg(qg)
 
 
 def _dihedral_group(n):

@@ -20,7 +20,6 @@ from qgcalc.tensorleg import (
     kron,
     legs_product,
     legs_slab,
-    mapped_slab,
     membership_residual,
     membership_residuals,
     numerical_rank,
@@ -37,6 +36,7 @@ from qgcalc.tensorleg import (
 from conftest import (
     Functional,
     embed_on_legs,
+    mapped_slab,
     pair_basis,
     slice_leg,
     sliced_space,

@@ -1,8 +1,9 @@
 """Order-16 tier: the whole `verify … qg` battery on dense d = 16 unitaries,
 gauged Z16, Z4xZ4 and Z2^4 in both pictures, the right and left homs of
 the gauged Z16 identity arrow, and `verify` on their hom files, which
-extracts the bicharacter, with `induce` along the right one, and the
-conjugate-transpose construction on the gauged Z16.
+extracts the bicharacter, with `induce` along the right one, the
+conjugate-transpose construction on the gauged Z16, and the rejection of
+a 1e-6 rotation of its identity arrow.
 
 Outside the default test paths because one run takes seconds; run it with
 
@@ -11,6 +12,8 @@ Outside the default test paths because one run takes seconds; run it with
 Each run is a child process, so that its peak resident set is its own and
 not whatever this test process reached before.  A child reports its VmHWM:
 its ru_maxrss would start from the peak of the process that spawned it.
+The rejection runs in this process instead, where streamed_residual can be
+refused, and has no peak bound.
 """
 
 import json
@@ -21,14 +24,17 @@ import sys
 import numpy as np
 import pytest
 
+from qgcalc import tensorleg
+from qgcalc.bicharacter import check_bicharacter
+from qgcalc.errors import BicharacterViolation
 from qgcalc.groups import cyclic_group, group_unitary, product_group
 from qgcalc.homviews import LeftQGHom, RightQGHom
 from qgcalc.qgroup import EQUATION_TOL, PENTAGON_TOL
-from qgcalc.serialize import matrix_to_obj, write_json
+from qgcalc.serialize import load_qg, matrix_to_obj, write_json
 from qgcalc.tensorleg import LegSpace, flip_adjoint
 
-# Every three-leg check streams its d^3 x d^3 operators slab by slab; forming
-# one whole takes 268 MB at d = 16, and the battery used to peak at 1.1 GB.
+# No check in this tier forms a d^3 x d^3 operator whole; one takes 268 MB at
+# d = 16, and the battery used to peak at 1.1 GB.
 MAX_RSS_MB = 500
 
 QG_CHILD = """
@@ -227,3 +233,28 @@ def test_gauged_order16_transpose_passes_both_equations(tmp_path, picture):
     assert set(residuals) == {"dualSideEquation", "flippedComultEquation"}
     assert all(value <= PENTAGON_TOL for value in residuals.values()), residuals
     assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_a_rotated_gauged_order16_identity_arrow_is_rejected_without_streaming(
+    tmp_path, monkeypatch
+):
+    """A 1e-6 rotation of the gauged Z16 identity arrow is off the slice
+    spans: check_bicharacter rejects it in this process, on the certified
+    bounds of the slice forms, with streamed_residual refused in every
+    qgcalc module."""
+
+    def refuse(*args):
+        raise AssertionError("streamed_residual called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qgcalc":
+            if getattr(module, "streamed_residual", None) is tensorleg.streamed_residual:
+                monkeypatch.setattr(module, "streamed_residual", refuse)
+    qg = load_qg(str(gauged_file(tmp_path, GROUPS["Z16"](), "c0")))
+    rng = np.random.default_rng(1617)
+    h = rng.standard_normal(qg.W.shape) + 1j * rng.standard_normal(qg.W.shape)
+    ev, vecs = np.linalg.eigh((h + h.conj().T) / np.linalg.norm(h + h.conj().T))
+    rotated = (vecs * np.exp(1e-6j * ev)) @ vecs.conj().T @ qg.W
+    with pytest.raises(BicharacterViolation) as exc:
+        check_bicharacter(rotated, qg, qg)
+    assert exc.value.residual > EQUATION_TOL
