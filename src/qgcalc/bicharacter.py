@@ -9,6 +9,8 @@ comultiplication forms read Delta off the structure constants C, the
 coefficients of the build's Delta images, and the operator forms read it
 off the F contraction of the slices of a unitary with the product
 constants N of the target (operator_equation), never off those images.
+Composition is the pushforward of V, a corepresentation of its target,
+along the second arrow's right homomorphism.
 """
 
 import math
@@ -44,11 +46,9 @@ from .tensorleg import (
     PairSpan,
     apply_map_to_leg,
     as_matrix,
-    extract_trivial_legs,
     flip_adjoint,
     frob,
     gram,
-    legs_product,
     membership_residual,
     unitarity_defect,
 )
@@ -196,25 +196,23 @@ def identity(c):
 def compose(vca, vab):
     """Composition of arrows: first vca, then vab.
 
-    Conjugating vab's leg pair through vca concentrates the composite on
-    legs 1 and 3; the middle leg must come out trivial, and the extraction
-    residual is the certificate.
+    V = vca.V is a corepresentation of the middle quantum group, and the
+    composite is its pushforward along vab: with deltaR the map of vab's
+    right homomorphism, (id (x) deltaR)(V) = V12 V''13, read off the slices
+    of V (factor_slices, as coactions.pushforward_corep does).  The
+    extraction residual is the certificate that the factorisation holds.
     """
+    # homviews imports this module, so its helpers are imported here
+    from .homviews import factor_slices, map_coefficients, right_map_from_bicharacter
+
     if not vca.target.same_unitary(vab.source):
         raise SourceTargetMismatch(
             f"middle objects differ: dim {vca.target.dim} vs {vab.source.dim} or unequal W"
         )
-    space3 = LegSpace((vca.source.dim, vca.target.dim, vab.target.dim))
-    prod = legs_product(
-        space3,
-        (vca.V.conj().T, (1, 2)),
-        (vab.V, (2, 3)),
-        (vca.V, (1, 2)),
-        (vab.V.conj().T, (2, 3)),
-    )
+    c, a = vab.source, vab.target
+    p = map_coefficients(right_map_from_bicharacter(vab), c.algC, a, 1)
     what = "middle leg is not trivial"
-    factor, resid = extract_trivial_legs(prod, space3, {2})
-    return extract_bicharacter(factor, resid, vca.source, vab.target, what)
+    return extract_bicharacter(*factor_slices(vca.V, c, a, p, 1), vca.source, a, what)
 
 
 def extract_bicharacter(factor, resid, c, a, what):

@@ -269,7 +269,7 @@ def factor_slices(x, c, a, coefficients, leg):
     p[k, s, t] X_k, s on C's leg, this says F_st = X_s Y_t (leg 2: Y_t X_s)
     for Y = sum_t Y_t (x) a_t, and unitarity, sum_s X_s* X_s = sum_s X_s X_s*
     = d 1, gives Y_t = sum_s X_s* F_st / d (leg 2: sum_s F_st X_s* / d).  The
-    residual, relative to |(id (x) phi)(X)| as extract_trivial_legs divides,
+    residual, relative to |(id (x) phi)(X)| as the operator oracle divides,
     adds in squares the orthogonal part sum_k X_k (x) R_k of the images off
     the span (_slice_miss), and |T12 Y13| <= sqrt(dim H_A) |T| |Y| for the
     truncation T of the X_k: it never reads below the operator one beyond

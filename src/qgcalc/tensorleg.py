@@ -42,7 +42,6 @@ __all__ = [
     "CANDIDATE_GAP",
     "permute_legs",
     "flip_adjoint",
-    "extract_trivial_legs",
     "intertwiner_space",
     "orthonormal_basis",
     "numerical_rank",
@@ -354,33 +353,6 @@ def _slab_function(space, leg, side):
         return side
     factors = tuple(side)
     return lambda cols: legs_slab(space, leg, cols, *factors)
-
-
-def extract_trivial_legs(t, space, trivial):
-    """Best factor f with t = f on the other legs and identity on the trivial ones.
-
-    Returns (f, residual) where residual is the relative Frobenius distance
-    between t and the re-embedded f.  A large residual means t genuinely
-    acts on the legs claimed trivial; callers gate it, nothing is raised.
-    A NaN anywhere in t reads NaN, so those gates fail closed.
-    """
-    t = _check_space(t, space)
-    trivial = sorted(set(int(l) for l in trivial))
-    for l in trivial:
-        space._check_leg(l)
-    keep = [l for l in range(1, space.nlegs + 1) if l not in trivial]
-    if not keep:
-        raise ValueError("at least one leg must remain")
-    reordered = permute_legs(t, space, keep + trivial)
-    n_keep = math.prod(space.dims[l - 1] for l in keep)
-    m = math.prod(space.dims[l - 1] for l in trivial)
-    u4 = reordered.reshape(n_keep, m, n_keep, m)
-    # least-squares minimizer of |u - f (x) I_m| is the normalized partial trace
-    f = np.einsum("ikjk->ij", u4) / m
-    approx = np.kron(f, np.eye(m, dtype=complex))
-    denom = frob(reordered)
-    residual = frob(reordered - approx) / denom if denom != 0 else 0.0
-    return f, float(residual)
 
 
 def intertwiner_space(w, dim):

@@ -6,8 +6,9 @@ TSQR intertwiner space, the coinvariant dimension from the
 comultiplication images, the commuting diagrams of comodules and
 one-sided homs by operators, the induced-coaction equation of a
 corepresentation pushforward one matrix unit at a time, the induced
-coaction from the image system, and the X12 Y13 factorisations from the
-three-leg product and its partial trace."""
+coaction from the image system, and the X12 Y13 factorisations and the
+composite of two bicharacters from the three-leg product and its partial
+trace (extract_trivial_legs)."""
 
 from dataclasses import dataclass
 import itertools
@@ -29,7 +30,6 @@ from qgcalc.tensorleg import (
     _named_legs,
     apply_map_to_leg,
     as_matrix,
-    extract_trivial_legs,
     kron,
     legs_product,
     legs_slab,
@@ -166,11 +166,10 @@ def count_calls(monkeypatch):
 
     def defined(attr):
         # the object named attr in the module that defines it
-        return next(
-            getattr(m, attr)
-            for m in modules
-            if getattr(getattr(m, attr, None), "__module__", None) == m.__name__
-        )
+        for m in modules:
+            if getattr(getattr(m, attr, None), "__module__", None) == m.__name__:
+                return getattr(m, attr)
+        raise AssertionError(f"no qgcalc module defines {attr}")
 
     def counter(name, real):
         def counted(*args, **kwargs):
@@ -605,6 +604,29 @@ def image_system_pushed_through(phi, basis, dr):
     return _solve_on_product_basis(basis, images, dr.target.algC, rhs)
 
 
+def extract_trivial_legs(t, space, trivial):
+    """Best factor f with t = f on the other legs and identity on the
+    trivial ones, by the normalized partial trace, and the relative
+    Frobenius distance between t and the re-embedded f; a NaN anywhere in t
+    reads NaN.  The operator form of every extraction."""
+    t = _check_space(t, space)
+    trivial = sorted(set(int(l) for l in trivial))
+    for l in trivial:
+        space._check_leg(l)
+    keep = [l for l in range(1, space.nlegs + 1) if l not in trivial]
+    if not keep:
+        raise ValueError("at least one leg must remain")
+    reordered = permute_legs(t, space, keep + trivial)
+    n_keep = math.prod(space.dims[l - 1] for l in keep)
+    m = math.prod(space.dims[l - 1] for l in trivial)
+    u4 = reordered.reshape(n_keep, m, n_keep, m)
+    # least-squares minimizer of |u - f (x) I_m| is the normalized partial trace
+    f = np.einsum("ikjk->ij", u4) / m
+    denom = np.linalg.norm(reordered)
+    residual = np.linalg.norm(reordered - np.kron(f, np.eye(m))) / denom if denom != 0 else 0.0
+    return f, float(residual)
+
+
 def product_factor(x, c, phi, a, leg):
     """homviews.factor_slices by operators, its oracle: the factor of
     X12* (id (x) phi)(X) trivial on leg 2 (leg 1, phi: C -> C (x) A), or of
@@ -619,3 +641,19 @@ def product_factor(x, c, phi, a, leg):
     space3 = LegSpace((h, a.dim, c.dim))
     prod = legs_product(space3, (ext, (1, 2, 3)), (x.conj().T, (1, 3)))
     return extract_trivial_legs(prod, space3, {3})
+
+
+def product_composite(vca, vab):
+    """bicharacter.compose by operators, its oracle: the factor of V12* V'23
+    V12 V'23* trivial on leg 2, for V = vca.V and V' = vab.V, by the partial
+    trace of the three-leg product, and its residual, ungated.  Unlike
+    product_factor it never forms the right map of vab."""
+    space3 = LegSpace((vca.source.dim, vca.target.dim, vab.target.dim))
+    prod = legs_product(
+        space3,
+        (vca.V.conj().T, (1, 2)),
+        (vab.V, (2, 3)),
+        (vca.V, (1, 2)),
+        (vab.V.conj().T, (2, 3)),
+    )
+    return extract_trivial_legs(prod, space3, {2})

@@ -28,15 +28,16 @@ from qgcalc.tensorleg import (
     PairSpan,
     SpanMap,
     apply_map_to_leg,
-    extract_trivial_legs,
     flip_unitary,
     kron,
     residual_between,
 )
 from conftest import (
     embed_on_legs,
+    extract_trivial_legs,
     gauged_bicharacters,
     haar_unitary,
+    product_composite,
     rotated,
     streamed_bicharacter,
     streamed_corep_law,
@@ -433,6 +434,36 @@ def test_composition_is_associative(homs):
     lhs = q.compose(q.compose(va, vb), vc)
     rhs = q.compose(va, q.compose(vb, vc))
     assert residual_between(lhs.V, rhs.V) <= 1e-9
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_compose_matches_the_three_leg_product_on_every_composable_pair(
+    arrows, picture, gauge
+):
+    """The pushforward of V along the second arrow is the factor of the
+    operator oracle on every composable pair of corpus arrows, and its
+    certified residual never reads below the oracle's."""
+    bics = gauged_bicharacters(arrows, picture, gauge, 3202)
+    pairs = [(v, w) for v in bics for w in bics if v.target.same_unitary(w.source)]
+    assert len(pairs) == 933
+    for v, w in pairs:
+        got = q.compose(v, w)
+        want, resid = product_composite(v, w)
+        np.testing.assert_allclose(got.V, want, rtol=0, atol=1e-14)
+        assert got.residuals["extraction"] >= resid - 1e-15
+
+
+def test_compose_rejects_a_rotated_arrow(z4):
+    """A hand-made arrow 1e-6 off W is no bicharacter: its pushforward's
+    certified residual fails extraction, and reads above the oracle's."""
+    c = c0(z4)
+    bent_w = rotated(c.W, 1e-6, np.random.default_rng(3204))
+    bent = bicharacter_module.Bicharacter(c, c, bent_w, {})
+    _, want = product_composite(bent, q.identity(c))
+    with pytest.raises(ExtractionFailure, match="middle leg") as exc:
+        q.compose(bent, q.identity(c))
+    assert exc.value.residual >= want > EQUATION_TOL
 
 
 def test_compose_rejects_mismatched_middle(homs):

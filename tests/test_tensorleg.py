@@ -12,7 +12,6 @@ from qgcalc.tensorleg import (
     PairSpan,
     SpanMap,
     apply_map_to_leg,
-    extract_trivial_legs,
     flip_adjoint,
     flip_unitary,
     frob,
@@ -36,6 +35,7 @@ from qgcalc.tensorleg import (
 from conftest import (
     Functional,
     embed_on_legs,
+    extract_trivial_legs,
     mapped_slab,
     pair_basis,
     slice_leg,

@@ -2,8 +2,9 @@
 gauged Z16, Z4xZ4 and Z2^4 in both pictures, the right and left homs of
 the gauged Z16 identity arrow, and `verify` on their hom files, which
 extracts the bicharacter, with `induce` along the right one, the
-conjugate-transpose construction on the gauged Z16, and the rejection of
-a 1e-6 rotation of its identity arrow.
+conjugate-transpose construction on the gauged Z16, the composite of its
+identity arrow with itself, and the rejection of a 1e-6 rotation of that
+arrow.
 
 Outside the default test paths because one run takes seconds; run it with
 
@@ -90,6 +91,35 @@ for name, argv in (
     with contextlib.redirect_stdout(out):
         code = main(argv)
     reports[name] = dict(json.loads(out.getvalue()), code=code)
+print(json.dumps(reports))
+with open("/proc/self/status") as status:
+    print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
+"""
+
+
+# the identity arrow at W composed with itself through the CLI, the
+# composite verified from its file and compared with W
+_COMPOSE_CHILD = """
+import contextlib, io, json, os, sys
+import numpy as np
+from qgcalc.bicharacter import Bicharacter
+from qgcalc.cli import main
+from qgcalc.serialize import bicharacter_to_obj, load_json, load_qg, matrix_from_obj, write_json
+c = load_qg(sys.argv[1])
+work = os.path.dirname(sys.argv[1])
+files = {name: os.path.join(work, name + ".json") for name in ("v", "o")}
+write_json(files["v"], bicharacter_to_obj(Bicharacter(c, c, c.W, {})))
+reports = {}
+for name, argv in (
+    ("compose", ["compose", files["v"], files["v"], "--out", files["o"]]),
+    ("verify", ["verify", files["o"], "bicharacter"]),
+):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    reports[name] = dict(json.loads(out.getvalue()), code=code)
+composite = matrix_from_obj(load_json(files["o"])["V"])
+reports["distance"] = float(np.max(np.abs(composite - c.W)))
 print(json.dumps(reports))
 with open("/proc/self/status") as status:
     print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
@@ -219,6 +249,22 @@ def test_gauged_order16_hom_files_verify_and_induce(tmp_path, picture):
     for kind in ("right", "left"):
         assert "extraction" in {c["name"] for c in reports[kind]["checks"]}, kind
     assert {"solve", "uniqueRank"} <= {c["name"] for c in reports["induce"]["checks"]}
+    assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_gauged_order16_identity_arrow_composes_with_itself(tmp_path, picture):
+    """compose of the gauged Z16 identity arrow's file with itself, then
+    verify of the composite's file, through the CLI in one child: both exit
+    0 with every check passing, the composite is W, within the peak bound."""
+    path = gauged_file(tmp_path, GROUPS["Z16"](), picture)
+    child, reports, peak_mb = run_child(_COMPOSE_CHILD, path)
+    assert child.returncode == 0, child.stderr
+    assert reports.pop("distance") <= 1e-12
+    for name, report in reports.items():
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert report["code"] == 0 and not failed, (name, failed)
+    assert "extraction" in {c["name"] for c in reports["compose"]["checks"]}
     assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
