@@ -52,6 +52,10 @@ __all__ = [
 # for the innermost open build scope
 _BUILT = contextvars.ContextVar("qgcalc_built", default=None)
 
+# marks a referenced file whose quantum group is being read, so a reference
+# back to it is a cycle
+_READING = object()
+
 
 @contextlib.contextmanager
 def build_scope():
@@ -175,12 +179,24 @@ def matrix_to_obj(m):
     }
 
 
+def _referenced_path(obj, base):
+    """The absolute path a {"path"} reference names, relative to base."""
+    ref = obj["path"]
+    if not isinstance(ref, str):
+        raise ParseError(f"path must be a string, got {ref!r}")
+    return os.path.abspath(os.path.join(base, ref))
+
+
 def group_from_obj(obj, base="."):
     if not isinstance(obj, dict):
         raise ParseError("group spec must be an object")
-    if "path" in obj:
-        path = os.path.join(base, obj["path"])
-        return group_from_obj(load_json(path), base=os.path.dirname(path) or ".")
+    seen = set()
+    while "path" in obj:
+        path = _referenced_path(obj, base)
+        if path in seen:
+            raise ParseError(f"{path}: group path references form a cycle")
+        seen.add(path)
+        obj, base = load_json(path), os.path.dirname(path)
     order = _need(obj, "order", "group")
     table = _need(obj, "table", "group")
     if not isinstance(order, int) or order < 1:
@@ -209,10 +225,17 @@ def qg_from_obj(obj, base="."):
     if not isinstance(obj, dict):
         raise ParseError("quantum group spec must be an object")
     if "path" in obj:
-        path = os.path.abspath(os.path.join(base, obj["path"]))
+        path = _referenced_path(obj, base)
         built = _BUILT.get()
+        if built.get(path) is _READING:
+            raise ParseError(f"{path}: quantum group path references form a cycle")
         if path not in built:
-            built[path] = qg_from_obj(load_json(path), base=os.path.dirname(path))
+            built[path] = _READING
+            try:
+                built[path] = qg_from_obj(load_json(path), base=os.path.dirname(path))
+            finally:
+                if built[path] is _READING:
+                    del built[path]
         return built[path]
     if "group" in obj:
         picture = _need(obj, "picture", "quantum group")

@@ -12,10 +12,13 @@ Residuals returned by the checks here are relative Frobenius norms.
 """
 
 from dataclasses import dataclass
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "LegSpace",
@@ -63,6 +66,31 @@ RANK_CUTOFF = 1e-9
 # intertwiner_space proposes the directions whose cosine on the
 # partial-trace map is within this of 1, and judges them by exact residuals.
 CANDIDATE_GAP = 1e-6
+
+
+def _load_flapack():
+    """SciPy's LAPACK extension module, without importing scipy.linalg.
+
+    It is loaded under its own name, or reused from sys.modules, so a later
+    ``import scipy.linalg`` shares this one module object.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    dirs = scipy_spec.submodule_search_locations if scipy_spec else None
+    where = [os.path.join(d, "linalg") for d in dirs or ()]
+    spec = importlib.machinery.PathFinder.find_spec(name, where)
+    if spec is None:
+        raise ImportError(f"cannot find SciPy's LAPACK extension {name} in {where}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Loaded directly because importing scipy.linalg more than doubles a process start.
+_flapack = _load_flapack()
 
 
 @dataclass(frozen=True)
@@ -422,10 +450,23 @@ def orthonormal_basis(mats):
     mats = np.asarray(mats, dtype=complex)
     if len(mats) == 0:
         return mats
-    q, r, _ = scipy.linalg.qr(mats.reshape(len(mats), -1).T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
+    # the calls of scipy.linalg.qr(a, mode="economic", pivoting=True); the
+    # rank is read off R before zungqr overwrites it with Q
+    a = np.asarray_chkfinite(mats.reshape(len(mats), -1).T)
+    qr, _, tau = _lapack(_flapack.zgeqp3, a)
+    diag = np.abs(np.diag(qr))
     rank = int(np.sum(diag > RANK_CUTOFF * diag[0])) if diag[0] > 0 else 0
+    (q,) = _lapack(_flapack.zungqr, qr[:, : min(a.shape)], tau, overwrite_a=1)
     return q[:, :rank].T.reshape(rank, *mats.shape[1:])
+
+
+def _lapack(routine, *args, **kwargs):
+    """One LAPACK call after its workspace query; the outputs before work and info."""
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    *out, _, info = routine(*args, lwork=int(work[0].real), **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine.__name__}")
+    return out
 
 
 def numerical_rank(stack):

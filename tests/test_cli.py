@@ -155,6 +155,40 @@ def test_verify_missing_file_exits_two(tmp_path, capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "files, kind, err",
+    [
+        (
+            {"top": {"V": matrix_to_obj(np.eye(4)), "source": {"path": 5}, "target": {"path": 5}}},
+            "bicharacter",
+            "path must be a string, got 5",
+        ),
+        ({"top": {"path": ["a"]}}, "qg", "path must be a string, got ['a']"),
+        ({"top": {"group": {"path": 3}, "picture": "c0"}}, "qg", "path must be a string, got 3"),
+        ({"top": {"path": "top.json"}}, "qg", "{dir}/top.json: quantum group path references form a cycle"),
+        (
+            {"top": {"group": {"path": "g.json"}, "picture": "c0"}, "g": {"path": "g.json"}},
+            "qg",
+            "{dir}/g.json: group path references form a cycle",
+        ),
+        # the command reads top.json itself; the reference back to b.json closes the cycle
+        (
+            {"top": {"path": "b.json"}, "b": {"path": "top.json"}},
+            "qg",
+            "{dir}/b.json: quantum group path references form a cycle",
+        ),
+    ],
+    ids=["non-string-source", "non-string-qg", "non-string-group", "self-qg", "self-group", "two-files"],
+)
+def test_bad_path_reference_exits_two(tmp_path, capsys, files, kind, err):
+    for name, obj in files.items():
+        write_json(str(tmp_path / f"{name}.json"), obj)
+    code, captured = run_cli(capsys, ["verify", str(tmp_path / "top.json"), kind])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {err.format(dir=tmp_path)}\n"
+
+
 def test_verify_bicharacter_and_text_mode(capsys, va_file):
     path, _ = va_file
     code, obj = run_json(capsys, ["verify", path, "bicharacter"])
@@ -746,10 +780,16 @@ def test_suite_flags_corrupt_file(tmp_path, capsys, z2):
     obj["W"]["data"][0][0] = float("nan")
     write_json(str(d / "nan_w.json"), obj)
     write_json(str(d / "empty_group.json"), {"order": 0, "table": []})
+    # two subjects naming the unusable file: each gets its error, not a cycle
+    for name in ("ref_a.json", "ref_b.json"):
+        ref = {"path": "nan_w.json"}
+        write_json(str(d / name), {"V": matrix_to_obj(np.eye(4)), "source": ref, "target": ref})
     code, obj = run_json(capsys, ["suite", str(d)])
     assert code == 1
-    failing = [s["subject"] for s in obj["subjects"] if not s["pass"]]
-    assert failing == ["broken.json", "empty_group.json", "nan_w.json"]
+    failing = {s["subject"]: s["checks"][-1] for s in obj["subjects"] if not s["pass"]}
+    assert list(failing) == ["broken.json", "empty_group.json", "nan_w.json", "ref_a.json", "ref_b.json"]
+    for name in ("ref_a.json", "ref_b.json"):
+        assert failing[name]["message"] == "W: entry 0 is not finite"
 
 
 def test_suite_empty_dir_warns(tmp_path, capsys):

@@ -1,13 +1,20 @@
 """Leg calculus checks against direct index-level enumerations."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import qgcalc as q
+from qgcalc.qgroup import _leg_slices
 from qgcalc.tensorleg import (
+    RANK_CUTOFF,
     LegSpace,
     PairSpan,
     SpanMap,
@@ -598,6 +605,86 @@ def test_orthonormal_basis_dedupes_span():
     basis = orthonormal_basis([a, 2 * a, a + 0j])
     assert len(basis) == 1
     assert frob(basis[0]) == pytest.approx(1.0)
+    # a non-finite entry is refused, not pivoted
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            orthonormal_basis([a, np.full((2, 2), bad)])
+
+
+def assert_matches_scipy_qr(mats):
+    """orthonormal_basis equals the reference, the basis and rank from
+    scipy.linalg.qr with pivoting, bit for bit."""
+    mats = np.asarray(mats, dtype=complex)
+    a = mats.reshape(len(mats), math.prod(mats.shape[1:])).T
+    qq, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > RANK_CUTOFF * diag[0])) if len(diag) and diag[0] > 0 else 0
+    got = orthonormal_basis(mats)
+    assert len(got) == rank
+    assert np.array_equal(got, qq[:, :rank].T.reshape(rank, *mats.shape[1:]))
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_orthonormal_basis_is_scipy_qr_on_corpus_slices(corpus, picture):
+    # the algC and leg-2 bases of every corpus group, plain and Haar-gauged,
+    # so hom files keep their coefficients
+    for g in corpus.values():
+        qg = q.qg_from_group(g, picture)
+        u = random_unitary(qg.dim)
+        uu = kron(u, u)
+        for w in (qg.W, uu @ qg.W @ uu.conj().T):
+            for leg in (1, 2):
+                assert_matches_scipy_qr(_leg_slices(w, qg.dim, leg))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [3, 6, 10], ids=["n<rc", "n=rc", "n>rc"])
+def test_orthonormal_basis_is_scipy_qr_on_rank_deficient_stacks(n, order):
+    # stacks of 2x3 matrices spanning a random subspace of dimension < min(n, 6)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        k = int(rng.integers(1, min(n, 6)))
+        spanning = rng.standard_normal((k, 2, 3)) + 1j * rng.standard_normal((k, 2, 3))
+        mix = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        assert_matches_scipy_qr(np.asarray(np.einsum("nk,krc->nrc", mix, spanning), order=order))
+
+
+def test_orthonormal_basis_of_zero_and_empty_stacks():
+    for n in (4, 0):
+        assert_matches_scipy_qr(np.zeros((n, 2, 3)))
+        assert orthonormal_basis(np.zeros((n, 2, 3))).shape == (0, 2, 3)
+
+
+def _child(script):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(q.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+
+
+def test_importing_the_cli_leaves_scipy_linalg_out():
+    _child(
+        """
+        import sys
+        import qgcalc.cli
+        from qgcalc import tensorleg
+        heavy = [m for m in ("scipy.linalg", "scipy._lib", "numpy.f2py") if m in sys.modules]
+        assert heavy == [], heavy
+        # a later scipy.linalg shares the extension module, not a second copy
+        import scipy.linalg.lapack
+        assert scipy.linalg.lapack._flapack is tensorleg._flapack
+        """
+    )
+    _child(
+        """
+        import sys
+        import scipy.linalg
+        from qgcalc import tensorleg
+        assert tensorleg._flapack is sys.modules["scipy.linalg._flapack"]
+        """
+    )
 
 
 def test_membership_residual_frozen_values():
