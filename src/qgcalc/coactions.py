@@ -28,7 +28,14 @@ from .homviews import (
     right_map_from_bicharacter,
     star_hom_residuals,
 )
-from .qgroup import CLOSURE_TOL, EQUATION_TOL, PENTAGON_TOL, closure_residual, corep_law_residual
+from .qgroup import (
+    CLOSURE_TOL,
+    EQUATION_TOL,
+    PENTAGON_TOL,
+    closure_residual,
+    corep_law_residual,
+    structure_constants,
+)
 from .tensorleg import (
     RANK_CUTOFF,
     PairSpan,
@@ -133,8 +140,11 @@ def trivial_coaction(d, c):
 
 
 def comultiplication_coaction(c):
-    """Delta of c as a coaction of c on its own algebra."""
-    return check_coaction(c.deltaC, c.algC, c)
+    """Delta of c as a coaction of c on its own algebra, assembled from its
+    structure constants.  So ``range`` reads rounding: the same property,
+    at the same CLOSURE_TOL, is the build's comultMembership gate."""
+    images = PairSpan(c.algC, c.algC).combine(structure_constants(c))
+    return check_coaction(SpanMap(c.algC, images, c.dim, c.dim**2), c.algC, c)
 
 
 def check_corepresentation(x, qg):

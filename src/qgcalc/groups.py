@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CalculusError, NotAbelian, NotAGroup, gate
 from .homviews import check_hopf_hom
-from .qgroup import EQUATION_TOL, PENTAGON_TOL, build_from_unitary
+from .qgroup import EQUATION_TOL, PENTAGON_TOL, build_from_unitary, intertwining_residuals
 from .tensorleg import SpanMap, kron, residual_between, unitarity_defect
 
 __all__ = [
@@ -291,32 +291,21 @@ def qg_from_group(g, picture):
     via ``group_unitary(g)``; picture "cstar" is the (cached) dual of the
     c0 object, so both pictures of g cost one build each.  Both are
     verified at construction: the comultiplication must restrict to the
-    expected classical formula and the extracted algebra must be the
-    expected span.
+    expected classical formula (intertwining_residuals) and the extracted
+    algebra must be the expected span.
     """
     if picture not in ("c0", "cstar"):
         raise ValueError(f"picture must be 'c0' or 'cstar', got {picture!r}")
     n = g.order
     if picture == "c0":
         qg = build_from_unitary(group_unitary(g), n)
-        units = []
-        for c in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[c, c] = 1.0
-            units.append(e)
-        # comultiplication of a point mass is the convolution-fibre sum
-        for c in range(n):
-            want = np.zeros((n * n, n * n), dtype=complex)
-            for a in range(n):
-                for b in range(n):
-                    if g.mul(a, b) == c:
-                        want += kron(units[a], units[b])
-            gate(
-                residual_between(qg.deltaC(units[c]), want),
-                PENTAGON_TOL,
-                CalculusError,
-                f"comultiplication is not classical at element {c}",
-            )
+        units = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
+        # Delta(u_c) of a point mass is the fibre sum over ab = c of u_a (x) u_b
+        fibres = np.zeros((n, n, n))
+        fibres[(np.asarray(g.table), *np.indices((n, n)))] = 1.0
+        what = "comultiplication is not classical at element {}"
+        for c, res in enumerate(intertwining_residuals(qg, units, fibres)):
+            gate(res, PENTAGON_TOL, CalculusError, what.format(c))
         if len(qg.algC) != n:
             raise CalculusError(f"expected {n} diagonal directions, got {len(qg.algC)}")
         diag_defect = np.max([np.max(np.abs(x - np.diag(np.diag(x)))) for x in qg.algC])
@@ -324,15 +313,12 @@ def qg_from_group(g, picture):
         return qg
 
     out = qg_from_group(g, "c0").dual
-    for b in range(n):
-        rho = translation_matrix(g, b)
-        want = kron(rho, rho)
-        gate(
-            residual_between(out.deltaC(rho), want),
-            PENTAGON_TOL,
-            CalculusError,
-            f"translation at {b} is not group-like",
-        )
+    rho = np.stack([translation_matrix(g, b) for b in range(n)])
+    # Delta(rho_b) = rho_b (x) rho_b
+    grouplike = np.zeros((n, n, n))
+    grouplike[(np.arange(n),) * 3] = 1.0
+    for b, res in enumerate(intertwining_residuals(out, rho, grouplike)):
+        gate(res, PENTAGON_TOL, CalculusError, f"translation at {b} is not group-like")
     if len(out.algC) != n:
         raise CalculusError(f"expected {n} translation directions, got {len(out.algC)}")
     return out

@@ -19,6 +19,7 @@ from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
     PENTAGON_TOL,
+    intertwining_residuals,
     multiplication_constants,
     slice_coefficients,
     structure_constants,
@@ -89,15 +90,15 @@ class HopfHom:
         eye_s = np.eye(self.source.dim, dtype=complex)
         eye_t = np.eye(self.target.dim, dtype=complex)
         star, mult = star_hom_residuals(f, self.source.algC)
-        # (f (x) f) Delta against Delta f, on the whole basis at once
-        ff1, sp1 = apply_map_to_leg(self.source.deltaC.images, self.source.space, 1, f)
-        ff, _ = apply_map_to_leg(ff1, sp1, 2, f)
+        # (f (x) f) Delta against Delta f, read off the structure constants:
+        # f is read on span(algC), the source algebra, whatever it does off it
+        c = structure_constants(self.source)
         return {
             "range": membership_residuals(self.target.algC, fx),
             "unital": residual_between(f(eye_s), eye_t),
             "star": star,
             "multiplicative": mult,
-            "intertwining": residuals_between(self.target.deltaC.apply_stack(fx), ff),
+            "intertwining": float(np.max(intertwining_residuals(self.target, fx, c))),
         }
 
     def __repr__(self):

@@ -29,7 +29,6 @@ from .tensorleg import (
     RANK_CUTOFF,
     LegSpace,
     PairSpan,
-    SpanMap,
     as_matrix,
     diagram_residual,
     flip_adjoint,
@@ -62,6 +61,7 @@ __all__ = [
     "dual_slice_coefficients",
     "unitary_slices",
     "comultiplication_gram",
+    "intertwining_residuals",
     "product_constants",
     "slice_equation",
     "comult_equation",
@@ -81,14 +81,13 @@ class FiniteQuantumGroup:
 
     Instances are immutable by convention once construction finishes.
     ``algC`` is an orthonormal basis (Hilbert-Schmidt) of the leg-1 slice
-    span, an (n, d, d) stack; ``deltaC`` is the comultiplication as a
-    linear map on it; ``kacR`` is the unitary antipode on the algC span
-    when the Kac validation succeeded, else None.  The dual side, the
-    leg-2 slice span with its comultiplication, is ``dual.algC`` and
-    ``dual.deltaC``.  ``structure``, ``gram``, ``slices`` and ``products``
-    hold what structure_constants, comultiplication_gram, unitary_slices
-    and product_constants read, once they have read it (the build passes
-    the first three where its pentagon read them).
+    span, an (n, d, d) stack.  Delta is ``structure``, the read-only
+    C[k, i, j] = <b_i (x) b_j, Delta(b_k)>, and ``gram``, the Gram matrix of
+    the parts of the Delta(b_k) off span(algC) (x) span(algC).  ``kacR`` is
+    the unitary antipode on the algC span when the Kac validation
+    succeeded, else None; the dual side is ``dual``.  ``slices`` and
+    ``products`` hold what unitary_slices and product_constants read, once
+    read (the build passes the slices its pentagon read).
     """
 
     # the antipode is reported only when the Kac check succeeds
@@ -100,17 +99,14 @@ class FiniteQuantumGroup:
         ("antipode", EQUATION_TOL, "antipode fails the involutive *-antiautomorphism checks"),
     )
 
-    def __init__(
-        self, dim, w, alg_c, delta_c, kac_r, residuals, structure=None, gram=None, slices=None
-    ):
+    def __init__(self, dim, w, alg_c, structure, gram, kac_r, residuals, slices=None):
         self.dim = int(dim)
         self.W = w
         self.algC = np.asarray(alg_c, dtype=complex)
-        self.deltaC = delta_c
+        self.structure, self.gram = structure, gram
+        structure.flags.writeable = False
         self.kacR = kac_r
         self.residuals = dict(residuals)
-        self.structure = structure
-        self.gram = gram
         self.slices = slices
         self.products = None
         self._dual = None
@@ -188,10 +184,10 @@ def corep_law_residual(x, qg):
     return comult_equation(z, trunc, c, g, qg.dim, frob(x))
 
 
-def _delta_c(w, d, alg_c):
-    """Delta(x) = W(x (x) 1)W* on algC."""
+def _delta_images(w, d, alg_c):
+    """Delta(b_k) = W(b_k (x) 1)W* for the b_k of algC, the build's temporary."""
     # kron of a stack and a matrix is the stack of the krons
-    return SpanMap(alg_c, w @ kron(alg_c, np.eye(d)) @ w.conj().T, d, d * d)
+    return w @ kron(alg_c, np.eye(d)) @ w.conj().T
 
 
 def _expand(rows, alg_c):
@@ -257,8 +253,8 @@ def comult_equation(x, trunc, c, g, d, size):
     and multiplying on the right by the unitary W23 leaves the norm of
     W23 W12 - W12 W13 W23.  The truncation T moves X12 X13 by at most
     sqrt(d) |T| (2 + |T|), and the left side by sqrt(d) |T| where Delta is
-    conjugation by W, as in the pentagon (the span map deltaC is zero off
-    span(algC)).  sqrt(d) |T| (3 + |T|) is added, so the result never
+    conjugation by W, as in the pentagon (Delta read off c and g is zero
+    off span(algC)).  sqrt(d) |T| (3 + |T|) is added, so the result never
     reads below the operator residual by more than rounding.  The scale is
     residual_between's: both sides have the norm of X12.
     """
@@ -277,6 +273,34 @@ def dual_comult_equation(y, dual, size):
     ys, trunc = y
     c_hat, g_hat = structure_constants(dual).conj(), comultiplication_gram(dual).conj()
     return comult_equation(ys.conj().transpose(0, 2, 1), trunc, c_hat, g_hat, dual.dim, size)
+
+
+def intertwining_residuals(qg, ys, c):
+    """residual_between of Delta(y_k) and sum_ij c[k, i, j] y_i (x) y_j for
+    each y_k of an (m, d, d) stack, read off qg's C and g: a Hopf map's
+    intertwining (y = f(b), c the source's C) or a classical coproduct.
+
+    With y_k = sum_j phi[k, j] b_j + s_k, the coefficients on the b_p (x)
+    b_q are (phi C)[k] and sum_ij c[k, i, j] phi[i] (x) phi[j].  Delta's
+    part off them, sum_j phi[k, j] R_j, adds in squares; the right side's,
+    sum_ij c[k, i, j] (s_i (x) y_j + Py_i (x) s_j), at most sum_ij
+    |c[k, i, j]| (|s_i| |y_j| + |Py_i| |s_j|), adds by the triangle
+    inequality.  So the result never reads below the operator residual by
+    more than rounding, at m^3 n + m n^3 flops against the operators' m d^6.
+    """
+    m, n = len(ys), len(qg.algC)
+    rows = ys.reshape(m, -1)
+    coeff, s = _expand(rows, qg.algC)
+    lhs = coeff.T @ structure_constants(qg).reshape(n, -1)
+    rhs = np.einsum("kij,pi,qj->kpq", c, coeff, coeff, optimize=True).reshape(m, -1)
+    ns, ny, npy = (np.linalg.norm(x, axis=1) for x in (s, rows, rows - s))
+    off_r = np.einsum("kij,ij->k", np.abs(c), np.outer(ns, ny) + np.outer(npy, ns))
+    off_l = np.einsum("jk,jl,lk->k", coeff.conj(), comultiplication_gram(qg), coeff).real
+    sq = lambda x: np.sum(np.abs(x) ** 2, axis=1)
+    diff = np.sqrt(np.maximum(sq(lhs - rhs) + off_l, 0.0)) + off_r
+    # |rhs| is at least that of its coefficients, its projection onto the span
+    size = np.maximum(np.sqrt(np.maximum(sq(lhs) + off_l, 0.0)), np.sqrt(sq(rhs)))
+    return diff / np.maximum(1.0, size)
 
 
 def _try_antipode(w, d, alg_c):
@@ -322,13 +346,15 @@ def build_from_unitary(w, dim):
     lands in span(algC) (x) span(algC).  The leg-2 slice span is the dual's
     algC; its basis is formed here for the closure gate only, and its
     comultiplication is the dual's own, gated by the dual's build wherever
-    it is used.  The pentagon is read off the slice coefficients of W and
-    the comultiplication of algC (comult_equation with X = W), so algC and
+    it is used.  Delta is kept as its structure constants C and Gram
+    matrix g, read with comultMembership off the images W(b_k (x) 1)W*, a
+    temporary n d^4 stack.  The pentagon is read off the slice
+    coefficients of W and C and g (comult_equation with X = W), so algC and
     Delta on it come first; where algC has more than d elements, as on
-    every 1e-6 rotation of a quantum group tried (n = d^2), those images
+    every 1e-6 rotation of a quantum group tried (n = d^2), the images
     would hold n d^4 entries, and the pentagon is streamed over column
-    slabs and gated before them instead.  The Kac antipode is computed opportunistically;
-    failure there leaves kacR as None rather than rejecting the input.
+    slabs and gated before them instead.  The Kac antipode is computed
+    opportunistically; failure there leaves kacR as None.
     """
     d = int(dim)
     w = as_matrix(w)
@@ -353,13 +379,15 @@ def build_from_unitary(w, dim):
                 [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
             )
         )
-    delta_c = _delta_c(w, d, alg_c)
+    images = _delta_images(w, d, alg_c)
     span = PairSpan(alg_c, alg_c)
-    c = span.coefficients(delta_c.images)
+    c = span.coefficients(images)
     projected = span.combine(c)
-    g = slices = None
+    g = gram(images - projected)
+    membership = residuals_between(images, projected)
+    del images, projected
+    slices = None
     if not streamed:
-        g = gram(delta_c.images - projected)
         slices = slice_coefficients(w, d, alg_c)
         pent = _gate_pentagon(comult_equation(*slices, c, g, d, frob(w)))
 
@@ -368,16 +396,14 @@ def build_from_unitary(w, dim):
     residuals = {"unitarity": udef, "pentagon": pent, "closure": closure}
     gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
 
-    residuals["comultMembership"] = residuals_between(delta_c.images, projected)
+    residuals["comultMembership"] = membership
     gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
     try:
         kappa, kres = _try_antipode(w, d, alg_c)
         residuals["antipode"] = kres
     except NotKacType:
         kappa = None
-    return FiniteQuantumGroup(
-        d, w, alg_c, delta_c, kappa, residuals, structure=c, gram=g, slices=slices
-    )
+    return FiniteQuantumGroup(d, w, alg_c, c, g, kappa, residuals, slices=slices)
 
 
 def structure_constants(qg):
@@ -385,24 +411,16 @@ def structure_constants(qg):
 
     build_from_unitary has gated every Delta(b_k) into span(algC) (x)
     span(algC) at CLOSURE_TOL, so these coefficients are Delta itself, and
-    they are its Hilbert-Schmidt picture: the basis is orthonormal.  They
-    are read once per object and kept as qg.structure: the build passes
-    the ones it has computed, an object made by hand reads them off
-    deltaC on first use.  The array is read-only, as it is shared.
+    they are its Hilbert-Schmidt picture: the basis is orthonormal.  The
+    build keeps them, read-only, as qg.structure.
     """
-    if qg.structure is None:
-        qg.structure = PairSpan(qg.algC, qg.algC).coefficients(qg.deltaC.images)
-    qg.structure.flags.writeable = False
     return qg.structure
 
 
 def comultiplication_gram(qg):
     """g[k, l] = <R_k, R_l> for the parts R_k of the Delta(b_k) off
     span(algC) (x) span(algC), the other half of Delta next to the
-    structure constants, kept as qg.gram like them."""
-    if qg.gram is None:
-        span = PairSpan(qg.algC, qg.algC)
-        qg.gram = gram(qg.deltaC.images - span.combine(structure_constants(qg)))
+    structure constants, kept by the build as qg.gram."""
     return qg.gram
 
 

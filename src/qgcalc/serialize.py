@@ -114,7 +114,7 @@ def matrix_from_obj(obj, what="matrix"):
     rows = _need(obj, "rows", what)
     cols = _need(obj, "cols", what)
     data = _need(obj, "data", what)
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
         raise ParseError(f"{what}: rows and cols must be positive integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         got = len(data) if isinstance(data, list) else type(data).__name__
@@ -152,6 +152,10 @@ def _plain_pairs(data):
     if pairs.shape != (len(data), 2) or not np.isfinite(pairs).all():
         return None
     return pairs
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true/false are bools
 
 
 def _is_entry(pair):
@@ -199,7 +203,7 @@ def group_from_obj(obj, base="."):
         obj, base = load_json(path), os.path.dirname(path)
     order = _need(obj, "order", "group")
     table = _need(obj, "table", "group")
-    if not isinstance(order, int) or order < 1:
+    if not _is_int(order) or order < 1:
         raise ParseError(f"group: order must be a positive integer, got {order!r}")
     if not isinstance(table, list) or len(table) != order:
         raise ParseError("group: order must match the table size")
@@ -207,7 +211,7 @@ def group_from_obj(obj, base="."):
         if not isinstance(r, list) or len(r) != order:
             raise ParseError("group: table must be square")
         for v in r:
-            if not isinstance(v, int):
+            if not _is_int(v):
                 raise ParseError(f"group: table entry {v!r} is not an integer")
     return build_group(table, name=str(obj.get("name", "")))
 
@@ -244,7 +248,7 @@ def qg_from_obj(obj, base="."):
         return qg_from_group(group_from_obj(obj["group"], base), picture)
     dim = _need(obj, "dim", "quantum group")
     w = matrix_from_obj(_need(obj, "W", "quantum group"), "W")
-    if not isinstance(dim, int) or dim <= 0:
+    if not _is_int(dim) or dim <= 0:
         raise ParseError(f"dim must be a positive integer, got {dim!r}")
     if w.shape != (dim * dim, dim * dim):
         raise ParseError(

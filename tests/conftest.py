@@ -1,9 +1,11 @@
 """Shared fixtures, and the oracles the library is checked against:
 embed_on_legs, pair_basis, slices by a functional (slice_leg), the
-streamed pentagon, coassociativity, bicharacter and corepresentation
-residuals with the mapped column slabs they stream (mapped_slab), the
-TSQR intertwiner space, the coinvariant dimension from the
-comultiplication images, the commuting diagrams of comodules and
+comultiplication as the span map of its images (delta_map) with the
+classical and intertwining checks on them, the streamed pentagon,
+coassociativity, bicharacter and corepresentation residuals with the
+mapped column slabs they stream (mapped_slab), the TSQR intertwiner
+space, the coinvariant dimension from the comultiplication images, the
+commuting diagrams of comodules and
 one-sided homs by operators, the induced-coaction equation of a
 corepresentation pushforward one matrix unit at a time, the induced
 coaction from the image system, and the X12 Y13 factorisations and the
@@ -25,17 +27,20 @@ from qgcalc.tensorleg import (
     RANK_CUTOFF,
     LegSpace,
     PairSpan,
+    SpanMap,
     _check_space,
     _map_leg,
     _named_legs,
     apply_map_to_leg,
     as_matrix,
+    gram,
     kron,
     legs_product,
     legs_slab,
     numerical_rank,
     permute_legs,
     residual_between,
+    residuals_between,
     slab_width,
     streamed_residual,
     unvec,
@@ -250,6 +255,68 @@ def pair_basis(left, right):
     return [kron(a, b) for a in left for b in right]
 
 
+def delta_map(qg):
+    """Delta(x) = W(x (x) 1)W* on qg.algC as a SpanMap, its images the n
+    operators W(b_k (x) 1)W* (n d^4 entries): the operator picture of the
+    comultiplication, the oracle for the structure constants and Gram
+    matrix the library keeps."""
+    d, b = qg.dim, qg.algC
+    return SpanMap(b, qg.W @ kron(b, np.eye(d)) @ qg.W.conj().T, d, d * d)
+
+
+def with_delta_images(qg, images):
+    """qg with its comultiplication replaced by the span map of images on
+    qg.algC: its structure constants and Gram matrix read off them, as the
+    build reads its own."""
+    span = PairSpan(qg.algC, qg.algC)
+    c = span.coefficients(images)
+    g = gram(np.asarray(images) - span.combine(c))
+    return q.FiniteQuantumGroup(qg.dim, qg.W, qg.algC, c, g, qg.kacR, qg.residuals)
+
+
+def classical_comultiplication(g, picture):
+    """The units of groups.qg_from_group's classical check of g and the
+    structure constants they must obey: the point masses E_aa with
+    c[c, a, b] = 1 where ab = c (c0), or the translations rho_b with
+    c[b, b, b] = 1 (cstar)."""
+    n = g.order
+    c = np.zeros((n, n, n))
+    if picture == "c0":
+        for a, b in itertools.product(range(n), repeat=2):
+            c[g.mul(a, b), a, b] = 1.0
+        return np.stack([np.diag(row) for row in np.eye(n, dtype=complex)]), c
+    for b in range(n):
+        c[b, b, b] = 1.0
+    return np.stack([q.translation_matrix(g, b) for b in range(n)]), c
+
+
+def operator_comultiplication_defects(qg, ys, c, delta=None):
+    """The classical checks of groups.qg_from_group by operators, the
+    oracle for intertwining_residuals: residual_between of Delta(y_k) and
+    sum_ij c[k, i, j] y_i (x) y_j for every k, each a sum of Kronecker
+    products, with Delta the span map delta (delta_map(qg) by default)."""
+    delta = delta_map(qg) if delta is None else delta
+    out = []
+    for y, ck in zip(ys, c):
+        want = np.zeros((qg.dim**2, qg.dim**2), dtype=complex)
+        for i, j in zip(*np.nonzero(ck)):
+            want += ck[i, j] * kron(ys[i], ys[j])
+        out.append(residual_between(delta(y), want))
+    return np.array(out)
+
+
+def operator_intertwining(f, c, a, delta_c=None, delta_a=None):
+    """The intertwining residual of homviews.HopfHom by operators, its
+    oracle: the worst residual_between of Delta_A(f(b_k)) and (f (x)
+    f)(Delta_C(b_k)) over c.algC, with both comultiplications span maps
+    (delta_map by default)."""
+    delta_c = delta_map(c) if delta_c is None else delta_c
+    delta_a = delta_map(a) if delta_a is None else delta_a
+    ff, sp = apply_map_to_leg(delta_c.images, c.space, 1, f)
+    ff, _ = apply_map_to_leg(ff, sp, 2, f)
+    return residuals_between(delta_a.apply_stack(f.apply_stack(c.algC)), ff)
+
+
 def streamed_coassociativity(qg):
     """Coassociativity at the operator level, the oracle for the
     structure-constant form: worst residual_between of
@@ -333,10 +400,11 @@ def streamed_corep_law(x, qg):
     residual_between((id (x) Delta)(X), X12 X13), streamed over column slabs
     of leg 1."""
     h, d = x.shape[0] // qg.dim, qg.dim
+    delta = delta_map(qg)
     return streamed_residual(
         LegSpace((h, d, d)),
         1,
-        lambda cols: mapped_slab(x, LegSpace((h, d)), 2, qg.deltaC, 1, cols),
+        lambda cols: mapped_slab(x, LegSpace((h, d)), 2, delta, 1, cols),
         [(x, (1, 2)), (x, (1, 3))],
     )
 
@@ -348,11 +416,12 @@ def streamed_bicharacter(v, c, a):
     V12 V13 W23, each streamed over column slabs."""
     space = LegSpace((c.dim, a.dim))
     cca, caa = LegSpace((c.dim, c.dim, a.dim)), LegSpace((c.dim, a.dim, a.dim))
+    dual_delta = delta_map(c.dual)
     return {
         "comultSource": streamed_residual(
             cca,
             3,
-            lambda cols: mapped_slab(v, space, 1, c.dual.deltaC, 2, cols),
+            lambda cols: mapped_slab(v, space, 1, dual_delta, 2, cols),
             [(v, (2, 3)), (v, (1, 3))],
         ),
         "comultTarget": streamed_corep_law(v, a),
@@ -460,7 +529,7 @@ def images_coinvariant_dimension(qg):
     oracle for the structure-constant form: the rank of the n x d^4 parts
     of the images Delta(b_k) off span(algC) (x) C1."""
     d = qg.dim
-    images = qg.deltaC.images
+    images = delta_map(qg).images
     right_triv = PairSpan(qg.algC, np.eye(d, dtype=complex)[None] / np.sqrt(d))
     system = (images - right_triv.project(images)).reshape(len(images), -1)
     s = np.linalg.svd(system, compute_uv=False)
@@ -504,7 +573,7 @@ def loop_comodule_residuals(phi, basis, qg, leg):
     pairs = [(y, y) for y in images]
     products = images[:, None] @ kron(*_on_legs(leg, np.eye(hd), qg.algC))
     return {
-        "coassociativity": _square(pairs, space, leg, phi, space, 3 - leg, qg.deltaC),
+        "coassociativity": _square(pairs, space, leg, phi, space, 3 - leg, delta_map(qg)),
         "injective": numerical_rank(images) == len(basis),
         "dense": numerical_rank(products.reshape(-1, space.total**2))
         == len(basis) * len(qg.algC),
@@ -514,9 +583,10 @@ def loop_comodule_residuals(phi, basis, qg, leg):
 def loop_coassoc_diagram(c, a, phi, leg):
     """coassocDiagram of a one-sided hom by operators: Delta_C on the C leg
     of phi(x) against phi on the other leg of Delta_C(x)."""
-    pairs = [(phi(x), dx) for x, dx in zip(c.algC, c.deltaC.images)]
+    delta = delta_map(c)
+    pairs = [(phi(x), dx) for x, dx in zip(c.algC, delta.images)]
     space = LegSpace(_on_legs(leg, c.dim, a.dim))
-    return _square(pairs, space, leg, c.deltaC, c.space, 3 - leg, phi)
+    return _square(pairs, space, leg, delta, c.space, 3 - leg, phi)
 
 
 def loop_compatibility(dl, dr):
@@ -530,7 +600,7 @@ def loop_compatibility(dl, dr):
     )
     if not a.same_unitary(b):
         return square, None
-    deltas = [(dx, dx) for dx in c.deltaC.images]
+    deltas = [(dx, dx) for dx in delta_map(c).images]
     return square, _square(deltas, c.space, 2, dl.deltaL, c.space, 1, dr.deltaR)
 
 

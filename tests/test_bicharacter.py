@@ -33,6 +33,7 @@ from qgcalc.tensorleg import (
     residual_between,
 )
 from conftest import (
+    delta_map,
     embed_on_legs,
     extract_trivial_legs,
     gauged_bicharacters,
@@ -183,9 +184,11 @@ def _check_against_the_embedding_oracle(homs):
     v23, v13c = embed_on_legs(v, cca, (2, 3)), embed_on_legs(v, cca, (1, 3))
     v12, v13a = embed_on_legs(v, caa, (1, 2)), embed_on_legs(v, caa, (1, 3))
     wc12, wa23 = embed_on_legs(c.W, cca, (1, 2)), embed_on_legs(a.W, caa, (2, 3))
+    on_c = apply_map_to_leg(v, sp, 1, delta_map(c.dual))[0]
+    on_a = apply_map_to_leg(v, sp, 2, delta_map(a))[0]
     want = {
-        "comultSource": residual_between(apply_map_to_leg(v, sp, 1, c.dual.deltaC)[0], v23 @ v13c),
-        "comultTarget": residual_between(apply_map_to_leg(v, sp, 2, a.deltaC)[0], v12 @ v13a),
+        "comultSource": residual_between(on_c, v23 @ v13c),
+        "comultTarget": residual_between(on_a, v12 @ v13a),
         "operatorSource": residual_between(v23 @ wc12, wc12 @ v13c @ v23),
         "operatorTarget": residual_between(wa23 @ v12, v12 @ v13a @ wa23),
     }

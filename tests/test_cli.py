@@ -291,15 +291,15 @@ def test_verifying_a_bicharacter_builds_each_w_once(
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(q.qg_from_group(z4, "c0"))))
     digests = _count_builds(monkeypatch)
-    calls = count_calls("_delta_c")
+    calls = count_calls("_delta_images")
     for path, builds in ((str(ident), 2), (va_file[0], 3)):
         argv = ["verify", path, "bicharacter"]
         digests.clear()
-        calls["_delta_c"] = 0
+        calls["_delta_images"] = 0
         code, obj = run_json(capsys, argv)
         assert code == 0 and "rInvariance" in {c["name"] for c in obj["checks"]}
         assert len(digests) == len(set(digests)) == builds, argv
-        assert calls["_delta_c"] == builds, argv
+        assert calls["_delta_images"] == builds, argv
 
 
 def test_coaction_commands_take_the_stored_map_as_it_is(
@@ -531,16 +531,16 @@ def test_compose_builds_each_distinct_w_once_per_invocation(
     path_b = tmp_path / "vb.json"
     write_json(str(path_b), bicharacter_to_obj(vb))
     digests = _count_builds(monkeypatch)
-    calls = count_calls("_delta_c")
+    calls = count_calls("_delta_images")
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
     # c0(Z4) and c0(Z2), each named by both files, and the dual of each as
     # a source, a flip-adjoint W of its own; one image stack per build
-    assert len(digests) == len(set(digests)) == calls["_delta_c"] == 4
+    assert len(digests) == len(set(digests)) == calls["_delta_images"] == 4
     # built objects do not outlive an invocation: a second one builds again
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    assert len(digests) == calls["_delta_c"] == 8 and len(set(digests)) == 4
+    assert len(digests) == calls["_delta_images"] == 8 and len(set(digests)) == 4
 
 
 def test_compose_mismatch_exits_two(capsys, va_file):
@@ -596,6 +596,51 @@ def test_unusable_w_exits_two(tmp_path, capsys, z2, entry):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: W: entry 0 is not finite\n"
+
+
+_ONE = {"rows": 1, "cols": 1, "data": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (
+            {"group": {"order": True, "table": [[0]]}, "picture": "c0"},
+            "group: order must be a positive integer, got True",
+        ),
+        (
+            {"group": {"order": 2, "table": [[0, True], [True, 0]]}, "picture": "c0"},
+            "group: table entry True is not an integer",
+        ),
+        ({"dim": True, "W": _ONE}, "dim must be a positive integer, got True"),
+        (
+            {"dim": 1, "W": {"rows": True, "cols": True, "data": [[1.0, 0.0]]}},
+            "W: rows and cols must be positive integers",
+        ),
+    ],
+    ids=["order", "table-entry", "dim", "rows-cols"],
+)
+def test_a_json_bool_is_not_an_integer_exits_two(tmp_path, capsys, spec, message):
+    """JSON true is no size or group element: a ParseError and exit 2, where
+    it used to pass as 1 or die in a TypeError."""
+    path = tmp_path / "bool.json"
+    write_json(str(path), spec)
+    code, captured = run_cli(capsys, ["verify", str(path), "qg"])
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_suite_group_of_order_true_fails(tmp_path, capsys):
+    d = _copy_corpus(tmp_path, ["z2"])
+    write_json(str(d / "bool_group.json"), {"order": True, "table": [[0]]})
+    code, obj = run_json(capsys, ["suite", str(d)])
+    assert code == 1
+    failing = {s["subject"]: s["checks"][-1] for s in obj["subjects"] if not s["pass"]}
+    assert list(failing) == ["bool_group.json"]
+    assert failing["bool_group.json"]["message"] == (
+        "group: order must be a positive integer, got True"
+    )
 
 
 def test_integer_too_large_for_a_float_exits_two(tmp_path, capsys, va_file):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import qgcalc as q
-from qgcalc.errors import NotAbelian, NotAGroup
+from qgcalc import groups as groups_module
+from qgcalc.errors import CalculusError, NotAbelian, NotAGroup
 from qgcalc.groups import (
     build_group,
     character_group,
@@ -27,7 +28,16 @@ from qgcalc.groups import (
     trivial_group,
     trivial_hom,
 )
-from qgcalc.tensorleg import residual_between, unitarity_defect
+from qgcalc.qgroup import PENTAGON_TOL, FiniteQuantumGroup, intertwining_residuals
+from qgcalc.tensorleg import PairSpan, SpanMap, kron, residual_between, unitarity_defect
+from conftest import (
+    classical_comultiplication,
+    delta_map,
+    haar_unitary,
+    nudged,
+    operator_comultiplication_defects,
+    with_delta_images,
+)
 
 # order-5 loop: Latin square with two-sided identity 0, found by exhaustive
 # search to violate associativity; no group of order 5 looks like this
@@ -229,6 +239,85 @@ def test_hopf_lift_is_covariant_in_group_algebra_picture():
     fi = hom_to_hopf(i24, "cstar")
     for x in lifted.source.algC:
         assert residual_between(lifted.map(x), fq.map(fi.map(x))) <= 1e-12
+
+
+# --- the classical checks of qg_from_group -------------------------------
+
+
+def _gauged(qg, ys, rng):
+    """qg rebuilt from (u (x) u) W (u (x) u)* for a Haar u, and the units
+    conjugated by u to match."""
+    u = haar_unitary(qg.dim, rng)
+    uu = kron(u, u)
+    return q.build_from_unitary(uu @ qg.W @ uu.conj().T, qg.dim), u @ ys @ u.conj().T
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+def test_classical_checks_match_their_operator_oracles(gauge):
+    """On the 26 corpus quantum groups, plain and Haar-gauged, the classical
+    checks read off the structure constants agree with the Kronecker-sum
+    forms, element by element, to 1e-14."""
+    rng = np.random.default_rng(3602)
+    for g in standard_corpus().values():
+        for picture in ("c0", "cstar"):
+            qg = qg_from_group(g, picture)
+            ys, c = classical_comultiplication(g, picture)
+            if gauge == "haar":
+                qg, ys = _gauged(qg, ys, rng)
+            got = intertwining_residuals(qg, ys, c)
+            want = operator_comultiplication_defects(qg, ys, c)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+            assert np.max(got) <= PENTAGON_TOL
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_classical_checks_never_read_below_their_oracles(picture):
+    """1e-6 perturbations of Delta and of the units, each inside the span it
+    lives on and off it, on gauged Z4, S3 and Q8: the coefficient form
+    never reads below the operator one by more than 1e-15, and both read
+    every perturbation above the gate."""
+    rng = np.random.default_rng(3603)
+    corpus = standard_corpus()
+    for name in ("Z4", "S3", "Q8"):
+        ys, c = classical_comultiplication(corpus[name], picture)
+        qg, ys = _gauged(qg_from_group(corpus[name], picture), ys, rng)
+        d = qg.dim
+        images = delta_map(qg).images
+        for inside in (True, False):
+            moved = nudged(images, PairSpan(qg.algC, qg.algC), 1e-6, inside, rng)
+            bad = with_delta_images(qg, moved)
+            got = intertwining_residuals(bad, ys, c)
+            want = operator_comultiplication_defects(bad, ys, c, SpanMap(qg.algC, moved, d, d * d))
+            assert np.all(got >= want - 1e-15) and np.min(want) > PENTAGON_TOL
+            units = nudged(ys, PairSpan(qg.algC, np.ones((1, 1, 1))), 1e-6, inside, rng)
+            got = intertwining_residuals(qg, units, c)
+            want = operator_comultiplication_defects(qg, units, c)
+            assert np.all(got >= want - 1e-15) and np.min(want) > PENTAGON_TOL
+
+
+def test_a_nan_comultiplication_fails_the_classical_checks(monkeypatch):
+    """A NaN in the Gram matrix or the structure constants reads NaN in
+    either check, and qg_from_group's gate fails closed."""
+    z4 = cyclic_group(4)
+    for picture in ("c0", "cstar"):
+        qg = qg_from_group(z4, picture)
+        ys, c = classical_comultiplication(z4, picture)
+        for which in ("structure", "gram"):
+            held = {"structure": qg.structure.copy(), "gram": qg.gram.copy()}
+            held[which][1, 1] = np.nan
+            bad = FiniteQuantumGroup(
+                qg.dim, qg.W, qg.algC, held["structure"], held["gram"], qg.kacR, qg.residuals
+            )
+            assert np.isnan(intertwining_residuals(bad, ys, c)).any()
+    c0 = qg_from_group(z4, "c0")
+    gram = c0.gram.copy()
+    gram[0, 0] = np.nan
+    tampered = FiniteQuantumGroup(
+        c0.dim, c0.W, c0.algC, c0.structure, gram, c0.kacR, c0.residuals
+    )
+    monkeypatch.setattr(groups_module, "build_from_unitary", lambda w, d: tampered)
+    with pytest.raises(CalculusError, match="not classical at element 0"):
+        qg_from_group.__wrapped__(z4, "c0")
 
 
 def test_qg_from_group_rejects_unknown_picture():

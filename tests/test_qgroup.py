@@ -25,9 +25,11 @@ from qgcalc.qgroup import (
     closure_residual,
     coinvariant_dimension,
     manageability_witness,
+    product_constants,
     structure_constants,
     transpose_qg,
     unitary_antipode,
+    unitary_slices,
 )
 from qgcalc import qgroup as qgroup_module
 from qgcalc.report import Report
@@ -35,8 +37,8 @@ from qgcalc import tensorleg as tensorleg_module
 from qgcalc.tensorleg import (
     LegSpace,
     PairSpan,
-    SpanMap,
     flip_unitary,
+    gram,
     kron,
     membership_residual,
     orthonormal_basis,
@@ -47,6 +49,7 @@ from qgcalc.tensorleg import (
 )
 from conftest import (
     Functional,
+    delta_map,
     embed_on_legs,
     haar_unitary,
     images_coinvariant_dimension,
@@ -54,6 +57,7 @@ from conftest import (
     slice_leg,
     streamed_pentagon,
     streamed_transpose,
+    with_delta_images,
 )
 
 RNG = np.random.default_rng(4217)
@@ -124,14 +128,14 @@ def test_comultiplication_on_diagonal_units(z4):
                     eb = np.zeros((n, n), dtype=complex)
                     eb[b, b] = 1.0
                     want += kron(ea, eb)
-        assert residual_between(c4.deltaC(e), want) <= 1e-10
+        assert residual_between(delta_map(c4)(e), want) <= 1e-10
 
 
 def test_comultiplication_is_grouplike_on_translations(s3):
     cs = q.qg_from_group(s3, "cstar")
     for gidx in range(s3.order):
         rho = q.translation_matrix(s3, gidx)
-        assert residual_between(cs.deltaC(rho), kron(rho, rho)) <= 1e-10
+        assert residual_between(delta_map(cs)(rho), kron(rho, rho)) <= 1e-10
 
 
 def test_pentagon_violation_for_flip():
@@ -179,7 +183,8 @@ def _flip_adjoint_by_hand(qg):
 def _assert_same_build(got, fresh):
     np.testing.assert_array_equal(got.W, fresh.W)
     np.testing.assert_array_equal(got.algC, fresh.algC)
-    np.testing.assert_array_equal(got.deltaC.images, fresh.deltaC.images)
+    np.testing.assert_array_equal(got.structure, fresh.structure)
+    np.testing.assert_array_equal(got.gram, fresh.gram)
     assert got.residuals == fresh.residuals
 
 
@@ -295,7 +300,7 @@ def test_antipode_inverts_translations(s3):
 
 def test_unitary_antipode_recomputes_when_missing(z2):
     c2 = q.qg_from_group(z2, "c0")
-    stripped = FiniteQuantumGroup(c2.dim, c2.W, c2.algC, c2.deltaC, None, c2.residuals)
+    stripped = FiniteQuantumGroup(c2.dim, c2.W, c2.algC, c2.structure, c2.gram, None, c2.residuals)
     kappa = unitary_antipode(stripped)
     for x in c2.algC:
         assert residual_between(kappa(x), c2.kacR(x)) <= 1e-12
@@ -627,29 +632,77 @@ def test_structure_constants_are_the_comultiplication(s3):
     assert c.shape == (n, n, n)
     b = np.stack(qg.algC)
     rebuilt = np.einsum("kij,iab,jce->kacbe", c, b, b).reshape(n, d * d, d * d)
-    np.testing.assert_allclose(rebuilt, np.stack(qg.deltaC.images), atol=1e-13)
+    np.testing.assert_allclose(rebuilt, delta_map(qg).images, atol=1e-13)
 
 
 def test_structure_constants_are_read_once_per_object(s3, count_calls):
-    """The build keeps the constants the pentagon read; an object made by
-    hand reads them off its deltaC on first use.  Either way they are the
-    coefficients of deltaC bit for bit, and later calls share one
-    read-only array."""
+    """The build keeps the constants the pentagon read, the coefficients of
+    the images W(b_k (x) 1)W* bit for bit, and every call shares that one
+    read-only array without reading them again."""
     qg, _ = _gauged(q.qg_from_group(s3, "c0"), np.random.default_rng(17))
-    fresh = PairSpan(qg.algC, qg.algC).coefficients(qg.deltaC.images)
-    by_hand = FiniteQuantumGroup(qg.dim, qg.W, qg.algC, qg.deltaC, qg.kacR, qg.residuals)
+    fresh = PairSpan(qg.algC, qg.algC).coefficients(delta_map(qg).images)
     calls = count_calls("PairSpan.coefficients")
-    for obj in (qg, by_hand):
-        first = structure_constants(obj)
-        np.testing.assert_array_equal(first, fresh)
-        assert structure_constants(obj) is first
-        assert not first.flags.writeable
-    assert calls["PairSpan.coefficients"] == 1
+    first = structure_constants(qg)
+    np.testing.assert_array_equal(first, fresh)
+    assert structure_constants(qg) is first
+    assert not first.flags.writeable
+    assert calls["PairSpan.coefficients"] == 0
 
 
-def _with_delta_images(qg, images):
-    delta = SpanMap(qg.deltaC.basis, tuple(images), qg.dim, qg.dim**2)
-    return FiniteQuantumGroup(qg.dim, qg.W, qg.algC, delta, qg.kacR, qg.residuals)
+def _held_arrays(obj, seen):
+    """Every ndarray reachable from obj through attributes, dict values and
+    sequence items, each object once; weak references are not followed."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        items = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+    else:
+        items = list(getattr(obj, "__dict__", {}).values())
+    return [a for item in items for a in _held_arrays(item, seen)]
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_a_quantum_group_holds_no_image_stack(s3, picture):
+    """No array held by a built quantum group or by its dual, once every
+    cached reading is made, has the n d^4 entries of the images
+    W(b_k (x) 1)W*: Delta is held as its structure constants and Gram
+    matrix."""
+    qg, _ = _gauged(q.qg_from_group(s3, picture), np.random.default_rng(3606))
+    for x in (qg, qg.dual):
+        coassociativity_residual(x)
+        coinvariant_dimension(x)
+        product_constants(x)
+        unitary_slices(x)
+        unitary_antipode(x)
+    n, d = len(qg.algC), qg.dim
+    held = _held_arrays(qg, set())
+    assert any(a is qg.dual.structure for a in held)
+    assert max(a.size for a in held) < n * d**4
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+def test_structure_constants_and_gram_are_the_images(corpus, gauge):
+    """On the 26 corpus quantum groups, plain and Haar-gauged, C and g are
+    the coefficients of the images W(b_k (x) 1)W* and the Gram matrix of
+    their parts off span(algC) (x) span(algC), to rounding."""
+    rng = np.random.default_rng(3601)
+    for g in corpus.values():
+        for pic in ("c0", "cstar"):
+            qg = q.qg_from_group(g, pic)
+            if gauge == "haar":
+                qg = _gauged(qg, rng)[0]
+            images = delta_map(qg).images
+            span = PairSpan(qg.algC, qg.algC)
+            c = span.coefficients(images)
+            np.testing.assert_allclose(qg.structure, c, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(
+                qg.gram, gram(images - span.combine(c)), rtol=0, atol=1e-14
+            )
 
 
 def test_a_comultiplication_rotated_inside_the_span_fails(s3):
@@ -665,9 +718,9 @@ def test_a_comultiplication_rotated_inside_the_span_fails(s3):
     turned = (vecs * np.exp(1e-6j * ev)) @ vecs.conj().T @ c[1].reshape(-1)
     b = np.stack(qg.algC)
     image = np.einsum("ij,iab,jce->acbe", turned.reshape(n, n), b, b).reshape(qg.dim**2, -1)
-    images = list(qg.deltaC.images)
+    images = list(delta_map(qg).images)
     images[1] = image
-    bad = _with_delta_images(qg, images)
+    bad = with_delta_images(qg, images)
     assert membership_residual(PairSpan(qg.algC, qg.algC), image) <= 1e-14
     assert coassociativity_residual(qg) <= 1e-14
     assert coassociativity_residual(bad) > EQUATION_TOL
@@ -675,9 +728,9 @@ def test_a_comultiplication_rotated_inside_the_span_fails(s3):
 
 def test_a_nan_comultiplication_image_fails_closed(z3):
     qg = q.qg_from_group(z3, "c0")
-    images = [m.copy() for m in qg.deltaC.images]
+    images = delta_map(qg).images.copy()
     images[2][4, 1] = np.nan
-    got = coassociativity_residual(_with_delta_images(qg, images))
+    got = coassociativity_residual(with_delta_images(qg, images))
     assert np.isnan(got)
     report = Report("nan")
     report.add("coassociativity", got, EQUATION_TOL)

@@ -41,6 +41,7 @@ from qgcalc.tensorleg import (
 )
 from conftest import (
     Functional,
+    delta_map,
     embed_on_legs,
     extract_trivial_legs,
     mapped_slab,
@@ -859,17 +860,18 @@ def test_apply_map_to_leg_on_a_stack_maps_each_operator(leg):
 
 def test_span_maps_hold_stacks_whatever_they_are_built_from():
     """Bases and images are (n, r, c) arrays: in a built quantum group, its
-    algC, its dual's and its comultiplication images, a coaction, and a
-    SpanMap made from tuples."""
+    algC and its dual's, the images of a coaction, and a SpanMap made from
+    tuples."""
     c = q.qg_from_group(q.cyclic_group(3), "c0")
-    for basis, n, r in ((c.algC, 3, 3), (c.dual.algC, 3, 3), (c.deltaC.images, 3, 9)):
-        assert isinstance(basis, np.ndarray) and basis.shape == (n, r, r)
     co = q.comultiplication_coaction(c)
+    images = co.gamma.images
+    for basis, n, r in ((c.algC, 3, 3), (c.dual.algC, 3, 3), (images, 3, 9)):
+        assert isinstance(basis, np.ndarray) and basis.shape == (n, r, r)
     assert isinstance(co.algebraD, np.ndarray) and co.algebraD.shape == (3, 3, 3)
-    phi = SpanMap(tuple(c.algC), tuple(c.deltaC.images), 3, 9)
+    phi = SpanMap(tuple(c.algC), tuple(images), 3, 9)
     assert phi.basis.shape == (3, 3, 3) and phi.images.shape == (3, 9, 9)
     assert phi.basis.dtype == complex
-    np.testing.assert_array_equal(phi.apply_stack(c.algC), c.deltaC.apply_stack(c.algC))
+    np.testing.assert_array_equal(phi.apply_stack(c.algC), co.gamma.apply_stack(c.algC))
 
 
 def test_apply_map_to_leg_grows_the_leg():
@@ -878,9 +880,10 @@ def test_apply_map_to_leg_grows_the_leg():
     sp = LegSpace((3, 2))
     x = random_complex(2, 2)
     t = kron(np.eye(3), x)
-    got, out_space = apply_map_to_leg(t, sp, 2, c2.deltaC)
+    delta = delta_map(c2)
+    got, out_space = apply_map_to_leg(t, sp, 2, delta)
     assert out_space.dims == (3, 4)
-    np.testing.assert_allclose(got, kron(np.eye(3), c2.deltaC(x)), atol=1e-10)
+    np.testing.assert_allclose(got, kron(np.eye(3), delta(x)), atol=1e-10)
 
 
 # --- property tests -----------------------------------------------------
