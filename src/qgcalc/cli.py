@@ -164,8 +164,8 @@ def _hom_battery(report, kind, source, target, images):
         hom = HopfHom(source, target, fmap)
     else:
         side = _side(kind)
-        res = one_sided_residuals(source, target, fmap, side.hom.leg)
-        hom = side.hom(source, target, fmap, res)
+        res, coefficients = one_sided_residuals(source, target, fmap, side.hom.leg)
+        hom = side.hom(source, target, fmap, res, coefficients)
     report.add_gates("", hom.gates, hom.residuals)
     if not report.passed:
         return
@@ -188,7 +188,7 @@ def _coaction_battery(report, basis, qg, images, prefix=""):
     hd = basis.shape[1]
     gamma = SpanMap(basis, images, hd, hd * qg.dim)
     try:
-        co = check_coaction(gamma, basis, qg)
+        co = check_coaction(gamma, qg)
     except CalculusError as exc:
         _record_failure(report, exc)
         return None
@@ -219,8 +219,9 @@ def _emit(report, args, multi=False):
 
 def _run(args):
     """Runs verify, compose, dual or induce: args.func(args, report)
-    fills the report and returns the object for --out, or None.  Unusable
-    input propagates to main (exit 2); other CalculusErrors fail a check.
+    fills the report and returns a function making the object for --out,
+    called only when --out is given, or None.  Unusable input propagates to
+    main (exit 2); other CalculusErrors fail a check.
     """
     subject = os.path.basename(args.path) if args.command == "verify" else args.command
     report = Report(subject=subject, tol_override=args.tol)
@@ -234,7 +235,7 @@ def _run(args):
         _record_failure(report, exc)
     report.wallTime = time.perf_counter() - t0
     if produced is not None and args.out:
-        write_json(args.out, produced)
+        write_json(args.out, produced())
     _emit(report, args)
     return 0 if report.passed else 1
 
@@ -273,13 +274,13 @@ def cmd_compose(args, report):
     result = compose(first, second)
     report.add("extraction", result.residuals["extraction"], EQUATION_TOL)
     _bicharacter_battery(report, "", result)
-    return bicharacter_to_obj(result)
+    return lambda: bicharacter_to_obj(result)
 
 
 def cmd_dual(args, report):
     result = dual_bicharacter(_load_bicharacter_file(args.path))
     _bicharacter_battery(report, "", result)
-    return bicharacter_to_obj(result)
+    return lambda: bicharacter_to_obj(result)
 
 
 def _right_hom_from_file(path):
@@ -308,7 +309,7 @@ def cmd_induce(args, report):
     report.add("solve", induced.residuals["solve"], EQUATION_TOL)
     report.add_bool("uniqueRank", induced.residuals["uniqueRank"])
     report.add_gates("", induced.gates, induced.residuals)
-    return coaction_to_obj(induced)
+    return lambda: coaction_to_obj(induced)
 
 
 def _group_subject(report, g):

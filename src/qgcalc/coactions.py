@@ -1,12 +1,14 @@
 """Coactions of finite quantum groups on matrix algebras and the functors
 between coaction categories that right homomorphisms induce.
 
-The central construction takes a coaction of C and a right homomorphism
-from C to A and solves a commuting square of coefficients for the induced
-coaction of A; its solvability and uniqueness are exactly the
-finite-dimensional content of the induction theorem.  Corepresentations
-are pushed forward in closed form, by factorising (id (x) deltaR)(X) =
-X12 Y13 on the slices of X.
+A coaction is a SpanMap on its own orthonormal basis, read once by its
+check, and induction takes the coefficients that read kept.  The central
+construction takes a coaction of C and a right homomorphism from C to A
+and solves a commuting square of coefficients for the induced coaction
+of A; its solvability and uniqueness are exactly the finite-dimensional
+content of the induction theorem.  Corepresentations are pushed forward
+in closed form, by factorising (id (x) deltaR)(X) = X12 Y13 on the
+slices of X.
 """
 
 import numpy as np
@@ -42,10 +44,10 @@ from .tensorleg import (
     SpanMap,
     diagram_residual,
     frob,
+    gram,
     kron,
     residual_between,
     residuals_between,
-    span_map_from_pairs,
     unitarity_defect,
 )
 
@@ -65,7 +67,8 @@ __all__ = [
 
 
 class Coaction:
-    """Verified coaction gamma: D -> D (x) C on a matrix algebra D."""
+    """Verified coaction gamma: D -> D (x) C on a matrix algebra D, with the
+    map_coefficients (p, g) of gamma its check read."""
 
     gates = (
         ("wellDefined", EQUATION_TOL, "gamma is not well defined on the span"),
@@ -77,11 +80,12 @@ class Coaction:
         ("podles", None, "density condition fails: products do not fill D (x) C"),
     )
 
-    def __init__(self, algebra_d, qg, gamma, residuals):
+    def __init__(self, algebra_d, qg, gamma, residuals, coefficients):
         self.algebraD = np.asarray(algebra_d, dtype=complex)
         self.qg = qg
         self.gamma = gamma
         self.residuals = dict(residuals)
+        self.coefficients = coefficients
 
     @property
     def hdim(self):
@@ -107,36 +111,35 @@ class Corepresentation:
         return f"Corepresentation(H dim {self.hdim}, qg dim {self.qg.dim})"
 
 
-def check_coaction(gamma, d, c):
-    """Validate a linear map on the span of d as a coaction of c.
+def check_coaction(gamma, c):
+    """Validate a SpanMap gamma as a coaction of c on the span of its basis D.
 
-    gamma is a SpanMap or any callable on matrices.  A SpanMap whose basis
-    is d is taken as it is; anything else is evaluated on d and
-    re-expressed on an orthonormalized basis.  Then every coaction axiom
-    is checked: algebra closure of d, the *-homomorphism property, range,
-    coassociativity, injectivity, and the density (rank) condition.
+    gamma is read on D as it is stored, so D must be orthonormal:
+    ``wellDefined`` is the relative distance of gram(D) from the identity,
+    rounding on a QR or matrix-unit basis, and a dependent or scaled D,
+    on which gamma would be misapplied, fails it.  Then every coaction
+    axiom is checked: algebra closure of D, the *-homomorphism property,
+    range, coassociativity, injectivity, and the density (rank) condition.
     """
-    d = np.asarray(d, dtype=complex)
-    if isinstance(gamma, SpanMap) and np.array_equal(gamma.basis, d):
-        gmap, well = gamma, 0.0
-    else:
-        gmap, well = span_map_from_pairs([(x, gamma(x)) for x in d])
-    basis = gmap.basis
+    basis = gamma.basis
+    well = residual_between(gram(basis), np.eye(len(basis)))
     res = {"wellDefined": well, "closure": closure_residual(basis)}
     gate_all(res, Coaction.gates, CoactionViolation)
 
-    co = comodule_residuals(gmap, basis, c, 1)
+    co, coefficients = comodule_residuals(gamma, basis, c, 1)
     co["podles"] = co.pop("dense")
     # np.max, unlike max(), carries a NaN residual through to the gate
-    res.update(co, homomorphism=float(np.max(star_hom_residuals(gmap, basis))))
+    res.update(co, homomorphism=float(np.max(star_hom_residuals(gamma, basis))))
     gate_all(res, Coaction.gates, CoactionViolation)
-    return Coaction(basis, c, gmap, res)
+    return Coaction(basis, c, gamma, res, coefficients)
 
 
 def trivial_coaction(d, c):
-    """The coaction d -> d (x) 1."""
-    eye_c = np.eye(c.dim, dtype=complex)
-    return check_coaction(lambda x: kron(x, eye_c), d, c)
+    """The coaction d -> d (x) 1 on an orthonormal (n, h, h) basis d."""
+    d = np.asarray(d, dtype=complex)
+    h = d.shape[1]
+    # kron of a stack and a matrix is the stack of the krons
+    return check_coaction(SpanMap(d, kron(d, np.eye(c.dim)), h, h * c.dim), c)
 
 
 def comultiplication_coaction(c):
@@ -144,7 +147,7 @@ def comultiplication_coaction(c):
     structure constants.  So ``range`` reads rounding: the same property,
     at the same CLOSURE_TOL, is the build's comultMembership gate."""
     images = PairSpan(c.algC, c.algC).combine(structure_constants(c))
-    return check_coaction(SpanMap(c.algC, images, c.dim, c.dim**2), c.algC, c)
+    return check_coaction(SpanMap(c.algC, images, c.dim, c.dim**2), c)
 
 
 def check_corepresentation(x, qg):
@@ -165,37 +168,43 @@ def _matrix_units(n):
     return np.eye(n * n, dtype=complex).reshape(n * n, n, n)
 
 
+def _conjugation_images(u, h):
+    """Ad u(E_k) = u (E_k (x) 1) u* on the matrix units E_k of B(H), dim H =
+    h, for a unitary u on H (x) H_C: an (h^2, h d, h d) stack."""
+    d = u.shape[0] // h
+    u4 = u.reshape(h, d, h, d)
+    # u (E_ab (x) 1) u* = (block column a of u)(block column b of u)*
+    images = np.einsum("pcaf,qebf->abpcqe", u4, u4.conj(), optimize=True)
+    return images.reshape(h * h, h * d, h * d)
+
+
 def conjugation_coaction(corep):
-    """Ad X: the coaction of corep's quantum group on all of B(H)."""
-    h = corep.hdim
-    dc = corep.qg.dim
-    eye_c = np.eye(dc, dtype=complex)
-    x = corep.X
-    xd = x.conj().T
-
-    def ad(k):
-        return x @ kron(k, eye_c) @ xd
-
-    return check_coaction(ad, _matrix_units(h), corep.qg)
+    """Ad X: the coaction of corep's quantum group on all of B(H), stored on
+    the matrix units."""
+    h, c = corep.hdim, corep.qg
+    gamma = SpanMap(_matrix_units(h), _conjugation_images(corep.X, h), h, h * c.dim)
+    return check_coaction(gamma, c)
 
 
-def _pushed_through(phi, basis, dr, what):
-    """The map psi of basis into span(basis) (x) A induced from phi along dr,
-    (phi (x) id)(psi(x)) = (id (x) deltaR)(phi(x)), gated (SolveFailure,
-    what fails), with the solve residual and whether psi is unique.
+def _pushed_through(coefficients, basis, dr, what):
+    """The map psi of basis into span(basis) (x) A induced along dr from the
+    map phi with map_coefficients (P, g) on basis, (phi (x) id)(psi(x)) =
+    (id (x) deltaR)(phi(x)), gated (SolveFailure, what fails), with the
+    solve residual and whether psi is unique.
 
     On the coefficients P of phi and R of deltaR it is the square sum_i
     Psi[k, i, t] P[i, p, s] = sum_q P[k, p, q] R[q, s, t], one least-squares
     solve on the (n_D n_C) x n_D matrix P, unique when rank P = n_D.  The
     residual is residual_between's per x_k plus |Psi_k| |E| + |P_k| |F| +
     |deltaR| |E_k| (Frobenius norms) for the parts E_i of phi(x_i) and F_q
-    of deltaR(b_q) off the spans: it never reads below the operator one,
-    and a NaN in P or R reads NaN.
+    of deltaR(b_q) off the spans, read off the Gram matrices of the E_i
+    and the F_q: it never reads below the operator one, and a NaN in P or
+    R reads NaN.
     """
     hd, n = basis.shape[1], len(basis)
-    c, a = dr.source, dr.target
-    p, off_p = map_coefficients(phi, basis, c, 1)
-    r, off_r = dr.coefficients
+    a = dr.target
+    p, g_p = coefficients
+    r, g_r = dr.coefficients
     rhs = np.tensordot(p, r, axes=(2, 0))
     system, b = p.reshape(n, -1).T, rhs.transpose(1, 2, 0, 3).reshape(p[0].size, -1)
     if np.all(np.isfinite(system)):
@@ -207,8 +216,10 @@ def _pushed_through(phi, basis, dr, what):
     # sol[i, (k, t)] is Psi[k, i, t]
     psi = sol.reshape(n, n, -1).transpose(1, 0, 2)
     miss = per_k((system @ sol - b).reshape(len(b), n, -1).transpose(1, 0, 2))
-    miss += per_k(psi) * frob(off_p) + per_k(p) * frob(off_r)
-    miss += frob(dr.deltaR.images) * per_k(off_p)
+    off_p, off_r = (np.sqrt(np.trace(g).real) for g in (g_p, g_r))
+    miss += per_k(psi) * off_p + per_k(p) * off_r
+    # |deltaR|^2 is its part on the span, |R|^2, plus the rest, tr g_r
+    miss += np.sqrt(frob(r) ** 2 + off_r**2) * np.sqrt(np.diag(g_p).real)
     worst = float(np.max(miss / np.maximum(1.0, per_k(rhs))))
     gate(worst, EQUATION_TOL, SolveFailure, what)
     images = PairSpan(basis, a.algC).combine(psi)
@@ -226,9 +237,9 @@ def induce_coaction(gamma, dr):
         raise SourceTargetMismatch(
             f"coaction is over dim {gamma.qg.dim}, homomorphism starts at {dr.source.dim}"
         )
-    basis = gamma.algebraD
-    induced, worst, unique = _pushed_through(gamma.gamma, basis, dr, "induced coaction solve fails")
-    out = check_coaction(induced, basis, dr.target)
+    what = "induced coaction solve fails"
+    induced, worst, unique = _pushed_through(gamma.coefficients, gamma.algebraD, dr, what)
+    out = check_coaction(induced, dr.target)
     out.residuals["solve"] = worst
     out.residuals["uniqueRank"] = unique
     return out
@@ -255,7 +266,8 @@ def compose_functors_check(a, b):
             f"middle objects differ: {a.target.dim} vs {b.source.dim}"
         )
     c = a.source
-    comp_map, worst, _ = _pushed_through(a.deltaR, c.algC, b, "composite homomorphism solve fails")
+    what = "composite homomorphism solve fails"
+    comp_map, worst, _ = _pushed_through(a.coefficients, c.algC, b, what)
     comp = check_right_hom(c, b.target, comp_map)
 
     checks = [worst]
@@ -267,20 +279,6 @@ def compose_functors_check(a, b):
     v_chain = compose_bicharacters(a.bicharacter, b.bicharacter)
     checks.append(residual_between(comp.bicharacter.V, v_chain.V))
     return float(np.max(checks))
-
-
-def _conjugation_coefficients(u, units, alg):
-    """Ad u(E_k) = u (E_k (x) 1) u* on the matrix units E_k of B(H), as
-    coefficients on span(units) (x) span(alg), and the worst distance of
-    those images from that span."""
-    h, d = units.shape[1], alg.shape[1]
-    u4 = u.reshape(h, d, h, d)
-    # u (E_ab (x) 1) u* = (block column a of u)(block column b of u)*
-    images = np.einsum("pcaf,qebf->abpcqe", u4, u4.conj(), optimize=True)
-    images = images.reshape(h * h, h * d, h * d)
-    span = PairSpan(units, alg)
-    p = span.coefficients(images)
-    return p, residuals_between(images, span.combine(p))
 
 
 def pushforward_corep(x, v):
@@ -302,15 +300,15 @@ def pushforward_corep(x, v):
             f"corep is over dim {x.qg.dim}, bicharacter starts at {v.source.dim}"
         )
     h, c, a = x.hdim, x.qg, v.target
-    r, off = map_coefficients(right_map_from_bicharacter(v), c.algC, a, 1)
-    y, resid = factor_slices(x.X, c, a, (r, off), 1)
+    r, g = map_coefficients(right_map_from_bicharacter(v), c.algC, a, 1)
+    y, resid = factor_slices(x.X, c, a, (r, g), 1)
     gate(resid, EQUATION_TOL, RecoveryFailure, "X12* (id (x) deltaR)(X) is not leg-2 trivial")
     out = check_corepresentation(y, a)
 
     units = _matrix_units(h)
-    p_x, range_x = _conjugation_coefficients(x.X, units, c.algC)
+    p_x, _, range_x = PairSpan(units, c.algC).read(_conjugation_images(x.X, h))
     gate(range_x, CLOSURE_TOL, RecoveryFailure, "Ad X escapes B(H) (x) span(algC)")
-    p_y, range_y = _conjugation_coefficients(y, units, a.algC)
+    p_y, _, range_y = PairSpan(units, a.algC).read(_conjugation_images(y, h))
     gate(range_y, CLOSURE_TOL, RecoveryFailure, "Ad Y escapes B(H) (x) span(algA)")
     worst = diagram_residual((p_y, 1, p_x), (p_x, 2, r))
     what = "conjugation by the recovered unitary differs from the induced coaction"

@@ -34,8 +34,8 @@ from .tensorleg import (
     diagram_residual,
     flip_adjoint,
     frob,
+    gram,
     kron,
-    kron_sum_sq,
     membership_residuals,
     numerical_rank,
     residual_between,
@@ -120,44 +120,42 @@ def star_hom_residuals(f, basis):
     return star, float(mult)
 
 
-def _coefficients(phi, basis, qg, leg):
-    """phi's images of basis, the PairSpan (basis on leg) of basis and
-    qg.algC they belong to, and their coefficients on it."""
-    images = phi.apply_stack(basis)
+def _read(phi, basis, qg, leg):
+    """PairSpan.read of phi's images of basis on span(basis) (x) span(qg.algC),
+    basis on leg: the coefficients p, the Gram matrix g of the images' parts
+    off the span, and range."""
     span = PairSpan(basis, qg.algC) if leg == 1 else PairSpan(qg.algC, basis)
-    return images, span, span.coefficients(images)
+    return span.read(phi.apply_stack(basis))
 
 
 def map_coefficients(phi, basis, qg, leg):
-    """The coefficients p of phi on basis (_coefficients) and the images' parts off the span."""
-    images, span, p = _coefficients(phi, basis, qg, leg)
-    return p, images - span.combine(p)
+    """The coefficients p of phi on basis and the Gram matrix g of its
+    images' parts off the span (_read): phi as factor_slices takes it."""
+    return _read(phi, basis, qg, leg)[:2]
 
 
 def comodule_residuals(phi, basis, qg, leg):
     """Comodule axioms of phi: D -> D (x) C (leg 1) or C (x) D (leg 2), on an
-    orthonormal basis of D.
+    orthonormal basis of D, and the (p, g) of map_coefficients they are read
+    from, in one read of the images.
 
     ``range`` is the distance from the algebra pair span, and the rest is
     read off the coefficients P on it: ``coassociativity`` compares phi on
     the D leg with Delta_C on the C leg, ``injective`` is the rank of P, and
     ``dense`` the rank of the products phi(x)(1 (x) c) (the Podles condition).
     """
-    return _comodule_from_coefficients(qg, leg, *_coefficients(phi, basis, qg, leg))
-
-
-def _comodule_from_coefficients(qg, leg, images, span, p):
-    """comodule_residuals from what _coefficients has read."""
+    p, g, range_ = _read(phi, basis, qg, leg)
     # the products' coefficients, rows (k, m) and columns (i, l), i on D
     on_c_last = p if leg == 1 else p.transpose(0, 2, 1)
     products = np.einsum("kij,jml->kmil", on_c_last, multiplication_constants(qg), optimize=True)
     n = len(p) * len(qg.algC)
-    return {
-        "range": membership_residuals(span, images),
+    residuals = {
+        "range": range_,
         "coassociativity": diagram_residual((p, leg, p), (p, 3 - leg, structure_constants(qg))),
         "injective": numerical_rank(p) == len(p),
         "dense": numerical_rank(products.reshape(n, n)) == n,
     }
+    return residuals, (p, g)
 
 
 def check_hopf_hom(source, target, map):
@@ -179,19 +177,15 @@ def _one_sided_gates(name, pair_span):
 
 
 class _OneSidedHom:
-    """A verified map of C into C (x) A or A (x) C, C on ``leg``, kept as ``map_name``."""
+    """A verified map of C into C (x) A or A (x) C, C on ``leg``, kept as
+    ``map_name``, with the map_coefficients (p, g) its check read."""
 
-    def __init__(self, source, target, map, residuals):
+    def __init__(self, source, target, map, residuals, coefficients):
         self.source = source
         self.target = target
         setattr(self, self.map_name, map)
         self.residuals = dict(residuals)
-
-    @cached_property
-    def coefficients(self):
-        """map_coefficients of the map on source.algC, read on first use."""
-        phi = getattr(self, self.map_name)
-        return map_coefficients(phi, self.source.algC, self.target, self.leg)
+        self.coefficients = coefficients
 
     @cached_property
     def bicharacter(self):
@@ -217,28 +211,29 @@ class LeftQGHom(_OneSidedHom):
 
 
 def one_sided_residuals(c, a, phi, leg):
-    """Residuals of a right (leg 1) or left (leg 2) hom phi of C, leg being C's leg.
+    """Residuals of a right (leg 1) or left (leg 2) hom phi of C, leg being
+    C's leg, and the (p, g) they are read from.
 
     Such a hom is a coaction of A on C that also commutes with Delta_C: the
     comodule residuals plus ``coassocDiagram``, Delta_C on the C leg of phi
     against phi on the other leg of Delta_C, read off coefficients too.
     """
-    images, span, p = _coefficients(phi, c.algC, a, leg)
-    co = _comodule_from_coefficients(a, leg, images, span, p)
+    co, (p, g) = comodule_residuals(phi, c.algC, a, leg)
     cc = structure_constants(c)
-    return {
+    residuals = {
         "range": co["range"],
         "coassocDiagram": diagram_residual((p, leg, cc), (cc, 3 - leg, p)),
         "comoduleDiagram": co["coassociativity"],
         "injective": co["injective"],
         "podles": co["dense"],
     }
+    return residuals, (p, g)
 
 
 def _check_one_sided(cls, c, a, phi):
-    res = one_sided_residuals(c, a, phi, cls.leg)
+    res, coefficients = one_sided_residuals(c, a, phi, cls.leg)
     gate_all(res, cls.gates, RangeViolation)
-    return cls(c, a, phi, res)
+    return cls(c, a, phi, res, coefficients)
 
 
 def check_right_hom(c, a, dr_map):
@@ -264,7 +259,7 @@ def right_from_bicharacter(v):
 def factor_slices(x, c, a, coefficients, leg):
     """Y with (id (x) phi)(X) = X12 Y13 (leg 1, phi: C -> C (x) A) or Y12 X13
     (leg 2, phi: C -> A (x) C) for X unitary on H (x) H_C, phi given by its
-    map_coefficients p on c.algC, and the residual.
+    map_coefficients (p, g) on c.algC, and the residual.
 
     With X = sum_k X_k (x) b_k (slice_coefficients) and F_st = sum_k
     p[k, s, t] X_k, s on C's leg, this says F_st = X_s Y_t (leg 2: Y_t X_s)
@@ -292,12 +287,13 @@ def factor_slices(x, c, a, coefficients, leg):
 
 def _slice_images(xs, coefficients, leg):
     """F_st = sum_k p[k, s, t] X_k, s on C's leg, for the slices X_k of X and
-    the map_coefficients (p, R) of phi: (id (x) phi)(X) is sum_st F_st (x)
-    the product basis element (s, t) plus sum_k X_k (x) R_k, whose squared
-    norm comes second."""
-    p, off = coefficients
+    the map_coefficients (p, g) of phi: (id (x) phi)(X) is sum_st F_st (x)
+    the product basis element (s, t) plus sum_k X_k (x) R_k, R_k the parts
+    of phi's images off the span, whose squared norm sum_kl <X_k, X_l>
+    g[k, l] comes second."""
+    p, g = coefficients
     f = np.tensordot(p if leg == 1 else p.transpose(0, 2, 1), xs, axes=(0, 0))
-    return f, kron_sum_sq(xs, off)
+    return f, float(np.sum(gram(xs) * g).real)
 
 
 def _slice_miss(f, off_sq, xs, y, leg):

@@ -29,17 +29,16 @@ from .tensorleg import (
     RANK_CUTOFF,
     LegSpace,
     PairSpan,
+    SpanMap,
     as_matrix,
     diagram_residual,
     flip_adjoint,
     frob,
     gram,
-    kron,
     membership_residuals,
     orthonormal_basis,
     permute_legs,
     residuals_between,
-    span_map_from_pairs,
     streamed_residual,
     unitarity_defect,
 )
@@ -87,7 +86,7 @@ class FiniteQuantumGroup:
     the unitary antipode on the algC span when the Kac validation
     succeeded, else None; the dual side is ``dual``.  ``slices`` and
     ``products`` hold what unitary_slices and product_constants read, once
-    read (the build passes the slices its pentagon read).
+    read (the build passes the slices its pentagon and antipode read).
     """
 
     # the antipode is reported only when the Kac check succeeds
@@ -186,8 +185,9 @@ def corep_law_residual(x, qg):
 
 def _delta_images(w, d, alg_c):
     """Delta(b_k) = W(b_k (x) 1)W* for the b_k of algC, the build's temporary."""
-    # kron of a stack and a matrix is the stack of the krons
-    return w @ kron(alg_c, np.eye(d)) @ w.conj().T
+    # (b_k (x) 1)W* is b_k times W* read as a d x d^3 matrix: no b_k (x) 1 is formed
+    right = alg_c @ w.conj().T.reshape(d, -1)
+    return w @ right.reshape(len(alg_c), d * d, d * d)
 
 
 def _expand(rows, alg_c):
@@ -303,13 +303,28 @@ def intertwining_residuals(qg, ys, c):
     return diff / np.maximum(1.0, size)
 
 
-def _try_antipode(w, d, alg_c):
-    """Antipode on slices: kappa((omega (x) id)W) = (omega (x) id)(W*)."""
-    pairs = zip(_leg_slices(w, d, 1), _leg_slices(w.conj().T, d, 1))
-    kappa, consistency = span_map_from_pairs(list(pairs))
+def _try_antipode(alg_c, slices):
+    """Antipode on slices: kappa((omega (x) id)W) = (omega (x) id)(W*).
+
+    With W = sum_m X_m (x) b_m + T over algC (slices), the right side is
+    sum_m omega(X_m*) b_m*, so where X_m* = sum_l A[l, m] X_l the antipode
+    is kappa(b_l) = sum_m A[l, m] b_m* in closed form.  A is read by least
+    squares from the n x d^2 system of the X_l.  The omega(X_l) are the
+    coordinates of the slices (omega (x) id)W, so the distance of the X_m*
+    from span{X_l}, relative to |sum_m X_m* (x) b_m*| = |W*| up to T, is
+    how far the pairs of slices of W and W* are from one linear map: the
+    consistency.
+    """
+    xs, _ = slices
+    n, d = alg_c.shape[:2]
+    rows = xs.reshape(n, -1)
+    stars = xs.conj().transpose(0, 2, 1).reshape(n, -1)
+    a, *_ = np.linalg.lstsq(rows.T, stars.T, rcond=None)
+    consistency = frob(rows.T @ a - stars.T) / max(1.0, frob(xs))
     gate(consistency, EQUATION_TOL, NotKacType, "antipode is not well defined on slices")
-    kxs = kappa.apply_stack(alg_c)
     adjoints = alg_c.conj().transpose(0, 2, 1)
+    kappa = SpanMap(alg_c, np.tensordot(a, adjoints, axes=1), d, d)
+    kxs = kappa.apply_stack(alg_c)
     # kappa(xy) = kappa(y) kappa(x) over every basis pair, one broadcast each side
     prods = (alg_c[:, None] @ alg_c[None, :]).reshape(-1, d, d)
     swapped = (kxs[None, :] @ kxs[:, None]).reshape(-1, d, d)
@@ -347,14 +362,16 @@ def build_from_unitary(w, dim):
     algC; its basis is formed here for the closure gate only, and its
     comultiplication is the dual's own, gated by the dual's build wherever
     it is used.  Delta is kept as its structure constants C and Gram
-    matrix g, read with comultMembership off the images W(b_k (x) 1)W*, a
-    temporary n d^4 stack.  The pentagon is read off the slice
+    matrix g, read with comultMembership in one PairSpan.read off the
+    images W(b_k (x) 1)W*, a temporary n d^4 stack; no more than two such
+    stacks are held at once.  The pentagon is read off the slice
     coefficients of W and C and g (comult_equation with X = W), so algC and
     Delta on it come first; where algC has more than d elements, as on
     every 1e-6 rotation of a quantum group tried (n = d^2), the images
     would hold n d^4 entries, and the pentagon is streamed over column
-    slabs and gated before them instead.  The Kac antipode is computed
-    opportunistically; failure there leaves kacR as None.
+    slabs and gated before them instead.  The Kac antipode is read off
+    the same slice coefficients in closed form (_try_antipode), and
+    failure there leaves kacR as None.
     """
     d = int(dim)
     w = as_matrix(w)
@@ -379,16 +396,9 @@ def build_from_unitary(w, dim):
                 [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
             )
         )
-    images = _delta_images(w, d, alg_c)
-    span = PairSpan(alg_c, alg_c)
-    c = span.coefficients(images)
-    projected = span.combine(c)
-    g = gram(images - projected)
-    membership = residuals_between(images, projected)
-    del images, projected
-    slices = None
+    c, g, membership = PairSpan(alg_c, alg_c).read(_delta_images(w, d, alg_c))
+    slices = slice_coefficients(w, d, alg_c)
     if not streamed:
-        slices = slice_coefficients(w, d, alg_c)
         pent = _gate_pentagon(comult_equation(*slices, c, g, d, frob(w)))
 
     leg2 = orthonormal_basis(_leg_slices(w, d, 2))
@@ -399,7 +409,7 @@ def build_from_unitary(w, dim):
     residuals["comultMembership"] = membership
     gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
     try:
-        kappa, kres = _try_antipode(w, d, alg_c)
+        kappa, kres = _try_antipode(alg_c, slices)
         residuals["antipode"] = kres
     except NotKacType:
         kappa = None
@@ -479,7 +489,7 @@ def unitary_antipode(qg):
     """Unitary antipode on the algC span; Kac type required."""
     if qg.kacR is not None:
         return qg.kacR
-    kappa, _ = _try_antipode(qg.W, qg.dim, qg.algC)
+    kappa, _ = _try_antipode(qg.algC, unitary_slices(qg))
     return kappa
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "residuals_between",
     "diagram_residual",
     "gram",
-    "kron_sum_sq",
     "unitarity_defect",
     "kron",
     "PairSpan",
@@ -50,7 +49,6 @@ __all__ = [
     "numerical_rank",
     "membership_residual",
     "membership_residuals",
-    "span_map_from_pairs",
     "apply_map_to_leg",
 ]
 
@@ -194,12 +192,6 @@ def gram(xs):
     """The Hilbert-Schmidt Gram matrix <x_k, x_l> of an (n, ...) stack."""
     xr = xs.reshape(len(xs), -1)
     return xr.conj() @ xr.T
-
-
-def kron_sum_sq(xs, ys):
-    """The squared Frobenius norm of sum_k xs[k] (x) ys[k], two stacks of
-    equal length, as sum_kl <x_k, x_l><y_k, y_l>: never forms the sum."""
-    return float(np.sum(gram(xs) * gram(ys)).real)
 
 
 def unitarity_defect(m):
@@ -511,12 +503,36 @@ class PairSpan:
         """sum_ij coeff[k, i, j] l_i (x) r_j for an (n, i, j) array, the inverse of
         coefficients on the span: an (n, d1*d2, d1*d2) stack."""
         d1, d2 = self.left.shape[1], self.right.shape[1]
-        out = np.einsum("kij,iab,jce->kacbe", coeff, self.left, self.right, optimize=True)
-        return out.reshape(len(coeff), d1 * d2, d1 * d2)
+        return self._legs(coeff).reshape(len(coeff), d1 * d2, d1 * d2)
+
+    def _legs(self, coeff):
+        # combine with the legs apart, (n, d1, d2, d1, d2), a view where
+        # einsum leaves one
+        return np.einsum("kij,iab,jce->kacbe", coeff, self.left, self.right, optimize=True)
 
     def project(self, xs):
         """Orthogonal projections of an (n, d1*d2, d1*d2) stack onto the span."""
         return self.combine(self.coefficients(xs))
+
+    def read(self, images):
+        """One read of an (n, d1*d2, d1*d2) complex stack: its coefficients,
+        the Gram matrix g[k, l] = <R_k, R_l> of its parts R_k off the span,
+        and membership_residuals' value, the worst |R_k| / max(1, |x_k|).
+
+        The R_k are subtracted in place, so images is overwritten with
+        them, and no more than one other stack of its size is held at a
+        time.  A NaN in x_k reads NaN in all three.
+        """
+        n = len(images)
+        d1, d2 = self.left.shape[1], self.right.shape[1]
+        coeff = self.coefficients(images)
+        rows = np.asarray(images, dtype=complex).reshape(n, -1)
+        size = np.linalg.norm(rows, axis=1)
+        legs = rows.reshape(n, d1, d2, d1, d2)
+        legs -= self._legs(coeff)
+        g = gram(rows)
+        off = np.sqrt(np.diag(g).real)
+        return coeff, g, float(np.max(off / np.maximum(1.0, size), initial=0.0))
 
 
 def membership_residual(basis, x):
@@ -529,18 +545,17 @@ def membership_residuals(basis, mats):
 
     One stacked projection instead of a per-matrix loop; use this for the
     closure checks, where thousands of products hit the same span.  basis
-    is an orthonormal (m, r, c) stack or a PairSpan, which is projected
-    onto leg by leg.
+    is an orthonormal (m, r, c) stack or a PairSpan, which reads a copy of
+    the stack leg by leg (PairSpan.read).
     """
     stack = np.asarray(mats, dtype=complex)
     if len(stack) == 0:
         return 0.0
-    xs = stack.reshape(len(stack), -1).T
     if isinstance(basis, PairSpan):
-        rem = xs - basis.project(stack).reshape(len(stack), -1).T
-    else:
-        b = np.asarray(basis, dtype=complex).reshape(len(basis), -1)
-        rem = xs - b.T @ (b.conj() @ xs)
+        return basis.read(stack.copy())[2]
+    xs = stack.reshape(len(stack), -1).T
+    b = np.asarray(basis, dtype=complex).reshape(len(basis), -1)
+    rem = xs - b.T @ (b.conj() @ xs)
     norm = np.sqrt(np.sum(np.abs(rem) ** 2, axis=0))
     scale = np.maximum(1.0, np.sqrt(np.sum(np.abs(xs) ** 2, axis=0)))
     return float(np.max(norm / scale))
@@ -591,26 +606,6 @@ class SpanMap:
         """Apply to a whole (n, d, d) stack at once; returns (n, dd, dd)."""
         xs = np.asarray(xs, dtype=complex)
         return self.apply_rows(xs.reshape(xs.shape[0], -1)).reshape(-1, self.dd, self.dd)
-
-
-def span_map_from_pairs(pairs):
-    """Linear map sending each x_j to y_j, with a well-definedness residual.
-
-    The x_j may be linearly dependent; the returned residual measures how
-    far the pairs are from defining a single linear map.  Small residual
-    certifies consistency.
-    """
-    if not pairs:
-        raise ValueError("need at least one pair")
-    xs = np.asarray([x for x, _ in pairs], dtype=complex)
-    ys = np.asarray([y for _, y in pairs], dtype=complex)
-    d, dd = xs.shape[1], ys.shape[1]
-    basis = orthonormal_basis(xs)
-    coeff = basis.reshape(len(basis), -1).conj() @ xs.reshape(len(xs), -1).T
-    ymat = ys.reshape(len(ys), -1)
-    sol, _, _, _ = np.linalg.lstsq(coeff.T, ymat, rcond=None)
-    resid = frob(coeff.T @ sol - ymat) / max(1.0, frob(ymat))
-    return SpanMap(basis, sol.reshape(len(basis), dd, dd), d, dd), float(resid)
 
 
 def apply_map_to_leg(t, space, leg, phi):

@@ -1,5 +1,8 @@
 """Shared fixtures, and the oracles the library is checked against:
 embed_on_legs, pair_basis, slices by a functional (slice_leg), the
+linear map through given pairs by a QR and a least-squares solve
+(span_map_from_pairs) and the antipode it gives on W's slice pairs
+(pairs_antipode), the
 comultiplication as the span map of its images (delta_map) with the
 classical and intertwining checks on them, the streamed pentagon,
 coassociativity, bicharacter and corepresentation residuals with the
@@ -33,11 +36,14 @@ from qgcalc.tensorleg import (
     _named_legs,
     apply_map_to_leg,
     as_matrix,
+    frob,
     gram,
     kron,
     legs_product,
     legs_slab,
+    membership_residuals,
     numerical_rank,
+    orthonormal_basis,
     permute_legs,
     residual_between,
     residuals_between,
@@ -253,6 +259,54 @@ def pair_basis(left, right):
     """Kronecker products a (x) b of two bases, left index outer: the
     materialised basis of the span that tensorleg.PairSpan handles leg by leg."""
     return [kron(a, b) for a in left for b in right]
+
+
+def span_map_from_pairs(pairs):
+    """Linear map sending each x_j to y_j, with a well-definedness residual.
+
+    The x_j may be linearly dependent: the map is stored on an orthonormal
+    basis of their span (a pivoted QR) and its images are solved for by
+    least squares, and the residual measures how far the pairs are from
+    defining a single linear map.  On the pairs ((omega (x) id)W,
+    (omega (x) id)W*) over the matrix-unit functionals omega it is the
+    unitary antipode, the oracle for its closed form on W's slices.
+    """
+    if not pairs:
+        raise ValueError("need at least one pair")
+    xs = np.asarray([x for x, _ in pairs], dtype=complex)
+    ys = np.asarray([y for _, y in pairs], dtype=complex)
+    d, dd = xs.shape[1], ys.shape[1]
+    basis = orthonormal_basis(xs)
+    coeff = basis.reshape(len(basis), -1).conj() @ xs.reshape(len(xs), -1).T
+    ymat = ys.reshape(len(ys), -1)
+    sol, _, _, _ = np.linalg.lstsq(coeff.T, ymat, rcond=None)
+    resid = frob(coeff.T @ sol - ymat) / max(1.0, frob(ymat))
+    return SpanMap(basis, sol.reshape(len(basis), dd, dd), d, dd), float(resid)
+
+
+def pairs_antipode(qg):
+    """The unitary antipode of qg by the generic solve, span_map_from_pairs
+    through the d^2 pairs ((omega (x) id)W, (omega (x) id)W*) over the
+    matrix-unit functionals omega, and its antipode residual: the worst of
+    that solve's residual and of qgroup's membership, involution, star and
+    anti-multiplicativity checks on it.  The oracle for the closed form the
+    build reads off the slice coefficients of W."""
+    d, b = qg.dim, qg.algC
+    w4, ws4 = (m.reshape(d, d, d, d) for m in (qg.W, qg.W.conj().T))
+    pairs = [(w4[i, :, j, :], ws4[i, :, j, :]) for i in range(d) for j in range(d)]
+    kappa, consistency = span_map_from_pairs(pairs)
+    kxs = kappa.apply_stack(b)
+    adjoint = lambda xs: xs.conj().transpose(0, 2, 1)
+    prods = (b[:, None] @ b[None, :]).reshape(-1, d, d)
+    swapped = (kxs[None, :] @ kxs[:, None]).reshape(-1, d, d)
+    worst = max(
+        consistency,
+        membership_residuals(b, kxs),
+        residuals_between(kappa.apply_stack(kxs), b),
+        residuals_between(kappa.apply_stack(adjoint(b)), adjoint(kxs)),
+        residuals_between(kappa.apply_stack(prods), swapped),
+    )
+    return kappa, worst
 
 
 def delta_map(qg):

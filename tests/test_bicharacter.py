@@ -40,6 +40,7 @@ from conftest import (
     haar_unitary,
     product_composite,
     rotated,
+    span_map_from_pairs,
     streamed_bicharacter,
     streamed_corep_law,
     streamed_pentagon,
@@ -92,7 +93,7 @@ def test_hopf_hom_bicharacter_entry_rule(z2, z4, homs):
 def test_from_hopf_hom_rejects_non_hom(z2):
     # the zero map is linear but not unital, so it is no Hopf *-morphism
     c2 = c0(z2)
-    zero, _ = q.span_map_from_pairs([(x, np.zeros((2, 2), dtype=complex)) for x in c2.algC])
+    zero, _ = span_map_from_pairs([(x, np.zeros((2, 2), dtype=complex)) for x in c2.algC])
     with pytest.raises(HopfHomViolation):
         q.from_hopf_hom(q.HopfHom(c2, c2, zero))
 

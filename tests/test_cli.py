@@ -13,7 +13,7 @@ import pytest
 import qgcalc as q
 from qgcalc.cli import DEFAULT_CORPUS, _record_failure, main
 from qgcalc.bicharacter import Bicharacter
-from qgcalc import coactions, homviews
+from qgcalc import coactions, homviews, tensorleg
 from qgcalc.coactions import (
     Coaction,
     check_corepresentation,
@@ -306,18 +306,56 @@ def test_coaction_commands_take_the_stored_map_as_it_is(
     count_calls, tmp_path, capsys, va_file
 ):
     # a coaction file's map is stored on its basis, so no command re-derives
-    # it: span_map_from_pairs runs only for the antipode of each build
+    # it: a build forms two bases, algC and the leg-2 one of its closure
+    # gate, and reading the file orthonormalizes its D once
     path_a, va = va_file
     coaction = tmp_path / "co.json"
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
-    calls = count_calls("span_map_from_pairs", "build_from_unitary")
+    calls = count_calls("orthonormal_basis", "build_from_unitary")
     for argv in (["verify", str(coaction), "coaction"], ["induce", str(coaction), path_a]):
         calls.update(dict.fromkeys(calls, 0))
         code, obj = run_json(capsys, argv)
         assert code == 0
-        assert calls["span_map_from_pairs"] == calls["build_from_unitary"] > 0, argv
+        builds = calls["build_from_unitary"]
+        assert builds > 0 and calls["orthonormal_basis"] == 2 * builds + 1, argv
         well = [c["residual"] for c in obj["checks"] if c["name"].endswith("wellDefined")]
-        assert well and set(well) == {0.0}, argv
+        assert well and max(well) <= 1e-15, argv
+
+
+def _map_reads(monkeypatch):
+    """The stack shapes of the PairSpan.coefficients calls that read a map's
+    images: neither a build's read of Delta, on the span of algC with
+    itself, nor a bicharacter's membership, a stack of one."""
+    reads = []
+    real = tensorleg.PairSpan.coefficients
+
+    def counted(span, xs):
+        if span.left is not span.right and len(xs) > 1:
+            reads.append(np.shape(xs))
+        return real(span, xs)
+
+    monkeypatch.setattr(tensorleg.PairSpan, "coefficients", counted)
+    return reads
+
+
+def test_each_map_is_read_once(monkeypatch, tmp_path, capsys, va_file):
+    # verify reads a one-sided hom's images for its check, and the
+    # extraction takes that read; induce reads the coaction's, the right
+    # hom's and the induced coaction's images, once each, and makes the
+    # object for --out only when --out is given
+    path_a, va = va_file
+    files = _one_sided_files(tmp_path, va)
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    reads = _map_reads(monkeypatch)
+    for argv, maps in (
+        (["verify", files["right"], "hom"], 1),
+        (["verify", files["left"], "hom"], 1),
+        (["induce", str(coaction), path_a], 3),
+    ):
+        reads.clear()
+        code, _ = run_json(capsys, argv)
+        assert code == 0 and len(reads) == maps, (argv, reads)
 
 
 def _one_sided_files(tmp_path, va):
@@ -365,32 +403,34 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     assert set(calls.values()) == {0}
 
 
-def _nan_coefficients(real):
-    """real, except that one coefficient it reads is NaN."""
+def _nan_coefficients(real, at):
+    """real, except that one coefficient of the map_coefficients (p, g) it
+    takes as its argument number at is NaN."""
 
     def patched(*args):
-        p, off = real(*args)
+        p, g = args[at]
         p = p.copy()
         p[0, 0, 0] = np.nan
-        return p, off
+        return real(*args[:at], (p, g), *args[at + 1 :])
 
     return patched
 
 
 def test_nan_extraction_and_solve_exit_one(monkeypatch, tmp_path, capsys, va_file):
-    # a NaN in the coefficients the extraction or the induction reads fails
-    # its gate with a NaN residual: exit 1 and a record, no traceback
+    # a NaN in the coefficients the extraction or the induction reads, those
+    # the hom's or the coaction's check kept, fails its gate with a NaN
+    # residual: exit 1 and a record, no traceback
     path_a, va = va_file
     files = _one_sided_files(tmp_path, va)
     coaction = tmp_path / "co.json"
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
-    for module, argv, failure in (
-        (homviews, ["verify", files["right"], "hom"], "ExtractionFailure"),
-        (homviews, ["verify", files["left"], "hom"], "ExtractionFailure"),
-        (coactions, ["induce", str(coaction), path_a], "SolveFailure"),
+    for module, name, at, argv, failure in (
+        (homviews, "factor_slices", 3, ["verify", files["right"], "hom"], "ExtractionFailure"),
+        (homviews, "factor_slices", 3, ["verify", files["left"], "hom"], "ExtractionFailure"),
+        (coactions, "_pushed_through", 0, ["induce", str(coaction), path_a], "SolveFailure"),
     ):
         with monkeypatch.context() as patch:
-            patch.setattr(module, "map_coefficients", _nan_coefficients(module.map_coefficients))
+            patch.setattr(module, name, _nan_coefficients(getattr(module, name), at))
             code, obj = run_json(capsys, argv)
         failed = [c for c in obj["checks"] if not c["pass"]]
         assert code == 1 and [c["name"] for c in failed] == [failure], argv

@@ -29,6 +29,7 @@ from qgcalc.errors import (
 from qgcalc.homviews import (
     factor_slices,
     left_from_bicharacter,
+    map_coefficients,
     right_from_bicharacter,
     right_map_from_bicharacter,
 )
@@ -92,16 +93,27 @@ def test_conjugation_coaction_of_regular_corep(z4):
 
 
 def test_a_span_map_on_its_own_basis_is_taken_as_it_is(s3, count_calls):
-    # only a callable, or a map stored on another basis, is re-derived
+    # no basis is formed: wellDefined reads the orthonormality of algC, a
+    # QR basis, at rounding
     c = q.qg_from_group(s3, "cstar")
     delta = delta_map(c)
-    calls = count_calls("span_map_from_pairs")
-    co = check_coaction(delta, c.algC, c)
-    assert calls == {"span_map_from_pairs": 0}
-    assert co.gamma is delta and co.residuals["wellDefined"] == 0.0
-    again = check_coaction(delta, c.algC[::-1], c)
-    assert calls == {"span_map_from_pairs": 1}
-    assert coactions_agree(co, again) <= 1e-12
+    calls = count_calls("orthonormal_basis")
+    co = check_coaction(delta, c)
+    assert calls == {"orthonormal_basis": 0}
+    assert co.gamma is delta and co.residuals["wellDefined"] <= 1e-15
+
+
+@pytest.mark.parametrize("basis", ["dependent", "scaled"])
+def test_a_basis_that_is_not_orthonormal_fails_well_defined(z2, basis):
+    """A SpanMap applies its images to the coefficients of an orthonormal
+    basis: on a dependent basis [x, x] or a scaled one it would misapply
+    them, and wellDefined, gram(D) against the identity, fails."""
+    c = c0(z2)
+    d = {"dependent": c.algC[[0, 0]], "scaled": 2 * c.algC}[basis]
+    gamma = SpanMap(d, kron(d, np.eye(2)), 2, 4)
+    with pytest.raises(CoactionViolation, match="well defined") as exc:
+        check_coaction(gamma, c)
+    assert exc.value.residual > 0.5
 
 
 def test_projection_tail_fails_coassociativity(z2):
@@ -109,7 +121,7 @@ def test_projection_tail_fails_coassociativity(z2):
     c = c0(z2)
     p = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(CoactionViolation, match="coassoc"):
-        check_coaction(lambda x: kron(x, p), c.algC, c)
+        check_coaction(SpanMap(c.algC, kron(c.algC, p), 2, 4), c)
 
 
 def test_unclosed_domain_rejected(z2):
@@ -117,7 +129,7 @@ def test_unclosed_domain_rejected(z2):
     e01 = np.zeros((2, 2), dtype=complex)
     e01[0, 1] = 1.0
     with pytest.raises(CoactionViolation, match="algebra"):
-        check_coaction(lambda x: kron(x, np.eye(2, dtype=complex)), [e01], c)
+        check_coaction(SpanMap([e01], [kron(e01, np.eye(2))], 2, 4), c)
 
 
 def _nan_on_shape(real, size):
@@ -142,14 +154,27 @@ def _nan_constants(real):
     return patched
 
 
+def _nan_range(real, size):
+    """PairSpan.read, except that it reports a NaN range for a stack of size x
+    size matrices."""
+
+    def patched(span, images):
+        coeff, g, range_ = real(span, images)
+        return coeff, g, float("nan") if images.shape[-2:] == (size, size) else range_
+
+    return patched
+
+
 # The module whose residual feeds each gate of check_coaction: the comodule
-# axioms and the *-homomorphism residuals are computed in homviews, *-algebra
-# closure in qgroup, well-definedness in coactions itself.  Coassociativity is
-# read off the structure constants homviews takes from qgroup.
+# axioms and the *-homomorphism residuals are computed in homviews, the
+# range by the PairSpan read there, *-algebra closure in qgroup, and
+# well-definedness, the Gram matrix of D, in coactions itself.
+# Coassociativity is read off the structure constants homviews takes from
+# qgroup.
 _GATE_HOME = {
-    ("span_map_from_pairs", None): coactions,
+    ("gram", None): coactions,
     ("membership_residuals", 2): qgroup,
-    ("membership_residuals", 4): homviews,
+    ("read", 4): tensorleg.PairSpan,
     ("residuals_between", 4): homviews,
     ("structure_constants", None): homviews,
 }
@@ -158,9 +183,9 @@ _GATE_HOME = {
 @pytest.mark.parametrize(
     "name, size, match",
     [
-        ("span_map_from_pairs", None, "well defined"),
+        ("gram", None, "well defined"),
         ("membership_residuals", 2, "algebra"),
-        ("membership_residuals", 4, "escapes"),
+        ("read", 4, "escapes"),
         ("residuals_between", 4, "homomorphism"),
         ("structure_constants", None, "coassoc"),
     ],
@@ -171,8 +196,10 @@ def test_nan_residual_fails_closed_in_check_coaction(z2, monkeypatch, name, size
     c = c0(z2)
     home = _GATE_HOME[name, size]
     real = getattr(home, name)
-    if name == "span_map_from_pairs":
-        patched = lambda pairs: (real(pairs)[0], float("nan"))
+    if name == "gram":
+        patched = lambda xs: np.full_like(real(xs), np.nan)
+    elif name == "read":
+        patched = _nan_range(real, size)
     elif name == "structure_constants":
         patched = _nan_constants(real)
     else:
@@ -273,19 +300,16 @@ def test_product_basis_solver_matches_the_kron_sums():
     assert worst > 1e-3
 
 
-def test_induction_solve_fails_closed_on_nan(chain, monkeypatch):
+def test_induction_solve_fails_closed_on_nan(chain):
     va, _ = chain
     dr = right_from_bicharacter(va)
     start = trivial_coaction(dr.source.algC, dr.source)
-    read = coactions.map_coefficients
-
-    def nan_read(*args):
-        p, off = read(*args)
-        return np.full_like(p, np.nan), off
-
-    monkeypatch.setattr(coactions, "map_coefficients", nan_read)
+    # the coefficients its check read, with a NaN in place of each
+    p, g = start.coefficients
+    nan_read = (np.full_like(p, np.nan), g)
+    bent = Coaction(start.algebraD, start.qg, start.gamma, start.residuals, nan_read)
     with pytest.raises(SolveFailure):
-        induce_coaction(start, dr)
+        induce_coaction(bent, dr)
 
 
 def _test_coactions(c):
@@ -326,7 +350,7 @@ def test_functor_composition_solve_matches_the_image_system(coefficient_arrows, 
     names = ("Z4->Z2", "Z2->Z4") if picture == "c0" else ("Z2->Z4", "Z4->Z2")
     homs = [coefficient_arrows[name] for name in names]
     a, b = (right_from_bicharacter(v) for v in gauged_bicharacters(homs, picture, gauge, 2806))
-    comp, worst, unique = coactions._pushed_through(a.deltaR, a.source.algC, b, "")
+    comp, worst, unique = coactions._pushed_through(a.coefficients, a.source.algC, b, "")
     images, want, want_unique = image_system_pushed_through(a.deltaR, a.source.algC, b)
     assert np.max(np.abs(comp.images - images)) <= 1e-14
     assert unique is want_unique and worst >= want - 1e-14
@@ -349,8 +373,9 @@ def test_a_perturbed_coaction_solves_no_lower_than_the_image_system(
         images = nudged(co.gamma.images, span, size, inside, rng)
         gamma = SpanMap(co.algebraD, images, c.dim, c.dim * c.dim)
         dr = right_from_bicharacter(v)
+        read = map_coefficients(gamma, co.algebraD, c, 1)
         with pytest.raises(SolveFailure) as exc:
-            induce_coaction(Coaction(co.algebraD, c, gamma, {}), dr)
+            induce_coaction(Coaction(co.algebraD, c, gamma, {}, read), dr)
         _, want, _ = image_system_pushed_through(gamma, co.algebraD, dr)
         if inside:
             assert exc.value.residual == pytest.approx(want, rel=1e-9)
@@ -365,8 +390,9 @@ def test_nan_coaction_image_fails_the_solve(chain):
     images = co.gamma.images.copy()
     images[0, 1, 1] = np.nan
     gamma = SpanMap(co.algebraD, images, co.hdim, co.gamma.dd)
+    read = map_coefficients(gamma, co.algebraD, co.qg, 1)
     with pytest.raises(SolveFailure) as exc:
-        induce_coaction(Coaction(co.algebraD, co.qg, gamma, {}), dr)
+        induce_coaction(Coaction(co.algebraD, co.qg, gamma, {}, read), dr)
     assert np.isnan(exc.value.residual)
 
 

@@ -26,8 +26,10 @@ from qgcalc.homviews import (
     comodule_residuals,
     dual_hopf_relation,
     left_from_bicharacter,
+    map_coefficients,
     one_sided_residuals,
     right_from_bicharacter,
+    right_map_from_bicharacter,
     slice_identity_residual,
 )
 from qgcalc.qgroup import EQUATION_TOL, coassociativity_residual, structure_constants
@@ -41,7 +43,6 @@ from qgcalc.tensorleg import (
     membership_residual,
     numerical_rank,
     residual_between,
-    span_map_from_pairs,
     vec,
 )
 from conftest import (
@@ -52,6 +53,7 @@ from conftest import (
     nudged,
     operator_intertwining,
     product_factor,
+    span_map_from_pairs,
     streamed_slice_identity,
 )
 
@@ -150,6 +152,13 @@ def _one_sided_homs(v):
         (right_from_bicharacter(v), bicharacter_from_right),
         (left_from_bicharacter(v), bicharacter_from_left),
     )
+
+
+def _unchecked(hom, phi):
+    """A hom of hom's kind and ends holding phi, unchecked, with the
+    map_coefficients of phi its check would have read."""
+    c, a = hom.source, hom.target
+    return type(hom)(c, a, phi, {}, map_coefficients(phi, c.algC, a, hom.leg))
 
 
 def _map_span(hom):
@@ -271,7 +280,7 @@ def test_a_perturbed_hom_extracts_no_lower_than_the_product(coefficient_arrows, 
             images = nudged(phi.images, _map_span(hom), size, inside, rng)
             bent = SpanMap(phi.basis, images, phi.d, phi.dd)
             with pytest.raises(ExtractionFailure) as exc:
-                extract(type(hom)(c, v.target, bent, {}))
+                extract(_unchecked(hom, bent))
             _, want = product_factor(c.W, c, bent, v.target, hom.leg)
             if inside:
                 assert exc.value.residual == pytest.approx(want, rel=1e-9), hom
@@ -339,7 +348,7 @@ def test_nan_map_image_fails_the_extraction(va):
         images[0, 1, 1] = np.nan
         bent = SpanMap(phi.basis, images, phi.d, phi.dd)
         with pytest.raises(ExtractionFailure) as exc:
-            extract(type(hom)(v.source, v.target, bent, {}))
+            extract(_unchecked(hom, bent))
         assert np.isnan(exc.value.residual), hom
 
 
@@ -354,6 +363,25 @@ def test_one_sided_homs_carry_their_bicharacter(va, count_calls):
     assert checked.bicharacter is checked.bicharacter
     assert residual_between(checked.bicharacter.V, v.V) <= 1e-9
     assert calls == {"bicharacter_from_right": 1, "bicharacter_from_left": 0}
+
+
+def test_a_right_hom_is_read_once_by_its_check_and_extraction(va, monkeypatch):
+    """check_right_hom reads the images of the map on their product span
+    once, and the extraction of its bicharacter takes what that read kept."""
+    v, _ = va
+    c, a = v.source, v.target
+    reads = []
+    real = PairSpan.coefficients
+
+    def counted(span, xs):
+        if span.left is c.algC and span.right is a.algC:
+            reads.append(len(xs))
+        return real(span, xs)
+
+    monkeypatch.setattr(PairSpan, "coefficients", counted)
+    dr = check_right_hom(c, a, right_map_from_bicharacter(v))
+    assert residual_between(dr.bicharacter.V, v.V) <= 1e-9
+    assert reads == [len(c.algC)]
 
 
 def test_right_hom_rejects_projection_tail(z2):
@@ -480,7 +508,7 @@ def test_one_sided_homs_are_coactions(z2, z4, picture):
     v = q.check_bicharacter(ucua @ plain.V @ ucua.conj().T, c, a)
     dr, dl = right_from_bicharacter(v), left_from_bicharacter(v)
     for hom, phi, leg in ((dr, dr.deltaR, 1), (dl, dl.deltaL, 2)):
-        co = comodule_residuals(phi, c.algC, a, leg)
+        co, _ = comodule_residuals(phi, c.algC, a, leg)
         assert co == {
             "range": hom.residuals["range"],
             "coassociativity": hom.residuals["comoduleDiagram"],
@@ -488,9 +516,9 @@ def test_one_sided_homs_are_coactions(z2, z4, picture):
             "dense": True,
         }
         assert 0 < co["range"] <= 1e-14 and 0 < co["coassociativity"] <= 1e-14
-    coaction = check_coaction(dr.deltaR, c.algC, a)
-    # deltaR is stored on algC, so check_coaction takes it as it is and
-    # computes the same comodule residuals
+    coaction = check_coaction(dr.deltaR, a)
+    # check_coaction reads deltaR on its own basis, algC, and computes the
+    # same comodule residuals
     for key, hom_key in (("range", "range"), ("coassociativity", "comoduleDiagram")):
         assert coaction.residuals[key] == dr.residuals[hom_key]
 
@@ -522,7 +550,7 @@ def test_stacked_residuals_match_the_per_element_loops(z2, z4, s3):
     # injectivity and the Podles density of a coaction-shaped map, as ranks
     phi = SpanMap(c.algC, rng.standard_normal((4, 8, 8)) + 0j, 4, 8)
     for leg in (1, 2):
-        res = comodule_residuals(phi, c.algC, c0(z2), leg)
+        res, _ = comodule_residuals(phi, c.algC, c0(z2), leg)
         gx = [phi(x) for x in c.algC]
         eye = np.eye(4)
         products = [
@@ -597,7 +625,7 @@ def test_rank_flags_match_the_operator_ranks_on_rank_deficient_maps(
     flags = set()
     for coeff in (generic, rank_one, one_a):
         phi = SpanMap(c.algC, span.combine(coeff), c.dim, c.dim * a.dim)
-        got = comodule_residuals(phi, c.algC, a, leg)
+        got, _ = comodule_residuals(phi, c.algC, a, leg)
         want = diagram_oracles["comodule"](phi, c.algC, a, leg)
         assert (got["injective"], got["dense"]) == (want["injective"], want["dense"])
         flags.add((got["injective"], got["dense"]))
@@ -633,7 +661,7 @@ def test_image_rotated_inside_the_span_fails_a_diagram(z2, z4, leg):
     h = (h + h.conj().T) / np.linalg.norm(h + h.conj().T, 2)
     coeff[1] = (scipy.linalg.expm(1e-6j * h) @ coeff[1].reshape(-1)).reshape(coeff[1].shape)
     turned = SpanMap(c.algC, span.combine(coeff), c.dim, c.dim * a.dim)
-    res = one_sided_residuals(c, a, turned, leg)
+    res, _ = one_sided_residuals(c, a, turned, leg)
     assert res["range"] <= 1e-14
     assert max(res["coassocDiagram"], res["comoduleDiagram"]) > 1e-8
     with pytest.raises(RangeViolation, match="Diagram fails"):
@@ -656,7 +684,7 @@ def test_image_pushed_off_the_span_fails_range_first(z2, z4, leg, diagram_oracle
     z -= span.project(z)
     images[1] += 1e-6 * z[0] / np.linalg.norm(z) * np.linalg.norm(images[1])
     pushed = SpanMap(c.algC, images, c.dim, n)
-    res = one_sided_residuals(c, a, pushed, leg)
+    res, _ = one_sided_residuals(c, a, pushed, leg)
     assert 1e-7 < res["range"] < 1e-5
     assert max(res["coassocDiagram"], res["comoduleDiagram"]) <= 1e-14
     assert diagram_oracles["coassocDiagram"](c, a, pushed, leg) > 1e-8

@@ -44,7 +44,6 @@ from qgcalc.tensorleg import (
     orthonormal_basis,
     permute_legs,
     residual_between,
-    span_map_from_pairs,
     unitarity_defect,
 )
 from conftest import (
@@ -53,8 +52,10 @@ from conftest import (
     embed_on_legs,
     haar_unitary,
     images_coinvariant_dimension,
+    pairs_antipode,
     rotated,
     slice_leg,
+    span_map_from_pairs,
     streamed_pentagon,
     streamed_transpose,
     with_delta_images,
@@ -272,7 +273,25 @@ def test_algebras_match_the_slice_oracle(s3):
             [(slice_leg(qg.W, space, 1, om), slice_leg(wd, space, 1, om)) for om in units]
         )
         for x in qg.algC:
-            np.testing.assert_array_equal(qg.kacR(x), kappa(x))
+            np.testing.assert_allclose(qg.kacR(x), kappa(x), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+def test_the_antipode_matches_the_pair_solve(corpus, gauge):
+    """On the 26 corpus quantum groups, plain and Haar-gauged, the antipode
+    read off W's slice coefficients in closed form agrees with the generic
+    solve through the d^2 slice pairs (pairs_antipode): its images on algC
+    and its antipode residual, each to 1e-14."""
+    rng = np.random.default_rng(3701)
+    for g in corpus.values():
+        for pic in ("c0", "cstar"):
+            qg = q.qg_from_group(g, pic)
+            if gauge == "haar":
+                qg = _gauged(qg, rng)[0]
+            kappa, worst = pairs_antipode(qg)
+            got = qg.kacR.apply_stack(qg.algC)
+            np.testing.assert_allclose(got, kappa.apply_stack(qg.algC), rtol=0, atol=1e-14)
+            assert qg.residuals["antipode"] == pytest.approx(worst, rel=0, abs=1e-14)
 
 
 def test_antipode_inverts_points(z4, s3):
@@ -320,7 +339,7 @@ def test_unitary_antipode_rejects_non_antimultiplicative_slices():
         dim = 2
         W = flip_unitary(2, 2)
         algC = np.array(units)
-        kacR = None
+        kacR = slices = None
 
     with pytest.raises(NotKacType):
         unitary_antipode(Probe())
@@ -637,10 +656,11 @@ def test_structure_constants_are_the_comultiplication(s3):
 
 def test_structure_constants_are_read_once_per_object(s3, count_calls):
     """The build keeps the constants the pentagon read, the coefficients of
-    the images W(b_k (x) 1)W* bit for bit, and every call shares that one
+    its images W(b_k (x) 1)W* bit for bit, and every call shares that one
     read-only array without reading them again."""
     qg, _ = _gauged(q.qg_from_group(s3, "c0"), np.random.default_rng(17))
-    fresh = PairSpan(qg.algC, qg.algC).coefficients(delta_map(qg).images)
+    images = qgroup_module._delta_images(qg.W, qg.dim, qg.algC)
+    fresh = PairSpan(qg.algC, qg.algC).coefficients(images)
     calls = count_calls("PairSpan.coefficients")
     first = structure_constants(qg)
     np.testing.assert_array_equal(first, fresh)

@@ -22,6 +22,7 @@ from qgcalc.tensorleg import (
     flip_adjoint,
     flip_unitary,
     frob,
+    gram,
     intertwiner_space,
     kron,
     legs_product,
@@ -33,7 +34,6 @@ from qgcalc.tensorleg import (
     permute_legs,
     residual_between,
     residuals_between,
-    span_map_from_pairs,
     streamed_residual,
     unitarity_defect,
     vec,
@@ -48,6 +48,7 @@ from conftest import (
     pair_basis,
     slice_leg,
     sliced_space,
+    span_map_from_pairs,
     tsqr_intertwiner_space,
 )
 from qgcalc import tensorleg
@@ -724,6 +725,36 @@ def test_pair_span_matches_the_pair_basis_projection(d1, d2):
     nan[0, 1] = np.nan
     assert np.isnan(membership_residual(span, nan))
     assert membership_residuals(span, []) == 0.0
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (3, 2), (2, 4)])
+def test_pair_span_read_is_coefficients_gram_and_membership(d1, d2):
+    """One read against its three separate forms: coefficients, the Gram
+    matrix of images - combine(coefficients), and membership_residuals on
+    the materialised pair basis, for stacks in the span, off it and mixed.
+    The read leaves the parts off the span in the stack, and a NaN in one
+    image reads NaN in all three outputs."""
+    left = orthonormal_basis([random_complex(d1, d1) for _ in range(d1 + 1)])
+    right = orthonormal_basis([random_complex(d2, d2) for _ in range(2)])
+    products = pair_basis(left, right)
+    span = PairSpan(left, right)
+    coeff = random_complex(3, len(left) * len(right)).reshape(3, len(left), len(right))
+    inside = span.combine(coeff)
+    outside = np.stack([random_complex(d1 * d2, d1 * d2) for _ in range(3)])
+    for images in (inside, outside, np.concatenate([inside, outside])):
+        stack = images.copy()
+        got, g, range_ = span.read(stack)
+        want = span.coefficients(images)
+        off = images - span.combine(want)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(g, gram(off), rtol=0, atol=1e-14)
+        assert range_ == pytest.approx(membership_residuals(products, images), abs=1e-14)
+        np.testing.assert_allclose(stack, off, rtol=0, atol=1e-14)
+    assert span.read(inside.copy())[2] <= 1e-14 < 0.1 < span.read(outside.copy())[2]
+    nan = outside.copy()
+    nan[1, 0, 1] = np.nan
+    got, g, range_ = span.read(nan)
+    assert np.isnan(got).any() and np.isnan(g).any() and np.isnan(range_)
 
 
 @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 1)])

@@ -10,11 +10,12 @@ import pytest
 from qgcalc.groups import cyclic_group, product_group
 from test_order16 import assert_qg_battery_passes
 
-# A run peaks at about 615 MB, in the build: the images W(b_k (x) 1)W* of
-# the comultiplication, an n x d^2 x d^2 stack (127 MB), their projection
-# onto span(algC) (x) span(algC) and the temporaries of comultMembership,
-# all dropped once C, g and comultMembership are read off them.
-MAX_RSS_MB = 700
+# A run peaks at about 370 MB, in the build: the images W(b_k (x) 1)W* of
+# the comultiplication, an n x d^2 x d^2 stack (127 MB), and one temporary
+# of that size while they are formed and while PairSpan.read takes their
+# projection onto span(algC) (x) span(algC) off them in place, both dropped
+# once C, g and comultMembership are read.
+MAX_RSS_MB = 450
 
 GROUPS = {
     "Z24": lambda: cyclic_group(24),
