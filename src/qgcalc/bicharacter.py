@@ -44,11 +44,11 @@ from .qgroup import (
 from .tensorleg import (
     LegSpace,
     PairSpan,
-    apply_map_to_leg,
     as_matrix,
     flip_adjoint,
     frob,
     gram,
+    map_legs,
     membership_residual,
     unitarity_defect,
 )
@@ -244,8 +244,8 @@ def from_hopf_hom(f):
     """
     gate_all(f.residuals, f.gates, HopfHomViolation)
     c = f.source
-    out, _ = apply_map_to_leg(c.W, c.space, 2, f.map)
-    return check_bicharacter(out, c, f.target)
+    out = map_legs(c.W[None], (c.dim, c.dim), None, f.map)
+    return check_bicharacter(out[0], c, f.target)
 
 
 def check_R_invariance(v):
@@ -258,6 +258,5 @@ def check_R_invariance(v):
     """
     r_hat = unitary_antipode(v.source.dual)
     r_target = unitary_antipode(v.target)
-    t1, sp1 = apply_map_to_leg(v.V, v.space, 1, r_hat)
-    t2, _ = apply_map_to_leg(t1, sp1, 2, r_target)
-    return frob(t2 - v.V) / frob(v.V)
+    mapped = map_legs(v.V[None], v.space.dims, r_hat, r_target)
+    return frob(mapped[0] - v.V) / frob(v.V)

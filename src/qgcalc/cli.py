@@ -87,10 +87,10 @@ from .serialize import (
 )
 from .tensorleg import (
     SpanMap,
-    apply_map_to_leg,
     flip_adjoint,
     intertwiner_space,
     kron,
+    map_legs,
     residual_between,
     residuals_between,
     unitarity_defect,
@@ -383,7 +383,8 @@ def _hom_chain_subject(report, groups):
         report.add(p + "inducedChain", compose_functors_check(dr, beta), EQUATION_TOL)
 
         # composing with b's bicharacter is applying b's Hopf map to leg 2
-        agree(p + "hopfComposeFormula", ab.V, apply_map_to_leg(va.V, va.space, 2, hopf_b.map)[0])
+        mapped = map_legs(va.V[None], va.space.dims, None, hopf_b.map)
+        agree(p + "hopfComposeFormula", ab.V, mapped[0])
 
         regular = check_corepresentation(va.source.W, va.source)
         agree(p + "regularPushforward", pushforward_corep(regular, va).X, va.V)

@@ -5,9 +5,10 @@ C (x) A), left homomorphisms (into A (x) C), and bicharacters all describe
 the same arrows; this module carries each notion and the translations
 between them, with every translation verified on the way out.
 
-Linear maps between matrix algebras are stored on orthonormalized algebra
-bases; applying one means expand, map, reassemble.
-"""
+Linear maps between matrix algebras are SpanMaps on orthonormal algebra
+bases.  The right map is the conjugation x -> V(x (x) 1)V*, and the left map
+that conjugation with the unitary antipodes on its legs (tensorleg's
+conjugation_images and map_legs)."""
 
 from functools import cached_property
 
@@ -27,15 +28,13 @@ from .qgroup import (
     unitary_slices,
 )
 from .tensorleg import (
-    LegSpace,
     PairSpan,
     SpanMap,
-    apply_map_to_leg,
+    conjugation_images,
     diagram_residual,
-    flip_adjoint,
     frob,
     gram,
-    kron,
+    map_legs,
     membership_residuals,
     numerical_rank,
     residual_between,
@@ -241,12 +240,9 @@ def check_right_hom(c, a, dr_map):
 
 
 def right_map_from_bicharacter(v):
-    """The map of right_from_bicharacter(v), unverified."""
-    c = v.source
-    a = v.target
-    eye_a = np.eye(a.dim, dtype=complex)
-    images = v.V @ kron(c.algC, eye_a) @ v.V.conj().T
-    return SpanMap(c.algC, images, c.dim, c.dim * a.dim)
+    """The map of right_from_bicharacter(v), unverified: x goes to V(x (x) 1)V*."""
+    c, a = v.source, v.target
+    return SpanMap(c.algC, conjugation_images(v.V, c.algC), c.dim, c.dim * a.dim)
 
 
 def right_from_bicharacter(v):
@@ -317,18 +313,15 @@ def check_left_hom(c, a, dl_map):
 
 
 def left_map_from_bicharacter(v):
-    """The map of left_from_bicharacter(v), unverified."""
-    c = v.source
-    a = v.target
-    r_c = unitary_antipode(c)
-    r_a = unitary_antipode(a)
-    vhat = flip_adjoint(v.V, v.space)
-    space_ac = LegSpace((a.dim, c.dim))
-    eye_a = np.eye(a.dim, dtype=complex)
-    t = vhat.conj().T @ kron(eye_a, r_c.apply_stack(c.algC)) @ vhat
-    t1, _ = apply_map_to_leg(t, space_ac, 1, r_a)
-    images, _ = apply_map_to_leg(t1, space_ac, 2, r_c)
-    return SpanMap(c.algC, images, c.dim, a.dim * c.dim)
+    """The map of left_from_bicharacter(v), unverified: sigma (R_C (x) R_A)
+    Delta_R R_C, Delta_R the right map and sigma the leg swap.  That is
+    Vhat*(1 (x) R_C(x))Vhat untwisted by R_A and R_C on its legs, for the
+    flipped Vhat = Sigma V* Sigma: Vhat*(1 (x) y)Vhat = Sigma V(y (x) 1)V* Sigma*."""
+    c, a, n = v.source, v.target, len(v.source.algC)
+    r_c, r_a = unitary_antipode(c), unitary_antipode(a)
+    images = map_legs(conjugation_images(v.V, r_c.apply_stack(c.algC)), (c.dim, a.dim), r_c, r_a)
+    swapped = images.reshape(n, c.dim, a.dim, c.dim, a.dim).transpose(0, 2, 1, 4, 3)
+    return SpanMap(c.algC, swapped.reshape(n, a.dim * c.dim, -1), c.dim, a.dim * c.dim)
 
 
 def left_from_bicharacter(v):
@@ -412,6 +405,6 @@ def dual_hopf_relation(f, fhat):
             f"dual hom connects dims {fhat.source.dim}->{fhat.target.dim}, "
             f"expected {a.dim}->{c.dim}"
         )
-    rhs, _ = apply_map_to_leg(c.W, c.space, 2, f.map)
-    lhs, _ = apply_map_to_leg(a.W, a.space, 1, fhat.map)
-    return residual_between(lhs, rhs)
+    rhs = map_legs(c.W[None], (c.dim, c.dim), None, f.map)
+    lhs = map_legs(a.W[None], (a.dim, a.dim), fhat.map, None)
+    return residual_between(lhs[0], rhs[0])

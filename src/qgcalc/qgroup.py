@@ -31,6 +31,7 @@ from .tensorleg import (
     PairSpan,
     SpanMap,
     as_matrix,
+    conjugation_images,
     diagram_residual,
     flip_adjoint,
     frob,
@@ -181,13 +182,6 @@ def corep_law_residual(x, qg):
     z, trunc = slice_coefficients(x, h, qg.algC)
     c, g = structure_constants(qg), comultiplication_gram(qg)
     return comult_equation(z, trunc, c, g, qg.dim, frob(x))
-
-
-def _delta_images(w, d, alg_c):
-    """Delta(b_k) = W(b_k (x) 1)W* for the b_k of algC, the build's temporary."""
-    # (b_k (x) 1)W* is b_k times W* read as a d x d^3 matrix: no b_k (x) 1 is formed
-    right = alg_c @ w.conj().T.reshape(d, -1)
-    return w @ right.reshape(len(alg_c), d * d, d * d)
 
 
 def _expand(rows, alg_c):
@@ -396,7 +390,7 @@ def build_from_unitary(w, dim):
                 [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
             )
         )
-    c, g, membership = PairSpan(alg_c, alg_c).read(_delta_images(w, d, alg_c))
+    c, g, membership = PairSpan(alg_c, alg_c).read(conjugation_images(w, alg_c))
     slices = slice_coefficients(w, d, alg_c)
     if not streamed:
         pent = _gate_pentagon(comult_equation(*slices, c, g, d, frob(w)))

@@ -49,7 +49,8 @@ __all__ = [
     "numerical_rank",
     "membership_residual",
     "membership_residuals",
-    "apply_map_to_leg",
+    "conjugation_images",
+    "map_legs",
 ]
 
 # Entries (complex128, so 4 MB) in one slab of a streamed residual.  Three
@@ -375,6 +376,18 @@ def _slab_function(space, leg, side):
     return lambda cols: legs_slab(space, leg, cols, *factors)
 
 
+def conjugation_images(u, xs):
+    """u (x_k (x) 1) u* for each x_k of an (n, h, h) stack and a unitary u on
+    H (x) K, dim H = h: an (n, D, D) stack, D = dim(H (x) K).  (x_k (x) 1)u*
+    is x_k times u* read as an h x D^2/h matrix: no x_k (x) 1 is formed."""
+    xs = np.asarray(xs)
+    n, h, big = len(xs), xs.shape[1], u.shape[0]
+    if big % h:
+        raise ValueError(f"u has dim {big}, not a multiple of {h}")
+    right = xs @ u.conj().T.reshape(h, -1)
+    return u @ right.reshape(n, big, big)
+
+
 def intertwiner_space(w, dim):
     """Solutions (a, b) of w(a (x) 1) = (1 (x) b)w for a unitary w, solved for a alone.
 
@@ -402,16 +415,15 @@ def intertwiner_space(w, dim):
     if w.shape[0] != d * d:
         raise ValueError(f"w has dim {w.shape[0]}, expected {d * d}")
     w4 = w.reshape(d, d, d, d)
-    w4c = w4.conj()
     # tr1[p, q, j, n] = Tr_1(w (E_pq (x) 1) w*)[j, n] / d, summed over (i, l)
-    tr1 = np.tensordot(w4, w4c, axes=([0, 3], [0, 3])).transpose(1, 3, 0, 2) / d
+    tr1 = np.tensordot(w4, w4.conj(), axes=([0, 3], [0, 3])).transpose(1, 3, 0, 2) / d
     _, cos, vh = np.linalg.svd(tr1.reshape(d * d, d * d).T)
     count = _candidate_count(cos)
     if count == 0:
         return 0, []
     cands = vh[:count].conj().reshape(count, d, d)
     # res[k, i, j, m, n] = (w (a_k (x) 1) w*)[(i, j), (m, n)] - delta_im S(a_k)[j, n]
-    res = np.einsum("ijpl,kpq,mnql->kijmn", w4, cands, w4c, optimize=True)
+    res = conjugation_images(w, cands).reshape(count, d, d, d, d)
     images = np.einsum("kpq,pqjn->kjn", cands, tr1)
     for i in range(d):
         res[:, i, :, i, :] -= images
@@ -510,10 +522,6 @@ class PairSpan:
         # einsum leaves one
         return np.einsum("kij,iab,jce->kacbe", coeff, self.left, self.right, optimize=True)
 
-    def project(self, xs):
-        """Orthogonal projections of an (n, d1*d2, d1*d2) stack onto the span."""
-        return self.combine(self.coefficients(xs))
-
     def read(self, images):
         """One read of an (n, d1*d2, d1*d2) complex stack: its coefficients,
         the Gram matrix g[k, l] = <R_k, R_l> of its parts R_k off the span,
@@ -594,50 +602,48 @@ class SpanMap:
         coeff = self._basis_rows.conj() @ vec(x)
         return unvec(coeff @ self._image_rows, self.dd, self.dd)
 
-    def apply_rows(self, rows):
-        """Apply to row-major vectorizations stacked as rows; returns (n, dd*dd).
+    def apply_stack(self, xs):
+        """Apply to a whole (n, d, d) stack at once; returns (n, dd, dd).
 
         Expands in the basis, then sums the images: two products that
         never form the (dd*dd, d*d) superoperator.
         """
-        return (rows @ self._basis_rows.conj().T) @ self._image_rows
+        rows = np.asarray(xs, dtype=complex).reshape(len(xs), -1)
+        out = (rows @ self._basis_rows.conj().T) @ self._image_rows
+        return out.reshape(-1, self.dd, self.dd)
 
-    def apply_stack(self, xs):
-        """Apply to a whole (n, d, d) stack at once; returns (n, dd, dd)."""
-        xs = np.asarray(xs, dtype=complex)
-        return self.apply_rows(xs.reshape(xs.shape[0], -1)).reshape(-1, self.dd, self.dd)
+
+def map_legs(xs, dims, left, right):
+    """(left (x) right)(x) for each x of an (n, D, D) stack on H1 (x) H2 of
+    dimensions dims, each map a SpanMap or None for the identity: an (n, D',
+    D') stack, each leg's dimension becoming its map's dd.
+
+    On the realigned R(x)[(a, b), (c, e)] = x[(a, c), (b, e)], leg 1 in the
+    rows and leg 2 in the columns, the maps are matrix products: the
+    coefficients B1* R B2*^T on the maps' bases, then I1^T (.) I2 with their
+    images, both as rows, a None side skipped.  A map whose domain is not
+    its leg's raises ValueError in its first product.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    d1, d2 = dims
+    if xs.ndim != 3 or xs.shape[1:] != (d1 * d2, d1 * d2):
+        raise ValueError(f"operator shape {xs.shape} does not match leg dims {dims}")
+    n = len(xs)
+    r = xs.reshape(n, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(n, d1 * d1, d2 * d2)
+    if right is not None:
+        r = r @ right._basis_rows.conj().T
+    if left is not None:
+        r = left._image_rows.T @ (left._basis_rows.conj() @ r)
+        d1 = left.dd
+    if right is not None:
+        r = r @ right._image_rows
+        d2 = right.dd
+    return r.reshape(n, d1, d1, d2, d2).transpose(0, 1, 3, 2, 4).reshape(n, d1 * d2, d1 * d2)
 
 
 def apply_map_to_leg(t, space, leg, phi):
-    """Apply a SpanMap to one leg of t; the leg's dimension becomes phi.dd.
-
-    t is one operator on space or an (n, N, N) stack of them, mapped each
-    on its own.  Returns the result, of the same form, and the new leg
-    space.  When phi lands in a tensor product (a comultiplication),
-    re-divide the enlarged leg by building the finer LegSpace by hand; the
-    matrix itself is unchanged.
-    """
-    t = np.asarray(t, dtype=complex)
-    if t.ndim not in (2, 3) or t.shape[-2:] != (space.total, space.total):
-        raise ValueError(f"operator shape {t.shape} does not match leg space {space.dims}")
-    lead = t.shape[:-2]
-    out = _map_leg(t.reshape(lead + space.dims + space.dims), space, leg, phi)
-    new_dims = list(space.dims)
-    new_dims[leg - 1] = phi.dd
-    out_space = LegSpace(new_dims)
-    return out.reshape(lead + (out_space.total, out_space.total)), out_space
-
-
-def _map_leg(t, space, leg, phi):
-    """phi on the (row, column) axis pair of leg, the tensor's last 2n axes being
-    the row and the column legs of space; any axes before them are carried along."""
+    """map_legs with phi on leg of one operator t on a two-leg space, and the
+    new LegSpace.  No module here calls it; tests/test_acceptance.py does."""
     space._check_leg(leg)
-    n = space.nlegs
-    d = space.dims[leg - 1]
-    if phi.d != d:
-        raise ValueError(f"map domain dim {phi.d} does not match leg {leg} dim {d}")
-    axes = (leg - 1 - 2 * n, leg - 1 - n)
-    moved = np.moveaxis(t, axes, (-2, -1))
-    out_flat = phi.apply_rows(moved.reshape(-1, d * d))
-    out = out_flat.reshape(moved.shape[:-2] + (phi.dd, phi.dd))
-    return np.moveaxis(out, (-2, -1), axes)
+    out = map_legs(as_matrix(t)[None], space.dims, *((phi, None) if leg == 1 else (None, phi)))
+    return out[0], LegSpace(phi.dd if l == leg else d for l, d in enumerate(space.dims, 1))

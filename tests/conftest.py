@@ -6,9 +6,11 @@ linear map through given pairs by a QR and a least-squares solve
 comultiplication as the span map of its images (delta_map) with the
 classical and intertwining checks on them, the streamed pentagon,
 coassociativity, bicharacter and corepresentation residuals with the
-mapped column slabs they stream (mapped_slab), the TSQR intertwiner
-space, the coinvariant dimension from the comultiplication images, the
-commuting diagrams of comodules and
+mapped column slabs they stream (mapped_slab), a span map on one leg by
+its superoperator (apply_map_to_leg), the right and left maps of a
+bicharacter by Kronecker products (kron_right_map, kron_left_map), the
+TSQR intertwiner space, the coinvariant dimension from the
+comultiplication images, the commuting diagrams of comodules and
 one-sided homs by operators, the induced-coaction equation of a
 corepresentation pushforward one matrix unit at a time, the induced
 coaction from the image system, and the X12 Y13 factorisations and the
@@ -32,10 +34,9 @@ from qgcalc.tensorleg import (
     PairSpan,
     SpanMap,
     _check_space,
-    _map_leg,
     _named_legs,
-    apply_map_to_leg,
     as_matrix,
+    flip_adjoint,
     frob,
     gram,
     kron,
@@ -123,7 +124,8 @@ def nudged(images, span, size, inside, rng):
     """images, an (n, D, D) stack, each moved by size in a random direction
     inside the PairSpan span (inside) or orthogonal to it."""
     z = rng.standard_normal(images.shape) + 1j * rng.standard_normal(images.shape)
-    z = span.project(z) if inside else z - span.project(z)
+    on_span = span.combine(span.coefficients(z))
+    z = on_span if inside else z - on_span
     return images + size * z / np.linalg.norm(z.reshape(len(z), -1), axis=1)[:, None, None]
 
 
@@ -419,6 +421,65 @@ def coassociativity_oracle():
     return streamed_coassociativity
 
 
+def apply_map_to_leg(t, space, leg, phi):
+    """Apply a SpanMap to one leg of t, a superoperator on that leg's
+    vectorizations: the oracle for tensorleg.map_legs.  The leg's dimension
+    becomes phi.dd.
+
+    t is one operator on space, of any number of legs, or an (n, N, N)
+    stack of them, mapped each on its own.  Returns the result, of the same
+    form, and the new leg space.
+    """
+    t = np.asarray(t, dtype=complex)
+    if t.ndim not in (2, 3) or t.shape[-2:] != (space.total, space.total):
+        raise ValueError(f"operator shape {t.shape} does not match leg space {space.dims}")
+    lead = t.shape[:-2]
+    out = _map_leg(t.reshape(lead + space.dims + space.dims), space, leg, phi)
+    new_dims = list(space.dims)
+    new_dims[leg - 1] = phi.dd
+    out_space = LegSpace(new_dims)
+    return out.reshape(lead + (out_space.total, out_space.total)), out_space
+
+
+def _map_leg(t, space, leg, phi):
+    """phi on the (row, column) axis pair of leg, the tensor's last 2n axes being
+    the row and the column legs of space; any axes before them are carried along."""
+    space._check_leg(leg)
+    n = space.nlegs
+    d = space.dims[leg - 1]
+    if phi.d != d:
+        raise ValueError(f"map domain dim {phi.d} does not match leg {leg} dim {d}")
+    axes = (leg - 1 - 2 * n, leg - 1 - n)
+    moved = np.moveaxis(t, axes, (-2, -1))
+    # expand in the basis, then sum the images
+    rows = moved.reshape(-1, d * d)
+    out_flat = (rows @ phi._basis_rows.conj().T) @ phi._image_rows
+    out = out_flat.reshape(moved.shape[:-2] + (phi.dd, phi.dd))
+    return np.moveaxis(out, (-2, -1), axes)
+
+
+def kron_right_map(v):
+    """homviews.right_map_from_bicharacter by Kronecker products, its
+    oracle: the images V(b_k (x) 1)V* over v.source.algC."""
+    c, a = v.source, v.target
+    images = v.V @ kron(c.algC, np.eye(a.dim)) @ v.V.conj().T
+    return SpanMap(c.algC, images, c.dim, c.dim * a.dim)
+
+
+def kron_left_map(v):
+    """homviews.left_map_from_bicharacter by Kronecker products and leg
+    maps, its oracle: Vhat*(1 (x) R_C(b_k))Vhat for the flipped
+    bicharacter Vhat, R_A on leg 1 and R_C on leg 2."""
+    c, a = v.source, v.target
+    r_c, r_a = q.unitary_antipode(c), q.unitary_antipode(a)
+    vhat = flip_adjoint(v.V, v.space)
+    space_ac = LegSpace((a.dim, c.dim))
+    t = vhat.conj().T @ kron(np.eye(a.dim), r_c.apply_stack(c.algC)) @ vhat
+    t1, _ = apply_map_to_leg(t, space_ac, 1, r_a)
+    images, _ = apply_map_to_leg(t1, space_ac, 2, r_c)
+    return SpanMap(c.algC, images, c.dim, a.dim * c.dim)
+
+
 def mapped_slab(t, space, map_leg, phi, leg, cols):
     """Column slab of apply_map_to_leg(t, space, map_leg, phi)[0] at leg's
     indices cols, the side of an oracle that applies a span map.
@@ -585,7 +646,9 @@ def images_coinvariant_dimension(qg):
     d = qg.dim
     images = delta_map(qg).images
     right_triv = PairSpan(qg.algC, np.eye(d, dtype=complex)[None] / np.sqrt(d))
-    system = (images - right_triv.project(images)).reshape(len(images), -1)
+    system = (images - right_triv.combine(right_triv.coefficients(images))).reshape(
+        len(images), -1
+    )
     s = np.linalg.svd(system, compute_uv=False)
     smax = s[0] if len(s) else 0.0
     if smax <= RANK_CUTOFF:

@@ -21,18 +21,20 @@ from qgcalc.errors import (
     SourceTargetMismatch,
 )
 from qgcalc import tensorleg
+from qgcalc.cli import _bicharacter_battery
 from qgcalc.qgroup import EQUATION_TOL, coassociativity_residual, corep_law_residual
+from qgcalc.report import Report, render_text
 from qgcalc.serialize import bicharacter_to_obj, write_json
 from qgcalc.tensorleg import (
     LegSpace,
     PairSpan,
     SpanMap,
-    apply_map_to_leg,
     flip_unitary,
     kron,
     residual_between,
 )
 from conftest import (
+    apply_map_to_leg,
     delta_map,
     embed_on_legs,
     extract_trivial_legs,
@@ -138,6 +140,13 @@ def test_nan_v_fails_closed(z3):
     v[2, 5] = np.nan
     with pytest.raises(NotUnitary):
         q.check_bicharacter(v, c3, c3)
+    # unchecked, it reads a NaN rInvariance, which the report fails
+    unchecked = q.Bicharacter(c3, c3, v, {})
+    assert np.isnan(q.check_R_invariance(unchecked))
+    report = Report("nan")
+    _bicharacter_battery(report, "", unchecked)
+    assert not report.passed
+    assert render_text(report).splitlines()[1].startswith("  FAIL rInvariance: nan")
 
 
 @pytest.mark.parametrize(
@@ -246,7 +255,8 @@ def test_each_bicharacter_path_is_taken_and_gated(corpus, count_calls, picture):
     for v in _gauged_arrows(corpus, picture):
         c, a = v.source, v.target
         noise = rng.standard_normal(v.V.shape) + 1j * rng.standard_normal(v.V.shape)
-        h = PairSpan(c.dual.algC, a.algC).project(noise[None])[0]
+        span = PairSpan(c.dual.algC, a.algC)
+        h = span.combine(span.coefficients(noise[None]))[0]
         ev, vecs = np.linalg.eigh((h + h.conj().T) / np.linalg.norm(h + h.conj().T))
         inside = [v.V @ (vecs * np.exp(1j * s * ev)) @ vecs.conj().T for s in (1e-3, 1e-8)]
         # (probe, how far above the oracle it may read off the span or None in it, fails)

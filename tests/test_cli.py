@@ -26,7 +26,9 @@ from qgcalc.homviews import (
     LeftQGHom,
     RightQGHom,
     left_from_bicharacter,
+    left_map_from_bicharacter,
     right_from_bicharacter,
+    right_map_from_bicharacter,
 )
 from qgcalc.qgroup import FiniteQuantumGroup
 from qgcalc.report import Report, render_text
@@ -291,15 +293,15 @@ def test_verifying_a_bicharacter_builds_each_w_once(
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(q.qg_from_group(z4, "c0"))))
     digests = _count_builds(monkeypatch)
-    calls = count_calls("_delta_images")
+    calls = count_calls("conjugation_images")
     for path, builds in ((str(ident), 2), (va_file[0], 3)):
         argv = ["verify", path, "bicharacter"]
         digests.clear()
-        calls["_delta_images"] = 0
+        calls["conjugation_images"] = 0
         code, obj = run_json(capsys, argv)
         assert code == 0 and "rInvariance" in {c["name"] for c in obj["checks"]}
         assert len(digests) == len(set(digests)) == builds, argv
-        assert calls["_delta_images"] == builds, argv
+        assert calls["conjugation_images"] == builds, argv
 
 
 def test_coaction_commands_take_the_stored_map_as_it_is(
@@ -368,24 +370,38 @@ def _one_sided_files(tmp_path, va):
 
 
 def test_extraction_induction_and_pushforward_form_no_three_leg_product(
-    count_calls, tmp_path, capsys, va_file
+    monkeypatch, count_calls, tmp_path, capsys, va_file
 ):
     # they read coefficients: no three-leg product, no partial trace, and no
     # map on a leg of W; the bicharacter battery's rInvariance and the left
-    # map's antipodes still map one leg at a time, two legs each
+    # map's antipodes map both legs in one map_legs call each
     # __main__ is skipped: importing it runs the command line
     names = [f"qgcalc.{i.name}" for i in pkgutil.iter_modules(q.__path__) if i.name != "__main__"]
     modules = [q] + [importlib.import_module(name) for name in names]
     assert not [m.__name__ for m in modules if hasattr(m, "extract_trivial_legs")]
     binds_product = [m.__name__ for m in modules if hasattr(m, "legs_product")]
     assert binds_product == ["qgcalc.tensorleg"]
+    # the one-leg superoperator path is gone; tensorleg's apply_map_to_leg,
+    # map_legs on one leg, is kept for the acceptance tests and called by none
+    assert not [m.__name__ for m in modules if hasattr(m, "_map_leg")]
+    assert [m.__name__ for m in modules if hasattr(m, "apply_map_to_leg")] == ["qgcalc.tensorleg"]
     path_a, va = va_file
     files = _one_sided_files(tmp_path, va)
     coaction = tmp_path / "co.json"
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(va.target)))
-    calls = count_calls("apply_map_to_leg", "check_R_invariance", "left_map_from_bicharacter")
+    # the right and left maps are one conjugation each, with no Kronecker product
+    real_kron, krons = np.kron, []
+    monkeypatch.setattr(np, "kron", lambda *args: krons.append(args) or real_kron(*args))
+    calls = count_calls("conjugation_images")
+    for make in (right_map_from_bicharacter, left_map_from_bicharacter):
+        calls["conjugation_images"] = 0
+        make(va)
+        assert (calls["conjugation_images"], len(krons)) == (1, 0), make.__name__
+    monkeypatch.setattr(np, "kron", real_kron)
+    names = ("apply_map_to_leg", "map_legs", "check_R_invariance", "left_map_from_bicharacter")
+    count_calls(*names)
     for argv in (
         ["verify", files["right"], "hom"],
         ["verify", files["left"], "hom"],
@@ -396,11 +412,11 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
         calls.update(dict.fromkeys(calls, 0))
         code, _ = run_json(capsys, argv)
         assert code == 0
-        mapped_legs = 2 * (calls["check_R_invariance"] + calls["left_map_from_bicharacter"])
-        assert calls["apply_map_to_leg"] == mapped_legs, argv
+        mapped = calls["check_R_invariance"] + calls["left_map_from_bicharacter"]
+        assert calls["map_legs"] == mapped and calls["apply_map_to_leg"] == 0, argv
     calls.update(dict.fromkeys(calls, 0))
     pushforward_corep(check_corepresentation(va.source.W, va.source), va)
-    assert set(calls.values()) == {0}
+    assert [calls[name] for name in names] == [0] * len(names)
 
 
 def _nan_coefficients(real, at):
@@ -571,16 +587,17 @@ def test_compose_builds_each_distinct_w_once_per_invocation(
     path_b = tmp_path / "vb.json"
     write_json(str(path_b), bicharacter_to_obj(vb))
     digests = _count_builds(monkeypatch)
-    calls = count_calls("_delta_images")
+    calls = count_calls("conjugation_images")
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
     # c0(Z4) and c0(Z2), each named by both files, and the dual of each as
-    # a source, a flip-adjoint W of its own; one image stack per build
-    assert len(digests) == len(set(digests)) == calls["_delta_images"] == 4
+    # a source, a flip-adjoint W of its own; one image stack per build, and
+    # one more for the right map of the second arrow
+    assert len(digests) == len(set(digests)) == calls["conjugation_images"] - 1 == 4
     # built objects do not outlive an invocation: a second one builds again
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    assert len(digests) == calls["_delta_images"] == 8 and len(set(digests)) == 4
+    assert len(digests) == calls["conjugation_images"] - 2 == 8 and len(set(digests)) == 4
 
 
 def test_compose_mismatch_exits_two(capsys, va_file):

@@ -37,6 +37,7 @@ from qgcalc import tensorleg as tensorleg_module
 from qgcalc.tensorleg import (
     LegSpace,
     PairSpan,
+    conjugation_images,
     flip_unitary,
     gram,
     kron,
@@ -659,7 +660,7 @@ def test_structure_constants_are_read_once_per_object(s3, count_calls):
     its images W(b_k (x) 1)W* bit for bit, and every call shares that one
     read-only array without reading them again."""
     qg, _ = _gauged(q.qg_from_group(s3, "c0"), np.random.default_rng(17))
-    images = qgroup_module._delta_images(qg.W, qg.dim, qg.algC)
+    images = conjugation_images(qg.W, qg.algC)
     fresh = PairSpan(qg.algC, qg.algC).coefficients(images)
     calls = count_calls("PairSpan.coefficients")
     first = structure_constants(qg)

@@ -19,6 +19,7 @@ from qgcalc.tensorleg import (
     PairSpan,
     SpanMap,
     apply_map_to_leg,
+    conjugation_images,
     flip_adjoint,
     flip_unitary,
     frob,
@@ -27,6 +28,7 @@ from qgcalc.tensorleg import (
     kron,
     legs_product,
     legs_slab,
+    map_legs,
     membership_residual,
     membership_residuals,
     numerical_rank,
@@ -41,6 +43,7 @@ from qgcalc.tensorleg import (
 )
 from conftest import (
     Functional,
+    apply_map_to_leg as leg_oracle,
     delta_map,
     embed_on_legs,
     extract_trivial_legs,
@@ -313,7 +316,7 @@ def test_mapped_slab_is_a_column_slab_of_apply_map_to_leg(map_leg, leg):
         2 * d,
     )
     t = random_complex(6, 6)
-    full, out_space = apply_map_to_leg(t, sp, map_leg, phi)
+    full, out_space = leg_oracle(t, sp, map_leg, phi)
     full = full.reshape(out_space.dims * 2)
     for j in range(sp.dims[leg - 1]):
         cut = [slice(None)] * 4
@@ -760,8 +763,9 @@ def test_pair_span_read_is_coefficients_gram_and_membership(d1, d2):
 @pytest.mark.parametrize("d1, d2", [(2, 3), (3, 1)])
 def test_pair_span_combine_inverts_coefficients(d1, d2):
     """combine reassembles coefficients on the products l_i (x) r_j: it is
-    the pair_basis sum, it gives project after coefficients, and it gives
-    back a member of the span; d2 = 1 is the Hopf-map form, right leg {1}."""
+    the pair_basis sum, it inverts coefficients on the span, and after
+    coefficients it is the orthogonal projection onto the span; d2 = 1 is
+    the Hopf-map form, right leg {1}."""
     left = orthonormal_basis([random_complex(d1, d1) for _ in range(d1 + 1)])
     right = orthonormal_basis([random_complex(d2, d2) for _ in range(2)])
     products = pair_basis(left, right)
@@ -774,8 +778,9 @@ def test_pair_span_combine_inverts_coefficients(d1, d2):
         np.testing.assert_allclose(x, want, atol=1e-13)
     np.testing.assert_allclose(span.coefficients(inside), coeff, atol=1e-13)
     outside = np.stack([random_complex(d1 * d2, d1 * d2) for _ in range(3)])
-    np.testing.assert_array_equal(span.combine(span.coefficients(outside)), span.project(outside))
-    assert membership_residuals(span, outside - span.project(outside)) > 0.1
+    rest = outside - span.combine(span.coefficients(outside))
+    np.testing.assert_allclose(span.coefficients(rest), 0.0, atol=1e-13)
+    assert membership_residuals(span, rest) > 0.1
 
 
 def test_residuals_between_matches_scalar_version():
@@ -825,7 +830,7 @@ def test_span_map_apply_stack_matches_call():
         np.testing.assert_allclose(got[k], phi(xs[k]), atol=1e-12)
 
 
-def test_span_map_apply_rows_matches_the_dense_superoperator():
+def test_span_map_apply_stack_matches_the_dense_superoperator():
     u = random_unitary(2)
     phi, _ = span_map_from_pairs(
         [(e, kron(e, u @ e @ u.conj().T)) for e in (np.eye(2), np.diag([1.0, -1.0]))]
@@ -834,9 +839,10 @@ def test_span_map_apply_rows_matches_the_dense_superoperator():
     s = sum(np.outer(vec(y), vec(b).conj()) for b, y in zip(phi.basis, phi.images))
     x = random_complex(2, 2)
     np.testing.assert_allclose(s @ vec(x), vec(phi(x)), atol=1e-12)
-    # apply_map_to_leg's factored product against the superoperator
-    rows = random_complex(5, 4)
-    np.testing.assert_allclose(phi.apply_rows(rows), rows @ s.T, atol=1e-12)
+    # apply_stack's factored product against the superoperator
+    xs = np.stack([random_complex(2, 2) for _ in range(5)])
+    want = xs.reshape(5, 4) @ s.T
+    np.testing.assert_allclose(phi.apply_stack(xs).reshape(5, -1), want, atol=1e-12)
 
 
 def test_numerical_rank_of_non_finite_vectors_is_zero():
@@ -853,7 +859,7 @@ def test_span_map_rejects_wrong_domain():
         phi(np.eye(3))
 
 
-def test_apply_map_to_leg_matches_conjugation():
+def test_map_legs_matches_conjugation():
     u = random_unitary(3)
     units = []
     for p in range(3):
@@ -862,31 +868,52 @@ def test_apply_map_to_leg_matches_conjugation():
             e[p, r] = 1.0
             units.append(e)
     phi, _ = span_map_from_pairs([(e, u @ e @ u.conj().T) for e in units])
-    sp = LegSpace((2, 3))
     t = random_complex(6, 6)
-    got, out_space = apply_map_to_leg(t, sp, 2, phi)
+    got = map_legs(t[None], (2, 3), None, phi)
     big = kron(np.eye(2), u)
-    np.testing.assert_allclose(got, big @ t @ big.conj().T, atol=1e-10)
-    assert out_space.dims == (2, 3)
+    np.testing.assert_allclose(got[0], big @ t @ big.conj().T, atol=1e-10)
+    # Ad u on both legs is conjugation by u (x) u
+    v = random_unitary(2)
+    units_v = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    ad_v = SpanMap(units_v, v @ units_v @ v.conj().T, 2, 2)
+    big = kron(v, u)
+    got = map_legs(t[None], (2, 3), ad_v, phi)
+    np.testing.assert_allclose(got[0], big @ t @ big.conj().T, atol=1e-10)
 
 
-@pytest.mark.parametrize("leg", [1, 2])
-def test_apply_map_to_leg_on_a_stack_maps_each_operator(leg):
-    """A (n, N, N) stack goes through at once, element k to the map of element k."""
+@pytest.mark.parametrize("h, e", [(2, 3), (3, 2), (4, 4)])
+def test_conjugation_images_match_the_kron_form(h, e):
+    """u (x_k (x) 1) u* for a Haar unitary u on H (x) K, within 1e-14 of
+    the Kronecker product it never forms."""
+    u = random_unitary(h * e)
+    xs = np.stack([random_complex(h, h) for _ in range(3)])
+    want = u @ kron(xs, np.eye(e)) @ u.conj().T
+    assert residuals_between(conjugation_images(u, xs), want) <= 1e-14
+
+
+@pytest.mark.parametrize("legs", [(1,), (2,), (1, 2)], ids=["1", "2", "both"])
+def test_map_legs_on_a_stack_maps_each_operator(legs):
+    """A (n, N, N) stack goes through at once, element k to the map of
+    element k, within 1e-14 of the superoperator oracle applied one leg at a
+    time; a shape or a domain off the legs is refused."""
     dims = (2, 3)
-    d = dims[leg - 1]
-    pairs = [(random_complex(d, d), random_complex(2 * d, 2 * d)) for _ in range(d * d)]
-    phi, _ = span_map_from_pairs(pairs)
-    sp = LegSpace(dims)
+    maps = [None, None]
+    for leg in legs:
+        d = dims[leg - 1]
+        pairs = [(random_complex(d, d), random_complex(2 * d, 2 * d)) for _ in range(d * d)]
+        maps[leg - 1] = span_map_from_pairs(pairs)[0]
     ts = np.stack([random_complex(6, 6) for _ in range(4)])
-    got, out_space = apply_map_to_leg(ts, sp, leg, phi)
-    assert got.shape == (4, 12, 12)
+    got = map_legs(ts, dims, *maps)
+    assert got.shape == (4, 6 * 2 ** len(legs), 6 * 2 ** len(legs))
     for t, g in zip(ts, got):
-        want, want_space = apply_map_to_leg(t, sp, leg, phi)
-        np.testing.assert_allclose(g, want, atol=1e-13)
-        assert want_space == out_space
+        want, sp = t, LegSpace(dims)
+        for leg in legs:
+            want, sp = leg_oracle(want, sp, leg, maps[leg - 1])
+        assert residual_between(g, want) <= 1e-14
     with pytest.raises(ValueError):
-        apply_map_to_leg(ts[:, :5, :5], sp, leg, phi)
+        map_legs(ts[:, :5, :5], dims, *maps)
+    with pytest.raises(ValueError):
+        map_legs(ts, dims[::-1], *maps)
 
 
 def test_span_maps_hold_stacks_whatever_they_are_built_from():

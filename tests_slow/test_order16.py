@@ -35,8 +35,10 @@ from qgcalc.serialize import load_qg, matrix_to_obj, write_json
 from qgcalc.tensorleg import LegSpace, flip_adjoint
 
 # No check in this tier forms a d^3 x d^3 operator whole; one takes 268 MB at
-# d = 16, and the battery used to peak at 1.1 GB.
-MAX_RSS_MB = 500
+# d = 16, and the battery used to peak at 1.1 GB.  The children peak at 85 MB
+# (the qg battery and the transpose), 111 MB (the homs), 115 MB (compose) and
+# 206 MB (the hom files and induce), so a whole d^3 x d^3 operator exceeds this.
+MAX_RSS_MB = 300
 
 QG_CHILD = """
 import sys
