@@ -9,8 +9,10 @@ comultiplication forms read Delta off the structure constants C, the
 coefficients of the build's Delta images, and the operator forms read it
 off the F contraction of the slices of a unitary with the product
 constants N of the target (operator_equation), never off those images.
-Composition is the pushforward of V, a corepresentation of its target,
-along the second arrow's right homomorphism.
+
+A bicharacter is (id (x) f)(W_C) for a Hopf *-homomorphism f, kept as
+its coefficients F once read (hopf_coefficients); its other pictures are
+contractions with F, and composition applies F to a leg (push_slices).
 """
 
 import math
@@ -58,6 +60,10 @@ __all__ = [
     "check_bicharacter",
     "compose",
     "extract_bicharacter",
+    "hopf_coefficients",
+    "hom_coefficients",
+    "push_slices",
+    "push_along",
     "identity",
     "dual_bicharacter",
     "from_hopf_hom",
@@ -82,6 +88,7 @@ class Bicharacter:
         self.target = target
         self.V = V
         self.residuals = dict(residuals)
+        self.hopf = None
 
     @property
     def space(self):
@@ -193,26 +200,79 @@ def identity(c):
     return check_bicharacter(c.W, c, c)
 
 
-def compose(vca, vab):
-    """Composition of arrows: first vca, then vab.
+def hopf_coefficients(v):
+    """F[k, j] = <a_j, f(b_k)> for the Hopf map f with V = (id (x) f)(W_C),
+    and |V - (id (x) f)(W_C)|, kept as v.hopf.  With W_C = sum_k X_k (x) b_k
+    + T_W and V = sum_j Z_j (x) a_j + T, Z_j = sum_k F[k, j] X_k, one n x n
+    Gram solve; f is zero off span(algC), so the miss is the Z_j off
+    span{X_k} and T, in squares: V's leg-1 miss and truncation."""
+    if v.hopf is None:
+        xs, _ = unitary_slices(v.source)
+        zs, trunc = slice_coefficients(v.V, v.source.dim, v.target.algC)
+        f = np.linalg.solve(gram(xs), np.tensordot(xs.conj(), zs, axes=([1, 2], [1, 2])))
+        v.hopf = (f, float(np.hypot(frob(zs - np.tensordot(f, xs, axes=(0, 0))), trunc)))
+    return v.hopf
 
-    V = vca.V is a corepresentation of the middle quantum group, and the
-    composite is its pushforward along vab: with deltaR the map of vab's
-    right homomorphism, (id (x) deltaR)(V) = V12 V''13, read off the slices
-    of V (factor_slices, as coactions.pushforward_corep does).  The
-    extraction residual is the certificate that the factorisation holds.
+
+def hom_coefficients(v, leg):
+    """The right (leg 1) map (id (x) f)Delta_C of v, P_R[k, i, j] = sum_l
+    C[k, i, l] F[l, j] on b_i (x) a_j, or the left (leg 2) map (f (x)
+    id)Delta_C, P_L[k, j, i] = sum_l C[k, l, i] F[l, j] on a_j (x) b_i."""
+    f, c = hopf_coefficients(v)[0], structure_constants(v.source)
+    if leg == 1:
+        return np.tensordot(c, f, axes=(2, 0))
+    return np.tensordot(c, f, axes=(1, 0)).transpose(0, 2, 1)
+
+
+def push_slices(slices, a, f, coefficients, leg):
+    """Y = sum_k X_k (x) f(b_k), f(b_k) = sum_j f[k, j] a_j, for X = sum_k
+    X_k (x) b_k + T on H (x) H_C (slices over algC), and the residual of
+    (id (x) phi)(X) = X12 Y13 (leg 1) or Y12 X13 (leg 2) relative to
+    |(id (x) phi)(X)|, phi with coefficients (p, g) on algC and zero off it.
+
+    The miss is sum_k p[k, s, t] X_k - X_s Y_t (leg 2: Y_t X_s, s on C's
+    leg) and the off-span part, in squares (slice_equation, for leg 2 on
+    adjoints), and T12 Y13 (Y12 T13), orthogonal to the first as T is off
+    span(algC), of norm at most |T| |sum_j Y_j Y_j*|^(1/2) (Y_j* Y_j), and
+    met by the second by the triangle inequality: never below the operator
+    residual beyond rounding.
     """
-    # homviews imports this module, so its helpers are imported here
-    from .homviews import factor_slices, map_coefficients, right_map_from_bicharacter
+    (xs, trunc), (p, g) = slices, coefficients
+    ys = np.tensordot(f, xs, axes=(0, 0))
+    adjoint = lambda m: m.conj().transpose(0, 2, 1)
+    if leg == 1:
+        on_span, square = slice_equation(xs, p, g, ys), ys @ adjoint(ys)
+    else:
+        on_span = slice_equation(adjoint(xs), p.transpose(0, 2, 1).conj(), g.conj(), adjoint(ys))
+        square = adjoint(ys) @ ys
+    # a NaN in ys is one in on_span too, whatever eigvalsh makes of it
+    tail = trunc * math.sqrt(max(np.linalg.eigvalsh(square.sum(axis=0))[-1], 0.0))
+    gx = gram(xs)
+    off = math.sqrt(max(float(np.sum(gx * g).real), 0.0))
+    miss = math.sqrt(on_span**2 + tail**2 + 2 * off * tail)
+    size = math.sqrt(max(float(np.sum(gx * (gram(p) + g)).real), 0.0))
+    y = np.tensordot(ys, a.algC, axes=(0, 0)).transpose(0, 2, 1, 3)
+    return y.reshape(len(y) * a.dim, -1), float(miss / size) if size != 0 else 0.0
 
+
+def push_along(slices, v):
+    """push_slices along v's right map (id (x) f)Delta_C, in the span."""
+    right = (hom_coefficients(v, 1), np.zeros((len(v.source.algC),) * 2))
+    return push_slices(slices, v.target, hopf_coefficients(v)[0], right, 1)
+
+
+def compose(vca, vab):
+    """Composition of arrows, first vca, then vab: (id (x) f)(vca.V) for
+    vab's Hopf map f (push_along), its residuals["extraction"] that of
+    (id (x) Delta_R)(V) = V12 V''13: V's corepresentation law with F on
+    the third leg, and V's truncation on the middle leg, orthogonal to it."""
     if not vca.target.same_unitary(vab.source):
         raise SourceTargetMismatch(
             f"middle objects differ: dim {vca.target.dim} vs {vab.source.dim} or unequal W"
         )
-    c, a = vab.source, vab.target
-    p = map_coefficients(right_map_from_bicharacter(vab), c.algC, a, 1)
+    slices = slice_coefficients(vca.V, vca.source.dim, vab.source.algC)
     what = "middle leg is not trivial"
-    return extract_bicharacter(*factor_slices(vca.V, c, a, p, 1), vca.source, a, what)
+    return extract_bicharacter(*push_along(slices, vab), vca.source, vab.target, what)
 
 
 def extract_bicharacter(factor, resid, c, a, what):

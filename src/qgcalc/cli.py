@@ -12,7 +12,8 @@ import json
 import os
 import sys
 import time
-from collections import namedtuple
+
+import numpy as np
 
 from .bicharacter import (
     Bicharacter,
@@ -22,6 +23,7 @@ from .bicharacter import (
     compose,
     dual_bicharacter,
     from_hopf_hom,
+    hom_coefficients,
     identity,
 )
 from .coactions import (
@@ -58,10 +60,8 @@ from .homviews import (
     check_right_hom,
     dual_hopf_relation,
     left_from_bicharacter,
-    left_map_from_bicharacter,
     one_sided_residuals,
     right_from_bicharacter,
-    right_map_from_bicharacter,
 )
 from .qgroup import (
     EQUATION_TOL,
@@ -140,18 +140,6 @@ def _bicharacter_battery(report, prefix, bic):
         _record_failure(report, exc)
 
 
-_Side = namedtuple("_Side", "check hom map_of")
-
-
-def _side(kind):
-    """What tells a right hom from a left one.  Built per call, so it holds
-    the functions bound in this module then (a profiler rebinds them)."""
-    return {
-        "right": _Side(check_right_hom, RightQGHom, right_map_from_bicharacter),
-        "left": _Side(check_left_hom, LeftQGHom, left_map_from_bicharacter),
-    }[kind]
-
-
 def _span_map(kind, source, target, images):
     """A hom's map: into the target for hopf, into source (x) target otherwise."""
     codomain = target.dim if kind == "hopf" else source.dim * target.dim
@@ -163,9 +151,9 @@ def _hom_battery(report, kind, source, target, images):
     if kind == "hopf":
         hom = HopfHom(source, target, fmap)
     else:
-        side = _side(kind)
-        res, coefficients = one_sided_residuals(source, target, fmap, side.hom.leg)
-        hom = side.hom(source, target, fmap, res, coefficients)
+        cls = RightQGHom if kind == "right" else LeftQGHom
+        res, coefficients = one_sided_residuals(source, target, fmap, cls.leg)
+        hom = cls(source, target, fmap, res, coefficients)
     report.add_gates("", hom.gates, hom.residuals)
     if not report.passed:
         return
@@ -175,9 +163,12 @@ def _hom_battery(report, kind, source, target, images):
         else:
             v = hom.bicharacter
             report.add("extraction", v.residuals["extraction"], EQUATION_TOL)
-            # v's map, unverified: the file's map passed its checks, roundTrip pins it there
-            back = side.map_of(v)
-            rt = residuals_between(fmap.apply_stack(source.algC), back.apply_stack(source.algC))
+            # the file's map passed its checks, and roundTrip pins v's, C F, there:
+            # residuals_between of the images, C F missing the file's off-span parts
+            p, g = coefficients
+            off = np.sqrt(np.diag(g).real)[:, None]
+            rows = lambda q, rest: np.concatenate([q.reshape(len(p), -1), rest], axis=1)
+            rt = residuals_between(rows(p, off), rows(hom_coefficients(v, hom.leg), 0 * off))
             report.add("roundTrip", rt, EQUATION_TOL)
         _bicharacter_battery(report, "bicharacter.", v)
     except CalculusError as exc:
@@ -293,8 +284,9 @@ def _right_hom_from_file(path):
     fmap = _span_map(kind, source, target, images)
     if kind == "hopf":
         return right_from_bicharacter(from_hopf_hom(HopfHom(source, target, fmap)))
-    hom = _side(kind).check(source, target, fmap)
-    return hom if kind == "right" else right_from_bicharacter(hom.bicharacter)
+    if kind == "right":
+        return check_right_hom(source, target, fmap)
+    return right_from_bicharacter(check_left_hom(source, target, fmap).bicharacter)
 
 
 def cmd_induce(args, report):

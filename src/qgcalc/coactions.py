@@ -7,13 +7,13 @@ construction takes a coaction of C and a right homomorphism from C to A
 and solves a commuting square of coefficients for the induced coaction
 of A; its solvability and uniqueness are exactly the finite-dimensional
 content of the induction theorem.  Corepresentations are pushed forward
-in closed form, by factorising (id (x) deltaR)(X) = X12 Y13 on the
-slices of X.
+in closed form along a bicharacter's Hopf coefficients F: Y = (id (x)
+f)(X), F applied to the slices of X.
 """
 
 import numpy as np
 
-from .bicharacter import compose as compose_bicharacters
+from .bicharacter import compose as compose_bicharacters, hom_coefficients, push_along
 from .errors import (
     CoactionViolation,
     RecoveryFailure,
@@ -22,20 +22,14 @@ from .errors import (
     gate,
     gate_all,
 )
-from .homviews import (
-    check_right_hom,
-    comodule_residuals,
-    factor_slices,
-    map_coefficients,
-    right_map_from_bicharacter,
-    star_hom_residuals,
-)
+from .homviews import check_right_hom, comodule_residuals, star_hom_residuals
 from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
     PENTAGON_TOL,
     closure_residual,
     corep_law_residual,
+    slice_coefficients,
     structure_constants,
 )
 from .tensorleg import (
@@ -68,7 +62,7 @@ __all__ = [
 
 class Coaction:
     """Verified coaction gamma: D -> D (x) C on a matrix algebra D, with the
-    map_coefficients (p, g) of gamma its check read."""
+    coefficients (p, g) of gamma its check read."""
 
     gates = (
         ("wellDefined", EQUATION_TOL, "gamma is not well defined on the span"),
@@ -190,7 +184,7 @@ def conjugation_coaction(corep):
 
 def _pushed_through(coefficients, basis, dr, what):
     """The map psi of basis into span(basis) (x) A induced along dr from the
-    map phi with map_coefficients (P, g) on basis, (phi (x) id)(psi(x)) =
+    map phi with coefficients (P, g) on basis, (phi (x) id)(psi(x)) =
     (id (x) deltaR)(phi(x)), gated (SolveFailure, what fails), with the
     solve residual and whether psi is unique.
 
@@ -284,26 +278,21 @@ def compose_functors_check(a, b):
 
 
 def pushforward_corep(x, v):
-    """Carry a corepresentation X of C along a bicharacter V from C to A.
-
-    With deltaR the map of V's right homomorphism, which needs no check of
-    its own as V is verified, (id (x) deltaR)(X) = X12 Y13 for a
-    corepresentation Y of A, read off the slices of X (factor_slices, as
-    bicharacter_from_right does for X = W) and re-verified by
-    check_corepresentation.  Conjugation by Y must then be the coaction
-    induced from Ad X, whose defining equation X12 (Ad Y(k))13 X12* =
-    (id (x) deltaR)(Ad X(k)) over the matrix units k is the square of the
-    coefficients of Ad Y with Ad X on leg 1 against those of Ad X with
-    deltaR on leg 2, read after the range of Ad X and Ad Y is gated.
-    residuals["recovery"] is the worse of the extraction and the square.
+    """Carry a corepresentation X of C along a bicharacter V from C to A:
+    Y = (id (x) f)(X), F applied to the slices of X (push_along, as in
+    compose), with the residual of (id (x) deltaR)(X) = X12 Y13, and Y
+    re-verified by check_corepresentation.  Conjugation by Y must then be
+    the coaction induced from Ad X: X12 (Ad Y(k))13 X12* = (id (x)
+    deltaR)(Ad X(k)) over the matrix units k, a square of the coefficients
+    of Ad Y, Ad X and deltaR, read after the range of Ad X and Ad Y is
+    gated.  residuals["recovery"] is the worse of the two residuals.
     """
     if not x.qg.same_unitary(v.source):
         raise SourceTargetMismatch(
             f"corep is over dim {x.qg.dim}, bicharacter starts at {v.source.dim}"
         )
     h, c, a = x.hdim, x.qg, v.target
-    r, g = map_coefficients(right_map_from_bicharacter(v), c.algC, a, 1)
-    y, resid = factor_slices(x.X, c, a, (r, g), 1)
+    y, resid = push_along(slice_coefficients(x.X, h, c.algC), v)
     gate(resid, EQUATION_TOL, RecoveryFailure, "X12* (id (x) deltaR)(X) is not leg-2 trivial")
     out = check_corepresentation(y, a)
 
@@ -312,7 +301,7 @@ def pushforward_corep(x, v):
     gate(range_x, CLOSURE_TOL, RecoveryFailure, "Ad X escapes B(H) (x) span(algC)")
     p_y, _, range_y = PairSpan(units, a.algC).read(_conjugation_images(y, h))
     gate(range_y, CLOSURE_TOL, RecoveryFailure, "Ad Y escapes B(H) (x) span(algA)")
-    worst = diagram_residual((p_y, 1, p_x), (p_x, 2, r))
+    worst = diagram_residual((p_y, 1, p_x), (p_x, 2, hom_coefficients(v, 1)))
     what = "conjugation by the recovered unitary differs from the induced coaction"
     gate(worst, EQUATION_TOL, RecoveryFailure, what)
     out.residuals["recovery"] = max(resid, worst)

@@ -6,15 +6,16 @@ the same arrows; this module carries each notion and the translations
 between them, with every translation verified on the way out.
 
 Linear maps between matrix algebras are SpanMaps on orthonormal algebra
-bases.  The right map is the conjugation x -> V(x (x) 1)V*, and the left map
-that conjugation with the unitary antipodes on its legs (tensorleg's
-conjugation_images and map_legs)."""
+bases.  A bicharacter V = (id (x) f)(W_C) is its Hopf coefficients F: its
+right and left maps are (id (x) f)Delta_C and (f (x) id)Delta_C, and a
+one-sided hom gives F back by the counit (counit_read).
+"""
 
 from functools import cached_property
 
 import numpy as np
 
-from .bicharacter import extract_bicharacter
+from .bicharacter import extract_bicharacter, hom_coefficients, hopf_coefficients, push_slices
 from .errors import DimensionMismatch, HopfHomViolation, RangeViolation, gate, gate_all
 from .qgroup import (
     CLOSURE_TOL,
@@ -22,18 +23,14 @@ from .qgroup import (
     PENTAGON_TOL,
     intertwining_residuals,
     multiplication_constants,
-    slice_coefficients,
     structure_constants,
-    unitary_antipode,
     unitary_slices,
 )
 from .tensorleg import (
     PairSpan,
-    SpanMap,
-    conjugation_images,
+    PairSpanMap,
     diagram_residual,
     frob,
-    gram,
     map_legs,
     membership_residuals,
     numerical_rank,
@@ -56,9 +53,7 @@ __all__ = [
     "bicharacter_from_left",
     "one_sided_residuals",
     "comodule_residuals",
-    "map_coefficients",
-    "factor_slices",
-    "slice_identity_residual",
+    "counit_read",
     "star_hom_residuals",
     "check_left_right_compatibility",
     "dual_hopf_relation",
@@ -127,34 +122,28 @@ def _read(phi, basis, qg, leg):
     return span.read(phi.apply_stack(basis))
 
 
-def map_coefficients(phi, basis, qg, leg):
-    """The coefficients p of phi on basis and the Gram matrix g of its
-    images' parts off the span (_read): phi as factor_slices takes it."""
-    return _read(phi, basis, qg, leg)[:2]
-
-
 def comodule_residuals(phi, basis, qg, leg):
-    """Comodule axioms of phi: D -> D (x) C (leg 1) or C (x) D (leg 2), on an
-    orthonormal basis of D, and the (p, g) of map_coefficients they are read
-    from, in one read of the images.
-
-    ``range`` is the distance from the algebra pair span, and the rest is
-    read off the coefficients P on it: ``coassociativity`` compares phi on
-    the D leg with Delta_C on the C leg, ``injective`` is the rank of P, and
-    ``dense`` the rank of the products phi(x)(1 (x) c) (the Podles condition).
-    """
+    """Comodule axioms of phi: D -> D (x) C (leg 1) or C (x) D (leg 2) on an
+    orthonormal basis of D (_comodule), and the (p, g) of its one read."""
     p, g, range_ = _read(phi, basis, qg, leg)
+    return _comodule(p, range_, qg, leg), (p, g)
+
+
+def _comodule(p, range_, qg, leg):
+    """The comodule residuals of a map with coefficients p, range_ its
+    distance from the pair span: ``coassociativity`` is the map on the D leg
+    against Delta_C on the C leg, ``injective`` the rank of P, and ``dense``
+    that of the products phi(x)(1 (x) c) (the Podles condition)."""
     # the products' coefficients, rows (k, m) and columns (i, l), i on D
     on_c_last = p if leg == 1 else p.transpose(0, 2, 1)
     products = np.einsum("kij,jml->kmil", on_c_last, multiplication_constants(qg), optimize=True)
     n = len(p) * len(qg.algC)
-    residuals = {
+    return {
         "range": range_,
         "coassociativity": diagram_residual((p, leg, p), (p, 3 - leg, structure_constants(qg))),
         "injective": numerical_rank(p) == len(p),
         "dense": numerical_rank(products.reshape(n, n)) == n,
     }
-    return residuals, (p, g)
 
 
 def check_hopf_hom(source, target, map):
@@ -177,7 +166,7 @@ def _one_sided_gates(name, pair_span):
 
 class _OneSidedHom:
     """A verified map of C into C (x) A or A (x) C, C on ``leg``, kept as
-    ``map_name``, with the map_coefficients (p, g) its check read."""
+    ``map_name``, with the coefficients (p, g) of the map its check read."""
 
     def __init__(self, source, target, map, residuals, coefficients):
         self.source = source
@@ -210,23 +199,25 @@ class LeftQGHom(_OneSidedHom):
 
 
 def one_sided_residuals(c, a, phi, leg):
-    """Residuals of a right (leg 1) or left (leg 2) hom phi of C, leg being
-    C's leg, and the (p, g) they are read from.
+    """Residuals of a right (leg 1) or left (leg 2) hom phi of C, C on leg
+    (_one_sided), and the (p, g) of the one read of its images."""
+    p, g, range_ = _read(phi, c.algC, a, leg)
+    return _one_sided(c, a, p, range_, leg), (p, g)
 
-    Such a hom is a coaction of A on C that also commutes with Delta_C: the
-    comodule residuals plus ``coassocDiagram``, Delta_C on the C leg of phi
-    against phi on the other leg of Delta_C, read off coefficients too.
-    """
-    co, (p, g) = comodule_residuals(phi, c.algC, a, leg)
+
+def _one_sided(c, a, p, range_, leg):
+    """The residuals of a one-sided hom of C with coefficients p (_comodule),
+    a coaction of A on C that commutes with Delta_C: plus ``coassocDiagram``,
+    Delta_C on the C leg of phi against phi on the other leg of Delta_C."""
+    co = _comodule(p, range_, a, leg)
     cc = structure_constants(c)
-    residuals = {
+    return {
         "range": co["range"],
         "coassocDiagram": diagram_residual((p, leg, cc), (cc, 3 - leg, p)),
         "comoduleDiagram": co["coassociativity"],
         "injective": co["injective"],
         "podles": co["dense"],
     }
-    return residuals, (p, g)
 
 
 def _check_one_sided(cls, c, a, phi):
@@ -240,136 +231,84 @@ def check_right_hom(c, a, dr_map):
 
 
 def right_map_from_bicharacter(v):
-    """The map of right_from_bicharacter(v), unverified: x goes to V(x (x) 1)V*."""
+    """The map of right_from_bicharacter(v), unverified: (id (x) f)Delta_C,
+    kept as its coefficients (hom_coefficients)."""
     c, a = v.source, v.target
-    return SpanMap(c.algC, conjugation_images(v.V, c.algC), c.dim, c.dim * a.dim)
+    return PairSpanMap(c.algC, PairSpan(c.algC, a.algC), hom_coefficients(v, 1))
 
 
-def right_from_bicharacter(v):
-    """Right homomorphism by conjugation: x goes to V(x (x) 1)V*; its bicharacter is v."""
-    out = check_right_hom(v.source, v.target, right_map_from_bicharacter(v))
+def left_map_from_bicharacter(v):
+    """The map of left_from_bicharacter(v), unverified: (f (x) id)Delta_C."""
+    c, a = v.source, v.target
+    return PairSpanMap(c.algC, PairSpan(a.algC, c.algC), hom_coefficients(v, 2))
+
+
+def _from_bicharacter(cls, v, phi):
+    """The hom of cls of a verified bicharacter v with map phi, checked on
+    phi's coefficients; ``range`` reads the part of V that F does not carry
+    (hopf_coefficients), relative.  V's operatorSource is added to it and
+    to both diagrams, so that they never read below those of the images by
+    conjugation (and antipodes, on the left): tested, not proven."""
+    c, a, source = v.source, v.target, v.residuals["operatorSource"]
+    range_ = hopf_coefficients(v)[1] / max(1.0, frob(v.V)) + source
+    res = _one_sided(c, a, phi.coefficients, range_, cls.leg)
+    for key in ("coassocDiagram", "comoduleDiagram"):
+        res[key] += source
+    gate_all(res, cls.gates, RangeViolation)
+    out = cls(c, a, phi, res, (phi.coefficients, np.zeros((len(c.algC),) * 2)))
     out.bicharacter = v
     return out
 
 
-def factor_slices(x, c, a, coefficients, leg):
-    """Y with (id (x) phi)(X) = X12 Y13 (leg 1, phi: C -> C (x) A) or Y12 X13
-    (leg 2, phi: C -> A (x) C) for X unitary on H (x) H_C, phi given by its
-    map_coefficients (p, g) on c.algC, and the residual.
-
-    With X = sum_k X_k (x) b_k (slice_coefficients) and F_st = sum_k
-    p[k, s, t] X_k, s on C's leg, this says F_st = X_s Y_t (leg 2: Y_t X_s)
-    for Y = sum_t Y_t (x) a_t, and unitarity, sum_s X_s* X_s = sum_s X_s X_s*
-    = d 1, gives Y_t = sum_s X_s* F_st / d (leg 2: sum_s F_st X_s* / d).  The
-    residual, relative to |(id (x) phi)(X)| as the operator oracle divides,
-    adds in squares the orthogonal part sum_k X_k (x) R_k of the images off
-    the span (_slice_miss), and |T12 Y13| <= sqrt(dim H_A) |T| |Y| for the
-    truncation T of the X_k: it never reads below the operator one beyond
-    rounding.
-    """
-    h, d = x.shape[0] // c.dim, c.dim
-    xs, trunc = slice_coefficients(x, h, c.algC)
-    f, off_sq = _slice_images(xs, coefficients, leg)
-    if leg == 1:
-        y = np.tensordot(xs.conj(), f, axes=([0, 1], [0, 2])).transpose(1, 0, 2) / d
-    else:
-        y = np.tensordot(f, xs.conj(), axes=([0, 3], [0, 2])) / d
-    bound = np.sqrt(a.dim) * trunc * frob(y)
-    norm = _slice_miss(f, off_sq, xs, y, leg) + bound
-    total = np.sqrt(np.maximum(frob(f) ** 2 + off_sq, 0.0))
-    factor = np.tensordot(y, a.algC, axes=(0, 0)).transpose(0, 2, 1, 3)
-    return factor.reshape(h * a.dim, -1), float(norm / total) if total != 0 else 0.0
+def right_from_bicharacter(v):
+    """Right homomorphism (id (x) f)Delta_C of v; its bicharacter is v."""
+    return _from_bicharacter(RightQGHom, v, right_map_from_bicharacter(v))
 
 
-def _slice_images(xs, coefficients, leg):
-    """F_st = sum_k p[k, s, t] X_k, s on C's leg, for the slices X_k of X and
-    the map_coefficients (p, g) of phi: (id (x) phi)(X) is sum_st F_st (x)
-    the product basis element (s, t) plus sum_k X_k (x) R_k, R_k the parts
-    of phi's images off the span, whose squared norm sum_kl <X_k, X_l>
-    g[k, l] comes second."""
-    p, g = coefficients
-    f = np.tensordot(p if leg == 1 else p.transpose(0, 2, 1), xs, axes=(0, 0))
-    return f, float(np.sum(gram(xs) * g).real)
+def left_from_bicharacter(v):
+    """Left homomorphism (f (x) id)Delta_C of v; its bicharacter is v, and
+    residuals["sliceIdentity"] is (id (x) deltaL)(W) = V12 W13 on W's slices
+    with V's own F (push_slices), plus sqrt(dim C) |V - (id (x) f)(W)|."""
+    out = _from_bicharacter(LeftQGHom, v, left_map_from_bicharacter(v))
+    c, (f, miss) = v.source, hopf_coefficients(v)
+    res = push_slices(unitary_slices(c), v.target, f, out.coefficients, 2)[1]
+    res += np.sqrt(c.dim) * miss / max(1.0, np.sqrt(c.dim) * frob(v.V))
+    gate(res, EQUATION_TOL, RangeViolation, "slice identity for the left homomorphism fails")
+    out.residuals["sliceIdentity"] = res
+    return out
 
 
-def _slice_miss(f, off_sq, xs, y, leg):
-    """|(id (x) phi)(X) - X12 Y13| (leg 1) or |... - Y12 X13| (leg 2) for X
-    and Y on their spans, from _slice_images and the slices Y_t of Y: the
-    misses F_st - X_s Y_t (leg 2: F_st - Y_t X_s) on the orthonormal
-    product basis, and the orthogonal off-span part in squares."""
-    miss = f - (xs[:, None] @ y[None, :] if leg == 1 else y[None, :] @ xs[:, None])
-    return np.sqrt(np.maximum(frob(miss) ** 2 + off_sq, 0.0))
+def counit_read(c, coefficients, leg):
+    """F[k, j] = <a_j, f(b_k)> off the coefficients (p, g) of a right (leg
+    1) or left (leg 2) hom of C: (e (x) id)Delta_R = f for the counit e,
+    sum_i e_i C[k, i, j] = delta_kj (leg 2: sum_j C[k, i, j] e_j =
+    delta_ki), one least-squares read, and F = e . P on C's leg."""
+    cc, n = structure_constants(c), len(c.algC)
+    system = (cc.transpose(0, 2, 1) if leg == 1 else cc).reshape(n * n, n)
+    e, p = np.linalg.lstsq(system, np.eye(n).reshape(-1), rcond=None)[0], coefficients[0]
+    return np.tensordot(e, p, axes=(0, 1)) if leg == 1 else p @ e
+
+
+def _extract(hom, what):
+    """(id (x) f)(W_C) for the f of a one-sided hom (counit_read), certified
+    by (id (x) deltaR)(W) = W12 V13 (leg 2: (id (x) deltaL)(W) = V12 W13)."""
+    c, a, f = hom.source, hom.target, counit_read(hom.source, hom.coefficients, hom.leg)
+    factor = push_slices(unitary_slices(c), a, f, hom.coefficients, hom.leg)
+    return extract_bicharacter(*factor, c, a, what)
 
 
 def bicharacter_from_right(dr):
-    """Recover the bicharacter: (id (x) deltaR)(W) = W12 V13 (factor_slices)."""
-    c, a = dr.source, dr.target
-    what = "W12* (id (x) deltaR)(W) is not leg-2 trivial"
-    return extract_bicharacter(*factor_slices(c.W, c, a, dr.coefficients, 1), c, a, what)
+    """Recover the bicharacter of a right hom (_extract)."""
+    return _extract(dr, "W12* (id (x) deltaR)(W) is not leg-2 trivial")
 
 
 def check_left_hom(c, a, dl_map):
     return _check_one_sided(LeftQGHom, c, a, dl_map)
 
 
-def left_map_from_bicharacter(v):
-    """The map of left_from_bicharacter(v), unverified: sigma (R_C (x) R_A)
-    Delta_R R_C, Delta_R the right map and sigma the leg swap.  That is
-    Vhat*(1 (x) R_C(x))Vhat untwisted by R_A and R_C on its legs, for the
-    flipped Vhat = Sigma V* Sigma: Vhat*(1 (x) y)Vhat = Sigma V(y (x) 1)V* Sigma*."""
-    c, a, n = v.source, v.target, len(v.source.algC)
-    r_c, r_a = unitary_antipode(c), unitary_antipode(a)
-    images = map_legs(conjugation_images(v.V, r_c.apply_stack(c.algC)), (c.dim, a.dim), r_c, r_a)
-    swapped = images.reshape(n, c.dim, a.dim, c.dim, a.dim).transpose(0, 2, 1, 4, 3)
-    return SpanMap(c.algC, swapped.reshape(n, a.dim * c.dim, -1), c.dim, a.dim * c.dim)
-
-
-def left_from_bicharacter(v):
-    """Left homomorphism through the flipped bicharacter and both antipodes.
-
-    Kac type only: the construction conjugates with the flipped unitary and
-    untwists with the unitary antipodes on both legs.  Its bicharacter is v,
-    and the slice identity (id (x) deltaL)(W) = V12 W13 must hold as well,
-    kept as residuals["sliceIdentity"] (slice_identity_residual).
-    """
-    out = check_left_hom(v.source, v.target, left_map_from_bicharacter(v))
-    slice_res = slice_identity_residual(v, out)
-    gate(
-        slice_res, EQUATION_TOL, RangeViolation, "slice identity for the left homomorphism fails"
-    )
-    out.residuals["sliceIdentity"] = slice_res
-    out.bicharacter = v
-    return out
-
-
-def slice_identity_residual(v, dl):
-    """The residual of (id (x) deltaL)(W) = V12 W13 for a bicharacter v from
-    C to A and a left hom dl of C, relative to |V12 W13|.
-
-    It is factor_slices' leg-2 miss F_st - Y_t X_s with the Y_t read off V
-    = sum_t Y_t (x) a_t + T_V over a.algC instead of fitted, X_s the slices
-    of W = sum_s X_s (x) b_s + T_W over c.algC (unitary_slices).  The map
-    deltaL is zero off span(algC), so T_W leaves the left side alone, and
-    it moves V12 W13 by at most |T_V12 W13| + |V'12 T_W13| <= sqrt(dim C)
-    |T_V| + (1 + |T_V|) sqrt(dim A) |T_W|, V' = V - T_V: that is added, so
-    the result never reads below the operator residual beyond rounding,
-    and off the spans it reads that certified upper bound.
-    """
-    c, a = dl.source, dl.target
-    xs, trunc_w = unitary_slices(c)
-    ys, trunc_v = slice_coefficients(v.V, c.dim, a.algC)
-    f, off_sq = _slice_images(xs, dl.coefficients, 2)
-    bound = np.sqrt(c.dim) * trunc_v + (1.0 + trunc_v) * np.sqrt(a.dim) * trunc_w
-    norm = _slice_miss(f, off_sq, xs, ys, 2) + bound
-    # the scale of residual_between: |V12 W13| = |V12|, W unitary
-    return float(norm / max(1.0, np.sqrt(c.dim) * frob(v.V)))
-
-
 def bicharacter_from_left(dl):
-    """Inverse translation: V from (id (x) deltaL)(W) = V12 W13 (factor_slices)."""
-    c, a = dl.source, dl.target
-    what = "(id (x) deltaL)(W) W13* is not leg-3 trivial"
-    return extract_bicharacter(*factor_slices(c.W, c, a, dl.coefficients, 2), c, a, what)
+    """Recover the bicharacter of a left hom (_extract)."""
+    return _extract(dl, "(id (x) deltaL)(W) W13* is not leg-3 trivial")
 
 
 def check_left_right_compatibility(dl, dr):

@@ -8,7 +8,12 @@ classical and intertwining checks on them, the streamed pentagon,
 coassociativity, bicharacter and corepresentation residuals with the
 mapped column slabs they stream (mapped_slab), a span map on one leg by
 its superoperator (apply_map_to_leg), the right and left maps of a
-bicharacter by Kronecker products (kron_right_map, kron_left_map), the
+bicharacter by Kronecker products (kron_right_map, kron_left_map) and by
+conjugation and the unitary antipodes (image_right_map, image_left_map),
+the factor fitted to the slices of the images of a map (factor_slices)
+and the left-hom slice identity read off those images
+(slice_identity_residual), the image forms the Hopf coefficients
+replaced, the
 TSQR intertwiner space, the coinvariant dimension from the
 comultiplication images, the commuting diagrams of comodules and
 one-sided homs by operators, the induced-coaction equation of a
@@ -27,7 +32,8 @@ import pytest
 from scipy.stats import unitary_group
 
 import qgcalc as q
-from qgcalc.homviews import right_map_from_bicharacter
+from qgcalc.homviews import _read, right_map_from_bicharacter
+from qgcalc.qgroup import slice_coefficients, unitary_slices
 from qgcalc.tensorleg import (
     RANK_CUTOFF,
     LegSpace,
@@ -36,10 +42,12 @@ from qgcalc.tensorleg import (
     _check_space,
     _named_legs,
     as_matrix,
+    conjugation_images,
     flip_adjoint,
     frob,
     gram,
     kron,
+    map_legs,
     legs_product,
     legs_slab,
     membership_residuals,
@@ -480,6 +488,86 @@ def kron_left_map(v):
     return SpanMap(c.algC, images, c.dim, a.dim * c.dim)
 
 
+def image_right_map(v):
+    """The right map of v by conjugation, V(b_k (x) 1)V* over
+    v.source.algC (conjugation_images), the operator picture of the
+    coefficients C F the library holds."""
+    c, a = v.source, v.target
+    return SpanMap(c.algC, conjugation_images(v.V, c.algC), c.dim, c.dim * a.dim)
+
+
+def image_left_map(v):
+    """The left map of v by conjugation and the unitary antipodes, sigma
+    (R_C (x) R_A) Delta_R R_C for the conjugation Delta_R and sigma the leg
+    swap (Kac type only): the operator picture of the coefficients the
+    library holds."""
+    c, a, n = v.source, v.target, len(v.source.algC)
+    r_c, r_a = q.unitary_antipode(c), q.unitary_antipode(a)
+    images = map_legs(conjugation_images(v.V, r_c.apply_stack(c.algC)), (c.dim, a.dim), r_c, r_a)
+    swapped = images.reshape(n, c.dim, a.dim, c.dim, a.dim).transpose(0, 2, 1, 4, 3)
+    return SpanMap(c.algC, swapped.reshape(n, a.dim * c.dim, -1), c.dim, a.dim * c.dim)
+
+
+def map_coefficients(phi, basis, qg, leg):
+    """The coefficients p of phi on basis and the Gram matrix g of its
+    images' parts off the span, as a one-sided hom's check keeps them."""
+    return _read(phi, basis, qg, leg)[:2]
+
+
+def factor_slices(x, c, a, coefficients, leg):
+    """Y with (id (x) phi)(X) = X12 Y13 (leg 1) or Y12 X13 (leg 2) fitted
+    to the slices of X, and the residual: the image-side oracle for
+    push_slices, which forms Y from Hopf coefficients instead.
+
+    With X = sum_k X_k (x) b_k and F_st = sum_k p[k, s, t] X_k, s on C's
+    leg, unitarity gives Y_t = sum_s X_s* F_st / d (leg 2: sum_s F_st X_s*
+    / d).  The residual adds in squares the part off the span
+    (_slice_images) and sqrt(dim H_A) |T| |Y| for the truncation T.
+    """
+    h, d = x.shape[0] // c.dim, c.dim
+    xs, trunc = slice_coefficients(x, h, c.algC)
+    f, off_sq = _slice_images(xs, coefficients, leg)
+    if leg == 1:
+        y = np.tensordot(xs.conj(), f, axes=([0, 1], [0, 2])).transpose(1, 0, 2) / d
+    else:
+        y = np.tensordot(f, xs.conj(), axes=([0, 3], [0, 2])) / d
+    bound = np.sqrt(a.dim) * trunc * frob(y)
+    norm = _slice_miss(f, off_sq, xs, y, leg) + bound
+    total = np.sqrt(np.maximum(frob(f) ** 2 + off_sq, 0.0))
+    factor = np.tensordot(y, a.algC, axes=(0, 0)).transpose(0, 2, 1, 3)
+    return factor.reshape(h * a.dim, -1), float(norm / total) if total != 0 else 0.0
+
+
+def _slice_images(xs, coefficients, leg):
+    """F_st = sum_k p[k, s, t] X_k, s on C's leg, and the squared norm
+    sum_kl <X_k, X_l> g[k, l] of the images' parts off the span."""
+    p, g = coefficients
+    f = np.tensordot(p if leg == 1 else p.transpose(0, 2, 1), xs, axes=(0, 0))
+    return f, float(np.sum(gram(xs) * g).real)
+
+
+def _slice_miss(f, off_sq, xs, y, leg):
+    """|F_st - X_s Y_t| (leg 2: F_st - Y_t X_s) over the product basis, and
+    the off-span part in squares."""
+    miss = f - (xs[:, None] @ y[None, :] if leg == 1 else y[None, :] @ xs[:, None])
+    return np.sqrt(np.maximum(frob(miss) ** 2 + off_sq, 0.0))
+
+
+def slice_identity_residual(v, dl):
+    """The residual of (id (x) deltaL)(W) = V12 W13 read off the images of
+    dl's map and the slices of V, with the truncation bound sqrt(dim C)
+    |T_V| + (1 + |T_V|) sqrt(dim A) |T_W|, relative to |V12 W13|: the
+    image-side oracle for the left hom's sliceIdentity."""
+    c, a = dl.source, dl.target
+    xs, trunc_w = unitary_slices(c)
+    ys, trunc_v = slice_coefficients(v.V, c.dim, a.algC)
+    coefficients = map_coefficients(dl.deltaL, c.algC, a, 2)
+    f, off_sq = _slice_images(xs, coefficients, 2)
+    bound = np.sqrt(c.dim) * trunc_v + (1.0 + trunc_v) * np.sqrt(a.dim) * trunc_w
+    norm = _slice_miss(f, off_sq, xs, ys, 2) + bound
+    return float(norm / max(1.0, np.sqrt(c.dim) * frob(v.V)))
+
+
 def mapped_slab(t, space, map_leg, phi, leg, cols):
     """Column slab of apply_map_to_leg(t, space, map_leg, phi)[0] at leg's
     indices cols, the side of an oracle that applies a span map.
@@ -815,7 +903,7 @@ def extract_trivial_legs(t, space, trivial):
 
 
 def product_factor(x, c, phi, a, leg):
-    """homviews.factor_slices by operators, its oracle: the factor of
+    """bicharacter.push_slices by operators, its oracle: the factor of
     X12* (id (x) phi)(X) trivial on leg 2 (leg 1, phi: C -> C (x) A), or of
     (id (x) phi)(X) X13* trivial on leg 3 (leg 2, phi: C -> A (x) C), by
     the partial trace of the three-leg product, and its residual."""

@@ -2,6 +2,7 @@
 
 import json
 
+from hypothesis import event, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -11,13 +12,15 @@ import qgcalc.qgroup as qgroup_module
 from qgcalc.bicharacter import bicharacter_residuals
 from qgcalc.cli import main
 from qgcalc.coactions import check_corepresentation
-from qgcalc.homviews import left_from_bicharacter, slice_identity_residual
+from qgcalc.homviews import left_from_bicharacter, right_map_from_bicharacter
 from qgcalc.errors import (
     BicharacterViolation,
+    CalculusError,
     CoactionViolation,
     ExtractionFailure,
     HopfHomViolation,
     NotUnitary,
+    RangeViolation,
     SourceTargetMismatch,
 )
 from qgcalc import tensorleg
@@ -41,6 +44,7 @@ from conftest import (
     gauged_bicharacters,
     haar_unitary,
     product_composite,
+    product_factor,
     rotated,
     span_map_from_pairs,
     streamed_bicharacter,
@@ -381,8 +385,9 @@ def test_a_nan_in_what_the_slice_forms_read_fails_closed(
 
 def test_a_nan_entry_in_the_input_reads_nan_on_the_slice_path(corpus):
     """One NaN entry of V makes its slice coefficients and truncation NaN,
-    so all four equations, the corepresentation law and the left-hom slice
-    identity read NaN, and check_corepresentation rejects it."""
+    so all four equations, the corepresentation law and the Hopf
+    coefficients of the left hom read NaN, and check_corepresentation and
+    left_from_bicharacter reject it."""
     (_, v) = _gauged_arrows(corpus, "c0")
     c, a = v.source, v.target
     x = v.V.copy()
@@ -392,8 +397,10 @@ def test_a_nan_entry_in_the_input_reads_nan_on_the_slice_path(corpus):
     assert np.isnan(corep_law_residual(x, a))
     with pytest.raises(CoactionViolation):
         check_corepresentation(x, a)
-    dl = left_from_bicharacter(v)
-    assert np.isnan(slice_identity_residual(q.Bicharacter(c, a, x, {}), dl))
+    # x keeps v's residuals, as if it had been checked
+    with pytest.raises(RangeViolation) as exc:
+        left_from_bicharacter(q.Bicharacter(c, a, x, v.residuals))
+    assert np.isnan(exc.value.residual)
 
 
 def test_abstract_and_operator_equations_agree(z2, z4, s3, homs):
@@ -455,15 +462,19 @@ def test_composition_is_associative(homs):
 def test_compose_matches_the_three_leg_product_on_every_composable_pair(
     arrows, picture, gauge
 ):
-    """The pushforward of V along the second arrow is the factor of the
-    operator oracle on every composable pair of corpus arrows, and its
-    certified residual never reads below the oracle's."""
+    """The pushforward of V along the second arrow's Hopf coefficients is
+    the factor of the operator oracles on every composable pair of corpus
+    arrows: the partial trace of V12* V'23 V12 V'23* and that of V12*
+    (id (x) deltaR)(V) for the right map deltaR the library holds, whose
+    residual the certified one never reads below."""
     bics = gauged_bicharacters(arrows, picture, gauge, 3202)
     pairs = [(v, w) for v in bics for w in bics if v.target.same_unitary(w.source)]
     assert len(pairs) == 933
     for v, w in pairs:
         got = q.compose(v, w)
-        want, resid = product_composite(v, w)
+        want, _ = product_composite(v, w)
+        np.testing.assert_allclose(got.V, want, rtol=0, atol=1e-14)
+        want, resid = product_factor(v.V, w.source, right_map_from_bicharacter(w), w.target, 1)
         np.testing.assert_allclose(got.V, want, rtol=0, atol=1e-14)
         assert got.residuals["extraction"] >= resid - 1e-15
 
@@ -474,10 +485,54 @@ def test_compose_rejects_a_rotated_arrow(z4):
     c = c0(z4)
     bent_w = rotated(c.W, 1e-6, np.random.default_rng(3204))
     bent = bicharacter_module.Bicharacter(c, c, bent_w, {})
-    _, want = product_composite(bent, q.identity(c))
+    ident = q.identity(c)
+    _, want = product_factor(bent_w, c, right_map_from_bicharacter(ident), c, 1)
     with pytest.raises(ExtractionFailure, match="middle leg") as exc:
-        q.compose(bent, q.identity(c))
+        q.compose(bent, ident)
     assert exc.value.residual >= want > EQUATION_TOL
+
+
+def _composes_with_the_identity(v):
+    """compose(v, 1) and compose(1, v) both pass, each with a certified
+    residual no lower than the product's with the right map held."""
+    c, a = v.source, v.target
+    for first, second in ((v, q.identity(a)), (q.identity(c), v)):
+        got = q.compose(first, second)
+        mid = second.source
+        _, want = product_factor(first.V, mid, right_map_from_bicharacter(second), a, 1)
+        assert want - 1e-15 <= got.residuals["extraction"] <= EQUATION_TOL
+
+
+def test_a_rotated_identity_composes_with_the_identity_on_either_side(z4):
+    """The Z4 c0 W turned by 1e-9: check_bicharacter accepts it, so it
+    composes with the identity on both sides.  The pushforward's residual
+    adds V's truncation on the middle leg in squares, as it is orthogonal
+    to the rest."""
+    c = c0(z4)
+    v = q.check_bicharacter(rotated(c.W, 1e-9, np.random.default_rng(3204)), c, c)
+    _composes_with_the_identity(v)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=10**6),
+    picture=st.sampled_from(["c0", "cstar"]),
+    exponent=st.floats(min_value=-11.0, max_value=-8.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_every_accepted_rotation_composes_with_the_identity(arrows, index, picture, exponent, seed):
+    """A corpus arrow (d <= 6) turned by exp(i 10^exponent h): whenever
+    check_bicharacter accepts it, it composes with the identity on either
+    side and passes."""
+    (v0,) = gauged_bicharacters([arrows[index % len(arrows)]], picture, "plain", 0)
+    x = rotated(v0.V, 10.0**exponent, np.random.default_rng(seed))
+    try:
+        v = q.check_bicharacter(x, v0.source, v0.target)
+    except CalculusError:
+        event("rejected by check_bicharacter")
+        return
+    event("accepted by check_bicharacter")
+    _composes_with_the_identity(v)
 
 
 def test_compose_rejects_mismatched_middle(homs):

@@ -267,8 +267,9 @@ def test_commands_compute_each_residual_set_once(count_calls, tmp_path, capsys, 
     )
     # argv, then the expected bicharacter_residuals, Hopf-hom and one-sided hom
     # residual counts: one per file read and one per bicharacter made or
-    # extracted; the round trip of a one-sided hom builds its map unverified,
-    # and induce turns the file's bicharacter into the right hom it induces along
+    # extracted; the round trip of a one-sided hom compares coefficients, and
+    # induce turns the file's bicharacter into the right hom it induces
+    # along, which reads its residuals off C F, no images
     for argv, *counts in (
         (["dual", path_a], 2, 0, 0),
         (["compose", path_a, str(path_b)], 3, 0, 0),
@@ -276,7 +277,7 @@ def test_commands_compute_each_residual_set_once(count_calls, tmp_path, capsys, 
         (["verify", str(right), "hom"], 1, 0, 1),
         (["verify", str(left), "hom"], 1, 0, 1),
         (["verify", path_a, "bicharacter"], 1, 0, 0),
-        (["induce", str(coaction), path_a], 1, 0, 1),
+        (["induce", str(coaction), path_a], 1, 0, 0),
     ):
         calls.update(dict.fromkeys(calls, 0))
         code, _ = run_json(capsys, argv)
@@ -342,9 +343,10 @@ def _map_reads(monkeypatch):
 
 def test_each_map_is_read_once(monkeypatch, tmp_path, capsys, va_file):
     # verify reads a one-sided hom's images for its check, and the
-    # extraction takes that read; induce reads the coaction's, the right
-    # hom's and the induced coaction's images, once each, and makes the
-    # object for --out only when --out is given
+    # extraction takes that read; induce reads the coaction's and the
+    # induced coaction's images, once each, the right hom of a bicharacter
+    # being its coefficients, and makes the object for --out only when
+    # --out is given
     path_a, va = va_file
     files = _one_sided_files(tmp_path, va)
     coaction = tmp_path / "co.json"
@@ -353,7 +355,7 @@ def test_each_map_is_read_once(monkeypatch, tmp_path, capsys, va_file):
     for argv, maps in (
         (["verify", files["right"], "hom"], 1),
         (["verify", files["left"], "hom"], 1),
-        (["induce", str(coaction), path_a], 3),
+        (["induce", str(coaction), path_a], 2),
     ):
         reads.clear()
         code, _ = run_json(capsys, argv)
@@ -370,11 +372,10 @@ def _one_sided_files(tmp_path, va):
 
 
 def test_extraction_induction_and_pushforward_form_no_three_leg_product(
-    monkeypatch, count_calls, tmp_path, capsys, va_file
+    count_calls, tmp_path, capsys, va_file
 ):
     # they read coefficients: no three-leg product, no partial trace, and no
-    # map on a leg of W; the bicharacter battery's rInvariance and the left
-    # map's antipodes map both legs in one map_legs call each
+    # map on a leg of W
     # __main__ is skipped: importing it runs the command line
     names = [f"qgcalc.{i.name}" for i in pkgutil.iter_modules(q.__path__) if i.name != "__main__"]
     modules = [q] + [importlib.import_module(name) for name in names]
@@ -391,17 +392,18 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(va.target)))
-    # the right and left maps are one conjugation each, with no Kronecker product
-    real_kron, krons = np.kron, []
-    monkeypatch.setattr(np, "kron", lambda *args: krons.append(args) or real_kron(*args))
-    calls = count_calls("conjugation_images")
-    for make in (right_map_from_bicharacter, left_map_from_bicharacter):
-        calls["conjugation_images"] = 0
-        make(va)
-        assert (calls["conjugation_images"], len(krons)) == (1, 0), make.__name__
-    monkeypatch.setattr(np, "kron", real_kron)
-    names = ("apply_map_to_leg", "map_legs", "check_R_invariance", "left_map_from_bicharacter")
-    count_calls(*names)
+    # every picture of an arrow is a contraction with its Hopf coefficients:
+    # no conjugation, antipode or map on a leg but those of the builds and
+    # of the battery's rInvariance, which maps both legs with both antipodes
+    names = (
+        "conjugation_images",
+        "unitary_antipode",
+        "map_legs",
+        "apply_map_to_leg",
+        "build_from_unitary",
+        "check_R_invariance",
+    )
+    calls = count_calls(*names)
     for argv in (
         ["verify", files["right"], "hom"],
         ["verify", files["left"], "hom"],
@@ -412,11 +414,20 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
         calls.update(dict.fromkeys(calls, 0))
         code, _ = run_json(capsys, argv)
         assert code == 0
-        mapped = calls["check_R_invariance"] + calls["left_map_from_bicharacter"]
-        assert calls["map_legs"] == mapped and calls["apply_map_to_leg"] == 0, argv
+        builds, r_invariance = calls["build_from_unitary"], calls["check_R_invariance"]
+        assert builds > 0 and calls["conjugation_images"] == builds, argv
+        assert calls["unitary_antipode"] == 2 * r_invariance, argv
+        assert calls["map_legs"] == r_invariance and calls["apply_map_to_leg"] == 0, argv
+    regular = check_corepresentation(va.source.W, va.source)
+    ident_v = q.identity(va.target)
     calls.update(dict.fromkeys(calls, 0))
-    pushforward_corep(check_corepresentation(va.source.W, va.source), va)
-    assert [calls[name] for name in names] == [0] * len(names)
+    for make in (right_map_from_bicharacter, left_map_from_bicharacter):
+        make(va).images
+    right_from_bicharacter(va).deltaR.images
+    left_from_bicharacter(va).deltaL.images
+    q.compose(va, ident_v)
+    pushforward_corep(regular, va)
+    assert calls == dict.fromkeys(names, 0)
 
 
 def _nan_coefficients(real, at):
@@ -441,8 +452,8 @@ def test_nan_extraction_and_solve_exit_one(monkeypatch, tmp_path, capsys, va_fil
     coaction = tmp_path / "co.json"
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
     for module, name, at, argv, failure in (
-        (homviews, "factor_slices", 3, ["verify", files["right"], "hom"], "ExtractionFailure"),
-        (homviews, "factor_slices", 3, ["verify", files["left"], "hom"], "ExtractionFailure"),
+        (homviews, "counit_read", 1, ["verify", files["right"], "hom"], "ExtractionFailure"),
+        (homviews, "counit_read", 1, ["verify", files["left"], "hom"], "ExtractionFailure"),
         (coactions, "_pushed_through", 0, ["induce", str(coaction), path_a], "SolveFailure"),
     ):
         with monkeypatch.context() as patch:
@@ -592,12 +603,12 @@ def test_compose_builds_each_distinct_w_once_per_invocation(
     assert code == 0
     # c0(Z4) and c0(Z2), each named by both files, and the dual of each as
     # a source, a flip-adjoint W of its own; one image stack per build, and
-    # one more for the right map of the second arrow
-    assert len(digests) == len(set(digests)) == calls["conjugation_images"] - 1 == 4
+    # none for the second arrow, pushed along by its coefficients
+    assert len(digests) == len(set(digests)) == calls["conjugation_images"] == 4
     # built objects do not outlive an invocation: a second one builds again
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    assert len(digests) == calls["conjugation_images"] - 2 == 8 and len(set(digests)) == 4
+    assert len(digests) == calls["conjugation_images"] == 8 and len(set(digests)) == 4
 
 
 def test_compose_mismatch_exits_two(capsys, va_file):

@@ -26,10 +26,9 @@ from qgcalc.errors import (
     SolveFailure,
     SourceTargetMismatch,
 )
+from qgcalc.bicharacter import push_along
 from qgcalc.homviews import (
-    factor_slices,
     left_from_bicharacter,
-    map_coefficients,
     right_from_bicharacter,
     right_map_from_bicharacter,
 )
@@ -41,6 +40,7 @@ from conftest import (
     gauged_bicharacters,
     image_system_pushed_through,
     loop_pushforward_square,
+    map_coefficients,
     nudged,
     product_factor,
 )
@@ -595,10 +595,10 @@ def _inject_factor(monkeypatch, change, residual=0.0):
     """Make pushforward_corep extract change(Y) with the given residual."""
 
     def patched(*args):
-        y, _ = factor_slices(*args)
+        y, _ = push_along(*args)
         return change(y), residual
 
-    monkeypatch.setattr(coactions, "factor_slices", patched)
+    monkeypatch.setattr(coactions, "push_along", patched)
 
 
 def _small_unitary(n, rng, size=1e-6):

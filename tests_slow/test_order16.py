@@ -65,9 +65,11 @@ with open("/proc/self/status") as status:
 """
 
 
-# the right and left hom files of the identity arrow at W, each verified
-# through the CLI, which extracts the bicharacter from the file's map; then
-# the comultiplication coaction induced along the right hom
+# the right and left hom files of the identity arrow at W, written from its
+# maps (id (x) f)Delta and (f (x) id)Delta, which read F off W's slices and
+# need no check of V; each file verified through the CLI, which reads F back
+# from the file's map by the counit; then the comultiplication coaction
+# induced along the right hom
 _HOM_FILES_CHILD = """
 import contextlib, io, json, os, sys
 from qgcalc.bicharacter import Bicharacter
