@@ -12,7 +12,7 @@ constants N of the target (operator_equation), never off those images.
 
 A bicharacter is (id (x) f)(W_C) for a Hopf *-homomorphism f, kept as
 its coefficients F once read (hopf_coefficients); its other pictures are
-contractions with F, and composition applies F to a leg (push_slices).
+contractions with F, and composition applies F to a leg (push_along).
 """
 
 import math
@@ -60,6 +60,7 @@ __all__ = [
     "check_bicharacter",
     "compose",
     "extract_bicharacter",
+    "fit_on_slices",
     "hopf_coefficients",
     "hom_coefficients",
     "push_slices",
@@ -203,15 +204,20 @@ def identity(c):
 def hopf_coefficients(v):
     """F[k, j] = <a_j, f(b_k)> for the Hopf map f with V = (id (x) f)(W_C),
     and |V - (id (x) f)(W_C)|, kept as v.hopf.  With W_C = sum_k X_k (x) b_k
-    + T_W and V = sum_j Z_j (x) a_j + T, Z_j = sum_k F[k, j] X_k, one n x n
-    Gram solve; f is zero off span(algC), so the miss is the Z_j off
+    + T_W and V = sum_j Z_j (x) a_j + T, Z_j = sum_k F[k, j] X_k, read by
+    fit_on_slices; f is zero off span(algC), so the miss is the Z_j off
     span{X_k} and T, in squares: V's leg-1 miss and truncation."""
     if v.hopf is None:
         xs, _ = unitary_slices(v.source)
         zs, trunc = slice_coefficients(v.V, v.source.dim, v.target.algC)
-        f = np.linalg.solve(gram(xs), np.tensordot(xs.conj(), zs, axes=([1, 2], [1, 2])))
+        f = fit_on_slices(xs, zs)
         v.hopf = (f, float(np.hypot(frob(zs - np.tensordot(f, xs, axes=(0, 0))), trunc)))
     return v.hopf
+
+
+def fit_on_slices(xs, zs):
+    """The F with sum_k F[k, j] X_k nearest each Z_j: one Gram solve."""
+    return np.linalg.solve(gram(xs), np.tensordot(xs.conj(), zs, axes=([1, 2], [1, 2])))
 
 
 def hom_coefficients(v, leg):
@@ -219,9 +225,7 @@ def hom_coefficients(v, leg):
     C[k, i, l] F[l, j] on b_i (x) a_j, or the left (leg 2) map (f (x)
     id)Delta_C, P_L[k, j, i] = sum_l C[k, l, i] F[l, j] on a_j (x) b_i."""
     f, c = hopf_coefficients(v)[0], structure_constants(v.source)
-    if leg == 1:
-        return np.tensordot(c, f, axes=(2, 0))
-    return np.tensordot(c, f, axes=(1, 0)).transpose(0, 2, 1)
+    return np.einsum("kil,lj->kij" if leg == 1 else "kli,lj->kji", c, f, optimize=True)
 
 
 def push_slices(slices, a, f, coefficients, leg):
@@ -251,28 +255,35 @@ def push_slices(slices, a, f, coefficients, leg):
     off = math.sqrt(max(float(np.sum(gx * g).real), 0.0))
     miss = math.sqrt(on_span**2 + tail**2 + 2 * off * tail)
     size = math.sqrt(max(float(np.sum(gx * (gram(p) + g)).real), 0.0))
-    y = np.tensordot(ys, a.algC, axes=(0, 0)).transpose(0, 2, 1, 3)
-    return y.reshape(len(y) * a.dim, -1), float(miss / size) if size != 0 else 0.0
+    return _on_target(ys, a), float(miss / size) if size != 0 else 0.0
 
 
-def push_along(slices, v):
-    """push_slices along v's right map (id (x) f)Delta_C, in the span."""
-    right = (hom_coefficients(v, 1), np.zeros((len(v.source.algC),) * 2))
-    return push_slices(slices, v.target, hopf_coefficients(v)[0], right, 1)
+def _on_target(ys, a):
+    # sum_j Y_j (x) a_j over a.algC
+    return np.einsum("jab,jce->acbe", ys, a.algC).reshape(ys.shape[1] * a.dim, -1)
+
+
+def push_along(x, h, v):
+    """Y = (id (x) f)(X) = sum_k X_k (x) f(b_k) for X = sum_k X_k (x) b_k +
+    T on H (x) H_C, dim H = h, f v's Hopf map, and the residual of V23 X12
+    V23* = X12 Y13 read off the slices of X, V and Y (operator_equation),
+    so it holds V's distance from (id (x) f)(W_C) and T's image too."""
+    c, a = v.source, v.target
+    p, u = slice_coefficients(x, h, c.algC), slice_coefficients(v.V, c.dim, a.algC)
+    ys = np.tensordot(hopf_coefficients(v)[0], p[0], axes=(0, 0))
+    return _on_target(ys, a), operator_equation(p, u, (ys, 0.0), c.algC, a, frob(x))
 
 
 def compose(vca, vab):
     """Composition of arrows, first vca, then vab: (id (x) f)(vca.V) for
     vab's Hopf map f (push_along), its residuals["extraction"] that of
-    (id (x) Delta_R)(V) = V12 V''13: V's corepresentation law with F on
-    the third leg, and V's truncation on the middle leg, orthogonal to it."""
+    V'23 V12 V'23* = V12 V''13, V' = vab.V, which defines the composite."""
     if not vca.target.same_unitary(vab.source):
         raise SourceTargetMismatch(
             f"middle objects differ: dim {vca.target.dim} vs {vab.source.dim} or unequal W"
         )
-    slices = slice_coefficients(vca.V, vca.source.dim, vab.source.algC)
-    what = "middle leg is not trivial"
-    return extract_bicharacter(*push_along(slices, vab), vca.source, vab.target, what)
+    factor = push_along(vca.V, vca.source.dim, vab)
+    return extract_bicharacter(*factor, vca.source, vab.target, "middle leg is not trivial")
 
 
 def extract_bicharacter(factor, resid, c, a, what):

@@ -163,8 +163,7 @@ def _hom_battery(report, kind, source, target, images):
         else:
             v = hom.bicharacter
             report.add("extraction", v.residuals["extraction"], EQUATION_TOL)
-            # the file's map passed its checks, and roundTrip pins v's, C F, there:
-            # residuals_between of the images, C F missing the file's off-span parts
+            # the file's map passed its checks; roundTrip pins v's, C F, to it
             p, g = coefficients
             off = np.sqrt(np.diag(g).real)[:, None]
             rows = lambda q, rest: np.concatenate([q.reshape(len(p), -1), rest], axis=1)

@@ -29,7 +29,6 @@ from .qgroup import (
     PENTAGON_TOL,
     closure_residual,
     corep_law_residual,
-    slice_coefficients,
     structure_constants,
 )
 from .tensorleg import (
@@ -280,7 +279,7 @@ def compose_functors_check(a, b):
 def pushforward_corep(x, v):
     """Carry a corepresentation X of C along a bicharacter V from C to A:
     Y = (id (x) f)(X), F applied to the slices of X (push_along, as in
-    compose), with the residual of (id (x) deltaR)(X) = X12 Y13, and Y
+    compose), with the residual of V23 X12 V23* = X12 Y13, and Y
     re-verified by check_corepresentation.  Conjugation by Y must then be
     the coaction induced from Ad X: X12 (Ad Y(k))13 X12* = (id (x)
     deltaR)(Ad X(k)) over the matrix units k, a square of the coefficients
@@ -292,7 +291,7 @@ def pushforward_corep(x, v):
             f"corep is over dim {x.qg.dim}, bicharacter starts at {v.source.dim}"
         )
     h, c, a = x.hdim, x.qg, v.target
-    y, resid = push_along(slice_coefficients(x.X, h, c.algC), v)
+    y, resid = push_along(x.X, h, v)
     gate(resid, EQUATION_TOL, RecoveryFailure, "X12* (id (x) deltaR)(X) is not leg-2 trivial")
     out = check_corepresentation(y, a)
 

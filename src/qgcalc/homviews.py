@@ -8,14 +8,20 @@ between them, with every translation verified on the way out.
 Linear maps between matrix algebras are SpanMaps on orthonormal algebra
 bases.  A bicharacter V = (id (x) f)(W_C) is its Hopf coefficients F: its
 right and left maps are (id (x) f)Delta_C and (f (x) id)Delta_C, and a
-one-sided hom gives F back by the counit (counit_read).
+one-sided hom gives F back by a least-squares fit (hopf_fit).
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .bicharacter import extract_bicharacter, hom_coefficients, hopf_coefficients, push_slices
+from .bicharacter import (
+    extract_bicharacter,
+    fit_on_slices,
+    hom_coefficients,
+    hopf_coefficients,
+    push_slices,
+)
 from .errors import DimensionMismatch, HopfHomViolation, RangeViolation, gate, gate_all
 from .qgroup import (
     CLOSURE_TOL,
@@ -28,7 +34,7 @@ from .qgroup import (
 )
 from .tensorleg import (
     PairSpan,
-    PairSpanMap,
+    SpanMap,
     diagram_residual,
     frob,
     map_legs,
@@ -53,7 +59,7 @@ __all__ = [
     "bicharacter_from_left",
     "one_sided_residuals",
     "comodule_residuals",
-    "counit_read",
+    "hopf_fit",
     "star_hom_residuals",
     "check_left_right_compatibility",
     "dual_hopf_relation",
@@ -232,30 +238,32 @@ def check_right_hom(c, a, dr_map):
 
 def right_map_from_bicharacter(v):
     """The map of right_from_bicharacter(v), unverified: (id (x) f)Delta_C,
-    kept as its coefficients (hom_coefficients)."""
-    c, a = v.source, v.target
-    return PairSpanMap(c.algC, PairSpan(c.algC, a.algC), hom_coefficients(v, 1))
+    its coefficients C F (hom_coefficients) combined on algC (x) algA."""
+    return _map_of(v, 1)
 
 
 def left_map_from_bicharacter(v):
     """The map of left_from_bicharacter(v), unverified: (f (x) id)Delta_C."""
+    return _map_of(v, 2)
+
+
+def _map_of(v, leg):
     c, a = v.source, v.target
-    return PairSpanMap(c.algC, PairSpan(a.algC, c.algC), hom_coefficients(v, 2))
+    span = PairSpan(c.algC, a.algC) if leg == 1 else PairSpan(a.algC, c.algC)
+    return SpanMap(c.algC, span.combine(hom_coefficients(v, leg)), c.dim, c.dim * a.dim)
 
 
 def _from_bicharacter(cls, v, phi):
-    """The hom of cls of a verified bicharacter v with map phi, checked on
-    phi's coefficients; ``range`` reads the part of V that F does not carry
-    (hopf_coefficients), relative.  V's operatorSource is added to it and
-    to both diagrams, so that they never read below those of the images by
-    conjugation (and antipodes, on the left): tested, not proven."""
-    c, a, source = v.source, v.target, v.residuals["operatorSource"]
-    range_ = hopf_coefficients(v)[1] / max(1.0, frob(v.V)) + source
-    res = _one_sided(c, a, phi.coefficients, range_, cls.leg)
-    for key in ("coassocDiagram", "comoduleDiagram"):
-        res[key] += source
+    """The hom of cls of a verified bicharacter v with map phi = C F, with
+    the residuals of phi read off C F, but ``range``: the part of V that F
+    does not carry (hopf_coefficients), relative.  How far phi is from V's
+    conjugation V(b (x) 1)V* is V's operatorSource, gated with V."""
+    c, a = v.source, v.target
+    p = hom_coefficients(v, cls.leg)
+    range_ = hopf_coefficients(v)[1] / max(1.0, frob(v.V))
+    res = _one_sided(c, a, p, range_, cls.leg)
     gate_all(res, cls.gates, RangeViolation)
-    out = cls(c, a, phi, res, (phi.coefficients, np.zeros((len(c.algC),) * 2)))
+    out = cls(c, a, phi, res, (p, np.zeros((len(c.algC),) * 2)))
     out.bicharacter = v
     return out
 
@@ -278,21 +286,22 @@ def left_from_bicharacter(v):
     return out
 
 
-def counit_read(c, coefficients, leg):
+def hopf_fit(c, coefficients, leg):
     """F[k, j] = <a_j, f(b_k)> off the coefficients (p, g) of a right (leg
-    1) or left (leg 2) hom of C: (e (x) id)Delta_R = f for the counit e,
-    sum_i e_i C[k, i, j] = delta_kj (leg 2: sum_j C[k, i, j] e_j =
-    delta_ki), one least-squares read, and F = e . P on C's leg."""
-    cc, n = structure_constants(c), len(c.algC)
-    system = (cc.transpose(0, 2, 1) if leg == 1 else cc).reshape(n * n, n)
-    e, p = np.linalg.lstsq(system, np.eye(n).reshape(-1), rcond=None)[0], coefficients[0]
-    return np.tensordot(e, p, axes=(0, 1)) if leg == 1 else p @ e
+    1) or left (leg 2) hom phi of C, by least squares.  With W = sum_k X_k
+    (x) b_k + T unitary and F_st = sum_k p[k, s, t] X_k, s on C's leg, Y_t
+    = sum_s X_s* F_st / d (leg 2: F_st X_s*) makes W12 Y13 (Y12 W13) the
+    nearest to (id (x) phi)(W); the X_s* X_k, so the Y_t, lie in span{X_k},
+    and F is the Y_t's fit_on_slices."""
+    xs, p = unitary_slices(c)[0], coefficients[0]
+    spec = "sab,kst,kac->tbc" if leg == 1 else "scb,kts,kab->tac"
+    return fit_on_slices(xs, np.einsum(spec, xs.conj(), p, xs, optimize=True) / c.dim)
 
 
 def _extract(hom, what):
-    """(id (x) f)(W_C) for the f of a one-sided hom (counit_read), certified
+    """(id (x) f)(W_C) for the f of a one-sided hom (hopf_fit), certified
     by (id (x) deltaR)(W) = W12 V13 (leg 2: (id (x) deltaL)(W) = V12 W13)."""
-    c, a, f = hom.source, hom.target, counit_read(hom.source, hom.coefficients, hom.leg)
+    c, a, f = hom.source, hom.target, hopf_fit(hom.source, hom.coefficients, hom.leg)
     factor = push_slices(unitary_slices(c), a, f, hom.coefficients, hom.leg)
     return extract_bicharacter(*factor, c, a, what)
 

@@ -12,7 +12,6 @@ Residuals returned by the checks here are relative Frobenius norms.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 import importlib.machinery
 import importlib.util
 import math
@@ -24,7 +23,6 @@ import numpy as np
 __all__ = [
     "LegSpace",
     "SpanMap",
-    "PairSpanMap",
     "as_matrix",
     "vec",
     "unvec",
@@ -613,23 +611,6 @@ class SpanMap:
         rows = np.asarray(xs, dtype=complex).reshape(len(xs), -1)
         out = (rows @ self._basis_rows.conj().T) @ self._image_rows
         return out.reshape(-1, self.dd, self.dd)
-
-
-class PairSpanMap(SpanMap):
-    """The SpanMap of basis[k] to sum_ij coefficients[k, i, j] l_i (x) r_j on
-    the PairSpan span of (l, r), kept as its coefficients: the images are
-    combined when first read."""
-
-    def __init__(self, basis, span, coefficients):
-        basis = np.asarray(basis, dtype=complex)
-        dd = span.left.shape[1] * span.right.shape[1]
-        # the fields of a frozen instance, set as the dataclass __init__ does
-        fields = dict(basis=basis, d=basis.shape[1], dd=dd, span=span, coefficients=coefficients)
-        self.__dict__.update(fields)
-
-    @cached_property
-    def images(self):
-        return self.span.combine(self.coefficients)
 
 
 def map_legs(xs, dims, left, right):

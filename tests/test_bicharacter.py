@@ -12,7 +12,7 @@ import qgcalc.qgroup as qgroup_module
 from qgcalc.bicharacter import bicharacter_residuals
 from qgcalc.cli import main
 from qgcalc.coactions import check_corepresentation
-from qgcalc.homviews import left_from_bicharacter, right_map_from_bicharacter
+from qgcalc.homviews import left_from_bicharacter
 from qgcalc.errors import (
     BicharacterViolation,
     CalculusError,
@@ -44,7 +44,6 @@ from conftest import (
     gauged_bicharacters,
     haar_unitary,
     product_composite,
-    product_factor,
     rotated,
     span_map_from_pairs,
     streamed_bicharacter,
@@ -462,19 +461,15 @@ def test_composition_is_associative(homs):
 def test_compose_matches_the_three_leg_product_on_every_composable_pair(
     arrows, picture, gauge
 ):
-    """The pushforward of V along the second arrow's Hopf coefficients is
-    the factor of the operator oracles on every composable pair of corpus
-    arrows: the partial trace of V12* V'23 V12 V'23* and that of V12*
-    (id (x) deltaR)(V) for the right map deltaR the library holds, whose
-    residual the certified one never reads below."""
+    """The pushforward of V along the second arrow is the factor of the
+    operator oracle on every composable pair of corpus arrows, and its
+    certified residual never reads below the oracle's."""
     bics = gauged_bicharacters(arrows, picture, gauge, 3202)
     pairs = [(v, w) for v in bics for w in bics if v.target.same_unitary(w.source)]
     assert len(pairs) == 933
     for v, w in pairs:
         got = q.compose(v, w)
-        want, _ = product_composite(v, w)
-        np.testing.assert_allclose(got.V, want, rtol=0, atol=1e-14)
-        want, resid = product_factor(v.V, w.source, right_map_from_bicharacter(w), w.target, 1)
+        want, resid = product_composite(v, w)
         np.testing.assert_allclose(got.V, want, rtol=0, atol=1e-14)
         assert got.residuals["extraction"] >= resid - 1e-15
 
@@ -485,29 +480,27 @@ def test_compose_rejects_a_rotated_arrow(z4):
     c = c0(z4)
     bent_w = rotated(c.W, 1e-6, np.random.default_rng(3204))
     bent = bicharacter_module.Bicharacter(c, c, bent_w, {})
-    ident = q.identity(c)
-    _, want = product_factor(bent_w, c, right_map_from_bicharacter(ident), c, 1)
+    _, want = product_composite(bent, q.identity(c))
     with pytest.raises(ExtractionFailure, match="middle leg") as exc:
-        q.compose(bent, ident)
+        q.compose(bent, q.identity(c))
     assert exc.value.residual >= want > EQUATION_TOL
 
 
 def _composes_with_the_identity(v):
     """compose(v, 1) and compose(1, v) both pass, each with a certified
-    residual no lower than the product's with the right map held."""
+    residual no lower than the three-leg product's."""
     c, a = v.source, v.target
     for first, second in ((v, q.identity(a)), (q.identity(c), v)):
         got = q.compose(first, second)
-        mid = second.source
-        _, want = product_factor(first.V, mid, right_map_from_bicharacter(second), a, 1)
+        _, want = product_composite(first, second)
         assert want - 1e-15 <= got.residuals["extraction"] <= EQUATION_TOL
 
 
 def test_a_rotated_identity_composes_with_the_identity_on_either_side(z4):
     """The Z4 c0 W turned by 1e-9: check_bicharacter accepts it, so it
-    composes with the identity on both sides.  The pushforward's residual
-    adds V's truncation on the middle leg in squares, as it is orthogonal
-    to the rest."""
+    composes with the identity on both sides.  The residual is V'23 V12
+    V'23* = V12 V''13 read off slices as operatorTarget is, so with the
+    identity second it reads no more than V's operatorTarget."""
     c = c0(z4)
     v = q.check_bicharacter(rotated(c.W, 1e-9, np.random.default_rng(3204)), c, c)
     _composes_with_the_identity(v)

@@ -452,8 +452,8 @@ def test_nan_extraction_and_solve_exit_one(monkeypatch, tmp_path, capsys, va_fil
     coaction = tmp_path / "co.json"
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
     for module, name, at, argv, failure in (
-        (homviews, "counit_read", 1, ["verify", files["right"], "hom"], "ExtractionFailure"),
-        (homviews, "counit_read", 1, ["verify", files["left"], "hom"], "ExtractionFailure"),
+        (homviews, "hopf_fit", 1, ["verify", files["right"], "hom"], "ExtractionFailure"),
+        (homviews, "hopf_fit", 1, ["verify", files["left"], "hom"], "ExtractionFailure"),
         (coactions, "_pushed_through", 0, ["induce", str(coaction), path_a], "SolveFailure"),
     ):
         with monkeypatch.context() as patch:

@@ -30,7 +30,6 @@ from qgcalc.bicharacter import push_along
 from qgcalc.homviews import (
     left_from_bicharacter,
     right_from_bicharacter,
-    right_map_from_bicharacter,
 )
 from qgcalc.qgroup import build_from_unitary
 from qgcalc.tensorleg import PairSpan, SpanMap, kron, residual_between
@@ -38,6 +37,7 @@ from conftest import (
     _solve_on_product_basis,
     delta_map,
     gauged_bicharacters,
+    image_right_map,
     image_system_pushed_through,
     loop_pushforward_square,
     map_coefficients,
@@ -576,7 +576,7 @@ def test_pushforward_factor_matches_the_product(coefficient_arrows, arrow, pictu
     u1 = kron(unitary_group.rvs(c.dim, random_state=rng), np.eye(c.dim))
     x = check_corepresentation(u1 @ c.W @ u1.conj().T, c)
     out = pushforward_corep(x, v)
-    want, resid = product_factor(x.X, c, right_map_from_bicharacter(v), v.target, 1)
+    want, resid = product_factor(x.X, c, image_right_map(v), v.target, 1)
     assert np.max(np.abs(out.X - want)) <= 1e-14
     assert out.residuals["recovery"] >= resid - 1e-14
 

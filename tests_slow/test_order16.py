@@ -68,7 +68,7 @@ with open("/proc/self/status") as status:
 # the right and left hom files of the identity arrow at W, written from its
 # maps (id (x) f)Delta and (f (x) id)Delta, which read F off W's slices and
 # need no check of V; each file verified through the CLI, which reads F back
-# from the file's map by the counit; then the comultiplication coaction
+# from the file's map by least squares; then the comultiplication coaction
 # induced along the right hom
 _HOM_FILES_CHILD = """
 import contextlib, io, json, os, sys
