@@ -3,12 +3,17 @@ with another, the working notion of quantum group homomorphism.
 
 Every bicharacter is kept with its source and target and the residuals of
 the two defining equations.  Both the comultiplication form and the
-pentagon-type operator form of the axioms are computed, through genuinely
-different arithmetic, so their agreement is itself a check: the
-comultiplication forms read Delta off the structure constants C, the
-coefficients of the build's Delta images, and the operator forms read it
-off the F contraction of the slices of a unitary with the product
-constants N of the target (operator_equation), never off those images.
+pentagon-type operator form of the axioms are computed, and their
+agreement is a check: the
+comultiplication forms read Delta off the structure constants C and Gram
+matrix g the build keeps, and the operator forms read it off the F
+contraction of the slices of the other unitary of each equation with the
+product constants N of the target (operator_equation).  The build reads C
+and g by the same contraction on W's own slices
+(qgroup.conjugation_coefficients).  So operatorSource, which conjugates
+by V, is arithmetic of its own, while operatorTarget, which conjugates by
+W of the target, recomputes the target's C and g on the way: its
+agreement with comultTarget checks the two forms' bounds, not Delta.
 
 A bicharacter is (id (x) f)(W_C) for a Hopf *-homomorphism f, kept as
 its coefficients F once read (hopf_coefficients); its other pictures are
@@ -34,6 +39,7 @@ from .qgroup import (
     PENTAGON_TOL,
     comult_equation,
     comultiplication_gram,
+    conjugation_coefficients,
     dual_comult_equation,
     dual_slice_coefficients,
     product_constants,
@@ -150,9 +156,10 @@ def operator_equation(p, u, v, basis, a, size):
     sum_j F_j(x) (x) a_j up to the D_ml, F_j(x) = sum_m U_m x Q_jm with
     Q_jm = sum_l N[j, m, l] U_l*.  So U23 P12 U23* = sum_k P_k (x) G_k with
     G_k = sum_j F_j(b_k) (x) a_j, whose coefficients on b_i (x) a_j and
-    off-span Gram matrix are read off the F_j(b_k), and slice_equation
-    compares it with P12 V13 = sum_ij P_i Z_j (x) b_i (x) a_j: one
-    (n d) x (n d) x (n d) product where the operators cost d^8.
+    off-span Gram matrix are read off the F_j(b_k)
+    (conjugation_coefficients, which the build reads Delta with), and
+    slice_equation compares it with P12 V13 = sum_ij P_i Z_j (x) b_i (x)
+    a_j: one (n d) x (n d) x (n d) product where the operators cost d^8.
 
     What this drops is added as a bound, so the result never reads below
     the operator residual by more than rounding.  With legs of dimensions
@@ -164,17 +171,9 @@ def operator_equation(p, u, v, basis, a, size):
     that part is orthogonal to both sides, so it adds in squares.
     """
     (ps, p_trunc), (us, u_trunc), (zs, v_trunc) = p, u, v
-    n, m, h, d, e = len(basis), len(us), ps.shape[1], basis.shape[1], a.dim
+    h, d, e = ps.shape[1], basis.shape[1], a.dim
     big_n, defect = product_constants(a)
-    q = big_n.reshape(-1, m) @ us.conj().transpose(0, 2, 1).reshape(m, -1)
-    # f[(k, x), (j, y)] = F_j(b_k)[x, y]: sum over (m, w) of (U_m b_k)[x, w] Q_jm[w, y]
-    ub = (us[None, :] @ basis[:, None]).transpose(0, 2, 1, 3).reshape(n * d, m * d)
-    f = ub @ q.reshape(-1, m, d, d).transpose(1, 2, 0, 3).reshape(m * d, -1)
-    f = f.reshape(n, d, -1, d).transpose(0, 2, 1, 3).reshape(-1, d * d)
-    b = basis.reshape(n, -1)
-    coeff = f @ b.conj().T
-    rest = (f - coeff @ b).reshape(n, -1)
-    norm = slice_equation(ps, coeff.reshape(n, -1, n).transpose(0, 2, 1), gram(rest), zs)
+    norm = slice_equation(ps, *conjugation_coefficients(us, basis, big_n), zs)
     grow = (1.0 + np.max([p_trunc, u_trunc, v_trunc])) ** 2
     moved = 2 * math.sqrt(h) * u_trunc + 2 * math.sqrt(e) * p_trunc + math.sqrt(d) * v_trunc
     # the D_ml part is off B (x) B (x) span(a.algC), where the rest lies
@@ -225,7 +224,7 @@ def hom_coefficients(v, leg):
     C[k, i, l] F[l, j] on b_i (x) a_j, or the left (leg 2) map (f (x)
     id)Delta_C, P_L[k, j, i] = sum_l C[k, l, i] F[l, j] on a_j (x) b_i."""
     f, c = hopf_coefficients(v)[0], structure_constants(v.source)
-    return np.einsum("kil,lj->kij" if leg == 1 else "kli,lj->kji", c, f, optimize=True)
+    return c @ f if leg == 1 else f.T @ c
 
 
 def push_slices(slices, a, f, coefficients, leg):

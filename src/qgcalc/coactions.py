@@ -167,9 +167,9 @@ def _conjugation_images(u, h):
     units it is an outer product, h^4 d^3 flops, where the general
     tensorleg.conjugation_images takes h^5 d^3: d times more for h = d."""
     d = u.shape[0] // h
-    u4 = u.reshape(h, d, h, d)
     # u (E_ab (x) 1) u* = (block column a of u)(block column b of u)*
-    images = np.einsum("pcaf,qebf->abpcqe", u4, u4.conj(), optimize=True)
+    cols = u.reshape(h * d, h, d).transpose(1, 0, 2)
+    images = cols[:, None] @ cols.conj().transpose(0, 2, 1)[None, :]
     return images.reshape(h * h, h * d, h * d)
 
 

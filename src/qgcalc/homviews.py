@@ -142,7 +142,9 @@ def _comodule(p, range_, qg, leg):
     that of the products phi(x)(1 (x) c) (the Podles condition)."""
     # the products' coefficients, rows (k, m) and columns (i, l), i on D
     on_c_last = p if leg == 1 else p.transpose(0, 2, 1)
-    products = np.einsum("kij,jml->kmil", on_c_last, multiplication_constants(qg), optimize=True)
+    m = multiplication_constants(qg)
+    products = (on_c_last @ m.reshape(len(m), -1)).reshape(*on_c_last.shape[:2], *m.shape[1:])
+    products = products.transpose(0, 2, 1, 3)
     n = len(p) * len(qg.algC)
     return {
         "range": range_,
@@ -294,8 +296,13 @@ def hopf_fit(c, coefficients, leg):
     nearest to (id (x) phi)(W); the X_s* X_k, so the Y_t, lie in span{X_k},
     and F is the Y_t's fit_on_slices."""
     xs, p = unitary_slices(c)[0], coefficients[0]
-    spec = "sab,kst,kac->tbc" if leg == 1 else "scb,kts,kab->tac"
-    return fit_on_slices(xs, np.einsum(spec, xs.conj(), p, xs, optimize=True) / c.dim)
+    # f[s, t] = F_st (leg 2: f[t, s]), then Y_t summed over (s, a) or (s, b)
+    f = np.tensordot(p, xs, axes=(0, 0))
+    if leg == 1:
+        ys = np.tensordot(xs.conj(), f, axes=([0, 1], [0, 2])).transpose(1, 0, 2)
+    else:
+        ys = np.tensordot(f, xs.conj(), axes=([1, 3], [0, 2]))
+    return fit_on_slices(xs, ys / c.dim)
 
 
 def _extract(hom, what):

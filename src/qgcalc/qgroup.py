@@ -3,8 +3,11 @@
 A quantum group here is a unitary W on H (x) H passing the pentagon check,
 together with the operator algebra cut out by slicing away the first leg
 of W, the function-algebra side, and its comultiplication, conjugation
-with W.  Slicing away the second leg gives the dual side, which is held
-only as the dual quantum group ``qg.dual``, built from Sigma W* Sigma.
+with W.  That comultiplication is held as its structure constants, read
+off the slice coefficients of W and the product constants of the algebra
+(conjugation_coefficients), never off the operators W(b (x) 1)W*.
+Slicing away the second leg gives the dual side, which is held only as
+the dual quantum group ``qg.dual``, built from Sigma W* Sigma.
 
 Only Kac-type data is handled; constructions needing the antipode reject
 anything else with NotKacType instead of guessing modular corrections.
@@ -36,6 +39,7 @@ from .tensorleg import (
     flip_adjoint,
     frob,
     gram,
+    legs_slab,
     membership_residuals,
     orthonormal_basis,
     permute_legs,
@@ -63,6 +67,7 @@ __all__ = [
     "comultiplication_gram",
     "intertwining_residuals",
     "product_constants",
+    "conjugation_coefficients",
     "slice_equation",
     "comult_equation",
     "dual_comult_equation",
@@ -74,6 +79,11 @@ __all__ = [
 PENTAGON_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 EQUATION_TOL = 1e-9
+
+# Three-leg operators of more entries than this (d >= 9), 4 MB, have their
+# streamed pentagon probed on one column slab first; below it the whole
+# stream costs about what that slab does, and reports the full residual.
+PENTAGON_PROBE_ENTRIES = 1 << 18
 
 
 class FiniteQuantumGroup:
@@ -87,7 +97,8 @@ class FiniteQuantumGroup:
     the unitary antipode on the algC span when the Kac validation
     succeeded, else None; the dual side is ``dual``.  ``slices`` and
     ``products`` hold what unitary_slices and product_constants read, once
-    read (the build passes the slices its pentagon and antipode read).
+    read (the build passes the slices its pentagon and antipode read, and
+    the product constants it read Delta with).
     """
 
     # the antipode is reported only when the Kac check succeeds
@@ -99,7 +110,9 @@ class FiniteQuantumGroup:
         ("antipode", EQUATION_TOL, "antipode fails the involutive *-antiautomorphism checks"),
     )
 
-    def __init__(self, dim, w, alg_c, structure, gram, kac_r, residuals, slices=None):
+    def __init__(
+        self, dim, w, alg_c, structure, gram, kac_r, residuals, slices=None, products=None
+    ):
         self.dim = int(dim)
         self.W = w
         self.algC = np.asarray(alg_c, dtype=complex)
@@ -108,7 +121,7 @@ class FiniteQuantumGroup:
         self.kacR = kac_r
         self.residuals = dict(residuals)
         self.slices = slices
-        self.products = None
+        self.products = products
         self._dual = None
         self._builder = None
 
@@ -286,7 +299,7 @@ def intertwining_residuals(qg, ys, c):
     rows = ys.reshape(m, -1)
     coeff, s = _expand(rows, qg.algC)
     lhs = coeff.T @ structure_constants(qg).reshape(n, -1)
-    rhs = np.einsum("kij,pi,qj->kpq", c, coeff, coeff, optimize=True).reshape(m, -1)
+    rhs = (coeff @ (c @ coeff.T)).reshape(m, -1)
     ns, ny, npy = (np.linalg.norm(x, axis=1) for x in (s, rows, rows - s))
     off_r = np.einsum("kij,ij->k", np.abs(c), np.outer(ns, ny) + np.outer(npy, ns))
     off_l = np.einsum("jk,jl,lk->k", coeff.conj(), comultiplication_gram(qg), coeff).real
@@ -339,12 +352,91 @@ def _try_antipode(alg_c, slices):
     return kappa, worst
 
 
-def _gate_pentagon(pent):
+def _gate_pentagon(pent, message="pentagon residual {:.2e}"):
     if not pent <= PENTAGON_TOL:
         raise PentagonViolation(
-            f"pentagon residual {pent:.2e}", residual=pent, tolerance=PENTAGON_TOL
+            message.format(pent), residual=pent, tolerance=PENTAGON_TOL
         )
     return pent
+
+
+def _streamed_pentagon(w, d):
+    """The pentagon residual of w streamed over column slabs.  Where the
+    three-leg operators have more than PENTAGON_PROBE_ENTRIES entries, one
+    leg-1 column slab of W23 W12 - W12 W13 W23, over the norm d^(3/2) that
+    either side has for a unitary W, is gated first: it bounds the residual
+    from below at 1/d of the cost, so a W it rejects is rejected on that
+    lower bound, without the stream."""
+    space = LegSpace((d, d, d))
+    lhs = [(w, (2, 3)), (w, (1, 2))]
+    rhs = [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))]
+    if space.total**2 > PENTAGON_PROBE_ENTRIES:
+        cols = slice(0, 1)
+        diff = legs_slab(space, 1, cols, *lhs) - legs_slab(space, 1, cols, *rhs)
+        message = "pentagon residual at least {:.2e}, on one column slab"
+        _gate_pentagon(frob(diff) / d**1.5, message)
+    return _gate_pentagon(streamed_residual(space, 1, lhs, rhs))
+
+
+def conjugation_coefficients(us, basis, big_n):
+    """U(b_k (x) 1)U* on coefficients, for U = sum_m U_m (x) a_m + T over an
+    orthonormal a_m (us the (m, d, d) stack of the U_m) with product
+    constants a_m a_l* = sum_j N[j, m, l] a_j + D_ml (big_n, as
+    product_constants reads them): C[k, i, j] = <b_i, F_j(b_k)> over the
+    orthonormal (n, d, d) basis, and g, the Gram matrix of the parts
+    sum_j (F_j(b_k) - sum_i C[k, i, j] b_i) (x) a_j off span(basis) (x)
+    span(a).
+
+    U(x (x) 1)U* = sum_ml U_m x U_l* (x) a_m a_l* is sum_j F_j(x) (x) a_j
+    up to the D_ml and T, F_j(x) = sum_m U_m x Q_jm with Q_jm = sum_l N[j,
+    m, l] U_l*: one (n d) x (m d) x (j d) product, where the images cost
+    n d^6.  The D_ml and T are the callers' to bound.
+    """
+    n, m, d = len(basis), len(us), basis.shape[1]
+    q = big_n.reshape(-1, m) @ us.conj().transpose(0, 2, 1).reshape(m, -1)
+    # f[(k, x), (j, y)] = F_j(b_k)[x, y]: sum over (m, w) of (U_m b_k)[x, w] Q_jm[w, y]
+    ub = (us[None, :] @ basis[:, None]).transpose(0, 2, 1, 3).reshape(n * d, m * d)
+    f = ub @ q.reshape(-1, m, d, d).transpose(1, 2, 0, 3).reshape(m * d, -1)
+    f = f.reshape(n, d, -1, d).transpose(0, 2, 1, 3).reshape(-1, d * d)
+    b = basis.reshape(n, -1)
+    coeff = f @ b.conj().T
+    rest = (f - coeff @ b).reshape(n, -1)
+    return coeff.reshape(n, -1, n).transpose(0, 2, 1), gram(rest)
+
+
+def _delta_from_slices(alg_c, slices, products):
+    """C, g and comultMembership of Delta(b_k) = W(b_k (x) 1)W* read off the
+    slices W = sum_m X_m (x) b_m + T over algC (conjugation_coefficients
+    with U = W), and the bound the pentagon adds for what that drops.
+
+    Delta(b_k) is sum_j F_j(b_k) (x) b_j, plus E_k = sum_ml X_m b_k X_l*
+    (x) D_ml, plus T(b_k (x) 1)W* + W0(b_k (x) 1)T* for W0 = W - T.  With
+    |D| the norm of the defect map of product_constants and S = sum_m X_m*
+    X_m, |E_k|^2 <= |D|^2 sum_ml |X_m b_k X_l*|^2 = |D|^2 |S^(1/2) b_k
+    S^(1/2)|^2 <= (|D| |S|)^2 as |b_k| = 1; E_k lies in B(H) (x)
+    span(algC)^perp, orthogonal to sum_j F_j(b_k) (x) b_j.  The T terms
+    have norm at most |T| (2 + |T|), for a unitary W, as |b_k (x) 1| <= 1
+    and |W0| <= 1 + |T| in operator norm.  So the part R_k of Delta(b_k)
+    off span(algC) (x) span(algC) has |R_k| <= (g_kk + (|D| |S|)^2)^(1/2)
+    + |T| (2 + |T|), and comultMembership is that over |Delta(b_k)| =
+    sqrt(d): it never reads below the image read by more than rounding.
+
+    In the pentagon, sum_k X_k (x) E_k = sum_ml (1 (x) X_m) W0 (1 (x)
+    X_l*) (x) D_ml has norm at most |D| |S| |W0|, and the T terms sum to
+    T23 W0_12 W23* + W0_23 W0_12 T23*, of norm at most sqrt(d) |T| (1 +
+    |T|) (2 + |T|); their sum is the bound returned, before the pentagon's
+    scale.
+    """
+    xs, trunc = slices
+    d = alg_c.shape[1]
+    big_n, defect = products
+    c, g = conjugation_coefficients(xs, alg_c, big_n)
+    s_norm = _spectral_norm(xs.reshape(-1, d)) ** 2
+    t_part = trunc * (2.0 + trunc)
+    off = np.sqrt(np.max(np.diag(g).real, initial=0.0))
+    membership = (np.hypot(off, defect * s_norm) + t_part) / max(1.0, math.sqrt(d))
+    dropped = defect * s_norm * frob(xs) + math.sqrt(d) * t_part * (1.0 + trunc)
+    return c, g, float(membership), float(dropped)
 
 
 def build_from_unitary(w, dim):
@@ -356,15 +448,21 @@ def build_from_unitary(w, dim):
     algC; its basis is formed here for the closure gate only, and its
     comultiplication is the dual's own, gated by the dual's build wherever
     it is used.  Delta is kept as its structure constants C and Gram
-    matrix g, read with comultMembership in one PairSpan.read off the
-    images W(b_k (x) 1)W*, a temporary n d^4 stack; no more than two such
-    stacks are held at once.  The pentagon is read off the slice
-    coefficients of W and C and g (comult_equation with X = W), so algC and
-    Delta on it come first; where algC has more than d elements, as on
-    every 1e-6 rotation of a quantum group tried (n = d^2), the images
-    would hold n d^4 entries, and the pentagon is streamed over column
-    slabs and gated before them instead.  The Kac antipode is read off
-    the same slice coefficients in closed form (_try_antipode), and
+    matrix g, read with comultMembership off the slice coefficients X_m of
+    W over algC and the product constants of algC (_delta_from_slices,
+    n^2 d^4 flops and d^4 entries); the product constants are kept as
+    qg.products.  The pentagon is read off the same slice coefficients and
+    C and g (comult_equation with X = W), plus the bound for what Delta
+    read off the slices drops.
+
+    Where algC has more than d elements, as on every 1e-6 rotation of a
+    quantum group tried (n = d^2), the pentagon is gated first, streamed
+    over column slabs after a one-slab lower bound (_streamed_pentagon) that
+    rejects such a W at 1/d of the stream's cost.  There,
+    and where the product constants' closure defect is above CLOSURE_TOL,
+    C, g and comultMembership are read off the images W(b_k (x) 1)W*
+    instead, a temporary n d^4 stack (PairSpan.read).  The Kac antipode is
+    read off the slice coefficients in closed form (_try_antipode), and
     failure there leaves kacR as None.
     """
     d = int(dim)
@@ -381,19 +479,21 @@ def build_from_unitary(w, dim):
 
     alg_c = orthonormal_basis(_leg_slices(w, d, 1))
     streamed = len(alg_c) > d
+    products = None
     if streamed:
-        pent = _gate_pentagon(
-            streamed_residual(
-                LegSpace((d, d, d)),
-                1,
-                [(w, (2, 3)), (w, (1, 2))],
-                [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))],
-            )
-        )
-    c, g, membership = PairSpan(alg_c, alg_c).read(conjugation_images(w, alg_c))
+        pent = _streamed_pentagon(w, d)
+    else:
+        products = _product_constants(alg_c)
     slices = slice_coefficients(w, d, alg_c)
+    if products is not None and products[1] <= CLOSURE_TOL:
+        c, g, membership, dropped = _delta_from_slices(alg_c, slices, products)
+    else:
+        c, g, membership = PairSpan(alg_c, alg_c).read(conjugation_images(w, alg_c))
+        dropped = 0.0
     if not streamed:
-        pent = _gate_pentagon(comult_equation(*slices, c, g, d, frob(w)))
+        size = frob(w)
+        dropped /= max(1.0, math.sqrt(d) * size)  # the pentagon's scale
+        pent = _gate_pentagon(comult_equation(*slices, c, g, d, size) + dropped)
 
     leg2 = orthonormal_basis(_leg_slices(w, d, 2))
     closure = float(np.max([closure_residual(alg_c), closure_residual(leg2)]))
@@ -407,7 +507,9 @@ def build_from_unitary(w, dim):
         residuals["antipode"] = kres
     except NotKacType:
         kappa = None
-    return FiniteQuantumGroup(d, w, alg_c, c, g, kappa, residuals, slices=slices)
+    return FiniteQuantumGroup(
+        d, w, alg_c, c, g, kappa, residuals, slices=slices, products=products
+    )
 
 
 def structure_constants(qg):
@@ -416,7 +518,10 @@ def structure_constants(qg):
     build_from_unitary has gated every Delta(b_k) into span(algC) (x)
     span(algC) at CLOSURE_TOL, so these coefficients are Delta itself, and
     they are its Hilbert-Schmidt picture: the basis is orthonormal.  The
-    build keeps them, read-only, as qg.structure.
+    build reads them off W's slice coefficients, C[k, i, j] = <b_i, F_kj>
+    for Delta(b_k) = sum_j F_kj (x) b_j (_delta_from_slices; off the
+    images W(b_k (x) 1)W* where n > d), and keeps them, read-only, as
+    qg.structure.
     """
     return qg.structure
 
@@ -433,22 +538,36 @@ def product_constants(qg):
     defect map c -> sum_ml c[m, l] D_ml, D_ml the part of b_m b_l* off
     span(algC), which the closure gate holds at rounding (its largest
     singular value, below the Frobenius norm of the D_ml by up to a factor
-    n): n^2 d^3 + n^3 d^2 flops and an SVD of n^2 x d^2, kept as
-    qg.products."""
+    n): n^2 d^3 + n^3 d^2 flops and the top eigenvalue of the smaller Gram
+    matrix of the n^2 x d^2 defects, kept as qg.products.  The build reads
+    them before Delta, which it reads with them."""
     if qg.products is None:
-        b = qg.algC
-        n = len(b)
-        prods = b[:, None] @ b.conj().transpose(0, 2, 1)[None, :]
-        coeff, rest = _expand(prods.reshape(n * n, -1), b)
-        qg.products = (coeff.reshape(n, n, n), float(np.linalg.norm(rest, 2)))
+        qg.products = _product_constants(qg.algC)
     return qg.products
+
+
+def _product_constants(b):
+    n = len(b)
+    prods = b[:, None] @ b.conj().transpose(0, 2, 1)[None, :]
+    coeff, rest = _expand(prods.reshape(n * n, -1), b)
+    return coeff.reshape(n, n, n), _spectral_norm(rest)
+
+
+def _spectral_norm(x):
+    """The largest singular value of a 2-d array, as the root of the top
+    eigenvalue of its smaller Gram matrix: a fifth to a third cheaper than
+    an SVD from d = 24 on."""
+    small = x @ x.conj().T if x.shape[0] <= x.shape[1] else x.conj().T @ x
+    return float(np.sqrt(max(np.linalg.eigvalsh(small)[-1], 0.0)))
 
 
 def multiplication_constants(qg):
     """The product on the algC basis, M[j, m, l] = <b_l, b_j b_m>; the closure
     gate of build_from_unitary makes these coefficients the product itself."""
     b = qg.algC
-    return np.einsum("lab,jmab->jml", b.conj(), b[:, None] @ b[None, :], optimize=True)
+    n = len(b)
+    prods = (b[:, None] @ b[None, :]).reshape(n * n, -1)
+    return (prods @ b.reshape(n, -1).conj().T).reshape(n, n, n)
 
 
 def coassociativity_residual(qg):

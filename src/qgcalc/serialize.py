@@ -97,9 +97,75 @@ def load_json(path):
 
 
 def write_json(path, obj):
+    """json.dump(obj, fh, indent=2) and a newline, byte for byte.
+
+    With an indent, json runs its pure-Python encoder, one call per number,
+    so each matrix object's "data" list of float pairs is rendered by the C
+    encoder (json.dumps without an indent, the same float reprs), a block
+    of pairs at a time, and the indent=2 layout rebuilt around it at its
+    indentation; everything else is json.dumps(..., indent=2) at its
+    indentation.  Like json.dump, it writes piece by piece, never the whole
+    text at once.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        _write_indented(fh.write, obj, "")
         fh.write("\n")
+
+
+# float pairs rendered by one json.dumps call
+_PAIR_BLOCK = 4096
+
+
+def _write_indented(out, obj, prefix):
+    """obj as json.dumps(obj, indent=2) lays it out with its first line at
+    indentation prefix, passed to out piece by piece: a JSON string holds
+    no raw newline, so indenting every line break of the plain layout
+    places it there."""
+    inner = prefix + "  "
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{"
+        for key, value in obj.items():
+            out(f"{sep}\n{inner}{json.dumps(key)}: ")
+            sep = ","
+            if key == "data" and _float_pairs(value):
+                _write_pairs(out, value, inner)
+            else:
+                _write_indented(out, value, inner)
+        out("\n" + prefix + "}")
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, dict) for v in obj):
+        sep = "["
+        for value in obj:
+            out(f"{sep}\n{inner}")
+            sep = ","
+            _write_indented(out, value, inner)
+        out("\n" + prefix + "]")
+    else:
+        out(json.dumps(obj, indent=2).replace("\n", "\n" + prefix))
+
+
+def _float_pairs(data):
+    return (
+        type(data) is list
+        and len(data) > 0
+        and all(
+            type(p) is list and len(p) == 2 and type(p[0]) is float and type(p[1]) is float
+            for p in data
+        )
+    )
+
+
+def _write_pairs(out, data, prefix):
+    """A non-empty list of float pairs laid out as _write_indented would,
+    from the C encoder's "[[a, b], [c, d]]" of each block: a float's repr
+    holds no ", " or "]"."""
+    one, two = "\n" + prefix + "  ", "\n" + prefix + "    "
+    sep = "["
+    for start in range(0, len(data), _PAIR_BLOCK):
+        body = json.dumps(data[start : start + _PAIR_BLOCK])[2:-2]
+        body = body.replace("], [", one + "]," + one + "[" + two).replace(", ", "," + two)
+        out(sep + one + "[" + two + body + one + "]")
+        sep = ","
+    out("\n" + prefix + "]")
 
 
 def _need(obj, key, what):

@@ -182,11 +182,15 @@ def diagram_residual(lhs, rhs):
 
     A side is a triple (t, leg, m) of coefficient tensors t[k, i, j] as
     PairSpan.coefficients returns them: the map m applied to leg 1 or 2 of
-    the images of t.  On orthonormal bases the norms are the operators'.
+    the images of t, one matrix product each, legs in order.  On
+    orthonormal bases the norms are the operators'.
     """
-    on_leg = {1: "kij,ipq->kpqj", 2: "kij,jpq->kipq"}
-    sides = (np.einsum(on_leg[leg], t, m, optimize=True) for t, leg, m in (lhs, rhs))
-    return residuals_between(*sides)
+
+    def side(t, leg, m):
+        m = m.reshape(len(m), -1)
+        return (m.T @ t if leg == 1 else t @ m).reshape(len(t), -1)
+
+    return residuals_between(side(*lhs), side(*rhs))
 
 
 def gram(xs):
@@ -503,13 +507,12 @@ class PairSpan:
         self.right = np.asarray(right, dtype=complex)
 
     def coefficients(self, xs):
-        """<l_i (x) r_j, x_k> for an (n, d1*d2, d1*d2) stack: an (n, i, j) array."""
-        xs = np.asarray(xs, dtype=complex)
+        """<l_i (x) r_j, x_k> for an (n, d1*d2, d1*d2) stack: an (n, i, j)
+        array, L* R(x_k) R*^T on the realigned stack (_realign), the bases as
+        rows."""
         d1, d2 = self.left.shape[1], self.right.shape[1]
-        legs = xs.reshape(len(xs), d1, d2, d1, d2)
-        return np.einsum(
-            "iab,jce,kacbe->kij", self.left.conj(), self.right.conj(), legs, optimize=True
-        )
+        r = _realign(np.asarray(xs, dtype=complex), d1, d2)
+        return (_rows(self.left).conj() @ r) @ _rows(self.right).conj().T
 
     def combine(self, coeff):
         """sum_ij coeff[k, i, j] l_i (x) r_j for an (n, i, j) array, the inverse of
@@ -518,9 +521,11 @@ class PairSpan:
         return self._legs(coeff).reshape(len(coeff), d1 * d2, d1 * d2)
 
     def _legs(self, coeff):
-        # combine with the legs apart, (n, d1, d2, d1, d2), a view where
-        # einsum leaves one
-        return np.einsum("kij,iab,jce->kacbe", coeff, self.left, self.right, optimize=True)
+        # combine with the legs apart, (n, d1, d2, d1, d2): L^T coeff_k R,
+        # realigned back as a view
+        d1, d2 = self.left.shape[1], self.right.shape[1]
+        r = _rows(self.left).T @ (coeff @ _rows(self.right))
+        return r.reshape(len(coeff), d1, d1, d2, d2).transpose(0, 1, 3, 2, 4)
 
     def read(self, images):
         """One read of an (n, d1*d2, d1*d2) complex stack: its coefficients,
@@ -589,11 +594,11 @@ class SpanMap:
 
     @property
     def _basis_rows(self):
-        return self.basis.reshape(len(self.basis), -1)
+        return _rows(self.basis)
 
     @property
     def _image_rows(self):
-        return self.images.reshape(len(self.images), -1)
+        return _rows(self.images)
 
     def __call__(self, x):
         x = as_matrix(x)
@@ -613,23 +618,36 @@ class SpanMap:
         return out.reshape(-1, self.dd, self.dd)
 
 
+def _rows(xs):
+    return xs.reshape(len(xs), -1)
+
+
+def _realign(xs, d1, d2):
+    """R(x)[(a, b), (c, e)] = x[(a, c), (b, e)] for each x of an (n, d1 d2,
+    d1 d2) stack on H1 (x) H2: an (n, d1^2, d2^2) stack, leg 1 in the rows
+    and leg 2 in the columns, so that maps on either leg are matrix
+    products, on the left for leg 1 and on the right for leg 2."""
+    n = len(xs)
+    return xs.reshape(n, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(n, d1 * d1, d2 * d2)
+
+
 def map_legs(xs, dims, left, right):
     """(left (x) right)(x) for each x of an (n, D, D) stack on H1 (x) H2 of
     dimensions dims, each map a SpanMap or None for the identity: an (n, D',
     D') stack, each leg's dimension becoming its map's dd.
 
-    On the realigned R(x)[(a, b), (c, e)] = x[(a, c), (b, e)], leg 1 in the
-    rows and leg 2 in the columns, the maps are matrix products: the
-    coefficients B1* R B2*^T on the maps' bases, then I1^T (.) I2 with their
-    images, both as rows, a None side skipped.  A map whose domain is not
-    its leg's raises ValueError in its first product.
+    On the realigned R(x)[(a, b), (c, e)] = x[(a, c), (b, e)] (_realign),
+    leg 1 in the rows and leg 2 in the columns, the maps are matrix
+    products: the coefficients B1* R B2*^T on the maps' bases, then I1^T
+    (.) I2 with their images, both as rows, a None side skipped.  A map
+    whose domain is not its leg's raises ValueError in its first product.
     """
     xs = np.asarray(xs, dtype=complex)
     d1, d2 = dims
     if xs.ndim != 3 or xs.shape[1:] != (d1 * d2, d1 * d2):
         raise ValueError(f"operator shape {xs.shape} does not match leg dims {dims}")
     n = len(xs)
-    r = xs.reshape(n, d1, d2, d1, d2).transpose(0, 1, 3, 2, 4).reshape(n, d1 * d1, d2 * d2)
+    r = _realign(xs, d1, d2)
     if right is not None:
         r = r @ right._basis_rows.conj().T
     if left is not None:

@@ -290,19 +290,19 @@ def test_verifying_a_bicharacter_builds_each_w_once(
 ):
     # the source-side equations and rInvariance use the source's dual, a
     # build of its own from the flip-adjoint W; no W is built twice, and
-    # each build forms one comultiplication image stack
+    # each build reads Delta once off W's slices, with no image stack
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(q.qg_from_group(z4, "c0"))))
     digests = _count_builds(monkeypatch)
-    calls = count_calls("conjugation_images")
+    calls = count_calls("conjugation_images", "_delta_from_slices")
     for path, builds in ((str(ident), 2), (va_file[0], 3)):
         argv = ["verify", path, "bicharacter"]
         digests.clear()
-        calls["conjugation_images"] = 0
+        calls.update(dict.fromkeys(calls, 0))
         code, obj = run_json(capsys, argv)
         assert code == 0 and "rInvariance" in {c["name"] for c in obj["checks"]}
         assert len(digests) == len(set(digests)) == builds, argv
-        assert calls["conjugation_images"] == builds, argv
+        assert calls == {"conjugation_images": 0, "_delta_from_slices": builds}, argv
 
 
 def test_coaction_commands_take_the_stored_map_as_it_is(
@@ -393,10 +393,12 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(va.target)))
     # every picture of an arrow is a contraction with its Hopf coefficients:
-    # no conjugation, antipode or map on a leg but those of the builds and
-    # of the battery's rInvariance, which maps both legs with both antipodes
+    # no conjugation, antipode or map on a leg but the battery's
+    # rInvariance, which maps both legs with both antipodes; the builds read
+    # Delta off W's slices
     names = (
         "conjugation_images",
+        "_delta_from_slices",
         "unitary_antipode",
         "map_legs",
         "apply_map_to_leg",
@@ -415,7 +417,8 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
         code, _ = run_json(capsys, argv)
         assert code == 0
         builds, r_invariance = calls["build_from_unitary"], calls["check_R_invariance"]
-        assert builds > 0 and calls["conjugation_images"] == builds, argv
+        assert builds > 0 and calls["_delta_from_slices"] == builds, argv
+        assert calls["conjugation_images"] == 0, argv
         assert calls["unitary_antipode"] == 2 * r_invariance, argv
         assert calls["map_legs"] == r_invariance and calls["apply_map_to_leg"] == 0, argv
     regular = check_corepresentation(va.source.W, va.source)
@@ -428,6 +431,45 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     q.compose(va, ident_v)
     pushforward_corep(regular, va)
     assert calls == dict.fromkeys(names, 0)
+
+
+def test_suite_and_hom_commands_search_no_einsum_path(
+    monkeypatch, tmp_path, capsys, va_file, z2, z4
+):
+    """Every leg contraction is a matrix product: the shipped suite and the
+    commands on hom files, coactions and arrows make no np.einsum call with
+    an optimize argument, whose path search runs again on every call."""
+    searched = []
+    real = np.einsum
+
+    def einsum(*args, **kwargs):
+        if "optimize" in kwargs:
+            searched.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    path_a, va = va_file
+    files = _one_sided_files(tmp_path, va)
+    hopf = tmp_path / "hopf.json"
+    f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
+    write_json(str(hopf), hom_to_obj("hopf", f.source, f.target, f.map))
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    ident = tmp_path / "ident.json"
+    write_json(str(ident), bicharacter_to_obj(q.identity(va.target)))
+    for argv in (
+        ["suite"],
+        ["verify", str(hopf), "hom"],
+        ["verify", files["right"], "hom"],
+        ["verify", files["left"], "hom"],
+        ["induce", str(coaction), files["right"]],
+        ["induce", str(coaction), path_a],
+        ["compose", path_a, str(ident)],
+        ["dual", path_a],
+    ):
+        code, _ = run_json(capsys, argv)
+        assert code == 0, argv
+    assert searched == []
 
 
 def _nan_coefficients(real, at):
@@ -598,17 +640,19 @@ def test_compose_builds_each_distinct_w_once_per_invocation(
     path_b = tmp_path / "vb.json"
     write_json(str(path_b), bicharacter_to_obj(vb))
     digests = _count_builds(monkeypatch)
-    calls = count_calls("conjugation_images")
+    calls = count_calls("conjugation_images", "_delta_from_slices")
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
     # c0(Z4) and c0(Z2), each named by both files, and the dual of each as
-    # a source, a flip-adjoint W of its own; one image stack per build, and
-    # none for the second arrow, pushed along by its coefficients
-    assert len(digests) == len(set(digests)) == calls["conjugation_images"] == 4
+    # a source, a flip-adjoint W of its own; one read of Delta off W's
+    # slices per build, no image stack, and nothing of either for the
+    # second arrow, pushed along by its coefficients
+    assert len(digests) == len(set(digests)) == calls["_delta_from_slices"] == 4
     # built objects do not outlive an invocation: a second one builds again
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    assert len(digests) == calls["conjugation_images"] == 8 and len(set(digests)) == 4
+    assert len(digests) == calls["_delta_from_slices"] == 8 and len(set(digests)) == 4
+    assert calls["conjugation_images"] == 0
 
 
 def test_compose_mismatch_exits_two(capsys, va_file):

@@ -657,17 +657,17 @@ def test_structure_constants_are_the_comultiplication(s3):
 
 def test_structure_constants_are_read_once_per_object(s3, count_calls):
     """The build keeps the constants the pentagon read, the coefficients of
-    its images W(b_k (x) 1)W* bit for bit, and every call shares that one
+    its images W(b_k (x) 1)W* to rounding, and every call shares that one
     read-only array without reading them again."""
     qg, _ = _gauged(q.qg_from_group(s3, "c0"), np.random.default_rng(17))
     images = conjugation_images(qg.W, qg.algC)
     fresh = PairSpan(qg.algC, qg.algC).coefficients(images)
-    calls = count_calls("PairSpan.coefficients")
+    calls = count_calls("PairSpan.coefficients", "conjugation_coefficients")
     first = structure_constants(qg)
-    np.testing.assert_array_equal(first, fresh)
+    np.testing.assert_allclose(first, fresh, rtol=0, atol=1e-14)
     assert structure_constants(qg) is first
     assert not first.flags.writeable
-    assert calls["PairSpan.coefficients"] == 0
+    assert calls == {"PairSpan.coefficients": 0, "conjugation_coefficients": 0}
 
 
 def _held_arrays(obj, seen):
@@ -724,6 +724,94 @@ def test_structure_constants_and_gram_are_the_images(corpus, gauge):
             np.testing.assert_allclose(
                 qg.gram, gram(images - span.combine(c)), rtol=0, atol=1e-14
             )
+
+
+def _image_read(qg):
+    """C, g and comultMembership read off the images W(b_k (x) 1)W*, as the
+    build read them before it read Delta off W's slices."""
+    return PairSpan(qg.algC, qg.algC).read(conjugation_images(qg.W, qg.algC))
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+def test_delta_off_the_slices_is_the_image_read(corpus, gauge):
+    """On the 26 corpus quantum groups, plain and Haar-gauged, and on
+    Haar-gauged D5 in both pictures, the build reads Delta off W's slice
+    coefficients: its C, g and comultMembership agree with the PairSpan.read
+    of the images to 1e-14, and comultMembership, a bound, never reads
+    below the image read."""
+    rng = np.random.default_rng(4201)
+    groups = list(corpus.values()) + ([_dihedral_group(5)] if gauge == "haar" else [])
+    count = 0
+    for g in groups:
+        for pic in ("c0", "cstar"):
+            qg = q.qg_from_group(g, pic)
+            if gauge == "haar":
+                qg = _gauged(qg, rng)[0]
+            count += 1
+            c, g_images, membership = _image_read(qg)
+            assert len(qg.algC) <= qg.dim and qg.products is not None
+            np.testing.assert_allclose(qg.structure, c, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(qg.gram, g_images, rtol=0, atol=1e-14)
+            got = qg.residuals["comultMembership"]
+            assert membership <= got <= membership + 1e-14
+    assert count == (26 if gauge == "plain" else 28)
+
+
+def test_a_build_forms_no_image_stack(s3, count_calls):
+    """Where algC has no more than d elements, a build reads Delta off W's
+    slices once and never calls conjugation_images, and keeps the product
+    constants it read Delta with."""
+    base = q.qg_from_group(s3, "cstar")
+    calls = count_calls("conjugation_images", "_delta_from_slices", "product_constants")
+    qg = build_from_unitary(base.W, base.dim)
+    assert calls == {"conjugation_images": 0, "_delta_from_slices": 1, "product_constants": 0}
+    assert product_constants(qg) is qg.products
+
+
+def test_a_closure_defect_past_tolerance_reads_delta_off_the_images(s3, monkeypatch, count_calls):
+    """Where the product constants' defect is above CLOSURE_TOL, the slices
+    no longer give Delta to rounding: the build reads it off the images, as
+    _image_read does."""
+    base = q.qg_from_group(s3, "c0")
+    real = qgroup_module._product_constants
+    monkeypatch.setattr(
+        qgroup_module, "_product_constants", lambda b: (real(b)[0], 2 * CLOSURE_TOL)
+    )
+    calls = count_calls("conjugation_images", "_delta_from_slices")
+    qg = build_from_unitary(base.W, base.dim)
+    assert calls == {"conjugation_images": 1, "_delta_from_slices": 0}
+    c, g, membership = _image_read(qg)
+    np.testing.assert_array_equal(qg.structure, c)
+    np.testing.assert_array_equal(qg.gram, g)
+    assert qg.residuals["comultMembership"] == membership
+
+
+def test_a_rotated_w_is_rejected_on_one_pentagon_slab(monkeypatch):
+    """A 1e-6 rotation of Haar-gauged D5 (d = 10, whose three-leg operators
+    pass PENTAGON_PROBE_ENTRIES) has n = d^2 slices: the build rejects it
+    on the pentagon's one-slab lower bound, which reads above the tolerance
+    and not above the whole residual, without streaming; a NaN in that slab
+    fails closed."""
+    rng = np.random.default_rng(4202)
+    qg, _ = _gauged(q.qg_from_group(_dihedral_group(5), "c0"), rng)
+    d = qg.dim
+    assert d**6 > qgroup_module.PENTAGON_PROBE_ENTRIES
+    bad = rotated(qg.W, 1e-6, rng)
+    assert len(orthonormal_basis(qgroup_module._leg_slices(bad, d, 1))) > d
+    whole = streamed_pentagon(bad, d)
+
+    def refuse(*args):
+        raise AssertionError("streamed_residual called")
+
+    monkeypatch.setattr(qgroup_module, "streamed_residual", refuse)
+    with pytest.raises(PentagonViolation) as exc:
+        build_from_unitary(bad, d)
+    assert PENTAGON_TOL < exc.value.residual <= whole * (1 + 1e-12)
+    assert str(exc.value).startswith("pentagon residual at least")
+    bad[0, 0] = np.nan
+    with pytest.raises(PentagonViolation) as exc:
+        qgroup_module._streamed_pentagon(bad, d)
+    assert np.isnan(exc.value.residual)
 
 
 def test_a_comultiplication_rotated_inside_the_span_fails(s3):

@@ -388,3 +388,64 @@ def test_write_json_trailing_newline(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n")
     assert json.loads(text) == {"a": 1}
+
+
+def _stock_bytes(tmp_path, obj):
+    """What json.dump(obj, fh, indent=2) and a newline write."""
+    path = tmp_path / "stock.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+    return path.read_bytes()
+
+
+def test_write_json_writes_the_stock_layout_byte_for_byte(
+    tmp_path, capsys, count_calls, z2, z4
+):
+    """Every kind the command line writes, its --out files (compose, dual,
+    induce) and the other writers' objects, NaN and infinite entries, an
+    empty data list and data lists that are not all float pairs: the bytes
+    json.dump(obj, fh, indent=2) writes, newline included."""
+    from qgcalc.coactions import comultiplication_coaction
+
+    f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
+    v = q.from_hopf_hom(f)
+    c4 = q.qg_from_group(z4, "c0")
+    objs = [
+        bicharacter_to_obj(v),
+        coaction_to_obj(comultiplication_coaction(c4)),
+        hom_to_obj("hopf", f.source, f.target, f.map),
+        hom_to_obj("right", v.source, v.target, right_from_bicharacter(v).deltaR),
+        qg_to_obj(c4),
+        group_to_obj(z4),
+        {"dim": 1, "W": {"rows": 1, "cols": 2, "data": [[float("nan"), -0.0], [1e300, -float("inf")]]}},
+        {"empty": {"rows": 1, "cols": 1, "data": []}, "list": [], "dict": {}},
+        {"ints": {"data": [[1, 2.0]]}, "triple": {"data": [[1.0, 2.0, 3.0]]}, "text": {"data": ["a, b"]}},
+        [{"data": [[0.5, 1.5]], "note": "x\ny"}, None, 1.25],
+        # more pairs than one block of the C encoder's
+        {"W": matrix_to_obj(RNG.standard_normal((65, 65)) + 1j * RNG.standard_normal((65, 65)))},
+    ]
+    path_v, ident = tmp_path / "v.json", tmp_path / "ident.json"
+    write_json(str(path_v), bicharacter_to_obj(v))
+    write_json(str(ident), bicharacter_to_obj(q.identity(v.target)))
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(q.trivial_coaction(c4.algC, f.source)))
+    outs = {}
+    for name, argv in (
+        ("compose", ["compose", str(path_v), str(ident)]),
+        ("dual", ["dual", str(path_v)]),
+        ("induce", ["induce", str(coaction), str(path_v)]),
+    ):
+        outs[name] = tmp_path / f"{name}.json"
+        assert main(argv + ["--out", str(outs[name])]) == 0, name
+        objs.append(load_json(str(outs[name])))
+    capsys.readouterr()
+    calls = count_calls("_write_pairs")
+    for obj in objs:
+        path = tmp_path / "fast.json"
+        write_json(str(path), obj)
+        assert path.read_bytes() == _stock_bytes(tmp_path, obj)
+    for path in outs.values():
+        assert path.read_bytes() == _stock_bytes(tmp_path, load_json(str(path)))
+    # the float pairs took the C encoder's path, the rest the stock one
+    assert calls["_write_pairs"] > len(objs)

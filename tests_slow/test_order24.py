@@ -10,12 +10,11 @@ import pytest
 from qgcalc.groups import cyclic_group, product_group
 from test_order16 import assert_qg_battery_passes
 
-# A run peaks at about 370 MB, in the build: the images W(b_k (x) 1)W* of
-# the comultiplication, an n x d^2 x d^2 stack (127 MB), and one temporary
-# of that size while they are formed and while PairSpan.read takes their
-# projection onto span(algC) (x) span(algC) off them in place, both dropped
-# once C, g and comultMembership are read.
-MAX_RSS_MB = 450
+# A run peaks at about 165 MB.  The build reads Delta off W's slice
+# coefficients, with d^4-entry temporaries (9 MB each); it used to form the
+# images W(b_k (x) 1)W* of the comultiplication, an n x d^2 x d^2 stack
+# (127 MB), and peaked at 370 MB, so one such stack exceeds this.
+MAX_RSS_MB = 250
 
 GROUPS = {
     "Z24": lambda: cyclic_group(24),
