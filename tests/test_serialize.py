@@ -418,9 +418,10 @@ def test_write_json_writes_the_stock_layout_byte_for_byte(
         hom_to_obj("right", v.source, v.target, right_from_bicharacter(v).deltaR),
         qg_to_obj(c4),
         group_to_obj(z4),
-        {"dim": 1, "W": {"rows": 1, "cols": 2, "data": [[float("nan"), -0.0], [1e300, -float("inf")]]}},
+        {"W": {"rows": 1, "cols": 2, "data": [[float("nan"), -0.0], [1e300, -float("inf")]]}},
         {"empty": {"rows": 1, "cols": 1, "data": []}, "list": [], "dict": {}},
-        {"ints": {"data": [[1, 2.0]]}, "triple": {"data": [[1.0, 2.0, 3.0]]}, "text": {"data": ["a, b"]}},
+        {"ints": {"data": [[1, 2.0]]}, "triple": {"data": [[1.0, 2.0, 3.0]]}},
+        {"text": {"data": ["a, b"]}, "tuple": {"data": [(0.5, 1.5)]}},
         [{"data": [[0.5, 1.5]], "note": "x\ny"}, None, 1.25],
         # more pairs than one block of the C encoder's
         {"W": matrix_to_obj(RNG.standard_normal((65, 65)) + 1j * RNG.standard_normal((65, 65)))},
