@@ -143,8 +143,7 @@ def _comodule(p, range_, qg, leg):
     # the products' coefficients, rows (k, m) and columns (i, l), i on D
     on_c_last = p if leg == 1 else p.transpose(0, 2, 1)
     m = multiplication_constants(qg)
-    products = (on_c_last @ m.reshape(len(m), -1)).reshape(*on_c_last.shape[:2], *m.shape[1:])
-    products = products.transpose(0, 2, 1, 3)
+    products = np.tensordot(on_c_last, m, axes=(2, 0)).transpose(0, 2, 1, 3)
     n = len(p) * len(qg.algC)
     return {
         "range": range_,
