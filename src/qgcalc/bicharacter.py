@@ -6,14 +6,13 @@ the two defining equations.  Both the comultiplication form and the
 pentagon-type operator form of the axioms are computed, and their
 agreement is a check: the
 comultiplication forms read Delta off the structure constants C and Gram
-matrix g the build keeps, and the operator forms read it off the F
-contraction of the slices of the other unitary of each equation with the
-product constants N of the target (operator_equation).  The build reads C
-and g by the same contraction on W's own slices
-(qgroup.conjugation_coefficients).  So operatorSource, which conjugates
-by V, is arithmetic of its own, while operatorTarget, which conjugates by
-W of the target, recomputes the target's C and g on the way: its
-agreement with comultTarget checks the two forms' bounds, not Delta.
+matrix g the build keeps, and the operator forms read the conjugation by
+the other unitary of each equation on coefficients (operator_equation).
+operatorSource conjugates by V, the F contraction of V's slices with the
+product constants N of the target (qgroup.conjugation_coefficients), and
+is arithmetic of its own.  operatorTarget conjugates by W of the target,
+which is the target's Delta, so it reads the C and g the target holds:
+its agreement with comultTarget checks the two forms' bounds, not Delta.
 
 A bicharacter is (id (x) f)(W_C) for a Hopf *-homomorphism f, kept as
 its coefficients F once read (hopf_coefficients); its other pictures are
@@ -42,6 +41,7 @@ from .qgroup import (
     conjugation_coefficients,
     dual_comult_equation,
     dual_slice_coefficients,
+    fit_on_slices,
     product_constants,
     slice_coefficients,
     slice_equation,
@@ -66,7 +66,6 @@ __all__ = [
     "check_bicharacter",
     "compose",
     "extract_bicharacter",
-    "fit_on_slices",
     "hopf_coefficients",
     "hom_coefficients",
     "push_slices",
@@ -128,38 +127,39 @@ def bicharacter_residuals(v, c, a):
         raise ValueError(f"V has dim {v.shape[0]}, expected {dc * da}")
     z, trunc = slice_coefficients(v, dc, a.algC)
     size = frob(v)
+    delta = (structure_constants(a), comultiplication_gram(a))
+    conj_v = (*conjugation_coefficients(z, c.algC, product_constants(a)[0]), trunc)
     res = {
         "comultSource": dual_comult_equation(dual_slice_coefficients(v, c, da), c.dual, size),
-        "comultTarget": comult_equation(
-            z, trunc, structure_constants(a), comultiplication_gram(a), da, size
-        ),
+        "comultTarget": comult_equation(z, trunc, *delta, da, size),
         "operatorSource": operator_equation(
-            unitary_slices(c), (z, trunc), (z, trunc), c.algC, a, frob(c.W)
+            unitary_slices(c), conj_v, (z, trunc), dc, a, frob(c.W)
         ),
         "operatorTarget": operator_equation(
-            (z, trunc), unitary_slices(a), (z, trunc), a.algC, a, size
+            (z, trunc), (*delta, unitary_slices(a)[1]), (z, trunc), da, a, size
         ),
     }
     res["membership"] = membership_residual(PairSpan(c.dual.algC, a.algC), v)
     return res
 
 
-def operator_equation(p, u, v, basis, a, size):
+def operator_equation(p, u, v, d, a, size):
     """The residual of U23 P12 U23* = P12 V13 from slices, for P = sum_k P_k
-    (x) b_k + T_P over the orthonormal basis, and U = sum_m U_m (x) a_m +
-    T_U and V = sum_j Z_j (x) a_j + T_V over a.algC; p, u and v are the
-    (stack, truncation) pairs of slice_coefficients, and size is |P|.
-    operatorSource is P = W_C and U = V, operatorTarget P = V and U = W_A.
+    (x) b_k + T_P over an orthonormal basis of B(C^d), and U = sum_m U_m
+    (x) a_m + T_U and V = sum_j Z_j (x) a_j + T_V over a.algC; p and v are
+    the (stack, truncation) pairs of slice_coefficients, u is (C, g, |T_U|)
+    for the conjugation by U on the b_k (conjugation_coefficients), and
+    size is |P|.  operatorSource is P = W_C and U = V, operatorTarget P = V
+    and U = W_A, whose conjugation is the target's Delta, held as its C and g.
 
     With the product constants a_m a_l* = sum_j N[j, m, l] a_j + D_ml
     (product_constants), U(x (x) 1)U* = sum_ml U_m x U_l* (x) a_m a_l* is
     sum_j F_j(x) (x) a_j up to the D_ml, F_j(x) = sum_m U_m x Q_jm with
     Q_jm = sum_l N[j, m, l] U_l*.  So U23 P12 U23* = sum_k P_k (x) G_k with
-    G_k = sum_j F_j(b_k) (x) a_j, whose coefficients on b_i (x) a_j and
-    off-span Gram matrix are read off the F_j(b_k)
-    (conjugation_coefficients, which the build reads Delta with), and
-    slice_equation compares it with P12 V13 = sum_ij P_i Z_j (x) b_i (x)
-    a_j: one (n d) x (n d) x (n d) product where the operators cost d^8.
+    G_k = sum_j F_j(b_k) (x) a_j, whose coefficients C on b_i (x) a_j and
+    off-span Gram matrix g are read off the F_j(b_k), and slice_equation
+    compares it with P12 V13 = sum_ij P_i Z_j (x) b_i (x) a_j: one (n d) x
+    (n d) x (n d) product where the operators cost d^8.
 
     What this drops is added as a bound, so the result never reads below
     the operator residual by more than rounding.  With legs of dimensions
@@ -170,10 +170,10 @@ def operator_equation(p, u, v, basis, a, size):
     and S = sum_m U_m* U_m the partial trace of U*U, so |S| <= e (1 + t)^2;
     that part is orthogonal to both sides, so it adds in squares.
     """
-    (ps, p_trunc), (us, u_trunc), (zs, v_trunc) = p, u, v
-    h, d, e = ps.shape[1], basis.shape[1], a.dim
-    big_n, defect = product_constants(a)
-    norm = slice_equation(ps, *conjugation_coefficients(us, basis, big_n), zs)
+    (ps, p_trunc), (c, g, u_trunc), (zs, v_trunc) = p, u, v
+    h, e = ps.shape[1], a.dim
+    defect = product_constants(a)[1]
+    norm = slice_equation(ps, c, g, zs)
     grow = (1.0 + np.max([p_trunc, u_trunc, v_trunc])) ** 2
     moved = 2 * math.sqrt(h) * u_trunc + 2 * math.sqrt(e) * p_trunc + math.sqrt(d) * v_trunc
     # the D_ml part is off B (x) B (x) span(a.algC), where the rest lies
@@ -212,11 +212,6 @@ def hopf_coefficients(v):
         f = fit_on_slices(xs, zs)
         v.hopf = (f, float(np.hypot(frob(zs - np.tensordot(f, xs, axes=(0, 0))), trunc)))
     return v.hopf
-
-
-def fit_on_slices(xs, zs):
-    """The F with sum_k F[k, j] X_k nearest each Z_j: one Gram solve."""
-    return np.linalg.solve(gram(xs), np.tensordot(xs.conj(), zs, axes=([1, 2], [1, 2])))
 
 
 def hom_coefficients(v, leg):
@@ -268,9 +263,10 @@ def push_along(x, h, v):
     V23* = X12 Y13 read off the slices of X, V and Y (operator_equation),
     so it holds V's distance from (id (x) f)(W_C) and T's image too."""
     c, a = v.source, v.target
-    p, u = slice_coefficients(x, h, c.algC), slice_coefficients(v.V, c.dim, a.algC)
+    p, (us, trunc) = slice_coefficients(x, h, c.algC), slice_coefficients(v.V, c.dim, a.algC)
+    u = (*conjugation_coefficients(us, c.algC, product_constants(a)[0]), trunc)
     ys = np.tensordot(hopf_coefficients(v)[0], p[0], axes=(0, 0))
-    return _on_target(ys, a), operator_equation(p, u, (ys, 0.0), c.algC, a, frob(x))
+    return _on_target(ys, a), operator_equation(p, u, (ys, 0.0), c.dim, a, frob(x))
 
 
 def compose(vca, vab):

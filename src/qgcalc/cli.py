@@ -8,6 +8,7 @@ default path.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -208,7 +209,7 @@ def _emit(report, args, multi=False):
 
 
 def _run(args):
-    """Runs verify, compose, dual or induce: args.func(args, report)
+    """Runs verify, compose, dual or induce: cmd_<command>(args, report)
     fills the report and returns a function making the object for --out,
     called only when --out is given, or None.  Unusable input propagates to
     main (exit 2); other CalculusErrors fail a check.
@@ -218,7 +219,7 @@ def _run(args):
     t0 = time.perf_counter()
     produced = None
     try:
-        produced = args.func(args, report)
+        produced = globals()["cmd_" + args.command](args, report)
     except (ParseError, SourceTargetMismatch):
         raise
     except CalculusError as exc:
@@ -421,7 +422,9 @@ def cmd_suite(args):
     return 0 if all(r.passed for r in reports) else 1
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on first use and kept for the process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="one tolerance for every check")
     mode = common.add_mutually_exclusive_group()
@@ -443,25 +446,21 @@ def _parser():
     p = sub.add_parser("verify", parents=[common], help="verify one subject file")
     p.add_argument("path")
     p.add_argument("kind", choices=["qg", "bicharacter", "hom", "coaction"])
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser(
         "compose", parents=[common], help="compose two bicharacter files, first then second"
     )
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("dual", parents=[common], help="dualize a bicharacter file")
     p.add_argument("path")
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser(
         "induce", parents=[common], help="induce a coaction along a hom or bicharacter"
     )
     p.add_argument("coaction")
     p.add_argument("hom")
-    p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("suite", parents=[common], help="run the corpus battery")
     p.add_argument("corpus", nargs="?", default=None)

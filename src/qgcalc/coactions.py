@@ -2,13 +2,13 @@
 between coaction categories that right homomorphisms induce.
 
 A coaction is a SpanMap on its own orthonormal basis, read once by its
-check, and induction takes the coefficients that read kept.  The central
-construction takes a coaction of C and a right homomorphism from C to A
-and solves a commuting square of coefficients for the induced coaction
-of A; its solvability and uniqueness are exactly the finite-dimensional
-content of the induction theorem.  Corepresentations are pushed forward
-in closed form along a bicharacter's Hopf coefficients F: Y = (id (x)
-f)(X), F applied to the slices of X.
+check, and induction takes the coefficients that read kept.  Along a
+right homomorphism with Hopf map f, a coaction gamma induces (id (x)
+f)gamma in closed form, certified by the commuting square of
+coefficients that defines the induced coaction; that square and the rank
+that makes its solution unique are the finite-dimensional content of the
+induction theorem.  Corepresentations are pushed forward along f too:
+Y = (id (x) f)(X), its Hopf coefficients F applied to the slices of X.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     gate,
     gate_all,
 )
-from .homviews import check_right_hom, comodule_residuals, star_hom_residuals
+from .homviews import check_right_hom, comodule_residuals, hopf_fit, star_hom_residuals
 from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
@@ -32,13 +32,13 @@ from .qgroup import (
     structure_constants,
 )
 from .tensorleg import (
-    RANK_CUTOFF,
     PairSpan,
     SpanMap,
     diagram_residual,
     frob,
     gram,
     kron,
+    numerical_rank,
     residual_between,
     residuals_between,
     unitarity_defect,
@@ -182,35 +182,30 @@ def conjugation_coaction(corep):
 
 
 def _pushed_through(coefficients, basis, dr, what):
-    """The map psi of basis into span(basis) (x) A induced along dr from the
-    map phi with coefficients (P, g) on basis, (phi (x) id)(psi(x)) =
-    (id (x) deltaR)(phi(x)), gated (SolveFailure, what fails), with the
-    solve residual and whether psi is unique.
+    """The map psi = (id (x) f)phi of basis into span(basis) (x) A, f the
+    Hopf map of dr and phi with coefficients (P, g) on basis, gated
+    (SolveFailure, what fails), with its residual and whether it is unique.
 
-    On the coefficients P of phi and R of deltaR it is the square sum_i
-    Psi[k, i, t] P[i, p, s] = sum_q P[k, p, q] R[q, s, t], one least-squares
-    solve on the (n_D n_C) x n_D matrix P, unique when rank P = n_D.  The
-    residual is residual_between's per x_k plus |Psi_k| |E| + |P_k| |F| +
-    |deltaR| |E_k| (Frobenius norms) for the parts E_i of phi(x_i) and F_q
-    of deltaR(b_q) off the spans, read off the Gram matrices of the E_i
-    and the F_q: it never reads below the operator one, and a NaN in P or
-    R reads NaN.
+    As deltaR = (id (x) f)Delta_C, (phi (x) id)psi = (id (x) id (x) f)(id
+    (x) Delta_C)phi = (id (x) deltaR)phi for a coaction phi, and Psi = P F
+    for the Hopf coefficients F of dr (hopf_fit).  The residual is that
+    square, sum_i Psi[k, i, t] P[i, p, s] = sum_q P[k, p, q] R[q, s, t] for
+    the coefficients R of deltaR, residual_between's per x_k plus |Psi_k|
+    |E| + |P_k| |G| + |deltaR| |E_k| (Frobenius norms) for the parts E_i of
+    phi(x_i) and G_q of deltaR(b_q) off the spans, read off the Gram
+    matrices of the E_i and the G_q: it never reads below the operator one,
+    and a NaN in P or R reads NaN.  It is linear in Psi with matrix P, so
+    psi is unique when rank P = n_D.
     """
     hd, n = basis.shape[1], len(basis)
     a = dr.target
     p, g_p = coefficients
     r, g_r = dr.coefficients
+    psi = p @ hopf_fit(dr.source, dr.coefficients, 1)
     rhs = np.tensordot(p, r, axes=(2, 0))
-    system, b = p.reshape(n, -1).T, rhs.transpose(1, 2, 0, 3).reshape(p[0].size, -1)
-    if np.all(np.isfinite(system)):
-        sol, _, _, s = np.linalg.lstsq(system, b, rcond=None)
-        unique = bool(s[0] > 0 and np.sum(s > RANK_CUTOFF * s[0]) == n)
-    else:
-        sol, unique = np.full((n, b.shape[1]), np.nan), False
     per_k = lambda t: np.linalg.norm(t.reshape(n, -1), axis=1)
-    # sol[i, (k, t)] is Psi[k, i, t]
-    psi = sol.reshape(n, n, -1).transpose(1, 0, 2)
-    miss = per_k((system @ sol - b).reshape(len(b), n, -1).transpose(1, 0, 2))
+    # both sides indexed [k, p, s, t]
+    miss = per_k(np.tensordot(psi, p, axes=(1, 0)).transpose(0, 2, 3, 1) - rhs)
     off_p, off_r = (np.sqrt(np.trace(g).real) for g in (g_p, g_r))
     miss += per_k(psi) * off_p + per_k(p) * off_r
     # |deltaR|^2 is its part on the span, |R|^2, plus the rest, tr g_r
@@ -218,16 +213,14 @@ def _pushed_through(coefficients, basis, dr, what):
     worst = float(np.max(miss / np.maximum(1.0, per_k(rhs))))
     gate(worst, EQUATION_TOL, SolveFailure, what)
     images = PairSpan(basis, a.algC).combine(psi)
-    return SpanMap(basis, images, hd, hd * a.dim), worst, unique
+    return SpanMap(basis, images, hd, hd * a.dim), worst, numerical_rank(p) == n
 
 
 def induce_coaction(gamma, dr):
-    """Induced coaction along a right homomorphism, by one coefficient solve.
-
-    For each basis element the image under the induced coaction solves the
-    push of gamma's leg through deltaR (_pushed_through), uniquely as gamma
-    is injective (its coefficients have full rank); the residual certifies it.
-    """
+    """Induced coaction (id (x) f)gamma along a right homomorphism with Hopf
+    map f, on coefficients (_pushed_through).  Its residual certifies that
+    it solves the push of gamma's leg through deltaR, uniquely as gamma is
+    injective (its coefficients have full rank)."""
     if not gamma.qg.same_unitary(dr.source):
         raise SourceTargetMismatch(
             f"coaction is over dim {gamma.qg.dim}, homomorphism starts at {dr.source.dim}"
@@ -250,8 +243,8 @@ def compose_functors_check(a, b):
     """Verify that inducing along b after a equals inducing along their composite.
 
     a runs from C into C (x) A and b from A into A (x) B.  The composite
-    right homomorphism is a.deltaR, a coaction of A on C, induced along b.
-    Then two facts are checked: induction in two steps agrees with
+    right homomorphism is a.deltaR, a coaction of A on C, induced along b,
+    P_a F_b.  Then two facts are checked: induction in two steps agrees with
     induction along the composite on the canonical test coactions, and the
     composite's bicharacter is the composition of the two bicharacters.
     The worst residual over all checks is returned.

@@ -97,7 +97,7 @@ class CoactionViolation(CalculusError):
 
 
 class SolveFailure(CalculusError):
-    """A linear solve for an induced map has no solution within tolerance."""
+    """An induced map fails, beyond tolerance, the commuting square that certifies it."""
 
 
 class RecoveryFailure(CalculusError):

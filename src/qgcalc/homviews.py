@@ -17,7 +17,6 @@ import numpy as np
 
 from .bicharacter import (
     extract_bicharacter,
-    fit_on_slices,
     hom_coefficients,
     hopf_coefficients,
     push_slices,
@@ -27,6 +26,7 @@ from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
     PENTAGON_TOL,
+    fit_on_slices,
     intertwining_residuals,
     multiplication_constants,
     structure_constants,

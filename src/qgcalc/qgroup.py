@@ -64,6 +64,7 @@ __all__ = [
     "slice_coefficients",
     "dual_slice_coefficients",
     "unitary_slices",
+    "fit_on_slices",
     "comultiplication_gram",
     "intertwining_residuals",
     "product_constants",
@@ -230,6 +231,11 @@ def unitary_slices(qg):
     return qg.slices
 
 
+def fit_on_slices(xs, zs):
+    """The F with sum_k F[k, j] X_k nearest each Z_j: one Gram solve."""
+    return np.linalg.solve(gram(xs), np.tensordot(xs.conj(), zs, axes=([1, 2], [1, 2])))
+
+
 def slice_equation(x, c, g, y=None):
     """|sum_k x_k (x) D_k - sum_ij x_i y_j (x) e_i (x) f_j| for stacks x and
     y (y = x by default), D_k = sum_ij c[k, i, j] e_i (x) f_j + R_k over
@@ -315,19 +321,18 @@ def _try_antipode(alg_c, slices):
 
     With W = sum_m X_m (x) b_m + T over algC (slices), the right side is
     sum_m omega(X_m*) b_m*, so where X_m* = sum_l A[l, m] X_l the antipode
-    is kappa(b_l) = sum_m A[l, m] b_m* in closed form.  A is read by least
-    squares from the n x d^2 system of the X_l.  The omega(X_l) are the
-    coordinates of the slices (omega (x) id)W, so the distance of the X_m*
-    from span{X_l}, relative to |sum_m X_m* (x) b_m*| = |W*| up to T, is
-    how far the pairs of slices of W and W* are from one linear map: the
+    is kappa(b_l) = sum_m A[l, m] b_m* in closed form.  A is the fit of the
+    X_m* on the X_l (fit_on_slices).  The omega(X_l) are the coordinates of
+    the slices (omega (x) id)W, so the distance of the X_m* from
+    span{X_l}, relative to |sum_m X_m* (x) b_m*| = |W*| up to T, is how
+    far the pairs of slices of W and W* are from one linear map: the
     consistency.
     """
     xs, _ = slices
-    n, d = alg_c.shape[:2]
-    rows = xs.reshape(n, -1)
-    stars = xs.conj().transpose(0, 2, 1).reshape(n, -1)
-    a, *_ = np.linalg.lstsq(rows.T, stars.T, rcond=None)
-    consistency = frob(rows.T @ a - stars.T) / max(1.0, frob(xs))
+    d = alg_c.shape[1]
+    stars = xs.conj().transpose(0, 2, 1)
+    a = fit_on_slices(xs, stars)
+    consistency = frob(np.tensordot(a, xs, axes=(0, 0)) - stars) / max(1.0, frob(xs))
     gate(consistency, EQUATION_TOL, NotKacType, "antipode is not well defined on slices")
     adjoints = alg_c.conj().transpose(0, 2, 1)
     kappa = SpanMap(alg_c, np.tensordot(a, adjoints, axes=1), d, d)

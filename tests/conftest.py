@@ -93,6 +93,16 @@ def s3(corpus):
     return corpus["S3"]
 
 
+def dihedral_group(n):
+    """D_n from its Cayley table, element f n + k being s^f r^k."""
+
+    def mul(a, b):
+        (fa, ra), (fb, rb) = divmod(a, n), divmod(b, n)
+        return ((fa + fb) % 2) * n + ((-ra if fb else ra) + rb) % n
+
+    return q.build_group([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)], f"D{n}")
+
+
 def _group_homs(g, h):
     """Every homomorphism g -> h, by trying every map of the elements."""
     homs = []
@@ -869,7 +879,7 @@ def _solve_on_product_basis(left, left_images, right, rhs):
 
 def image_system_pushed_through(phi, basis, dr):
     """The induced map of coactions._pushed_through from the image system,
-    the oracle for its coefficient solve: (phi (x) id)(psi(x)) =
+    the oracle for its closed form: (phi (x) id)(psi(x)) =
     (id (x) deltaR)(phi(x)) over the whole operator space, solved by
     _solve_on_product_basis, ungated.  Returns its images of basis, the
     worst residual, and whether the solution is unique."""

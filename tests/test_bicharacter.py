@@ -9,7 +9,7 @@ import pytest
 import qgcalc as q
 import qgcalc.bicharacter as bicharacter_module
 import qgcalc.qgroup as qgroup_module
-from qgcalc.bicharacter import bicharacter_residuals
+from qgcalc.bicharacter import bicharacter_residuals, operator_equation
 from qgcalc.cli import main
 from qgcalc.coactions import check_corepresentation
 from qgcalc.homviews import left_from_bicharacter
@@ -25,7 +25,15 @@ from qgcalc.errors import (
 )
 from qgcalc import tensorleg
 from qgcalc.cli import _bicharacter_battery
-from qgcalc.qgroup import EQUATION_TOL, coassociativity_residual, corep_law_residual
+from qgcalc.qgroup import (
+    EQUATION_TOL,
+    coassociativity_residual,
+    conjugation_coefficients,
+    corep_law_residual,
+    product_constants,
+    slice_coefficients,
+    unitary_slices,
+)
 from qgcalc.report import Report, render_text
 from qgcalc.serialize import bicharacter_to_obj, write_json
 from qgcalc.tensorleg import (
@@ -33,12 +41,14 @@ from qgcalc.tensorleg import (
     PairSpan,
     SpanMap,
     flip_unitary,
+    frob,
     kron,
     residual_between,
 )
 from conftest import (
     apply_map_to_leg,
     delta_map,
+    dihedral_group,
     embed_on_legs,
     extract_trivial_legs,
     gauged_bicharacters,
@@ -338,11 +348,11 @@ _READERS = {
     [
         ("slice_coefficients", "target", ("comultTarget", "operatorSource", "operatorTarget")),
         ("slice_coefficients", "dual", ("comultSource",)),
-        ("structure_constants", "target", ("comultTarget",)),
+        ("structure_constants", "target", ("comultTarget", "operatorTarget")),
         ("structure_constants", "dual", ("comultSource",)),
-        ("comultiplication_gram", "target", ("comultTarget",)),
+        ("comultiplication_gram", "target", ("comultTarget", "operatorTarget")),
         ("comultiplication_gram", "dual", ("comultSource",)),
-        ("product_constants", "target", ("operatorSource", "operatorTarget")),
+        ("product_constants", "target", ("operatorSource",)),
     ],
 )
 def test_a_nan_in_what_the_slice_forms_read_fails_closed(
@@ -420,6 +430,40 @@ def test_abstract_and_operator_equations_agree(z2, z4, s3, homs):
     res = bicharacter_residuals(u, c2, c2)
     assert max(res[k] for k in eq_keys) > 1e-6
     assert max(res[k] for k in op_keys) > 1e-6
+
+
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+def test_operator_target_reads_the_delta_the_target_holds(corpus, count_calls, gauge):
+    """operatorTarget conjugates by the target's W, whose conjugation is the
+    target's Delta: it reads the C and g the target holds, and
+    bicharacter_residuals makes one conjugation_coefficients call,
+    operatorSource's.  On the 13 corpus groups and D5, in both pictures,
+    plain and Haar-gauged, the held pair is the one that call recomputes off
+    W's slices, bit for bit, and so is operatorTarget, here on the identity
+    arrow."""
+    rng = np.random.default_rng(4502)
+    calls = count_calls("conjugation_coefficients")
+    subjects = 0
+    for g in list(corpus.values()) + [dihedral_group(5)]:
+        for pic in ("c0", "cstar"):
+            a = q.qg_from_group(g, pic)
+            if gauge == "haar":
+                u = haar_unitary(a.dim, rng)
+                uu = kron(u, u)
+                a = q.build_from_unitary(uu @ a.W @ uu.conj().T, a.dim)
+            a.dual  # the dual's build reads its own Delta outside the count
+            calls["conjugation_coefficients"] = 0
+            res = bicharacter_residuals(a.W, a, a)
+            assert calls["conjugation_coefficients"] == 1
+            xs, trunc = unitary_slices(a)
+            c, g_off = conjugation_coefficients(xs, a.algC, product_constants(a)[0])
+            np.testing.assert_array_equal(c, a.structure)
+            np.testing.assert_array_equal(g_off, a.gram)
+            z = slice_coefficients(a.W, a.dim, a.algC)
+            want = operator_equation(z, (c, g_off, trunc), z, a.dim, a, frob(a.W))
+            assert res["operatorTarget"] == want
+            subjects += 1
+    assert subjects == 28
 
 
 # --- composition --------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 import qgcalc as q
 from qgcalc.cli import DEFAULT_CORPUS, _record_failure, main
 from qgcalc.bicharacter import Bicharacter
-from qgcalc import coactions, homviews, tensorleg
+from qgcalc import cli, coactions, homviews, tensorleg
 from qgcalc.coactions import (
     Coaction,
     check_corepresentation,
@@ -44,7 +44,7 @@ from qgcalc.serialize import (
     write_json,
 )
 from qgcalc.tensorleg import SpanMap, flip_unitary, residual_between
-from conftest import gauged_bicharacters, rotated
+from conftest import gauged_bicharacters, haar_unitary, rotated
 
 
 def run_cli(capsys, argv):
@@ -470,6 +470,49 @@ def test_suite_and_hom_commands_search_no_einsum_path(
         code, _ = run_json(capsys, argv)
         assert code == 0, argv
     assert searched == []
+
+
+def test_suite_induce_and_a_build_make_no_least_squares_call(
+    monkeypatch, tmp_path, capsys, va_file, s3
+):
+    """Induction is (id (x) f)gamma in closed form and the antipode a Gram
+    fit: the shipped suite, induce along a bicharacter file and a build of
+    a new W make no np.linalg.lstsq call."""
+    called = []
+    real = np.linalg.lstsq
+
+    def lstsq(*args, **kwargs):
+        called.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    path_a, va = va_file
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    for argv in (["suite"], ["induce", str(coaction), path_a]):
+        code, _ = run_json(capsys, argv)
+        assert code == 0, argv
+    w = q.qg_from_group(s3, "cstar").W
+    u = haar_unitary(6, np.random.default_rng(4503))
+    uu = np.kron(u, u)
+    assert q.build_from_unitary(uu @ w @ uu.conj().T, 6).kacR is not None
+    assert called == []
+
+
+def test_the_parser_is_built_once_and_commands_are_looked_up_when_run(
+    monkeypatch, capsys, va_file
+):
+    """Two main calls build one parser, and the command that runs is the
+    module's cmd_verify at the time of the call, so a wrapper of it sees it."""
+    cli._parser.cache_clear()
+    path_a, _ = va_file
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args, report: seen.append(args.path))
+    for _ in range(2):
+        code, _ = run_json(capsys, ["verify", path_a, "bicharacter"])
+        assert code == 0
+    assert seen == [path_a, path_a]
+    assert cli._parser.cache_info().misses == 1
 
 
 def _nan_coefficients(real, at):

@@ -50,6 +50,7 @@ from qgcalc.tensorleg import (
 from conftest import (
     Functional,
     delta_map,
+    dihedral_group,
     embed_on_legs,
     haar_unitary,
     images_coinvariant_dimension,
@@ -279,12 +280,13 @@ def test_algebras_match_the_slice_oracle(s3):
 
 @pytest.mark.parametrize("gauge", ["plain", "haar"])
 def test_the_antipode_matches_the_pair_solve(corpus, gauge):
-    """On the 26 corpus quantum groups, plain and Haar-gauged, the antipode
-    read off W's slice coefficients in closed form agrees with the generic
-    solve through the d^2 slice pairs (pairs_antipode): its images on algC
-    and its antipode residual, each to 1e-14."""
+    """On the 13 corpus groups and D5, in both pictures, plain and
+    Haar-gauged, the antipode read off W's slice coefficients in closed
+    form, by the Gram fit of the X_m* on the X_l, agrees with the
+    least-squares solve through the d^2 slice pairs (pairs_antipode): its
+    images on algC and its antipode residual, each to 1e-14."""
     rng = np.random.default_rng(3701)
-    for g in corpus.values():
+    for g in list(corpus.values()) + [dihedral_group(5)]:
         for pic in ("c0", "cstar"):
             qg = q.qg_from_group(g, pic)
             if gauge == "haar":
@@ -409,23 +411,13 @@ def test_transpose_gates_reject_a_nan_residual(monkeypatch, z4, nan_at, message)
         transpose_qg(qg)
 
 
-def _dihedral_group(n):
-    """D_n from its Cayley table, element f n + k being s^f r^k."""
-
-    def mul(a, b):
-        (fa, ra), (fb, rb) = divmod(a, n), divmod(b, n)
-        return ((fa + fb) % 2) * n + ((-ra if fb else ra) + rb) % n
-
-    return q.build_group([[mul(a, b) for b in range(2 * n)] for a in range(2 * n)], f"D{n}")
-
-
 def _transpose_subjects(corpus):
     """The 26 corpus quantum groups, then Haar-gauged S3, Z8 and D5 in both
     pictures, whose complex W makes Cbar an object of its own."""
     rng = np.random.default_rng(3003)
     pictures = ("c0", "cstar")
     out = {f"{name} {pic}": q.qg_from_group(g, pic) for name, g in corpus.items() for pic in pictures}
-    for g in (corpus["S3"], corpus["Z8"], _dihedral_group(5)):
+    for g in (corpus["S3"], corpus["Z8"], dihedral_group(5)):
         for pic in pictures:
             out[f"gauged {g.name} {pic}"], _ = _gauged(q.qg_from_group(g, pic), rng)
     return out
@@ -740,7 +732,7 @@ def test_delta_off_the_slices_is_the_image_read(corpus, gauge):
     of the images to 1e-14, and comultMembership, a bound, never reads
     below the image read."""
     rng = np.random.default_rng(4201)
-    groups = list(corpus.values()) + ([_dihedral_group(5)] if gauge == "haar" else [])
+    groups = list(corpus.values()) + ([dihedral_group(5)] if gauge == "haar" else [])
     count = 0
     for g in groups:
         for pic in ("c0", "cstar"):
@@ -793,7 +785,7 @@ def test_a_rotated_w_is_rejected_on_one_pentagon_slab(monkeypatch):
     and not above the whole residual, without streaming; a NaN in that slab
     fails closed."""
     rng = np.random.default_rng(4202)
-    qg, _ = _gauged(q.qg_from_group(_dihedral_group(5), "c0"), rng)
+    qg, _ = _gauged(q.qg_from_group(dihedral_group(5), "c0"), rng)
     d = qg.dim
     assert d**6 > qgroup_module.PENTAGON_PROBE_ENTRIES
     bad = rotated(qg.W, 1e-6, rng)
