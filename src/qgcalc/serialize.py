@@ -206,18 +206,17 @@ def _plain_pairs(data):
     finite int, float or bool values, as JSON gives them, else None, and
     matrix_from_obj's entry-by-entry checks decide.  The form is checked by
     exact type in C loops, stricter than _is_entry's isinstance, and the
-    conversion is the one those checks lead to."""
-    if set(map(type, data)) != {list}:
+    entries are converted as one flat list, cheaper than the nested ones."""
+    if set(map(type, data)) != {list} or set(map(len, data)) != {2}:
         return None
-    if not set(map(type, itertools.chain.from_iterable(data))) <= {int, float, bool}:
+    flat = list(itertools.chain.from_iterable(data))
+    if not set(map(type, flat)) <= {int, float, bool}:
         return None
     try:
-        pairs = np.asarray(data, dtype=float)
-    except (ValueError, OverflowError):
-        return None  # pairs of unequal lengths, or an integer too large for a float
-    if pairs.shape != (len(data), 2) or not np.isfinite(pairs).all():
-        return None
-    return pairs
+        pairs = np.array(flat, dtype=float).reshape(-1, 2)
+    except OverflowError:
+        return None  # an integer too large for a float
+    return pairs if np.isfinite(pairs).all() else None
 
 
 def _is_int(v):
@@ -242,11 +241,8 @@ def _finite(v):
 
 def matrix_to_obj(m):
     m = np.asarray(m, dtype=complex)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "data": [[float(v.real), float(v.imag)] for v in m.reshape(-1)],
-    }
+    data = np.stack([m.real.ravel(), m.imag.ravel()], 1).tolist()
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
 def _referenced_path(obj, base):

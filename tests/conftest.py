@@ -2,7 +2,10 @@
 embed_on_legs, pair_basis, slices by a functional (slice_leg), the
 linear map through given pairs by a QR and a least-squares solve
 (span_map_from_pairs) and the antipode it gives on W's slice pairs
-(pairs_antipode), the
+(pairs_antipode), the image checks of an antipode
+(image_antipode_residual), the leg-2 closure on a QR basis
+(qr_leg2_closure), the source-side bicharacter residuals read off the
+dual (dual_side_residuals), the
 comultiplication as the span map of its images (delta_map) with the
 classical and intertwining checks on them, the streamed pentagon,
 coassociativity, bicharacter and corepresentation residuals with the
@@ -33,7 +36,14 @@ from scipy.stats import unitary_group
 
 import qgcalc as q
 from qgcalc.homviews import _read, right_map_from_bicharacter
-from qgcalc.qgroup import slice_coefficients, unitary_slices
+from qgcalc.qgroup import (
+    _leg_slices,
+    closure_residual,
+    comult_equation,
+    dual_slice_coefficients,
+    slice_coefficients,
+    unitary_slices,
+)
 from qgcalc.tensorleg import (
     RANK_CUTOFF,
     LegSpace,
@@ -308,25 +318,60 @@ def pairs_antipode(qg):
     """The unitary antipode of qg by the generic solve, span_map_from_pairs
     through the d^2 pairs ((omega (x) id)W, (omega (x) id)W*) over the
     matrix-unit functionals omega, and its antipode residual: the worst of
-    that solve's residual and of qgroup's membership, involution, star and
-    anti-multiplicativity checks on it.  The oracle for the closed form the
-    build reads off the slice coefficients of W."""
-    d, b = qg.dim, qg.algC
+    that solve's residual and of the image checks on it
+    (image_antipode_residual).  The oracle for the closed form the build
+    reads off the slice coefficients of W."""
+    d = qg.dim
     w4, ws4 = (m.reshape(d, d, d, d) for m in (qg.W, qg.W.conj().T))
     pairs = [(w4[i, :, j, :], ws4[i, :, j, :]) for i in range(d) for j in range(d)]
     kappa, consistency = span_map_from_pairs(pairs)
+    return kappa, max(consistency, image_antipode_residual(kappa))
+
+
+def image_antipode_residual(kappa):
+    """The antipode checks on the images of a SpanMap kappa on its basis b:
+    the worst of the distance of the kappa(b_l) from span(b) and of
+    residuals_between kappa(kappa(b_l)) and b_l, kappa(b_l*) and
+    kappa(b_l)*, and kappa(b_i b_j) and kappa(b_j) kappa(b_i), the n^2
+    products of d x d images.  The oracle for the coefficient form the build
+    reads off the multiplication and adjoint constants
+    (qgroup._antipode_residual)."""
+    b = kappa.basis
+    d = b.shape[1]
     kxs = kappa.apply_stack(b)
     adjoint = lambda xs: xs.conj().transpose(0, 2, 1)
     prods = (b[:, None] @ b[None, :]).reshape(-1, d, d)
     swapped = (kxs[None, :] @ kxs[:, None]).reshape(-1, d, d)
-    worst = max(
-        consistency,
+    return max(
         membership_residuals(b, kxs),
         residuals_between(kappa.apply_stack(kxs), b),
         residuals_between(kappa.apply_stack(adjoint(b)), adjoint(kxs)),
         residuals_between(kappa.apply_stack(prods), swapped),
     )
-    return kappa, worst
+
+
+def qr_leg2_closure(w, d):
+    """closure_residual of a pivoted-QR basis of the leg-2 slices of w: the
+    oracle for the closure the build reads off W's slice coefficients."""
+    return closure_residual(orthonormal_basis(_leg_slices(w, d, 2)))
+
+
+def dual_side_residuals(v, c, a):
+    """comultSource, membership and rInvariance of v from c to a, read off
+    the dual c.dual, built from Sigma W* Sigma: Delta_hat from its structure
+    constants and Gram matrix on V's slices over its algC, V's distance from
+    span(c.dual.algC) (x) span(a.algC), and V mapped leg-wise by the unitary
+    antipodes of c.dual and a.  The oracles for the forms read off the
+    source's slices and V's Hopf coefficients, with no dual."""
+    size, dual = frob(v), c.dual
+    r_hat, r_a = q.unitary_antipode(dual), q.unitary_antipode(a)
+    ys, trunc = dual_slice_coefficients(v, c, a.dim)
+    c_hat, g_hat, ys = dual.structure.conj(), dual.gram.conj(), ys.conj().transpose(0, 2, 1)
+    return {
+        "comultSource": comult_equation(ys, trunc, c_hat, g_hat, c.dim, size),
+        "membership": membership_residuals(PairSpan(c.dual.algC, a.algC), [v]),
+        "rInvariance": frob(map_legs(v[None], (c.dim, a.dim), r_hat, r_a)[0] - v) / size,
+    }
 
 
 def delta_map(qg):

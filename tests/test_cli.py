@@ -288,14 +288,15 @@ def test_commands_compute_each_residual_set_once(count_calls, tmp_path, capsys, 
 def test_verifying_a_bicharacter_builds_each_w_once(
     monkeypatch, count_calls, tmp_path, capsys, va_file, z4
 ):
-    # the source-side equations and rInvariance use the source's dual, a
-    # build of its own from the flip-adjoint W; no W is built twice, and
-    # each build reads Delta once off W's slices, with no image stack
+    # the source-side equations and rInvariance read the source's dual side
+    # off its slices, so no dual is built: only the W the file names are;
+    # no W is built twice, and each build reads Delta once off W's slices,
+    # with no image stack
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(q.qg_from_group(z4, "c0"))))
     digests = _count_builds(monkeypatch)
     calls = count_calls("conjugation_images", "_delta_from_slices")
-    for path, builds in ((str(ident), 2), (va_file[0], 3)):
+    for path, builds in ((str(ident), 1), (va_file[0], 2)):
         argv = ["verify", path, "bicharacter"]
         digests.clear()
         calls.update(dict.fromkeys(calls, 0))
@@ -309,8 +310,8 @@ def test_coaction_commands_take_the_stored_map_as_it_is(
     count_calls, tmp_path, capsys, va_file
 ):
     # a coaction file's map is stored on its basis, so no command re-derives
-    # it: a build forms two bases, algC and the leg-2 one of its closure
-    # gate, and reading the file orthonormalizes its D once
+    # it: a build forms one basis, algC, the leg-2 closure being read off
+    # W's slices, and reading the file orthonormalizes its D once
     path_a, va = va_file
     coaction = tmp_path / "co.json"
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
@@ -320,7 +321,7 @@ def test_coaction_commands_take_the_stored_map_as_it_is(
         code, obj = run_json(capsys, argv)
         assert code == 0
         builds = calls["build_from_unitary"]
-        assert builds > 0 and calls["orthonormal_basis"] == 2 * builds + 1, argv
+        assert builds > 0 and calls["orthonormal_basis"] == builds + 1, argv
         well = [c["residual"] for c in obj["checks"] if c["name"].endswith("wellDefined")]
         assert well and max(well) <= 1e-15, argv
 
@@ -393,9 +394,9 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     ident = tmp_path / "ident.json"
     write_json(str(ident), bicharacter_to_obj(q.identity(va.target)))
     # every picture of an arrow is a contraction with its Hopf coefficients:
-    # no conjugation, antipode or map on a leg but the battery's
-    # rInvariance, which maps both legs with both antipodes; the builds read
-    # Delta off W's slices
+    # no conjugation, antipode or map on a leg; the battery's rInvariance
+    # reads both antipodes' coefficients, the dual's off the source's; the
+    # builds read Delta off W's slices
     names = (
         "conjugation_images",
         "_delta_from_slices",
@@ -420,7 +421,7 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
         assert builds > 0 and calls["_delta_from_slices"] == builds, argv
         assert calls["conjugation_images"] == 0, argv
         assert calls["unitary_antipode"] == 2 * r_invariance, argv
-        assert calls["map_legs"] == r_invariance and calls["apply_map_to_leg"] == 0, argv
+        assert calls["map_legs"] == calls["apply_map_to_leg"] == 0, argv
     regular = check_corepresentation(va.source.W, va.source)
     ident_v = q.identity(va.target)
     calls.update(dict.fromkeys(calls, 0))
@@ -431,6 +432,63 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     q.compose(va, ident_v)
     pushforward_corep(regular, va)
     assert calls == dict.fromkeys(names, 0)
+
+
+def _count_dual_builds(monkeypatch):
+    """Counts the duals FiniteQuantumGroup.dual builds: its calls that find
+    neither a held dual nor a live builder."""
+    built = []
+    real = FiniteQuantumGroup.dual
+
+    def dual(qg):
+        if qg._dual is None and (qg._builder is None or qg._builder() is None):
+            built.append(qg.dim)
+        return real.fget(qg)
+
+    monkeypatch.setattr(FiniteQuantumGroup, "dual", property(dual))
+    return built
+
+
+def test_no_command_but_dual_builds_a_dual(
+    monkeypatch, count_calls, tmp_path, capsys, va_file, z2, z4
+):
+    """The bicharacter checks read the source's dual side off its slices:
+    verify on bicharacter, Hopf, right and left hom files, compose, induce
+    and the API pushforward and functor calls build no dual, dual builds
+    exactly two, and each build forms one basis, algC."""
+    path_a, va = va_file
+    files = _one_sided_files(tmp_path, va)
+    f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
+    hopf = tmp_path / "hopf.json"
+    write_json(str(hopf), hom_to_obj("hopf", f.source, f.target, f.map))
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    ident = tmp_path / "ident.json"
+    write_json(str(ident), bicharacter_to_obj(q.identity(va.target)))
+    built = _count_dual_builds(monkeypatch)
+    calls = count_calls("orthonormal_basis", "build_from_unitary")
+    for argv, duals in (
+        (["verify", path_a, "bicharacter"], 0),
+        (["verify", str(hopf), "hom"], 0),
+        (["verify", files["right"], "hom"], 0),
+        (["verify", files["left"], "hom"], 0),
+        (["compose", path_a, str(ident)], 0),
+        (["induce", str(coaction), files["right"]], 0),
+        (["dual", path_a], 2),
+    ):
+        built.clear()
+        calls.update(dict.fromkeys(calls, 0))
+        code, _ = run_json(capsys, argv)
+        assert code == 0 and len(built) == duals, argv
+        # a coaction file's D is orthonormalized once when it is read
+        assert calls["orthonormal_basis"] == calls["build_from_unitary"] + (argv[0] == "induce")
+    fresh = [q.build_from_unitary(x.W, x.dim) for x in (va.source, va.target)]
+    va_fresh = q.check_bicharacter(va.V, *fresh)
+    built.clear()
+    right = right_from_bicharacter(va_fresh)
+    coactions.compose_functors_check(right, right_from_bicharacter(q.identity(va_fresh.target)))
+    pushforward_corep(check_corepresentation(va_fresh.source.W, va_fresh.source), va_fresh)
+    assert built == []
 
 
 def test_suite_and_hom_commands_search_no_einsum_path(
@@ -686,15 +744,15 @@ def test_compose_builds_each_distinct_w_once_per_invocation(
     calls = count_calls("conjugation_images", "_delta_from_slices")
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    # c0(Z4) and c0(Z2), each named by both files, and the dual of each as
-    # a source, a flip-adjoint W of its own; one read of Delta off W's
+    # c0(Z4) and c0(Z2), each named by both files, and no dual: each
+    # source's dual side is read off its slices; one read of Delta off W's
     # slices per build, no image stack, and nothing of either for the
     # second arrow, pushed along by its coefficients
-    assert len(digests) == len(set(digests)) == calls["_delta_from_slices"] == 4
+    assert len(digests) == len(set(digests)) == calls["_delta_from_slices"] == 2
     # built objects do not outlive an invocation: a second one builds again
     code, _ = run_json(capsys, ["compose", path_a, str(path_b)])
     assert code == 0
-    assert len(digests) == calls["_delta_from_slices"] == 8 and len(set(digests)) == 4
+    assert len(digests) == calls["_delta_from_slices"] == 4 and len(set(digests)) == 2
     assert calls["conjugation_images"] == 0
 
 

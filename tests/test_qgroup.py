@@ -37,6 +37,7 @@ from qgcalc import tensorleg as tensorleg_module
 from qgcalc.tensorleg import (
     LegSpace,
     PairSpan,
+    SpanMap,
     conjugation_images,
     flip_unitary,
     gram,
@@ -45,6 +46,7 @@ from qgcalc.tensorleg import (
     orthonormal_basis,
     permute_legs,
     residual_between,
+    residuals_between,
     unitarity_defect,
 )
 from conftest import (
@@ -53,8 +55,10 @@ from conftest import (
     dihedral_group,
     embed_on_legs,
     haar_unitary,
+    image_antipode_residual,
     images_coinvariant_dimension,
     pairs_antipode,
+    qr_leg2_closure,
     rotated,
     slice_leg,
     span_map_from_pairs,
@@ -297,6 +301,66 @@ def test_the_antipode_matches_the_pair_solve(corpus, gauge):
             assert qg.residuals["antipode"] == pytest.approx(worst, rel=0, abs=1e-14)
 
 
+@pytest.mark.parametrize("gauge", ["plain", "haar"])
+def test_the_build_reads_its_leg2_closure_and_antipode_off_coefficients(
+    corpus, count_calls, gauge
+):
+    """On the 13 corpus groups and D5, in both pictures, plain and
+    Haar-gauged, a build forms one basis, algC; the leg-2 closure read off
+    W's slice coefficients agrees with the closure of a QR basis of the
+    leg-2 slices (qr_leg2_closure), and the antipode checks read off
+    kappa's n x n coefficients with the image checks
+    (image_antipode_residual), each to 1e-14.  The dual's unitary antipode
+    on the X_k of W = sum_k X_k (x) b_k is kappa's coefficient matrix
+    transposed, X_l -> sum_p K[p, l] X_p, to 1e-14."""
+    rng = np.random.default_rng(3702)
+    calls = count_calls("orthonormal_basis")
+    for g in list(corpus.values()) + [dihedral_group(5)]:
+        for pic in ("c0", "cstar"):
+            qg = q.qg_from_group(g, pic)
+            w = qg.W if gauge == "plain" else _gauged(qg, rng)[0].W
+            calls["orthonormal_basis"] = 0
+            qg = build_from_unitary(w, qg.dim)
+            assert calls["orthonormal_basis"] == 1
+            xs = qg.slices[0]
+            closure = qgroup_module._slice_closure(qg.slices)[0]
+            assert closure == pytest.approx(qr_leg2_closure(qg.W, qg.dim), rel=0, abs=1e-14)
+            _, mult, adjoints = qgroup_module._closure_constants(qg.algC)
+            a = qgroup_module.fit_on_slices(xs, xs.conj().transpose(0, 2, 1))
+            got = qgroup_module._antipode_residual(a, mult, adjoints)
+            assert got == pytest.approx(image_antipode_residual(qg.kacR), rel=0, abs=1e-14)
+            n = len(qg.algC)
+            k = qg.kacR.images.reshape(n, -1) @ qg.algC.reshape(n, -1).conj().T
+            want = np.tensordot(k, xs, axes=(0, 0))
+            assert residuals_between(q.unitary_antipode(qg.dual).apply_stack(xs), want) <= 1e-14
+
+
+def test_the_coefficient_checks_never_read_below_their_oracles(corpus):
+    """Off the spans, on gauged S3, Z4 and Q8 in both pictures: a slice
+    stack moved by 1e-6 reads a leg-2 closure at or above the closure of a
+    QR basis of its span, and the antipode checks of an A moved by 1e-6, on
+    an algC basis rotated by 1e-6 out of its *-algebra, read at or above
+    the image checks of that kappa."""
+    rng = np.random.default_rng(3703)
+    noise = lambda x: 1e-6 * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape))
+    for name in ("S3", "Z4", "Q8"):
+        for pic in ("c0", "cstar"):
+            qg = _gauged(q.qg_from_group(corpus[name], pic), rng)[0]
+            (xs, trunc), n, d = qg.slices, len(qg.algC), qg.dim
+            moved = xs + noise(xs)
+            got = qgroup_module._slice_closure((moved, trunc))[0]
+            want = closure_residual(orthonormal_basis(moved))
+            assert want > 1e-8 and want - 1e-15 <= got
+            b = orthonormal_basis(qg.algC + noise(qg.algC))
+            _, mult, adjoints = qgroup_module._closure_constants(b)
+            a = qgroup_module.fit_on_slices(xs, xs.conj().transpose(0, 2, 1))
+            a = a + noise(a)
+            images = (a @ b.conj().transpose(0, 2, 1).reshape(n, -1)).reshape(n, d, d)
+            want = image_antipode_residual(SpanMap(b, images, d, d))
+            got = qgroup_module._antipode_residual(a, mult, adjoints)
+            assert want > 1e-8 and want - 1e-15 <= got <= 3 * want
+
+
 def test_antipode_inverts_points(z4, s3):
     # function picture: kappa(E_bb) = E at the inverse point
     for g in (z4, s3):
@@ -402,8 +466,8 @@ def _nan_at(real, index):
 )
 def test_transpose_gates_reject_a_nan_residual(monkeypatch, z4, nan_at, message):
     """The two equations are the first and second comult_equation (the
-    dual-side one through dual_comult_equation): a NaN from either fails
-    its gate."""
+    dual-side one on the adjoints of Wt's slices over Cbar's dual): a NaN
+    from either fails its gate."""
     qg = q.qg_from_group(z4, "c0")
     real = qgroup_module.comult_equation
     monkeypatch.setattr(qgroup_module, "comult_equation", _nan_at(real, nan_at))

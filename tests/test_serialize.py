@@ -109,6 +109,7 @@ def test_matrix_rejects_an_integer_too_large_for_a_float():
 # entries numpy reads as numbers or as objects, and what the checks make of them
 _EDGE_ENTRIES = {
     "str": [[0.0, 1.0], ["x", 0]],
+    "numeric str": [["1.5", 0]],
     "none": [[None, 1.0]],
     "ragged": [[1.0, 2.0], [1.0]],
     "triple": [[1, 2, 3]],

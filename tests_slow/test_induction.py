@@ -1,9 +1,12 @@
 """The conjugation coaction of C*(Z8)'s regular corepresentation induced
-along Z8 -> Z4 (mod 4): the coefficient solve of induce_coaction against the
-image system of tests/conftest.py, whose 65536 x 256 system takes seconds
-and about 700 MB, so it runs here, in a child process as in
+along Z8 -> Z4 (mod 4): induce_coaction, Psi = P F in closed form, against
+the image system of tests/conftest.py, whose 65536 x 256 system takes
+seconds and about 700 MB, so it runs here, in a child process as in
 test_order16.py, rather than with the other 23 inductions of
-tests/test_coactions.py.  Run it with
+tests/test_coactions.py.  The 1.0 s bound times the whole induce_coaction
+call, and the closed form takes about 8 ms of it: the rest is the
+check_coaction of the induced coaction, mostly its star_hom_residuals over
+the n^2 products of images, so the bound watches that check.  Run it with
 
     PYTHONPATH=src python -m pytest -q tests_slow
 """
