@@ -2,13 +2,19 @@
 with another, the working notion of quantum group homomorphism.
 
 Every bicharacter is kept with its source and target and the residuals of
-its defining equations, in a comultiplication form and a pentagon-type
-operator form whose agreement is a check.  The comultiplication forms
-read Delta off the C and g the build keeps, and the source's dual side
-off the source's own slices; operatorSource conjugates by V on
-coefficients (qgroup.conjugation_coefficients), arithmetic of its own,
-and operatorTarget by the target's W, whose conjugation is the C and g
-the target holds.
+the two defining equations.  Both the comultiplication form and the
+pentagon-type operator form of the axioms are computed, and their
+agreement is a check: the
+comultiplication forms read Delta off the structure constants C and Gram
+matrix g the build keeps, comultSource the source's dual Delta_hat off
+the source's slices (qgroup.dual_comultiplication), and the operator
+forms read the conjugation by
+the other unitary of each equation on coefficients (operator_equation).
+operatorSource conjugates by V, the F contraction of V's slices with the
+product constants N of the target (qgroup.conjugation_coefficients), and
+is arithmetic of its own.  operatorTarget conjugates by W of the target,
+which is the target's Delta, so it reads the C and g the target holds:
+its agreement with comultTarget checks the two forms' bounds, not Delta.
 
 A bicharacter is (id (x) f)(W_C) for a Hopf *-homomorphism f, kept as
 its coefficients F once read (hopf_coefficients); its other pictures are
@@ -32,17 +38,17 @@ from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
     PENTAGON_TOL,
-    _expand,
+    antipode_coefficients,
     comult_equation,
     comultiplication_gram,
     conjugation_coefficients,
+    dual_comult_equation,
+    dual_comultiplication,
     fit_on_slices,
-    multiplication_constants,
     product_constants,
     slice_coefficients,
     slice_equation,
     structure_constants,
-    unitary_antipode,
     unitary_slices,
 )
 from .tensorleg import (
@@ -101,15 +107,24 @@ class Bicharacter:
 def bicharacter_residuals(v, c, a):
     """All five residuals of the bicharacter axioms for v against (c, a).
 
-    'comultSource' and 'comultTarget' are (Delta_hat (x) id)V = V23 V13 and
-    (id (x) Delta)V = V12 V13; 'operatorSource' and 'operatorTarget' are V23
-    W12 V23* = W12 V13 and W23 V12 W23* = V12 V13; 'membership' locates v in
-    span(dual algC of c) (x) span(algC of a).  They are read off V's slices
-    over a.algC, d^6 flops where the operators cost d^8, and c's dual side
-    off its own slices X_k, which span the dual's algC, with no dual built:
-    membership is the miss of V's Hopf coefficients over |V|, comultSource
-    is source_equation.  Each adds bounds for what it drops, so it never
-    reads below the operator residual beyond rounding.
+    Keys 'comultSource' and 'comultTarget' are the two comultiplication
+    equations, (Delta_hat (x) id)V = V23 V13 and (id (x) Delta)V = V12 V13;
+    'operatorSource' and 'operatorTarget' are the pentagon-type operator
+    equations V23 W12 V23* = W12 V13 and W23 V12 W23* = V12 V13; 'membership'
+    locates v inside span(dual algC of c) (x) span(algC of a).  The dual
+    side of c is read off c's own slices, W_C = sum_k X_k (x) b_k + T_W,
+    whose span is the dual's algC, with no dual built.
+
+    The four equations are read off the slices of V on both legs, V =
+    sum_j Z_j (x) a_j + T over a.algC and V = sum_k X_k (x) f(b_k) + T' for
+    V's Hopf coefficients F (hopf_coefficients), whose miss |T'| over |V| is
+    'membership': d^6 flops where the operators cost d^8.  comultSource is
+    dual_comult_equation on V = sum_j e_j (x) Y_j + T', Y_j = sum_q (R F)[j,
+    q] a_q, with Delta_hat on the orthonormal e_j and X_k = sum_j e_j R[j, k]
+    read off W_C (dual_comultiplication).  Each form adds a bound for the
+    truncations it drops, so it never reads below the operator residual by
+    more than rounding; off that span, where V is no bicharacter, it reads
+    that certified upper bound.
     """
     v = as_matrix(v)
     dc, da = c.dim, a.dim
@@ -118,10 +133,12 @@ def bicharacter_residuals(v, c, a):
     z, trunc = slice_coefficients(v, dc, a.algC)
     size = frob(v)
     f, miss = _hopf_fit(c, z, trunc)
+    c_hat, g_hat, r = dual_comultiplication(c)
+    ys = np.tensordot(r @ f, a.algC, axes=1)
     delta = (structure_constants(a), comultiplication_gram(a))
     conj_v = (*conjugation_coefficients(z, c.algC, product_constants(a)[0]), trunc)
     return {
-        "comultSource": source_equation(f, miss, c, a, size),
+        "comultSource": dual_comult_equation((ys, miss), (c_hat, g_hat), dc, size),
         "comultTarget": comult_equation(z, trunc, *delta, da, size),
         "operatorSource": operator_equation(
             unitary_slices(c), conj_v, (z, trunc), dc, a, frob(c.W)
@@ -133,52 +150,32 @@ def bicharacter_residuals(v, c, a):
     }
 
 
-def source_equation(f, miss, c, a, size):
-    """(Delta_hat (x) id)V = V23 V13 for V = V0 + T, V0 = sum_k X_k (x)
-    f(b_k), read off f = F and miss = |T| (hopf_coefficients), size = |V|.
-
-    W's source equation, the pentagon, is (Delta_hat (x) id)W0 = sum_kl X_l
-    (x) X_k (x) b_k b_l + E_W, W0 = W - T_W; f on leg 3 makes (Delta_hat (x)
-    id)V0 - V0_23 V0_13 = f(E_W) + sum_kl X_l (x) X_k (x) Y_kl, Y_kl having
-    the coefficients E = M_C F - (F (x) F) M_A (multiplication_constants),
-    weighted by the Gram matrix G of the X_k, and an orthogonal part off
-    span(a.algC) of norm at most |D_A| |F* G F|.  |f(E_W)| <= |F|_2 (the
-    build's pentagon bound + sqrt(d) |T_W| (2 + |T_W|)), as f kills
-    (Delta_hat (x) id)T_W, and T moves the sides by sqrt(d) |T| (3 + |T|):
-    never below the operator residual beyond rounding; a NaN reads NaN.
-    """
-    xs, t_w = unitary_slices(c)
-    n, root_d = len(f), math.sqrt(c.dim)
-    g = gram(xs)
-    m_a, defect = multiplication_constants(a)
-    e = multiplication_constants(c)[0] @ f - f @ np.tensordot(f, m_a, axes=(1, 0))
-    on = np.vdot(e, g @ (g @ e.reshape(n, -1)).reshape(e.shape)).real
-    if not math.isfinite(on):
-        return math.nan  # a NaN in f, g or M, where eigvalsh need not converge
-    near = math.sqrt(max(on, 0.0) + (defect * frob(f.conj().T @ g @ f)) ** 2)
-    sigma = math.sqrt(max(np.linalg.eigvalsh(f.conj().T @ f)[-1], 0.0))
-    pent = c.residuals["pentagon"] * max(1.0, root_d * frob(c.W))
-    e_w = sigma * (pent + root_d * t_w * (2.0 + t_w))
-    return float((near + e_w + root_d * miss * (3.0 + miss)) / max(1.0, root_d * size))
-
-
 def operator_equation(p, u, v, d, a, size):
     """The residual of U23 P12 U23* = P12 V13 from slices, for P = sum_k P_k
-    (x) b_k + T_P over an orthonormal basis of B(C^d), U = sum_m U_m (x) a_m
-    + T_U and V = sum_j Z_j (x) a_j + T_V over a.algC: p and v are (stack,
-    truncation) pairs, u is (C, g, |T_U|) for the conjugation by U on the
-    b_k (conjugation_coefficients), size is |P|.  operatorSource is P = W_C,
-    U = V; operatorTarget is P = V, U = W_A, whose conjugation is the
-    target's Delta, held as its C and g.
+    (x) b_k + T_P over an orthonormal basis of B(C^d), and U = sum_m U_m
+    (x) a_m + T_U and V = sum_j Z_j (x) a_j + T_V over a.algC; p and v are
+    the (stack, truncation) pairs of slice_coefficients, u is (C, g, |T_U|)
+    for the conjugation by U on the b_k (conjugation_coefficients), and
+    size is |P|.  operatorSource is P = W_C and U = V, operatorTarget P = V
+    and U = W_A, whose conjugation is the target's Delta, held as its C and g.
 
-    U23 P12 U23* = sum_k P_k (x) G_k, G_k = sum_j F_j(b_k) (x) a_j up to the
-    D_ml of product_constants, and slice_equation compares it with P12 V13 =
-    sum_ij P_i Z_j (x) b_i (x) a_j: one (n d) x (n d) x (n d) product where
-    the operators cost d^8.  With legs (h, d, e) and t the largest
-    truncation, the truncations move the sides by at most (1 + t)^2 (2
-    sqrt(h) |T_U| + 2 sqrt(e) |T_P| + sqrt(d) |T_V|), and the D_ml the left
-    one by at most |D| |S| |P|, S = sum_m U_m* U_m, |S| <= e (1 + t)^2,
-    orthogonal to both, in squares: never below the operator residual.
+    With the product constants a_m a_l* = sum_j N[j, m, l] a_j + D_ml
+    (product_constants), U(x (x) 1)U* = sum_ml U_m x U_l* (x) a_m a_l* is
+    sum_j F_j(x) (x) a_j up to the D_ml, F_j(x) = sum_m U_m x Q_jm with
+    Q_jm = sum_l N[j, m, l] U_l*.  So U23 P12 U23* = sum_k P_k (x) G_k with
+    G_k = sum_j F_j(b_k) (x) a_j, whose coefficients C on b_i (x) a_j and
+    off-span Gram matrix g are read off the F_j(b_k), and slice_equation
+    compares it with P12 V13 = sum_ij P_i Z_j (x) b_i (x) a_j: one (n d) x
+    (n d) x (n d) product where the operators cost d^8.
+
+    What this drops is added as a bound, so the result never reads below
+    the operator residual by more than rounding.  With legs of dimensions
+    (h, d, e), unitaries of norm 1 and t the largest truncation, the
+    truncations move the two sides by at most (1 + t)^2 (2 sqrt(h) |T_U| +
+    2 sqrt(e) |T_P| + sqrt(d) |T_V|), and the D_ml move the left one by at
+    most |D| |S| |P|, |D| the norm of the defect map of product_constants
+    and S = sum_m U_m* U_m the partial trace of U*U, so |S| <= e (1 + t)^2;
+    that part is orthogonal to both sides, so it adds in squares.
     """
     (ps, p_trunc), (c, g, u_trunc), (zs, v_trunc) = p, u, v
     h, e = ps.shape[1], a.dim
@@ -212,9 +209,10 @@ def identity(c):
 
 def hopf_coefficients(v):
     """F[k, j] = <a_j, f(b_k)> for the Hopf map f with V = (id (x) f)(W_C),
-    and |V - (id (x) f)(W_C)|, kept as v.hopf: with W_C = sum_k X_k (x) b_k +
-    T_W and V = sum_j Z_j (x) a_j + T, Z_j = sum_k F[k, j] X_k by
-    fit_on_slices, the miss is the Z_j off span{X_k} and T, in squares."""
+    and |V - (id (x) f)(W_C)|, kept as v.hopf.  With W_C = sum_k X_k (x) b_k
+    + T_W and V = sum_j Z_j (x) a_j + T, Z_j = sum_k F[k, j] X_k, read by
+    fit_on_slices; f is zero off span(algC), so the miss is the Z_j off
+    span{X_k} and T, in squares: V's leg-1 miss and truncation."""
     if v.hopf is None:
         v.hopf = _hopf_fit(v.source, *slice_coefficients(v.V, v.source.dim, v.target.algC))
     return v.hopf
@@ -236,13 +234,17 @@ def hom_coefficients(v, leg):
 
 def push_slices(slices, a, f, coefficients, leg):
     """Y = sum_k X_k (x) f(b_k), f(b_k) = sum_j f[k, j] a_j, for X = sum_k
-    X_k (x) b_k + T on H (x) H_C, and the residual of (id (x) phi)(X) = X12
-    Y13 (leg 1) or Y12 X13 (leg 2) over |(id (x) phi)(X)|, phi with
-    coefficients (p, g) on algC and zero off it.  The miss is sum_k p[k, s,
-    t] X_k - X_s Y_t (leg 2: Y_t X_s) with the off-span part, in squares
-    (slice_equation), and T12 Y13 (Y12 T13), of norm at most |T| |sum_j Y_j
-    Y_j*|^(1/2) (Y_j* Y_j), by the triangle inequality: never below the
-    operator residual beyond rounding."""
+    X_k (x) b_k + T on H (x) H_C (slices over algC), and the residual of
+    (id (x) phi)(X) = X12 Y13 (leg 1) or Y12 X13 (leg 2) relative to
+    |(id (x) phi)(X)|, phi with coefficients (p, g) on algC and zero off it.
+
+    The miss is sum_k p[k, s, t] X_k - X_s Y_t (leg 2: Y_t X_s, s on C's
+    leg) and the off-span part, in squares (slice_equation, for leg 2 on
+    adjoints), and T12 Y13 (Y12 T13), orthogonal to the first as T is off
+    span(algC), of norm at most |T| |sum_j Y_j Y_j*|^(1/2) (Y_j* Y_j), and
+    met by the second by the triangle inequality: never below the operator
+    residual beyond rounding.
+    """
     (xs, trunc), (p, g) = slices, coefficients
     ys = np.tensordot(f, xs, axes=(0, 0))
     adjoint = lambda m: m.conj().transpose(0, 2, 1)
@@ -300,15 +302,22 @@ def extract_bicharacter(factor, resid, c, a, what):
 
 
 def dual_bicharacter(v):
-    """Flip-adjoint duality: an arrow from the dual target to the dual source,
-    an index shuffle, so applying it twice returns the matrix exactly."""
+    """Flip-adjoint duality: an arrow from the dual target to the dual source.
+
+    The matrix operation is a pure index shuffle, so applying it twice
+    returns the original matrix exactly.
+    """
     vhat = flip_adjoint(v.V, v.space)
     return check_bicharacter(vhat, v.target.dual, v.source.dual)
 
 
 def from_hopf_hom(f):
-    """Bicharacter attached to a Hopf *-homomorphism: (id (x) f)(W) on W's
-    second leg, through its coefficient expansion in the algebra-pair basis."""
+    """Bicharacter attached to a Hopf *-homomorphism: push the second leg of W.
+
+    The map is applied through the coefficient expansion of W in the
+    algebra-pair basis, matching how a slice-leg morphism acts on the
+    multiplier level.
+    """
     gate_all(f.residuals, f.gates, HopfHomViolation)
     c = f.source
     out = map_legs(c.W[None], (c.dim, c.dim), None, f.map)
@@ -320,22 +329,23 @@ def check_R_invariance(v):
     of the target, read off V's Hopf coefficients F and miss |T|.
 
     With W_C = sum_k X_k (x) b_k and the source's kappa(b_l) = sum_m A[l, m]
-    b_m* = sum_p K_C[l, p] b_p (qgroup._try_antipode), R_hat, the antipode
-    of Sigma W* Sigma, takes (id (x) omega)(W*) = sum_l omega(kappa(b_l)) X_l
-    to (id (x) omega)W for every omega, so as K_C K_C = 1, R_hat(X_l) =
-    sum_p K_C[p, l] X_p, with no dual built.  (R_hat (x) R_A)(V - T) is K_C
-    F K_A on the X_p (x) a_q plus sum_j Y_j (x) O_j, Y_j = sum_p (K_C F)[p,
-    j] X_p and O_j the part of R_A(a_j) off span(a.algC), and both maps kill
-    T: so the distance is at most |K_C F K_A - F| (Gram-weighted) and |T| in
-    squares plus |Y| |O|, over |V|.  Either antipode missing: NotKacType.
+    b_m* = sum_p K_C[l, p] b_p (qgroup.antipode_coefficients), R_hat, the
+    antipode of Sigma W* Sigma, takes (id (x) omega)(W*) = sum_l
+    omega(kappa(b_l)) X_l to (id (x) omega)W for every omega, so as K_C K_C
+    = 1, R_hat(X_l) = sum_p K_C[p, l] X_p, with no dual built.  This drops
+    the parts sum_m A[l, m] O_m of the kappa(b_l) off span(algC), O_m that
+    of b_m*, which the source's closure gate holds at rounding.  (R_hat (x)
+    R_A)(V - T) is K_C F K_A on the X_p (x) a_q plus sum_j Y_j (x) O_j, Y_j =
+    sum_p (K_C F)[p, j] X_p and O_j the part of R_A(a_j) off span(a.algC),
+    and both maps kill T: so the distance is at most |K_C F K_A - F|
+    (Gram-weighted) and |T| in squares plus |Y| |O|, over |V|.  Either
+    antipode missing: NotKacType.
     """
-    kappas = (unitary_antipode(x) for x in (v.source, v.target))
-    # the transposed K of each on its basis, and the parts of its images off it
-    (kt_c, _), (kt_a, off) = (_expand(k.images.reshape(len(k.images), -1), k.basis) for k in kappas)
+    (k_c, _), (k_a, off) = (antipode_coefficients(x) for x in (v.source, v.target))
     f, miss = hopf_coefficients(v)
     g = gram(unitary_slices(v.source)[0])
-    kf = kt_c.T @ f
-    e = kf @ kt_a.T - f
+    kf = k_c @ f
+    e = kf @ k_a - f
     near = np.sqrt(np.maximum(np.vdot(e, g @ e).real, 0.0) + miss**2)
-    far = np.sqrt(np.maximum(np.vdot(kf, g @ kf).real, 0.0)) * frob(off)
+    far = np.sqrt(np.maximum(np.vdot(kf, g @ kf).real, 0.0)) * off
     return float((near + far) / frob(v.V))

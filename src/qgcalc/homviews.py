@@ -142,7 +142,7 @@ def _comodule(p, range_, qg, leg):
     that of the products phi(x)(1 (x) c) (the Podles condition)."""
     # the products' coefficients, rows (k, m) and columns (i, l), i on D
     on_c_last = p if leg == 1 else p.transpose(0, 2, 1)
-    m = multiplication_constants(qg)[0]
+    m = multiplication_constants(qg)
     products = np.tensordot(on_c_last, m, axes=(2, 0)).transpose(0, 2, 1, 3)
     n = len(p) * len(qg.algC)
     return {

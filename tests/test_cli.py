@@ -400,7 +400,7 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     names = (
         "conjugation_images",
         "_delta_from_slices",
-        "unitary_antipode",
+        "antipode_coefficients",
         "map_legs",
         "apply_map_to_leg",
         "build_from_unitary",
@@ -420,7 +420,7 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
         builds, r_invariance = calls["build_from_unitary"], calls["check_R_invariance"]
         assert builds > 0 and calls["_delta_from_slices"] == builds, argv
         assert calls["conjugation_images"] == 0, argv
-        assert calls["unitary_antipode"] == 2 * r_invariance, argv
+        assert calls["antipode_coefficients"] == 2 * r_invariance, argv
         assert calls["map_legs"] == calls["apply_map_to_leg"] == 0, argv
     regular = check_corepresentation(va.source.W, va.source)
     ident_v = q.identity(va.target)

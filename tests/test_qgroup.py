@@ -20,6 +20,7 @@ from qgcalc.qgroup import (
     PENTAGON_TOL,
     FiniteQuantumGroup,
     ManageabilityWitness,
+    antipode_coefficients,
     build_from_unitary,
     coassociativity_residual,
     closure_residual,
@@ -312,7 +313,8 @@ def test_the_build_reads_its_leg2_closure_and_antipode_off_coefficients(
     kappa's n x n coefficients with the image checks
     (image_antipode_residual), each to 1e-14.  The dual's unitary antipode
     on the X_k of W = sum_k X_k (x) b_k is kappa's coefficient matrix
-    transposed, X_l -> sum_p K[p, l] X_p, to 1e-14."""
+    transposed, X_l -> sum_p K[p, l] X_p, to 1e-14, with K as the build
+    holds it (antipode_coefficients)."""
     rng = np.random.default_rng(3702)
     calls = count_calls("orthonormal_basis")
     for g in list(corpus.values()) + [dihedral_group(5)]:
@@ -331,6 +333,7 @@ def test_the_build_reads_its_leg2_closure_and_antipode_off_coefficients(
             assert got == pytest.approx(image_antipode_residual(qg.kacR), rel=0, abs=1e-14)
             n = len(qg.algC)
             k = qg.kacR.images.reshape(n, -1) @ qg.algC.reshape(n, -1).conj().T
+            np.testing.assert_allclose(antipode_coefficients(qg)[0], k, rtol=0, atol=1e-14)
             want = np.tensordot(k, xs, axes=(0, 0))
             assert residuals_between(q.unitary_antipode(qg.dual).apply_stack(xs), want) <= 1e-14
 
@@ -406,7 +409,7 @@ def test_unitary_antipode_rejects_non_antimultiplicative_slices():
         dim = 2
         W = flip_unitary(2, 2)
         algC = np.array(units)
-        kacR = slices = None
+        kacR = slices = multiplication = None
 
     with pytest.raises(NotKacType):
         unitary_antipode(Probe())
