@@ -19,7 +19,7 @@ MAX_RSS_MB = 500
 
 # `verify … bicharacter` on the identity arrow reads two 77 MB files, W's
 # and the arrow's, which names W's by path and holds V = W, and peaks at about
-# 537 MB while both are parsed (2 CPUs, one BLAS thread: about 5.5 s).  It
+# 539 MB while both are parsed (2 CPUs, one BLAS thread: about 5.5 s).  It
 # builds no dual: building the dual took it to 7.6 s and 555 MB.
 BICHARACTER_MAX_RSS_MB = 600
 
