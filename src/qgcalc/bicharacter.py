@@ -104,6 +104,10 @@ class Bicharacter:
         return f"Bicharacter({self.source.dim} -> {self.target.dim})"
 
 
+class _Residuals(dict):
+    """bicharacter_residuals' dict, with the Hopf coefficients it read as ``hopf``."""
+
+
 def bicharacter_residuals(v, c, a):
     """All five residuals of the bicharacter axioms for v against (c, a).
 
@@ -124,7 +128,8 @@ def bicharacter_residuals(v, c, a):
     read off W_C (dual_comultiplication).  Each form adds a bound for the
     truncations it drops, so it never reads below the operator residual by
     more than rounding; off that span, where V is no bicharacter, it reads
-    that certified upper bound.
+    that certified upper bound.  The dict returned also carries (F, |T'|)
+    as its ``hopf``, for the caller to keep as the Bicharacter's.
     """
     v = as_matrix(v)
     dc, da = c.dim, a.dim
@@ -137,7 +142,7 @@ def bicharacter_residuals(v, c, a):
     ys = np.tensordot(r @ f, a.algC, axes=1)
     delta = (structure_constants(a), comultiplication_gram(a))
     conj_v = (*conjugation_coefficients(z, c.algC, product_constants(a)[0]), trunc)
-    return {
+    out = _Residuals({
         "comultSource": dual_comult_equation((ys, miss), (c_hat, g_hat), dc, size),
         "comultTarget": comult_equation(z, trunc, *delta, da, size),
         "operatorSource": operator_equation(
@@ -147,7 +152,9 @@ def bicharacter_residuals(v, c, a):
             (z, trunc), (*delta, unitary_slices(a)[1]), (z, trunc), da, a, size
         ),
         "membership": miss / max(1.0, size),
-    }
+    })
+    out.hopf = (f, miss)
+    return out
 
 
 def operator_equation(p, u, v, d, a, size):
@@ -197,9 +204,11 @@ def check_bicharacter(v, c, a):
     if not udef <= PENTAGON_TOL:
         msg = f"V is not unitary, defect {udef:.2e}"
         raise NotUnitary(msg, residual=udef, tolerance=PENTAGON_TOL)
-    res = dict(bicharacter_residuals(v, c, a), unitarity=udef)
-    gate_all(res, Bicharacter.gates, BicharacterViolation)
-    return Bicharacter(c, a, v, res)
+    res = bicharacter_residuals(v, c, a)
+    out = Bicharacter(c, a, v, dict(res, unitarity=udef))
+    gate_all(out.residuals, Bicharacter.gates, BicharacterViolation)
+    out.hopf = res.hopf
+    return out
 
 
 def identity(c):
@@ -212,7 +221,8 @@ def hopf_coefficients(v):
     and |V - (id (x) f)(W_C)|, kept as v.hopf.  With W_C = sum_k X_k (x) b_k
     + T_W and V = sum_j Z_j (x) a_j + T, Z_j = sum_k F[k, j] X_k, read by
     fit_on_slices; f is zero off span(algC), so the miss is the Z_j off
-    span{X_k} and T, in squares: V's leg-1 miss and truncation."""
+    span{X_k} and T, in squares: V's leg-1 miss and truncation.  A checked
+    V holds the fit its residuals read (bicharacter_residuals)."""
     if v.hopf is None:
         v.hopf = _hopf_fit(v.source, *slice_coefficients(v.V, v.source.dim, v.target.algC))
     return v.hopf

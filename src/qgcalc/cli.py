@@ -237,8 +237,10 @@ def _subject(report, kind, obj, base):
         _qg_battery(report, "", lambda: qg_from_obj(obj, base))
     elif kind == "bicharacter":
         source, target, v = bicharacter_parts_from_obj(obj, base)
-        res = dict(bicharacter_residuals(v, source, target), unitarity=unitarity_defect(v))
-        _bicharacter_battery(report, "", Bicharacter(source, target, v, res))
+        res = bicharacter_residuals(v, source, target)
+        bic = Bicharacter(source, target, v, dict(res, unitarity=unitarity_defect(v)))
+        bic.hopf = res.hopf
+        _bicharacter_battery(report, "", bic)
     elif kind == "hom":
         hkind, source, target, images = hom_parts_from_obj(obj, base)
         _hom_battery(report, hkind, source, target, images)

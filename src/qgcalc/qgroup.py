@@ -34,19 +34,15 @@ from .errors import (
 from .tensorleg import (
     RANK_CUTOFF,
     LegSpace,
-    PairSpan,
     SpanMap,
     as_matrix,
-    conjugation_images,
     diagram_residual,
     flip_adjoint,
     frob,
     gram,
-    legs_slab,
     membership_residuals,
     orthonormal_basis,
     permute_legs,
-    streamed_residual,
     unitarity_defect,
 )
 
@@ -84,11 +80,6 @@ __all__ = [
 PENTAGON_TOL = 1e-10
 CLOSURE_TOL = 1e-8
 EQUATION_TOL = 1e-9
-
-# Three-leg operators of more entries than this (d >= 9), 4 MB, have their
-# streamed pentagon probed on one column slab first; below it the whole
-# stream costs about what that slab does, and reports the full residual.
-PENTAGON_PROBE_ENTRIES = 1 << 18
 
 
 class FiniteQuantumGroup:
@@ -440,22 +431,28 @@ def _gate_pentagon(pent, message="pentagon residual {:.2e}"):
     return pent
 
 
-def _streamed_pentagon(w, d):
-    """The pentagon residual of w streamed over column slabs.  Where the
-    three-leg operators have more than PENTAGON_PROBE_ENTRIES entries, one
-    leg-1 column slab of W23 W12 - W12 W13 W23, over the norm d^(3/2) that
-    either side has for a unitary W, is gated first: it bounds the residual
-    from below at 1/d of the cost, so a W it rejects is rejected on that
-    lower bound, without the stream."""
-    space = LegSpace((d, d, d))
-    lhs = [(w, (2, 3)), (w, (1, 2))]
-    rhs = [(w, (1, 2)), (w, (1, 3)), (w, (2, 3))]
-    if space.total**2 > PENTAGON_PROBE_ENTRIES:
-        cols = slice(0, 1)
-        diff = legs_slab(space, 1, cols, *lhs) - legs_slab(space, 1, cols, *rhs)
-        message = "pentagon residual at least {:.2e}, on one column slab"
-        _gate_pentagon(frob(diff) / d**1.5, message)
-    return _gate_pentagon(streamed_residual(space, 1, lhs, rhs))
+def _slice_rank_tail(w, d):
+    """(sum_{i>d} s_i^2)^(1/2) / |w|, s_i the singular values of the (d^2,
+    d^2) stack of w's leg-1 slices (_leg_slices): a lower bound on the
+    relative distance |w - W0| / |w| to every multiplicative unitary W0 on
+    C^d (x) C^d.
+
+    The stack's rank n is the tensor rank of W0, the dimension of both its
+    leg-1 and its leg-2 slice spans.  These are the algebras A and A_hat
+    of a finite quantum group and its dual, and the pentagon is the
+    commutation relation of a Heisenberg pair: the products a a_hat span
+    the image of a unital algebra map from the Heisenberg double A # A*
+    into B(C^d) (Baaj-Skandalis 1993).  For an n-dimensional Hopf algebra
+    that double is M_n (Montgomery 1993, Cor. 9.4.3), which is simple, so
+    the map is injective and C^d is a unital M_n-module, a multiple of C^n:
+    n divides d, and W0's stack has rank at most d.  The stack rearranges
+    entries, so |w - W0| is the distance between the two stacks, at least
+    that from w's stack to the nearest one of rank d, the tail above
+    (Eckart-Young).  It is no pentagon residual: it bounds how far w is
+    from every unitary that could pass the pentagon.
+    """
+    s = np.linalg.svd(_leg_slices(w, d, 1).reshape(d * d, -1), compute_uv=False)
+    return frob(s[d:]) / frob(w)
 
 
 def conjugation_coefficients(us, basis, big_n):
@@ -522,9 +519,10 @@ def _delta_from_slices(alg_c, slices, products):
 def build_from_unitary(w, dim):
     """Validate w as a multiplicative unitary and extract its slice algebra.
 
-    Gates, in order: unitarity, the pentagon identity, closure of both
-    slice spans under product and adjoint, and that the comultiplication
-    lands in span(algC) (x) span(algC).  The leg-2 slice span is the dual's
+    Gates, in order: unitarity, the rank of the leg-1 slices, closure of
+    algC under product and adjoint, the pentagon identity, closure of the
+    leg-2 slice span, and that the comultiplication lands in span(algC)
+    (x) span(algC).  The leg-2 slice span is the dual's
     algC, spanned by the slice coefficients X_m of W over algC up to T: its
     closure is read off them by a Gram fit, with no basis of its own
     (_slice_closure), so algC is the one basis a build forms, and algC's
@@ -538,22 +536,28 @@ def build_from_unitary(w, dim):
     C and g (comult_equation with X = W), plus the bound for what Delta
     read off the slices drops.
 
-    Where algC has more than d elements, as on every 1e-6 rotation of a
-    quantum group tried (n = d^2), the pentagon is gated first, streamed
-    over column slabs after a one-slab lower bound (_streamed_pentagon) that
-    rejects such a W at 1/d of the stream's cost.  There,
-    and where the product constants' closure defect is above CLOSURE_TOL,
-    C, g and comultMembership are read off the images W(b_k (x) 1)W*
-    instead, a temporary n d^4 stack (PairSpan.read).  The Kac antipode is
-    read off the slice coefficients in closed form and checked on its n x n
-    coefficients (_try_antipode), and failure there leaves kacR as None.
+    Where algC has more than d elements, as on the 1e-6 rotations of every
+    quantum group tried (n = d^2), W is rejected before any of that, with
+    PentagonViolation: an exact multiplicative unitary has n dividing d,
+    and _slice_rank_tail, one SVD of W's leg-1 slice stack, reads a
+    certified lower bound on the relative distance to every one, reported
+    as the residual.  A tail within PENTAGON_TOL, read on no input tried,
+    leaves W to the gates below, which hold for any n.  Where n < d and n
+    does not divide d, W is no multiplicative unitary either, and the
+    pentagon gate, never below the operator pentagon by more than
+    rounding, rejects it wherever its pentagon is above tolerance.  algC's
+    closure is gated before Delta, whose bounds carry the defect of algC's
+    product constants.  The Kac antipode is read off the slice
+    coefficients in closed form and checked on its n x n coefficients
+    (_try_antipode), and failure there leaves kacR as None.
     """
     d = int(dim)
     w = as_matrix(w)
     if w.shape[0] != d * d:
         raise ValueError(f"W has dim {w.shape[0]}, expected {d * d}")
-    # unitarity and the pentagon are gated at once, with errors of their
-    # own; the rest of the gate table as its residuals are computed
+    # unitarity, the slice rank and the pentagon are gated at once, with
+    # errors of their own; the rest of the gate table as its residuals are
+    # computed
     udef = unitarity_defect(w)
     if not udef <= PENTAGON_TOL:
         raise NotUnitary(
@@ -561,30 +565,25 @@ def build_from_unitary(w, dim):
         )
 
     alg_c = orthonormal_basis(_leg_slices(w, d, 1))
-    streamed = len(alg_c) > d
-    products = None
-    if streamed:
-        pent = _streamed_pentagon(w, d)
-    else:
-        products = _product_constants(alg_c)
-    slices = slice_coefficients(w, d, alg_c)
-    if products is not None and products[1] <= CLOSURE_TOL:
-        c, g, membership, dropped = _delta_from_slices(alg_c, slices, products)
-    else:
-        c, g, membership = PairSpan(alg_c, alg_c).read(conjugation_images(w, alg_c))
-        dropped = 0.0
-    if not streamed:
-        size = frob(w)
-        dropped /= max(1.0, math.sqrt(d) * size)  # the pentagon's scale
-        pent = _gate_pentagon(comult_equation(*slices, c, g, d, size) + dropped)
-
+    if len(alg_c) > d:
+        message = f"leg-1 slices span {len(alg_c)} > d = {d} dimensions; relative "
+        message += "distance to every multiplicative unitary at least {:.2e}"
+        _gate_pentagon(_slice_rank_tail(w, d), message)
+    # algC's own closure before Delta, which is read with its products
     closure, mult, adjoints = _closure_constants(alg_c)
+    gate_all({"closure": closure}, FiniteQuantumGroup.gates, AlgebraNotClosed)
+
+    products = _product_constants(alg_c)
+    slices = slice_coefficients(w, d, alg_c)
+    c, g, membership, dropped = _delta_from_slices(alg_c, slices, products)
+    size = frob(w)
+    dropped /= max(1.0, math.sqrt(d) * size)  # the pentagon's scale
+    pent = _gate_pentagon(comult_equation(*slices, c, g, d, size) + dropped)
     leg2, star = _slice_closure(slices)
     closure = float(np.max([closure, leg2]))
-    residuals = {"unitarity": udef, "pentagon": pent, "closure": closure}
-    gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
-
-    residuals["comultMembership"] = membership
+    residuals = {
+        "unitarity": udef, "pentagon": pent, "closure": closure, "comultMembership": membership
+    }
     gate_all(residuals, FiniteQuantumGroup.gates, AlgebraNotClosed)
     try:
         kappa, residuals["antipode"], kac_k = _try_antipode(alg_c, star, mult, adjoints)
@@ -602,9 +601,8 @@ def structure_constants(qg):
     span(algC) at CLOSURE_TOL, so these coefficients are Delta itself, and
     they are its Hilbert-Schmidt picture: the basis is orthonormal.  The
     build reads them off W's slice coefficients, C[k, i, j] = <b_i, F_kj>
-    for Delta(b_k) = sum_j F_kj (x) b_j (_delta_from_slices; off the
-    images W(b_k (x) 1)W* where n > d), and keeps them, read-only, as
-    qg.structure.
+    for Delta(b_k) = sum_j F_kj (x) b_j (_delta_from_slices, every build's
+    one read of Delta), and keeps them, read-only, as qg.structure.
     """
     return qg.structure
 

@@ -9,6 +9,11 @@ A basis of a span of matrices, and any list of matrices mapped together,
 is one complex (n, r, c) array: element k is the r x c matrix at index k.
 
 Residuals returned by the checks here are relative Frobenius norms.
+
+No operator on three legs is formed here: the library reads its
+identities off slice coefficients, and the three-leg products and the
+residuals streamed over their column slabs, which check those readings
+against operators, live with the test oracles.
 """
 
 from dataclasses import dataclass
@@ -35,11 +40,6 @@ __all__ = [
     "kron",
     "PairSpan",
     "flip_unitary",
-    "legs_product",
-    "legs_slab",
-    "slab_width",
-    "streamed_residual",
-    "SLAB_ENTRIES",
     "RANK_CUTOFF",
     "CANDIDATE_GAP",
     "permute_legs",
@@ -52,11 +52,6 @@ __all__ = [
     "conjugation_images",
     "map_legs",
 ]
-
-# Entries (complex128, so 4 MB) in one slab of a streamed residual.  Three
-# legs of dimension 8 make an operator of exactly this size, so every
-# operator up to that stays one slab.
-SLAB_ENTRIES = 1 << 18
 
 # Every numerical rank counts the singular values (or QR pivots) above this
 # fraction of the largest one, or of the bound sqrt(d) in intertwiner_space.
@@ -248,136 +243,6 @@ def flip_adjoint(t, space):
     swapped space gives t back bit for bit.
     """
     return permute_legs(as_matrix(t).conj().T, space, (2, 1))
-
-
-def _named_legs(x, space, legs):
-    x = as_matrix(x)
-    legs = tuple(int(l) for l in legs)
-    if len(set(legs)) != len(legs):
-        raise ValueError(f"legs {legs} must be distinct")
-    for l in legs:
-        space._check_leg(l)
-    d_named = math.prod(space.dims[l - 1] for l in legs)
-    if x.shape[0] != d_named:
-        raise ValueError(f"operator dim {x.shape[0]} does not match legs {legs} of {space.dims}")
-    return x, legs
-
-
-def legs_product(space, *factors):
-    """Dense matrix of x1 x2 ... xk, each xk on its legs and the identity elsewhere.
-
-    Each factor is an ``(x, legs)`` pair: x on the named legs, in their
-    given order, and the identity on the others.  The
-    factors are contracted right to left as small tensors, one BLAS
-    tensordot per factor.  A leg that no factor so far acts on stays an
-    implicit identity, so a step costs the size of the partial product
-    times the dimension of the legs it shares with the next factor, and no
-    factor is ever expanded to the whole space.  This is the materialising
-    reference for legs_slab and streamed_residual.
-    """
-    return _contract(space, factors)
-
-
-def legs_slab(space, leg, cols, *factors):
-    """The columns of legs_product(space, *factors) whose index on leg lies in cols.
-
-    cols is a slice of that leg's indices; the result is the (total,
-    total * width / dim(leg)) column slab, columns in natural order.  The
-    contraction is legs_product's: the implicit identity on leg, cut to
-    cols, only meets the first factor (from the right) acting on leg, which
-    is sliced there, so every later step shrinks by the same ratio and no
-    step ever holds the whole operator.
-    """
-    space._check_leg(leg)
-    return _contract(space, factors, leg, cols)
-
-
-def _contract(space, factors, leg=None, cols=slice(None)):
-    if not factors:
-        raise ValueError("need at least one factor")
-    acc = None
-    axes = []  # (0, leg) labels a row axis of acc, (1, leg) a column axis
-    for x, legs in reversed(factors):
-        x, legs = _named_legs(x, space, legs)
-        xt = x.reshape(tuple(space.dims[l - 1] for l in legs) * 2)
-        if leg in legs and (0, leg) not in axes:
-            cut = [slice(None)] * (2 * len(legs))
-            cut[len(legs) + legs.index(leg)] = cols
-            xt = xt[tuple(cut)]
-        rows = [(0, l) for l in legs]
-        if acc is None:
-            first, acc, axes = x, xt, rows + [(1, l) for l in legs]
-            continue
-        shared = [l for l in legs if (0, l) in axes]
-        acc = np.tensordot(
-            xt,
-            acc,
-            axes=(
-                [len(legs) + legs.index(l) for l in shared],
-                [axes.index((0, l)) for l in shared],
-            ),
-        )
-        axes = (
-            rows
-            + [(1, l) for l in legs if l not in shared]
-            + [a for a in axes if a[0] == 1 or a[1] not in shared]
-        )
-    for l in range(1, space.nlegs + 1):
-        if (0, l) not in axes:
-            eye = np.eye(space.dims[l - 1], dtype=complex)
-            acc = np.multiply.outer(acc, eye[:, cols] if l == leg else eye)
-            axes += [(0, l), (1, l)]
-    order = [axes.index((r, l)) for r in (0, 1) for l in range(1, space.nlegs + 1)]
-    out = acc.transpose(order).reshape(space.total, -1)
-    # a lone factor covering every leg in order comes back as a view of itself
-    return out.copy() if np.may_share_memory(out, first) else out
-
-
-def slab_width(entries_per_index, count):
-    """How many of a leg's count indices one slab takes.
-
-    A slab holds at most SLAB_ENTRIES entries, and never less than one
-    index; an operator no larger than SLAB_ENTRIES is a single slab.
-    """
-    return max(1, min(count, SLAB_ENTRIES // entries_per_index))
-
-
-def _sq(x):
-    # vdot flattens its arguments
-    return float(np.vdot(x, x).real)
-
-
-def streamed_residual(space, leg, lhs, rhs):
-    """residual_between(lhs, rhs) of two operators on space, one column slab at a time.
-
-    Each side is a sequence of ``(x, legs)`` factors, read as in
-    legs_product, or a function taking a slice of leg's indices to that
-    column slab (as legs_slab returns it).  The squared norms of the
-    difference and of both sides are summed slab by slab, so the result is
-    residual_between's, scale max(1, |lhs|, |rhs|) included, without
-    either operator ever being whole; a NaN anywhere reads NaN.
-    """
-    space._check_leg(leg)
-    left_slab, right_slab = (_slab_function(space, leg, side) for side in (lhs, rhs))
-    d = space.dims[leg - 1]
-    width = slab_width(space.total * space.total // d, d)
-    diff = lsq = rsq = 0.0
-    for start in range(0, d, width):
-        cols = slice(start, min(start + width, d))
-        left, right = left_slab(cols), right_slab(cols)
-        if left.shape != right.shape:
-            raise ValueError(f"shape mismatch {left.shape} vs {right.shape}")
-        diff += _sq(left - right)
-        lsq += _sq(left)
-        rsq += _sq(right)
-    return math.sqrt(diff) / max(1.0, math.sqrt(lsq), math.sqrt(rsq))
-
-
-def _slab_function(space, leg, side):
-    if callable(side):
-        return side
-    factors = tuple(side)
-    return lambda cols: legs_slab(space, leg, cols, *factors)
 
 
 def conjugation_images(u, xs):

@@ -23,7 +23,6 @@ from qgcalc.errors import (
     RangeViolation,
     SourceTargetMismatch,
 )
-from qgcalc import tensorleg
 from qgcalc.cli import _bicharacter_battery
 from qgcalc.qgroup import (
     EQUATION_TOL,
@@ -46,6 +45,7 @@ from qgcalc.tensorleg import (
     kron,
     residual_between,
 )
+import conftest
 from conftest import (
     apply_map_to_leg,
     delta_map,
@@ -187,7 +187,7 @@ def test_residuals_match_the_embedding_oracle(homs):
 
 
 def test_residuals_match_the_embedding_oracle_one_index_per_slab(homs, monkeypatch):
-    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 1)
+    monkeypatch.setattr(conftest, "SLAB_ENTRIES", 1)
     _check_against_the_embedding_oracle(homs)
 
 
@@ -267,7 +267,7 @@ def test_each_bicharacter_path_is_taken_and_gated(corpus, count_calls, picture):
     read the certified bound, never below the operator forms and within 3x
     of them on the rotation, and fail."""
     rng = np.random.default_rng(2931)
-    calls = count_calls("streamed_residual")
+    calls = count_calls("conjugation_images")
     for v in _gauged_arrows(corpus, picture):
         c, a = v.source, v.target
         noise = rng.standard_normal(v.V.shape) + 1j * rng.standard_normal(v.V.shape)
@@ -285,9 +285,9 @@ def test_each_bicharacter_path_is_taken_and_gated(corpus, count_calls, picture):
             (haar_unitary(c.dim * a.dim, rng), np.inf, True),
         )
         for x, above, fails in probes:
-            calls["streamed_residual"] = 0
+            calls["conjugation_images"] = 0
             got = dict(bicharacter_residuals(x, c, a), law=corep_law_residual(x, a))
-            assert calls["streamed_residual"] == 0
+            assert calls["conjugation_images"] == 0
             want = dict(streamed_bicharacter(x, c, a), law=streamed_corep_law(x, a))
             for key, value in want.items():
                 if above is None:
@@ -296,10 +296,10 @@ def test_each_bicharacter_path_is_taken_and_gated(corpus, count_calls, picture):
                 else:
                     assert value - 1e-15 <= got[key] <= above * value, key
             assert (max(got[key] for key in EQUATIONS) > EQUATION_TOL) == fails
-        calls["streamed_residual"] = 0
+        calls["conjugation_images"] = 0
         check_corepresentation(v.V, a)
         check_corepresentation(c.W, c)
-        assert calls["streamed_residual"] == 0
+        assert calls["conjugation_images"] == 0
 
 
 @pytest.mark.parametrize("picture", ["c0", "cstar"])
@@ -483,7 +483,8 @@ def test_the_dual_side_is_read_off_the_source_slices(corpus, arrows, gauge):
     slices and V's Hopf coefficients, with no dual, and agree with the forms
     read off the dual (dual_side_residuals) on the identity arrows of the 13
     corpus groups and D5 and on the corpus arrows, in both pictures, plain
-    and Haar-gauged, to 1e-14."""
+    and Haar-gauged, to 1e-14.  The Hopf coefficients a checked V keeps are
+    the fit its residuals read, bit for bit a fresh one."""
     groups = list(corpus.values()) + [dihedral_group(5)]
     homs = [q.group_hom(g, g, tuple(range(g.order))) for g in groups] + list(arrows)
     count = 0
@@ -493,6 +494,8 @@ def test_the_dual_side_is_read_off_the_source_slices(corpus, arrows, gauge):
             got = dict(bicharacter_residuals(v.V, c, a), rInvariance=q.check_R_invariance(v))
             for key, value in dual_side_residuals(v.V, c, a).items():
                 assert got[key] == pytest.approx(value, rel=0, abs=1e-14), key
+            fresh = bicharacter_module._hopf_fit(c, *slice_coefficients(v.V, c.dim, a.algC))
+            assert np.array_equal(v.hopf[0], fresh[0]) and v.hopf[1] == fresh[1]
             count += 1
     assert count == 2 * len(homs)
 

@@ -5,7 +5,6 @@ import inspect
 import json
 import pkgutil
 import shutil
-import sys
 
 import numpy as np
 import pytest
@@ -129,18 +128,23 @@ def test_failure_records_keep_the_gate_tolerance():
 
 
 def test_failure_records_say_why(tmp_path, capsys):
+    # the flip's leg-1 slices are the four matrix units, rank 4 > d = 2:
+    # its tail, (2 / 4)^(1/2), bounds its distance to every multiplicative
+    # unitary from below and is the residual the record carries
     path = tmp_path / "flip.json"
     write_json(str(path), {"dim": 2, "W": matrix_to_obj(flip_unitary(2, 2))})
     code, obj = run_json(capsys, ["verify", str(path), "qg"])
     assert code == 1
     [record] = obj["checks"]
     assert record["name"] == "PentagonViolation"
-    assert record["message"] == "pentagon residual 1.00e+00"
+    why = (
+        "leg-1 slices span 4 > d = 2 dimensions; relative distance to every "
+        "multiplicative unitary at least 7.07e-01"
+    )
+    assert record["message"] == why
     code, captured = run_cli(capsys, ["verify", str(path), "qg", "--text"])
     assert code == 1
-    assert captured.out.splitlines()[1] == (
-        "  FAIL PentagonViolation: 1.00e+00 <= 1.00e-10 (pentagon residual 1.00e+00)"
-    )
+    assert captured.out.splitlines()[1] == f"  FAIL PentagonViolation: 7.07e-01 <= 1.00e-10 ({why})"
 
 
 def test_passing_records_carry_no_message(capsys, va_file):
@@ -306,6 +310,31 @@ def test_verifying_a_bicharacter_builds_each_w_once(
         assert calls == {"conjugation_images": 0, "_delta_from_slices": builds}, argv
 
 
+def test_each_checked_bicharacter_fits_its_hopf_coefficients_once(
+    count_calls, tmp_path, capsys, va_file, z2, z4
+):
+    # bicharacter_residuals reads V's Hopf coefficients for membership and
+    # comultSource, and the Bicharacter keeps that fit, so rInvariance and
+    # the hom pictures read it again: one fit per V whose residuals are read
+    path_a, va = va_file
+    f = q.hom_to_hopf(q.group_hom(z4, z2, (0, 1, 0, 1)), "c0")
+    hopf = tmp_path / "hopf.json"
+    write_json(str(hopf), hom_to_obj("hopf", f.source, f.target, f.map))
+    files = _one_sided_files(tmp_path, va)
+    calls = count_calls("bicharacter_residuals", "_hopf_fit", "check_R_invariance")
+    for argv in (
+        ["verify", path_a, "bicharacter"],
+        ["verify", str(hopf), "hom"],
+        ["verify", files["right"], "hom"],
+        ["verify", files["left"], "hom"],
+    ):
+        calls.update(dict.fromkeys(calls, 0))
+        code, _ = run_json(capsys, argv)
+        assert code == 0
+        assert calls["check_R_invariance"] > 0, argv
+        assert calls["_hopf_fit"] == calls["bicharacter_residuals"] > 0, (argv, calls)
+
+
 def test_coaction_commands_take_the_stored_map_as_it_is(
     count_calls, tmp_path, capsys, va_file
 ):
@@ -375,14 +404,13 @@ def _one_sided_files(tmp_path, va):
 def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     count_calls, tmp_path, capsys, va_file
 ):
-    # they read coefficients: no three-leg product, no partial trace, and no
-    # map on a leg of W
+    # they read coefficients: no three-leg product (no module binds one:
+    # test_the_suite_streams_no_identity), no partial trace, and no map on a
+    # leg of W
     # __main__ is skipped: importing it runs the command line
     names = [f"qgcalc.{i.name}" for i in pkgutil.iter_modules(q.__path__) if i.name != "__main__"]
     modules = [q] + [importlib.import_module(name) for name in names]
     assert not [m.__name__ for m in modules if hasattr(m, "extract_trivial_legs")]
-    binds_product = [m.__name__ for m in modules if hasattr(m, "legs_product")]
-    assert binds_product == ["qgcalc.tensorleg"]
     # the one-leg superoperator path is gone; tensorleg's apply_map_to_leg,
     # map_legs on one leg, is kept for the acceptance tests and called by none
     assert not [m.__name__ for m in modules if hasattr(m, "_map_leg")]
@@ -976,50 +1004,53 @@ def test_suite_builds_each_quantum_group_once(monkeypatch, capsys):
     assert len(digests) == 2 * len(group_files)
 
 
-def _refuse_streaming(monkeypatch):
-    """Make streamed_residual raise wherever a qgcalc module binds it, and
-    return the names of the modules that import it from tensorleg."""
-    from qgcalc import tensorleg
+# what checks a library reading against operators: the three-leg products
+# and their column slabs, the residual streamed over those slabs, and the
+# streamed pentagon and its probe size, which a build used to call
+OPERATOR_ORACLES = (
+    "legs_product",
+    "legs_slab",
+    "_contract",
+    "_named_legs",
+    "slab_width",
+    "_sq",
+    "streamed_residual",
+    "_slab_function",
+    "SLAB_ENTRIES",
+    "_streamed_pentagon",
+    "PENTAGON_PROBE_ENTRIES",
+)
 
-    def refuse(*args):
-        raise AssertionError("streamed_residual called")
 
-    patched = set()
-    for name, module in sorted(sys.modules.items()):
-        if name.split(".")[0] == "qgcalc":
-            if getattr(module, "streamed_residual", None) is tensorleg.streamed_residual:
-                monkeypatch.setattr(module, "streamed_residual", refuse)
-                patched.add(name)
-    return patched - {"qgcalc.tensorleg"}
-
-
-def test_the_suite_streams_no_identity(monkeypatch, capsys):
-    """Every three-leg identity the corpus suite checks is read off slice
-    coefficients: with streamed_residual raising wherever a qgcalc module
-    binds it (only the pentagon of a W whose algC has more than d elements
-    streams), all 14 subjects still pass."""
+def test_the_suite_streams_no_identity(capsys):
+    """No qgcalc module defines or binds an operator oracle: every
+    three-leg identity the library checks, the pentagon included, is read
+    off slice coefficients, and the oracles live in the tests.  The corpus
+    suite's 14 subjects pass."""
     from qgcalc import groups
 
-    assert _refuse_streaming(monkeypatch) == {"qgcalc.qgroup"}
+    # __main__ is skipped: importing it runs the command line
+    names = [f"qgcalc.{i.name}" for i in pkgutil.iter_modules(q.__path__) if i.name != "__main__"]
+    modules = [q] + [importlib.import_module(name) for name in names]
+    assert len(modules) == len(names) + 1 > 10
+    assert not [(m.__name__, x) for m in modules for x in OPERATOR_ORACLES if hasattr(m, x)]
     groups.qg_from_group.cache_clear()
     code, obj = run_json(capsys, ["suite"])
     assert code == 0 and obj["pass"] is True
     assert len(obj["subjects"]) == 14 and all(s["pass"] for s in obj["subjects"])
 
 
-def test_a_rotated_gauged_arrow_is_rejected_without_streaming(
-    monkeypatch, tmp_path, capsys, z2, z4
-):
+def test_a_rotated_gauged_arrow_is_rejected_without_streaming(tmp_path, capsys, z2, z4):
     """A 1e-6 rotation of the Haar-gauged Z4 -> Z2 arrow is off the slice
-    spans: with streamed_residual refused everywhere, `verify … bicharacter`
-    fails all four equations on their certified bounds and `dual` rejects
-    it with BicharacterViolation, both exiting 1."""
+    spans: `verify … bicharacter`, which streams nothing
+    (test_the_suite_streams_no_identity), fails all four equations on
+    their certified bounds and `dual` rejects it with BicharacterViolation,
+    both exiting 1."""
     [v] = gauged_bicharacters([q.group_hom(z4, z2, (0, 1, 0, 1))], "c0", "haar", 3101)
     obj = bicharacter_to_obj(v)
     obj["V"] = matrix_to_obj(rotated(v.V, 1e-6, np.random.default_rng(3102)))
     path = tmp_path / "rotated.json"
     write_json(str(path), obj)
-    _refuse_streaming(monkeypatch)
     code, obj = run_json(capsys, ["verify", str(path), "bicharacter"])
     assert code == 1
     failed = {c["name"] for c in obj["checks"] if not c["pass"]}

@@ -33,6 +33,7 @@ from qgcalc.homviews import (
 )
 from qgcalc.qgroup import build_from_unitary
 from qgcalc.tensorleg import PairSpan, SpanMap, kron, residual_between
+import conftest
 from conftest import (
     _solve_on_product_basis,
     delta_map,
@@ -531,7 +532,7 @@ def test_pushforward_and_slice_identity_hold_one_index_per_slab(monkeypatch, cha
     slice identity, with every slab holding one leg index."""
     va, _ = chain
     whole = pushforward_corep(check_corepresentation(va.source.W, va.source), va)
-    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 1)
+    monkeypatch.setattr(conftest, "SLAB_ENTRIES", 1)
     sliced = pushforward_corep(check_corepresentation(va.source.W, va.source), va)
     assert residual_between(sliced.X, va.V) <= 1e-9
     assert sliced.residuals == pytest.approx(whole.residuals, abs=1e-14)

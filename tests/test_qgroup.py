@@ -1,13 +1,16 @@
 """Multiplicative-unitary validation against hand-computed group data."""
 
 import gc
+import json
 import weakref
 
 import numpy as np
 import pytest
 
 import qgcalc as q
+from qgcalc.cli import main
 from qgcalc.errors import (
+    AlgebraNotClosed,
     BicharacterViolation,
     NotKacType,
     NotManageable,
@@ -34,7 +37,7 @@ from qgcalc.qgroup import (
 )
 from qgcalc import qgroup as qgroup_module
 from qgcalc.report import Report
-from qgcalc import tensorleg as tensorleg_module
+from qgcalc.serialize import matrix_to_obj, write_json
 from qgcalc.tensorleg import (
     LegSpace,
     PairSpan,
@@ -50,6 +53,7 @@ from qgcalc.tensorleg import (
     residuals_between,
     unitarity_defect,
 )
+import conftest
 from conftest import (
     Functional,
     delta_map,
@@ -493,11 +497,11 @@ def _transpose_subjects(corpus):
 def test_the_transpose_slice_forms_match_the_operator_forms(corpus, count_calls):
     """transpose_qg reads both equations off slices, streaming none of
     them, and they agree with the operator oracles to 1e-14."""
-    calls = count_calls("streamed_residual")
+    calls = count_calls("conjugation_images")
     for name, qg in _transpose_subjects(corpus).items():
-        calls["streamed_residual"] = 0
+        calls["conjugation_images"] = 0
         cbar, bic = transpose_qg(qg)
-        assert calls["streamed_residual"] == 0, name
+        assert calls["conjugation_images"] == 0, name
         assert (cbar is qg) == name.startswith(tuple(corpus)), name
         want = streamed_transpose(qg, cbar, bic.V)
         for key, value in want.items():
@@ -512,7 +516,7 @@ def test_a_witness_moved_inside_the_span_is_read_off_slices_and_rejected(
     slice spans, as algC is a *-algebra and the leg-1 slices only mix: the
     slice path reads it, rejects it, and never below the operator forms."""
     rng = np.random.default_rng(3004)
-    calls = count_calls("streamed_residual")
+    calls = count_calls("conjugation_images")
     real = manageability_witness
     subjects = _transpose_subjects(corpus)
     for name in ("S3 c0", "S3 cstar", "gauged S3 c0", "gauged Z8 cstar"):
@@ -524,12 +528,12 @@ def test_a_witness_moved_inside_the_span_is_read_off_slices_and_rejected(
         moved = ManageabilityWitness(real(qg).wtilde @ u, 0.0)
         with monkeypatch.context() as patch:
             patch.setattr(qgroup_module, "manageability_witness", lambda _: moved)
-            calls["streamed_residual"] = 0
+            calls["conjugation_images"] = 0
             with pytest.raises(BicharacterViolation):
                 transpose_qg(qg)
             patch.setattr(qgroup_module, "gate", lambda *args: None)
             cbar, bic = transpose_qg(qg)
-            assert calls["streamed_residual"] == 0, name
+            assert calls["conjugation_images"] == 0, name
         want = streamed_transpose(qg, cbar, moved.wtilde)
         assert max(bic.residuals.values()) > PENTAGON_TOL, name
         for key, value in want.items():
@@ -629,8 +633,10 @@ def test_streamed_checks_match_the_embedding_oracles_slab_by_slab(
 ):
     """One leg index a slab, and four a slab with a shorter last one: the
     pentagon and coassociativity of a rotated gauged S3 against the
-    Kronecker-embedding oracles, and the transpose equations still holding."""
-    monkeypatch.setattr(tensorleg_module, "SLAB_ENTRIES", slab_entries)
+    Kronecker-embedding oracles, and the transpose equations still holding.
+    The build rejects the rotation on its slice-rank tail, a lower bound on
+    its distance from w."""
+    monkeypatch.setattr(conftest, "SLAB_ENTRIES", slab_entries)
     rng = np.random.default_rng(31)
     base = q.qg_from_group(s3, "cstar")
     d = base.dim
@@ -645,9 +651,10 @@ def test_streamed_checks_match_the_embedding_oracles_slab_by_slab(
     b12, b13, b23 = (embed_on_legs(bad, sp, legs) for legs in ((1, 2), (1, 3), (2, 3)))
     with pytest.raises(PentagonViolation) as exc:
         build_from_unitary(bad, d)
-    assert exc.value.residual == pytest.approx(
-        residual_between(b23 @ b12, b12 @ b13 @ b23), abs=1e-14
-    )
+    assert PENTAGON_TOL < exc.value.residual <= _distance(bad, w)
+    pent = streamed_pentagon(bad, d)
+    assert pent > PENTAGON_TOL
+    assert pent == pytest.approx(residual_between(b23 @ b12, b12 @ b13 @ b23), abs=1e-14)
 
     alg = [u @ x @ u.conj().T for x in base.algC]
 
@@ -678,6 +685,12 @@ def _gauged(qg, rng):
     u = haar_unitary(qg.dim, rng)
     uu = kron(u, u)
     return build_from_unitary(uu @ qg.W @ uu.conj().T, qg.dim), u
+
+
+def _distance(bad, w0):
+    """|bad - w0| / |bad|: where w0 is a multiplicative unitary, at least
+    the slice-rank tail a build rejects bad on."""
+    return np.linalg.norm(bad - w0) / np.linalg.norm(bad)
 
 
 def test_structure_constants_agree_with_the_operator_oracle(corpus, coassociativity_oracle):
@@ -819,57 +832,140 @@ def test_delta_off_the_slices_is_the_image_read(corpus, gauge):
 def test_a_build_forms_no_image_stack(s3, count_calls):
     """Where algC has no more than d elements, a build reads Delta off W's
     slices once and never calls conjugation_images, and keeps the product
-    constants it read Delta with."""
+    constants it read Delta with.  A rotated W, whose algC has more, is
+    rejected with no image stack read either."""
     base = q.qg_from_group(s3, "cstar")
-    calls = count_calls("conjugation_images", "_delta_from_slices", "product_constants")
+    names = ("conjugation_images", "PairSpan.read", "_delta_from_slices", "product_constants")
+    calls = count_calls(*names)
     qg = build_from_unitary(base.W, base.dim)
-    assert calls == {"conjugation_images": 0, "_delta_from_slices": 1, "product_constants": 0}
+    assert calls == dict(zip(names, (0, 0, 1, 0)))
     assert product_constants(qg) is qg.products
+    calls.update(dict.fromkeys(calls, 0))
+    with pytest.raises(PentagonViolation):
+        build_from_unitary(rotated(base.W, 1e-6, np.random.default_rng(3607)), base.dim)
+    assert calls == dict.fromkeys(names, 0)
 
 
-def test_a_closure_defect_past_tolerance_reads_delta_off_the_images(s3, monkeypatch, count_calls):
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_a_block_diagonal_w_is_rejected_as_not_closed(tmp_path, capsys, d):
+    """W = sum_i e_ii (x) U_i for Haar U_i is unitary with n = d leg-1
+    slices, the U_i, which span no *-algebra: the build rejects it on
+    algC's closure, before Delta is read, and the CLI exits 1."""
+    rng = np.random.default_rng(3608 + d)
+    w = sum(kron(np.diag(np.eye(d)[i]), haar_unitary(d, rng)) for i in range(d))
+    assert len(orthonormal_basis(qgroup_module._leg_slices(w, d, 1))) == d
+    with pytest.raises(AlgebraNotClosed) as exc:
+        build_from_unitary(w, d)
+    assert exc.value.residual > CLOSURE_TOL
+    path = tmp_path / "w.json"
+    write_json(str(path), {"dim": d, "W": matrix_to_obj(w)})
+    assert main(["verify", str(path), "qg"]) == 1
+    assert [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]] == [
+        "AlgebraNotClosed"
+    ]
+
+
+@pytest.mark.parametrize("gauge", [False, True])
+def test_an_amplified_w_with_fewer_slices_than_d_builds(z3, gauge):
+    """Z3's W on (H (x) K) (x) (H (x) K), the identity on both K legs, dim K =
+    2: d = 6 and n = 3, which divides d.  It builds with every residual at
+    rounding, plain and Haar-gauged: the rank gate is n > d, not n != d."""
+    w = kron(q.qg_from_group(z3, "c0").W, np.eye(4))
+    amp = permute_legs(w, LegSpace((3, 3, 2, 2)), (1, 3, 2, 4))
+    if gauge:
+        u = haar_unitary(6, np.random.default_rng(3609))
+        amp = kron(u, u) @ amp @ kron(u, u).conj().T
+    qg = build_from_unitary(amp, 6)
+    assert len(qg.algC) == 3
+    assert set(qg.residuals) == {"unitarity", "pentagon", "closure", "comultMembership", "antipode"}
+    assert max(qg.residuals.values()) <= 1e-14
+
+
+# s, whether the rotation's slices span more than d dimensions, and whether
+# the build passes; a rejection is a PentagonViolation
+_SWEEP = (
+    (1e-6, True, False),
+    (1e-7, True, False),
+    (1e-8, True, False),
+    (1e-9, False, False),
+    (3e-10, False, False),
+    (1e-10, False, False),
+    (1e-11, False, True),
+)
+
+
+@pytest.mark.parametrize("name", ["Z8", "D5"])
+def test_a_rotation_sweep_keeps_each_verdict(corpus, name):
+    """Rotations of a Haar-gauged W by s from 1e-6 down to 1e-11: the slices
+    span more than d dimensions down to s = 1e-8, where the build rejects
+    W on the slice-rank tail, above the tolerance and within the distance
+    from the gauged W; from 1e-9 they span d and the slice pentagon
+    rejects W, until it passes at 1e-11."""
+    group = corpus["Z8"] if name == "Z8" else dihedral_group(5)
+    rng = np.random.default_rng(5151)
+    base = q.qg_from_group(group, "c0")
+    d = base.dim
+    u = haar_unitary(d, rng)
+    w0 = kron(u, u) @ base.W @ kron(u, u).conj().T
+    for s, wide, passes in _SWEEP:
+        bad = rotated(w0, s, rng)
+        assert (len(orthonormal_basis(qgroup_module._leg_slices(bad, d, 1))) > d) == wide, s
+        if passes:
+            assert max(build_from_unitary(bad, d).residuals.values()) <= PENTAGON_TOL
+            continue
+        with pytest.raises(PentagonViolation) as exc:
+            build_from_unitary(bad, d)
+        assert exc.value.residual > PENTAGON_TOL, s
+        if wide:
+            assert exc.value.residual <= _distance(bad, w0), s
+            assert str(exc.value).startswith("leg-1 slices span"), s
+
+
+def test_a_closure_defect_past_tolerance_is_rejected_with_no_image_stack(
+    s3, monkeypatch, count_calls
+):
     """Where the product constants' defect is above CLOSURE_TOL, the slices
-    no longer give Delta to rounding: the build reads it off the images, as
-    _image_read does."""
+    no longer give Delta to rounding, and the bounds Delta is read with say
+    so: the defect enters the pentagon's and comultMembership's, and the
+    pentagon gate, first of the two, rejects W, with no image stack formed."""
     base = q.qg_from_group(s3, "c0")
     real = qgroup_module._product_constants
     monkeypatch.setattr(
         qgroup_module, "_product_constants", lambda b: (real(b)[0], 2 * CLOSURE_TOL)
     )
-    calls = count_calls("conjugation_images", "_delta_from_slices")
-    qg = build_from_unitary(base.W, base.dim)
-    assert calls == {"conjugation_images": 1, "_delta_from_slices": 0}
-    c, g, membership = _image_read(qg)
-    np.testing.assert_array_equal(qg.structure, c)
-    np.testing.assert_array_equal(qg.gram, g)
-    assert qg.residuals["comultMembership"] == membership
+    calls = count_calls("conjugation_images", "PairSpan.read", "_delta_from_slices")
+    with pytest.raises(PentagonViolation) as exc:
+        build_from_unitary(base.W, base.dim)
+    assert calls == {"conjugation_images": 0, "PairSpan.read": 0, "_delta_from_slices": 1}
+    assert exc.value.residual > CLOSURE_TOL > PENTAGON_TOL
+    membership = qgroup_module._delta_from_slices(
+        base.algC, base.slices, (base.products[0], 2 * CLOSURE_TOL)
+    )[2]
+    assert membership > CLOSURE_TOL
 
 
-def test_a_rotated_w_is_rejected_on_one_pentagon_slab(monkeypatch):
-    """A 1e-6 rotation of Haar-gauged D5 (d = 10, whose three-leg operators
-    pass PENTAGON_PROBE_ENTRIES) has n = d^2 slices: the build rejects it
-    on the pentagon's one-slab lower bound, which reads above the tolerance
-    and not above the whole residual, without streaming; a NaN in that slab
-    fails closed."""
+def test_a_rotated_w_is_rejected_on_its_slice_rank_tail(count_calls):
+    """A 1e-6 rotation of Haar-gauged D5 (d = 10) has n = d^2 slices: the
+    build rejects it on the tail of its slice stack past rank d, before any
+    gate of the slice algebra.  The tail reads above the tolerance and not
+    above the distance to the W it was rotated from, where the operator
+    pentagon reads above the tolerance too; a NaN W fails closed before."""
     rng = np.random.default_rng(4202)
     qg, _ = _gauged(q.qg_from_group(dihedral_group(5), "c0"), rng)
     d = qg.dim
-    assert d**6 > qgroup_module.PENTAGON_PROBE_ENTRIES
     bad = rotated(qg.W, 1e-6, rng)
-    assert len(orthonormal_basis(qgroup_module._leg_slices(bad, d, 1))) > d
-    whole = streamed_pentagon(bad, d)
-
-    def refuse(*args):
-        raise AssertionError("streamed_residual called")
-
-    monkeypatch.setattr(qgroup_module, "streamed_residual", refuse)
+    assert len(orthonormal_basis(qgroup_module._leg_slices(bad, d, 1))) == d * d
+    calls = count_calls("_slice_rank_tail", "_closure_constants", "_delta_from_slices")
     with pytest.raises(PentagonViolation) as exc:
         build_from_unitary(bad, d)
-    assert PENTAGON_TOL < exc.value.residual <= whole * (1 + 1e-12)
-    assert str(exc.value).startswith("pentagon residual at least")
+    assert calls == {"_slice_rank_tail": 1, "_closure_constants": 0, "_delta_from_slices": 0}
+    assert PENTAGON_TOL < exc.value.residual <= _distance(bad, qg.W)
+    assert str(exc.value).startswith("leg-1 slices span 100 > d = 10 dimensions")
+    assert "relative distance to every multiplicative unitary at least" in str(exc.value)
+    assert streamed_pentagon(bad, d) > PENTAGON_TOL
     bad[0, 0] = np.nan
-    with pytest.raises(PentagonViolation) as exc:
-        qgroup_module._streamed_pentagon(bad, d)
+    with pytest.raises(NotUnitary) as exc:
+        build_from_unitary(bad, d)
     assert np.isnan(exc.value.residual)
 
 
@@ -909,7 +1005,8 @@ def test_a_nan_comultiplication_image_fails_closed(z3):
 def test_pentagon_bounds_coassociativity(corpus, name, coassociativity_oracle):
     """Pentagon => coassociativity at the operator level, the identity the
     structure constants stand for: on a perturbed gauged W the commutator
-    oracle stays within 2 sqrt(d) times the pentagon residual."""
+    oracle stays within 2 sqrt(d) times the operator pentagon, which the
+    build rejects."""
     rng = np.random.default_rng(1634)
     for pic in ("c0", "cstar"):
         base = q.qg_from_group(corpus[name], pic)
@@ -924,7 +1021,9 @@ def test_pentagon_bounds_coassociativity(corpus, name, coassociativity_oracle):
             W = bad
             algC = qg.algC
 
-        assert coassociativity_oracle(Probe()) <= 2 * np.sqrt(d) * exc.value.residual
+        assert exc.value.residual > PENTAGON_TOL
+        pent = streamed_pentagon(bad, d)
+        assert coassociativity_oracle(Probe()) <= 2 * np.sqrt(d) * pent
 
 
 @pytest.mark.parametrize("picture", ["c0", "cstar"])
@@ -955,12 +1054,13 @@ def test_gauged_dense_unitary_passes_and_perturbation_fails(s3, picture):
     bad = rotated(w, 1e-6, rng)
     with pytest.raises(PentagonViolation) as exc:
         build_from_unitary(bad, d)
+    assert PENTAGON_TOL < exc.value.residual <= _distance(bad, w)
     b12 = embed_on_legs(bad, sp, (1, 2))
     b13 = embed_on_legs(bad, sp, (1, 3))
     b23 = embed_on_legs(bad, sp, (2, 3))
-    assert exc.value.residual == pytest.approx(
-        residual_between(b23 @ b12, b12 @ b13 @ b23), abs=1e-14
-    )
+    pent = streamed_pentagon(bad, d)
+    assert pent > PENTAGON_TOL
+    assert pent == pytest.approx(residual_between(b23 @ b12, b12 @ b13 @ b23), abs=1e-14)
     with pytest.raises(BicharacterViolation):
         q.check_bicharacter(bad, qg, qg)
 
@@ -983,7 +1083,13 @@ def _pentagon_of(w, d):
         return exc.residual
 
 
-def test_pentagon_matches_the_streamed_oracle_off_the_corpus(z4):
+def test_pentagon_matches_the_streamed_oracle_off_the_corpus(corpus, z4):
+    """Where algC has at most d elements, the build's pentagon is the
+    streamed operator pentagon to rounding.  The flip, the flipped W, a Haar
+    unitary and a rotation have n = d^2 and are rejected on the slice-rank
+    tail: above the tolerance, where their operator pentagon is too, and
+    never above their distance to any multiplicative unitary: every d = 4
+    one of the corpus, and the gauged W that was rotated."""
     rng = np.random.default_rng(1602)
     base = q.qg_from_group(z4, "c0")
     gauged, _ = _gauged(base, rng)
@@ -994,9 +1100,18 @@ def test_pentagon_matches_the_streamed_oracle_off_the_corpus(z4):
         "haar": haar_unitary(16, rng),
         "rotated": rotated(gauged.W, 1e-6, rng),
     }
+    exact = [gauged.W] + [
+        q.qg_from_group(g, pic).W for g in corpus.values() if g.order == 4 for pic in ("c0", "cstar")
+    ]
+    assert len(exact) == 5
     for name, w in cases.items():
         got = _pentagon_of(w, 4)
-        assert got == pytest.approx(streamed_pentagon(w, 4), rel=1e-12, abs=1e-14), name
+        pent = streamed_pentagon(w, 4)
+        if len(orthonormal_basis(qgroup_module._leg_slices(w, 4, 1))) <= 4:
+            assert got == pytest.approx(pent, rel=1e-12, abs=1e-14), name
+        else:
+            assert PENTAGON_TOL < got <= min(_distance(w, w0) for w0 in exact), name
+            assert pent > PENTAGON_TOL, name
         assert (got <= PENTAGON_TOL) == (name == "identity"), name
 
 
@@ -1004,23 +1119,29 @@ def test_pentagon_matches_the_streamed_oracle_off_the_corpus(z4):
 def test_each_pentagon_path_is_taken_and_gated(count_calls, s3, picture):
     """A gauged S3 and u (x) 1 (for a unitary u that is not 1) have algC of
     at most d elements, so the pentagon comes from the slice coefficients,
-    with no streamed residual; a 1e-6 rotation spans all d^2 and is
-    streamed.  Both bad inputs fail with PentagonViolation and the
-    operator residual."""
+    the operator pentagon to rounding; a 1e-6 rotation spans all d^2 and is
+    rejected on its slice-rank tail, with no Delta read, never above its
+    distance from the gauged W.  Both bad inputs fail with
+    PentagonViolation, and their operator pentagons are above the
+    tolerance."""
     rng = np.random.default_rng(1603)
     qg, _ = _gauged(q.qg_from_group(s3, picture), rng)
     d = qg.dim
     u = haar_unitary(d, rng)
-    calls = count_calls("streamed_residual")
-    for w, streamed in (
+    calls = count_calls("_slice_rank_tail", "_delta_from_slices")
+    for w, tail in (
         (qg.W, 0),
         (kron(u, np.eye(d)), 0),
         (rotated(qg.W, 1e-6, rng), 1),
     ):
-        calls["streamed_residual"] = 0
+        calls.update(dict.fromkeys(calls, 0))
         got = _pentagon_of(w, d)
-        assert calls["streamed_residual"] == streamed
-        assert got == pytest.approx(streamed_pentagon(w, d), rel=1e-9, abs=1e-14)
+        assert calls == {"_slice_rank_tail": tail, "_delta_from_slices": 1 - tail}
+        pent = streamed_pentagon(w, d)
+        if tail:
+            assert PENTAGON_TOL < got <= _distance(w, qg.W) and pent > PENTAGON_TOL
+        else:
+            assert got == pytest.approx(pent, rel=1e-9, abs=1e-14)
         assert (got <= PENTAGON_TOL) == (w is qg.W)
 
 

@@ -26,8 +26,6 @@ from qgcalc.tensorleg import (
     gram,
     intertwiner_space,
     kron,
-    legs_product,
-    legs_slab,
     map_legs,
     membership_residual,
     membership_residuals,
@@ -36,7 +34,6 @@ from qgcalc.tensorleg import (
     permute_legs,
     residual_between,
     residuals_between,
-    streamed_residual,
     unitarity_defect,
     vec,
     unvec,
@@ -47,13 +44,17 @@ from conftest import (
     delta_map,
     embed_on_legs,
     extract_trivial_legs,
+    legs_product,
+    legs_slab,
     mapped_slab,
     pair_basis,
     slice_leg,
     sliced_space,
     span_map_from_pairs,
+    streamed_residual,
     tsqr_intertwiner_space,
 )
+import conftest
 from qgcalc import tensorleg
 from qgcalc.errors import CalculusError, gate
 
@@ -267,11 +268,11 @@ def test_legs_slab_is_a_column_slab_of_legs_product(leg):
                 np.testing.assert_allclose(legs_slab(sp, leg, cols, *factors), want, atol=1e-12)
 
 
-@pytest.mark.parametrize("slab_entries", [1, 100, tensorleg.SLAB_ENTRIES])
+@pytest.mark.parametrize("slab_entries", [1, 100, conftest.SLAB_ENTRIES])
 @pytest.mark.parametrize("nfactors", [1, 2, 3, 4])
 def test_streamed_residual_matches_the_materialised_residual(monkeypatch, nfactors, slab_entries):
     """One slab per index, a few indices a slab, and the whole operator in one."""
-    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", slab_entries)
+    monkeypatch.setattr(conftest, "SLAB_ENTRIES", slab_entries)
     sp = LegSpace((2, 3, 4))
     rng = np.random.default_rng(300 + nfactors)
     for _ in range(10):
@@ -283,7 +284,7 @@ def test_streamed_residual_matches_the_materialised_residual(monkeypatch, nfacto
 
 
 def test_streamed_residual_takes_slab_functions_and_reads_zero_on_equal_sides(monkeypatch):
-    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 100)
+    monkeypatch.setattr(conftest, "SLAB_ENTRIES", 100)
     sp = LegSpace((2, 3, 4))
     factors = _random_factors(sp, np.random.default_rng(4), 3)
     slabs = lambda cols: legs_slab(sp, 2, cols, *factors)
@@ -291,7 +292,7 @@ def test_streamed_residual_takes_slab_functions_and_reads_zero_on_equal_sides(mo
 
 
 def test_a_nan_factor_gives_a_nan_streamed_residual_that_fails_its_gate(monkeypatch):
-    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 100)
+    monkeypatch.setattr(conftest, "SLAB_ENTRIES", 100)
     sp = LegSpace((2, 3, 4))
     rng = np.random.default_rng(5)
     lhs, rhs = _random_factors(sp, rng, 3), _random_factors(sp, rng, 2)
@@ -570,7 +571,7 @@ def test_intertwiner_space_blocked_qr_matches_the_stacked_svd(monkeypatch):
     cases.append((_rotated(w, 1e-6, rng), d))
 
     whole = [tsqr_intertwiner_space(w, d) for w, d in cases]
-    monkeypatch.setattr(tensorleg, "SLAB_ENTRIES", 1)
+    monkeypatch.setattr(conftest, "SLAB_ENTRIES", 1)
     for (w, d), (dim, pairs) in zip(cases, whole):
         assert _check_against_the_stacked_svd(w, d) == dim
         blocked = tsqr_intertwiner_space(w, d)[1]

@@ -13,8 +13,7 @@ Outside the default test paths because one run takes seconds; run it with
 Each run is a child process, so that its peak resident set is its own and
 not whatever this test process reached before.  A child reports its VmHWM:
 its ru_maxrss would start from the peak of the process that spawned it.
-The rejection runs in this process instead, where streamed_residual can be
-refused, and has no peak bound.
+The rejection runs in this process instead, and has no peak bound.
 """
 
 import json
@@ -25,7 +24,6 @@ import sys
 import numpy as np
 import pytest
 
-from qgcalc import tensorleg
 from qgcalc.bicharacter import check_bicharacter
 from qgcalc.errors import BicharacterViolation
 from qgcalc.groups import cyclic_group, group_unitary, product_group
@@ -285,21 +283,11 @@ def test_gauged_order16_transpose_passes_both_equations(tmp_path, picture):
     assert peak_mb <= MAX_RSS_MB, f"peak RSS {peak_mb:.0f} MB"
 
 
-def test_a_rotated_gauged_order16_identity_arrow_is_rejected_without_streaming(
-    tmp_path, monkeypatch
-):
+def test_a_rotated_gauged_order16_identity_arrow_is_rejected_without_streaming(tmp_path):
     """A 1e-6 rotation of the gauged Z16 identity arrow is off the slice
     spans: check_bicharacter rejects it in this process, on the certified
-    bounds of the slice forms, with streamed_residual refused in every
-    qgcalc module."""
-
-    def refuse(*args):
-        raise AssertionError("streamed_residual called")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qgcalc":
-            if getattr(module, "streamed_residual", None) is tensorleg.streamed_residual:
-                monkeypatch.setattr(module, "streamed_residual", refuse)
+    bounds of the slice forms, which stream nothing (no qgcalc module binds
+    a streamed residual: tests/test_cli.py::test_the_suite_streams_no_identity)."""
     qg = load_qg(str(gauged_file(tmp_path, GROUPS["Z16"](), "c0")))
     rng = np.random.default_rng(1617)
     h = rng.standard_normal(qg.W.shape) + 1j * rng.standard_normal(qg.W.shape)
