@@ -242,10 +242,10 @@ def hom_coefficients(v, leg):
     return c @ f if leg == 1 else f.T @ c
 
 
-def push_slices(slices, a, f, coefficients, leg):
-    """Y = sum_k X_k (x) f(b_k), f(b_k) = sum_j f[k, j] a_j, for X = sum_k
-    X_k (x) b_k + T on H (x) H_C (slices over algC), and the residual of
-    (id (x) phi)(X) = X12 Y13 (leg 1) or Y12 X13 (leg 2) relative to
+def push_slices(slices, f, coefficients, leg):
+    """The slices Y_j = sum_k f[k, j] X_k of Y = sum_k X_k (x) f(b_k) for X =
+    sum_k X_k (x) b_k + T on H (x) H_C (slices over algC), and the residual
+    of (id (x) phi)(X) = X12 Y13 (leg 1) or Y12 X13 (leg 2) relative to
     |(id (x) phi)(X)|, phi with coefficients (p, g) on algC and zero off it.
 
     The miss is sum_k p[k, s, t] X_k - X_s Y_t (leg 2: Y_t X_s, s on C's
@@ -269,7 +269,7 @@ def push_slices(slices, a, f, coefficients, leg):
     off = math.sqrt(max(float(np.sum(gx * g).real), 0.0))
     miss = math.sqrt(on_span**2 + tail**2 + 2 * off * tail)
     size = math.sqrt(max(float(np.sum(gx * (gram(p) + g)).real), 0.0))
-    return _on_target(ys, a), float(miss / size) if size != 0 else 0.0
+    return ys, float(miss / size) if size != 0 else 0.0
 
 
 def _on_target(ys, a):

@@ -39,7 +39,9 @@ from .errors import (
     NotKacType,
     NotManageable,
     ParseError,
+    RangeViolation,
     SourceTargetMismatch,
+    gate_all,
 )
 from .groups import (
     character_group,
@@ -56,12 +58,9 @@ from .homviews import (
     RightQGHom,
     bicharacter_from_left,
     bicharacter_from_right,
-    check_left_hom,
     check_left_right_compatibility,
-    check_right_hom,
     dual_hopf_relation,
     left_from_bicharacter,
-    one_sided_residuals,
     right_from_bicharacter,
 )
 from .qgroup import (
@@ -87,6 +86,7 @@ from .serialize import (
     write_json,
 )
 from .tensorleg import (
+    PairSpan,
     SpanMap,
     flip_adjoint,
     intertwiner_space,
@@ -141,34 +141,29 @@ def _bicharacter_battery(report, prefix, bic):
         _record_failure(report, exc)
 
 
-def _span_map(kind, source, target, images):
-    """A hom's map: into the target for hopf, into source (x) target otherwise."""
-    codomain = target.dim if kind == "hopf" else source.dim * target.dim
-    return SpanMap(source.algC, images, source.dim, codomain)
+def _hom_from_obj(obj, base):
+    """The unverified hom of a hom file's coefficients p: a one-sided hom is p,
+    on the pair span the file puts it on, so its range is 0; a Hopf map is
+    combined into the target algebra, where HopfHom multiplies its images."""
+    kind, source, target, p = hom_parts_from_obj(obj, base)
+    if kind != "hopf":
+        return (RightQGHom if kind == "right" else LeftQGHom)(source, target, p, 0.0)
+    images = PairSpan(target.algC, np.ones((1, 1, 1))).combine(p)
+    return HopfHom(source, target, SpanMap(source.algC, images, source.dim, target.dim))
 
 
-def _hom_battery(report, kind, source, target, images):
-    fmap = _span_map(kind, source, target, images)
-    if kind == "hopf":
-        hom = HopfHom(source, target, fmap)
-    else:
-        cls = RightQGHom if kind == "right" else LeftQGHom
-        res, coefficients = one_sided_residuals(source, target, fmap, cls.leg)
-        hom = cls(source, target, fmap, res, coefficients)
+def _hom_battery(report, hom):
     report.add_gates("", hom.gates, hom.residuals)
     if not report.passed:
         return
     try:
-        if kind == "hopf":
+        if isinstance(hom, HopfHom):
             v = from_hopf_hom(hom)
         else:
             v = hom.bicharacter
             report.add("extraction", v.residuals["extraction"], EQUATION_TOL)
-            # the file's map passed its checks; roundTrip pins v's, C F, to it
-            p, g = coefficients
-            off = np.sqrt(np.diag(g).real)[:, None]
-            rows = lambda q, rest: np.concatenate([q.reshape(len(p), -1), rest], axis=1)
-            rt = residuals_between(rows(p, off), rows(hom_coefficients(v, hom.leg), 0 * off))
+            # the file's coefficients passed their checks; roundTrip pins v's, C F, to them
+            rt = residuals_between(hom.coefficients[0], hom_coefficients(v, hom.leg))
             report.add("roundTrip", rt, EQUATION_TOL)
         _bicharacter_battery(report, "bicharacter.", v)
     except CalculusError as exc:
@@ -242,8 +237,7 @@ def _subject(report, kind, obj, base):
         bic.hopf = res.hopf
         _bicharacter_battery(report, "", bic)
     elif kind == "hom":
-        hkind, source, target, images = hom_parts_from_obj(obj, base)
-        _hom_battery(report, hkind, source, target, images)
+        _hom_battery(report, _hom_from_obj(obj, base))
     else:
         basis, qg, images = coaction_parts_from_obj(obj, base)
         _coaction_battery(report, basis, qg, images)
@@ -282,13 +276,11 @@ def _right_hom_from_file(path):
     if detect_kind(obj) == "bicharacter":
         source, target, v = bicharacter_parts_from_obj(obj, base)
         return right_from_bicharacter(check_bicharacter(v, source, target))
-    kind, source, target, images = hom_parts_from_obj(obj, base)
-    fmap = _span_map(kind, source, target, images)
-    if kind == "hopf":
-        return right_from_bicharacter(from_hopf_hom(HopfHom(source, target, fmap)))
-    if kind == "right":
-        return check_right_hom(source, target, fmap)
-    return right_from_bicharacter(check_left_hom(source, target, fmap).bicharacter)
+    hom = _hom_from_obj(obj, base)
+    if isinstance(hom, HopfHom):
+        return right_from_bicharacter(from_hopf_hom(hom))
+    gate_all(hom.residuals, hom.gates, RangeViolation)
+    return hom if hom.leg == 1 else right_from_bicharacter(hom.bicharacter)
 
 
 def cmd_induce(args, report):

@@ -16,13 +16,14 @@ import numpy as np
 from .bicharacter import compose as compose_bicharacters, hom_coefficients, push_along
 from .errors import (
     CoactionViolation,
+    RangeViolation,
     RecoveryFailure,
     SolveFailure,
     SourceTargetMismatch,
     gate,
     gate_all,
 )
-from .homviews import check_right_hom, comodule_residuals, hopf_fit, star_hom_residuals
+from .homviews import RightQGHom, comodule_residuals, hopf_fit, star_hom_residuals
 from .qgroup import (
     CLOSURE_TOL,
     EQUATION_TOL,
@@ -182,9 +183,10 @@ def conjugation_coaction(corep):
 
 
 def _pushed_through(coefficients, basis, dr, what):
-    """The map psi = (id (x) f)phi of basis into span(basis) (x) A, f the
-    Hopf map of dr and phi with coefficients (P, g) on basis, gated
-    (SolveFailure, what fails), with its residual and whether it is unique.
+    """The coefficients Psi on span(basis) (x) span(algA) of the map psi =
+    (id (x) f)phi, f the Hopf map of dr and phi with coefficients (P, g) on
+    basis, gated (SolveFailure, what fails), with its residual and whether
+    it is unique.
 
     As deltaR = (id (x) f)Delta_C, (phi (x) id)psi = (id (x) id (x) f)(id
     (x) Delta_C)phi = (id (x) deltaR)phi for a coaction phi, and Psi = P F
@@ -197,8 +199,7 @@ def _pushed_through(coefficients, basis, dr, what):
     and a NaN in P or R reads NaN.  It is linear in Psi with matrix P, so
     psi is unique when rank P = n_D.
     """
-    hd, n = basis.shape[1], len(basis)
-    a = dr.target
+    n = len(basis)
     p, g_p = coefficients
     r, g_r = dr.coefficients
     psi = p @ hopf_fit(dr.source, dr.coefficients, 1)
@@ -212,8 +213,7 @@ def _pushed_through(coefficients, basis, dr, what):
     miss += np.sqrt(frob(r) ** 2 + off_r**2) * np.sqrt(np.diag(g_p).real)
     worst = float(np.max(miss / np.maximum(1.0, per_k(rhs))))
     gate(worst, EQUATION_TOL, SolveFailure, what)
-    images = PairSpan(basis, a.algC).combine(psi)
-    return SpanMap(basis, images, hd, hd * a.dim), worst, numerical_rank(p) == n
+    return psi, worst, numerical_rank(p) == n
 
 
 def induce_coaction(gamma, dr):
@@ -225,9 +225,11 @@ def induce_coaction(gamma, dr):
         raise SourceTargetMismatch(
             f"coaction is over dim {gamma.qg.dim}, homomorphism starts at {dr.source.dim}"
         )
+    basis, hd, a = gamma.algebraD, gamma.hdim, dr.target
     what = "induced coaction solve fails"
-    induced, worst, unique = _pushed_through(gamma.coefficients, gamma.algebraD, dr, what)
-    out = check_coaction(induced, dr.target)
+    psi, worst, unique = _pushed_through(gamma.coefficients, basis, dr, what)
+    images = PairSpan(basis, a.algC).combine(psi)
+    out = check_coaction(SpanMap(basis, images, hd, hd * a.dim), a)
     out.residuals["solve"] = worst
     out.residuals["uniqueRank"] = unique
     return out
@@ -243,8 +245,9 @@ def compose_functors_check(a, b):
     """Verify that inducing along b after a equals inducing along their composite.
 
     a runs from C into C (x) A and b from A into A (x) B.  The composite
-    right homomorphism is a.deltaR, a coaction of A on C, induced along b,
-    P_a F_b.  Then two facts are checked: induction in two steps agrees with
+    right homomorphism is a.deltaR, a coaction of A on C, induced along b:
+    its coefficients are Psi = P_a F_b, on the pair span, so its range is 0.
+    Then two facts are checked: induction in two steps agrees with
     induction along the composite on the canonical test coactions, and the
     composite's bicharacter is the composition of the two bicharacters.
     The worst residual over all checks is returned.
@@ -255,8 +258,9 @@ def compose_functors_check(a, b):
         )
     c = a.source
     what = "composite homomorphism solve fails"
-    comp_map, worst, _ = _pushed_through(a.coefficients, c.algC, b, what)
-    comp = check_right_hom(c, b.target, comp_map)
+    psi, worst, _ = _pushed_through(a.coefficients, c.algC, b, what)
+    comp = RightQGHom(c, b.target, psi, 0.0)
+    gate_all(comp.residuals, comp.gates, RangeViolation)
 
     checks = [worst]
     for start in (comultiplication_coaction(c), trivial_coaction(c.algC, c)):

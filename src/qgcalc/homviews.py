@@ -5,10 +5,10 @@ C (x) A), left homomorphisms (into A (x) C), and bicharacters all describe
 the same arrows; this module carries each notion and the translations
 between them, with every translation verified on the way out.
 
-Linear maps between matrix algebras are SpanMaps on orthonormal algebra
-bases.  A bicharacter V = (id (x) f)(W_C) is its Hopf coefficients F: its
-right and left maps are (id (x) f)Delta_C and (f (x) id)Delta_C, and a
-one-sided hom gives F back by a least-squares fit (hopf_fit).
+A Hopf map is a SpanMap on its source's orthonormal algebra basis.  A right
+or left hom is its coefficients P on its pair span, P = C F for the Hopf
+coefficients F of its bicharacter V = (id (x) f)(W_C); every one-sided
+residual is read off P, and F comes back by a least-squares fit (hopf_fit).
 """
 
 from functools import cached_property
@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .bicharacter import (
+    _on_target,
     extract_bicharacter,
     hom_coefficients,
     hopf_coefficients,
@@ -51,10 +52,8 @@ __all__ = [
     "check_hopf_hom",
     "check_right_hom",
     "check_left_hom",
-    "right_map_from_bicharacter",
     "right_from_bicharacter",
     "bicharacter_from_right",
-    "left_map_from_bicharacter",
     "left_from_bicharacter",
     "bicharacter_from_left",
     "one_sided_residuals",
@@ -172,15 +171,22 @@ def _one_sided_gates(name, pair_span):
 
 
 class _OneSidedHom:
-    """A verified map of C into C (x) A or A (x) C, C on ``leg``, kept as
-    ``map_name``, with the coefficients (p, g) of the map its check read."""
+    """A map of C into C (x) A or A (x) C, C on ``leg``, held as its
+    coefficients (p, g) on that pair span, g the Gram matrix of the images'
+    parts off it.  Made from p at distance range_ from the span, it reads its
+    residuals off p (_one_sided), gates none and holds g = 0; its map,
+    ``map_name``, is combined from p on first access unless a check holds it."""
 
-    def __init__(self, source, target, map, residuals, coefficients):
+    def __init__(self, source, target, p, range_):
         self.source = source
         self.target = target
-        setattr(self, self.map_name, map)
-        self.residuals = dict(residuals)
-        self.coefficients = coefficients
+        self.residuals = _one_sided(source, target, p, range_, self.leg)
+        self.coefficients = (p, np.zeros((len(p),) * 2))
+
+    def _combined(self):
+        c, a = self.source, self.target
+        span = PairSpan(c.algC, a.algC) if self.leg == 1 else PairSpan(a.algC, c.algC)
+        return SpanMap(c.algC, span.combine(self.coefficients[0]), c.dim, c.dim * a.dim)
 
     @cached_property
     def bicharacter(self):
@@ -196,6 +202,7 @@ class RightQGHom(_OneSidedHom):
 
     leg, map_name = 1, "deltaR"
     gates = _one_sided_gates(map_name, "span(algC) (x) span(algA)")
+    deltaR = cached_property(_OneSidedHom._combined)
 
 
 class LeftQGHom(_OneSidedHom):
@@ -203,6 +210,7 @@ class LeftQGHom(_OneSidedHom):
 
     leg, map_name = 2, "deltaL"
     gates = _one_sided_gates(map_name, "span(algA) (x) span(algC)")
+    deltaL = cached_property(_OneSidedHom._combined)
 
 
 def one_sided_residuals(c, a, phi, leg):
@@ -228,59 +236,44 @@ def _one_sided(c, a, p, range_, leg):
 
 
 def _check_one_sided(cls, c, a, phi):
-    res, coefficients = one_sided_residuals(c, a, phi, cls.leg)
-    gate_all(res, cls.gates, RangeViolation)
-    return cls(c, a, phi, res, coefficients)
+    """cls of phi, gated, from one read of its images: phi is held as given."""
+    p, g, range_ = _read(phi, c.algC, a, cls.leg)
+    hom = cls(c, a, p, range_)
+    gate_all(hom.residuals, cls.gates, RangeViolation)
+    hom.coefficients = (p, g)
+    setattr(hom, cls.map_name, phi)
+    return hom
 
 
 def check_right_hom(c, a, dr_map):
     return _check_one_sided(RightQGHom, c, a, dr_map)
 
 
-def right_map_from_bicharacter(v):
-    """The map of right_from_bicharacter(v), unverified: (id (x) f)Delta_C,
-    its coefficients C F (hom_coefficients) combined on algC (x) algA."""
-    return _map_of(v, 1)
-
-
-def left_map_from_bicharacter(v):
-    """The map of left_from_bicharacter(v), unverified: (f (x) id)Delta_C."""
-    return _map_of(v, 2)
-
-
-def _map_of(v, leg):
+def _from_bicharacter(cls, v):
+    """The hom of cls of a verified bicharacter v, its coefficients C F
+    (hom_coefficients), with ``range`` the part of V that F does not carry
+    (hopf_coefficients), relative.  How far the map is from V's conjugation
+    V(b (x) 1)V* is V's operatorSource, gated with V."""
     c, a = v.source, v.target
-    span = PairSpan(c.algC, a.algC) if leg == 1 else PairSpan(a.algC, c.algC)
-    return SpanMap(c.algC, span.combine(hom_coefficients(v, leg)), c.dim, c.dim * a.dim)
-
-
-def _from_bicharacter(cls, v, phi):
-    """The hom of cls of a verified bicharacter v with map phi = C F, with
-    the residuals of phi read off C F, but ``range``: the part of V that F
-    does not carry (hopf_coefficients), relative.  How far phi is from V's
-    conjugation V(b (x) 1)V* is V's operatorSource, gated with V."""
-    c, a = v.source, v.target
-    p = hom_coefficients(v, cls.leg)
     range_ = hopf_coefficients(v)[1] / max(1.0, frob(v.V))
-    res = _one_sided(c, a, p, range_, cls.leg)
-    gate_all(res, cls.gates, RangeViolation)
-    out = cls(c, a, phi, res, (p, np.zeros((len(c.algC),) * 2)))
+    out = cls(c, a, hom_coefficients(v, cls.leg), range_)
+    gate_all(out.residuals, cls.gates, RangeViolation)
     out.bicharacter = v
     return out
 
 
 def right_from_bicharacter(v):
     """Right homomorphism (id (x) f)Delta_C of v; its bicharacter is v."""
-    return _from_bicharacter(RightQGHom, v, right_map_from_bicharacter(v))
+    return _from_bicharacter(RightQGHom, v)
 
 
 def left_from_bicharacter(v):
     """Left homomorphism (f (x) id)Delta_C of v; its bicharacter is v, and
     residuals["sliceIdentity"] is (id (x) deltaL)(W) = V12 W13 on W's slices
     with V's own F (push_slices), plus sqrt(dim C) |V - (id (x) f)(W)|."""
-    out = _from_bicharacter(LeftQGHom, v, left_map_from_bicharacter(v))
+    out = _from_bicharacter(LeftQGHom, v)
     c, (f, miss) = v.source, hopf_coefficients(v)
-    res = push_slices(unitary_slices(c), v.target, f, out.coefficients, 2)[1]
+    res = push_slices(unitary_slices(c), f, out.coefficients, 2)[1]
     res += np.sqrt(c.dim) * miss / max(1.0, np.sqrt(c.dim) * frob(v.V))
     gate(res, EQUATION_TOL, RangeViolation, "slice identity for the left homomorphism fails")
     out.residuals["sliceIdentity"] = res
@@ -308,8 +301,8 @@ def _extract(hom, what):
     """(id (x) f)(W_C) for the f of a one-sided hom (hopf_fit), certified
     by (id (x) deltaR)(W) = W12 V13 (leg 2: (id (x) deltaL)(W) = V12 W13)."""
     c, a, f = hom.source, hom.target, hopf_fit(hom.source, hom.coefficients, hom.leg)
-    factor = push_slices(unitary_slices(c), a, f, hom.coefficients, hom.leg)
-    return extract_bicharacter(*factor, c, a, what)
+    ys, resid = push_slices(unitary_slices(c), f, hom.coefficients, hom.leg)
+    return extract_bicharacter(_on_target(ys, a), resid, c, a, what)
 
 
 def bicharacter_from_right(dr):

@@ -375,14 +375,14 @@ def _hom_span(kind, source, target):
     raise ValueError(f"unknown hom kind {kind!r}")
 
 
-def _images_from_coefficients(span, m, what):
-    """The images whose coefficients on span are the columns of m."""
+def _coefficients_on(span, m, what):
+    """The (n, i, j) coefficients on span that the columns of m hold."""
     rows = len(span.left) * len(span.right)
     if m.shape[0] != rows:
         raise ParseError(
             f"{what}: coefficient matrix has {m.shape[0]} rows, basis has {rows} elements"
         )
-    return span.combine(m.T.reshape(m.shape[1], len(span.left), len(span.right)))
+    return m.T.reshape(m.shape[1], len(span.left), len(span.right))
 
 
 def _coefficients_from_images(span, images):
@@ -392,12 +392,13 @@ def _coefficients_from_images(span, images):
 
 @_scoped
 def hom_parts_from_obj(obj, base="."):
-    """Returns (kind, source, target, span map pieces) for a hom file.
+    """Returns (kind, source, target, p) for a hom file, p[k, i, j] the
+    coefficients of the image of source.algC[k] on the product span.
 
     The coefficient matrix is read against the orthonormalized slice
     bases: columns run over source.algC, rows over target.algC for a
-    Hopf map, over the product basis c_i (x) a_j for a right map, and
-    over a_j (x) c_i for a left map.
+    Hopf map (times the 1 x 1 basis {1}), over the product basis c_i (x)
+    a_j for a right map, and over a_j (x) c_i for a left map.
     """
     kind = _need(obj, "kind", "hom")
     if kind not in ("hopf", "right", "left"):
@@ -412,8 +413,7 @@ def hom_parts_from_obj(obj, base="."):
         raise ParseError(
             f"hom matrix has {m.shape[1]} columns, source algebra has {len(source.algC)}"
         )
-    images = _images_from_coefficients(_hom_span(kind, source, target), m, "hom")
-    return kind, source, target, images
+    return kind, source, target, _coefficients_on(_hom_span(kind, source, target), m, "hom")
 
 
 def hom_to_obj(kind, source, target, span_map):
@@ -447,8 +447,8 @@ def coaction_parts_from_obj(obj, base="."):
         raise ParseError(
             f"gamma has {m.shape[1]} columns, orthonormalized D has {len(basis)}"
         )
-    images = _images_from_coefficients(PairSpan(basis, qg.algC), m, "gamma")
-    return basis, qg, images
+    span = PairSpan(basis, qg.algC)
+    return basis, qg, span.combine(_coefficients_on(span, m, "gamma"))
 
 
 def coaction_to_obj(coaction):

@@ -37,7 +37,7 @@ import pytest
 from scipy.stats import unitary_group
 
 import qgcalc as q
-from qgcalc.homviews import _read, right_map_from_bicharacter
+from qgcalc.homviews import _read
 from qgcalc.qgroup import (
     _leg_slices,
     closure_residual,
@@ -655,16 +655,16 @@ def _map_leg(t, space, leg, phi):
 
 
 def kron_right_map(v):
-    """homviews.right_map_from_bicharacter by Kronecker products, its
-    oracle: the images V(b_k (x) 1)V* over v.source.algC."""
+    """RightQGHom.deltaR of right_from_bicharacter(v) by Kronecker
+    products, its oracle: the images V(b_k (x) 1)V* over v.source.algC."""
     c, a = v.source, v.target
     images = v.V @ kron(c.algC, np.eye(a.dim)) @ v.V.conj().T
     return SpanMap(c.algC, images, c.dim, c.dim * a.dim)
 
 
 def kron_left_map(v):
-    """homviews.left_map_from_bicharacter by Kronecker products and leg
-    maps, its oracle: Vhat*(1 (x) R_C(b_k))Vhat for the flipped
+    """LeftQGHom.deltaL of left_from_bicharacter(v) by Kronecker products
+    and leg maps, its oracle: Vhat*(1 (x) R_C(b_k))Vhat for the flipped
     bicharacter Vhat, R_A on leg 1 and R_C on leg 2."""
     c, a = v.source, v.target
     r_c, r_a = q.unitary_antipode(c), q.unitary_antipode(a)
@@ -1013,7 +1013,7 @@ def loop_pushforward_square(x, y, v):
     the matrix units k of B(H), one at a time."""
     dc, da = v.source.dim, v.target.dim
     h = x.shape[0] // dc
-    delta_r = right_map_from_bicharacter(v)
+    delta_r = q.right_from_bicharacter(v).deltaR
     space, space3 = LegSpace((h, dc)), LegSpace((h, dc, da))
     xd, yd = x.conj().T, y.conj().T
     eye_c, eye_a = np.eye(dc, dtype=complex), np.eye(da, dtype=complex)

@@ -25,9 +25,7 @@ from qgcalc.homviews import (
     LeftQGHom,
     RightQGHom,
     left_from_bicharacter,
-    left_map_from_bicharacter,
     right_from_bicharacter,
-    right_map_from_bicharacter,
 )
 from qgcalc.qgroup import FiniteQuantumGroup
 from qgcalc.report import Report, render_text
@@ -267,21 +265,22 @@ def test_commands_compute_each_residual_set_once(count_calls, tmp_path, capsys, 
     coaction = tmp_path / "co.json"
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
     calls = count_calls(
-        "bicharacter_residuals", "HopfHom.verification_residuals", "one_sided_residuals"
+        "bicharacter_residuals", "HopfHom.verification_residuals", "_OneSidedHom.__init__", "_read"
     )
-    # argv, then the expected bicharacter_residuals, Hopf-hom and one-sided hom
-    # residual counts: one per file read and one per bicharacter made or
-    # extracted; the round trip of a one-sided hom compares coefficients, and
-    # induce turns the file's bicharacter into the right hom it induces
-    # along, which reads its residuals off C F, no images
+    # argv, then the expected bicharacter_residuals, Hopf-hom, one-sided hom
+    # and image read counts: one per file read and one per bicharacter made
+    # or extracted; a one-sided hom file's hom is its coefficients, read off
+    # no images, its round trip compares coefficients, and induce turns the
+    # file's bicharacter into the right hom it induces along, made of C F;
+    # the images read are the coaction's and the induced coaction's
     for argv, *counts in (
-        (["dual", path_a], 2, 0, 0),
-        (["compose", path_a, str(path_b)], 3, 0, 0),
-        (["verify", str(hopf), "hom"], 1, 1, 0),
-        (["verify", str(right), "hom"], 1, 0, 1),
-        (["verify", str(left), "hom"], 1, 0, 1),
-        (["verify", path_a, "bicharacter"], 1, 0, 0),
-        (["induce", str(coaction), path_a], 1, 0, 0),
+        (["dual", path_a], 2, 0, 0, 0),
+        (["compose", path_a, str(path_b)], 3, 0, 0, 0),
+        (["verify", str(hopf), "hom"], 1, 1, 0, 0),
+        (["verify", str(right), "hom"], 1, 0, 1, 0),
+        (["verify", str(left), "hom"], 1, 0, 1, 0),
+        (["verify", path_a, "bicharacter"], 1, 0, 0, 0),
+        (["induce", str(coaction), path_a], 1, 0, 1, 2),
     ):
         calls.update(dict.fromkeys(calls, 0))
         code, _ = run_json(capsys, argv)
@@ -372,19 +371,18 @@ def _map_reads(monkeypatch):
 
 
 def test_each_map_is_read_once(monkeypatch, tmp_path, capsys, va_file):
-    # verify reads a one-sided hom's images for its check, and the
-    # extraction takes that read; induce reads the coaction's and the
-    # induced coaction's images, once each, the right hom of a bicharacter
-    # being its coefficients, and makes the object for --out only when
-    # --out is given
+    # a one-sided hom file's hom is the file's coefficients, so verify reads
+    # no images; induce reads the coaction's and the induced coaction's
+    # images, once each, the right hom of a bicharacter being its
+    # coefficients, and makes the object for --out only when --out is given
     path_a, va = va_file
     files = _one_sided_files(tmp_path, va)
     coaction = tmp_path / "co.json"
     write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
     reads = _map_reads(monkeypatch)
     for argv, maps in (
-        (["verify", files["right"], "hom"], 1),
-        (["verify", files["left"], "hom"], 1),
+        (["verify", files["right"], "hom"], 0),
+        (["verify", files["left"], "hom"], 0),
         (["induce", str(coaction), path_a], 2),
     ):
         reads.clear()
@@ -399,6 +397,114 @@ def _one_sided_files(tmp_path, va):
         files[kind] = str(tmp_path / f"{kind}.json")
         write_json(files[kind], hom_to_obj(kind, hom.source, hom.target, getattr(hom, hom.map_name)))
     return files
+
+
+def _hom_span_stacks(monkeypatch):
+    """The one-sided homs made, and the PairSpan.combine and .read calls
+    made outside the coaction functions, which keep their images (an
+    induced coaction on algC is the image stack of the hom it is induced
+    along), as (method, left, right), left and right the span's bases."""
+    homs, stacks, depth = [], [], [0]
+    real_init = homviews._OneSidedHom.__init__
+
+    def init(self, source, target, *rest):
+        real_init(self, source, target, *rest)
+        homs.append(self)
+
+    monkeypatch.setattr(homviews._OneSidedHom, "__init__", init)
+
+    def inside(real):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    for name in ("check_coaction", "induce_coaction", "comultiplication_coaction"):
+        wrapped = inside(getattr(coactions, name))
+        for module in (coactions, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    for method in ("combine", "read"):
+
+        def recorded(span, *args, _real=getattr(tensorleg.PairSpan, method), _method=method):
+            if not depth[0]:
+                stacks.append((_method, span.left, span.right))
+            return _real(span, *args)
+
+        monkeypatch.setattr(tensorleg.PairSpan, method, recorded)
+    return homs, stacks
+
+
+def _on_hom_spans(homs, stacks):
+    """The methods of the stacks on the product span of one of homs: (c.algC,
+    a.algC) for a right hom of C into C (x) A, (a.algC, c.algC) for a left one."""
+    spans = [
+        (h.source.algC, h.target.algC) if h.leg == 1 else (h.target.algC, h.source.algC)
+        for h in homs
+    ]
+    return [m for m, left, right in stacks if any(left is l and right is r for l, r in spans)]
+
+
+def test_a_one_sided_hom_forms_no_image_stack(monkeypatch, tmp_path, capsys, va_file, z2, z4):
+    """Right and left homs are their coefficients: made from a bicharacter,
+    read from a file, induced along, composed in the functor check or run
+    by the suite, none combines or reads images on its product span; its
+    map is combined once, on first access, and held."""
+    path_a, va = va_file
+    vb = q.from_hopf_hom(q.hom_to_hopf(q.group_hom(z2, z4, (0, 2)), "c0"))
+    files = _one_sided_files(tmp_path, va)
+    coaction = tmp_path / "co.json"
+    write_json(str(coaction), coaction_to_obj(comultiplication_coaction(va.source)))
+    homs, stacks = _hom_span_stacks(monkeypatch)
+    dr, dl = right_from_bicharacter(va), left_from_bicharacter(va)
+    assert coactions.compose_functors_check(dr, right_from_bicharacter(vb)) <= 1e-9
+    for argv in (
+        ["verify", files["right"], "hom"],
+        ["verify", files["left"], "hom"],
+        ["induce", str(coaction), files["right"]],
+        ["suite"],
+    ):
+        made = len(homs)
+        code, _ = run_json(capsys, argv)
+        assert code == 0 and len(homs) > made, argv
+    assert _on_hom_spans(homs, stacks) == []
+    for hom, name in ((dr, "deltaR"), (dl, "deltaL")):
+        first = getattr(hom, name)
+        assert getattr(hom, name) is first
+        assert _on_hom_spans([hom], stacks) == ["combine"]
+
+
+@pytest.mark.parametrize("picture", ["c0", "cstar"])
+def test_gauged_one_sided_hom_files_are_read_as_their_coefficients(
+    coefficient_arrows, tmp_path, capsys, picture
+):
+    """Right and left hom files of a Haar-gauged arrow, written from the
+    homs' maps: each verifies, with a range of exactly 0, as the file holds
+    the map on its pair span; a matrix a row short is a ParseError, exit 2."""
+    [v] = gauged_bicharacters([coefficient_arrows["S3->Z2"]], picture, "haar", 5201)
+    dr, dl = right_from_bicharacter(v), left_from_bicharacter(v)
+    rows = len(v.source.algC) * len(v.target.algC)
+    for kind, hom, phi in (("right", dr, dr.deltaR), ("left", dl, dl.deltaL)):
+        path = str(tmp_path / f"{kind}.json")
+        obj = hom_to_obj(kind, hom.source, hom.target, phi)
+        write_json(path, obj)
+        code, report = run_json(capsys, ["verify", path, "hom"])
+        assert code == 0 and report["pass"] is True, kind
+        assert report["checks"][0] == {
+            "name": "range", "residual": 0.0, "tolerance": q.CLOSURE_TOL, "pass": True
+        }
+        matrix = obj["matrix"]
+        short = dict(matrix, rows=rows - 1, data=matrix["data"][matrix["cols"] :])
+        write_json(path, dict(obj, matrix=short))
+        code, captured = run_cli(capsys, ["verify", path, "hom"])
+        assert code == 2 and captured.out == "", kind
+        assert captured.err == (
+            f"error: hom: coefficient matrix has {rows - 1} rows, basis has {rows} elements\n"
+        )
 
 
 def test_extraction_induction_and_pushforward_form_no_three_leg_product(
@@ -453,8 +559,6 @@ def test_extraction_induction_and_pushforward_form_no_three_leg_product(
     regular = check_corepresentation(va.source.W, va.source)
     ident_v = q.identity(va.target)
     calls.update(dict.fromkeys(calls, 0))
-    for make in (right_map_from_bicharacter, left_map_from_bicharacter):
-        make(va).images
     right_from_bicharacter(va).deltaR.images
     left_from_bicharacter(va).deltaL.images
     q.compose(va, ident_v)

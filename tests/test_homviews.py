@@ -1,5 +1,7 @@
 """Hopf, right, and left homomorphism pictures and their translations."""
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,7 +31,6 @@ from qgcalc.homviews import (
     left_from_bicharacter,
     one_sided_residuals,
     right_from_bicharacter,
-    right_map_from_bicharacter,
 )
 from qgcalc.errors import CalculusError
 from qgcalc.qgroup import (
@@ -168,10 +169,12 @@ def _one_sided_homs(v):
 
 
 def _unchecked(hom, phi):
-    """A hom of hom's kind and ends holding phi, unchecked, with the
-    map_coefficients of phi its check would have read."""
-    c, a = hom.source, hom.target
-    return type(hom)(c, a, phi, {}, map_coefficients(phi, c.algC, a, hom.leg))
+    """hom holding phi instead, unchecked, with the map_coefficients of phi
+    its check would have read."""
+    out = copy.copy(hom)
+    out.coefficients = map_coefficients(phi, hom.source.algC, hom.target, hom.leg)
+    setattr(out, hom.map_name, phi)
+    return out
 
 
 def _map_span(hom):
@@ -413,7 +416,7 @@ def test_the_homs_of_accepted_rotations_pass_on_the_map_they_hold(arrows, pictur
                 images = image_map(v)
                 want, coefficients = one_sided_residuals(c, a, images, leg)
                 f = hopf_fit(c, coefficients, leg)
-                _, got = push_slices(unitary_slices(c), a, f, coefficients, leg)
+                _, got = push_slices(unitary_slices(c), f, coefficients, leg)
                 _, oracle = product_factor(c.W, c, images, a, leg)
                 assert got >= oracle - 1e-15, (size, v)
                 hom = make(v)
@@ -467,7 +470,7 @@ def test_a_right_hom_is_read_once_by_its_check_and_extraction(va, monkeypatch):
         return real(span, xs)
 
     monkeypatch.setattr(PairSpan, "coefficients", counted)
-    dr = check_right_hom(c, a, right_map_from_bicharacter(v))
+    dr = check_right_hom(c, a, right_from_bicharacter(v).deltaR)
     assert residual_between(dr.bicharacter.V, v.V) <= 1e-9
     assert reads == [len(c.algC)]
 

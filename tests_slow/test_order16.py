@@ -33,9 +33,10 @@ from qgcalc.serialize import load_qg, matrix_to_obj, write_json
 from qgcalc.tensorleg import LegSpace, flip_adjoint
 
 # No check in this tier forms a d^3 x d^3 operator whole; one takes 268 MB at
-# d = 16, and the battery used to peak at 1.1 GB.  The children peak at 85 MB
-# (the qg battery and the transpose), 111 MB (the homs), 115 MB (compose) and
-# 206 MB (the hom files and induce), so a whole d^3 x d^3 operator exceeds this.
+# d = 16, and the battery used to peak at 1.1 GB.  The children peak at 57-62 MB
+# (the qg battery, the transpose and the homs, which form no image stack),
+# 110 MB (compose) and 188 MB (the hom files and induce, most of it parsing the
+# files), so a whole d^3 x d^3 operator exceeds this.
 MAX_RSS_MB = 300
 
 QG_CHILD = """
@@ -63,24 +64,24 @@ with open("/proc/self/status") as status:
 """
 
 
-# the right and left hom files of the identity arrow at W, written from its
-# maps (id (x) f)Delta and (f (x) id)Delta, which read F off W's slices and
-# need no check of V; each file verified through the CLI, which reads F back
-# from the file's map by least squares; then the comultiplication coaction
-# induced along the right hom
+# the right and left hom files of the identity arrow at W, written from the
+# maps (id (x) f)Delta and (f (x) id)Delta of its homs, which read F off W's
+# slices and need no check of V; each file verified through the CLI, whose
+# hom is the file's coefficients and which reads F back from them by least
+# squares; then the comultiplication coaction induced along the right hom
 _HOM_FILES_CHILD = """
 import contextlib, io, json, os, sys
 from qgcalc.bicharacter import Bicharacter
 from qgcalc.cli import main
 from qgcalc.coactions import comultiplication_coaction
-from qgcalc.homviews import left_map_from_bicharacter, right_map_from_bicharacter
+from qgcalc.homviews import left_from_bicharacter, right_from_bicharacter
 from qgcalc.serialize import coaction_to_obj, hom_to_obj, load_qg, write_json
 c = load_qg(sys.argv[1])
 v = Bicharacter(c, c, c.W, {})
 work = os.path.dirname(sys.argv[1])
 files = {name: os.path.join(work, name + ".json") for name in ("right", "left", "co")}
-write_json(files["right"], hom_to_obj("right", c, c, right_map_from_bicharacter(v)))
-write_json(files["left"], hom_to_obj("left", c, c, left_map_from_bicharacter(v)))
+write_json(files["right"], hom_to_obj("right", c, c, right_from_bicharacter(v).deltaR))
+write_json(files["left"], hom_to_obj("left", c, c, left_from_bicharacter(v).deltaL))
 write_json(files["co"], coaction_to_obj(comultiplication_coaction(c)))
 del c, v
 reports = {}
